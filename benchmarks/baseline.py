@@ -16,9 +16,8 @@ Two subcommands::
 ``run`` builds each gated structure from a Zipf-skewed mixed workload and a
 sharded store from the elastic churn workload, recording build I/Os,
 cold-cache search I/Os, range fan-out I/Os, resharding migration volume,
-the shared-memory data plane's deterministic counters (frames encoded,
-payload bytes crossed, pickle fallbacks, coalesced crossings, group-commit
-fsync batches) from a durable replicated process engine — with request
+the process crossing's deterministic counters (coalesced crossings,
+group-commit fsync batches) from a durable replicated process engine — with request
 tracing *enabled*, so the gate also pins that telemetry never perturbs
 those counters — plus the tracer's own deterministic span/crossing
 counts, and the secure
@@ -107,14 +106,12 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
         engine.delete_many(bulk_doomed)
         metrics["bulk_ios.%s" % name] = engine.io_stats().total_ios
 
-    # The shared-memory data plane: every counter is a pure function of
-    # the workload, topology and record codec (frames per bulk crossing,
-    # payload bytes per record, group commits per worker) — no wall clock,
-    # no core-count dependence — so the plane is gateable exactly like the
-    # I/O counts.  A regression in ``frames``/``bytes`` means batches
-    # stopped riding shm; in ``fallbacks`` that encodable values started
-    # spilling to the pickled pipe; in ``fsync_batches`` that group commit
-    # stopped merging per-copy fsyncs.
+    # The process crossing: both counters are pure functions of the
+    # workload and topology (crossings merged per worker, group commits per
+    # worker) — no wall clock, no core-count dependence — so they are
+    # gateable exactly like the I/O counts.  A regression in ``coalesced``
+    # means same-worker commands stopped sharing a crossing; in
+    # ``fsync_batches`` that group commit stopped merging per-copy fsyncs.
     import shutil
     import tempfile
 
@@ -124,13 +121,12 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
                                      block_size=BLOCK_SIZE,
                                      seed=STRUCTURE_SEED,
                                      router="consistent",
-                                     parallel="process", plane="shm",
+                                     parallel="process",
                                      replication=2,
                                      durability_dir=durability_dir,
                                      telemetry=True)
         # Telemetry runs *enabled* on this scenario on purpose: the gate
-        # itself proves tracing does not perturb the plane counters (the
-        # trace header rides the pickled pipe, never the shm rings).  The
+        # itself proves tracing does not perturb the crossing counters.  The
         # tracer's counters are deterministic too — span/crossing counts
         # are pure functions of the workload and topology, and a zero
         # slow threshold makes every root span a slow op, so the slow-op
@@ -166,7 +162,7 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
                                      block_size=BLOCK_SIZE,
                                      seed=STRUCTURE_SEED,
                                      router="consistent",
-                                     parallel="process", plane="shm",
+                                     parallel="process",
                                      replication=2,
                                      durability_dir=secure_dir,
                                      durability_mode="secure")
@@ -201,7 +197,7 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
                                  block_size=BLOCK_SIZE,
                                  seed=STRUCTURE_SEED,
                                  router="consistent",
-                                 parallel="process", plane="shm",
+                                 parallel="process",
                                  replication=3,
                                  read_policy="round-robin")
     try:

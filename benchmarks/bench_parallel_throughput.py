@@ -1,20 +1,17 @@
-"""Experiment X-P1 — wall-clock throughput: sequential vs thread vs process.
+"""Experiment X-P1 — wall-clock throughput: sequential vs process.
 
 Every earlier perf number in this repository is a deterministic I/O *count*;
 this bench starts the wall-clock trajectory.  It replays an identical bulk
 workload — ``insert_many`` of N entries, then ``contains_many`` of N/2
-probes — through the sequential, thread-pool and worker-process sharded
-engines across a sweep of shard counts, records ops/sec for each, and
-verifies the results are byte-identical across backends (fingerprints
-included) so no backend can buy speed with divergence.  The process engine
-runs once per data plane (``shm`` shared-memory rings vs the original
-pickled ``pipe``), so the trajectory shows exactly what the zero-pickle hot
-path buys.
+probes — through the sequential and worker-process sharded engines across
+a sweep of shard counts, records ops/sec for each, and verifies the results
+are byte-identical across backends (fingerprints included) so no backend
+can buy speed with divergence.
 
 The numbers land in ``benchmarks/BENCH_wallclock.json`` (machine-dependent;
 CI uploads it as an artifact).  One bound *is* gated in the CI wall-clock
 job: with at least 4 usable cores, 4+ shards and a full-size (non-smoke)
-run, the ``process`` engine on the ``shm`` plane must reach
+run, the ``process`` engine must reach
 ``REPRO_BENCH_GATE_SPEEDUP`` (default 2.0) times the sequential engine's
 combined insert+contains throughput — that is the entire point of escaping
 the GIL.  Runners that cannot host the bound (smoke mode, fewer than 4
@@ -41,12 +38,10 @@ INNER = "hi-skiplist"
 BLOCK_SIZE = 32
 SEED = 3
 
-#: The sweep: (parallel mode, data plane).  ``plane`` only exists for the
-#: process backend; sequential and thread runs record it as ``"-"``.
-MODES = (("none", None), ("thread", None), ("process", "shm"),
-         ("process", "pipe"))
+#: The sweep of dispatch backends.
+MODES = ("none", "process")
 
-#: The gated bound for process+shm at >=4 shards on >=4 cores (full mode).
+#: The gated bound for process at >=4 shards on >=4 cores (full mode).
 GATE_SPEEDUP = float(os.environ.get("REPRO_BENCH_GATE_SPEEDUP", "2.0"))
 
 #: The replicated read-heavy sweep: replication=3, read_policy primary vs
@@ -70,15 +65,11 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def mode_label(mode: str, plane) -> str:
-    return "%s+%s" % (mode, plane) if plane else mode
-
-
-def drive(mode: str, plane, shards: int, entries, probes):
+def drive(mode: str, shards: int, entries, probes):
     """One backend run: returns (row, contains result, fingerprint)."""
     engine = make_sharded_engine(INNER, shards=shards, block_size=BLOCK_SIZE,
                                  seed=SEED, router="consistent",
-                                 parallel=mode, plane=plane)
+                                 parallel=mode)
     try:
         started = time.perf_counter()
         engine.insert_many(entries)
@@ -91,7 +82,6 @@ def drive(mode: str, plane, shards: int, entries, probes):
         total = insert_seconds + contains_seconds
         row = {
             "mode": mode,
-            "plane": plane or "-",
             "shards": shards,
             "insert_seconds": round(insert_seconds, 4),
             "contains_seconds": round(contains_seconds, 4),
@@ -99,11 +89,10 @@ def drive(mode: str, plane, shards: int, entries, probes):
         }
         plane_stats = getattr(engine, "plane_stats", None)
         if callable(plane_stats):
-            # Deterministic data-plane counters, recorded for trajectory
+            # Deterministic crossing counters, recorded for trajectory
             # context (the gated copies live in BENCH_smoke.json).
             stats = plane_stats()
             row["plane_stats"] = stats
-            row["bytes_per_op"] = round(stats["bytes"] / operations, 2)
             row["fsync_batches"] = stats["fsync_batches"]
         return row, contains, fingerprint
     finally:
@@ -117,7 +106,7 @@ def drive_replica_reads(read_policy: str, entries, probes, rounds: int):
     engine = make_sharded_engine(INNER, shards=REPLICA_SHARDS,
                                  block_size=BLOCK_SIZE, seed=SEED,
                                  router="consistent", parallel="process",
-                                 plane="shm", replication=REPLICA_FACTOR,
+                                 replication=REPLICA_FACTOR,
                                  read_policy=read_policy)
     try:
         engine.insert_many(entries)
@@ -175,16 +164,15 @@ def collect():
     for shards in ((2, 4) if smoke_mode() else (2, 4, 8)):
         reference = None
         per_mode = {}
-        for mode, plane in MODES:
-            row, contains, fingerprint = drive(mode, plane, shards,
-                                               entries, probes)
+        for mode in MODES:
+            row, contains, fingerprint = drive(mode, shards, entries, probes)
             if reference is None:
                 reference = (contains, fingerprint)
             else:
                 assert (contains, fingerprint) == reference, (
                     "backend %r diverged from the sequential engine at "
-                    "%d shards" % (mode_label(mode, plane), shards))
-            per_mode[mode_label(mode, plane)] = row
+                    "%d shards" % (mode, shards))
+            per_mode[mode] = row
             rows.append(row)
         baseline = per_mode["none"]["ops_per_second"]
         for row in per_mode.values():
@@ -214,12 +202,11 @@ def report(payload, rows) -> None:
              payload["meta"]["cores"], payload["meta"]["start_method"],
              payload["meta"]["smoke"]))
     print(format_table(
-        [[row["shards"], row["mode"], row["plane"], row["insert_seconds"],
+        [[row["shards"], row["mode"], row["insert_seconds"],
           row["contains_seconds"], row["ops_per_second"],
-          row.get("bytes_per_op", "-"),
           "%.2fx" % row["speedup_vs_sequential"]] for row in rows],
-        headers=["shards", "mode", "plane", "insert s", "contains s",
-                 "ops/s", "bytes/op", "speedup"]))
+        headers=["shards", "mode", "insert s", "contains s", "ops/s",
+                 "speedup"]))
     replica_rows = payload.get("replica_reads") or []
     if replica_rows:
         print()
@@ -263,15 +250,14 @@ def write_wallclock(payload) -> None:
 
 
 def assert_process_beats_sequential(payload, rows) -> None:
-    """The gated bound: process+shm >= GATE_SPEEDUP x sequential.
+    """The gated bound: process >= GATE_SPEEDUP x sequential.
 
     Applies to full-mode runs on >=4 cores at >=4 shards.  Runs that
     cannot host the bound print an explicit skip line — CI greps the log,
     a silent pass would hide an under-provisioned runner.
     """
     eligible = [row for row in rows
-                if row["mode"] == "process" and row["plane"] == "shm"
-                and row["shards"] >= 4]
+                if row["mode"] == "process" and row["shards"] >= 4]
     if smoke_mode() or payload["meta"]["cores"] < 4 or not eligible:
         print("SPEEDUP-GATE-SKIPPED: bound needs a full-mode run on >=4 "
               "cores (smoke=%s, cores=%d, eligible rows=%d) — recorded only"
@@ -280,11 +266,11 @@ def assert_process_beats_sequential(payload, rows) -> None:
         return
     best = max(row["speedup_vs_sequential"] for row in eligible)
     assert best >= GATE_SPEEDUP, (
-        "process+shm reached only %.2fx of the sequential engine at >=4 "
-        "shards on %d cores (gate: %.2fx); the shm data plane is not "
+        "process reached only %.2fx of the sequential engine at >=4 "
+        "shards on %d cores (gate: %.2fx); the process backend is not "
         "paying for its crossings" % (best, payload["meta"]["cores"],
                                       GATE_SPEEDUP))
-    print("SPEEDUP-GATE-OK: process+shm best %.2fx >= %.2fx on %d cores"
+    print("SPEEDUP-GATE-OK: process best %.2fx >= %.2fx on %d cores"
           % (best, GATE_SPEEDUP, payload["meta"]["cores"]))
 
 

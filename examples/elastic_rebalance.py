@@ -13,8 +13,9 @@ This example replays an elastic churn workload (ingest-heavy grow phases
 alternating with drain-heavy shrink phases), scales out at the population
 peak and back in afterwards, and prints what each rebalancing step actually
 moved — modulo vs. consistent, side by side.  It closes with the parallel
-engine: same sharded store, bulk operations fanned out over a thread pool,
-results byte-identical to the sequential engine.
+engine: same sharded store, each shard hosted in its own worker process
+and bulk operations fanned out over them, results byte-identical to the
+sequential engine.
 
 Run with::
 
@@ -66,20 +67,20 @@ def main() -> None:
 
     sequential = make_sharded_engine("hi-skiplist", shards=4, block_size=32,
                                      seed=9, router="consistent")
-    parallel = make_sharded_engine("hi-skiplist", shards=4, block_size=32,
-                                   seed=9, router="consistent",
-                                   parallel=True)
     entries = [(key, key * 7) for key in range(0, 40_000, 5)]
     sequential.insert_many(entries)
-    parallel.insert_many(entries)
     probes = [key for key, _value in entries[::9]]
-    identical = (parallel.items() == sequential.items()
-                 and parallel.contains_many(probes)
-                 == sequential.contains_many(probes)
-                 and parallel.structure.audit_fingerprint()
-                 == sequential.structure.audit_fingerprint())
-    print("parallel engine   : %d keys over %d thread-dispatched shards"
-          % (len(parallel), parallel.num_shards))
+    with make_sharded_engine("hi-skiplist", shards=4, block_size=32,
+                             seed=9, router="consistent",
+                             parallel="process") as parallel:
+        parallel.insert_many(entries)
+        identical = (parallel.items() == sequential.items()
+                     and parallel.contains_many(probes)
+                     == sequential.contains_many(probes)
+                     and parallel.structure.audit_fingerprint()
+                     == sequential.structure.audit_fingerprint())
+        print("parallel engine   : %d keys over %d worker-process shards"
+              % (len(parallel), parallel.num_shards))
     print("byte-identical to the sequential engine: %s" % identical)
 
 

@@ -47,7 +47,6 @@ from repro.api.process_engine import ProcessShardedDictionaryEngine
 from repro.api.sharded import (
     PARALLEL_MODES,
     MigrationReport,
-    ParallelShardedDictionaryEngine,
     ShardedDictionary,
     ShardedDictionaryEngine,
     make_sharded_engine,
@@ -81,7 +80,6 @@ __all__ = [
     "MigrationReport",
     "ModuloRouter",
     "PARALLEL_MODES",
-    "ParallelShardedDictionaryEngine",
     "ProcessShardedDictionaryEngine",
     "ReplicatedShardedDictionaryEngine",
     "Router",

@@ -1,7 +1,7 @@
 """One typed, serializable description of a sharded engine deployment.
 
 :func:`~repro.api.sharded.make_sharded_engine` grew one keyword argument
-per PR — router, vnodes, weights, parallel, max_workers, plane,
+per PR — router, vnodes, weights, parallel, max_workers,
 replication, durability_dir, durability_mode, fsync — and every consumer
 (CLI commands, the durability manifest, now the network server handshake)
 re-spelled the same sprawl.  :class:`EngineConfig` is the one object they
@@ -14,7 +14,7 @@ all share:
   config it was built from and the server hands it to clients at
   handshake.
 * :meth:`EngineConfig.validate` centralises the cross-field rules
-  (replication/durability/plane require the process backend, secure mode
+  (replication/durability require the process backend, secure mode
   requires a durability directory, ...) that used to live inline in
   ``make_sharded_engine``.
 
@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError
 
 #: Parallel dispatch backends accepted by :func:`make_sharded_engine`
 #: (re-exported from :mod:`repro.api.sharded` for backward compatibility).
-PARALLEL_MODES = ("none", "thread", "process")
+PARALLEL_MODES = ("none", "process")
 
 #: Read routing policies for the replicated engine.  ``"primary"`` serves
 #: every read from the shard's primary copy (replicas are failover-only);
@@ -43,20 +43,28 @@ PARALLEL_MODES = ("none", "thread", "process")
 READ_POLICIES = ("primary", "round-robin", "any-after-barrier")
 
 
-def _parallel_mode(parallel: object) -> str:
-    """Normalise the ``parallel`` flag: a mode name, or PR 3's boolean API.
+#: Keys older durability manifests carry that no longer configure anything
+#: (``plane`` chose the removed shared-memory data plane); ``from_dict``
+#: accepts and drops them so those stores still open.
+_RETIRED_KEYS = frozenset(("plane",))
 
-    Strings must name a known mode; everything else falls back to PR 3's
-    ``parallel: bool`` contract — plain truthiness, where truthy meant the
-    thread engine — so callers passing ``1``/``0`` keep working.
+
+def _parallel_mode(parallel: object) -> str:
+    """Normalise the ``parallel`` flag to a mode name.
+
+    Strings must name a known mode.  A falsy non-string (the older boolean
+    spelling's ``False``, ``0``, ``None``) still means ``"none"``; a truthy
+    one selected the removed thread backend, so it is refused rather than
+    silently remapped.
     """
-    if isinstance(parallel, str):
-        if parallel in PARALLEL_MODES:
-            return parallel
-        raise ConfigurationError(
-            "parallel must be one of %s (or a boolean, where True means "
-            "'thread'), got %r" % (", ".join(PARALLEL_MODES), parallel))
-    return "thread" if parallel else "none"
+    if parallel in PARALLEL_MODES:
+        return parallel
+    if not isinstance(parallel, str) and not parallel:
+        return "none"
+    raise ConfigurationError(
+        "parallel must be one of %s (the thread backend is gone: pass "
+        "parallel='process' for parallel dispatch), got %r"
+        % (", ".join(repr(mode) for mode in PARALLEL_MODES), parallel))
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,6 @@ class EngineConfig:
     router: object = "modulo"
     parallel: object = "none"
     max_workers: Optional[int] = None
-    plane: Optional[str] = None
     replication: int = 1
     read_policy: str = "primary"
     durability_dir: Optional[str] = None
@@ -120,8 +127,8 @@ class EngineConfig:
                 "shards must be an integer >= 1, got %r" % (self.shards,))
         if self.parallel == "none" and self.max_workers is not None:
             raise ConfigurationError(
-                "max_workers only applies to the parallel engines; "
-                "pass parallel='thread' or parallel='process'")
+                "max_workers only applies to the process backend; "
+                "pass parallel='process'")
         if not isinstance(self.replication, int) \
                 or isinstance(self.replication, bool) \
                 or self.replication < 1:
@@ -157,11 +164,6 @@ class EngineConfig:
             raise ConfigurationError(
                 "telemetry is a boolean switch (request tracing on the "
                 "engine), got %r" % (self.telemetry,))
-        if self.plane is not None and self.parallel != "process":
-            raise ConfigurationError(
-                "plane only applies to the process backend (the thread "
-                "and sequential engines share the parent's memory); "
-                "pass parallel='process'")
         return self
 
     # ------------------------------------------------------------------ #
@@ -194,7 +196,6 @@ class EngineConfig:
             "router": dict(self.router),
             "parallel": self.parallel,
             "max_workers": self.max_workers,
-            "plane": self.plane,
             "replication": self.replication,
             "read_policy": self.read_policy,
             "durability_dir": self.durability_dir,
@@ -209,20 +210,22 @@ class EngineConfig:
         """Rebuild a config from :meth:`to_dict` output (strict keys).
 
         Missing keys take the field defaults (forward compatibility for
-        manifests written before a field existed); unknown keys are
-        rejected so a typo cannot silently configure nothing.
+        manifests written before a field existed) and retired keys are
+        dropped (manifests written before a setting was removed); unknown
+        keys are rejected so a typo cannot silently configure nothing.
         """
         if not isinstance(payload, Mapping):
             raise ConfigurationError(
                 "EngineConfig.from_dict takes a mapping, got %r"
                 % (payload,))
         known = {spec.name for spec in fields(cls)}
-        unknown = set(payload) - known
+        unknown = set(payload) - known - _RETIRED_KEYS
         if unknown:
             raise ConfigurationError(
                 "unknown EngineConfig key(s): %s"
                 % ", ".join(sorted(map(str, unknown))))
-        return cls(**dict(payload))
+        return cls(**{name: value for name, value in payload.items()
+                      if name in known})
 
     def replace(self, **changes: object) -> "EngineConfig":
         """A copy with ``changes`` applied (:func:`dataclasses.replace`)."""

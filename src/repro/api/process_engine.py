@@ -1,12 +1,10 @@
 """Process-parallel sharded engine: long-lived workers own the shards.
 
-PR 3's :class:`~repro.api.sharded.ParallelShardedDictionaryEngine` fans shard
-batches out over a thread pool, but pure-Python shard work is GIL-bound: the
-threads serialize and the "parallel" engine buys nothing on CPU-bound inners.
-This module is the escape hatch: :class:`ProcessShardedDictionaryEngine`
-hosts every shard's structure inside a long-lived **worker process** and
-drives it over a pickled command protocol, so per-shard batches execute on
-separate cores.
+Pure-Python shard work is GIL-bound, so threads buy nothing on the
+registry's CPU-bound inner structures.  :class:`ProcessShardedDictionaryEngine`
+instead hosts every shard's structure inside a long-lived **worker
+process** and drives it over a pickled command pipe, so per-shard batches
+execute on separate cores.
 
 Design
 ------
@@ -24,15 +22,11 @@ Design
   single command (amortizing IPC exactly the way PR 2's batched routing
   amortized dispatch), with at most one outstanding command per worker so
   a large payload can never deadlock against a worker blocked on its reply.
-* **Bulk payloads cross through shared memory.**  On the default ``shm``
-  data plane (see :mod:`repro.api.shm_plane`) each worker owns a shared
-  segment: batches are encoded as fixed-width binary records into the
-  worker's request ring and the pipe carries only a small dispatch header
-  (shard id, opcode, frame offset); replies — deleted values,
-  ``contains`` bitmaps — come back through the reply ring the same way.
-  Batches the record codec cannot represent exactly fall back to the
-  pickled pipe per batch, automatically.  ``plane="pipe"`` (or
-  ``REPRO_DATA_PLANE=pipe``) disables the shared-memory path entirely.
+* **One encoding on the pipe.**  Commands and replies are pickled: the
+  pipe joins two halves of one trusted program, so pickle's exact
+  round-trip of every value type is what it needs.  (Untrusted network
+  bytes never reach pickle — see :mod:`repro.net.protocol` — and the
+  durable artifacts use :class:`~repro.storage.encoding.RecordCodec`.)
 * **Crossings coalesce per worker.**  When one bulk call queues several
   commands for the same worker (``max_workers`` packing, replica copies),
   they merge into a single ``__multi__`` crossing; a durable worker then
@@ -49,10 +43,9 @@ Design
   positions lost their data.  :meth:`close` (or the context-manager exit)
   shuts every worker down cleanly.
 
-The byte-identity guarantee matches the thread engine's: bulk calls that
-*succeed* return results, layouts and counters identical to the sequential
-engine; when a batch raises, the same exception surfaces, but other shards'
-already-dispatched batches run to completion.
+Bulk calls that *succeed* return results, layouts and counters identical
+to the sequential engine; when a batch raises, the same exception
+surfaces, but other shards' already-dispatched batches run to completion.
 
 Build one through the usual convenience constructor::
 
@@ -70,9 +63,11 @@ import hashlib
 import heapq
 import multiprocessing
 import os
+import pickle
 import traceback
 from collections import deque
 from multiprocessing.connection import wait
+from time import perf_counter
 from typing import (
     Deque,
     Dict,
@@ -91,18 +86,7 @@ from repro.api.sharded import (
     ShardedDictionary,
     ShardedDictionaryEngine,
 )
-from repro.api.shm_plane import (
-    DEFAULT_CAPACITY,
-    DEFAULT_PAYLOAD_SIZE,
-    BatchCodec,
-    PlaneStats,
-    ShmChannel,
-    ShmFrameError,
-    ShmPayload,
-    is_shm_reply,
-    shm_reply_descriptor,
-)
-from repro.errors import CapacityError, ConfigurationError, WorkerCrashError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.obs import Tracer, child_span
 
 #: One parent->worker command: ``(shard_id, method, args)`` — plus an
@@ -112,23 +96,8 @@ from repro.obs import Tracer, child_span
 #: (the worker's finished span dicts) on traced commands.
 Command = Tuple[int, str, tuple]
 
-#: Data planes the process engines speak: shared-memory rings (default)
-#: or the original pickled pipe.
-PLANE_MODES = ("shm", "pipe")
-
 #: Bulk methods that mutate a shard (and therefore commit its op log).
 _BULK_MUTATORS = frozenset(("insert_batch", "delete_batch"))
-
-
-def _resolve_plane(plane: Optional[str]) -> str:
-    """Validate the data-plane choice; ``REPRO_DATA_PLANE`` sets the default."""
-    if plane is None:
-        plane = os.environ.get("REPRO_DATA_PLANE") or "shm"
-    if plane not in PLANE_MODES:
-        raise ConfigurationError(
-            "plane must be one of %s, got %r"
-            % (", ".join(PLANE_MODES), plane))
-    return plane
 
 
 def _default_start_method() -> str:
@@ -230,36 +199,8 @@ def _delete_batch(structure, log, trip, keys, dirty) -> List[object]:
     return values
 
 
-def _shm_request(channel, trip, args) -> List[object]:
-    """Decode one request frame the dispatch header described."""
-    offset, length, count = args
-    trip("worker.shm.request")
-    with child_span("worker.decode") as span:
-        span.tag("bytes", length)
-        return channel.codec.decode(channel.request.read(offset, length),
-                                    count)
-
-
-def _shm_values_reply(channel, trip, values) -> object:
-    """Stage ``values`` in the reply ring, or return them raw to fall back.
-
-    Deleted values entered the store through *some* plane, so they are not
-    guaranteed codec-encodable even when the keys were; un-encodable (or
-    oversized) value sets ride the pickled pipe for this reply only.
-    """
-    blob = channel.codec.try_encode(values)
-    if blob is None:
-        return values
-    try:
-        offset = channel.reply.write(
-            blob, tripwire=lambda: trip("worker.shm.reply"))
-    except CapacityError:
-        return values
-    return shm_reply_descriptor("records", offset, len(blob), len(values))
-
-
 def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
-             trip, channel, shard_id: int, method: str, args: tuple,
+             trip, shard_id: int, method: str, args: tuple,
              dirty: Optional[list] = None) -> object:
     """Dispatch one command against the hosted shard (worker side).
 
@@ -268,10 +209,8 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     process that applied it, with one fsync batch per command — so after a
     crash the log holds exactly the operations the lost structure had
     applied.  ``trip`` is the fail-point hook the fault-injection suite
-    arms to kill the worker at exact operation boundaries.  ``channel`` is
-    the worker's shared-memory channel (``None`` on the pipe plane) and
-    ``dirty`` the enclosing ``__multi__`` crossing's group-commit
-    accumulator.
+    arms to kill the worker at exact operation boundaries, and ``dirty``
+    the enclosing ``__multi__`` crossing's group-commit accumulator.
     """
     if method == "__multi__":
         # One coalesced crossing: execute every sub-command, capturing
@@ -286,8 +225,8 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
             for sub_id, sub_method, sub_args in args[0]:
                 try:
                     replies.append(("ok", _execute(
-                        engines, logs, trip, channel, sub_id, sub_method,
-                        sub_args, dirty=group_dirty)))
+                        engines, logs, trip, sub_id, sub_method, sub_args,
+                        dirty=group_dirty)))
                 except Exception as error:
                     replies.append(("err", error))
         finally:
@@ -322,35 +261,15 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     engine = engines[shard_id]
     structure = engine.structure
     log = logs.get(shard_id)
-    # The batched bulk paths: one command per shard per engine-level call,
-    # each with a pipe (pickled batch) and an shm (binary frame) spelling.
+    # The batched bulk paths: one command per shard per engine-level call.
     if method == "insert_batch":
         return _insert_batch(structure, log, trip, args[0], dirty)
-    if method == "insert_batch_shm":
-        pairs = _shm_request(channel, trip, args)
-        return _insert_batch(structure, log, trip, pairs, dirty)
     if method == "delete_batch":
         return _delete_batch(structure, log, trip, args[0], dirty)
-    if method == "delete_batch_shm":
-        keys = _shm_request(channel, trip, args)
-        values = _delete_batch(structure, log, trip, keys, dirty)
-        return _shm_values_reply(channel, trip, values)
     if method == "contains_batch":
         contains = structure.contains
         with child_span("worker.apply.contains"):
             return [contains(key) for key in args[0]]
-    if method == "contains_batch_shm":
-        keys = _shm_request(channel, trip, args)
-        contains = structure.contains
-        with child_span("worker.apply.contains"):
-            flags = [contains(key) for key in keys]
-        blob = channel.codec.encode_bitmap(flags)
-        try:
-            offset = channel.reply.write(
-                blob, tripwire=lambda: trip("worker.shm.reply"))
-        except CapacityError:  # pragma: no cover - bitmap of a huge batch
-            return flags
-        return shm_reply_descriptor("bits", offset, len(blob), len(flags))
     if method in ("insert", "upsert", "delete"):
         # Routed point mutations (including the migration traffic the
         # elastic resizes push through the shard proxies) log one committed
@@ -450,7 +369,7 @@ def _unpicklable_reply_error(method: str,
         % (method, type(payload).__name__))
 
 
-def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
+def _worker_main(conn) -> None:
     """The long-lived worker loop: receive commands, answer until shutdown."""
     # Lazy import (cycle: the replication package imports this module); the
     # fail points are inert unless REPRO_FAILPOINTS is armed in the
@@ -462,7 +381,6 @@ def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
     from repro.replication.failpoints import reset, trip
 
     reset()
-    channel = ShmChannel.attach(shm_spec) if shm_spec is not None else None
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
     # Enabled on the first traced command; adopted spans finish into its
@@ -471,11 +389,15 @@ def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
     tracer = Tracer(enabled=True, ring=16)
     while True:
         try:
-            message = conn.recv()
+            blob = conn.recv_bytes()
         except (EOFError, OSError):
             break  # parent went away; nothing left to serve
         except KeyboardInterrupt:  # pragma: no cover - interactive abort
             break
+        # Unpickled here rather than inside conn.recv() so a traced command
+        # can charge the decode to its own ``worker.decode`` span.
+        received = perf_counter()
+        message = pickle.loads(blob)
         shard_id, method, args = message[0], message[1], message[2]
         trace_header = message[3] if len(message) > 3 else None
         if method == "__shutdown__":
@@ -484,23 +406,22 @@ def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass
             break
-        if channel is not None:
-            # The parent has read (and copied out) the previous command's
-            # reply frames before sending this command, so the reply ring
-            # restarts from its region base for every command.
-            channel.reply.reset()
         span = None
         if trace_header is not None:
             span = tracer.adopt(trace_header, "worker." + method,
                                 tags={"shard": shard_id, "pid": os.getpid()})
+            span.started = received
         try:
             if span is None:
-                reply = ("ok", _execute(engines, logs, trip, channel,
-                                        shard_id, method, args))
+                reply = ("ok", _execute(engines, logs, trip, shard_id,
+                                        method, args))
             else:
                 with span:
-                    reply = ("ok", _execute(engines, logs, trip, channel,
-                                            shard_id, method, args))
+                    with child_span("worker.decode") as decode:
+                        decode.started = received
+                        decode.tag("bytes", len(blob))
+                    reply = ("ok", _execute(engines, logs, trip, shard_id,
+                                            method, args))
         except Exception as error:
             reply = ("err", error)
         if span is not None:
@@ -523,8 +444,6 @@ def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
             log.close()
         except Exception:  # pragma: no cover - best-effort flush
             pass
-    if channel is not None:
-        channel.close()
     conn.close()
 
 
@@ -533,22 +452,12 @@ def _worker_main(conn, shm_spec: Optional[Dict[str, object]] = None) -> None:
 # --------------------------------------------------------------------------- #
 
 class _ShardWorker:
-    """Parent-side handle of one worker process (pipe + liveness + shm).
+    """Parent-side handle of one worker process (pipe + liveness)."""
 
-    ``shm`` is the worker's shared-memory channel on the shm plane
-    (``None`` on the pipe plane); the parent owns the segment's lifetime.
-    ``stats`` is the engine's shared :class:`PlaneStats` — every worker of
-    an engine bumps the same counters.
-    """
-
-    def __init__(self, context, shm: Optional[ShmChannel] = None,
-                 stats: Optional[PlaneStats] = None) -> None:
-        self.shm = shm
-        self.stats = stats if stats is not None else PlaneStats()
+    def __init__(self, context) -> None:
         self._conn, child_conn = context.Pipe()
-        spec = shm.spec() if shm is not None else None
         self._process = context.Process(target=_worker_main,
-                                        args=(child_conn, spec), daemon=True)
+                                        args=(child_conn,), daemon=True)
         self._process.start()
         child_conn.close()
         self.shard_ids: set = set()
@@ -579,78 +488,14 @@ class _ShardWorker:
             error.__cause__ = cause
         return error
 
-    # -- data-plane lowering -------------------------------------------- #
-
-    def _lower_one(self, method: str, args: object) -> Tuple[str, tuple]:
-        """Stage one command for this worker's plane.
-
-        A :class:`ShmPayload` becomes an ``*_shm`` dispatch header after
-        its blob lands in the request ring; a payload that does not fit
-        (or a worker without a channel) falls back to the staged pickled
-        arguments.
-        """
-        if not isinstance(args, ShmPayload):
-            return method, args
-        payload = args
-        if self.shm is not None:
-            try:
-                offset = self.shm.request.write(payload.blob)
-            except CapacityError:
-                offset = None
-            if offset is not None:
-                self.stats.frames += 1
-                self.stats.bytes += len(payload.blob)
-                return (method + "_shm",
-                        (offset, len(payload.blob), payload.count))
-        self.stats.fallbacks += 1
-        return method, payload.raw_args
-
-    def _lower(self, method: str, args: object) -> Tuple[str, tuple]:
-        if self.shm is not None:
-            # Each command's frames bump-allocate from the ring base; the
-            # previous command's reply was fully consumed before this send.
-            self.shm.request.reset()
-        if method == "__multi__":
-            subs = []
-            for sub_id, sub_method, sub_args in args[0]:
-                sub_method, sub_args = self._lower_one(sub_method, sub_args)
-                subs.append((sub_id, sub_method, sub_args))
-            return method, (subs,)
-        return self._lower_one(method, args)
-
-    def _hydrate(self, payload: object) -> object:
-        """Resolve shm reply descriptors back into values (parent side)."""
-        if self.shm is None:
-            return payload
-        if is_shm_reply(payload):
-            _tag, kind, offset, length, count = payload
-            blob = self.shm.reply.read(offset, length)
-            self.stats.frames += 1
-            self.stats.bytes += length
-            if kind == "bits":
-                return self.shm.codec.decode_bitmap(blob, count)
-            return self.shm.codec.decode(blob, count)
-        if isinstance(payload, tuple) and len(payload) == 2 \
-                and payload[0] == "__multi__":
-            return ("__multi__",
-                    [(sub_status, self._hydrate(sub_payload)
-                      if sub_status == "ok" else sub_payload)
-                     for sub_status, sub_payload in payload[1]])
-        return payload
-
     def send(self, shard_id: int, method: str, args: object,
              trace: Optional[dict] = None) -> None:
         if self._down:
             raise self._crash(None, "is already down")
-        method, args = self._lower(method, args)
         try:
             if trace is None:
                 self._conn.send((shard_id, method, args))
             else:
-                # The trace header rides the pickled pipe as an optional
-                # fourth tuple element — never the shm rings, so the
-                # deterministic plane byte counters are identical with
-                # tracing on or off.
                 self._conn.send((shard_id, method, args, trace))
         except (BrokenPipeError, OSError) as error:
             raise self._crash(error, "refused a command (pipe broken)")
@@ -660,14 +505,8 @@ class _ShardWorker:
             message = self._conn.recv()
         except (EOFError, OSError) as error:
             raise self._crash(error, "died before answering")
-        status, payload = message[0], message[1]
         self.trace_spans = message[2] if len(message) > 2 else None
-        try:
-            return status, self._hydrate(payload)
-        except ShmFrameError as error:
-            # A torn reply frame means the transport can no longer be
-            # trusted; treat it exactly like a crashed worker.
-            raise self._crash(error, "returned a torn shared-memory frame")
+        return message[0], message[1]
 
     def request(self, shard_id: int, method: str, args: tuple = ()) -> object:
         """One synchronous round-trip; re-raises worker-side exceptions."""
@@ -706,9 +545,6 @@ class _ShardWorker:
             self._process.terminate()
             self._process.join(1.0)
         self._conn.close()
-        if self.shm is not None:
-            self.shm.close()
-            self.shm = None
 
 
 class _MultiKey:
@@ -832,34 +668,28 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     shards' batches serialize on their worker.
 
     With ``sample_operations=True`` the bulk operations fall back to the
-    sequential per-operation path (samples are an ordered, shared log), like
-    the thread engine.  Workers are daemonic; call :meth:`close` (or use the
-    engine as a context manager) for a clean shutdown.
+    sequential per-operation path (samples are an ordered, shared log).
+    Workers are daemonic; call :meth:`close` (or use the engine as a
+    context manager) for a clean shutdown.
     """
 
     def __init__(self, structure: ShardedDictionary, *,
                  name: Optional[str] = None,
                  sample_operations: bool = False,
                  max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 plane: Optional[str] = None,
-                 shm_capacity: Optional[int] = None) -> None:
+                 start_method: Optional[str] = None) -> None:
         if max_workers is not None and (not isinstance(max_workers, int)
                                         or isinstance(max_workers, bool)
                                         or max_workers < 1):
             raise ConfigurationError(
                 "max_workers must be an integer >= 1 (or None for one "
                 "worker per shard), got %r" % (max_workers,))
-        if shm_capacity is not None and (not isinstance(shm_capacity, int)
-                                         or isinstance(shm_capacity, bool)
-                                         or shm_capacity < 4096):
-            raise ConfigurationError(
-                "shm_capacity must be an integer >= 4096 bytes (or None "
-                "for the default), got %r" % (shm_capacity,))
-        self._plane = _resolve_plane(plane)
-        self._shm_capacity = shm_capacity or DEFAULT_CAPACITY
-        self._plane_stats = PlaneStats()
-        self._plane_codec = BatchCodec(DEFAULT_PAYLOAD_SIZE)
+        #: Deterministic crossing counters (pure functions of workload and
+        #: topology, so ``benchmarks/baseline.py`` gates them): pipe
+        #: crossings saved by ``__multi__`` coalescing, and group-commit
+        #: points issued by durable bulk mutations.
+        self._plane_stats: Dict[str, int] = {"coalesced": 0,
+                                             "fsync_batches": 0}
         # Subclasses that host durable shards (the replicated engine) set
         # ``_durability_dir`` before delegating here, so this snapshot is
         # correct by the time any command is dispatched.
@@ -886,33 +716,24 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """The worker process ids, in spawn order (testing/ops hook)."""
         return [worker.pid for worker in self._workers]
 
-    @property
-    def plane(self) -> str:
-        """The active data plane: ``"shm"`` or ``"pipe"``."""
-        return self._plane
-
     def plane_stats(self) -> Dict[str, int]:
-        """Deterministic data-plane counters (frames, bytes, fallbacks,
-        coalesced commands, group-commit fsync batches) since construction.
+        """Deterministic crossing counters (coalesced commands, group-commit
+        fsync batches) since construction.
 
         Every read republishes the counters into the metrics registry as
-        ``plane.*`` gauges, so a registry snapshot carries the same
-        worker-side fsync and frame-byte numbers as this dict.
+        ``plane.*`` gauges — gauges, because the counters are already
+        cumulative, so republishing every interval never double counts.
         """
-        self._plane_stats.merge_into(self.metrics)
-        return self._plane_stats.as_dict()
-
-    def _new_channel(self) -> Optional[ShmChannel]:
-        return (ShmChannel.create(self._shm_capacity)
-                if self._plane == "shm" else None)
+        for name, value in self._plane_stats.items():
+            self.metrics.set_gauge("plane." + name, value)
+        return dict(self._plane_stats)
 
     def _pick_worker(self) -> _ShardWorker:
         """A live worker for a new shard: spawn until the cap, then pack."""
         cap = self._max_workers or len(self._structure.shards)
         live = [worker for worker in self._workers if worker.is_alive()]
         if len(live) < cap:
-            worker = _ShardWorker(self._mp_context, shm=self._new_channel(),
-                                  stats=self._plane_stats)
+            worker = _ShardWorker(self._mp_context)
             self._workers.append(worker)
             return worker
         return min(live, key=lambda worker: len(worker.shard_ids))
@@ -1072,7 +893,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 # group-commit once at the crossing's end.
                 keys = tuple(entry[0] for entry in queue)
                 subs = [(entry[2], entry[3], entry[4]) for entry in queue]
-                self._plane_stats.coalesced += len(queue) - 1
+                self._plane_stats["coalesced"] += len(queue) - 1
                 queue.clear()
                 queue.append((_MultiKey(keys), worker, -1,
                               "__multi__", (subs,)))
@@ -1153,7 +974,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         else:
             mutates = method in _BULK_MUTATORS and engine_id >= 0
         if mutates:
-            self._plane_stats.fsync_batches += 1
+            self._plane_stats["fsync_batches"] += 1
 
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
@@ -1177,23 +998,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     # Batched bulk operations (one round-trip per shard per call)
     # ------------------------------------------------------------------ #
 
-    def _bulk_args(self, batch: Sequence[object]) -> object:
-        """Stage one bulk batch for its data plane.
-
-        On the shm plane, a codec-encodable batch becomes a
-        :class:`~repro.api.shm_plane.ShmPayload` the worker handle lowers
-        into its request ring at send time (falling back to the pickled
-        arguments if the ring is full); anything the codec cannot encode
-        exactly rides the pickled pipe unchanged.
-        """
-        if self._plane != "shm":
-            return (batch,)
-        blob = self._plane_codec.try_encode(batch)
-        if blob is None:
-            self._plane_stats.fallbacks += 1
-            return (batch,)
-        return ShmPayload("records", blob, len(batch), (batch,))
-
     def insert_many(self, entries: Iterable[object]) -> int:
         """Insert keys or pairs: one ``insert_batch`` command per shard."""
         if self.sample_operations:
@@ -1201,7 +1005,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         batches, count = self._grouped_entries(entries)
         with self._bulk_op("insert_many"):
             self._scatter([(position, "insert_batch",
-                            self._bulk_args(batch))
+                            (batch,))
                            for position, batch in enumerate(batches)
                            if batch])
         self.metrics.inc("engine.keys.insert_many", count)
@@ -1216,7 +1020,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         with self._bulk_op("delete_many"):
             results = self._scatter(
                 [(position, "delete_batch",
-                  self._bulk_args([key for _at, key in batch]))
+                  ([key for _at, key in batch],))
                  for position, batch in enumerate(batches) if batch])
         self.metrics.inc("engine.keys.delete_many", len(keys))
         for position, batch in enumerate(batches):
@@ -1234,7 +1038,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         with self._bulk_op("contains_many"):
             results = self._scatter(
                 [(position, "contains_batch",
-                  self._bulk_args([key for _at, key in batch]))
+                  ([key for _at, key in batch],))
                  for position, batch in enumerate(batches) if batch])
         self.metrics.inc("engine.keys.contains_many", len(keys))
         for position, batch in enumerate(batches):

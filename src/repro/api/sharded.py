@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -1108,150 +1107,6 @@ class ShardedDictionaryEngine(DictionaryEngine):
         return engine
 
 
-class ParallelShardedDictionaryEngine(ShardedDictionaryEngine):
-    """A sharded engine whose fan-outs run on a thread pool.
-
-    Each shard owns independent structures and block devices and the
-    batched bulk operations already group work by shard, so per-shard
-    batches are embarrassingly parallel: this engine dispatches them over a
-    :class:`~concurrent.futures.ThreadPoolExecutor` and merges in shard
-    order, which makes every result — returned values, merged iteration
-    order, per-shard layouts — byte-identical to the sequential
-    :class:`ShardedDictionaryEngine` over the same inputs.
-
-    Two sequential carve-outs keep the semantics exact:
-
-    * with ``sample_operations=True`` the bulk operations fall back to the
-      sequential path (per-operation samples are an ordered, shared log);
-    * point operations stay routed and sequential — there is nothing to fan
-      out.
-
-    ``max_workers`` caps the pool (default: one worker per dispatched shard
-    batch).  A fresh pool is spun up per bulk call — dispatch is batch-level,
-    so the spawn cost amortises over each shard's whole batch, and no idle
-    worker threads outlive the call or a resize.
-
-    The byte-identity guarantee covers bulk calls that *succeed*.  When a
-    batch raises (say a :class:`~repro.errors.DuplicateKey` on one shard)
-    the same exception surfaces from both engines, but the sequential
-    engine stops at the failing shard while the parallel engine lets the
-    other shards' already-dispatched batches run to completion — post-error
-    shard states may differ between the two.
-    """
-
-    def __init__(self, structure: ShardedDictionary, *,
-                 name: Optional[str] = None,
-                 sample_operations: bool = False,
-                 max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and (not isinstance(max_workers, int)
-                                        or isinstance(max_workers, bool)
-                                        or max_workers < 1):
-            raise ConfigurationError(
-                "max_workers must be an integer >= 1 (or None for one "
-                "worker per shard), got %r" % (max_workers,))
-        super().__init__(structure, name=name,
-                         sample_operations=sample_operations)
-        self._max_workers = max_workers
-
-    def _fan_out(self, tasks: Sequence) -> List[object]:
-        """Run thunks concurrently; return their results in input order.
-
-        Exceptions re-raise in input (shard) order, matching which failure
-        the sequential engine would have surfaced first.
-        """
-        if not tasks:
-            return []
-        if len(tasks) == 1:
-            return [tasks[0]()]
-        workers = self._max_workers or len(tasks)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            return [future.result() for future in futures]
-
-    def insert_many(self, entries: Iterable[object]) -> int:
-        """Insert keys or pairs: shard-grouped batches, one thread each."""
-        if self.sample_operations:
-            return super().insert_many(entries)
-        batches, count = self._grouped_entries(entries)
-
-        def inserter(structure: HIDictionary, batch: List[Pair]):
-            def run() -> None:
-                for key, value in batch:
-                    structure.insert(key, value)
-            return run
-
-        with self._bulk_op("insert_many"):
-            self._fan_out([inserter(engine.structure, batch)
-                           for engine, batch in zip(self._engines(), batches)
-                           if batch])
-        self.metrics.inc("engine.keys.insert_many", count)
-        return count
-
-    def delete_many(self, keys: Iterable[object]) -> List[object]:
-        """Delete shard-grouped batches in parallel; values in input order."""
-        if self.sample_operations:
-            return super().delete_many(keys)
-        keys, batches = self._grouped_positions(keys)
-        values: List[object] = [None] * len(keys)
-
-        def deleter(structure: HIDictionary,
-                    batch: List[Tuple[int, object]]):
-            def run() -> None:
-                # Disjoint positions per shard: no two workers write the
-                # same slot of the shared result list.
-                for position, key in batch:
-                    values[position] = structure.delete(key)
-            return run
-
-        with self._bulk_op("delete_many"):
-            self._fan_out([deleter(engine.structure, batch)
-                           for engine, batch in zip(self._engines(), batches)
-                           if batch])
-        self.metrics.inc("engine.keys.delete_many", len(values))
-        return values
-
-    def contains_many(self, keys: Iterable[object]) -> List[bool]:
-        """Membership via parallel shard batches; input order preserved."""
-        if self.sample_operations:
-            return super().contains_many(keys)
-        keys, batches = self._grouped_positions(keys)
-        found: List[bool] = [False] * len(keys)
-
-        def prober(structure: HIDictionary,
-                   batch: List[Tuple[int, object]]):
-            def run() -> None:
-                for position, key in batch:
-                    found[position] = structure.contains(key)
-            return run
-
-        with self._bulk_op("contains_many"):
-            self._fan_out([prober(engine.structure, batch)
-                           for engine, batch in zip(self._engines(), batches)
-                           if batch])
-        self.metrics.inc("engine.keys.contains_many", len(found))
-        return found
-
-    def range_io_cost_breakdown(self, low: object, high: object
-                                ) -> Tuple[List[Pair], List[int]]:
-        """The fan-out cost probe, one thread per shard.
-
-        Each per-shard probe clears and rolls back only that shard's caches
-        and counters, so the concurrent probes touch disjoint state; results
-        merge in shard order, identical to the sequential engine's.
-        """
-        self._require_range_support()
-
-        def prober(engine: DictionaryEngine):
-            return lambda: engine.range_io_cost(low, high)
-
-        results = self._fan_out([prober(engine)
-                                 for engine in self._engines()])
-        merged = [pairs for pairs, _cost in results]
-        costs = [cost for _pairs, cost in results]
-        pairs = list(heapq.merge(*merged, key=lambda pair: pair[0]))
-        return pairs, costs
-
-
 def make_sharded_engine(inner: object = DEFAULT_INNER, *,
                         config: Optional[EngineConfig] = None,
                         shards: int = DEFAULT_SHARDS,
@@ -1266,7 +1121,6 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
                         weights: Optional[Mapping[int, float]] = None,
                         parallel: object = False,
                         max_workers: Optional[int] = None,
-                        plane: Optional[str] = None,
                         replication: int = 1,
                         read_policy: str = "primary",
                         durability_dir: Optional[str] = None,
@@ -1288,14 +1142,11 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
     applied to every shard; ``router`` / ``vnodes`` / ``weights`` select
     the routing strategy (``"modulo"``, ``"consistent"``, or ``"weighted"``
     with per-shard capacity weights); ``parallel`` selects the dispatch
-    backend — ``"none"`` (sequential), ``"thread"`` (PR 3's thread-pool
-    fan-out; ``True`` is a backward-compatible alias) or ``"process"``
-    (long-lived worker processes that escape the GIL, see
+    backend — ``"none"`` (sequential; ``False`` is an alias) or
+    ``"process"`` (long-lived worker processes that escape the GIL, see
     :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`) —
-    with ``max_workers`` capping the pool and ``plane`` choosing the
-    process backend's data plane (``"shm"`` shared-memory rings, the
-    default, or ``"pipe"`` for the original pickled pipe).  All validation
-    is the registry's.
+    with ``max_workers`` capping the worker pool.  All validation is the
+    registry's.
 
     ``replication`` and ``durability_dir`` turn the process backend into a
     durable store (see :mod:`repro.replication`): with ``replication=N``
@@ -1337,7 +1188,7 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
                   "inner_params": (inner_params, None),
                   "router": (router, "modulo"), "vnodes": (vnodes, None),
                   "weights": (weights, None), "parallel": (parallel, False),
-                  "max_workers": (max_workers, None), "plane": (plane, None),
+                  "max_workers": (max_workers, None),
                   "replication": (replication, 1),
                   "read_policy": (read_policy, "primary"),
                   "durability_dir": (durability_dir, None),
@@ -1360,7 +1211,7 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
             inner_params=dict(inner_params or {}),
             router=make_router(router, vnodes=vnodes,
                                weights=weights).spec(),
-            parallel=parallel, max_workers=max_workers, plane=plane,
+            parallel=parallel, max_workers=max_workers,
             replication=replication, read_policy=read_policy,
             durability_dir=durability_dir,
             durability_mode=durability_mode, fsync=fsync,
@@ -1372,18 +1223,14 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
                                 shards=config.shards, inner=config.inner,
                                 router=dict(config.router),
                                 inner_params=dict(config.inner_params))
-    if config.parallel == "thread":
-        engine = ParallelShardedDictionaryEngine(
-            structure, sample_operations=config.sample_operations,
-            max_workers=config.max_workers)
-    elif config.parallel == "process":
+    if config.parallel == "process":
         if config.replication > 1 or config.durability_dir is not None:
             from repro.replication.engine import (
                 ReplicatedShardedDictionaryEngine,
             )
             engine = ReplicatedShardedDictionaryEngine(
                 structure, sample_operations=config.sample_operations,
-                max_workers=config.max_workers, plane=config.plane,
+                max_workers=config.max_workers,
                 replication=config.replication,
                 read_policy=config.read_policy,
                 durability_dir=config.durability_dir,
@@ -1394,7 +1241,7 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
             )
             engine = ProcessShardedDictionaryEngine(
                 structure, sample_operations=config.sample_operations,
-                max_workers=config.max_workers, plane=config.plane)
+                max_workers=config.max_workers)
     else:
         engine = ShardedDictionaryEngine(
             structure, sample_operations=config.sample_operations)

@@ -121,12 +121,12 @@ def _add_router_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """The ``--parallel`` / ``--max-workers`` flags of sharded dispatch."""
     parser.add_argument("--parallel", choices=PARALLEL_MODES, default="none",
-                        help="shard dispatch backend: sequential, a thread "
-                             "pool (GIL-bound), or long-lived worker "
-                             "processes (one per shard, escapes the GIL)")
+                        help="shard dispatch backend: sequential, or "
+                             "long-lived worker processes (one per shard, "
+                             "escapes the GIL)")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="cap the thread/process pool (default: one "
-                             "worker per shard)")
+                        help="cap the process pool (default: one worker "
+                             "per shard)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -79,10 +79,8 @@ class ReplicationError(ReproError, RuntimeError):
 class ProtocolError(ReproError):
     """A wire frame or message failed its structural checks.
 
-    The network transport's analogue of
-    :class:`~repro.api.shm_plane.ShmFrameError`: a truncated, oversized or
-    CRC-failing frame, a malformed message header, or a connection that
-    dropped mid-frame.  The stream past the failure cannot be trusted, so
+    A truncated, oversized or CRC-failing frame, a malformed message
+    header or value body, or a connection that dropped mid-frame.  The stream past the failure cannot be trusted, so
     the peer that raises this closes the connection after (at most) one
     final typed error reply.
     """

@@ -1,21 +1,25 @@
 """The wire protocol shared by the server, the clients, and the fuzz tier.
 
-Everything on the socket is a **frame** — the same torn-frame discipline
-the shared-memory plane uses (:mod:`repro.api.shm_plane`):
+Everything on the socket is a **frame**:
 
 * frame   = ``length | crc32 | payload`` (``>II`` header, network order);
 * payload = ``body_tag | header_length`` (``>BI``) + a JSON message header
   + an optional binary body.
 
 The body carries batches — keys, ``(key, value)`` pairs, result values —
-encoded with :class:`repro.storage.encoding.RecordCodec` fixed-width runs
-(the same tagged union the snapshots, op logs and shm rings persist)
-whenever every value is *exactly* representable, a packed bitmap for
-membership replies, and a per-batch pickle fallback otherwise — the same
-fallback contract as :class:`~repro.api.shm_plane.BatchCodec`.  The wire
-stays as history-independent as the structures behind it: record runs are
-canonical encodings of the values alone, and frames carry no timestamps,
-sequence gaps, or other operational residue.
+in exactly one value encoding, :data:`BODY_VALUES`: a tagged, canonical,
+``struct``-packed form of a closed union (``None``, ``bool`` kept distinct
+from ``int``, ``int`` of any size, ``float``, ``str``, ``bytes``, and
+tuples of these), plus a packed bitmap (:data:`BODY_BITMAP`) for
+membership replies.  Network bytes are untrusted, so the decoder only ever
+builds values of that union: it never calls ``pickle`` or anything else
+that can run code, and it bounds nesting depth and every announced count
+by the bytes actually present.  A value outside the union is refused at
+the sender with :class:`~repro.errors.ConfigurationError` before anything
+is written.  The wire stays as history-independent as the structures
+behind it: each value has exactly one encoding, a function of the value
+alone, and frames carry no timestamps, sequence gaps, or other
+operational residue.
 
 A frame that fails its length or CRC check, truncates mid-read, or holds
 an undecodable message raises :class:`~repro.errors.ProtocolError` — the
@@ -26,12 +30,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
 import struct
 import zlib
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.shm_plane import BatchCodec
 from repro.errors import (
     AllocationError,
     CapacityError,
@@ -48,10 +50,11 @@ from repro.errors import (
     WorkerCrashError,
 )
 
-#: Wire protocol version, exchanged at handshake.
-PROTOCOL_VERSION = 1
+#: Wire protocol version, exchanged at handshake.  Version 2 replaced the
+#: record-run and pickle bodies with the one :data:`BODY_VALUES` codec.
+PROTOCOL_VERSION = 2
 
-#: Frame header: payload length, CRC-32 of the payload (as in the shm plane).
+#: Frame header: payload length, CRC-32 of the payload.
 FRAME_HEADER = struct.Struct(">II")
 
 #: Message prologue inside a frame: body codec tag, JSON header length.
@@ -61,11 +64,17 @@ MESSAGE_HEADER = struct.Struct(">BI")
 #: a corrupt or malicious length field must not turn into an allocation.
 MAX_PAYLOAD = 8 * 1024 * 1024
 
-#: Body codecs.
+#: Body codecs.  Tags 1 and 3 belonged to version 1's record-run and
+#: pickle bodies; they are retired, so a frame carrying either is refused
+#: as an unknown tag.
 BODY_NONE = 0      #: no body
-BODY_RECORDS = 1   #: RecordCodec run, ``count`` fixed-width records
 BODY_BITMAP = 2    #: packed booleans, ``count`` flags
-BODY_PICKLE = 3    #: pickled list (the per-batch fallback)
+BODY_VALUES = 4    #: ``count`` tagged canonical values (see WireCodec)
+
+#: Deepest tuple nesting a value may have on the wire (a top-level value
+#: is depth 0).  Far below the interpreter's recursion limit, so a nested
+#: depth bomb is refused as a ProtocolError before it can recurse deeply.
+MAX_DEPTH = 32
 
 #: Optional request-header key carrying a trace propagation header: a JSON
 #: object of ``{"trace": <id>, "span": <id>}`` (see
@@ -206,7 +215,7 @@ def decode_message(payload: bytes) -> Tuple[Dict[str, object], int, bytes]:
             "message of %d byte(s) is shorter than its %d-byte prologue"
             % (len(payload), MESSAGE_HEADER.size))
     body_tag, head_length = MESSAGE_HEADER.unpack_from(payload)
-    if body_tag not in (BODY_NONE, BODY_RECORDS, BODY_BITMAP, BODY_PICKLE):
+    if body_tag not in (BODY_NONE, BODY_BITMAP, BODY_VALUES):
         raise ProtocolError("unknown body codec tag %d" % body_tag)
     start = MESSAGE_HEADER.size
     if start + head_length > len(payload):
@@ -225,31 +234,148 @@ def decode_message(payload: bytes) -> Tuple[Dict[str, object], int, bytes]:
     return header, body_tag, payload[start + head_length:]
 
 
+# Value tags inside a BODY_VALUES body.
+_NONE, _FALSE, _TRUE, _INT, _BIGINT, _FLOAT, _STR, _BYTES, _TUPLE = range(9)
+_TAGGED_I64 = struct.Struct(">Bq")
+_TAGGED_F64 = struct.Struct(">Bd")
+_TAGGED_LEN = struct.Struct(">BI")
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+_U32 = struct.Struct(">I")
+_unpack_i64 = _I64.unpack_from
+_NONE_BYTE, _FALSE_BYTE, _TRUE_BYTE = bytes([_NONE]), bytes([_FALSE]), \
+    bytes([_TRUE])
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _bigint_width(value: int) -> int:
+    """Bytes of the one two's-complement form a big int travels in."""
+    return (value.bit_length() + 8) // 8
+
+
+def _encode_value(out: list, value: object, depth: int) -> None:
+    kind = type(value)
+    if kind is int:
+        if _I64_MIN <= value <= _I64_MAX:
+            out.append(_TAGGED_I64.pack(_INT, value))
+        else:
+            raw = value.to_bytes(_bigint_width(value), "big", signed=True)
+            out.append(_TAGGED_LEN.pack(_BIGINT, len(raw)))
+            out.append(raw)
+    elif kind is tuple:
+        if depth >= MAX_DEPTH:
+            raise ConfigurationError(
+                "value nests tuples deeper than the wire's %d levels"
+                % MAX_DEPTH)
+        out.append(_TAGGED_LEN.pack(_TUPLE, len(value)))
+        for item in value:
+            _encode_value(out, item, depth + 1)
+    elif kind is str:
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError as error:
+            raise ConfigurationError(
+                "string value is not valid unicode text (%s); it cannot "
+                "cross the wire" % error) from error
+        out.append(_TAGGED_LEN.pack(_STR, len(raw)))
+        out.append(raw)
+    elif kind is bytes:
+        out.append(_TAGGED_LEN.pack(_BYTES, len(value)))
+        out.append(value)
+    elif kind is float:
+        out.append(_TAGGED_F64.pack(_FLOAT, value))
+    elif value is None:
+        out.append(_NONE_BYTE)
+    elif kind is bool:
+        out.append(_TRUE_BYTE if value else _FALSE_BYTE)
+    else:
+        raise ConfigurationError(
+            "a %s value cannot cross the wire: values must be None, bool, "
+            "int, float, str, bytes or tuples of these"
+            % type(value).__name__)
+
+
+def _decode_value(blob: bytes, at: int, depth: int) -> Tuple[object, int]:
+    tag = blob[at]
+    at += 1
+    if tag == _INT:
+        return _unpack_i64(blob, at)[0], at + 8
+    if tag == _TUPLE:
+        (count,) = _U32.unpack_from(blob, at)
+        at += 4
+        if count > len(blob) - at:
+            raise ProtocolError(
+                "tuple announces %d item(s) but only %d byte(s) remain"
+                % (count, len(blob) - at))
+        if depth >= MAX_DEPTH:
+            raise ProtocolError(
+                "value nests tuples deeper than the wire's %d levels"
+                % MAX_DEPTH)
+        items = []
+        append = items.append
+        for _ in range(count):
+            if blob[at] == _INT:  # inline fast path: the common int item
+                append(_unpack_i64(blob, at + 1)[0])
+                at += 9
+            else:
+                item, at = _decode_value(blob, at, depth + 1)
+                append(item)
+        return tuple(items), at
+    if tag == _STR or tag == _BYTES or tag == _BIGINT:
+        (length,) = _U32.unpack_from(blob, at)
+        at += 4
+        end = at + length
+        if end > len(blob):
+            raise ProtocolError(
+                "value body truncated: a %d-byte field at offset %d overruns "
+                "the %d-byte body" % (length, at, len(blob)))
+        raw = blob[at:end]
+        if tag == _STR:
+            return raw.decode("utf-8"), end
+        if tag == _BYTES:
+            return bytes(raw), end
+        value = int.from_bytes(raw, "big", signed=True)
+        if _I64_MIN <= value <= _I64_MAX or length != _bigint_width(value):
+            raise ProtocolError(
+                "big-int value is not in its one canonical form")
+        return value, end
+    if tag == _FLOAT:
+        return _F64.unpack_from(blob, at)[0], at + 8
+    if tag == _NONE:
+        return None, at
+    if tag == _TRUE or tag == _FALSE:
+        return tag == _TRUE, at
+    raise ProtocolError("unknown value tag %d at offset %d" % (tag, at - 1))
+
+
 class WireCodec:
-    """Batch bodies: canonical record runs first, pickle as the fallback."""
+    """Message bodies: :data:`BODY_VALUES` values and :data:`BODY_BITMAP`
+    flags — the only two encodings a body may carry."""
 
-    def __init__(self, payload_size: int = 64) -> None:
-        self.batches = BatchCodec(payload_size)
+    @staticmethod
+    def encode_values(values: Sequence[object]) -> Tuple[int, bytes]:
+        """``(BODY_VALUES, blob)`` for a value batch.
 
-    def encode_values(self, values: Sequence[object]) -> Tuple[int, bytes]:
-        """``(body_tag, blob)`` for a value batch.
-
-        Record runs whenever every value round-trips exactly through the
-        record union (the history-independent canonical encoding); the
-        pickled list otherwise — a per-batch decision, mirroring the shm
-        plane's fallback contract.
+        Raises :class:`~repro.errors.ConfigurationError` for a value
+        outside the union (or nested deeper than :data:`MAX_DEPTH`), so a
+        client refuses it before anything is sent.
         """
-        values = list(values)
-        blob = self.batches.try_encode(values)
-        if blob is not None:
-            return BODY_RECORDS, blob
-        return BODY_PICKLE, pickle.dumps(values, protocol=4)
+        out: list = []
+        for value in values:
+            _encode_value(out, value, 0)
+        return BODY_VALUES, b"".join(out)
 
     @staticmethod
     def encode_flags(flags: Sequence[bool]) -> Tuple[int, bytes]:
-        return BODY_BITMAP, BatchCodec.encode_bitmap(flags)
+        """``(BODY_BITMAP, blob)``: booleans packed eight to a byte."""
+        blob = bytearray((len(flags) + 7) // 8)
+        for index, flag in enumerate(flags):
+            if flag:
+                blob[index // 8] |= 1 << (index % 8)
+        return BODY_BITMAP, bytes(blob)
 
-    def decode_body(self, body_tag: int, blob: bytes,
+    @staticmethod
+    def decode_body(body_tag: int, blob: bytes,
                     count: int) -> List[object]:
         """Decode ``count`` values (or flags) from a message body."""
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
@@ -260,26 +386,32 @@ class WireCodec:
                 raise ProtocolError("bodyless message announces %d value(s) "
                                     "and %d byte(s)" % (count, len(blob)))
             return []
-        if body_tag == BODY_RECORDS:
-            try:
-                return self.batches.decode(blob, count)
-            except (ReproError, struct.error) as error:
-                raise ProtocolError(
-                    "record-run body does not decode: %s" % error) from error
         if body_tag == BODY_BITMAP:
-            try:
-                return self.batches.decode_bitmap(blob, count)
-            except ReproError as error:
+            if len(blob) != (count + 7) // 8:
                 raise ProtocolError(
-                    "bitmap body does not decode: %s" % error) from error
+                    "bitmap body holds %d byte(s) for %d flag(s)"
+                    % (len(blob), count))
+            return [bool(blob[index // 8] >> (index % 8) & 1)
+                    for index in range(count)]
+        if body_tag != BODY_VALUES:
+            raise ProtocolError("unknown body codec tag %r" % (body_tag,))
+        if count > len(blob):
+            raise ProtocolError(
+                "value body announces %d value(s) but holds only %d byte(s)"
+                % (count, len(blob)))
+        values: List[object] = []
+        at = 0
         try:
-            values = pickle.loads(blob)
-        except Exception as error:
+            for _ in range(count):
+                value, at = _decode_value(blob, at, 0)
+                values.append(value)
+        except (IndexError, struct.error, UnicodeDecodeError) as error:
             raise ProtocolError(
-                "pickled body does not decode: %s" % error) from error
-        if not isinstance(values, list) or len(values) != count:
+                "value body does not decode: %s" % error) from error
+        if at != len(blob):
             raise ProtocolError(
-                "pickled body is not the announced %d-value list" % count)
+                "value body has %d trailing byte(s) after %d value(s)"
+                % (len(blob) - at, count))
         return values
 
 

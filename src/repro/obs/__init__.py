@@ -1,7 +1,7 @@
 """One telemetry plane for the whole stack.
 
 ``repro.obs`` unifies the per-layer stats surfaces that grew with the
-engine — ``io_stats()``, ``PlaneStats``, ``erasure_stats()``,
+engine — ``io_stats()``, ``plane_stats()``, ``erasure_stats()``,
 ``replica_read_stats()`` — behind three small pieces:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
@@ -12,7 +12,7 @@ engine — ``io_stats()``, ``PlaneStats``, ``erasure_stats()``,
   snapshot into another (worker registries back into the parent).
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — request-scoped tracing with trace/parent ids and monotonic timings,
-  propagated across the shm/pipe crossing (a trace header element on
+  propagated across the worker pipe (a trace header element on
   worker commands, worker-side child spans for decode/apply/fsync) and
   across the wire (a ``"trace"`` field in the net protocol's request
   headers, echoed in replies).  Opt-in (``EngineConfig.telemetry`` /

@@ -1,10 +1,10 @@
 """Prometheus-style text exposition, dependency-free.
 
-Renders a flat telemetry snapshot (``{"plane.bytes": 132375, ...}``)
+Renders a flat telemetry snapshot (``{"plane.coalesced": 132, ...}``)
 into the text format scrapers expect::
 
-    # TYPE repro_plane_bytes untyped
-    repro_plane_bytes 132375
+    # TYPE repro_plane_coalesced untyped
+    repro_plane_coalesced 132
 
 Metric names are sanitised to ``[a-zA-Z0-9_]`` (dots become
 underscores); histogram bucket entries (``*.le_<edge>``) are folded

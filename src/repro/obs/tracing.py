@@ -10,7 +10,7 @@ deterministic wherever the ids land in gated output.
 
 Crossing boundaries:
 
-* **pipe/shm** — the parent sends ``tracer.header()`` (a two-key dict)
+* **pipe** — the parent sends ``tracer.header()`` (a two-key dict)
   as an extra element on the worker command tuple; the worker adopts it
   (:meth:`Tracer.adopt`), runs the command under the adopted span so
   :func:`child_span` picks up decode/apply/fsync sub-spans, and ships
@@ -280,7 +280,7 @@ NULL_TRACER = Tracer(enabled=False)
 def child_span(name: str, tags: Optional[Dict[str, object]] = None):
     """A child of this thread's current span, from *any* layer.
 
-    Lets deep call sites (op-log fsync, shm decode) trace themselves
+    Lets deep call sites (op-log fsync, structure apply) trace themselves
     without holding a tracer reference: when no span is active — the
     overwhelmingly common case — this is one TLS read and returns the
     shared no-op span.

@@ -361,8 +361,6 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
                  sample_operations: bool = False,
                  max_workers: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 plane: Optional[str] = None,
-                 shm_capacity: Optional[int] = None,
                  replication: int = 2,
                  read_policy: str = "primary",
                  durability_dir: Optional[str] = None,
@@ -426,8 +424,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
             os.makedirs(durability_dir, exist_ok=True)
         super().__init__(structure, name=name,
                          sample_operations=sample_operations,
-                         max_workers=max_workers, start_method=start_method,
-                         plane=plane, shm_capacity=shm_capacity)
+                         max_workers=max_workers, start_method=start_method)
         if durability_dir is not None:
             # A durable engine always has a manifest: crash at any later
             # point finds at least the empty-state snapshot plus full logs.
@@ -680,9 +677,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
         if self.sample_operations:
             return super().insert_many(entries)
         batches, count = self._grouped_entries(entries)
-        # One staged payload per shard: every copy's command shares the
-        # same encoded blob (each worker writes it into its own ring).
-        payloads = {position: self._bulk_args(batch)
+        payloads = {position: (batch,)
                     for position, batch in enumerate(batches) if batch}
         with self._bulk_op("insert_many"):
             _results, errors = self._drive_commands(
@@ -696,7 +691,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
         if self.sample_operations:
             return super().delete_many(keys)
         keys, batches = self._grouped_positions(keys)
-        payloads = {position: self._bulk_args([key for _at, key in batch])
+        payloads = {position: ([key for _at, key in batch],)
                     for position, batch in enumerate(batches) if batch}
         with self._bulk_op("delete_many"):
             results, errors = self._drive_commands(
@@ -717,7 +712,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
         Under ``read_policy="primary"`` this is one ``contains_batch`` per
         primary, exactly as before; the balancing policies split each
         shard's sub-batch across the eligible copies (one command per
-        copy, shm plane included), so a ``replication=3`` engine answers a
+        copy), so a ``replication=3`` engine answers a
         read-heavy workload from three workers per shard instead of one.
         A copy that crashes (or errors) mid-fan-out has its *whole* slice
         re-asked on another live copy in a single crossing — byte-identical
@@ -743,7 +738,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
                 commands.append(
                     ((position, index), copy.worker, copy.shard_id,
                      "contains_batch",
-                     self._bulk_args([key for _at, key in part])))
+                     ([key for _at, key in part],)))
         with self._bulk_op("contains_many"):
             results, errors = self._drive_commands(commands)
             replica_served = 0
@@ -796,7 +791,7 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
             candidates.append(proxy.primary)
         candidates.extend(replica for replica in proxy.live_replicas()
                           if replica is not copy)
-        payload = self._bulk_args([key for _at, key in part])
+        payload = ([key for _at, key in part],)
         for candidate in candidates:
             try:
                 flags = candidate.worker.request(

@@ -99,31 +99,6 @@ class RecordCodec:
             raise ConfigurationError("nested pairs are not supported")
         return bytes([tag]) + payload
 
-    def encode_run(self, values: Sequence[object]) -> bytes:
-        """Encode ``values`` as back-to-back fixed-width records.
-
-        The framing the op log, the snapshot pages and the shared-memory
-        data plane all share: record ``i`` of the run starts at byte
-        ``i * record_size``, no separators, no trailer.
-        """
-        return b"".join(map(self.encode, values))
-
-    def round_trips_exactly(self, value: object) -> bool:
-        """Whether :meth:`decode` would hand back ``value`` *identically*.
-
-        The union is canonical, not faithful: booleans encode as integers
-        (``True`` decodes as ``1``), which is correct for persisted layouts
-        but wrong for a transport that must be indistinguishable from a
-        pickled pipe.  Transports check here before using the codec; the
-        budget/type errors :meth:`encode` raises cover everything else.
-        """
-        if isinstance(value, bool):
-            return False
-        if isinstance(value, tuple) and len(value) == 2:
-            return not (isinstance(value[0], bool)
-                        or isinstance(value[1], bool))
-        return True
-
     # -- decoding ---------------------------------------------------------- #
 
     def decode(self, blob: bytes) -> object:
@@ -157,17 +132,6 @@ class RecordCodec:
 
     def _decode_nested(self, blob: bytes) -> object:
         return self._decode_payload(blob[0], blob[1:])
-
-    def decode_run(self, blob: bytes, count: int) -> List[object]:
-        """Decode a run of exactly ``count`` records (see :meth:`encode_run`)."""
-        size = self.record_size
-        if len(blob) != count * size:
-            raise ConfigurationError(
-                "record run has %d bytes, expected %d record(s) of %d"
-                % (len(blob), count, size))
-        decode = self.decode
-        return [decode(blob[index * size:(index + 1) * size])
-                for index in range(count)]
 
 
 class PageCodec:

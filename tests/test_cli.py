@@ -279,9 +279,9 @@ def test_rebalance_rejects_impossible_plans():
 
 
 def test_rebalance_parallel_backends_agree_with_sequential():
-    """--parallel thread/process rebalance like the sequential dispatch."""
+    """--parallel process rebalances like the sequential dispatch."""
     outputs = {}
-    for mode in ("none", "thread", "process"):
+    for mode in ("none", "process"):
         code, output = run_cli("rebalance", "--structure", "b-tree",
                                "--shards", "2", "--router", "consistent",
                                "--keys", "200", "--add", "1", "--seed", "4",
@@ -291,7 +291,7 @@ def test_rebalance_parallel_backends_agree_with_sequential():
         # Everything below the header (migration table, shard sizes) must be
         # identical across dispatch backends.
         outputs[mode] = output.splitlines()[1:]
-    assert outputs["none"] == outputs["thread"] == outputs["process"]
+    assert outputs["none"] == outputs["process"]
 
 
 def test_rebalance_rejects_max_workers_without_parallel():

@@ -51,15 +51,10 @@ SHARDED_VARIANTS = (
 )
 
 #: Process-backend configurations: the same traces, but every operation
-#: crosses into worker processes — over the shared-memory data plane and
-#: over the original pickled pipe, so both transports face the oracle.
+#: crosses the pickled pipe into worker processes.
 PROCESS_VARIANTS = (
-    ("process+shm+b-tree", {"shards": 3, "inner": "b-tree",
-                            "plane": "shm"}),
-    ("process+shm+hi-skiplist", {"shards": 3, "inner": "hi-skiplist",
-                                 "plane": "shm"}),
-    ("process+pipe+b-tree", {"shards": 3, "inner": "b-tree",
-                             "plane": "pipe"}),
+    ("process+b-tree", {"shards": 3, "inner": "b-tree"}),
+    ("process+hi-skiplist", {"shards": 3, "inner": "hi-skiplist"}),
 )
 
 ALL_TARGETS = list(registry_names()) \
@@ -81,8 +76,7 @@ def make_engine(target: str) -> DictionaryEngine:
             from repro.api import make_sharded_engine
             return make_sharded_engine(extra["inner"], shards=extra["shards"],
                                        block_size=BLOCK_SIZE, cache_blocks=2,
-                                       seed=STRUCTURE_SEED, parallel="process",
-                                       plane=extra["plane"])
+                                       seed=STRUCTURE_SEED, parallel="process")
     return DictionaryEngine.create(target, block_size=BLOCK_SIZE,
                                    cache_blocks=2, seed=STRUCTURE_SEED)
 

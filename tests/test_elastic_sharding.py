@@ -21,7 +21,7 @@ import pytest
 from repro.api import (
     ConsistentHashRouter,
     ModuloRouter,
-    ParallelShardedDictionaryEngine,
+    ProcessShardedDictionaryEngine,
     ShardedDictionaryEngine,
     hash_key,
     make_dictionary,
@@ -504,7 +504,7 @@ def test_hand_assembled_store_needs_an_explicit_shard():
 
 
 # --------------------------------------------------------------------------- #
-# Parallel engine: byte-identical to sequential
+# Parallel (process) engine: byte-identical to sequential
 # --------------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("inner", ["b-tree", "hi-skiplist"])
@@ -522,49 +522,55 @@ def test_parallel_engine_matches_sequential_byte_for_byte(inner):
         return engine, contains, deleted, pairs, costs
 
     sequential, s_contains, s_deleted, s_pairs, s_costs = drive(False)
-    parallel, p_contains, p_deleted, p_pairs, p_costs = drive(True)
-    assert isinstance(parallel, ParallelShardedDictionaryEngine)
-    assert not isinstance(sequential, ParallelShardedDictionaryEngine)
-    assert p_contains == s_contains
-    assert p_deleted == s_deleted
-    assert p_pairs == s_pairs
-    assert p_costs == s_costs and len(p_costs) == 4
-    assert parallel.items() == sequential.items()
-    assert parallel.structure.audit_fingerprint() == \
-        sequential.structure.audit_fingerprint()
-    assert list(parallel.structure.snapshot_slots()) == \
-        list(sequential.structure.snapshot_slots())
+    parallel, p_contains, p_deleted, p_pairs, p_costs = drive("process")
+    try:
+        assert isinstance(parallel, ProcessShardedDictionaryEngine)
+        assert not isinstance(sequential, ProcessShardedDictionaryEngine)
+        assert p_contains == s_contains
+        assert p_deleted == s_deleted
+        assert p_pairs == s_pairs
+        assert p_costs == s_costs and len(p_costs) == 4
+        assert parallel.items() == sequential.items()
+        assert parallel.structure.audit_fingerprint() == \
+            sequential.structure.audit_fingerprint()
+        assert list(parallel.structure.snapshot_slots()) == \
+            list(sequential.structure.snapshot_slots())
+    finally:
+        parallel.close()
 
 
 def test_parallel_engine_resizes_like_the_sequential_engine():
     keys = keyset(11)
-    engines = [build(parallel=flag, seed=4) for flag in (False, True)]
-    for engine in engines:
-        engine.insert_many((key, key) for key in keys)
-        report = engine.add_shard()
-        assert report.moved_keys <= 2 * len(keys) / engine.num_shards
-        engine.check()
-    assert engines[0].structure.audit_fingerprint() == \
-        engines[1].structure.audit_fingerprint()
+    engines = [build(parallel=mode, seed=4) for mode in ("none", "process")]
+    try:
+        for engine in engines:
+            engine.insert_many((key, key) for key in keys)
+            report = engine.add_shard()
+            assert report.moved_keys <= 2 * len(keys) / engine.num_shards
+            engine.check()
+        assert engines[0].structure.audit_fingerprint() == \
+            engines[1].structure.audit_fingerprint()
+    finally:
+        engines[1].close()
 
 
 def test_parallel_engine_with_sampling_falls_back_to_sequential_path():
-    engine = build(parallel=True, sample_operations=True)
-    engine.insert_many((key, key) for key in range(100))
-    assert len(engine.samples) == 100
-    assert engine.contains_many([1, 2, -5]) == [True, True, False]
-    assert engine.delete_many([3, 4]) == [3, 4]
+    with build(parallel="process", sample_operations=True) as engine:
+        engine.insert_many((key, key) for key in range(100))
+        assert len(engine.samples) == 100
+        assert engine.contains_many([1, 2, -5]) == [True, True, False]
+        assert engine.delete_many([3, 4]) == [3, 4]
 
 
 def test_parallel_engine_rejects_bad_max_workers():
     for bad in (0, -2, True, "4"):
         with pytest.raises(ConfigurationError):
-            build(parallel=True, max_workers=bad)
-    with pytest.raises(ConfigurationError, match="parallel"):
+            build(parallel="process", max_workers=bad)
+    with pytest.raises(ConfigurationError, match="process"):
         build(parallel=False, max_workers=4)
-    engine = build(parallel=True, max_workers=2)
-    engine.insert_many((key, key) for key in range(200))
-    assert len(engine) == 200
+    with build(parallel="process", max_workers=2) as engine:
+        engine.insert_many((key, key) for key in range(200))
+        assert len(engine) == 200
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,11 @@ the exact config the store was built with.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
+import shutil
 
 import pytest
 
@@ -46,8 +48,7 @@ CONFIGS = [
     EngineConfig(router={"name": "weighted", "vnodes": 16,
                          "weights": {"0": 1.0, "1": 2.0, "2": 1.0}},
                  shards=3, seed=3),
-    EngineConfig(parallel="thread", max_workers=2, seed=1),
-    EngineConfig(parallel="process", plane="pipe", seed=1),
+    EngineConfig(parallel="process", max_workers=2, seed=1),
     EngineConfig(parallel="process", replication=2, seed=1),
     EngineConfig(parallel="process", replication=3, seed=1,
                  read_policy="round-robin"),
@@ -77,7 +78,6 @@ def test_round_trip_for_every_engine_these_tests_build(tmp_path):
     """Every config that actually builds an engine here must round-trip."""
     built = [
         EngineConfig(shards=3, seed=SEED),
-        EngineConfig(shards=2, seed=SEED, parallel="thread"),
         EngineConfig(shards=2, seed=SEED, parallel="process",
                      max_workers=2),
     ]
@@ -106,6 +106,14 @@ def test_from_dict_rejects_unknown_keys():
         EngineConfig.from_dict(payload)
 
 
+def test_from_dict_drops_the_retired_plane_key():
+    payload = EngineConfig(parallel="process", seed=1).to_dict()
+    assert "plane" not in payload
+    for plane in ("shm", "pipe", None):
+        assert EngineConfig.from_dict(dict(payload, plane=plane)) == \
+            EngineConfig(parallel="process", seed=1)
+
+
 def test_to_dict_rejects_non_serializable_seed():
     config = EngineConfig(seed=random.Random(1))
     config.validate()
@@ -121,10 +129,10 @@ def test_to_dict_rejects_non_serializable_seed():
     dict(shards=0),
     dict(shards=-2),
     dict(max_workers=2),                      # needs parallel
-    dict(plane="shm"),                        # needs process
     dict(replication=0),
     dict(replication=2),                      # needs process
-    dict(replication=2, parallel="thread"),
+    dict(parallel="thread"),                  # the removed thread backend
+    dict(parallel=True),                      # ... and its boolean alias
     dict(read_policy="nearest"),              # unknown policy
     dict(read_policy="round-robin"),          # needs replication
     dict(read_policy="any-after-barrier", parallel="process"),
@@ -140,7 +148,7 @@ def test_invalid_configs_are_rejected(bad):
 
 def test_parallel_modes_reexport_is_the_same_object():
     assert REEXPORTED_MODES is PARALLEL_MODES
-    assert PARALLEL_MODES == ("none", "thread", "process")
+    assert PARALLEL_MODES == ("none", "process")
 
 
 # --------------------------------------------------------------------------- #
@@ -205,3 +213,38 @@ def test_durability_manifest_embeds_the_engine_config(tmp_path):
         assert len(reopened) == 64
     finally:
         reopened.close()
+
+
+def test_manifest_with_a_legacy_plane_key_still_opens(tmp_path):
+    """Stores written while ``EngineConfig`` had a ``plane`` field reopen
+    through ``open_durable_engine`` and ``repro recover`` alike."""
+    from repro.cli import main
+
+    directory = str(tmp_path / "store")
+    config = EngineConfig(inner="b-treap", shards=2, block_size=16,
+                          seed=SEED, parallel="process", replication=2,
+                          durability_dir=directory)
+    engine = make_sharded_engine(config=config)
+    try:
+        engine.insert_many([(key, key) for key in range(40)])
+        engine.checkpoint()
+    finally:
+        engine.close()
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest["engine_config"]["plane"] = "shm"
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+    copy = str(tmp_path / "copy")
+    shutil.copytree(directory, copy)
+
+    reopened = open_durable_engine(directory)
+    try:
+        assert reopened.engine_config == config
+        assert dict(reopened.items()) == {key: key for key in range(40)}
+    finally:
+        reopened.close()
+    out = io.StringIO()
+    assert main(["recover", "--dir", copy], out=out) == 0
+    assert "keys            : 40" in out.getvalue()

@@ -185,41 +185,34 @@ def test_history_dependent_baselines_fail_the_audit(name):
 # The process-parallel backend must preserve both tiers
 # --------------------------------------------------------------------------- #
 
-def build_process_pair(inner, trace, seed, plane="shm"):
-    """The same history through a sequential and a process-backed engine.
-
-    ``plane`` selects the process backend's data plane (shared-memory
-    rings or the pickled pipe); the sequential twin ignores it.
-    """
+def build_process_pair(inner, trace, seed):
+    """The same history through a sequential and a process-backed engine."""
     from repro.api import make_sharded_engine
 
     engines = []
     for parallel in ("none", "process"):
         engine = make_sharded_engine(
             inner, shards=2, block_size=BLOCK_SIZE, seed=seed,
-            parallel=parallel, plane=plane if parallel == "process" else None)
+            parallel=parallel)
         engine.build_from_trace(trace)
         engines.append(engine)
     return engines
 
 
-@pytest.mark.parametrize("plane", ["shm", "pipe"])
 @pytest.mark.parametrize("inner", CANONICAL)
-def test_process_engine_canonical_layouts_identical_across_histories(
-        inner, plane):
+def test_process_engine_canonical_layouts_identical_across_histories(inner):
     """Tier 1 behind worker processes: one layout per key set, exactly.
 
     The digests must agree across equivalent histories *and* with the
     sequential engine — hosting shards out of process must not perturb a
-    single byte of a canonical layout, on either data plane.
+    single byte of a canonical layout.
     """
     rng = random.Random(21)
     keys = rng.sample(range(100_000), 60)
     traces = permuted_traces(keys, shuffles=1, seed=8)
     digests = set()
     for trace in traces:
-        sequential, process = build_process_pair(inner, trace, seed=SEED,
-                                                 plane=plane)
+        sequential, process = build_process_pair(inner, trace, seed=SEED)
         try:
             process_digest = layout_digest(process.structure)
             assert process_digest == layout_digest(sequential.structure)

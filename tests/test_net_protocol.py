@@ -20,6 +20,7 @@ import struct
 import pytest
 
 from repro.errors import (
+    ConfigurationError,
     KeyNotFound,
     ProtocolError,
     RemoteError,
@@ -30,8 +31,8 @@ from repro.net import protocol
 from repro.net.protocol import (
     BODY_BITMAP,
     BODY_NONE,
-    BODY_PICKLE,
-    BODY_RECORDS,
+    BODY_VALUES,
+    MAX_DEPTH,
     TRACE_KEY,
     WireCodec,
     decode_message,
@@ -183,18 +184,130 @@ def test_random_garbage_frames_never_escape_typed_errors():
 
 def test_message_round_trip_with_each_body_codec():
     codec = WireCodec()
-    for values in ([1, 2, 3], [1.5, "text", b"bytes"], [(1, 2), (3, 4)]):
+    for values in ([1, 2, 3], [1.5, "text", b"bytes"], [(1, 2), (3, 4)],
+                   [True, None, 2 ** 100, (1, (2, (3,)))]):
         tag, blob = codec.encode_values(values)
-        assert tag == BODY_RECORDS
+        assert tag == BODY_VALUES
         payload = encode_message({"op": "x", "count": len(values)}, tag, blob)
         header, tag2, blob2 = decode_message(payload)
         assert codec.decode_body(tag2, blob2, header["count"]) == values
-    tag, blob = codec.encode_values([True, {"nested": 1}])
-    assert tag == BODY_PICKLE
-    assert codec.decode_body(tag, blob, 2) == [True, {"nested": 1}]
-    tag, blob = WireCodec.encode_flags([True, False, True])
-    assert tag == BODY_BITMAP
-    assert codec.decode_body(tag, blob, 3) == [True, False, True]
+    for flags in ([], [True], [False] * 9,
+                  [index % 3 == 0 for index in range(27)]):
+        tag, blob = WireCodec.encode_flags(flags)
+        assert tag == BODY_BITMAP and len(blob) == (len(flags) + 7) // 8
+        assert codec.decode_body(tag, blob, len(flags)) == flags
+
+
+# The whole value union, each member at its edges.
+UNION = [None, True, False, 0, -1, 2 ** 63 - 1, -2 ** 63, 2 ** 63,
+         -2 ** 63 - 1, 2 ** 200, -2 ** 71, 0.0, -0.0, 3.5, float("inf"),
+         "", "key", "h\u00e9llo \U0001f600", b"", b"\x00\xff", (),
+         (1, "v"), ("k", (b"v", (True, None))), (1, 2, 3, 4)]
+
+
+def test_value_codec_round_trips_the_union_type_exactly():
+    codec = WireCodec()
+    tag, blob = codec.encode_values(UNION)
+    decoded = codec.decode_body(tag, blob, len(UNION))
+    assert decoded == UNION
+    # Type-exact, not merely equal: True stays a bool, 1 an int, 2.0 a
+    # float, and -0.0 keeps its sign.
+    assert [type(value) for value in decoded] == \
+        [type(value) for value in UNION]
+    assert struct.pack(">d", decoded[12]) == struct.pack(">d", -0.0)
+
+
+def test_value_codec_is_canonical():
+    """One encoding per value, a function of the value alone — so the
+    wire stays history independent — and the decoder refuses the
+    non-canonical spellings an attacker could craft."""
+    codec = WireCodec()
+    for value in UNION:
+        first = codec.encode_values([value])[1]
+        assert codec.encode_values([value])[1] == first
+        assert codec.encode_values([(value,)])[1][5:] == first
+    assert codec.encode_values([(12345, 678)])[1] == \
+        bytes([8, 0, 0, 0, 2, 3]) + struct.pack(">q", 12345) \
+        + bytes([3]) + struct.pack(">q", 678)
+    # A small int smuggled in the big-int form, and a padded big int.
+    for raw in (b"\x00\x05", (2 ** 70).to_bytes(12, "big", signed=True)):
+        blob = bytes([4]) + struct.pack(">I", len(raw)) + raw
+        with pytest.raises(ProtocolError, match="canonical"):
+            codec.decode_body(BODY_VALUES, blob, 1)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": 1}, [1, 2], {1, 2}, object(), bytearray(b"x"), "\ud800",
+    (1, [2]), ((1,), {"deep": True}),
+])
+def test_values_outside_the_union_are_refused_before_encoding(value):
+    with pytest.raises(ConfigurationError):
+        WireCodec.encode_values([1, value, 2])
+
+
+def test_nesting_past_the_depth_limit_is_refused_both_ways():
+    codec = WireCodec()
+    value = None
+    for _level in range(MAX_DEPTH):
+        value = (value,)
+    tag, blob = codec.encode_values([value])       # MAX_DEPTH tuples: fine
+    assert codec.decode_body(tag, blob, 1) == [value]
+    with pytest.raises(ConfigurationError):
+        codec.encode_values([(value,)])
+    with pytest.raises(ProtocolError, match="deeper"):
+        codec.decode_body(BODY_VALUES, bytes([8, 0, 0, 0, 1]) + blob, 1)
+
+
+def test_nested_tuple_depth_bomb_is_a_protocol_error():
+    """A body of 100k nested one-item tuples must be refused with a
+    ProtocolError at the depth limit, never a RecursionError."""
+    bomb = bytes([8, 0, 0, 0, 1]) * 100_000 + bytes([0])
+    with pytest.raises(ProtocolError, match="deeper"):
+        WireCodec.decode_body(BODY_VALUES, bomb, 1)
+
+
+def test_count_larger_than_the_body_is_a_protocol_error():
+    """Announced counts are bounded by the bytes present before anything
+    is allocated: every value takes at least one byte."""
+    codec = WireCodec()
+    with pytest.raises(ProtocolError, match="announces"):
+        codec.decode_body(BODY_VALUES, bytes(8), 2 ** 40)
+    # a tuple announcing 2**32 - 1 items inside a 6-byte body
+    with pytest.raises(ProtocolError, match="announces"):
+        codec.decode_body(BODY_VALUES, bytes([8, 255, 255, 255, 255, 0]), 1)
+
+
+def test_trailing_bytes_and_truncated_fields_are_protocol_errors():
+    codec = WireCodec()
+    tag, blob = codec.encode_values([(1, "text"), b"raw", 2 ** 90, 2.5])
+    with pytest.raises(ProtocolError, match="trailing"):
+        codec.decode_body(tag, blob + b"\x00", 4)
+    with pytest.raises(ProtocolError, match="trailing"):
+        codec.decode_body(tag, blob, 3)
+    # Every truncation point: a cut length field, a cut payload, a
+    # missing value — all typed, none silently short.
+    for cut in range(len(blob)):
+        with pytest.raises(ProtocolError):
+            codec.decode_body(tag, blob[:cut], 4)
+    with pytest.raises(ProtocolError, match="unknown value tag"):
+        codec.decode_body(tag, bytes([9]), 1)
+    with pytest.raises(ProtocolError):
+        codec.decode_body(tag, bytes([6, 0, 0, 0, 1, 0xff]), 1)  # bad utf-8
+
+
+def test_bit_flipped_value_bodies_decode_or_fail_typed():
+    """The body has no CRC of its own (the frame's covers it), so a flip
+    may decode to other union values — but never to anything else, and
+    never escape the ProtocolError type."""
+    codec = WireCodec()
+    tag, blob = codec.encode_values([(7, "seven"), 2 ** 80, None, b"\x01"])
+    for index in range(len(blob) * 8):
+        flipped = bytearray(blob)
+        flipped[index // 8] ^= 1 << (index % 8)
+        try:
+            codec.decode_body(tag, bytes(flipped), 4)
+        except ProtocolError:
+            continue
 
 
 @pytest.mark.parametrize("payload", [
@@ -226,26 +339,27 @@ def test_body_count_mismatches_are_protocol_errors():
     codec = WireCodec()
     tag, blob = codec.encode_values([1, 2, 3])
     with pytest.raises(ProtocolError):
-        codec.decode_body(tag, blob, 4)           # record run, wrong count
+        codec.decode_body(tag, blob, 4)           # value body, wrong count
     with pytest.raises(ProtocolError):
         codec.decode_body(BODY_BITMAP, b"\x01", 20)
     with pytest.raises(ProtocolError):
-        codec.decode_body(BODY_PICKLE, pickle.dumps([1, 2]), 3)
-    with pytest.raises(ProtocolError):
-        codec.decode_body(BODY_PICKLE, pickle.dumps("not-a-list"), 1)
-    with pytest.raises(ProtocolError):
         codec.decode_body(BODY_NONE, b"stray", 0)
     with pytest.raises(ProtocolError):
-        codec.decode_body(BODY_RECORDS, blob, -1)
+        codec.decode_body(BODY_VALUES, blob, -1)
     with pytest.raises(ProtocolError):
-        codec.decode_body(BODY_RECORDS, blob, True)
+        codec.decode_body(BODY_VALUES, blob, True)
 
 
 def test_truncated_pickle_body_is_a_protocol_error():
+    """Version 1's pickle body tag (3) is retired: whole or truncated, a
+    pickle body is refused by tag before a byte of it is looked at."""
     codec = WireCodec()
     blob = pickle.dumps([1, 2, 3])
-    with pytest.raises(ProtocolError):
-        codec.decode_body(BODY_PICKLE, blob[:-2], 3)
+    for body in (blob, blob[:-2]):
+        with pytest.raises(ProtocolError, match="unknown body codec tag"):
+            decode_message(encode_message({"op": "x", "count": 3}, 3, body))
+        with pytest.raises(ProtocolError, match="unknown body codec tag"):
+            codec.decode_body(3, body, 3)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,6 +11,7 @@ processes.  On top of that, worker crashes must be contained (a clear
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -24,6 +25,7 @@ from repro.api import (
     make_sharded_engine,
     registry_names,
 )
+from repro.api.process_engine import _unpicklable_reply_error
 from repro.errors import ConfigurationError, KeyNotFound, WorkerCrashError
 
 pytestmark = pytest.mark.fast
@@ -227,20 +229,20 @@ def test_max_workers_packs_shards_onto_fewer_processes():
 
 
 def test_boolean_and_integer_parallel_flags_keep_working():
-    """PR 3's ``parallel: bool`` contract: plain truthiness selects threads."""
-    from repro.api.sharded import (
-        ParallelShardedDictionaryEngine,
-        ShardedDictionaryEngine,
-    )
+    """The boolean spelling's falsy ``parallel`` flags still mean
+    sequential dispatch; the truthy ones selected the removed thread
+    backend and are refused with a pointer at the process backend."""
+    from repro.api.sharded import ShardedDictionaryEngine
 
-    by_flag = {}
-    for flag in (True, 1, False, 0, None):
+    for flag in (False, 0, None):
         engine = make_sharded_engine("b-tree", shards=2, block_size=8,
                                      seed=SEED, parallel=flag)
-        by_flag[flag] = type(engine)
-    assert by_flag[True] is by_flag[1] is ParallelShardedDictionaryEngine
-    assert by_flag[False] is by_flag[0] is by_flag[None] \
-        is ShardedDictionaryEngine
+        assert type(engine) is ShardedDictionaryEngine
+        assert engine.engine_config.parallel == "none"
+    for flag in (True, 1, "thread"):
+        with pytest.raises(ConfigurationError, match="'process'"):
+            make_sharded_engine("b-tree", shards=2, block_size=8,
+                                seed=SEED, parallel=flag)
 
 
 def test_operations_after_close_raise_library_errors():
@@ -370,3 +372,135 @@ def test_context_manager_closes_on_exit():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# --------------------------------------------------------------------------- #
+# The unpicklable-reply fallback error (regression: the original exception
+# type used to vanish behind a generic "did not pickle")
+# --------------------------------------------------------------------------- #
+
+def _raised():
+    try:
+        raise ValueError("the real worker-side failure")
+    except ValueError as error:
+        return error
+
+
+def test_unpicklable_reply_error_carries_the_original_exception():
+    error = _unpicklable_reply_error("items", ("err", _raised()))
+    assert isinstance(error, WorkerCrashError)
+    text = str(error)
+    assert "ValueError" in text
+    assert "the real worker-side failure" in text
+    assert "items" in text
+    assert "Traceback" in text  # the formatted worker-side traceback
+
+
+def test_unpicklable_reply_error_scans_coalesced_sub_errors():
+    reply = ("ok", ("__multi__", [("ok", 3), ("err", _raised())]))
+    text = str(_unpicklable_reply_error("insert_batch", reply))
+    assert "ValueError" in text and "the real worker-side failure" in text
+
+
+def test_unpicklable_reply_error_for_a_plain_payload():
+    text = str(_unpicklable_reply_error("__export__", ("ok", object())))
+    assert "did not pickle" in text and "__export__" in text
+
+
+# --------------------------------------------------------------------------- #
+# Coalescing and group commit: the deterministic plane_stats() counters
+# --------------------------------------------------------------------------- #
+
+def run_mixed_workload(engine):
+    entries = entries_for(150)
+    engine.insert_many(entries)
+    keys = sorted({key for key, _value in entries})
+    engine.delete_many(keys[::3])
+    flags = engine.contains_many(list(range(0, 2003, 13)))
+    return dict(engine.items()), flags
+
+
+def test_packed_workers_coalesce_same_worker_crossings():
+    with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
+                             seed=SEED, parallel="process",
+                             max_workers=1) as engine:
+        engine.insert_many(entries_for(60))
+        # All three shard batches rode one worker: two pipe crossings saved.
+        assert engine.plane_stats() == {"coalesced": 2, "fsync_batches": 0}
+        assert dict(engine.items()) == dict(entries_for(60))
+
+
+def test_group_commit_counts_one_fsync_batch_per_worker(tmp_path):
+    with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
+                             seed=SEED, router="consistent",
+                             parallel="process", replication=2,
+                             durability_dir=str(tmp_path / "d")) as engine:
+        assert engine.plane_stats()["fsync_batches"] == 0
+        engine.insert_many(entries_for(120))
+        stats = engine.plane_stats()
+        # One group commit per worker hosting a primary (3 workers), not
+        # one per shard copy (6): the replica subs share their worker's
+        # crossing, which is what coalescing counts.
+        assert stats["fsync_batches"] == 3
+        assert stats["coalesced"] > 0
+        engine.delete_many([key for key, _value in entries_for(30)])
+        assert engine.plane_stats()["fsync_batches"] == 6
+
+
+def test_plane_counters_are_deterministic_across_runs():
+    observed = []
+    for _attempt in range(2):
+        with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
+                                 seed=SEED, parallel="process",
+                                 max_workers=2) as engine:
+            run_mixed_workload(engine)
+            observed.append(engine.plane_stats())
+    assert observed[0] == observed[1]
+    assert observed[0]["coalesced"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Fault injection: workers killed mid-batch, fork and spawn
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+@pytest.mark.parametrize("site", ["worker.insert", "worker.delete"])
+def test_worker_killed_mid_batch_recovers(tmp_path, monkeypatch, site,
+                                          start_method):
+    """A worker killed inside a bulk batch is a clean, recoverable crash.
+
+    The first bulk call per worker is acknowledged; the fail point fires
+    part-way through the next batch, so the parent must raise
+    :class:`WorkerCrashError` and recovery must keep every acknowledged
+    write.  ``REPRO_FAILPOINTS`` is armed before the engine is built
+    (workers inherit it) and disarmed before recovery respawns workers.
+    """
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip("platform lacks the %r start method" % (start_method,))
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
+    # Each of the two workers applies at most 40 inserts in the first
+    # call, so the 41st insert (or the 5th delete) lands mid-batch later.
+    monkeypatch.setenv("REPRO_FAILPOINTS",
+                       site + (":41" if site == "worker.insert" else ":5"))
+    acked = dict(entries_for(40))
+    with make_sharded_engine("b-treap", shards=2, block_size=BLOCK_SIZE,
+                             seed=SEED, router="consistent",
+                             parallel="process", replication=1,
+                             durability_dir=str(tmp_path / "d")) as engine:
+        engine.insert_many(entries_for(40))
+        with pytest.raises(WorkerCrashError):
+            if site == "worker.insert":
+                engine.insert_many(entries_for(200)[40:])
+            else:
+                engine.delete_many(sorted(acked)[:20])
+        monkeypatch.delenv("REPRO_FAILPOINTS")
+        report = engine.recover()
+        assert report.positions
+        recovered = dict(engine.items())
+        untouched = sorted(acked)[20:] if site == "worker.delete" else acked
+        assert all(recovered.get(key) == acked[key] for key in untouched)
+        # The store stays fully usable after recovery.
+        engine.insert_many([(9001, 1), (9002, 2)])
+        assert engine.contains_many([9001, 9002, 9003]) == \
+            [True, True, False]
+        engine.check()

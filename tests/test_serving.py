@@ -164,14 +164,73 @@ def test_async_client_agrees_with_sync_client():
 
 
 def test_values_outside_the_record_union_round_trip():
-    """Pickle-fallback bodies (nested values, bools) survive the wire."""
+    """Values the fixed-width record union could not carry — bools, None,
+    ints past 64 bits, nested tuples — cross the wire exactly (types
+    included); values outside the wire's union are refused at the client
+    before anything is sent."""
     config = EngineConfig(shards=2, seed=SEED)
+    nested = (1, ("two", (b"three", (None, 4.5))))
     with ThreadedServer(config) as server:
         with ReproClient("127.0.0.1", server.port) as client:
-            value = {"nested": [1, 2, {"deep": True}]}
-            client.insert_many([(1, value), (2, True)])
-            assert client.search(1) == value
-            assert client.search(2) is True
+            client.insert_many([(1, True), (2, None), (3, 2 ** 200),
+                                (4, nested), (2 ** 70, False)])
+            assert client.search(1) is True
+            assert client.search(2) is None
+            assert client.search(3) == 2 ** 200
+            assert client.search(4) == nested
+            assert client.search(2 ** 70) is False
+            assert client.delete_many([3]) == [2 ** 200]
+            with pytest.raises(ConfigurationError):
+                client.insert_many([(5, {"nested": 1})])
+            with pytest.raises(ConfigurationError):
+                client.insert(6, [1, 2])
+            # nothing of the refused requests reached the server
+            engine = server.server._namespaces["default"].engine
+            assert sorted(engine.items()) == [
+                (1, True), (2, None), (4, nested), (2 ** 70, False)]
+
+
+def test_pickle_gadget_frame_is_refused_and_never_runs(tmp_path):
+    """A version-1 pickle body (tag 3) with a valid CRC whose
+    ``__reduce__`` would create a file: the server answers ProtocolError
+    and the file never appears — untrusted bytes never reach pickle."""
+    import pickle
+    import socket
+
+    from repro.net.protocol import (
+        decode_message,
+        encode_message,
+        frame,
+        read_frame,
+    )
+
+    sentinel = tmp_path / "pwned"
+
+    class Gadget:
+        def __reduce__(self):
+            return (open, (str(sentinel), "w"))
+
+    body = pickle.dumps([Gadget()])
+    # Control: the gadget is live — unpickling these bytes creates the file.
+    pickle.loads(body)[0].close()
+    assert sentinel.exists()
+    sentinel.unlink()
+    config = EngineConfig(shards=1, seed=SEED)
+    with ThreadedServer(config) as server:
+        sock = socket.create_connection(("127.0.0.1", server.port),
+                                        timeout=10.0)
+        try:
+            sock.sendall(frame(encode_message(
+                {"id": 1, "op": "insert_many", "count": 1}, 3, body)))
+            reader = sock.makefile("rb")
+            reply, _tag, _body = decode_message(read_frame(reader))
+            assert reply["status"] == "error"
+            assert reply["error"]["type"] == "ProtocolError"
+        finally:
+            sock.close()
+        with ReproClient("127.0.0.1", server.port) as client:
+            assert len(client) == 0
+    assert not sentinel.exists()
 
 
 # --------------------------------------------------------------------------- #
@@ -382,7 +441,6 @@ def test_drain_is_idempotent_and_closes_each_engine_once():
 def test_close_is_idempotent_on_every_engine_flavor(tmp_path):
     flavors = [
         EngineConfig(shards=2, seed=SEED),
-        EngineConfig(shards=2, seed=SEED, parallel="thread"),
         EngineConfig(inner="b-treap", shards=2, block_size=BLOCK_SIZE,
                      seed=SEED, parallel="process", max_workers=2),
         EngineConfig(inner="b-treap", shards=2, block_size=BLOCK_SIZE,

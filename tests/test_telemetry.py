@@ -269,7 +269,7 @@ def test_render_trace_is_an_indented_tree():
 
 def replicated_config(**overrides):
     base = dict(inner="b-treap", shards=2, block_size=BLOCK_SIZE,
-                seed=SEED, parallel="process", max_workers=2, plane="shm",
+                seed=SEED, parallel="process", max_workers=2,
                 replication=2, telemetry=True)
     base.update(overrides)
     return EngineConfig(**base)
@@ -286,7 +286,8 @@ def test_engine_telemetry_folds_all_four_surfaces():
         engine.close()
     # The four legacy surfaces, namespaced side by side.
     assert snap["engine_io.reads"] >= 0
-    assert snap["plane.frames"] > 0 and snap["plane.bytes"] > 0
+    assert snap["plane.coalesced"] > 0 and "plane.fsync_batches" in snap
+    assert "plane.bytes" not in snap and "plane.frames" not in snap
     assert "erasure.erase_calls" in snap or any(
         name.startswith("erasure.") for name in snap)
     assert any(name.startswith("replica_reads.") for name in snap)
@@ -332,7 +333,7 @@ def test_plane_stats_republish_into_the_registry():
         snap = engine.metrics.snapshot()
         for name, value in stats.items():
             assert snap["plane." + name] == value
-        assert "fsync_batches" in stats
+        assert set(stats) == {"coalesced", "fsync_batches"}
     finally:
         engine.close()
 
@@ -369,7 +370,7 @@ def test_server_stats_and_traces_expose_one_cross_process_tree():
                       if entry["name"] == "client.contains_many"]
     client_trace_ids = {entry["trace"] for entry in contains_roots}
     # The merged snapshot carries every surface through the wire.
-    assert stats["plane.bytes"] > 0
+    assert "plane.coalesced" in stats and "plane.fsync_batches" in stats
     assert stats["engine.calls.insert_many"] >= 1
     assert stats["server.telemetry.adopted"] >= 1
     assert stats["telemetry.worker_spans"] > 0
