@@ -51,9 +51,12 @@ SHARDED_VARIANTS = (
 )
 
 #: Process-backend configurations: the same traces, but every operation
-#: crosses the pickled pipe into worker processes.
+#: crosses the pickled pipe into worker processes.  The packed variant caps
+#: the pool below the shard count, so one worker hosts two of the shards.
 PROCESS_VARIANTS = (
     ("process+b-tree", {"shards": 3, "inner": "b-tree"}),
+    ("process+packed+b-tree", {"shards": 3, "inner": "b-tree",
+                               "max_workers": 2}),
     ("process+hi-skiplist", {"shards": 3, "inner": "hi-skiplist"}),
 )
 
@@ -76,7 +79,8 @@ def make_engine(target: str) -> DictionaryEngine:
             from repro.api import make_sharded_engine
             return make_sharded_engine(extra["inner"], shards=extra["shards"],
                                        block_size=BLOCK_SIZE, cache_blocks=2,
-                                       seed=STRUCTURE_SEED, parallel="process")
+                                       seed=STRUCTURE_SEED, parallel="process",
+                                       max_workers=extra.get("max_workers"))
     return DictionaryEngine.create(target, block_size=BLOCK_SIZE,
                                    cache_blocks=2, seed=STRUCTURE_SEED)
 

@@ -335,6 +335,25 @@ def test_fuzzed_message_payloads_are_protocol_errors():
             continue
 
 
+def test_value_body_decode_checks_the_record_count():
+    codec = WireCodec()
+    tag, blob = codec.encode_values([10, 20, 30])
+    with pytest.raises(ProtocolError):
+        codec.decode_body(tag, blob, 2)
+    with pytest.raises(ProtocolError):
+        codec.decode_body(tag, blob[:-1], 3)
+
+
+def test_bitmap_round_trips_and_checks_length():
+    for flags in ([], [True], [False] * 9,
+                  [bool(index % 3 == 0) for index in range(27)]):
+        tag, blob = WireCodec.encode_flags(flags)
+        assert len(blob) == (len(flags) + 7) // 8
+        assert WireCodec.decode_body(tag, blob, len(flags)) == flags
+    with pytest.raises(ProtocolError):
+        WireCodec.decode_body(BODY_BITMAP, b"\x00\x00", 27)
+
+
 def test_body_count_mismatches_are_protocol_errors():
     codec = WireCodec()
     tag, blob = codec.encode_values([1, 2, 3])
