@@ -17,6 +17,13 @@ Design
   inherited :class:`~repro.api.sharded.ShardedDictionary` machinery —
   routing, merged iteration, elastic ``add_shard``/``remove_shard``
   migration, per-shard snapshots, ``check()`` — keeps working unchanged.
+* **Workers start ready to serve.**  Everything a worker runs, fail points
+  included, is imported when this module loads, so a forked worker
+  imports nothing.  The engine forks the whole pool before the first
+  handshake: every worker gets its first ``__host__`` before any reply is
+  read, and the constructor (like :meth:`restart_workers`) returns only
+  after every hosting is acknowledged.  A start that fails shuts down
+  every worker it started before the error propagates.
 * **One round-trip per shard per bulk call.**  ``insert_many`` /
   ``delete_many`` / ``contains_many`` ship each shard's whole batch as a
   single command (amortizing IPC exactly the way PR 2's batched routing
@@ -66,12 +73,14 @@ import os
 import pickle
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from multiprocessing.connection import wait
 from time import perf_counter
 from typing import (
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -79,6 +88,7 @@ from typing import (
     Tuple,
 )
 
+from repro import failpoints
 from repro.api.engine import DictionaryEngine
 from repro.api.protocol import HIDictionary, Pair
 from repro.api.sharded import (
@@ -143,7 +153,8 @@ def _describe_shard(shard: HIDictionary) -> Dict[str, object]:
 def _open_oplog(spec: Mapping[str, object]):
     """Open the worker-side op log a hosting command described."""
     # Imported lazily: the replication package imports this module, so a
-    # top-level import would be circular; workers pay the lookup once.
+    # top-level import would be circular.  Only durable hostings get here,
+    # and the replicated engine that sends them has imported it already.
     from repro.replication.oplog import OpLog
 
     return OpLog(**spec)
@@ -217,8 +228,6 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         # per-sub outcomes, then group-commit each distinct dirty op log
         # exactly once — one fsync batch per worker per engine-level bulk
         # call instead of one per shard copy.
-        from repro.replication.oplog import commit_group
-
         replies: List[Tuple[str, object]] = []
         group_dirty: List[object] = []
         try:
@@ -230,7 +239,10 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
                 except Exception as error:
                     replies.append(("err", error))
         finally:
-            commit_group(group_dirty)
+            # Two entries are the same log exactly when they are the same
+            # object; commit in the order the logs were first dirtied.
+            for log in {id(log): log for log in group_dirty}.values():
+                log.commit()
         return ("__multi__", replies)
     if method == "__host__":
         shard = args[0]
@@ -371,16 +383,12 @@ def _unpicklable_reply_error(method: str,
 
 def _worker_main(conn) -> None:
     """The long-lived worker loop: receive commands, answer until shutdown."""
-    # Lazy import (cycle: the replication package imports this module); the
-    # fail points are inert unless REPRO_FAILPOINTS is armed in the
-    # environment this worker inherited.  Re-read that environment here:
-    # under fork the worker inherits the parent's parsed-failpoint cache,
-    # and the parent legitimately trips parent-side fail points (op-log
-    # compaction during recovery), which would otherwise freeze an empty
-    # cache into every forked worker.
-    from repro.replication.failpoints import reset, trip
-
-    reset()
+    # Re-read REPRO_FAILPOINTS: under fork the worker inherits the parent's
+    # parsed fail-point cache, and the parent legitimately trips parent-side
+    # fail points (op-log compaction during recovery), which would
+    # otherwise freeze an empty cache into every forked worker.
+    failpoints.reset()
+    trip = failpoints.trip
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
     # Enabled on the first traced command; adopted spans finish into its
@@ -565,6 +573,10 @@ def _expand_key(key: object) -> Tuple[object, ...]:
     return key.keys if isinstance(key, _MultiKey) else (key,)
 
 
+#: One queued command: ``(key, worker, engine id, method, args)``.
+_Dispatch = Tuple[object, _ShardWorker, int, str, tuple]
+
+
 class _ShardProxy(HIDictionary):
     """Parent-side stand-in for a worker-hosted shard.
 
@@ -738,21 +750,85 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             return worker
         return min(live, key=lambda worker: len(worker.shard_ids))
 
+    def _host_primaries(self, local: Sequence[Tuple[int, HIDictionary]]
+                        ) -> List[_ShardProxy]:
+        """Host each ``(position, local shard)`` on a picked worker.
+
+        Placement is decided for every shard before the first ``__host__``
+        goes out: spawn until the cap, then the least-loaded live worker
+        (earliest spawned on ties).  Returns the proxies in input order;
+        the caller installs them.
+        """
+        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+        try:
+            for position, shard in local:
+                shard_id = self._structure.shard_ids[position]
+                worker = self._pick_worker()
+                worker.shard_ids.add(shard_id)  # the next pick sees it
+                hostings.append((worker, shard_id,
+                                 (shard, self._oplog_spec(shard_id))))
+            proxies = self._host(hostings)
+        except BaseException:
+            for worker, shard_id, _args in hostings:
+                worker.shard_ids.discard(shard_id)
+            raise
+        for proxy in proxies:
+            self._worker_by_shard[proxy.shard_id] = proxy.worker
+        return proxies
+
+    def _oplog_spec(self, shard_id: int) -> Optional[Dict[str, object]]:
+        """The op log a primary hosting opens worker-side (none here)."""
+        return None
+
+    def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, tuple]]
+              ) -> List[_ShardProxy]:
+        """Send ``(worker, engine id, __host__ args)`` hostings; proxies.
+
+        Every ``__host__`` that can go out does so before the first reply
+        is read, so the workers unpickle their shards side by side; a
+        worker hosting several takes them back to back, one outstanding
+        command at a time.  Hosting is neither coalesced nor traced, so the
+        ``plane_stats()`` and trace counters stay functions of the workload.
+        Returns the proxies in input order once every hosting is
+        acknowledged; otherwise re-raises the first failure in input order.
+        """
+        queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
+        for index, (worker, engine_id, args) in enumerate(hostings):
+            queues.setdefault(worker, deque()).append(
+                (index, worker, engine_id, "__host__", args))
+        descriptors, errors = self._drive_queues(queues, trace_header=None)
+        if errors:
+            raise errors[min(errors)]
+        proxies = []
+        for index, (worker, engine_id, _args) in enumerate(hostings):
+            worker.shard_ids.add(engine_id)
+            proxies.append(_ShardProxy(worker, engine_id, descriptors[index]))
+        return proxies
+
+    @contextmanager
+    def _reaping_new_workers(self) -> Iterator[None]:
+        """Shut down every worker spawned inside the block if it raises."""
+        spawned = len(self._workers)
+        try:
+            yield
+        except BaseException:
+            for worker in self._workers[spawned:]:
+                worker.shutdown()
+            del self._workers[spawned:]
+            raise
+
     def _adopt_local_shards(self) -> None:
         """Move every locally held shard into a worker, proxying it here."""
         if self._closed:
             raise ConfigurationError(
                 "this process engine is closed; build a new one")
-        structure = self._structure
-        shards = structure._shards
-        for position, shard in enumerate(shards):
-            if isinstance(shard, _ShardProxy):
-                continue
-            shard_id = structure.shard_ids[position]
-            worker = self._pick_worker()
-            descriptor = worker.host(shard_id, shard)
-            self._worker_by_shard[shard_id] = worker
-            shards[position] = _ShardProxy(worker, shard_id, descriptor)
+        shards = self._structure._shards
+        local = [(position, shard) for position, shard in enumerate(shards)
+                 if not isinstance(shard, _ShardProxy)]
+        with self._reaping_new_workers():
+            proxies = self._host_primaries(local)
+        for (position, _shard), proxy in zip(local, proxies):
+            shards[position] = proxy
         self._shard_engine_cache = []
 
     @property
@@ -826,19 +902,18 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
         dead_workers = {self._worker_by_shard[structure.shard_ids[position]]
                         for position in lost}
-        for position in lost:
-            shard_id = structure.shard_ids[position]
-            shard = make_dictionary(structure.inner_names[position],
+        rebuilt = [(position,
+                    make_dictionary(structure.inner_names[position],
                                     block_size=context["block_size"],
                                     cache_blocks=context["cache_blocks"],
                                     seed=context["rng"].getrandbits(64),
                                     backend=context["backend"],
-                                    **context["inner_params"])
-            worker = self._pick_worker()
-            descriptor = worker.host(shard_id, shard)
-            self._worker_by_shard[shard_id] = worker
-            structure._shards[position] = _ShardProxy(worker, shard_id,
-                                                      descriptor)
+                                    **context["inner_params"]))
+                   for position in lost]
+        with self._reaping_new_workers():
+            proxies = self._host_primaries(rebuilt)
+        for (position, _shard), proxy in zip(rebuilt, proxies):
+            structure._shards[position] = proxy
         for worker in dead_workers:
             worker.shutdown()
             if worker in self._workers:
@@ -867,22 +942,18 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return self._worker_for_position(position).request(shard_id, method,
                                                            args)
 
-    def _drive_commands(self, commands: Sequence[
-            Tuple[object, "_ShardWorker", int, str, tuple]]
-            ) -> Tuple[Dict[object, object], Dict[object, BaseException]]:
+    def _drive_commands(self, commands: Sequence[_Dispatch]
+                        ) -> Tuple[Dict[object, object],
+                                   Dict[object, BaseException]]:
         """Run ``(key, worker, engine id, method, args)`` commands; return
         ``(results, errors)`` keyed by ``key``.
 
-        The shared dispatch loop behind :meth:`_scatter` and the replicated
-        engine's primary-plus-replica fan-out: at most one command is
-        outstanding per worker (a second send could deadlock against a
-        worker blocked on a large reply); commands for the same worker run
-        back to back; a dead worker fails its whole queue.  Callers decide
-        which errors are fatal — the plain engine raises all of them, the
-        replicated engine demotes replica failures to replica drops.
+        The shared dispatch path behind :meth:`_scatter` and the replicated
+        engine's primary-plus-replica fan-out.  Callers decide which errors
+        are fatal — the plain engine raises all of them, the replicated
+        engine demotes replica failures to replica drops.
         """
-        queues: Dict[_ShardWorker, Deque[Tuple[object, _ShardWorker, int,
-                                               str, tuple]]] = {}
+        queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
         for command in commands:
             queues.setdefault(command[1], deque()).append(command)
         for worker, queue in queues.items():
@@ -897,13 +968,26 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 queue.clear()
                 queue.append((_MultiKey(keys), worker, -1,
                               "__multi__", (subs,)))
-        results: Dict[object, object] = {}
-        errors: Dict[object, BaseException] = {}
         # The propagation header for this dispatch window: present only
         # when tracing is enabled AND an engine-level span is active on
         # this thread (the bulk operations open one around dispatch).
+        return self._drive_queues(queues, self.tracer.header())
+
+    def _drive_queues(self, queues: Dict[_ShardWorker, Deque[_Dispatch]],
+                      trace_header: Optional[dict]
+                      ) -> Tuple[Dict[object, object],
+                                 Dict[object, BaseException]]:
+        """The dispatch loop: drain every worker's queue concurrently.
+
+        At most one command is outstanding per worker (a second send could
+        deadlock against a worker blocked on a large reply); commands for
+        the same worker run back to back; a dead worker fails its whole
+        queue; a command that does not pickle fails alone.  Every sent
+        command's reply is read before this returns.
+        """
+        results: Dict[object, object] = {}
+        errors: Dict[object, BaseException] = {}
         tracer = self.tracer
-        trace_header = tracer.header()
 
         def fail_worker(worker: _ShardWorker, key: object,
                         error: BaseException) -> None:
@@ -934,6 +1018,12 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                     worker.send(engine_id, method, args, trace=trace_header)
                 except WorkerCrashError as error:
                     fail_worker(worker, key, error)
+                    continue
+                except Exception as error:
+                    # The command did not pickle.  Pickling finishes before
+                    # the first byte is written, so the pipe is untouched:
+                    # only this command fails and the worker takes the next.
+                    settle(key, "err", error)
                     continue
                 if trace_header is not None:
                     tracer.note_crossing()

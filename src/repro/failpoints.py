@@ -18,6 +18,9 @@ an abrupt exit indistinguishable from SIGKILL as far as the parent, the
 pipes, and the op log are concerned.  Fork/spawn children inherit the
 environment at spawn time, so tests arm the variable *before* building the
 engine and disarm it before recovery respawns workers.
+
+The module imports nothing but :mod:`os`, so the process engine imports it
+at load time and a forked worker starts with it already in memory.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ merges accumulate instead of overwriting.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -35,7 +36,11 @@ _MERGE_CELL = "merged"
 
 
 class _Histogram:
-    """One thread's view of a fixed-boundary latency histogram."""
+    """One thread's view of a fixed-boundary latency histogram.
+
+    ``edges`` ascend; bucket ``i`` counts values ``<= edges[i]`` that
+    exceed every earlier edge, and the last bucket counts the rest.
+    """
 
     __slots__ = ("edges", "buckets", "count", "total_ms")
 
@@ -46,11 +51,12 @@ class _Histogram:
         self.total_ms = 0.0
 
     def observe(self, value_ms: float) -> None:
-        index = 0
-        for edge in self.edges:
-            if value_ms <= edge:
-                break
-            index += 1
+        # The first bucket whose edge is >= the value; NaN compares false
+        # against every edge, so it lands in the +Inf bucket, not bucket 0.
+        if value_ms == value_ms:
+            index = bisect_left(self.edges, value_ms)
+        else:
+            index = len(self.edges)
         self.buckets[index] += 1
         self.count += 1
         self.total_ms += value_ms

@@ -593,32 +593,29 @@ class ReplicatedShardedDictionaryEngine(ProcessShardedDictionaryEngine):
         if self._closed:
             raise ConfigurationError(
                 "this process engine is closed; build a new one")
-        structure = self._structure
-        shards = structure._shards
-        adopted: List[Tuple[int, HIDictionary, _ShardProxy]] = []
-        for position, shard in enumerate(shards):
-            if isinstance(shard, (_ShardProxy, _ReplicatedShardProxy)):
-                continue
-            shard_id = structure.shard_ids[position]
-            worker = self._pick_worker()
-            descriptor = worker.host(shard_id, shard,
-                                     oplog=self._oplog_spec(shard_id))
-            self._worker_by_shard[shard_id] = worker
-            adopted.append((position, shard,
-                            _ShardProxy(worker, shard_id, descriptor)))
-        for position, local_shard, primary in adopted:
-            shard_id = primary.shard_id
-            replicas: List[_ShardProxy] = []
-            for target in self._replica_workers_for(
-                    shard_id, exclude={primary.worker},
-                    needed=self._replication - 1):
-                replica_id = self._take_replica_id()
-                # Hosting pickles the still-local structure over the pipe,
-                # so every replica is an independent, identical clone.
-                descriptor = target.host(replica_id, local_shard)
-                replicas.append(_ShardProxy(target, replica_id, descriptor))
-            shards[position] = _ReplicatedShardProxy(primary, replicas,
-                                                     self._policy_state)
+        shards = self._structure._shards
+        local = [(position, shard) for position, shard in enumerate(shards)
+                 if not isinstance(shard, (_ShardProxy,
+                                           _ReplicatedShardProxy))]
+        copies = self._replication - 1
+        with self._reaping_new_workers():
+            primaries = self._host_primaries(local)
+            hostings = []
+            for (_position, shard), primary in zip(local, primaries):
+                for target in self._replica_workers_for(
+                        primary.shard_id, exclude={primary.worker},
+                        needed=copies):
+                    # Hosting pickles the still-local structure over the
+                    # pipe, so every replica is an independent, identical
+                    # clone.
+                    hostings.append((target, self._take_replica_id(),
+                                     (shard,)))
+            replicas = self._host(hostings)
+        for index, ((position, _shard), primary) in enumerate(
+                zip(local, primaries)):
+            shards[position] = _ReplicatedShardProxy(
+                primary, replicas[index * copies:(index + 1) * copies],
+                self._policy_state)
         self._shard_engine_cache = []
 
     # ------------------------------------------------------------------ #

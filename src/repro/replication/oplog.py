@@ -37,9 +37,10 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.failpoints import trip
 from repro.obs import child_span
 from repro.storage.encoding import RecordCodec
 
@@ -329,8 +330,6 @@ class OpLog:
         frames cannot resurface on a machine crash — which is what secure
         durability mode's history redaction relies on.
         """
-        from repro.replication.failpoints import trip
-
         frames, _torn = self._frames()
         if keep_from is None:
             keep_from = self._base
@@ -431,27 +430,6 @@ def read_ops(path: str, payload_size: int = 64) -> Iterator[LoggedOp]:
         else:
             key, value = decoded
             yield OP_NAMES[op], key, value
-
-
-def commit_group(logs: Iterable[OpLog]) -> int:
-    """Commit each *distinct* dirty log once; returns the commit count.
-
-    The group-commit half of a coalesced ``__multi__`` crossing: batch
-    helpers register their log here instead of fsyncing per batch, and the
-    crossing calls this once at its end — one fsync per log file per
-    crossing, however many batches touched it.  Deduplication is by
-    identity: two entries are the same log exactly when they share a file
-    handle.
-    """
-    committed = 0
-    seen: set = set()
-    for log in logs:
-        if id(log) in seen:
-            continue
-        seen.add(id(log))
-        log.commit()
-        committed += 1
-    return committed
 
 
 def replay_into(structure: object, log: OpLog, start: int = 0) -> int:

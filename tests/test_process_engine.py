@@ -15,10 +15,14 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.api import (
     ProcessShardedDictionaryEngine,
     make_dictionary,
@@ -405,6 +409,206 @@ def test_unpicklable_reply_error_scans_coalesced_sub_errors():
 def test_unpicklable_reply_error_for_a_plain_payload():
     text = str(_unpicklable_reply_error("__export__", ("ok", object())))
     assert "did not pickle" in text and "__export__" in text
+
+
+# --------------------------------------------------------------------------- #
+# Start-up: workers fork ready to serve, the whole pool hosted at once
+# --------------------------------------------------------------------------- #
+
+class _RefuseImports:
+    """A ``sys.meta_path`` finder that fails every import it is asked for."""
+
+    def find_spec(self, name, path=None, target=None):
+        raise ImportError("%s was imported after the warm-up run" % name)
+
+
+def _drive_through_a_restart(engine):
+    entries = entries_for(120)
+    engine.insert_many(entries)
+    keys = sorted(key for key, _value in entries)
+    assert engine.contains_many(keys[:10] + [2003]) == [True] * 10 + [False]
+    assert engine.delete_many(keys[:20]) == [
+        dict(entries)[key] for key in keys[:20]]
+    assert engine.range_query(keys[20], keys[29]) == [
+        (key, dict(entries)[key]) for key in keys[20:30]]
+    assert len(engine.items()) == 100
+    _kill_worker(engine, 0)
+    assert engine.restart_workers()
+    engine.insert_many([(5000, 1), (5001, 2), (5002, 3)])
+    assert engine.contains_many([5000, 5001, 5002]) == [True] * 3
+    engine.check()
+
+
+def test_forked_workers_import_nothing(monkeypatch):
+    """Every module a forked worker runs was imported by its parent.
+
+    After one warm-up run (the parent's own lazy imports), any import at
+    all fails; a worker that imported would die and surface as
+    :class:`WorkerCrashError`.  Covers one worker per shard and a packed
+    pool, whose bulk calls cross as ``__multi__``.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("platform lacks the fork start method")
+    monkeypatch.setenv("REPRO_START_METHOD", "fork")
+    shapes = [{"shards": 2, "max_workers": 2},
+              {"shards": 3, "max_workers": 2}]
+
+    def run_every_shape():
+        for shape in shapes:
+            with make_sharded_engine("b-tree", block_size=BLOCK_SIZE,
+                                     seed=SEED, parallel="process",
+                                     **shape) as engine:
+                _drive_through_a_restart(engine)
+
+    run_every_shape()
+    blocker = _RefuseImports()
+    sys.meta_path.insert(0, blocker)
+    try:
+        run_every_shape()
+    finally:
+        sys.meta_path.remove(blocker)
+
+
+def test_a_plain_process_engine_never_imports_the_replication_package():
+    """The plain engine's parent stays clear of ``repro.replication``."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.api import make_sharded_engine
+
+        with make_sharded_engine("b-tree", shards=3, block_size=16, seed=1,
+                                 parallel="process", max_workers=2) as engine:
+            engine.insert_many((key, -key) for key in range(200))
+            assert engine.contains_many([0, 199, 200]) == [True, True, False]
+            engine.delete_many(range(0, 200, 2))
+            assert len(engine.items()) == 100
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith("repro.replication"))
+        assert not loaded, loaded
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert completed.returncode == 0, completed.stderr
+
+
+def test_the_whole_pool_starts_before_the_first_handshake(monkeypatch):
+    """Every worker is forked and sent its ``__host__`` before the first
+    reply is read, and the constructor returns after the last one."""
+    from repro.api.process_engine import _ShardWorker
+
+    events = []
+    fork, send, receive = (_ShardWorker.__init__, _ShardWorker.send,
+                           _ShardWorker.receive)
+
+    def logged_fork(self, context):
+        fork(self, context)
+        events.append("fork")
+
+    def logged_send(self, shard_id, method, args, trace=None):
+        events.append(method)
+        send(self, shard_id, method, args, trace)
+
+    def logged_receive(self):
+        events.append("reply")
+        return receive(self)
+
+    monkeypatch.setattr(_ShardWorker, "__init__", logged_fork)
+    monkeypatch.setattr(_ShardWorker, "send", logged_send)
+    monkeypatch.setattr(_ShardWorker, "receive", logged_receive)
+    with make_sharded_engine("b-tree", shards=3, block_size=BLOCK_SIZE,
+                             seed=SEED, parallel="process") as engine:
+        assert events == ["fork"] * 3 + ["__host__"] * 3 + ["reply"] * 3
+        assert engine.num_workers == 3
+
+
+def _spawn_index(engine):
+    return {worker: index for index, worker in enumerate(engine._workers)}
+
+
+def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
+    """Spawn up to the cap, then the least-loaded worker, earliest first;
+    hosting commands never count as coalesced or group-committed."""
+    with make_sharded_engine("b-tree", shards=5, block_size=BLOCK_SIZE,
+                             seed=SEED, parallel="process",
+                             max_workers=2) as engine:
+        index = _spawn_index(engine)
+        assert {position: index[shard.worker] for position, shard
+                in enumerate(engine.structure.shards)} \
+            == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
+        assert engine.plane_stats() == {"coalesced": 0, "fsync_batches": 0}
+    with make_sharded_engine("b-tree", shards=4, block_size=BLOCK_SIZE,
+                             seed=SEED, parallel="process", max_workers=3,
+                             replication=2,
+                             durability_dir=str(tmp_path / "d")) as engine:
+        index = _spawn_index(engine)
+        assert {position: index[shard.primary.worker] for position, shard
+                in enumerate(engine.structure.shards)} \
+            == {0: 0, 1: 1, 2: 2, 3: 0}
+        assert [sorted(worker.shard_ids) for worker in engine._workers] \
+            == [[-3, -2, 0, 3], [-4, 1], [-1, 2]]
+        # The 2 are the initial checkpoint's: it crosses once per copy.
+        assert engine.plane_stats() == {"coalesced": 2, "fsync_batches": 0}
+
+
+def _poison(shard):
+    shard.poison = lambda: None  # a local lambda does not pickle
+    return shard
+
+
+def test_a_failed_start_shuts_down_every_worker_it_started():
+    structure = make_dictionary("sharded", shards=3, inner="b-tree",
+                                block_size=8, seed=SEED)
+    _poison(structure.shards[1])
+    alive = set(multiprocessing.active_children())
+    with pytest.raises(AttributeError, match="pickle") as caught:
+        ProcessShardedDictionaryEngine(structure)
+    # The exception's traceback still holds the half-built engine, so
+    # nothing has been collected: the failed start itself reaped its pool.
+    assert caught.value.__traceback__ is not None
+    assert set(multiprocessing.active_children()) == alive
+
+
+def test_a_failed_restart_shuts_down_the_workers_it_started(monkeypatch):
+    from repro.api import registry
+
+    process = make_sharded_engine("b-tree", shards=3, block_size=8,
+                                  seed=SEED, parallel="process")
+    try:
+        process.insert_many(entries_for(60))
+        _kill_worker(process, 1)
+        survivors = set(multiprocessing.active_children())
+        build = registry.make_dictionary
+        monkeypatch.setattr(registry, "make_dictionary",
+                            lambda *args, **kwargs: _poison(
+                                build(*args, **kwargs)))
+        with pytest.raises(AttributeError, match="pickle"):
+            process.restart_workers()
+        assert set(multiprocessing.active_children()) == survivors
+        assert process.dead_shard_positions() == [1]
+        monkeypatch.undo()
+        assert process.restart_workers() == [1]
+        process.insert_many([(5000, 1)])
+        assert process.contains_many([5000]) == [True]
+        process.check()
+    finally:
+        process.close()
+
+
+def test_an_unpicklable_batch_fails_alone_and_leaves_the_pipes_in_step():
+    """A command that does not pickle never reaches its pipe, so the
+    other workers' replies are still read and the next call sees its own."""
+    with make_sharded_engine("b-tree", shards=2, block_size=8, seed=SEED,
+                             parallel="process") as engine:
+        keys = list(range(40))
+        first = [key for key in keys if engine.structure.shard_of(key) == 0]
+        second = [key for key in keys if engine.structure.shard_of(key) == 1]
+        with pytest.raises(AttributeError, match="pickle"):
+            engine.insert_many([(key, key) for key in first[:3]]
+                               + [(second[0], lambda: None)])
+        assert engine.contains_many(first[:3] + second[:1]) \
+            == [True, True, True, False]
+        assert len(engine) == 3
 
 
 # --------------------------------------------------------------------------- #

@@ -90,6 +90,35 @@ def test_histogram_expands_fixed_buckets():
     assert snap[base + ".sum_ms"] > 0.0
 
 
+def _linear_bucket(edges, value_ms):
+    """The reference placement: a scan for the first edge not exceeded."""
+    index = 0
+    for edge in edges:
+        if value_ms <= edge:
+            break
+        index += 1
+    return index
+
+
+def test_histogram_buckets_match_the_linear_scan():
+    edges = DEFAULT_BUCKET_EDGES_MS
+    between = [(low + high) / 2 for low, high in zip(edges, edges[1:])]
+    values = [*edges, *between, 0, 0.0, -1.0, edges[0] / 2, 1, 10,
+              edges[-1] * 2, 10**6, float("inf"), float("-inf"),
+              float("nan")]
+    for value in values:
+        metrics = MetricsRegistry()
+        metrics.observe_ms("h", value)
+        snap = metrics.snapshot()
+        buckets = [snap["h.le_%g" % edge] for edge in edges]
+        buckets.append(snap["h.le_inf"])
+        expected = [0] * (len(edges) + 1)
+        expected[_linear_bucket(edges, value)] = 1
+        assert buckets == expected, value
+    # NaN compares false against every edge: the scan leaves it in +Inf.
+    assert _linear_bucket(edges, float("nan")) == len(edges)
+
+
 def test_threads_accumulate_into_private_cells():
     metrics = MetricsRegistry()
 
