@@ -53,23 +53,6 @@ from repro.api.sharded import (
     shard_index,
 )
 
-def __getattr__(name: str):
-    """Lazily re-export the replication engine (PEP 562).
-
-    ``repro.replication`` imports from this package, so an eager import
-    here would make the package import order-fragile; resolving the name
-    on first access keeps ``from repro.api import
-    ReplicatedShardedDictionaryEngine`` working without the cycle risk.
-    """
-    if name == "ReplicatedShardedDictionaryEngine":
-        from repro.replication.engine import (
-            ReplicatedShardedDictionaryEngine,
-        )
-        return ReplicatedShardedDictionaryEngine
-    raise AttributeError("module %r has no attribute %r"
-                         % (__name__, name))
-
-
 __all__ = [
     "HIDictionary",
     "RankKeyedDictionary",
@@ -81,7 +64,6 @@ __all__ = [
     "ModuloRouter",
     "PARALLEL_MODES",
     "ProcessShardedDictionaryEngine",
-    "ReplicatedShardedDictionaryEngine",
     "Router",
     "ShardedDictionary",
     "ShardedDictionaryEngine",

@@ -33,14 +33,23 @@ from repro.errors import ConfigurationError
 #: (re-exported from :mod:`repro.api.sharded` for backward compatibility).
 PARALLEL_MODES = ("none", "process")
 
-#: Read routing policies for the replicated engine.  ``"primary"`` serves
-#: every read from the shard's primary copy (replicas are failover-only);
+#: Read routing policies for a process engine with replicas.  ``"primary"``
+#: serves every read from the shard's primary copy (replicas are failover-only);
 #: ``"round-robin"`` rotates point reads across live copies and fans bulk
 #: sub-batches over them; ``"any-after-barrier"`` does the same but only
 #: admits a replica once it has acked the engine's latest barrier — the
 #: instant history independence guarantees it is byte-identical to the
 #: primary.
 READ_POLICIES = ("primary", "round-robin", "any-after-barrier")
+
+#: Durability modes of a process engine with a durability directory.
+#: ``"logged"`` keeps the full mutation history in the op logs until the
+#: next checkpoint compacts them; ``"secure"`` additionally redacts history
+#: at every barrier that flushed deletes, so a deleted key's encoding
+#: survives nowhere in the durability directory once the barrier returns
+#: (the paper's anti-persistence guarantee, extended to the durable
+#: artifacts).
+DURABILITY_MODES = ("logged", "secure")
 
 
 #: Keys older durability manifests carry that no longer configure anything
@@ -151,10 +160,11 @@ class EngineConfig:
                 "read_policy=%r balances reads across replica copies; it "
                 "needs replication >= 2 (which implies parallel='process')"
                 % (self.read_policy,))
-        if self.durability_mode not in ("logged", "secure"):
+        if self.durability_mode not in DURABILITY_MODES:
             raise ConfigurationError(
-                "durability_mode must be 'logged' or 'secure', got %r"
-                % (self.durability_mode,))
+                "durability_mode must be one of %s, got %r"
+                % (", ".join(repr(mode) for mode in DURABILITY_MODES),
+                   self.durability_mode))
         if self.durability_mode != "logged" and self.durability_dir is None:
             raise ConfigurationError(
                 "durability_mode='secure' redacts the on-disk op logs at "

@@ -134,7 +134,7 @@ class DictionaryEngine:
         """Release engine-held resources.  Idempotent; a no-op here.
 
         The in-process engines hold nothing that needs releasing, but the
-        process and replicated engines own worker pools and op logs — so
+        process engine owns a worker pool and, when durable, op logs — so
         ``close()`` (and ``with engine: ...``) is part of the uniform
         engine surface, letting consumers shut any engine down without
         probing for the method first.
@@ -213,11 +213,11 @@ class DictionaryEngine:
         Folds the registry (counters, gauges, histograms) with the
         adapters for the four legacy surfaces — ``engine_io.*`` from
         :meth:`io_stats`, ``plane.*`` from the process engine's
-        ``plane_stats()``, ``erasure.*`` from the replicated engine's
-        ``erasure_stats()`` and ``replica_reads.*`` from its
-        ``replica_read_stats()`` — plus the tracer's deterministic
-        ``telemetry.*`` counters.  Every fold counts as a registry
-        merge, reported as ``telemetry.snapshot_merges``.
+        ``plane_stats()``, ``erasure.*`` from its ``erasure_stats()`` and
+        ``replica_reads.*`` from its ``replica_read_stats()`` — plus the
+        tracer's deterministic ``telemetry.*`` counters.  Every fold
+        counts as a registry merge, reported as
+        ``telemetry.snapshot_merges``.
         """
         snap: Dict[str, object] = self.metrics.snapshot()
         stats = self.io_stats()

@@ -1,34 +1,54 @@
-"""Process-parallel sharded engine: long-lived workers own the shards.
+"""The process engine: long-lived workers own the shards, in N copies.
 
 Pure-Python shard work is GIL-bound, so threads buy nothing on the
 registry's CPU-bound inner structures.  :class:`ProcessShardedDictionaryEngine`
 instead hosts every shard's structure inside a long-lived **worker
 process** and drives it over a pickled command pipe, so per-shard batches
-execute on separate cores.
+execute on separate cores.  It is the one engine behind every
+``parallel="process"`` configuration: ``replication`` adds copies,
+``durability_dir`` adds on-disk state, and ``replication=1`` with no
+directory is its simplest setting.
 
 Design
 ------
 
 * **Workers own the state.**  At construction the engine pickles each local
   shard to its worker (one worker per shard by default, fewer when
-  ``max_workers`` caps the pool — workers then host several shards).  The
-  parent's shard slots are replaced by :class:`_ShardProxy` stand-ins that
-  forward every dictionary call to the owning worker, so *all* of the
-  inherited :class:`~repro.api.sharded.ShardedDictionary` machinery —
-  routing, merged iteration, elastic ``add_shard``/``remove_shard``
-  migration, per-shard snapshots, ``check()`` — keeps working unchanged.
+  ``max_workers`` caps the pool — workers then host several shards) as the
+  shard's *primary*.  The parent's shard slots are replaced by
+  :class:`_ReplicatedShardProxy` stand-ins that forward every dictionary
+  call to the owning workers, so *all* of the inherited
+  :class:`~repro.api.sharded.ShardedDictionary` machinery — routing, merged
+  iteration, elastic ``add_shard``/``remove_shard`` migration, per-shard
+  snapshots, ``check()`` — keeps working unchanged.
+* **Replicas are clones.**  With ``replication=N`` every shard also has
+  ``N - 1`` *replica* copies, pickled to the workers hosting the shard's
+  first distinct consistent-hash ring successors (placement is a pure
+  function of the shard ids).  Every copy applies the identical operation
+  stream, so a replica stays byte-identical to its primary.  A write is
+  acknowledged when the primary applied it; a replica that crashes or
+  diverges is dropped from the fan-out and re-seeded by the next recovery.
+  Reads go to the primary unless ``read_policy`` spreads them over the
+  replicas.
+* **Durability is per primary.**  With a ``durability_dir`` each primary's
+  worker appends every acknowledged mutation to a per-shard
+  :class:`~repro.replication.oplog.OpLog`, and :meth:`checkpoint` writes
+  snapshot images plus an atomic manifest (see
+  :mod:`repro.replication.recovery`).
 * **Workers start ready to serve.**  Everything a worker runs, fail points
-  included, is imported when this module loads, so a forked worker
-  imports nothing.  The engine forks the whole pool before the first
-  handshake: every worker gets its first ``__host__`` before any reply is
-  read, and the constructor (like :meth:`restart_workers`) returns only
-  after every hosting is acknowledged.  A start that fails shuts down
-  every worker it started before the error propagates.
-* **One round-trip per shard per bulk call.**  ``insert_many`` /
+  included, is imported before the first fork, so a forked worker imports
+  nothing; a plain engine (one copy, no directory) never imports
+  :mod:`repro.replication` at start-up.  The engine forks the whole pool
+  before the first handshake: every worker gets its first ``__host__``
+  before any reply is read, and the constructor (like :meth:`recover`)
+  returns only after every hosting is acknowledged.  A start that fails
+  shuts down every worker it started before the error propagates.
+* **One round-trip per shard copy per bulk call.**  ``insert_many`` /
   ``delete_many`` / ``contains_many`` ship each shard's whole batch as a
-  single command (amortizing IPC exactly the way PR 2's batched routing
-  amortized dispatch), with at most one outstanding command per worker so
-  a large payload can never deadlock against a worker blocked on its reply.
+  single command per copy (amortizing IPC the way batched routing
+  amortizes dispatch), with at most one outstanding command per worker so
+  a large payload can never deadlock against a worker blocked on its
+  reply.
 * **One encoding on the pipe.**  Commands and replies are pickled: the
   pipe joins two halves of one trusted program, so pickle's exact
   round-trip of every value type is what it needs.  (Untrusted network
@@ -45,10 +65,13 @@ Design
   stay byte-identical to the sequential engine's.
 * **Crashes are contained.**  A worker that dies mid-conversation raises
   :class:`~repro.errors.WorkerCrashError` naming the shard; commands to
-  surviving workers keep working, and :meth:`restart_workers` respawns dead
-  workers with freshly built (empty) shards, reporting which shard
-  positions lost their data.  :meth:`close` (or the context-manager exit)
-  shuts every worker down cleanly.
+  surviving workers keep working.  :meth:`recover` (and
+  :meth:`restart_workers`, which returns its positions) repairs each dead
+  primary — promote a live replica, else replay its snapshot and op-log
+  tail, else rebuild it empty — always with the shard's original
+  construction seed, then re-seeds missing replicas; it loads
+  :mod:`repro.replication.recovery` in the parent.  :meth:`close` (or the
+  context-manager exit) shuts every worker down cleanly.
 
 Bulk calls that *succeed* return results, layouts and counters identical
 to the sequential engine; when a batch raises, the same exception
@@ -77,6 +100,7 @@ from contextlib import contextmanager
 from multiprocessing.connection import wait
 from time import perf_counter
 from typing import (
+    TYPE_CHECKING,
     Deque,
     Dict,
     Iterable,
@@ -89,8 +113,10 @@ from typing import (
 )
 
 from repro import failpoints
+from repro.api.config import DURABILITY_MODES, READ_POLICIES
 from repro.api.engine import DictionaryEngine
 from repro.api.protocol import HIDictionary, Pair
+from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
 from repro.api.sharded import (
     MigrationReport,
     ShardedDictionary,
@@ -98,6 +124,9 @@ from repro.api.sharded import (
 )
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.obs import Tracer, child_span
+
+if TYPE_CHECKING:
+    from repro.replication.recovery import RecoveryReport
 
 #: One parent->worker command: ``(shard_id, method, args)`` — plus an
 #: optional fourth element, a trace header dict, when the parent engine
@@ -108,6 +137,27 @@ Command = Tuple[int, str, tuple]
 
 #: Bulk methods that mutate a shard (and therefore commit its op log).
 _BULK_MUTATORS = frozenset(("insert_batch", "delete_batch"))
+
+#: Point methods that mutate a shard and therefore fan out to replicas.
+_MUTATORS = frozenset(("insert", "upsert", "delete"))
+
+#: Read methods always served by the primary, whatever the read policy.
+#: ``io_stats`` is a *measurement*: replica-served reads charge the
+#: replica's own trackers, so only the primary's counters stay comparable
+#: to a sequential engine's.
+_PRIMARY_PINNED = frozenset(("io_stats",))
+
+
+def _recovery():
+    """:mod:`repro.replication.recovery`, imported on first use.
+
+    Checkpoints, op-log paths and recovery live there.  A plain engine
+    needs none of them until :meth:`~ProcessShardedDictionaryEngine.recover`,
+    so it never imports the replication package at start-up.
+    """
+    from repro.replication import recovery
+
+    return recovery
 
 
 def _default_start_method() -> str:
@@ -154,7 +204,7 @@ def _open_oplog(spec: Mapping[str, object]):
     """Open the worker-side op log a hosting command described."""
     # Imported lazily: the replication package imports this module, so a
     # top-level import would be circular.  Only durable hostings get here,
-    # and the replicated engine that sends them has imported it already.
+    # and a durable engine imports the package before its first fork.
     from repro.replication.oplog import OpLog
 
     return OpLog(**spec)
@@ -524,17 +574,6 @@ class _ShardWorker:
             raise payload
         return payload
 
-    def host(self, shard_id: int, shard: HIDictionary,
-             oplog: Optional[Mapping[str, object]] = None
-             ) -> Dict[str, object]:
-        """Adopt ``shard`` under ``shard_id``; ``oplog`` (a keyword spec for
-        :class:`~repro.replication.oplog.OpLog`) makes the hosting durable:
-        the worker opens the log and appends every acknowledged mutation."""
-        args = (shard,) if oplog is None else (shard, dict(oplog))
-        descriptor = self.request(shard_id, "__host__", args)
-        self.shard_ids.add(shard_id)
-        return descriptor
-
     def drop(self, shard_id: int) -> None:
         self.request(shard_id, "__drop__")
         self.shard_ids.discard(shard_id)
@@ -664,6 +703,273 @@ class _ShardProxy(HIDictionary):
 
 
 # --------------------------------------------------------------------------- #
+# Parent side: one shard as primary plus replicas
+# --------------------------------------------------------------------------- #
+
+class _ReadPolicyState:
+    """Engine-wide read-routing state, shared by every shard proxy.
+
+    ``policy`` is one of :data:`~repro.api.config.READ_POLICIES`.
+    ``barrier_epoch`` counts durability sync points: a replica stamped
+    with the current epoch has acked the latest barrier (and, because
+    writes fan out synchronously, applied everything since), which is the
+    ``"any-after-barrier"`` read-eligibility condition.  ``liveness_epoch``
+    versions the proxies' cached live-replica lists — bumped whenever a
+    :class:`~repro.errors.WorkerCrashError` is observed or the topology
+    changes, so the hot read path never pays an ``is_alive`` syscall per
+    operation.  ``stats`` holds the deterministic ``replica_reads.*``
+    counters the bench baseline gates.
+    """
+
+    __slots__ = ("policy", "barrier_epoch", "liveness_epoch", "stats")
+
+    def __init__(self, policy: str) -> None:
+        self.policy = policy
+        self.barrier_epoch = 0
+        self.liveness_epoch = 0
+        self.stats: Dict[str, int] = {
+            "replica_reads": 0, "demotions": 0, "anti_entropy_reseeds": 0}
+
+
+class _ReplicatedShardProxy(HIDictionary):
+    """One shard seen as primary plus replicas, behind one dictionary face.
+
+    The sharded structure's routing, migration, iteration and validation
+    machinery all talk to whatever sits in its shard list; putting the
+    replication policy *here* means every one of those paths — including
+    the elastic resize's migration traffic — fans mutations out and reads
+    through the primary without knowing replicas exist.  A one-copy
+    engine's proxies simply have an empty replica list.
+    """
+
+    def __init__(self, primary: _ShardProxy, replicas: List[_ShardProxy],
+                 policy: _ReadPolicyState) -> None:
+        self.primary = primary
+        self.replicas = replicas
+        self.registry_name = primary.registry_name
+        self._policy = policy
+        self._live_cache: Optional[List[_ShardProxy]] = None
+        self._live_epoch = -1
+        self._rr_cursor = 0
+
+    # -- replica-set management ----------------------------------------- #
+
+    def promote(self, new_primary: _ShardProxy,
+                remaining: List[_ShardProxy]) -> None:
+        """Swap in a recovered primary and the surviving replica set."""
+        self.primary = new_primary
+        self.replicas = remaining
+        self.registry_name = new_primary.registry_name
+        self._live_cache = None
+
+    def live_replicas(self) -> List[_ShardProxy]:
+        """The replicas whose workers are alive, cached per liveness epoch.
+
+        ``is_alive`` is a waitpid-backed syscall; paying it per read would
+        dominate the hot path.  The filtered list is reused until the
+        engine observes a crash or changes the replica set (either bumps
+        the shared liveness epoch or clears this cache directly).  A
+        silently killed worker that slips through a stale cache is still
+        safe: its next request raises
+        :class:`~repro.errors.WorkerCrashError`, which invalidates here.
+        """
+        if self._live_cache is None \
+                or self._live_epoch != self._policy.liveness_epoch:
+            self._live_cache = [replica for replica in self.replicas
+                                if replica.worker.is_alive()]
+            self._live_epoch = self._policy.liveness_epoch
+        return self._live_cache
+
+    def drop_replica(self, replica: _ShardProxy) -> None:
+        if replica in self.replicas:
+            self.replicas.remove(replica)
+        self._live_cache = None
+
+    def add_replica(self, replica: _ShardProxy) -> None:
+        self.replicas.append(replica)
+        self._live_cache = None
+
+    def demote(self, replica: _ShardProxy) -> None:
+        """Drop a replica from read service (crash or divergence)."""
+        self.drop_replica(replica)
+        self._policy.liveness_epoch += 1
+        self._policy.stats["demotions"] += 1
+
+    # -- read routing ----------------------------------------------------- #
+
+    def read_copies(self) -> List[_ShardProxy]:
+        """Eligible read targets under the current policy, primary first.
+
+        ``"primary"`` serves everything from the primary; ``"round-robin"``
+        admits every live replica; ``"any-after-barrier"`` admits only the
+        live replicas stamped with the current barrier epoch — the ones
+        proven in sync at the engine's last durability sync point (and
+        kept in sync since, because writes fan out synchronously).
+        """
+        policy = self._policy
+        if policy.policy == "primary":
+            return [self.primary]
+        live = self.live_replicas()
+        if policy.policy == "any-after-barrier":
+            epoch = policy.barrier_epoch
+            live = [replica for replica in live
+                    if getattr(replica, "_synced_epoch", -1) == epoch]
+        return [self.primary] + live
+
+    def _pick_reader(self) -> _ShardProxy:
+        copies = self.read_copies()
+        if len(copies) == 1:
+            return copies[0]
+        reader = copies[self._rr_cursor % len(copies)]
+        self._rr_cursor += 1
+        return reader
+
+    # -- write fan-out --------------------------------------------------- #
+
+    def _mutate(self, method: str, *args: object) -> object:
+        """Primary first — its outcome *is* the operation's outcome — then
+        the same call on every replica.
+
+        A replica that crashes is dropped (recovery re-seeds it); a replica
+        that *answers differently* than the primary did has diverged and is
+        dropped too.  When the primary itself raises, the replicas are not
+        touched: they never saw the operation, which is exactly the state
+        the primary is in.
+        """
+        result = getattr(self.primary, method)(*args)
+        for replica in list(self.replicas):
+            try:
+                getattr(replica, method)(*args)
+            except Exception:
+                self.drop_replica(replica)
+        return result
+
+    def insert(self, key: object, value: object = None) -> None:
+        return self._mutate("insert", key, value)
+
+    def upsert(self, key: object, value: object = None) -> bool:
+        return self._mutate("upsert", key, value)
+
+    def delete(self, key: object) -> object:
+        return self._mutate("delete", key)
+
+    # -- reads: policy-routed, primary fallback on a dead worker ---------- #
+
+    def _read(self, method: str, *args: object) -> object:
+        if self._policy.policy != "primary" \
+                and method not in _PRIMARY_PINNED:
+            reader = self._pick_reader()
+            if reader is not self.primary:
+                try:
+                    result = getattr(reader, method)(*args)
+                except WorkerCrashError:
+                    self.demote(reader)  # fall through to the primary path
+                except Exception as replica_error:
+                    return self._cross_check(reader, method, args,
+                                             replica_error)
+                else:
+                    self._policy.stats["replica_reads"] += 1
+                    return result
+        try:
+            return getattr(self.primary, method)(*args)
+        except WorkerCrashError:
+            self._policy.liveness_epoch += 1
+            for replica in list(self.live_replicas()):
+                try:
+                    return getattr(replica, method)(*args)
+                except WorkerCrashError:
+                    self._policy.liveness_epoch += 1
+                    continue
+            raise
+
+    def _cross_check(self, replica: _ShardProxy, method: str, args: tuple,
+                     replica_error: BaseException) -> object:
+        """A replica answered a read with an exception: second-opinion it.
+
+        An exception is the one replica answer that can be verified
+        without reading twice everywhere — re-ask the primary.  The same
+        exception type means the copies agree (a ``search`` miss raises
+        identically on both); a primary that answers, or fails
+        differently, exposes a diverged replica, which is demoted while
+        the primary's outcome is served.  (A ``contains`` returning the
+        wrong boolean is undetectable by construction — anti-entropy's
+        digest pass is the backstop for silent divergence.)
+        """
+        try:
+            result = getattr(self.primary, method)(*args)
+        except WorkerCrashError:
+            raise replica_error  # no second opinion; the replica's stands
+        except Exception as primary_error:
+            if type(primary_error) is type(replica_error):
+                raise primary_error
+            self.demote(replica)
+            raise primary_error
+        self.demote(replica)
+        return result
+
+    def _read_raw(self, command: str, *args: object) -> object:
+        """Like :meth:`_read` for worker commands with no proxy method
+        (``keys`` / ``len``, the container-protocol primitives)."""
+        try:
+            return self.primary._call(command, *args)
+        except WorkerCrashError:
+            for replica in self.live_replicas():
+                try:
+                    return replica._call(command, *args)
+                except WorkerCrashError:
+                    continue
+            raise
+
+    def search(self, key: object) -> object:
+        return self._read("search", key)
+
+    def contains(self, key: object) -> bool:
+        return self._read("contains", key)
+
+    def items(self) -> List[Pair]:
+        return self._read("items")
+
+    def range_query(self, low: object, high: object):
+        return self._read("range_query", low, high)
+
+    def check(self) -> None:
+        return self._read("check")
+
+    def __len__(self) -> int:
+        return self._read_raw("len")
+
+    def __iter__(self):
+        return iter(self._read_raw("keys"))
+
+    def io_stats(self):
+        return self._read("io_stats")
+
+    def snapshot_slots(self) -> Sequence[object]:
+        return self._read("snapshot_slots")
+
+    def audit_fingerprint(self) -> object:
+        return self._read("audit_fingerprint")
+
+    # -- optional capabilities (read-only by convention) ------------------ #
+
+    def __getattr__(self, name: str):
+        if name.startswith("_") or name in ("primary", "replicas"):
+            raise AttributeError(name)
+        primary = self.__dict__.get("primary")
+        if primary is None:
+            raise AttributeError(name)
+        getattr(primary, name)  # raises AttributeError for unknown methods
+
+        def fallback_call(*args: object) -> object:
+            if name in _MUTATORS:  # pragma: no cover - defensive
+                return self._mutate(name, *args)
+            return self._read(name, *args)
+
+        fallback_call.__name__ = name
+        return fallback_call
+
+
+# --------------------------------------------------------------------------- #
 # The engine
 # --------------------------------------------------------------------------- #
 
@@ -672,12 +978,26 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     Construction adopts every shard of the wrapped
     :class:`~repro.api.sharded.ShardedDictionary` into a worker process
-    (pickling the structure over the command pipe) and replaces it with a
-    forwarding proxy.  Bulk operations ship one batched command per shard
-    per call and collect replies as workers finish; point operations stay
-    routed (one round-trip).  ``max_workers`` caps the process pool — with
-    fewer workers than shards, workers host several shards each and those
-    shards' batches serialize on their worker.
+    (pickling the structure over the command pipe) as its *primary*, plus
+    ``replication - 1`` pickled *replica* clones on ring-successor workers,
+    and puts a :class:`_ReplicatedShardProxy` in the shard's slot.  Bulk
+    operations ship one batched command per shard copy per call and
+    collect replies as workers finish; point operations stay routed.
+    ``max_workers`` caps the process pool — with fewer workers than shards,
+    workers host several shards each and those shards' batches serialize on
+    their worker.
+
+    With a ``durability_dir`` every primary's worker keeps an op log and
+    the constructor ends in a :meth:`checkpoint`, so a durable engine
+    always has a manifest on disk.  ``replication=1`` with no directory is
+    the simple case: one copy per shard and nothing on disk.
+
+    :meth:`recover` (and :meth:`restart_workers`, which returns its
+    positions) repairs dead primaries by replica promotion, snapshot +
+    op-log replay, or an empty rebuild with the original seed, and
+    re-seeds missing replicas;
+    :func:`repro.replication.recovery.open_durable_engine` cold-starts an
+    engine from a durability directory alone.
 
     With ``sample_operations=True`` the bulk operations fall back to the
     sequential per-operation path (samples are an ordered, shared log).
@@ -689,25 +1009,77 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                  name: Optional[str] = None,
                  sample_operations: bool = False,
                  max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+                 start_method: Optional[str] = None,
+                 replication: int = 1,
+                 read_policy: str = "primary",
+                 durability_dir: Optional[str] = None,
+                 durability_mode: str = "logged",
+                 fsync: bool = True) -> None:
         if max_workers is not None and (not isinstance(max_workers, int)
                                         or isinstance(max_workers, bool)
                                         or max_workers < 1):
             raise ConfigurationError(
                 "max_workers must be an integer >= 1 (or None for one "
                 "worker per shard), got %r" % (max_workers,))
+        if not isinstance(replication, int) or isinstance(replication, bool) \
+                or replication < 1:
+            raise ConfigurationError(
+                "replication must be an integer >= 1, got %r"
+                % (replication,))
+        if read_policy not in READ_POLICIES:
+            raise ConfigurationError(
+                "read_policy must be one of %s, got %r"
+                % (", ".join(repr(policy) for policy in READ_POLICIES),
+                   read_policy))
+        if read_policy != "primary" and replication < 2:
+            raise ConfigurationError(
+                "read_policy=%r balances reads across replica copies; it "
+                "needs replication >= 2" % (read_policy,))
+        if durability_mode not in DURABILITY_MODES:
+            raise ConfigurationError(
+                "durability_mode must be one of %s, got %r"
+                % (", ".join(repr(mode) for mode in DURABILITY_MODES),
+                   durability_mode))
+        if durability_mode == "secure" and durability_dir is None:
+            raise ConfigurationError(
+                "durability_mode='secure' redacts the on-disk op logs at "
+                "barriers; it needs durability_dir=...")
+        super().__init__(structure, name=name,
+                         sample_operations=sample_operations)
+        if replication > structure.num_shards:
+            raise ConfigurationError(
+                "replication factor %d needs at least as many shards (and "
+                "workers) as copies; this dictionary has %d shard(s)"
+                % (replication, structure.num_shards))
+        if durability_dir is not None and structure._build_context is None:
+            raise ConfigurationError(
+                "durability needs the registry build context (per-shard "
+                "seeds and construction parameters) to rebuild crashed "
+                "shards; build the dictionary through make_dictionary("
+                "'sharded', ...) instead of from pre-built shards")
+        self._replication = replication
+        self._read_policy = read_policy
+        self._policy_state = _ReadPolicyState(read_policy)
+        self._durability_dir = durability_dir
+        self._durability_mode = durability_mode
+        self._fsync = fsync
         #: Deterministic crossing counters (pure functions of workload and
         #: topology, so ``benchmarks/baseline.py`` gates them): pipe
         #: crossings saved by ``__multi__`` coalescing, and group-commit
         #: points issued by durable bulk mutations.
         self._plane_stats: Dict[str, int] = {"coalesced": 0,
                                              "fsync_batches": 0}
-        # Subclasses that host durable shards (the replicated engine) set
-        # ``_durability_dir`` before delegating here, so this snapshot is
-        # correct by the time any command is dispatched.
-        self._durable_plane = getattr(self, "_durability_dir", None) is not None
-        super().__init__(structure, name=name,
-                         sample_operations=sample_operations)
+        #: Deterministic erasure accounting (gated the same way): barriers
+        #: reached, secure redactions triggered, delete frames flushed at
+        #: barriers, and op-log frames dropped by compaction.
+        self._erasure_stats: Dict[str, int] = {
+            "barriers": 0, "redactions": 0, "deletes_flushed": 0,
+            "frames_dropped": 0}
+        self._next_replica_id = -1
+        self._placement_router: Optional[ConsistentHashRouter] = None
+        if durability_dir is not None:
+            _recovery()  # before the first fork, so workers import nothing
+            os.makedirs(durability_dir, exist_ok=True)
         self._max_workers = max_workers
         self._mp_context = multiprocessing.get_context(
             start_method or _default_start_method())
@@ -715,10 +1087,34 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._worker_by_shard: Dict[int, _ShardWorker] = {}
         self._closed = False
         self._adopt_local_shards()
+        if durability_dir is not None:
+            # A durable engine always has a manifest: crash at any later
+            # point finds at least the empty-state snapshot plus full logs.
+            self.checkpoint()
 
     # ------------------------------------------------------------------ #
-    # Worker pool management
+    # Introspection
     # ------------------------------------------------------------------ #
+
+    @property
+    def replication(self) -> int:
+        """The configured copy count (primary included)."""
+        return self._replication
+
+    @property
+    def durability_dir(self) -> Optional[str]:
+        return self._durability_dir
+
+    @property
+    def durability_mode(self) -> str:
+        """``"logged"`` (full history until checkpoint) or ``"secure"``."""
+        return self._durability_mode
+
+    @property
+    def read_policy(self) -> str:
+        """The read routing policy (see
+        :data:`~repro.api.config.READ_POLICIES`)."""
+        return self._read_policy
 
     @property
     def num_workers(self) -> int:
@@ -739,6 +1135,61 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         for name, value in self._plane_stats.items():
             self.metrics.set_gauge("plane." + name, value)
         return dict(self._plane_stats)
+
+    def erasure_stats(self) -> Dict[str, int]:
+        """Deterministic erasure counters (see ``_erasure_stats``)."""
+        return dict(self._erasure_stats)
+
+    def io_stats(self):
+        """Aggregate worker-held I/O counters; fails cleanly once closed.
+
+        The counters live in the worker processes, so after :meth:`close`
+        there is nothing left to aggregate — without this check the
+        inherited path would surface the dead command pipe as a confusing
+        :class:`~repro.errors.WorkerCrashError`.
+        """
+        self._require_open("its workers (and their I/O counters) are gone")
+        return super().io_stats()
+
+    def replica_read_stats(self) -> Dict[str, int]:
+        """Deterministic read-routing counters: keys served by replica
+        copies, replicas demoted from read service (crash or divergence),
+        and replicas re-seeded by :meth:`anti_entropy`.
+
+        Raises :class:`~repro.errors.ConfigurationError` once the engine
+        is closed, matching :meth:`io_stats` — a shut-down engine routes
+        no reads, and handing out a stale-looking dict would mask bugs in
+        telemetry pollers that outlive the engine.
+        """
+        self._require_open("it routes no replica reads")
+        return dict(self._policy_state.stats)
+
+    def _require_open(self, why: str) -> None:
+        if self._closed:
+            raise ConfigurationError(
+                "this process engine is closed; %s — build a new one" % why)
+
+    def _require_durable(self, what: str) -> None:
+        self._require_open("cannot " + what)
+        if self._durability_dir is None:
+            raise ConfigurationError(
+                "no durability directory configured; build the engine with "
+                "durability_dir=... to enable %ss" % what)
+
+    def _bump_liveness(self) -> None:
+        self._policy_state.liveness_epoch += 1
+
+    def replica_counts(self) -> List[int]:
+        """Live replica count per shard position (testing/ops hook)."""
+        return [len(self._proxy(position).live_replicas())
+                for position in range(self.num_shards)]
+
+    def _proxy(self, position: int) -> _ReplicatedShardProxy:
+        return self._structure._shards[position]
+
+    # ------------------------------------------------------------------ #
+    # Placement and adoption
+    # ------------------------------------------------------------------ #
 
     def _pick_worker(self) -> _ShardWorker:
         """A live worker for a new shard: spawn until the cap, then pack."""
@@ -776,9 +1227,16 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             self._worker_by_shard[proxy.shard_id] = proxy.worker
         return proxies
 
-    def _oplog_spec(self, shard_id: int) -> Optional[Dict[str, object]]:
-        """The op log a primary hosting opens worker-side (none here)."""
-        return None
+    def _oplog_spec(self, shard_id: int,
+                    truncate: bool = False) -> Optional[Dict[str, object]]:
+        """The worker-side op log a primary hosting opens (none unless
+        durable): keyword arguments for
+        :class:`~repro.replication.oplog.OpLog`."""
+        if self._durability_dir is None:
+            return None
+        return {"path": _recovery().oplog_path(self._durability_dir,
+                                               shard_id),
+                "fsync": self._fsync, "truncate": truncate}
 
     def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, tuple]]
               ) -> List[_ShardProxy]:
@@ -817,19 +1275,109 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             del self._workers[spawned:]
             raise
 
+    def _take_replica_id(self) -> int:
+        """A fresh worker-side engine id for a replica hosting.
+
+        Replica ids live in the negative range so they can never collide
+        with the structure's (non-negative) stable shard ids.
+        """
+        replica_id = self._next_replica_id
+        self._next_replica_id -= 1
+        return replica_id
+
+    def _placement(self) -> ConsistentHashRouter:
+        """The ring the replica placements are computed from.
+
+        The structure's own consistent-hash router when it has one (replica
+        chains then follow the same ring as key routing), else a dedicated
+        default ring — placement stays a pure function of the shard ids
+        either way.
+        """
+        if isinstance(self._structure.router, ConsistentHashRouter):
+            return self._structure.router
+        if self._placement_router is None:
+            self._placement_router = ConsistentHashRouter(DEFAULT_VNODES)
+        return self._placement_router
+
+    def _replica_workers_for(self, shard_id: int, exclude: set,
+                             needed: int,
+                             prefer: Sequence[_ShardWorker] = ()
+                             ) -> List[_ShardWorker]:
+        """Distinct live workers for ``needed`` replicas of ``shard_id``.
+
+        Walks ``prefer`` first (recovery hands respawned workers here),
+        then the workers hosting the shard's ring successors, then any
+        remaining live worker.  Every chosen worker is distinct from the
+        excluded set (the primary's worker plus already-placed replicas) —
+        co-hosting a replica with its own primary would make one crash take
+        both copies.
+        """
+        chosen: List[_ShardWorker] = []
+        seen = set(exclude)
+
+        def take(worker: Optional[_ShardWorker]) -> bool:
+            if worker is None or worker in seen or not worker.is_alive():
+                return False
+            seen.add(worker)
+            chosen.append(worker)
+            return len(chosen) >= needed
+
+        if needed <= 0:
+            return chosen
+        for worker in prefer:
+            if take(worker):
+                return chosen
+        shard_ids = self._structure.shard_ids
+        for successor in self._placement().successors(shard_id, shard_ids,
+                                                      len(shard_ids)):
+            if take(self._worker_by_shard.get(successor)):
+                return chosen
+        for worker in self._workers:
+            if take(worker):
+                return chosen
+        raise ConfigurationError(
+            "cannot place %d replica(s) of shard id %d: only %d distinct "
+            "live worker(s) besides its primary — raise max_workers or "
+            "lower replication" % (needed, shard_id, len(chosen)))
+
     def _adopt_local_shards(self) -> None:
-        """Move every locally held shard into a worker, proxying it here."""
-        if self._closed:
-            raise ConfigurationError(
-                "this process engine is closed; build a new one")
+        """Host every local shard as a primary plus its replica clones.
+
+        Two passes: primaries first (spawning the worker pool), then
+        replicas — replica placement targets the workers that host the ring
+        successors, which must all exist before the first replica is
+        placed.  A shard that is local because of an elastic grow is
+        adopted *populated*, so its clones start byte-identical, migration
+        history included.
+        """
+        self._require_open("cannot host shards")
         shards = self._structure._shards
         local = [(position, shard) for position, shard in enumerate(shards)
-                 if not isinstance(shard, _ShardProxy)]
+                 if not isinstance(shard, _ReplicatedShardProxy)]
+        copies = self._replication - 1
         with self._reaping_new_workers():
-            proxies = self._host_primaries(local)
-        for (position, _shard), proxy in zip(local, proxies):
-            shards[position] = proxy
+            primaries = self._host_primaries(local)
+            hostings = []
+            for (_position, shard), primary in zip(local, primaries):
+                for target in self._replica_workers_for(
+                        primary.shard_id, exclude={primary.worker},
+                        needed=copies):
+                    # Hosting pickles the still-local structure over the
+                    # pipe, so every replica is an independent, identical
+                    # clone.
+                    hostings.append((target, self._take_replica_id(),
+                                     (shard,)))
+            replicas = self._host(hostings)
+        for index, ((position, _shard), primary) in enumerate(
+                zip(local, primaries)):
+            shards[position] = _ReplicatedShardProxy(
+                primary, replicas[index * copies:(index + 1) * copies],
+                self._policy_state)
         self._shard_engine_cache = []
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
 
     @property
     def closed(self) -> bool:
@@ -846,6 +1394,23 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._workers = []
         self._worker_by_shard = {}
 
+    def drain(self) -> Dict[str, object]:
+        """Flush-and-stop, the front-end shutdown hook.  Idempotent.
+
+        A serving layer shutting down wants exactly one sequence: commit
+        everything acknowledged (a final :meth:`barrier`, which in secure
+        mode also redacts any still-logged deletes), then release the
+        worker pool.  Returns ``{"barrier": <barrier result or None>,
+        "was_open": bool}`` — ``barrier`` is ``None`` for non-durable
+        engines and on repeat calls, which are no-ops.
+        """
+        report: Dict[str, object] = {"barrier": None,
+                                     "was_open": not self._closed}
+        if not self._closed and self._durability_dir is not None:
+            report["barrier"] = self.barrier()
+        self.close()
+        return report
+
     def __enter__(self) -> "ProcessShardedDictionaryEngine":
         return self
 
@@ -857,69 +1422,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             self.close()
         except Exception:
             pass
-
-    # ------------------------------------------------------------------ #
-    # Crash handling
-    # ------------------------------------------------------------------ #
-
-    def dead_shard_positions(self) -> List[int]:
-        """Shard positions whose worker process is no longer alive.
-
-        Raises :class:`~repro.errors.ConfigurationError` once the engine is
-        closed — a shut-down engine has no workers to inspect or restart.
-        """
-        if self._closed:
-            raise ConfigurationError(
-                "this process engine is closed; build a new one")
-        structure = self._structure
-        return [position for position, shard_id
-                in enumerate(structure.shard_ids)
-                if not self._worker_by_shard[shard_id].is_alive()]
-
-    def restart_workers(self) -> List[int]:
-        """Respawn dead workers with freshly built *empty* shards.
-
-        A worker owns its shards' only copy, so a crash loses their data;
-        this rebuilds each lost shard through the same registry wiring the
-        engine was constructed with (drawing the next seeds of the
-        construction seed stream) and hosts it in a new worker.  Returns
-        the shard positions that were rebuilt — their keys are gone, the
-        other shards are untouched.  Raises
-        :class:`~repro.errors.ConfigurationError` for hand-assembled
-        dictionaries with no recorded build context.
-        """
-        structure = self._structure
-        lost = self.dead_shard_positions()
-        if not lost:
-            return []
-        context = structure._build_context
-        if context is None:
-            raise ConfigurationError(
-                "this sharded dictionary was assembled from pre-built "
-                "shards; the engine cannot rebuild lost shards without a "
-                "registry build context")
-        from repro.api.registry import make_dictionary
-
-        dead_workers = {self._worker_by_shard[structure.shard_ids[position]]
-                        for position in lost}
-        rebuilt = [(position,
-                    make_dictionary(structure.inner_names[position],
-                                    block_size=context["block_size"],
-                                    cache_blocks=context["cache_blocks"],
-                                    seed=context["rng"].getrandbits(64),
-                                    backend=context["backend"],
-                                    **context["inner_params"]))
-                   for position in lost]
-        with self._reaping_new_workers():
-            proxies = self._host_primaries(rebuilt)
-        for (position, _shard), proxy in zip(rebuilt, proxies):
-            structure._shards[position] = proxy
-        for worker in dead_workers:
-            worker.shutdown()
-            if worker in self._workers:
-                self._workers.remove(worker)
-        self._shard_engine_cache = []
-        return lost
 
     # ------------------------------------------------------------------ #
     # Command dispatch
@@ -948,10 +1450,10 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """Run ``(key, worker, engine id, method, args)`` commands; return
         ``(results, errors)`` keyed by ``key``.
 
-        The shared dispatch path behind :meth:`_scatter` and the replicated
-        engine's primary-plus-replica fan-out.  Callers decide which errors
-        are fatal — the plain engine raises all of them, the replicated
-        engine demotes replica failures to replica drops.
+        The shared dispatch path behind :meth:`_scatter` and the
+        primary-plus-replica fan-out.  Callers decide which errors are
+        fatal — primary errors raise, replica failures become replica
+        drops.
         """
         queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
         for command in commands:
@@ -1056,7 +1558,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         Replica hostings use negative engine ids; only primary mutations
         carry an op log, so only they contribute a commit point.
         """
-        if not self._durable_plane:
+        if self._durability_dir is None:
             return
         if method == "__multi__":
             mutates = any(sub_method in _BULK_MUTATORS and sub_id >= 0
@@ -1068,7 +1570,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
-        """Run per-shard commands concurrently; results keyed by position.
+        """Run per-primary commands concurrently; results keyed by position.
 
         Worker-side exceptions — and
         :class:`~repro.errors.WorkerCrashError` for workers that die — are
@@ -1085,57 +1587,187 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return results
 
     # ------------------------------------------------------------------ #
-    # Batched bulk operations (one round-trip per shard per call)
+    # Batched bulk operations (primary + replica fan-out)
     # ------------------------------------------------------------------ #
 
+    def _replicated_commands(self, method: str, payloads: Dict[int, tuple]
+                             ) -> List[Tuple[Tuple[int, int], _ShardWorker,
+                                             int, str, tuple]]:
+        """One command per copy: key ``(position, 0)`` is the primary,
+        ``(position, r)`` with ``r >= 1`` that shard's ``r``-th replica."""
+        commands = []
+        for position, args in payloads.items():
+            proxy = self._proxy(position)
+            commands.append(((position, 0), proxy.primary.worker,
+                             proxy.primary.shard_id, method, args))
+            for index, replica in enumerate(proxy.replicas):
+                commands.append(((position, index + 1), replica.worker,
+                                 replica.shard_id, method, args))
+        return commands
+
+    def _settle(self, errors: Dict[Tuple[int, int], BaseException]) -> None:
+        """Apply the fan-out failure policy to a bulk call's error map.
+
+        Replica crashes drop the replica; a replica-side error with no
+        matching primary error means divergence and drops it too (a replica
+        failing the *same* way as its primary is still in sync — both
+        rejected the operation identically).  Primary errors re-raise for
+        the smallest shard position, matching the sequential engine.
+        """
+        primary_errors = {key[0]: error for key, error in errors.items()
+                          if key[1] == 0}
+        # Resolve every failed copy's replica object BEFORE the first drop:
+        # the copy indexes were assigned against the replica list as the
+        # commands were built, and dropping while resolving would skew the
+        # remaining indexes (a second failed replica of the same shard
+        # would be mis-identified or silently kept).
+        doomed = []
+        for (position, copy), error in errors.items():
+            if copy == 0:
+                continue
+            proxy = self._proxy(position)
+            if copy - 1 >= len(proxy.replicas):  # pragma: no cover
+                continue
+            replica = proxy.replicas[copy - 1]
+            if isinstance(error, WorkerCrashError) \
+                    or type(error) is not type(primary_errors.get(position)):
+                doomed.append((proxy, replica))
+        for proxy, replica in doomed:
+            proxy.drop_replica(replica)
+        if primary_errors:
+            raise primary_errors[min(primary_errors)]
+
     def insert_many(self, entries: Iterable[object]) -> int:
-        """Insert keys or pairs: one ``insert_batch`` command per shard."""
+        """Insert with one ``insert_batch`` per copy of each shard."""
         if self.sample_operations:
             return super().insert_many(entries)
         batches, count = self._grouped_entries(entries)
+        payloads = {position: (batch,)
+                    for position, batch in enumerate(batches) if batch}
         with self._bulk_op("insert_many"):
-            self._scatter([(position, "insert_batch",
-                            (batch,))
-                           for position, batch in enumerate(batches)
-                           if batch])
+            _results, errors = self._drive_commands(
+                self._replicated_commands("insert_batch", payloads))
+            self._settle(errors)
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
-        """Delete per-shard batches in parallel; values in input order."""
+        """Delete across every copy; values come from the primaries."""
         if self.sample_operations:
             return super().delete_many(keys)
         keys, batches = self._grouped_positions(keys)
-        values: List[object] = [None] * len(keys)
+        payloads = {position: ([key for _at, key in batch],)
+                    for position, batch in enumerate(batches) if batch}
         with self._bulk_op("delete_many"):
-            results = self._scatter(
-                [(position, "delete_batch",
-                  ([key for _at, key in batch],))
-                 for position, batch in enumerate(batches) if batch])
+            results, errors = self._drive_commands(
+                self._replicated_commands("delete_batch", payloads))
+            self._settle(errors)
         self.metrics.inc("engine.keys.delete_many", len(keys))
+        values: List[object] = [None] * len(keys)
         for position, batch in enumerate(batches):
             if batch:
-                for (at, _key), value in zip(batch, results[position]):
+                for (at, _key), value in zip(batch,
+                                             results[(position, 0)]):
                     values[at] = value
         return values
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
-        """Membership via parallel shard batches; input order preserved."""
+        """Membership with each shard's batch fanned over its read copies.
+
+        Under ``read_policy="primary"`` this is one ``contains_batch`` per
+        primary; the balancing policies split each shard's sub-batch across
+        the eligible copies (one command per copy), so a
+        ``replication=3`` engine answers a read-heavy workload from three
+        workers per shard instead of one.  A copy that crashes (or errors)
+        mid-fan-out has its *whole* slice re-asked on another live copy in
+        a single crossing — byte-identical to the healthy path, never
+        per-key point reads — with the primary as the last resort and dead
+        replicas demoted along the way.
+        """
         if self.sample_operations:
             return super().contains_many(keys)
         keys, batches = self._grouped_positions(keys)
-        found: List[bool] = [False] * len(keys)
-        with self._bulk_op("contains_many"):
-            results = self._scatter(
-                [(position, "contains_batch",
-                  ([key for _at, key in batch],))
-                 for position, batch in enumerate(batches) if batch])
-        self.metrics.inc("engine.keys.contains_many", len(keys))
+        commands = []
+        slices: Dict[Tuple[int, int],
+                     Tuple[_ReplicatedShardProxy, _ShardProxy, list]] = {}
         for position, batch in enumerate(batches):
-            if batch:
-                for (at, _key), flag in zip(batch, results[position]):
-                    found[at] = flag
+            if not batch:
+                continue
+            proxy = self._proxy(position)
+            copies = proxy.read_copies()
+            for index, copy in enumerate(copies):
+                part = batch[index::len(copies)]
+                if not part:
+                    continue
+                slices[(position, index)] = (proxy, copy, part)
+                commands.append(
+                    ((position, index), copy.worker, copy.shard_id,
+                     "contains_batch",
+                     ([key for _at, key in part],)))
+        with self._bulk_op("contains_many"):
+            results, errors = self._drive_commands(commands)
+            replica_served = 0
+            fatal: Dict[int, BaseException] = {}
+            for key in slices:
+                if key not in errors \
+                        and slices[key][1] is not slices[key][0].primary:
+                    replica_served += len(slices[key][2])
+            for key, error in errors.items():
+                proxy, copy, part = slices[key]
+                retried = self._retry_read_slice(proxy, copy, part, error)
+                if retried is None:
+                    fatal[key[0]] = error
+                    continue
+                flags, server = retried
+                results[key] = flags
+                if server is not proxy.primary:
+                    replica_served += len(part)
+            if fatal:
+                raise fatal[min(fatal)]
+        self.metrics.inc("engine.keys.contains_many", len(keys))
+        self._policy_state.stats["replica_reads"] += replica_served
+        found: List[bool] = [False] * len(keys)
+        for key, (_proxy, _copy, part) in slices.items():
+            for (at, _key), flag in zip(part, results[key]):
+                found[at] = flag
         return found
+
+    def _retry_read_slice(self, proxy: _ReplicatedShardProxy,
+                          copy: _ShardProxy, part: list,
+                          error: BaseException
+                          ) -> Optional[Tuple[List[bool], _ShardProxy]]:
+        """Re-ask one failed read slice on the shard's other copies.
+
+        The whole sub-batch travels in one ``contains_batch`` crossing per
+        candidate — primary first when a replica failed, then the live
+        replicas — so a degraded read costs one extra round-trip, not one
+        per key.  A crashed replica is demoted; a replica whose command
+        *errored* (the primary would not have) is demoted as diverged.
+        Returns ``(flags, serving copy)``, or ``None`` when every copy is
+        gone (the caller raises the original error).
+        """
+        if copy is proxy.primary and not isinstance(error, WorkerCrashError):
+            return None  # the primary's own error is the authoritative one
+        self._bump_liveness()
+        if copy is not proxy.primary:
+            proxy.demote(copy)
+        candidates: List[_ShardProxy] = []
+        if copy is not proxy.primary:
+            candidates.append(proxy.primary)
+        candidates.extend(replica for replica in proxy.live_replicas()
+                          if replica is not copy)
+        payload = ([key for _at, key in part],)
+        for candidate in candidates:
+            try:
+                flags = candidate.worker.request(
+                    candidate.shard_id, "contains_batch", payload)
+            except WorkerCrashError:
+                self._bump_liveness()
+                if candidate is not proxy.primary:
+                    proxy.demote(candidate)
+                continue
+            return flags, candidate
+        return None
 
     # ------------------------------------------------------------------ #
     # Shard-aware cost probes (measured and rolled back in the worker)
@@ -1161,33 +1793,272 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def add_shard(self, shard: Optional[HIDictionary] = None,
                   inner: Optional[str] = None) -> MigrationReport:
-        """Grow by one shard; the new shard is adopted into a worker.
+        """Grow by one shard, hosted with its replicas once migrated.
 
-        The migration itself runs through the inherited canonical-order
-        machinery (deletes and re-inserts flow through the shard proxies),
-        so layouts match the sequential engine's resize byte for byte; the
-        freshly built shard is hosted in a worker once the migration
-        committed.
+        The migration runs through the inherited canonical-order machinery
+        — deletes and re-inserts flow through the shard proxies, so
+        replicas and op logs see every moved key and layouts match the
+        sequential engine's resize byte for byte.  The new shard is then
+        adopted with its own replicas, and a durable engine checkpoints:
+        the manifest must describe the new topology before any further
+        crash.
         """
+        if shard is not None and self._durability_dir is not None:
+            raise ConfigurationError(
+                "a durable engine cannot adopt a pre-built shard: its "
+                "construction seed is unknown, so a crash could not be "
+                "recovered byte-identically; grow with inner=... so the "
+                "shard is built (and its seed recorded) through the "
+                "registry")
         report = super().add_shard(shard=shard, inner=inner)
         self._adopt_local_shards()
+        if self._durability_dir is not None:
+            self.checkpoint()
         return report
 
     def remove_shard(self, position: int) -> MigrationReport:
-        """Retire one shard and its worker hosting (after migration)."""
+        """Retire one shard, every hosting of it, and its durable artifacts."""
+        proxy: Optional[_ReplicatedShardProxy] = None
         if isinstance(position, int) and not isinstance(position, bool) \
                 and 0 <= position < len(self._structure.shards):
-            shard_id: Optional[int] = self._structure.shard_ids[position]
-        else:
-            shard_id = None  # let the structure raise its uniform error
+            proxy = self._proxy(position)
+        # Any other position makes the structure raise its uniform error.
         report = super().remove_shard(position)
-        if shard_id is not None:
-            worker = self._worker_by_shard.pop(shard_id)
+        shard_id = proxy.primary.shard_id
+        del self._worker_by_shard[shard_id]
+        for copy in [proxy.primary] + proxy.replicas:
             try:
-                worker.drop(shard_id)
+                copy.worker.drop(copy.shard_id)
             except WorkerCrashError:
                 pass
-            if not worker.shard_ids:
-                worker.shutdown()
-                self._workers.remove(worker)
+            if not copy.worker.shard_ids and copy.worker in self._workers:
+                copy.worker.shutdown()
+                self._workers.remove(copy.worker)
+        if self._durability_dir is not None:
+            # Publish the shrunk topology FIRST: until the new manifest is
+            # on disk, the old one still references the retired shard's
+            # artifacts, and deleting them early would make a crash here
+            # leave an unopenable store.  The checkpoint's generation sweep
+            # reclaims the retired images; only the op log remains ours to
+            # drop.
+            self.checkpoint()
+            stale_log = _recovery().oplog_path(self._durability_dir,
+                                               shard_id)
+            if os.path.exists(stale_log):
+                os.unlink(stale_log)
         return report
+
+    # ------------------------------------------------------------------ #
+    # Durability (implemented in repro.replication.recovery)
+    # ------------------------------------------------------------------ #
+
+    def barrier(self) -> Dict[str, object]:
+        """A durability sync point; in secure mode, deletes trigger redaction.
+
+        Every primary's op log commits a barrier frame (one fsync each), so
+        everything acknowledged before the call is machine-crash durable.
+        In ``"logged"`` mode that is all a barrier does — the full mutation
+        history (delete frames included) stays in the logs until the next
+        checkpoint.  In ``"secure"`` mode, a barrier that flushed any
+        deletes escalates into a full :meth:`checkpoint`: the images are
+        rewritten from the canonical HI layouts (which no longer hold the
+        deleted keys) and every log is compacted to its new barrier with an
+        atomic rename + directory fsync — after which no frame in any op
+        log and no slot in any checkpoint image encodes a deleted key.
+
+        Returns ``{"deletes": flushed delete frames, "redacted": bool}``.
+        """
+        self._require_durable("barrier")
+        results = self._scatter([(position, "__barrier__", ())
+                                 for position in range(self.num_shards)])
+        deletes = sum(result[1] for result in results.values())
+        self._erasure_stats["barriers"] += 1
+        self._erasure_stats["deletes_flushed"] += deletes
+        redacted = False
+        if self._durability_mode == "secure" and deletes:
+            self.checkpoint()  # stamps the replicas' barrier epoch itself
+            self._erasure_stats["redactions"] += 1
+            redacted = True
+        elif self._read_policy == "any-after-barrier":
+            self._sync_replicas()
+        return {"deletes": deletes, "redacted": redacted}
+
+    def checkpoint(self) -> Dict[str, object]:
+        """Snapshot every shard, write the manifest, compact the logs.
+
+        Returns the manifest.  Each shard's snapshot and its op-log barrier
+        offset are taken in one worker conversation, so the pair describes
+        a single instant; the manifest is written atomically (write +
+        rename), so a crash mid-checkpoint leaves the previous snapshot
+        generation fully intact.
+        """
+        self._require_durable("checkpoint")
+        manifest = _recovery().checkpoint_engine(self)
+        if self._read_policy == "any-after-barrier":
+            # A checkpoint is a barrier too: replicas that ack it become
+            # read-eligible (a freshly built durable engine serves from its
+            # replicas immediately — __init__ ends in a checkpoint).
+            self._sync_replicas()
+        return manifest
+
+    def _sync_replicas(self) -> int:
+        """Stamp every replica that acks this sync with a new barrier epoch.
+
+        Worker pipes process commands in order and every engine-level call
+        is synchronous, so a replica that answers the ping has applied
+        every write acknowledged before the barrier — exactly the
+        ``"any-after-barrier"`` read-eligibility condition.  Replicas that
+        crashed instead of acking are dropped from read service.  Returns
+        the number of replicas stamped.
+        """
+        state = self._policy_state
+        state.barrier_epoch += 1
+        epoch = state.barrier_epoch
+        commands = []
+        for position in range(self.num_shards):
+            proxy = self._proxy(position)
+            for replica in list(proxy.replicas):
+                commands.append(((position, replica), replica.worker,
+                                 replica.shard_id, "__ping__", ()))
+        if not commands:
+            return 0
+        results, errors = self._drive_commands(commands)
+        for _position, replica in results:
+            replica._synced_epoch = epoch
+        for (position, replica), error in errors.items():
+            if isinstance(error, WorkerCrashError):
+                self._proxy(position).drop_replica(replica)
+                self._bump_liveness()
+        return len(results)
+
+    # ------------------------------------------------------------------ #
+    # Crash handling and repair
+    # ------------------------------------------------------------------ #
+
+    def dead_shard_positions(self) -> List[int]:
+        """Shard positions whose primary's worker is no longer alive.
+
+        Raises :class:`~repro.errors.ConfigurationError` once the engine is
+        closed — a shut-down engine has no workers to inspect or restart.
+        """
+        self._require_open("it has no workers to inspect or restart")
+        structure = self._structure
+        return [position for position, shard_id
+                in enumerate(structure.shard_ids)
+                if not self._worker_by_shard[shard_id].is_alive()]
+
+    def recover(self) -> "RecoveryReport":
+        """Repair every dead primary and re-seed missing replicas.
+
+        Promotion when a live replica exists, snapshot + op-log replay when
+        durable state does, else an empty rebuild with the shard's original
+        construction seed (its data is lost).  Raises
+        :class:`~repro.errors.ConfigurationError` for hand-assembled
+        dictionaries with no recorded build context.  See
+        :func:`repro.replication.recovery.recover_engine`.
+        """
+        self._bump_liveness()  # recovery reads liveness directly; no cache
+        report = _recovery().recover_engine(self)
+        self._bump_liveness()  # the replica sets just changed
+        if self._read_policy == "any-after-barrier":
+            # Freshly re-seeded replicas are byte-identical clones of their
+            # primaries; stamp them read-eligible rather than benching them
+            # until the next barrier.
+            self._sync_replicas()
+        return report
+
+    def restart_workers(self) -> List[int]:
+        """:meth:`recover`, reporting only the repaired shard positions."""
+        return list(self.recover().positions)
+
+    def anti_entropy(self) -> Dict[str, object]:
+        """Compare canonical HI digests per shard copy; re-seed divergence.
+
+        Every copy of every shard answers one worker-side ``__digest__``
+        (a SHA-256 over its canonical slot array and audit fingerprint —
+        identical bytes on copies that applied the same operation stream),
+        and only replicas whose digest disagrees with their primary's are
+        re-seeded: one ``__export__`` per affected shard, then every clone
+        hosted at once; healthy shards are never exported.  Dead workers
+        are repaired by :meth:`recover` *first*, which on a durable engine
+        also writes a fresh checkpoint — redacting a down worker's stale
+        op log now instead of at some later recovery.
+
+        Returns ``{"checked", "recovered", "divergent", "reseeded",
+        "exported_positions"}``.
+        """
+        self._require_open("cannot run anti-entropy")
+        recovered = False
+        if self.dead_shard_positions() \
+                or any(not worker.is_alive() for worker in self._workers):
+            self.recover()
+            recovered = True
+        commands = []
+        for position in range(self.num_shards):
+            proxy = self._proxy(position)
+            commands.append(((position, 0, proxy.primary),
+                             proxy.primary.worker, proxy.primary.shard_id,
+                             "__digest__", ()))
+            for index, replica in enumerate(proxy.replicas):
+                commands.append(((position, index + 1, replica),
+                                 replica.worker, replica.shard_id,
+                                 "__digest__", ()))
+        results, errors = self._drive_commands(commands)
+        primary_digests: Dict[int, object] = {
+            key[0]: digest for key, digest in results.items()
+            if key[1] == 0}
+        divergent: List[Tuple[int, _ShardProxy]] = []
+        for key, error in errors.items():
+            position, copy, shard = key
+            if copy == 0:
+                raise error  # a primary died mid-pass; recover and re-run
+            divergent.append((position, shard))
+        for key, digest in results.items():
+            position, copy, shard = key
+            if copy and digest != primary_digests.get(position):
+                divergent.append((position, shard))
+        exported: Dict[int, object] = {}
+        targets: Dict[int, set] = {}
+        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+        owners: List[_ReplicatedShardProxy] = []
+        for position, replica in sorted(divergent, key=lambda entry:
+                                        entry[0]):
+            proxy = self._proxy(position)
+            proxy.drop_replica(replica)
+            self._bump_liveness()
+            placed = targets.setdefault(position, set())
+            if replica.worker.is_alive():
+                # Re-seed in place: drop the diverged hosting and clone the
+                # primary back onto the same worker.
+                try:
+                    replica.worker.drop(replica.shard_id)
+                except WorkerCrashError:
+                    pass
+                target = replica.worker
+            else:
+                target = self._replica_workers_for(
+                    proxy.primary.shard_id,
+                    exclude={proxy.primary.worker} | placed
+                    | {other.worker for other in proxy.replicas},
+                    needed=1)[0]
+            placed.add(target)
+            if position not in exported:
+                exported[position] = proxy.primary.worker.request(
+                    proxy.primary.shard_id, "__export__")
+            hostings.append((target, self._take_replica_id(),
+                             (exported[position],)))
+            owners.append(proxy)
+        state = self._policy_state
+        for proxy, fresh in zip(owners, self._host(hostings)):
+            # The clone is byte-identical to the primary at this instant,
+            # which includes everything since the last barrier — it is
+            # immediately eligible under any-after-barrier.
+            fresh._synced_epoch = state.barrier_epoch
+            proxy.add_replica(fresh)
+        state.stats["anti_entropy_reseeds"] += len(hostings)
+        self._shard_engine_cache = []
+        return {"checked": len(commands), "recovered": recovered,
+                "divergent": sorted({position
+                                     for position, _shard in divergent}),
+                "reseeded": len(hostings),
+                "exported_positions": sorted(exported)}

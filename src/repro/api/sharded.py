@@ -1153,10 +1153,10 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
     every write fans out to a primary plus ``N - 1`` replica shards hosted
     on other workers, and with a ``durability_dir`` each primary keeps an
     op log plus checkpointed snapshots there, so crashed workers recover
-    their state instead of restarting empty.  ``replication=1`` with no
-    durability directory is today's process engine, bit for bit.  ``fsync``
-    set to ``False`` trades machine-crash durability for speed (process
-    crashes stay covered).
+    their state instead of restarting empty.  Every process configuration
+    builds the same engine; ``replication=1`` with no durability directory
+    is its simplest setting.  ``fsync`` set to ``False`` trades
+    machine-crash durability for speed (process crashes stay covered).
 
     ``durability_mode`` picks what the durable artifacts may reveal:
     ``"logged"`` (the default) keeps the full mutation history in the op
@@ -1224,24 +1224,15 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
                                 router=dict(config.router),
                                 inner_params=dict(config.inner_params))
     if config.parallel == "process":
-        if config.replication > 1 or config.durability_dir is not None:
-            from repro.replication.engine import (
-                ReplicatedShardedDictionaryEngine,
-            )
-            engine = ReplicatedShardedDictionaryEngine(
-                structure, sample_operations=config.sample_operations,
-                max_workers=config.max_workers,
-                replication=config.replication,
-                read_policy=config.read_policy,
-                durability_dir=config.durability_dir,
-                durability_mode=config.durability_mode, fsync=config.fsync)
-        else:
-            from repro.api.process_engine import (
-                ProcessShardedDictionaryEngine,
-            )
-            engine = ProcessShardedDictionaryEngine(
-                structure, sample_operations=config.sample_operations,
-                max_workers=config.max_workers)
+        from repro.api.process_engine import ProcessShardedDictionaryEngine
+
+        engine = ProcessShardedDictionaryEngine(
+            structure, sample_operations=config.sample_operations,
+            max_workers=config.max_workers,
+            replication=config.replication,
+            read_policy=config.read_policy,
+            durability_dir=config.durability_dir,
+            durability_mode=config.durability_mode, fsync=config.fsync)
     else:
         engine = ShardedDictionaryEngine(
             structure, sample_operations=config.sample_operations)

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "durability directory and report what came back")
     recover.add_argument("--dir", type=str, required=True,
                          help="durability directory (op logs + snapshots + "
-                              "manifest) written by a replicated engine")
+                              "manifest) written by a durable engine")
     recover.add_argument("--replication", type=int, default=None,
                          help="override the manifest's replication factor")
     recover.add_argument("--read-policy",

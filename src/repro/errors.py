@@ -60,7 +60,8 @@ class WorkerCrashError(ReproError, RuntimeError):
     Raised by :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`
     when a command cannot be delivered to (or answered by) the long-lived
     worker that hosts a shard.  The worker's in-memory shard state is lost;
-    see ``restart_workers()`` for recovery semantics.
+    ``recover()`` (or ``restart_workers()``) brings the shard back from a
+    replica or durable state when the engine has one, else empty.
     """
 
 

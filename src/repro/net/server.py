@@ -20,7 +20,7 @@ Three server-side disciplines the tests pin down:
   connection closes, because the stream past the tear cannot be trusted.
 * **Graceful drain** — :meth:`ReproServer.drain` stops accepting, lets
   in-flight batches finish, then runs each engine's ``drain()`` (a final
-  durability barrier for replicated engines) and closes it exactly once,
+  durability barrier for durable engines) and closes it exactly once,
   no matter how many times drain is invoked (signal + shutdown races
   included).
 

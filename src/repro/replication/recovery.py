@@ -1,18 +1,20 @@
-"""Seeded recovery and failover for the replicated process engine.
+"""Checkpoints, seeded recovery and failover for the process engine.
 
 Three entry points, all driven through
-:class:`~repro.replication.engine.ReplicatedShardedDictionaryEngine`:
+:class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`:
 
 * :func:`checkpoint_engine` — snapshot every primary shard (slot array +
   op-log barrier offset captured in one worker conversation each), write
   the durability manifest atomically, then compact the logs to their
   barriers.
-* :func:`recover_engine` — repair dead primaries: **promote** a live
+* :func:`recover_engine` — behind ``recover()`` and ``restart_workers()``
+  on every process engine — repair dead primaries: **promote** a live
   replica when one exists (then truncate + re-checkpoint its log), else
   **replay** the checkpointed snapshot plus the op-log tail into a shard
   rebuilt with its *original construction seed*, else (no replica, no
-  durable state) rebuild empty like PR 4 did.  Afterwards every shard is
-  re-replicated back to full strength on the respawned workers.
+  durable state) rebuild it empty with that same seed.  The rebuilt
+  primaries are hosted together on the restored pool, then every shard is
+  re-replicated back to full strength, all clones hosted at once.
 * :func:`open_durable_engine` — cold-start: rebuild a whole engine from a
   durability directory alone (manifest + images + logs), e.g. after the
   parent process itself restarted.
@@ -35,7 +37,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro._rng import make_rng
-from repro.api.process_engine import _ShardProxy, _ShardWorker
+from repro.api.process_engine import (
+    ProcessShardedDictionaryEngine,
+    _ShardProxy,
+    _ShardWorker,
+)
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter, make_router
 from repro.api.sharded import ShardedDictionary
 from repro.errors import ConfigurationError
@@ -116,13 +122,13 @@ def replica_targets(shard_ids, shard_id: int, count: int,
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What one :meth:`ReplicatedShardedDictionaryEngine.recover` repaired.
+    """What one :meth:`ProcessShardedDictionaryEngine.recover` repaired.
 
     ``positions`` lists every shard position whose primary was dead, split
     by how it came back: ``promoted`` (a live replica took over),
     ``replayed`` (snapshot + op-log tail into a seed-identical rebuild) or
-    ``rebuilt_empty`` (no replica and no durable state — the PR 4
-    fallback, data lost).  ``re_replicated`` lists the positions that
+    ``rebuilt_empty`` (no replica and no durable state — a seed-identical
+    empty rebuild, data lost).  ``re_replicated`` lists the positions that
     received fresh replica copies, which includes surviving primaries
     whose replicas died with a crashed worker.
     """
@@ -203,8 +209,8 @@ def checkpoint_engine(engine) -> Dict[str, object]:
         "router": structure.router.spec(),
         "shard_ids": list(structure.shard_ids),
         "replication": engine.replication,
-        "read_policy": getattr(engine, "_read_policy", "primary"),
-        "durability_mode": getattr(engine, "_durability_mode", "logged"),
+        "read_policy": engine.read_policy,
+        "durability_mode": engine.durability_mode,
         "build": build,
         "shards": entries,
     }
@@ -231,11 +237,9 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     compacted = engine._scatter([
         (position, "__compact__", (results[position][1],))
         for position in range(num_shards)])
-    stats = getattr(engine, "_erasure_stats", None)
-    if stats is not None:
-        stats["frames_dropped"] += sum(
-            result[1] for result in compacted.values()
-            if isinstance(result, tuple))
+    engine._erasure_stats["frames_dropped"] += sum(
+        result[1] for result in compacted.values()
+        if isinstance(result, tuple))
     return manifest
 
 
@@ -377,13 +381,15 @@ def recover_engine(engine) -> RecoveryReport:
     """Repair dead primaries and restore every shard to full replication.
 
     The per-shard decision ladder is promotion → snapshot/log replay →
-    empty rebuild; afterwards the worker pool is restored to its previous
-    size and every under-replicated shard (including survivors whose
-    replicas died) is re-seeded from its live primary.  Durable engines
-    end with a fresh checkpoint: a promoted replica's truncated log is
-    only safe once the new snapshot generation references the promoted
-    state, so recovery is not considered complete until that manifest is
-    on disk.
+    empty rebuild, every rebuild with the shard's original seed.  The
+    worker pool is restored to its previous size and the rebuilt primaries
+    are hosted on it in one round, reaping the new workers if that fails;
+    then every under-replicated shard (including survivors whose replicas
+    died) is re-seeded from its live primary — one export per shard, every
+    clone hosted in one round.  Durable engines checkpoint as soon as every
+    primary is live: a promoted replica's truncated log is only safe once
+    the new snapshot generation references the promoted state, so recovery
+    is not considered complete until that manifest is on disk.
     """
     structure = engine._structure
     lost = engine.dead_shard_positions()  # raises once the engine is closed
@@ -397,15 +403,11 @@ def recover_engine(engine) -> RecoveryReport:
     for worker in dead_workers:
         worker.shutdown()
         engine._workers.remove(worker)
-    respawned: List[_ShardWorker] = []
-    for _worker in dead_workers:
-        replacement = _ShardWorker(engine._mp_context)
-        engine._workers.append(replacement)
-        respawned.append(replacement)
 
     promoted: List[int] = []
     replayed: List[int] = []
     rebuilt_empty: List[int] = []
+    rebuilt: List[Tuple[int, object]] = []
     for position in lost:
         shard_id = structure.shard_ids[position]
         proxy = engine._proxy(position)
@@ -424,12 +426,17 @@ def recover_engine(engine) -> RecoveryReport:
             promoted.append(position)
             continue
         shard, had_state = _rebuild_shard(engine, position, shard_id)
-        worker = engine._pick_worker()
-        descriptor = worker.host(shard_id, shard,
-                                 oplog=engine._oplog_spec(shard_id))
-        engine._worker_by_shard[shard_id] = worker
-        proxy.promote(_ShardProxy(worker, shard_id, descriptor), [])
+        rebuilt.append((position, shard))
         (replayed if had_state else rebuilt_empty).append(position)
+
+    pool = len(engine._workers)
+    with engine._reaping_new_workers():
+        for _worker in dead_workers:
+            engine._workers.append(_ShardWorker(engine._mp_context))
+        primaries = engine._host_primaries(rebuilt)
+    respawned = engine._workers[pool:]
+    for (position, _shard), primary in zip(rebuilt, primaries):
+        engine._proxy(position).promote(primary, [])
 
     if engine._durability_dir is not None and lost:
         # Checkpoint as soon as every primary is live again — a promoted
@@ -441,7 +448,12 @@ def recover_engine(engine) -> RecoveryReport:
         engine._shard_engine_cache = []
         checkpoint_engine(engine)
 
+    # Not reaped on failure: the respawned workers already host recovered
+    # primaries, and a shard whose replicas failed to host is re-seeded by
+    # the next recovery.
     re_replicated: List[int] = []
+    hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+    owners = []
     for position in range(structure.num_shards):
         proxy = engine._proxy(position)
         needed = engine.replication - 1 - len(proxy.replicas)
@@ -458,10 +470,11 @@ def recover_engine(engine) -> RecoveryReport:
         # target worker — byte-identical clones, randomness state included.
         exported = proxy.primary.worker.request(shard_id, "__export__")
         for target in targets:
-            replica_id = engine._take_replica_id()
-            descriptor = target.host(replica_id, exported)
-            proxy.add_replica(_ShardProxy(target, replica_id, descriptor))
+            hostings.append((target, engine._take_replica_id(), (exported,)))
+            owners.append(proxy)
         re_replicated.append(position)
+    for proxy, replica in zip(owners, engine._host(hostings)):
+        proxy.add_replica(replica)
 
     engine._shard_engine_cache = []
     return RecoveryReport(positions=tuple(lost), promoted=tuple(promoted),
@@ -482,7 +495,7 @@ def open_durable_engine(directory: str, *,
                         durability_mode: Optional[str] = None,
                         fsync: bool = True,
                         sample_operations: bool = False):
-    """Rebuild a :class:`ReplicatedShardedDictionaryEngine` from disk alone.
+    """Rebuild a :class:`ProcessShardedDictionaryEngine` from disk alone.
 
     Reads the durability manifest, rebuilds every shard with its original
     construction seed, re-inserts its checkpoint image, replays its op-log
@@ -493,7 +506,6 @@ def open_durable_engine(directory: str, *,
     is gone, only the directory survives.
     """
     from repro.api.registry import make_dictionary
-    from repro.replication.engine import ReplicatedShardedDictionaryEngine
 
     manifest = load_manifest(directory)
     build = manifest["build"]
@@ -546,7 +558,7 @@ def open_durable_engine(directory: str, *,
         read_policy = str(manifest.get("read_policy", "primary"))
     if durability_mode is None:
         durability_mode = str(manifest.get("durability_mode", "logged"))
-    engine = ReplicatedShardedDictionaryEngine(
+    engine = ProcessShardedDictionaryEngine(
         structure, sample_operations=sample_operations,
         max_workers=max_workers, start_method=start_method,
         replication=replication, read_policy=read_policy,

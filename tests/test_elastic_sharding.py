@@ -14,7 +14,10 @@ The migration-correctness suite the resize path is gated on:
   sequential engine's.
 """
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -279,6 +282,41 @@ def test_grown_store_is_byte_identical_to_a_fresh_build(inner):
         fresh.structure.audit_fingerprint()
     assert list(grown.structure.snapshot_slots()) == \
         list(fresh.structure.snapshot_slots())
+
+
+@pytest.mark.parametrize("inner", ["b-treap", "treap"])
+def test_a_restarted_store_grows_like_a_fresh_build(inner):
+    """A restart rebuilds the lost shard with its original seed.
+
+    So after its keys are re-inserted, the store grown 3 -> 4 still equals
+    one born with 4: ``restart_workers()`` draws nothing from the
+    construction seed stream the new shard's seed comes from.
+    """
+    keys = keyset(7, count=300)
+    grown = build(inner=inner, shards=3, seed=42, parallel="process")
+    try:
+        grown.insert_many((key, key) for key in keys)
+        context = grown.structure._build_context
+        seeds = (list(context["shard_seeds"]), context["seeds_drawn"])
+        lost = [key for key in keys if grown.structure.shard_of(key) == 0]
+        os.kill(grown.worker_pids()[0], signal.SIGKILL)  # hosts shard 0
+        deadline = time.time() + 5.0
+        while not grown.dead_shard_positions() and time.time() < deadline:
+            time.sleep(0.02)
+        assert grown.restart_workers() == [0]
+        assert (context["shard_seeds"], context["seeds_drawn"]) == seeds
+        grown.insert_many((key, key) for key in lost)
+        grown.add_shard()
+
+        fresh = build(inner=inner, shards=4, seed=42)
+        fresh.insert_many((key, key) for key in keys)
+
+        assert grown.structure.audit_fingerprint() == \
+            fresh.structure.audit_fingerprint()
+        assert list(grown.structure.snapshot_slots()) == \
+            list(fresh.structure.snapshot_slots())
+    finally:
+        grown.close()
 
 
 def test_resized_layout_is_independent_of_insertion_history():

@@ -255,7 +255,18 @@ def test_operations_after_close_raise_library_errors():
     process = make_sharded_engine("b-tree", shards=2, block_size=8,
                                   seed=SEED, parallel="process")
     process.insert_many([(1, "a")])
+    # No durability directory: there is nothing to sync or snapshot.
+    with pytest.raises(ConfigurationError):
+        process.barrier()
+    with pytest.raises(ConfigurationError):
+        process.checkpoint()
     process.close()
+    with pytest.raises(ConfigurationError):
+        process.io_stats()
+    with pytest.raises(ConfigurationError):
+        process.barrier()
+    with pytest.raises(ConfigurationError):
+        process.checkpoint()
     with pytest.raises(WorkerCrashError):
         process.insert_many([(2, "b")])
     with pytest.raises(WorkerCrashError):
@@ -533,7 +544,7 @@ def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
                              seed=SEED, parallel="process",
                              max_workers=2) as engine:
         index = _spawn_index(engine)
-        assert {position: index[shard.worker] for position, shard
+        assert {position: index[shard.primary.worker] for position, shard
                 in enumerate(engine.structure.shards)} \
             == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
         assert engine.plane_stats() == {"coalesced": 0, "fsync_batches": 0}

@@ -29,7 +29,6 @@ import pytest
 
 from repro.api import (
     ProcessShardedDictionaryEngine,
-    ReplicatedShardedDictionaryEngine,
     audit_fingerprint_of,
     make_dictionary,
     make_sharded_engine,
@@ -271,7 +270,7 @@ def test_replication_configuration_is_validated(tmp_path):
     hand_built = ShardedDictionary(
         [make_dictionary("b-tree", block_size=8) for _ in range(2)])
     with pytest.raises(ConfigurationError):
-        ReplicatedShardedDictionaryEngine(
+        ProcessShardedDictionaryEngine(
             hand_built, replication=1, durability_dir=str(tmp_path / "d2"))
 
 
