@@ -95,6 +95,7 @@ import multiprocessing
 import os
 import pickle
 import traceback
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from multiprocessing.connection import wait
@@ -140,6 +141,12 @@ _BULK_MUTATORS = frozenset(("insert_batch", "delete_batch"))
 
 #: Point methods that mutate a shard and therefore fan out to replicas.
 _MUTATORS = frozenset(("insert", "upsert", "delete"))
+
+#: Parent-side ends of the worker pipes.  A forked worker inherits every
+#: one the parent holds, its own included, and closes them before serving:
+#: otherwise a copy of its pipe's other end outlives the parent, and the
+#: worker never reads the EOF that tells it the parent is gone.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: Read methods always served by the primary, whatever the read policy.
 #: ``io_stats`` is a *measurement*: replica-served reads charge the
@@ -438,6 +445,8 @@ def _worker_main(conn) -> None:
     # fail points (op-log compaction during recovery), which would
     # otherwise freeze an empty cache into every forked worker.
     failpoints.reset()
+    for end in list(_PARENT_ENDS):  # empty in a spawned worker
+        end.close()
     trip = failpoints.trip
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
@@ -514,6 +523,7 @@ class _ShardWorker:
 
     def __init__(self, context) -> None:
         self._conn, child_conn = context.Pipe()
+        _PARENT_ENDS.add(self._conn)
         self._process = context.Process(target=_worker_main,
                                         args=(child_conn,), daemon=True)
         self._process.start()

@@ -770,12 +770,12 @@ class ShardedDictionaryEngine(DictionaryEngine):
         per-shard batch.
         """
         batches: List[List[Pair]] = [[] for _ in self._engines()]
-        count = 0
+        appends = [batch.append for batch in batches]
+        shard_of, as_pair = self._structure.shard_of, self._as_pair
         for entry in entries:
-            key, value = self._as_pair(entry)
-            batches[self._structure.shard_of(key)].append((key, value))
-            count += 1
-        return batches, count
+            pair = as_pair(entry)
+            appends[shard_of(pair[0])](pair)
+        return batches, sum(map(len, batches))
 
     def _grouped_positions(self, keys: Iterable[object]
                            ) -> Tuple[List[object],
@@ -784,8 +784,10 @@ class ShardedDictionaryEngine(DictionaryEngine):
         keys = list(keys)
         batches: List[List[Tuple[int, object]]] = \
             [[] for _ in self._engines()]
+        appends = [batch.append for batch in batches]
+        shard_of = self._structure.shard_of
         for position, key in enumerate(keys):
-            batches[self._structure.shard_of(key)].append((position, key))
+            appends[shard_of(key)]((position, key))
         return keys, batches
 
     def insert_many(self, entries: Iterable[object]) -> int:

@@ -29,7 +29,13 @@ essential properties while staying implementable and auditable:
 I/O accounting: every operation charges one read per distinct block on the
 search path and, for updates, one write per block on the path from the root
 to the affected node (rotations only restructure nodes on that path, and a
-block is rewritten at most once per operation).
+block is rewritten at most once per operation).  Each operation makes one
+root walk of the treap, which reports what the charges need: an insert or
+upsert reads the blocks its descent visited and writes the blocks down to
+the key's final depth; a delete reads down to the key and writes down to
+``max(depth, height)`` — the node rotates down to a leaf before it is
+unlinked — where the height afterwards is stored at the root, so the charge
+costs ``O(1)`` rather than a walk of the whole tree.
 """
 
 from __future__ import annotations
@@ -140,15 +146,17 @@ class BTreap(HIDictionary):
 
     def contains(self, key: object) -> bool:
         """Whether ``key`` is stored (charges the search I/Os)."""
-        depth = self._probe_depth(key)
-        self._charge_path_reads(depth)
-        return self._treap.contains(key)
+        node, visited = self._treap.locate(key)
+        self._charge_path_reads(visited)
+        return node is not None
 
     def search(self, key: object) -> object:
         """Value stored under ``key``; raises :class:`KeyNotFound` otherwise."""
-        depth = self._probe_depth(key)
-        self._charge_path_reads(depth)
-        return self._treap.search(key)
+        node, visited = self._treap.locate(key)
+        self._charge_path_reads(visited)
+        if node is None:
+            raise KeyNotFound(key)
+        return node.value
 
     def search_io_cost(self, key: object) -> int:
         """Number of read I/Os a search for ``key`` performs."""
@@ -173,37 +181,34 @@ class BTreap(HIDictionary):
 
     def insert(self, key: object, value: object = None) -> None:
         """Insert a new key; raises :class:`DuplicateKey` if it already exists."""
-        if self._treap.contains(key):
-            self._charge_path_reads(self._probe_depth(key))
+        visited, depth, existed = self._treap.insert_walk(key, value)
+        self._charge_path_reads(visited)
+        if existed:
             raise DuplicateKey(key)
-        self._charge_path_reads(self._probe_depth(key))
-        self._treap.insert(key, value)
-        self._charge_path_writes(self._treap.depth_of(key))
+        self._charge_path_writes(depth)
         self.stats.operations += 1
 
     def upsert(self, key: object, value: object = None) -> bool:
         """Insert or overwrite ``key``; returns ``True`` if it already existed."""
-        if self._treap.contains(key):
-            self._charge_path_reads(self._treap.depth_of(key))
-            self._treap.upsert(key, value)
-            self._charge_path_writes(self._treap.depth_of(key))
-            return True
-        self.insert(key, value)
-        return False
+        visited, depth, existed = self._treap.insert_walk(key, value,
+                                                          overwrite=True)
+        self._charge_path_reads(visited)
+        self._charge_path_writes(depth)
+        if not existed:
+            self.stats.operations += 1
+        return existed
 
     def delete(self, key: object) -> object:
         """Remove ``key`` and return its value; raises :class:`KeyNotFound` otherwise."""
-        if not self._treap.contains(key):
-            self._charge_path_reads(self._probe_depth(key))
-            raise KeyNotFound(key)
-        depth = self._treap.depth_of(key)
+        depth, node = self._treap.delete_walk(key)
         self._charge_path_reads(depth)
-        value = self._treap.delete(key)
+        if node is None:
+            raise KeyNotFound(key)
         # Deleting rotates the node down to a leaf before unlinking it, so the
         # modified nodes span the old path extended to the bottom stratum.
         self._charge_path_writes(max(depth, self._treap.height))
         self.stats.operations += 1
-        return value
+        return node.value
 
     # ------------------------------------------------------------------ #
     # I/O accounting helpers

@@ -715,8 +715,6 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
 
     async def run() -> None:
         await server.start()
-        print("listening on %s:%d" % (server.host, server.port), file=out)
-        out.flush()
         loop = asyncio.get_running_loop()
         drained = loop.create_future()
 
@@ -724,11 +722,14 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             if not drained.done():
                 drained.set_result(None)
 
+        # Readiness is announced only once a signal can drain the server.
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
                 loop.add_signal_handler(signum, request_drain)
             except (NotImplementedError, RuntimeError):
                 pass
+        print("listening on %s:%d" % (server.host, server.port), file=out)
+        out.flush()
         ticker = None
         if args.metrics_interval > 0:
             ticker = asyncio.ensure_future(dump_metrics())

@@ -17,12 +17,22 @@ and never changes, so:
 * across salts, the shape distribution of a fixed key set is the same no
   matter which operation sequence produced it (history independence).
 
+Every node also stores the height of the subtree it roots.  A subtree's
+height is a function of the tree's shape, and the shape depends only on the
+key set and the salt, so the stored heights add nothing an observer could
+not compute from the keys: the treap stays uniquely represented, and
+:meth:`Treap.audit_fingerprint` (the height) is unchanged.  Storing them is
+what makes :attr:`Treap.height` ``O(1)``.
+
 The treap is the in-memory baseline for the strongly history-independent
 external dictionaries discussed in the paper's related work (Golovin's
 B-treap, built in :mod:`repro.btreap`, packs this exact shape into blocks).
 
 Costs: the depth of every node is ``O(log N)`` in expectation over the salt,
 so searches, inserts, and deletes take expected ``O(log N)`` comparisons.
+An insert or a delete is one iterative walk down from the root and back up
+the same path: the rotations and the height repairs all happen on it, and
+the repair stops at the first ancestor whose height did not change.
 Unlike the paper's weakly history-independent structures, no useful *with
 high probability* amortized bound is possible here (Observation 1 territory:
 strong history independence and high-probability amortized guarantees do not
@@ -43,9 +53,10 @@ PriorityFunction = Callable[[object], int]
 
 
 class TreapNode:
-    """One treap node: a key/value pair, its priority, and two children."""
+    """One treap node: a key/value pair, its priority, two children, and the
+    height of the subtree it roots (1 for a leaf)."""
 
-    __slots__ = ("key", "value", "priority", "left", "right")
+    __slots__ = ("key", "value", "priority", "left", "right", "height")
 
     def __init__(self, key: object, value: object, priority: int) -> None:
         self.key = key
@@ -53,9 +64,19 @@ class TreapNode:
         self.priority = priority
         self.left: Optional["TreapNode"] = None
         self.right: Optional["TreapNode"] = None
+        self.height = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "TreapNode(key=%r, priority=%d)" % (self.key, self.priority)
+
+
+def _restore_height(node: TreapNode) -> int:
+    """Recompute ``node.height`` from its children's stored heights."""
+    left, right = node.left, node.right
+    height = 1 + max(0 if left is None else left.height,
+                     0 if right is None else right.height)
+    node.height = height
+    return height
 
 
 def salted_priority(salt: bytes, key: object) -> int:
@@ -73,17 +94,26 @@ def salted_priority(salt: bytes, key: object) -> int:
 class SaltedPriority:
     """The default priority function: :func:`salted_priority` under one salt.
 
-    A named class (not a closure) so treaps are picklable — the process-
-    parallel shard backend ships whole structures to worker processes.
+    The keyed BLAKE2b state is built once and copied per key, which gives
+    the same digests as :func:`salted_priority` without re-keying the hash
+    every call.  A named class (not a closure) so treaps are picklable — the
+    process-parallel shard backend ships whole structures to worker
+    processes; a hash state does not pickle, so it is rebuilt from the salt.
     """
 
-    __slots__ = ("salt",)
+    __slots__ = ("salt", "_keyed")
 
     def __init__(self, salt: bytes) -> None:
         self.salt = salt
+        self._keyed = hashlib.blake2b(key=salt, digest_size=8)
 
     def __call__(self, key: object) -> int:
-        return salted_priority(self.salt, key)
+        digest = self._keyed.copy()
+        digest.update(repr(key).encode("utf-8"))
+        return int.from_bytes(digest.digest(), "big")
+
+    def __reduce__(self):
+        return SaltedPriority, (self.salt,)
 
 
 class Treap(HIDictionary):
@@ -141,7 +171,7 @@ class Treap(HIDictionary):
     @property
     def height(self) -> int:
         """Length of the longest root-to-leaf path (0 for an empty treap)."""
-        return self._height_of(self._root)
+        return 0 if self._root is None else self._root.height
 
     def audit_fingerprint(self) -> object:
         """The height: with a fresh salt per trial the full representation
@@ -151,14 +181,10 @@ class Treap(HIDictionary):
 
     def depth_of(self, key: object) -> int:
         """1-indexed depth of ``key`` (the root has depth 1)."""
-        node = self._root
-        depth = 0
-        while node is not None:
-            depth += 1
-            if key == node.key:
-                return depth
-            node = node.left if key < node.key else node.right
-        raise KeyNotFound(key)
+        node, depth = self.locate(key)
+        if node is None:
+            raise KeyNotFound(key)
+        return depth
 
     def memory_representation(self) -> Tuple[object, ...]:
         """A canonical encoding of the pointer structure.
@@ -186,27 +212,32 @@ class Treap(HIDictionary):
     # Queries
     # ------------------------------------------------------------------ #
 
+    def locate(self, key: object) -> Tuple[Optional[TreapNode], int]:
+        """The node holding ``key`` (``None`` if absent) and the number of
+        nodes the search visited — its depth when found."""
+        node = self._root
+        visited = 0
+        while node is not None:
+            visited += 1
+            if key == node.key:
+                return node, visited
+            node = node.left if key < node.key else node.right
+        return None, visited
+
     def contains(self, key: object) -> bool:
         """Whether ``key`` is stored."""
-        return self._find(key) is not None
+        return self.locate(key)[0] is not None
 
     def search(self, key: object) -> object:
         """Value stored under ``key``; raises :class:`KeyNotFound` otherwise."""
-        node = self._find(key)
+        node = self.locate(key)[0]
         if node is None:
             raise KeyNotFound(key)
         return node.value
 
     def search_comparisons(self, key: object) -> int:
         """Number of nodes visited when searching for ``key`` (found or not)."""
-        node = self._root
-        visited = 0
-        while node is not None:
-            visited += 1
-            if key == node.key:
-                break
-            node = node.left if key < node.key else node.right
-        return visited
+        return self.locate(key)[1]
 
     def minimum(self) -> Tuple[object, object]:
         """The smallest (key, value) pair; raises :class:`KeyNotFound` when empty."""
@@ -275,32 +306,19 @@ class Treap(HIDictionary):
 
     def insert(self, key: object, value: object = None) -> None:
         """Insert a new key; raises :class:`DuplicateKey` if it already exists."""
-        if self.contains(key):
+        if self.insert_walk(key, value)[2]:
             raise DuplicateKey(key)
-        priority = self._priority_of(key)
-        self._root = self._insert_node(self._root, TreapNode(key, value, priority))
-        self._count += 1
-        self.stats.operations += 1
 
     def upsert(self, key: object, value: object = None) -> bool:
         """Insert or overwrite ``key``; returns ``True`` if it already existed."""
-        node = self._find(key)
-        if node is not None:
-            node.value = value
-            return True
-        self.insert(key, value)
-        return False
+        return self.insert_walk(key, value, overwrite=True)[2]
 
     def delete(self, key: object) -> object:
         """Remove ``key`` and return its value; raises :class:`KeyNotFound` otherwise."""
-        node = self._find(key)
+        node = self.delete_walk(key)[1]
         if node is None:
             raise KeyNotFound(key)
-        value = node.value
-        self._root = self._delete_node(self._root, key)
-        self._count -= 1
-        self.stats.operations += 1
-        return value
+        return node.value
 
     def bulk_load(self, items: List[Tuple[object, object]]) -> None:
         """Insert every (key, value) pair of ``items`` (keys must be new)."""
@@ -308,73 +326,126 @@ class Treap(HIDictionary):
             self.insert(key, value)
 
     # ------------------------------------------------------------------ #
-    # Rotation-based internals
+    # One-walk updates
     # ------------------------------------------------------------------ #
 
-    def _insert_node(self, node: Optional[TreapNode],
-                     fresh: TreapNode) -> TreapNode:
-        if node is None:
-            return fresh
-        if fresh.key < node.key:
-            node.left = self._insert_node(node.left, fresh)
-            if node.left.priority > node.priority:
-                node = self._rotate_right(node)
+    def insert_walk(self, key: object, value: object = None,
+                    overwrite: bool = False) -> Tuple[int, int, bool]:
+        """Insert ``key`` in one root walk; returns ``(visited, depth, existed)``.
+
+        ``visited`` is the number of nodes the descent visited (what
+        :meth:`search_comparisons` reported before the call), ``depth`` the
+        key's depth afterwards (what :meth:`depth_of` reports after it).  A
+        key that is already stored stays where it is, with its value
+        overwritten only when ``overwrite`` is set, so ``visited == depth``.
+        """
+        path: List[TreapNode] = []
+        node = self._root
+        while node is not None:
+            if key == node.key:
+                if overwrite:
+                    node.value = value
+                return len(path) + 1, len(path) + 1, True
+            path.append(node)
+            node = node.left if key < node.key else node.right
+        visited = len(path)
+        fresh = TreapNode(key, value, self._priority_of(key))
+        # Rotate the new leaf above every ancestor it outranks.  Each rotation
+        # hands the ancestor the new node's inner subtree, so the ancestor's
+        # children are final and its height can be restored at once.
+        while path and path[-1].priority < fresh.priority:
+            parent = path.pop()
+            if key < parent.key:
+                parent.left = fresh.right
+                fresh.right = parent
+            else:
+                parent.right = fresh.left
+                fresh.left = parent
+            _restore_height(parent)
+        rotations = visited - len(path)
+        if rotations:
+            _restore_height(fresh)
+            self.stats.bump("treap.rotation", rotations)
+        if not path:
+            self._root = fresh
+        elif key < path[-1].key:
+            path[-1].left = fresh
         else:
-            node.right = self._insert_node(node.right, fresh)
-            if node.right.priority > node.priority:
-                node = self._rotate_left(node)
-        return node
+            path[-1].right = fresh
+        self._restore_heights(path)
+        self._count += 1
+        self.stats.operations += 1
+        return visited, len(path) + 1, False
 
-    def _delete_node(self, node: Optional[TreapNode],
-                     key: object) -> Optional[TreapNode]:
+    def delete_walk(self, key: object) -> Tuple[int, Optional[TreapNode]]:
+        """Remove ``key`` in one root walk; returns ``(visited, node)``.
+
+        ``visited`` is the number of nodes the descent visited (the key's
+        depth when it was stored); ``node`` is the unlinked node, or
+        ``None`` when the key is absent and nothing changed.
+        """
+        path: List[TreapNode] = []
+        node = self._root
+        while node is not None:
+            if key == node.key:
+                break
+            path.append(node)
+            node = node.left if key < node.key else node.right
         if node is None:
-            raise KeyNotFound(key)
-        if key < node.key:
-            node.left = self._delete_node(node.left, key)
-            return node
-        if key > node.key:
-            node.right = self._delete_node(node.right, key)
-            return node
-        # Rotate the node down until it is a leaf, then drop it.
-        if node.left is None:
-            return node.right
-        if node.right is None:
-            return node.left
-        if node.left.priority > node.right.priority:
-            node = self._rotate_right(node)
-            node.right = self._delete_node(node.right, key)
+            return len(path), None
+        visited = len(path) + 1
+        # Rotate the node below its higher-priority child until at most one
+        # child is left, then splice it out.  The pivots that rose keep one
+        # old subtree each; their heights are restored bottom-up afterwards.
+        parent = path[-1] if path else None
+        pivots: List[TreapNode] = []
+        left, right = node.left, node.right
+        while left is not None and right is not None:
+            if left.priority > right.priority:
+                pivot = left
+                node.left = pivot.right
+                pivot.right = node
+            else:
+                pivot = right
+                node.right = pivot.left
+                pivot.left = node
+            self._replace_child(parent, node, pivot)
+            parent = pivot
+            pivots.append(pivot)
+            left, right = node.left, node.right
+        self._replace_child(parent, node, right if left is None else left)
+        if pivots:
+            for pivot in reversed(pivots):
+                _restore_height(pivot)
+            self.stats.bump("treap.rotation", len(pivots))
+        self._restore_heights(path)
+        self._count -= 1
+        self.stats.operations += 1
+        return visited, node
+
+    def _replace_child(self, parent: Optional[TreapNode],
+                       old: TreapNode, new: Optional[TreapNode]) -> None:
+        """Put ``new`` where ``parent`` holds ``old`` (the root if no parent)."""
+        if parent is None:
+            self._root = new
+        elif parent.left is old:
+            parent.left = new
         else:
-            node = self._rotate_left(node)
-            node.left = self._delete_node(node.left, key)
-        return node
+            parent.right = new
 
-    def _rotate_right(self, node: TreapNode) -> TreapNode:
-        pivot = node.left
-        assert pivot is not None
-        node.left = pivot.right
-        pivot.right = node
-        self.stats.bump("treap.rotation")
-        return pivot
-
-    def _rotate_left(self, node: TreapNode) -> TreapNode:
-        pivot = node.right
-        assert pivot is not None
-        node.right = pivot.left
-        pivot.left = node
-        self.stats.bump("treap.rotation")
-        return pivot
+    @staticmethod
+    def _restore_heights(path: List[TreapNode]) -> None:
+        """Restore the heights along a root-first ``path``, bottom-up,
+        stopping at the first node whose height did not change — every
+        ancestor above it keeps its height too."""
+        for node in reversed(path):
+            height = node.height
+            if _restore_height(node) == height:
+                return
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-
-    def _find(self, key: object) -> Optional[TreapNode]:
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return node
-            node = node.left if key < node.key else node.right
-        return None
 
     def _walk(self, node: Optional[TreapNode]
               ) -> Iterator[Tuple[object, object]]:
@@ -384,17 +455,13 @@ class Treap(HIDictionary):
         yield node.key, node.value
         yield from self._walk(node.right)
 
-    def _height_of(self, node: Optional[TreapNode]) -> int:
-        if node is None:
-            return 0
-        return 1 + max(self._height_of(node.left), self._height_of(node.right))
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
 
     def check(self) -> None:
-        """Verify the BST and heap invariants; raises :class:`InvariantViolation`."""
+        """Verify the BST and heap invariants and every stored height;
+        raises :class:`InvariantViolation`."""
         keys = self.keys()
         if len(keys) != self._count:
             raise InvariantViolation("walk found %d keys, expected %d"
@@ -403,15 +470,22 @@ class Treap(HIDictionary):
             if not previous < current:
                 raise InvariantViolation("keys out of order: %r !< %r"
                                          % (previous, current))
-        self._check_heap(self._root)
+        self._check_subtree(self._root)
 
-    def _check_heap(self, node: Optional[TreapNode]) -> None:
+    def _check_subtree(self, node: Optional[TreapNode]) -> int:
+        """Check the heap order and stored heights below ``node``; returns
+        the subtree's height."""
         if node is None:
-            return
+            return 0
         for child in (node.left, node.right):
             if child is not None and child.priority > node.priority:
                 raise InvariantViolation(
                     "heap violation: child %r outranks parent %r"
                     % (child.key, node.key))
-        self._check_heap(node.left)
-        self._check_heap(node.right)
+        height = 1 + max(self._check_subtree(node.left),
+                         self._check_subtree(node.right))
+        if node.height != height:
+            raise InvariantViolation(
+                "node %r stores height %d, its subtree has height %d"
+                % (node.key, node.height, height))
+        return height

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.btreap import BTreap
 from repro.errors import ConfigurationError, DuplicateKey, KeyNotFound
 
+pytestmark = pytest.mark.fast
+
 
 # --------------------------------------------------------------------------- #
 # Construction and basic behaviour
@@ -176,6 +178,75 @@ def test_updates_charge_reads_and_writes():
     before_writes = btreap.stats.writes
     btreap.delete(1)
     assert btreap.stats.writes > before_writes
+
+
+def walked_height(node):
+    """The subtree height by a full recursive walk, ignoring stored heights."""
+    if node is None:
+        return 0
+    return 1 + max(walked_height(node.left), walked_height(node.right))
+
+
+def run_and_predict(btreap, op, key):
+    """Run one operation; return the ``(reads, writes)`` it should charge.
+
+    The prediction uses the formulas the B-treap charged before its
+    operations became single walks, recomputed here from the treap's own
+    ``search_comparisons`` and ``depth_of`` and a full-walk height.
+    """
+    treap = btreap._treap
+    blocks = lambda depth: max(1, btreap.blocks_on_path(depth))
+    probe = blocks(treap.search_comparisons(key))
+    if key not in treap:
+        if op in ("insert", "upsert"):
+            getattr(btreap, op)(key, key)
+            return probe, blocks(treap.depth_of(key))
+        if op == "contains":
+            assert not btreap.contains(key)
+        else:
+            with pytest.raises(KeyNotFound):
+                getattr(btreap, op)(key)
+        return probe, 0
+    depth = treap.depth_of(key)
+    if op == "insert":
+        with pytest.raises(DuplicateKey):
+            btreap.insert(key, key)
+        return probe, 0
+    if op == "upsert":
+        assert btreap.upsert(key, key) is True
+        return blocks(depth), blocks(treap.depth_of(key))
+    if op == "delete":
+        assert btreap.delete(key) == key
+        return blocks(depth), blocks(max(depth, walked_height(treap.root)))
+    assert btreap.contains(key) if op == "contains" \
+        else btreap.search(key) == key
+    return probe, 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_charges_match_the_walk_formulas_after_every_operation(seed):
+    """Every operation of a trace that deletes and re-inserts the same keys
+    charges what the formulas predict, and afterwards every stored height
+    equals a full walk."""
+    rng = random.Random(seed)
+    btreap = BTreap(block_size=rng.choice((2, 7, 16)), seed=seed)
+    pool = list(range(80))
+    ops = ("insert", "insert", "delete", "delete", "upsert", "contains",
+           "search")
+    for _step in range(400):
+        op, key = rng.choice(ops), rng.choice(pool)
+        reads, writes = btreap.stats.reads, btreap.stats.writes
+        expected = run_and_predict(btreap, op, key)
+        assert (btreap.stats.reads - reads,
+                btreap.stats.writes - writes) == expected, (op, key)
+        stack = [btreap._treap.root] if len(btreap) else []
+        while stack:
+            node = stack.pop()
+            assert node.height == walked_height(node), (op, key)
+            stack.extend(child for child in (node.left, node.right)
+                         if child is not None)
+    assert btreap.stats.operations > 0
+    btreap.check()
 
 
 def test_blocks_on_path_arithmetic():

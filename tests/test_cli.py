@@ -396,6 +396,35 @@ def test_serve_subprocess_serves_and_drains_on_sigint():
     assert "drained 1 namespace(s)" in stdout
 
 
+def test_serve_drains_a_sigterm_sent_as_soon_as_it_is_listening():
+    """The `listening on` line is a promise that a signal drains: a SIGTERM
+    sent the moment it appears still ends in a clean drain, exit 0."""
+    import signal
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--shards", "2",
+         "--seed", "5", "--structure", "b-treap", "--parallel", "process"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=root,
+        start_new_session=True)
+    try:
+        # One raw read returns the line as soon as the server writes it.
+        first = os.read(process.stdout.fileno(), 4096)
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=60)
+    finally:
+        # Whatever the server left running in its session (orphaned
+        # workers hold its stdout open) goes down with it.
+        try:
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    rest, stderr = process.communicate(timeout=60)
+    assert first.startswith(b"listening on 127.0.0.1:")
+    assert process.returncode == 0, stderr.decode()
+    assert "drained 1 namespace(s)" in (first + rest).decode()
+
+
 def test_serve_metrics_interval_prints_periodic_snapshots():
     """`--metrics-interval` emits `metrics: {...}` JSON lines while the
     server runs, and the ticker dies cleanly with the drain."""

@@ -389,6 +389,57 @@ def test_context_manager_closes_on_exit():
             os.kill(pid, 0)
 
 
+def _exited(pid):
+    """Whether ``pid`` is gone or a zombie (exited, not yet reaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open("/proc/%d/stat" % pid) as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed parent cannot shut its workers down; each worker must
+    notice the parent is gone (its pipe reads EOF) and exit by itself."""
+    code = textwrap.dedent("""
+        import time
+        from repro.api import make_sharded_engine
+
+        engine = make_sharded_engine("b-treap", shards=2, seed=1,
+                                     parallel="process", max_workers=2)
+        engine.insert_many((key, -key) for key in range(100))
+        print(*engine.worker_pids(), flush=True)
+        time.sleep(120)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.kill()
+        parent.wait(timeout=30)
+        deadline = time.time() + 5.0
+        while not all(_exited(pid) for pid in pids) \
+                and time.time() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if not _exited(pid)]
+        assert survivors == [], "workers outlived their killed parent"
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+        for pid in pids:
+            if not _exited(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 # --------------------------------------------------------------------------- #
 # The unpicklable-reply fallback error (regression: the original exception
 # type used to vanish behind a generic "did not pickle")

@@ -1,12 +1,15 @@
 """The in-memory treap: dictionary behaviour, unique representation, invariants."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DuplicateKey, KeyNotFound
-from repro.treap.treap import Treap, salted_priority
+from repro.errors import DuplicateKey, InvariantViolation, KeyNotFound
+from repro.treap.treap import SaltedPriority, Treap, salted_priority
+
+pytestmark = pytest.mark.fast
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +191,30 @@ def test_salted_priority_is_deterministic_per_salt():
     assert salted_priority(salt_a, 123) != salted_priority(salt_b, 123)
 
 
+def test_salted_priority_object_matches_the_function_and_pickles():
+    salt = bytes(range(16))
+    priority = SaltedPriority(salt)
+    keys = [0, 1, -7, 2**70, "key", ("a", 1), 3.5, None]
+    assert [priority(key) for key in keys] \
+        == [salted_priority(salt, key) for key in keys]
+    revived = pickle.loads(pickle.dumps(priority))
+    assert revived.salt == salt
+    assert [revived(key) for key in keys] == [priority(key) for key in keys]
+
+
+def test_a_pickled_treap_keeps_its_shape_and_keeps_working():
+    treap = Treap(seed=8)
+    for key in range(100):
+        treap.insert(key, -key)
+    revived = pickle.loads(pickle.dumps(treap))
+    assert revived.memory_representation() == treap.memory_representation()
+    for copy in (treap, revived):
+        copy.insert(1000, 0)
+        copy.delete(50)
+        copy.check()
+    assert revived.memory_representation() == treap.memory_representation()
+
+
 def test_expected_logarithmic_height():
     rng = random.Random(9)
     n = 2000
@@ -199,6 +226,78 @@ def test_expected_logarithmic_height():
         heights.append(treap.height)
     # Expected depth is ~1.39 log2 n ≈ 15; allow generous slack.
     assert max(heights) < 60
+
+
+# --------------------------------------------------------------------------- #
+# Stored subtree heights
+# --------------------------------------------------------------------------- #
+
+def walked_height(node):
+    """The subtree height by a full recursive walk, ignoring stored heights."""
+    if node is None:
+        return 0
+    return 1 + max(walked_height(node.left), walked_height(node.right))
+
+
+def assert_heights_are_exact(treap):
+    """Every node's stored height equals a recursive walk of its subtree."""
+    stack = [treap.root] if treap.root is not None else []
+    while stack:
+        node = stack.pop()
+        assert node.height == walked_height(node), node.key
+        stack.extend(child for child in (node.left, node.right)
+                     if child is not None)
+    assert treap.height == walked_height(treap.root)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stored_heights_match_a_full_walk_after_every_operation(seed):
+    rng = random.Random(seed)
+    treap = Treap(seed=seed)
+    pool = list(range(60))
+    stored = set()
+    for _step in range(400):
+        key = rng.choice(pool)
+        if key in stored:
+            assert treap.delete(key) == -key
+            stored.discard(key)
+        else:
+            treap.insert(key, -key)
+            stored.add(key)
+        assert_heights_are_exact(treap)
+    assert treap.keys() == sorted(stored)
+    assert treap.stats.counters["treap.rotation"] > 0
+
+
+def test_an_insert_that_splits_a_chain_lowers_the_stored_heights():
+    """A high-priority key landing in the middle of a chain rotates up and
+    cuts the chain in two, so the heights on its path *shrink* — all the way
+    up to the root, two levels above where the new key settles."""
+    priorities = {30: 200, 31: 150, 10: 100, 5: 90, 15.5: 80}
+    priorities.update({key: 50 - key for key in range(11, 21)})
+    priorities.update({key: 40 + key for key in (2, 7, 1, 3, 6, 8)})
+    treap = Treap(seed=0, priority_of=priorities.__getitem__)
+    for key in [30, 31, 10, 5, 2, 7, 1, 3, 6, 8] + list(range(11, 21)):
+        treap.insert(key, None)
+    middle = treap.root.left
+    assert (treap.root.key, middle.key) == (30, 10)
+    assert middle.right.height == 10  # the chain 11, 12, ..., 20
+    assert (middle.height, treap.height) == (11, 12)
+    treap.insert(15.5, None)
+    assert middle.right.key == 15.5
+    assert_heights_are_exact(treap)
+    assert middle.right.height == 6
+    assert (middle.height, treap.height) == (7, 8)
+    treap.check()
+
+
+def test_check_rejects_a_stale_stored_height():
+    treap = Treap(seed=1)
+    for key in range(20):
+        treap.insert(key, None)
+    treap.root.height += 1
+    with pytest.raises(InvariantViolation):
+        treap.check()
 
 
 # --------------------------------------------------------------------------- #
