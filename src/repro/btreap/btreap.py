@@ -218,7 +218,7 @@ class BTreap(HIDictionary):
         """Number of blocks a root-to-depth-``depth`` path crosses (depth 1-indexed)."""
         if depth <= 0:
             return 0
-        return math.ceil(depth / self.levels_per_block)
+        return -(-depth // self.levels_per_block)
 
     def _probe_depth(self, key: object) -> int:
         """Depth reached when searching for ``key`` (number of nodes visited)."""

@@ -73,9 +73,10 @@ class TreapNode:
 def _restore_height(node: TreapNode) -> int:
     """Recompute ``node.height`` from its children's stored heights."""
     left, right = node.left, node.right
-    height = 1 + max(0 if left is None else left.height,
-                     0 if right is None else right.height)
-    node.height = height
+    left_height = 0 if left is None else left.height
+    right_height = 0 if right is None else right.height
+    node.height = height = 1 + (left_height if left_height > right_height
+                                else right_height)
     return height
 
 
