@@ -1,4 +1,5 @@
-"""Workload-size scaling shared by the benchmark files.
+"""Workload-size scaling, and the engine counter reader, shared by the
+benchmark files.
 
 Kept in its own module (rather than ``conftest.py``) so the benches can import
 it explicitly without relying on pytest's conftest import mechanics.
@@ -49,3 +50,13 @@ def scaled_sweep(*values: int, minimum: int = 1) -> list:
         if size not in sweep:
             sweep.append(size)
     return sweep
+
+
+def counters(engine, family: str) -> dict:
+    """An engine's ``family.*`` counters (``plane``, ``erasure``,
+    ``replica_reads``) from one ``telemetry()`` snapshot, keyed by the
+    name after the family prefix."""
+    prefix = family + "."
+    return {name[len(prefix):]: value
+            for name, value in engine.telemetry().items()
+            if name.startswith(prefix)}

@@ -51,7 +51,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:  # keep `python benchmarks/baseline.py` PYTHONPATH-free
     sys.path.insert(0, _SRC)
 
-from _harness import scaled, smoke_mode  # noqa: E402
+from _harness import counters, scaled, smoke_mode  # noqa: E402
 
 #: Structures gated by the baseline (one per accounting style plus the
 #: strongly-HI treap family).
@@ -65,7 +65,7 @@ SHARDS = 4
 
 def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
     """All gated metrics (deterministic ints) plus informational metadata."""
-    from repro.api import DictionaryEngine, make_sharded_engine
+    from repro.api import DictionaryEngine, EngineConfig, make_sharded_engine
     from repro.workloads import elastic_churn_trace, zipf_mixed_trace
 
     operations = scaled(4_000)
@@ -117,14 +117,10 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
 
     durability_dir = tempfile.mkdtemp(prefix="repro-bench-plane-")
     try:
-        engine = make_sharded_engine("b-treap", shards=SHARDS,
-                                     block_size=BLOCK_SIZE,
-                                     seed=STRUCTURE_SEED,
-                                     router="consistent",
-                                     parallel="process",
-                                     replication=2,
-                                     durability_dir=durability_dir,
-                                     telemetry=True)
+        engine = make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=SHARDS, block_size=BLOCK_SIZE,
+            seed=STRUCTURE_SEED, router="consistent", parallel="process",
+            replication=2, durability_dir=durability_dir, telemetry=True))
         # Telemetry runs *enabled* on this scenario on purpose: the gate
         # itself proves tracing does not perturb the crossing counters.  The
         # tracer's counters are deterministic too — span/crossing counts
@@ -136,9 +132,9 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
             engine.insert_many(bulk_entries)
             engine.contains_many(bulk_probes)
             engine.delete_many(bulk_doomed)
-            for name, value in sorted(engine.plane_stats().items()):
-                metrics["plane.%s" % name] = int(value)
             telemetry = engine.telemetry()
+            for name in ("coalesced", "fsync_batches"):
+                metrics["plane.%s" % name] = int(telemetry["plane." + name])
             for name in ("spans", "crossings", "worker_spans", "slow_ops",
                          "snapshot_merges"):
                 metrics["telemetry.%s" % name] = \
@@ -158,20 +154,17 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
 
     secure_dir = tempfile.mkdtemp(prefix="repro-bench-secure-")
     try:
-        engine = make_sharded_engine("b-treap", shards=SHARDS,
-                                     block_size=BLOCK_SIZE,
-                                     seed=STRUCTURE_SEED,
-                                     router="consistent",
-                                     parallel="process",
-                                     replication=2,
-                                     durability_dir=secure_dir,
-                                     durability_mode="secure")
+        engine = make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=SHARDS, block_size=BLOCK_SIZE,
+            seed=STRUCTURE_SEED, router="consistent", parallel="process",
+            replication=2, durability_dir=secure_dir,
+            durability_mode="secure"))
         try:
             engine.insert_many(bulk_entries)
             engine.barrier()
             engine.delete_many(bulk_doomed)
             engine.barrier()
-            erasure = engine.erasure_stats()
+            erasure = counters(engine, "erasure")
         finally:
             engine.close()
         metrics["secure.barriers"] = erasure["barriers"]
@@ -193,13 +186,10 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
     # second replica and letting the digest sweep repair it.  A regression
     # means reads stopped fanning over the ring — or the divergence
     # defences stopped firing.
-    engine = make_sharded_engine("b-treap", shards=SHARDS,
-                                 block_size=BLOCK_SIZE,
-                                 seed=STRUCTURE_SEED,
-                                 router="consistent",
-                                 parallel="process",
-                                 replication=3,
-                                 read_policy="round-robin")
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=SHARDS, block_size=BLOCK_SIZE,
+        seed=STRUCTURE_SEED, router="consistent", parallel="process",
+        replication=3, read_policy="round-robin"))
     try:
         engine.insert_many(bulk_entries)
         engine.contains_many(bulk_probes)
@@ -216,7 +206,7 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
             .replicas[0].delete(second_key)
         sweep = engine.anti_entropy()
         assert sweep["reseeded"] == 1, sweep
-        replica_stats = engine.replica_read_stats()
+        replica_stats = counters(engine, "replica_reads")
     finally:
         engine.close()
     for name in ("replica_reads", "demotions", "anti_entropy_reseeds"):
@@ -224,9 +214,9 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
 
     churn = elastic_churn_trace(operations, phases=2, seed=WORKLOAD_SEED)
     for router in ("modulo", "consistent"):
-        engine = make_sharded_engine("b-tree", shards=SHARDS,
-                                     block_size=BLOCK_SIZE,
-                                     seed=STRUCTURE_SEED, router=router)
+        engine = make_sharded_engine(EngineConfig(
+            inner="b-tree", shards=SHARDS, block_size=BLOCK_SIZE,
+            seed=STRUCTURE_SEED, router=router))
         engine.build_from_trace(churn)
         metrics["sharded_build_ios.%s" % router] = engine.io_stats().total_ios
         report = engine.add_shard()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from repro.analysis.reporting import format_table, write_results
-from repro.api import make_sharded_engine
+from repro.api import EngineConfig, make_sharded_engine
 from repro.workloads import elastic_churn_trace
 
 from _harness import scaled
@@ -39,10 +39,12 @@ def test_migration_volume_modulo_vs_consistent(run_once, results_dir):
     def workload():
         rows = []
         for router in ("modulo", "consistent"):
-            engine = make_sharded_engine(
-                INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=1,
-                router=router,
-                vnodes=VNODES if router == "consistent" else None)
+            spec = {"name": router}
+            if router == "consistent":
+                spec["vnodes"] = VNODES
+            engine = make_sharded_engine(EngineConfig(
+                inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=1,
+                router=spec))
             engine.build_from_trace(trace)
             keys = len(engine)
             grow = engine.add_shard()
@@ -98,9 +100,9 @@ def test_parallel_dispatch_identity_and_timing(run_once, results_dir):
     probes = [key for key, _value in entries[::3]]
 
     def drive(parallel):
-        engine = make_sharded_engine(INNER, shards=SHARDS,
-                                     block_size=BLOCK_SIZE, seed=2,
-                                     router="consistent", parallel=parallel)
+        engine = make_sharded_engine(EngineConfig(
+            inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=2,
+            router="consistent", parallel=parallel))
         started = time.perf_counter()
         engine.insert_many(entries)
         contains = engine.contains_many(probes)

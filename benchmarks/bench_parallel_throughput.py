@@ -29,10 +29,10 @@ import platform
 import time
 
 from repro.analysis.reporting import format_table, write_results
-from repro.api import make_sharded_engine
+from repro.api import EngineConfig, make_sharded_engine
 from repro.api.process_engine import _default_start_method
 
-from _harness import scaled, smoke_mode
+from _harness import counters, scaled, smoke_mode
 
 INNER = "hi-skiplist"
 BLOCK_SIZE = 32
@@ -67,9 +67,9 @@ def usable_cores() -> int:
 
 def drive(mode: str, shards: int, entries, probes):
     """One backend run: returns (row, contains result, fingerprint)."""
-    engine = make_sharded_engine(INNER, shards=shards, block_size=BLOCK_SIZE,
-                                 seed=SEED, router="consistent",
-                                 parallel=mode)
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=shards, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel=mode))
     try:
         started = time.perf_counter()
         engine.insert_many(entries)
@@ -87,11 +87,11 @@ def drive(mode: str, shards: int, entries, probes):
             "contains_seconds": round(contains_seconds, 4),
             "ops_per_second": int(round(operations / total)) if total else 0,
         }
-        plane_stats = getattr(engine, "plane_stats", None)
-        if callable(plane_stats):
-            # Deterministic crossing counters, recorded for trajectory
-            # context (the gated copies live in BENCH_smoke.json).
-            stats = plane_stats()
+        stats = counters(engine, "plane")
+        if stats:
+            # Deterministic crossing counters of the process engine,
+            # recorded for trajectory context (the gated copies live in
+            # BENCH_smoke.json).
             row["plane_stats"] = stats
             row["fsync_batches"] = stats["fsync_batches"]
         return row, contains, fingerprint
@@ -103,11 +103,10 @@ def drive(mode: str, shards: int, entries, probes):
 
 def drive_replica_reads(read_policy: str, entries, probes, rounds: int):
     """One read-heavy replicated run; returns (row, contains result)."""
-    engine = make_sharded_engine(INNER, shards=REPLICA_SHARDS,
-                                 block_size=BLOCK_SIZE, seed=SEED,
-                                 router="consistent", parallel="process",
-                                 replication=REPLICA_FACTOR,
-                                 read_policy=read_policy)
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=REPLICA_SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=REPLICA_FACTOR,
+        read_policy=read_policy))
     try:
         engine.insert_many(entries)
         contains = None
@@ -123,7 +122,7 @@ def drive_replica_reads(read_policy: str, entries, probes, rounds: int):
             "read_rounds": rounds,
             "read_seconds": round(seconds, 4),
             "reads_per_second": int(round(reads / seconds)) if seconds else 0,
-            "replica_read_stats": engine.replica_read_stats(),
+            "replica_read_stats": counters(engine, "replica_reads"),
         }
         return row, contains
     finally:

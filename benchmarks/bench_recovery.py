@@ -41,9 +41,9 @@ import signal
 import time
 
 from repro.analysis.reporting import format_table, write_results
-from repro.api import make_sharded_engine
+from repro.api import EngineConfig, make_sharded_engine
 
-from _harness import scaled, smoke_mode
+from _harness import counters, scaled, smoke_mode
 
 INNER = "b-treap"
 BLOCK_SIZE = 32
@@ -65,8 +65,9 @@ def _kill_and_wait(engine, position) -> None:
 
 
 def _twin_items(entries, tail):
-    twin = make_sharded_engine(INNER, shards=SHARDS, block_size=BLOCK_SIZE,
-                               seed=SEED, router="consistent")
+    twin = make_sharded_engine(EngineConfig(inner=INNER, shards=SHARDS,
+                                            block_size=BLOCK_SIZE, seed=SEED,
+                                            router="consistent"))
     twin.insert_many(entries)
     twin.insert_many(tail)
     return twin.items()
@@ -80,11 +81,10 @@ def drive(mode: str, total: int, tmp_dir: str):
     replication = 2 if mode == "promotion" else 1
     durability = None if mode == "promotion" \
         else os.path.join(tmp_dir, mode.replace("+", "-"))
-    engine = make_sharded_engine(INNER, shards=SHARDS,
-                                 block_size=BLOCK_SIZE, seed=SEED,
-                                 router="consistent", parallel="process",
-                                 replication=replication,
-                                 durability_dir=durability)
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=replication,
+        durability_dir=durability))
     try:
         engine.insert_many(entries)
         if mode == "snapshot":
@@ -127,11 +127,10 @@ def drive_secure(total: int, tmp_dir: str):
     tail = [(key, 10 ** 9 + key) for key in range(half, total)]
     doomed = [key for key, _value in entries[::3]]
     directory = os.path.join(tmp_dir, "secure-snapshot-log")
-    engine = make_sharded_engine(INNER, shards=SHARDS,
-                                 block_size=BLOCK_SIZE, seed=SEED,
-                                 router="consistent", parallel="process",
-                                 replication=1, durability_dir=directory,
-                                 durability_mode="secure")
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=1,
+        durability_dir=directory, durability_mode="secure"))
     try:
         engine.insert_many(entries)
         engine.checkpoint()        # half imaged ...
@@ -145,9 +144,9 @@ def drive_secure(total: int, tmp_dir: str):
         assert report.positions, "nothing recovered?"
         recovered = engine.items()
         doomed_set = set(doomed)
-        twin = make_sharded_engine(INNER, shards=SHARDS,
-                                   block_size=BLOCK_SIZE, seed=SEED,
-                                   router="consistent")
+        twin = make_sharded_engine(EngineConfig(
+            inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+            router="consistent"))
         twin.insert_many([(key, value) for key, value in entries + tail
                           if key not in doomed_set])
         assert recovered == twin.items(), (
@@ -178,11 +177,10 @@ def drive_erasure(tmp_dir: str):
     total = scaled(int(os.environ.get("REPRO_ERASURE_BENCH_KEYS",
                                       "1000000")))
     directory = os.path.join(tmp_dir, "erasure")
-    engine = make_sharded_engine(INNER, shards=SHARDS,
-                                 block_size=BLOCK_SIZE, seed=SEED,
-                                 router="consistent", parallel="process",
-                                 replication=1, durability_dir=directory,
-                                 durability_mode="secure")
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=1,
+        durability_dir=directory, durability_mode="secure"))
     try:
         engine.insert_many((key, 10 ** 9 + key) for key in range(total))
         doomed = list(range(0, total, 3))
@@ -191,7 +189,7 @@ def drive_erasure(tmp_dir: str):
         barrier = engine.barrier()
         seconds = time.perf_counter() - started
         assert barrier == {"deletes": len(doomed), "redacted": True}
-        stats = engine.erasure_stats()
+        stats = counters(engine, "erasure")
     finally:
         engine.close()
     sample = doomed[:100] + doomed[-100:]
@@ -218,10 +216,10 @@ def drive_availability(total: int):
     degraded -> recovered)."""
     entries = [(key * 7 % (total * 13), key) for key in range(total)]
     probes = [key for key, _value in entries[::2]]
-    engine = make_sharded_engine(INNER, shards=SHARDS,
-                                 block_size=BLOCK_SIZE, seed=SEED,
-                                 router="consistent", parallel="process",
-                                 replication=2, read_policy="round-robin")
+    engine = make_sharded_engine(EngineConfig(
+        inner=INNER, shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=2,
+        read_policy="round-robin"))
 
     def timed_reads():
         started = time.perf_counter()
@@ -241,7 +239,7 @@ def drive_availability(total: int):
         recovered, recovered_seconds = timed_reads()
         assert recovered == reference, (
             "post-recovery reads diverged from the healthy answers")
-        stats = engine.replica_read_stats()
+        stats = counters(engine, "replica_reads")
     finally:
         engine.close()
 

@@ -25,7 +25,7 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.reporting import format_table
-from repro.api import make_sharded_engine
+from repro.api import EngineConfig, make_sharded_engine
 from repro.workloads import elastic_churn_trace
 
 SHARDS = 3
@@ -34,8 +34,9 @@ KEYS = 6_000
 
 def migration_story(router: str):
     """Load, grow by one shard, shrink back; return the two reports."""
-    engine = make_sharded_engine("hi-skiplist", shards=SHARDS, block_size=32,
-                                 seed=7, router=router)
+    engine = make_sharded_engine(EngineConfig(inner="hi-skiplist",
+                                              shards=SHARDS, block_size=32,
+                                              seed=7, router=router))
     engine.build_from_trace(elastic_churn_trace(KEYS, phases=2, seed=2016))
     grow = engine.add_shard()
     shrink = engine.remove_shard(engine.num_shards - 1)
@@ -65,14 +66,15 @@ def main() -> None:
     print("consistent-hash ring moves only what the new shard map demands.")
     print()
 
-    sequential = make_sharded_engine("hi-skiplist", shards=4, block_size=32,
-                                     seed=9, router="consistent")
+    sequential = make_sharded_engine(EngineConfig(inner="hi-skiplist",
+                                                  shards=4, block_size=32,
+                                                  seed=9, router="consistent"))
     entries = [(key, key * 7) for key in range(0, 40_000, 5)]
     sequential.insert_many(entries)
     probes = [key for key, _value in entries[::9]]
-    with make_sharded_engine("hi-skiplist", shards=4, block_size=32,
-                             seed=9, router="consistent",
-                             parallel="process") as parallel:
+    with make_sharded_engine(EngineConfig(
+            inner="hi-skiplist", shards=4, block_size=32, seed=9,
+            router="consistent", parallel="process")) as parallel:
         parallel.insert_many(entries)
         identical = (parallel.items() == sequential.items()
                      and parallel.contains_many(probes)

@@ -24,14 +24,15 @@ import shutil
 import tempfile
 
 from repro.analysis.reporting import format_table
-from repro.api import ShardedDictionaryEngine, make_sharded_engine
+from repro.api import EngineConfig, ShardedDictionaryEngine, make_sharded_engine
 from repro.workloads import zipf_mixed_trace
 
 
 def main() -> None:
     shards = 4
-    engine = make_sharded_engine("hi-skiplist", shards=shards, block_size=32,
-                                 cache_blocks=4, seed=7)
+    engine = make_sharded_engine(EngineConfig(inner="hi-skiplist",
+                                              shards=shards, block_size=32,
+                                              cache_blocks=4, seed=7))
     trace = zipf_mixed_trace(12_000, skew=1.2, seed=2016)
     engine.build_from_trace(trace)
 

@@ -38,7 +38,7 @@ import random
 import tempfile
 
 from repro import ClassicPMA, HistoryIndependentPMA
-from repro.api import make_sharded_engine
+from repro.api import EngineConfig, make_sharded_engine
 from repro.history.forensics import (
     audit_durability_dir,
     detect_density_anomaly,
@@ -84,11 +84,10 @@ def observer_report(name: str, image, rebuild) -> None:
 def steal_durability_dir(mode: str, directory: str):
     """Operator side, act two: a durable store deletes records, then the
     whole durability directory (checkpoints + op logs) is stolen."""
-    engine = make_sharded_engine("b-treap", shards=3, block_size=16,
-                                 seed=2016, router="consistent",
-                                 parallel="process", replication=2,
-                                 durability_dir=directory,
-                                 durability_mode=mode)
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=3, block_size=16, seed=2016,
+        router="consistent", parallel="process", replication=2,
+        durability_dir=directory, durability_mode=mode))
     try:
         entries = [(key, 10 ** 9 + key) for key in range(240)]
         engine.insert_many(entries)

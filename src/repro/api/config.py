@@ -1,22 +1,19 @@
 """One typed, serializable description of a sharded engine deployment.
 
-:func:`~repro.api.sharded.make_sharded_engine` grew one keyword argument
-per PR — router, vnodes, weights, parallel, max_workers,
-replication, durability_dir, durability_mode, fsync — and every consumer
-(CLI commands, the durability manifest, now the network server handshake)
-re-spelled the same sprawl.  :class:`EngineConfig` is the one object they
-all share:
+:class:`EngineConfig` is the only way to configure a sharded engine, and
+every consumer (CLI commands, the durability manifest, the network server
+handshake) passes the same object:
 
-* ``make_sharded_engine(config=cfg)`` is the primary spelling; the legacy
-  keyword arguments still work and delegate here.
+* ``make_sharded_engine(config)`` takes one config and nothing else, and
+  :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine` takes
+  ``(structure, config)``.
 * :meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict` round-trip
   through plain JSON-safe dicts, so the durability manifest embeds the
   config it was built from and the server hands it to clients at
   handshake.
-* :meth:`EngineConfig.validate` centralises the cross-field rules
-  (replication/durability require the process backend, secure mode
-  requires a durability directory, ...) that used to live inline in
-  ``make_sharded_engine``.
+* :meth:`EngineConfig.validate` owns the deployment rules (worker caps,
+  replication/durability require the process backend, secure mode
+  requires a durability directory, ...); the engines do not repeat them.
 
 The config is *frozen*: derive variants with :func:`dataclasses.replace`.
 """
@@ -29,8 +26,8 @@ from typing import Dict, Mapping, Optional
 from repro.api.routing import make_router
 from repro.errors import ConfigurationError
 
-#: Parallel dispatch backends accepted by :func:`make_sharded_engine`
-#: (re-exported from :mod:`repro.api.sharded` for backward compatibility).
+#: Parallel dispatch backends a config may name (re-exported from
+#: :mod:`repro.api.sharded` for backward compatibility).
 PARALLEL_MODES = ("none", "process")
 
 #: Read routing policies for a process engine with replicas.  ``"primary"``
@@ -87,6 +84,18 @@ class EngineConfig:
     passed — a name, a spec mapping, or a built router), and ``parallel``
     becomes a mode name.  ``vnodes``/``weights`` fold into the router
     spec; pass them inside the ``router`` mapping (or a built router).
+
+    ``inner`` (one registry name, or one per shard), ``shards``,
+    ``block_size``, ``cache_blocks``, ``seed``, ``backend`` and
+    ``inner_params`` build the shards through the registry; ``router``
+    routes keys to them.  ``parallel`` picks the dispatch backend and
+    ``max_workers`` caps the process pool.  ``replication``,
+    ``read_policy`` (:data:`READ_POLICIES`), ``durability_dir`` and
+    ``durability_mode`` (:data:`DURABILITY_MODES`) make the process
+    backend a replicated, durable store; ``fsync=False`` trades
+    machine-crash durability for speed (process crashes stay covered).
+    ``sample_operations`` records per-operation I/O samples, and
+    ``telemetry`` turns request tracing on.
     """
 
     inner: object = "hi-skiplist"
@@ -124,11 +133,11 @@ class EngineConfig:
     def validate(self) -> "EngineConfig":
         """Check the cross-field deployment rules; return ``self``.
 
-        Field-level validation (block sizes, registry names, router
-        shapes) still happens where it always did — in the registry and
-        the engine constructors — so a config that passes here can still
-        be rejected there; this method owns only the rules that relate
-        *deployment* fields to each other.
+        Structure-level validation (block sizes, registry names, router
+        shapes) still happens in the registry, so a config that passes
+        here can still be rejected there; this method owns the
+        *deployment* fields (workers, copies, durability, tracing) and
+        the rules that relate them to each other.
         """
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
                 or self.shards < 1:
@@ -138,6 +147,13 @@ class EngineConfig:
             raise ConfigurationError(
                 "max_workers only applies to the process backend; "
                 "pass parallel='process'")
+        if self.max_workers is not None and (
+                not isinstance(self.max_workers, int)
+                or isinstance(self.max_workers, bool)
+                or self.max_workers < 1):
+            raise ConfigurationError(
+                "max_workers must be an integer >= 1 (or None for one "
+                "worker per shard), got %r" % (self.max_workers,))
         if not isinstance(self.replication, int) \
                 or isinstance(self.replication, bool) \
                 or self.replication < 1:

@@ -208,31 +208,19 @@ class DictionaryEngine:
                                (perf_counter() - started) * 1000.0)
 
     def telemetry(self) -> Dict[str, object]:
-        """One namespaced snapshot of every stats surface this engine has.
+        """One namespaced snapshot of this engine's telemetry.
 
-        Folds the registry (counters, gauges, histograms) with the
-        adapters for the four legacy surfaces — ``engine_io.*`` from
-        :meth:`io_stats`, ``plane.*`` from the process engine's
-        ``plane_stats()``, ``erasure.*`` from its ``erasure_stats()`` and
-        ``replica_reads.*`` from its ``replica_read_stats()`` — plus the
-        tracer's deterministic ``telemetry.*`` counters.  Every fold
-        counts as a registry merge, reported as
-        ``telemetry.snapshot_merges``.
+        The registry (counters, gauges, histograms — the process engine's
+        ``plane.*``, ``erasure.*`` and ``replica_reads.*`` counters among
+        them) plus ``engine_io.*`` from :meth:`io_stats`, whose fold counts
+        as a registry merge (``telemetry.snapshot_merges``), and the
+        tracer's deterministic ``telemetry.*`` counters.
         """
         snap: Dict[str, object] = self.metrics.snapshot()
         stats = self.io_stats()
         for field in _IO_FIELDS:
             snap["engine_io." + field] = getattr(stats, field)
         self.metrics.merges += 1
-        for prefix, hook_name in (("plane", "plane_stats"),
-                                  ("erasure", "erasure_stats"),
-                                  ("replica_reads", "replica_read_stats")):
-            hook = getattr(self, hook_name, None)
-            if not callable(hook):
-                continue
-            for name, value in sorted(hook().items()):
-                snap["%s.%s" % (prefix, name)] = value
-            self.metrics.merges += 1
         for name, value in self.tracer.snapshot().items():
             snap["telemetry." + name] = value
         snap["telemetry.snapshot_merges"] = self.metrics.merges

@@ -5,9 +5,9 @@ registry's CPU-bound inner structures.  :class:`ProcessShardedDictionaryEngine`
 instead hosts every shard's structure inside a long-lived **worker
 process** and drives it over a pickled command pipe, so per-shard batches
 execute on separate cores.  It is the one engine behind every
-``parallel="process"`` configuration: ``replication`` adds copies,
-``durability_dir`` adds on-disk state, and ``replication=1`` with no
-directory is its simplest setting.
+``parallel="process"`` :class:`~repro.api.config.EngineConfig`:
+``replication`` adds copies, ``durability_dir`` adds on-disk state, and
+``replication=1`` with no directory is its simplest setting.
 
 Design
 ------
@@ -77,14 +77,25 @@ Bulk calls that *succeed* return results, layouts and counters identical
 to the sequential engine; when a batch raises, the same exception
 surfaces, but other shards' already-dispatched batches run to completion.
 
-Build one through the usual convenience constructor::
+Build one from a config, like every sharded engine::
 
-    from repro.api import make_sharded_engine
+    from repro.api import EngineConfig, make_sharded_engine
 
-    with make_sharded_engine("hi-skiplist", shards=4,
-                             parallel="process") as engine:
+    config = EngineConfig(inner="hi-skiplist", shards=4, parallel="process")
+    with make_sharded_engine(config) as engine:
         engine.insert_many((key, key) for key in range(100_000))
         engine.contains_many(range(0, 100_000, 7))
+
+Its deterministic counters live in the engine's metrics registry, created
+at zero so every :meth:`~repro.api.engine.DictionaryEngine.telemetry`
+snapshot names them: ``plane.coalesced`` (pipe crossings saved by
+coalescing) and ``plane.fsync_batches`` (group-commit points);
+``erasure.barriers``, ``erasure.deletes_flushed``,
+``erasure.frames_dropped`` and ``erasure.redactions`` (secure-mode
+accounting); ``replica_reads.replica_reads``, ``replica_reads.demotions``
+and ``replica_reads.anti_entropy_reseeds`` (read routing).  They are pure
+functions of workload and topology, so ``benchmarks/baseline.py`` gates
+them.
 """
 
 from __future__ import annotations
@@ -114,7 +125,7 @@ from typing import (
 )
 
 from repro import failpoints
-from repro.api.config import DURABILITY_MODES, READ_POLICIES
+from repro.api.config import EngineConfig
 from repro.api.engine import DictionaryEngine
 from repro.api.protocol import HIDictionary, Pair
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
@@ -148,6 +159,15 @@ _MUTATORS = frozenset(("insert", "upsert", "delete"))
 #: worker never reads the EOF that tells it the parent is gone.
 _PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
+#: The engine's deterministic counters (see the module docstring).
+_COUNTERS = (
+    "plane.coalesced", "plane.fsync_batches",
+    "erasure.barriers", "erasure.deletes_flushed", "erasure.frames_dropped",
+    "erasure.redactions",
+    "replica_reads.replica_reads", "replica_reads.demotions",
+    "replica_reads.anti_entropy_reseeds",
+)
+
 #: Read methods always served by the primary, whatever the read policy.
 #: ``io_stats`` is a *measurement*: replica-served reads charge the
 #: replica's own trackers, so only the primary's counters stay comparable
@@ -170,9 +190,9 @@ def _recovery():
 def _default_start_method() -> str:
     """``fork`` where the platform has it (fast, no re-import), else spawn.
 
-    The ``REPRO_START_METHOD`` environment variable overrides the choice —
-    that is how CI runs the fault-injection suite under both start methods
-    without threading a parameter through every constructor.
+    The ``REPRO_START_METHOD`` environment variable overrides the choice.
+    It is the only start-method selector (no constructor takes one), and
+    it is how CI runs the fault-injection suites under both start methods.
     """
     methods = multiprocessing.get_all_start_methods()
     override = os.environ.get("REPRO_START_METHOD")
@@ -727,18 +747,17 @@ class _ReadPolicyState:
     versions the proxies' cached live-replica lists — bumped whenever a
     :class:`~repro.errors.WorkerCrashError` is observed or the topology
     changes, so the hot read path never pays an ``is_alive`` syscall per
-    operation.  ``stats`` holds the deterministic ``replica_reads.*``
-    counters the bench baseline gates.
+    operation.  ``metrics`` is the engine's registry, where the proxies
+    count ``replica_reads.*``.
     """
 
-    __slots__ = ("policy", "barrier_epoch", "liveness_epoch", "stats")
+    __slots__ = ("policy", "barrier_epoch", "liveness_epoch", "metrics")
 
-    def __init__(self, policy: str) -> None:
+    def __init__(self, policy: str, metrics) -> None:
         self.policy = policy
         self.barrier_epoch = 0
         self.liveness_epoch = 0
-        self.stats: Dict[str, int] = {
-            "replica_reads": 0, "demotions": 0, "anti_entropy_reseeds": 0}
+        self.metrics = metrics
 
 
 class _ReplicatedShardProxy(HIDictionary):
@@ -803,7 +822,7 @@ class _ReplicatedShardProxy(HIDictionary):
         """Drop a replica from read service (crash or divergence)."""
         self.drop_replica(replica)
         self._policy.liveness_epoch += 1
-        self._policy.stats["demotions"] += 1
+        self._policy.metrics.inc("replica_reads.demotions")
 
     # -- read routing ----------------------------------------------------- #
 
@@ -878,7 +897,7 @@ class _ReplicatedShardProxy(HIDictionary):
                     return self._cross_check(reader, method, args,
                                              replica_error)
                 else:
-                    self._policy.stats["replica_reads"] += 1
+                    self._policy.metrics.inc("replica_reads.replica_reads")
                     return result
         try:
             return getattr(self.primary, method)(*args)
@@ -986,6 +1005,15 @@ class _ReplicatedShardProxy(HIDictionary):
 class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     """A sharded engine whose shards live in long-lived worker processes.
 
+    ``config`` is the :class:`~repro.api.config.EngineConfig` the engine
+    runs under (``None`` means ``EngineConfig(parallel="process")``); its
+    structure fields are not read, because ``structure`` is already built
+    (:func:`~repro.api.sharded.make_sharded_engine` builds both from one
+    config).  It is validated, must name ``parallel="process"``, and is
+    carried as ``engine_config`` from before the first checkpoint, so every
+    durability manifest embeds it.  The start method comes from
+    ``REPRO_START_METHOD`` (fork where the platform has it, else spawn).
+
     Construction adopts every shard of the wrapped
     :class:`~repro.api.sharded.ShardedDictionary` into a worker process
     (pickling the structure over the command pipe) as its *primary*, plus
@@ -1015,89 +1043,47 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     context manager) for a clean shutdown.
     """
 
-    def __init__(self, structure: ShardedDictionary, *,
-                 name: Optional[str] = None,
-                 sample_operations: bool = False,
-                 max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 replication: int = 1,
-                 read_policy: str = "primary",
-                 durability_dir: Optional[str] = None,
-                 durability_mode: str = "logged",
-                 fsync: bool = True) -> None:
-        if max_workers is not None and (not isinstance(max_workers, int)
-                                        or isinstance(max_workers, bool)
-                                        or max_workers < 1):
+    def __init__(self, structure: ShardedDictionary,
+                 config: Optional[EngineConfig] = None) -> None:
+        if config is None:
+            config = EngineConfig(parallel="process")
+        if not isinstance(config, EngineConfig) \
+                or config.parallel != "process":
             raise ConfigurationError(
-                "max_workers must be an integer >= 1 (or None for one "
-                "worker per shard), got %r" % (max_workers,))
-        if not isinstance(replication, int) or isinstance(replication, bool) \
-                or replication < 1:
-            raise ConfigurationError(
-                "replication must be an integer >= 1, got %r"
-                % (replication,))
-        if read_policy not in READ_POLICIES:
-            raise ConfigurationError(
-                "read_policy must be one of %s, got %r"
-                % (", ".join(repr(policy) for policy in READ_POLICIES),
-                   read_policy))
-        if read_policy != "primary" and replication < 2:
-            raise ConfigurationError(
-                "read_policy=%r balances reads across replica copies; it "
-                "needs replication >= 2" % (read_policy,))
-        if durability_mode not in DURABILITY_MODES:
-            raise ConfigurationError(
-                "durability_mode must be one of %s, got %r"
-                % (", ".join(repr(mode) for mode in DURABILITY_MODES),
-                   durability_mode))
-        if durability_mode == "secure" and durability_dir is None:
-            raise ConfigurationError(
-                "durability_mode='secure' redacts the on-disk op logs at "
-                "barriers; it needs durability_dir=...")
-        super().__init__(structure, name=name,
-                         sample_operations=sample_operations)
-        if replication > structure.num_shards:
+                "the process engine takes an EngineConfig with "
+                "parallel='process', got %r" % (config,))
+        config.validate()
+        super().__init__(structure,
+                         sample_operations=config.sample_operations)
+        if config.replication > structure.num_shards:
             raise ConfigurationError(
                 "replication factor %d needs at least as many shards (and "
                 "workers) as copies; this dictionary has %d shard(s)"
-                % (replication, structure.num_shards))
-        if durability_dir is not None and structure._build_context is None:
+                % (config.replication, structure.num_shards))
+        if config.durability_dir is not None \
+                and structure._build_context is None:
             raise ConfigurationError(
                 "durability needs the registry build context (per-shard "
                 "seeds and construction parameters) to rebuild crashed "
                 "shards; build the dictionary through make_dictionary("
                 "'sharded', ...) instead of from pre-built shards")
-        self._replication = replication
-        self._read_policy = read_policy
-        self._policy_state = _ReadPolicyState(read_policy)
-        self._durability_dir = durability_dir
-        self._durability_mode = durability_mode
-        self._fsync = fsync
-        #: Deterministic crossing counters (pure functions of workload and
-        #: topology, so ``benchmarks/baseline.py`` gates them): pipe
-        #: crossings saved by ``__multi__`` coalescing, and group-commit
-        #: points issued by durable bulk mutations.
-        self._plane_stats: Dict[str, int] = {"coalesced": 0,
-                                             "fsync_batches": 0}
-        #: Deterministic erasure accounting (gated the same way): barriers
-        #: reached, secure redactions triggered, delete frames flushed at
-        #: barriers, and op-log frames dropped by compaction.
-        self._erasure_stats: Dict[str, int] = {
-            "barriers": 0, "redactions": 0, "deletes_flushed": 0,
-            "frames_dropped": 0}
+        self._adopt_config(config)
+        for name in _COUNTERS:
+            self.metrics.inc(name, 0)
+        self._policy_state = _ReadPolicyState(config.read_policy,
+                                              self.metrics)
         self._next_replica_id = -1
         self._placement_router: Optional[ConsistentHashRouter] = None
-        if durability_dir is not None:
+        if config.durability_dir is not None:
             _recovery()  # before the first fork, so workers import nothing
-            os.makedirs(durability_dir, exist_ok=True)
-        self._max_workers = max_workers
+            os.makedirs(config.durability_dir, exist_ok=True)
         self._mp_context = multiprocessing.get_context(
-            start_method or _default_start_method())
+            _default_start_method())
         self._workers: List[_ShardWorker] = []
         self._worker_by_shard: Dict[int, _ShardWorker] = {}
         self._closed = False
         self._adopt_local_shards()
-        if durability_dir is not None:
+        if config.durability_dir is not None:
             # A durable engine always has a manifest: crash at any later
             # point finds at least the empty-state snapshot plus full logs.
             self.checkpoint()
@@ -1109,22 +1095,22 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     @property
     def replication(self) -> int:
         """The configured copy count (primary included)."""
-        return self._replication
+        return self.engine_config.replication
 
     @property
     def durability_dir(self) -> Optional[str]:
-        return self._durability_dir
+        return self.engine_config.durability_dir
 
     @property
     def durability_mode(self) -> str:
         """``"logged"`` (full history until checkpoint) or ``"secure"``."""
-        return self._durability_mode
+        return self.engine_config.durability_mode
 
     @property
     def read_policy(self) -> str:
         """The read routing policy (see
         :data:`~repro.api.config.READ_POLICIES`)."""
-        return self._read_policy
+        return self.engine_config.read_policy
 
     @property
     def num_workers(self) -> int:
@@ -1133,22 +1119,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     def worker_pids(self) -> List[int]:
         """The worker process ids, in spawn order (testing/ops hook)."""
         return [worker.pid for worker in self._workers]
-
-    def plane_stats(self) -> Dict[str, int]:
-        """Deterministic crossing counters (coalesced commands, group-commit
-        fsync batches) since construction.
-
-        Every read republishes the counters into the metrics registry as
-        ``plane.*`` gauges — gauges, because the counters are already
-        cumulative, so republishing every interval never double counts.
-        """
-        for name, value in self._plane_stats.items():
-            self.metrics.set_gauge("plane." + name, value)
-        return dict(self._plane_stats)
-
-    def erasure_stats(self) -> Dict[str, int]:
-        """Deterministic erasure counters (see ``_erasure_stats``)."""
-        return dict(self._erasure_stats)
 
     def io_stats(self):
         """Aggregate worker-held I/O counters; fails cleanly once closed.
@@ -1161,19 +1131,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._require_open("its workers (and their I/O counters) are gone")
         return super().io_stats()
 
-    def replica_read_stats(self) -> Dict[str, int]:
-        """Deterministic read-routing counters: keys served by replica
-        copies, replicas demoted from read service (crash or divergence),
-        and replicas re-seeded by :meth:`anti_entropy`.
-
-        Raises :class:`~repro.errors.ConfigurationError` once the engine
-        is closed, matching :meth:`io_stats` — a shut-down engine routes
-        no reads, and handing out a stale-looking dict would mask bugs in
-        telemetry pollers that outlive the engine.
-        """
-        self._require_open("it routes no replica reads")
-        return dict(self._policy_state.stats)
-
     def _require_open(self, why: str) -> None:
         if self._closed:
             raise ConfigurationError(
@@ -1181,7 +1138,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def _require_durable(self, what: str) -> None:
         self._require_open("cannot " + what)
-        if self._durability_dir is None:
+        if self.durability_dir is None:
             raise ConfigurationError(
                 "no durability directory configured; build the engine with "
                 "durability_dir=... to enable %ss" % what)
@@ -1203,7 +1160,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def _pick_worker(self) -> _ShardWorker:
         """A live worker for a new shard: spawn until the cap, then pack."""
-        cap = self._max_workers or len(self._structure.shards)
+        cap = self.engine_config.max_workers or len(self._structure.shards)
         live = [worker for worker in self._workers if worker.is_alive()]
         if len(live) < cap:
             worker = _ShardWorker(self._mp_context)
@@ -1242,11 +1199,11 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """The worker-side op log a primary hosting opens (none unless
         durable): keyword arguments for
         :class:`~repro.replication.oplog.OpLog`."""
-        if self._durability_dir is None:
+        if self.durability_dir is None:
             return None
-        return {"path": _recovery().oplog_path(self._durability_dir,
+        return {"path": _recovery().oplog_path(self.durability_dir,
                                                shard_id),
-                "fsync": self._fsync, "truncate": truncate}
+                "fsync": self.engine_config.fsync, "truncate": truncate}
 
     def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, tuple]]
               ) -> List[_ShardProxy]:
@@ -1256,7 +1213,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         is read, so the workers unpickle their shards side by side; a
         worker hosting several takes them back to back, one outstanding
         command at a time.  Hosting is neither coalesced nor traced, so the
-        ``plane_stats()`` and trace counters stay functions of the workload.
+        ``plane.*`` and trace counters stay functions of the workload.
         Returns the proxies in input order once every hosting is
         acknowledged; otherwise re-raises the first failure in input order.
         """
@@ -1364,7 +1321,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         shards = self._structure._shards
         local = [(position, shard) for position, shard in enumerate(shards)
                  if not isinstance(shard, _ReplicatedShardProxy)]
-        copies = self._replication - 1
+        copies = self.replication - 1
         with self._reaping_new_workers():
             primaries = self._host_primaries(local)
             hostings = []
@@ -1416,7 +1373,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """
         report: Dict[str, object] = {"barrier": None,
                                      "was_open": not self._closed}
-        if not self._closed and self._durability_dir is not None:
+        if not self._closed and self.durability_dir is not None:
             report["barrier"] = self.barrier()
         self.close()
         return report
@@ -1476,7 +1433,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 # group-commit once at the crossing's end.
                 keys = tuple(entry[0] for entry in queue)
                 subs = [(entry[2], entry[3], entry[4]) for entry in queue]
-                self._plane_stats["coalesced"] += len(queue) - 1
+                self.metrics.inc("plane.coalesced", len(queue) - 1)
                 queue.clear()
                 queue.append((_MultiKey(keys), worker, -1,
                               "__multi__", (subs,)))
@@ -1568,7 +1525,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         Replica hostings use negative engine ids; only primary mutations
         carry an op log, so only they contribute a commit point.
         """
-        if self._durability_dir is None:
+        if self.durability_dir is None:
             return
         if method == "__multi__":
             mutates = any(sub_method in _BULK_MUTATORS and sub_id >= 0
@@ -1576,7 +1533,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         else:
             mutates = method in _BULK_MUTATORS and engine_id >= 0
         if mutates:
-            self._plane_stats["fsync_batches"] += 1
+            self.metrics.inc("plane.fsync_batches")
 
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
@@ -1735,7 +1692,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             if fatal:
                 raise fatal[min(fatal)]
         self.metrics.inc("engine.keys.contains_many", len(keys))
-        self._policy_state.stats["replica_reads"] += replica_served
+        self.metrics.inc("replica_reads.replica_reads", replica_served)
         found: List[bool] = [False] * len(keys)
         for key, (_proxy, _copy, part) in slices.items():
             for (at, _key), flag in zip(part, results[key]):
@@ -1813,7 +1770,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         the manifest must describe the new topology before any further
         crash.
         """
-        if shard is not None and self._durability_dir is not None:
+        if shard is not None and self.durability_dir is not None:
             raise ConfigurationError(
                 "a durable engine cannot adopt a pre-built shard: its "
                 "construction seed is unknown, so a crash could not be "
@@ -1822,7 +1779,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 "registry")
         report = super().add_shard(shard=shard, inner=inner)
         self._adopt_local_shards()
-        if self._durability_dir is not None:
+        if self.durability_dir is not None:
             self.checkpoint()
         return report
 
@@ -1844,7 +1801,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             if not copy.worker.shard_ids and copy.worker in self._workers:
                 copy.worker.shutdown()
                 self._workers.remove(copy.worker)
-        if self._durability_dir is not None:
+        if self.durability_dir is not None:
             # Publish the shrunk topology FIRST: until the new manifest is
             # on disk, the old one still references the retired shard's
             # artifacts, and deleting them early would make a crash here
@@ -1852,7 +1809,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             # reclaims the retired images; only the op log remains ours to
             # drop.
             self.checkpoint()
-            stale_log = _recovery().oplog_path(self._durability_dir,
+            stale_log = _recovery().oplog_path(self.durability_dir,
                                                shard_id)
             if os.path.exists(stale_log):
                 os.unlink(stale_log)
@@ -1882,14 +1839,14 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         results = self._scatter([(position, "__barrier__", ())
                                  for position in range(self.num_shards)])
         deletes = sum(result[1] for result in results.values())
-        self._erasure_stats["barriers"] += 1
-        self._erasure_stats["deletes_flushed"] += deletes
+        self.metrics.inc("erasure.barriers")
+        self.metrics.inc("erasure.deletes_flushed", deletes)
         redacted = False
-        if self._durability_mode == "secure" and deletes:
+        if self.durability_mode == "secure" and deletes:
             self.checkpoint()  # stamps the replicas' barrier epoch itself
-            self._erasure_stats["redactions"] += 1
+            self.metrics.inc("erasure.redactions")
             redacted = True
-        elif self._read_policy == "any-after-barrier":
+        elif self.read_policy == "any-after-barrier":
             self._sync_replicas()
         return {"deletes": deletes, "redacted": redacted}
 
@@ -1904,7 +1861,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """
         self._require_durable("checkpoint")
         manifest = _recovery().checkpoint_engine(self)
-        if self._read_policy == "any-after-barrier":
+        if self.read_policy == "any-after-barrier":
             # A checkpoint is a barrier too: replicas that ack it become
             # read-eligible (a freshly built durable engine serves from its
             # replicas immediately — __init__ ends in a checkpoint).
@@ -1970,7 +1927,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._bump_liveness()  # recovery reads liveness directly; no cache
         report = _recovery().recover_engine(self)
         self._bump_liveness()  # the replica sets just changed
-        if self._read_policy == "any-after-barrier":
+        if self.read_policy == "any-after-barrier":
             # Freshly re-seeded replicas are byte-identical clones of their
             # primaries; stamp them read-eligible rather than benching them
             # until the next barrier.
@@ -2065,7 +2022,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             # immediately eligible under any-after-barrier.
             fresh._synced_epoch = state.barrier_epoch
             proxy.add_replica(fresh)
-        state.stats["anti_entropy_reseeds"] += len(hostings)
+        self.metrics.inc("replica_reads.anti_entropy_reseeds", len(hostings))
         self._shard_engine_cache = []
         return {"checked": len(commands), "recovered": recovered,
                 "divergent": sorted({position

@@ -695,6 +695,14 @@ class ShardedDictionaryEngine(DictionaryEngine):
                          sample_operations=sample_operations)
         self._shard_engine_cache: List[DictionaryEngine] = []
 
+    def _adopt_config(self, config: EngineConfig) -> None:
+        """Carry ``config`` as :attr:`engine_config` and honour its
+        ``telemetry`` switch (``REPRO_TRACE=1`` enables tracing without
+        one; the tracer is already live in that case)."""
+        self.engine_config = config
+        if config.telemetry:
+            self.tracer.enabled = True
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -1109,115 +1117,27 @@ class ShardedDictionaryEngine(DictionaryEngine):
         return engine
 
 
-def make_sharded_engine(inner: object = DEFAULT_INNER, *,
-                        config: Optional[EngineConfig] = None,
-                        shards: int = DEFAULT_SHARDS,
-                        block_size: int = 64,
-                        cache_blocks: int = 0,
-                        seed: RandomLike = None,
-                        backend: str = "auto",
-                        sample_operations: bool = False,
-                        inner_params: Optional[Mapping[str, object]] = None,
-                        router: object = "modulo",
-                        vnodes: Optional[int] = None,
-                        weights: Optional[Mapping[int, float]] = None,
-                        parallel: object = False,
-                        max_workers: Optional[int] = None,
-                        replication: int = 1,
-                        read_policy: str = "primary",
-                        durability_dir: Optional[str] = None,
-                        durability_mode: str = "logged",
-                        fsync: bool = True,
-                        telemetry: bool = False
-                        ) -> ShardedDictionaryEngine:
-    """Convenience constructor: a sharded engine over ``shards`` × ``inner``.
+def make_sharded_engine(config: EngineConfig) -> ShardedDictionaryEngine:
+    """Build the sharded engine one :class:`~repro.api.config.EngineConfig`
+    describes — the only constructor spelling.
 
-    The primary spelling is ``make_sharded_engine(config=cfg)`` with an
-    :class:`~repro.api.config.EngineConfig` — one typed, serializable
-    object the CLI, the durability manifest, and the network server all
-    share.  The keyword arguments below are the legacy spelling; they
-    build the same config and delegate, and cannot be combined with an
-    explicit ``config=``.
-
-    ``inner`` is a registry name or a per-shard sequence of names
-    (heterogeneous shards); ``inner_params`` are structure-specific extras
-    applied to every shard; ``router`` / ``vnodes`` / ``weights`` select
-    the routing strategy (``"modulo"``, ``"consistent"``, or ``"weighted"``
-    with per-shard capacity weights); ``parallel`` selects the dispatch
-    backend — ``"none"`` (sequential; ``False`` is an alias) or
-    ``"process"`` (long-lived worker processes that escape the GIL, see
-    :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`) —
-    with ``max_workers`` capping the worker pool.  All validation is the
-    registry's.
-
-    ``replication`` and ``durability_dir`` turn the process backend into a
-    durable store (see :mod:`repro.replication`): with ``replication=N``
-    every write fans out to a primary plus ``N - 1`` replica shards hosted
-    on other workers, and with a ``durability_dir`` each primary keeps an
-    op log plus checkpointed snapshots there, so crashed workers recover
-    their state instead of restarting empty.  Every process configuration
-    builds the same engine; ``replication=1`` with no durability directory
-    is its simplest setting.  ``fsync`` set to ``False`` trades
-    machine-crash durability for speed (process crashes stay covered).
-
-    ``durability_mode`` picks what the durable artifacts may reveal:
-    ``"logged"`` (the default) keeps the full mutation history in the op
-    logs until the next checkpoint, so a stolen durability directory leaks
-    the operation history the HI structures hide; ``"secure"`` restores
-    the paper's anti-persistence guarantee end-to-end — deletes trigger a
-    history-redacting log compaction at the next ``barrier()`` or
-    ``checkpoint()``, after which no on-disk byte in the durability
-    directory encodes a deleted key (checkpoint images are written from
-    the canonical HI layouts, so they are history-independent already).
-
-    ``read_policy`` picks where a replicated engine serves reads from:
-    ``"primary"`` (the default — replicas are failover-only),
-    ``"round-robin"`` (point reads rotate and bulk sub-batches fan across
-    every live copy of a shard), or ``"any-after-barrier"`` (like
-    round-robin, but a replica only joins the read set once it acked the
-    latest ``barrier()``/``checkpoint()`` — the instant history
-    independence guarantees it is byte-identical to the primary).
+    ``config.inner`` names the shards' registry structure (or one name per
+    shard), ``router`` the key routing, and ``parallel`` the dispatch
+    backend: ``"none"`` builds the sequential
+    :class:`ShardedDictionaryEngine`, ``"process"`` the worker-process
+    :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`, whose
+    ``replication``, ``read_policy`` and ``durability_*`` settings turn it
+    into a replicated, durable store (see :mod:`repro.replication`).  The
+    config is validated first, and the engine carries it as
+    ``engine_config`` (the durability manifest and the server handshake
+    serialize it from there).
     """
     from repro.api.registry import make_dictionary
 
-    if config is not None:
-        legacy = {"inner": (inner, DEFAULT_INNER),
-                  "shards": (shards, DEFAULT_SHARDS),
-                  "block_size": (block_size, 64),
-                  "cache_blocks": (cache_blocks, 0),
-                  "seed": (seed, None), "backend": (backend, "auto"),
-                  "sample_operations": (sample_operations, False),
-                  "inner_params": (inner_params, None),
-                  "router": (router, "modulo"), "vnodes": (vnodes, None),
-                  "weights": (weights, None), "parallel": (parallel, False),
-                  "max_workers": (max_workers, None),
-                  "replication": (replication, 1),
-                  "read_policy": (read_policy, "primary"),
-                  "durability_dir": (durability_dir, None),
-                  "durability_mode": (durability_mode, "logged"),
-                  "fsync": (fsync, True),
-                  "telemetry": (telemetry, False)}
-        overridden = sorted(name for name, (value, default) in legacy.items()
-                            if value != default)
-        if overridden:
-            raise ConfigurationError(
-                "pass either config=... or the legacy keyword arguments, "
-                "not both (got config plus %s)" % ", ".join(overridden))
-        if not isinstance(config, EngineConfig):
-            raise ConfigurationError(
-                "config must be an EngineConfig, got %r" % (config,))
-    else:
-        config = EngineConfig(
-            inner=inner, shards=shards, block_size=block_size,
-            cache_blocks=cache_blocks, seed=seed, backend=backend,
-            inner_params=dict(inner_params or {}),
-            router=make_router(router, vnodes=vnodes,
-                               weights=weights).spec(),
-            parallel=parallel, max_workers=max_workers,
-            replication=replication, read_policy=read_policy,
-            durability_dir=durability_dir,
-            durability_mode=durability_mode, fsync=fsync,
-            sample_operations=sample_operations, telemetry=telemetry)
+    if not isinstance(config, EngineConfig):
+        raise ConfigurationError(
+            "make_sharded_engine takes one EngineConfig, got %r; build one "
+            "with EngineConfig(inner=..., shards=..., ...)" % (config,))
     config.validate()
     structure = make_dictionary("sharded", block_size=config.block_size,
                                 cache_blocks=config.cache_blocks,
@@ -1228,19 +1148,8 @@ def make_sharded_engine(inner: object = DEFAULT_INNER, *,
     if config.parallel == "process":
         from repro.api.process_engine import ProcessShardedDictionaryEngine
 
-        engine = ProcessShardedDictionaryEngine(
-            structure, sample_operations=config.sample_operations,
-            max_workers=config.max_workers,
-            replication=config.replication,
-            read_policy=config.read_policy,
-            durability_dir=config.durability_dir,
-            durability_mode=config.durability_mode, fsync=config.fsync)
-    else:
-        engine = ShardedDictionaryEngine(
-            structure, sample_operations=config.sample_operations)
-    engine.engine_config = config
-    if config.telemetry:
-        # Opt-in request tracing (REPRO_TRACE=1 enables it without a
-        # config change; the tracer is already live in that case).
-        engine.tracer.enabled = True
+        return ProcessShardedDictionaryEngine(structure, config)
+    engine = ShardedDictionaryEngine(
+        structure, sample_operations=config.sample_operations)
+    engine._adopt_config(config)
     return engine

@@ -645,11 +645,10 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
               % (engine.num_shards, engine.replication, args.dir), file=out)
         print("durability mode : %s" % engine.durability_mode, file=out)
         print("read policy     : %s" % engine.read_policy, file=out)
-        config = getattr(engine, "engine_config", None)
-        if isinstance(config, EngineConfig):
-            print("engine config   : inner=%s shards=%d seed=%s router=%s"
-                  % (config.inner, config.shards, config.seed,
-                     config.router.get("name")), file=out)
+        config = engine.engine_config
+        print("engine config   : inner=%s shards=%d seed=%s router=%s"
+              % (config.inner, config.shards, config.seed,
+                 config.router.get("name")), file=out)
         print("keys            : %d" % len(engine), file=out)
         print("shard sizes     : %s" % (engine.shard_sizes(),), file=out)
         print("live replicas   : %s" % (engine.replica_counts(),), file=out)

@@ -1,15 +1,18 @@
 """One telemetry plane for the whole stack.
 
-``repro.obs`` unifies the per-layer stats surfaces that grew with the
-engine — ``io_stats()``, ``plane_stats()``, ``erasure_stats()``,
-``replica_read_stats()`` — behind three small pieces:
+Every engine keeps its counters in one place, its metrics registry, and
+``engine.telemetry()`` reads it as one flat snapshot together with
+``engine_io.*`` (the structures' ``io_stats()``, which live with the
+structures — in worker processes on the process backend).  Three small
+pieces:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
   fixed-boundary latency histograms with deterministic bucket edges, so
   a snapshot of the counting half is bit-stable and gateable exactly
-  like the existing I/O counts.  Per-thread accumulation keeps the hot
-  path lock-free; ``snapshot()`` aggregates and ``merge()`` folds one
-  snapshot into another (worker registries back into the parent).
+  like the I/O counts.  The process engine's ``plane.*``, ``erasure.*``
+  and ``replica_reads.*`` counters live here too.  Per-thread
+  accumulation keeps the hot path lock-free; ``snapshot()`` aggregates
+  and ``merge()`` folds one snapshot into another.
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — request-scoped tracing with trace/parent ids and monotonic timings,
   propagated across the worker pipe (a trace header element on

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 Number = Union[int, float]
 
@@ -175,9 +175,3 @@ class MetricsRegistry:
             self._gauges.clear()
             self.merges = 0
 
-
-def namespaced(snapshot: Dict[str, Number], prefix: str,
-               items: Iterable[Tuple[str, Number]]) -> None:
-    """Fold ``items`` into ``snapshot`` under ``prefix.`` (adapter glue)."""
-    for name, value in items:
-        snapshot["%s.%s" % (prefix, name)] = value

@@ -3,14 +3,17 @@
 The paper's history-independent dictionaries are designed for *persistent*
 storage, but a process engine that keeps each shard in one worker loses
 that shard's data when the worker crashes.  Replicas and durable state are
-settings of the one process engine,
-:class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`
-(``make_sharded_engine(parallel="process", replication=N,
-durability_dir=...)``): writes fan out to a primary plus ``N - 1`` replica
-placements computed from the consistent-hash ring, and reads are served by
-the primary with replica fallback on
-:class:`~repro.errors.WorkerCrashError`.  This package holds the two pieces
-behind those settings:
+:class:`~repro.api.config.EngineConfig` settings of the one process engine,
+:class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`::
+
+    make_sharded_engine(EngineConfig(inner="b-treap", parallel="process",
+                                     replication=2, durability_dir="store/"))
+
+Writes fan out to a primary plus ``replication - 1`` replica placements
+computed from the consistent-hash ring, and reads are served by the
+primary (or spread over the replicas by ``read_policy``) with replica
+fallback on :class:`~repro.errors.WorkerCrashError`.  This package holds
+the two pieces behind those settings:
 
 * :mod:`repro.replication.oplog` — a per-shard append-only **op log**
   (CRC-framed fixed-width records reusing the storage codec, fsync batched
@@ -20,11 +23,13 @@ behind those settings:
   engine) promotes a live replica, else replays snapshot + op-log tail,
   else rebuilds the shard empty, then re-replicates;
   :func:`open_durable_engine` cold-starts an engine from a durability
-  directory.
+  directory, under the config its manifest embeds.
 
 A plain engine (``replication=1``, no directory) imports nothing from this
 package at start-up or in a worker; ``restart_workers()`` imports
-:mod:`repro.replication.recovery` in the parent.
+:mod:`repro.replication.recovery` in the parent.  The engine's
+``erasure.*`` and ``replica_reads.*`` counters live in its metrics
+registry and surface through ``engine.telemetry()``.
 
 The recovery contract is the paper's anti-persistence property doing real
 work: a recovered shard is rebuilt with its *original* construction seed and

@@ -157,7 +157,7 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     the flip; it only ever drops frames the freshly referenced snapshots
     already cover.
     """
-    directory = engine._durability_dir
+    directory = engine.durability_dir
     structure = engine._structure
     context = structure._build_context
     num_shards = structure.num_shards
@@ -174,7 +174,7 @@ def checkpoint_engine(engine) -> Dict[str, object]:
         _paged, metadata = snapshot_records(
             slots, page_size=PAGE_SIZE, payload_size=PAYLOAD_SIZE,
             path=path, kind=structure.inner_names[position])
-        if engine._fsync:
+        if engine.engine_config.fsync:
             with open(path, "rb") as handle:
                 os.fsync(handle.fileno())
         entries.append({
@@ -214,14 +214,12 @@ def checkpoint_engine(engine) -> Dict[str, object]:
         "build": build,
         "shards": entries,
     }
-    engine_config = getattr(engine, "engine_config", None)
-    if engine_config is not None:
-        try:
-            manifest["engine_config"] = engine_config.to_dict()
-        except ConfigurationError:
-            # A live random.Random seed does not serialize; the build
-            # record above still carries everything recovery needs.
-            pass
+    try:
+        manifest["engine_config"] = engine.engine_config.to_dict()
+    except ConfigurationError:
+        # A live random.Random seed does not serialize; the build record
+        # above still carries everything recovery needs.
+        pass
     scratch = os.path.join(directory, MANIFEST_NAME + ".tmp")
     with open(scratch, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
@@ -237,9 +235,9 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     compacted = engine._scatter([
         (position, "__compact__", (results[position][1],))
         for position in range(num_shards)])
-    engine._erasure_stats["frames_dropped"] += sum(
+    engine.metrics.inc("erasure.frames_dropped", sum(
         result[1] for result in compacted.values()
-        if isinstance(result, tuple))
+        if isinstance(result, tuple)))
     return manifest
 
 
@@ -364,12 +362,12 @@ def _rebuild_shard(engine, position: int, shard_id: int) -> Tuple[object,
                             seed=context["shard_seeds"][position],
                             backend=context["backend"],
                             **context["inner_params"])
-    directory = engine._durability_dir
+    directory = engine.durability_dir
     if directory is None:
         return shard, False
     manifest = load_manifest(directory)
     _restore_shard_state(shard, directory, manifest, shard_id,
-                         engine._fsync)
+                         engine.engine_config.fsync)
     return shard, True
 
 
@@ -438,7 +436,7 @@ def recover_engine(engine) -> RecoveryReport:
     for (position, _shard), primary in zip(rebuilt, primaries):
         engine._proxy(position).promote(primary, [])
 
-    if engine._durability_dir is not None and lost:
+    if engine.durability_dir is not None and lost:
         # Checkpoint as soon as every primary is live again — a promoted
         # replica's log was truncated, so until this manifest lands the
         # promoted state exists only in memory.  Re-replication below does
@@ -491,7 +489,6 @@ def open_durable_engine(directory: str, *,
                         replication: Optional[int] = None,
                         read_policy: Optional[str] = None,
                         max_workers: Optional[int] = None,
-                        start_method: Optional[str] = None,
                         durability_mode: Optional[str] = None,
                         fsync: bool = True,
                         sample_operations: bool = False):
@@ -501,9 +498,13 @@ def open_durable_engine(directory: str, *,
     construction seed, re-inserts its checkpoint image, replays its op-log
     tail, and brings the engine up (workers, replicas, a fresh checkpoint)
     against the same directory.  ``replication`` and ``durability_mode``
-    default to what the manifest records, so a secure store reopens secure.
-    This is the cold-start path — the parent process that owned the engine
-    is gone, only the directory survives.
+    default to what the manifest records, so a secure store reopens secure;
+    every other setting comes from the manifest's embedded
+    :class:`~repro.api.config.EngineConfig` (see
+    :func:`_manifest_engine_config`), which the engine carries from its
+    first checkpoint on, so every reopen writes it back.  This is the
+    cold-start path — the parent process that owned the engine is gone,
+    only the directory survives.
     """
     from repro.api.registry import make_dictionary
 
@@ -558,18 +559,12 @@ def open_durable_engine(directory: str, *,
         read_policy = str(manifest.get("read_policy", "primary"))
     if durability_mode is None:
         durability_mode = str(manifest.get("durability_mode", "logged"))
-    engine = ProcessShardedDictionaryEngine(
-        structure, sample_operations=sample_operations,
-        max_workers=max_workers, start_method=start_method,
-        replication=replication, read_policy=read_policy,
-        durability_dir=directory,
-        durability_mode=durability_mode, fsync=fsync)
-    engine.engine_config = _manifest_engine_config(
+    config = _manifest_engine_config(
         manifest, directory=directory, replication=replication,
         read_policy=read_policy, durability_mode=durability_mode,
         fsync=fsync, max_workers=max_workers,
         sample_operations=sample_operations)
-    return engine
+    return ProcessShardedDictionaryEngine(structure, config)
 
 
 def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
@@ -582,8 +577,9 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
     Version-2 manifests embed the config's dict form directly; older ones
     are synthesized from the build record.  Either way the fields the
     caller overrode (and the directory actually opened) replace what the
-    manifest recorded, so the attached config always describes the engine
-    as it runs — the server handshake hands it to clients verbatim.
+    manifest recorded, so the config describes the engine as it will run
+    — the server handshake hands it to clients verbatim.  The engine
+    validates it.
     """
     from repro.api.config import EngineConfig
 
@@ -606,4 +602,4 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
         replication=replication, read_policy=read_policy,
         durability_mode=durability_mode,
         fsync=fsync, max_workers=max_workers,
-        sample_operations=sample_operations).validate()
+        sample_operations=sample_operations)

@@ -329,14 +329,13 @@ def test_rebalance_read_policies_migrate_identically():
 # --------------------------------------------------------------------------- #
 
 def test_recover_reports_and_overrides_the_read_policy(tmp_path):
-    from repro.api import make_sharded_engine
+    from repro.api import EngineConfig, make_sharded_engine
 
     directory = str(tmp_path / "store")
-    engine = make_sharded_engine("b-treap", shards=2, block_size=16,
-                                 seed=1, router="consistent",
-                                 parallel="process", replication=2,
-                                 read_policy="round-robin",
-                                 durability_dir=directory)
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=2, block_size=16, seed=1, router="consistent",
+        parallel="process", replication=2, read_policy="round-robin",
+        durability_dir=directory))
     try:
         engine.insert_many([(key, key) for key in range(64)])
         engine.checkpoint()

@@ -76,11 +76,11 @@ def make_engine(target: str) -> DictionaryEngine:
                                            **extra)
     for name, extra in PROCESS_VARIANTS:
         if target == name:
-            from repro.api import make_sharded_engine
-            return make_sharded_engine(extra["inner"], shards=extra["shards"],
-                                       block_size=BLOCK_SIZE, cache_blocks=2,
-                                       seed=STRUCTURE_SEED, parallel="process",
-                                       max_workers=extra.get("max_workers"))
+            from repro.api import EngineConfig, make_sharded_engine
+            return make_sharded_engine(EngineConfig(
+                inner=extra["inner"], shards=extra["shards"],
+                block_size=BLOCK_SIZE, cache_blocks=2, seed=STRUCTURE_SEED,
+                parallel="process", max_workers=extra.get("max_workers")))
     return DictionaryEngine.create(target, block_size=BLOCK_SIZE,
                                    cache_blocks=2, seed=STRUCTURE_SEED)
 
@@ -341,13 +341,12 @@ DURABLE_SHARDS = 3
 
 def make_durable_engine(mode: str, directory: str,
                         read_policy: str = "primary"):
-    from repro.api import make_sharded_engine
-    return make_sharded_engine("b-treap", shards=DURABLE_SHARDS,
-                               block_size=BLOCK_SIZE, seed=STRUCTURE_SEED,
-                               router="consistent", parallel="process",
-                               replication=2, durability_dir=directory,
-                               durability_mode=mode,
-                               read_policy=read_policy)
+    from repro.api import EngineConfig, make_sharded_engine
+    return make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=DURABLE_SHARDS, block_size=BLOCK_SIZE,
+        seed=STRUCTURE_SEED, router="consistent", parallel="process",
+        replication=2, durability_dir=directory, durability_mode=mode,
+        read_policy=read_policy))
 
 
 def _canonical_digest(structure):
@@ -362,11 +361,11 @@ def _canonical_digest(structure):
 
 
 def _fresh_reference_digest(items):
-    from repro.api import make_sharded_engine
+    from repro.api import EngineConfig, make_sharded_engine
 
-    fresh = make_sharded_engine("b-treap", shards=DURABLE_SHARDS,
-                                block_size=BLOCK_SIZE, seed=STRUCTURE_SEED,
-                                router="consistent")
+    fresh = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=DURABLE_SHARDS, block_size=BLOCK_SIZE,
+        seed=STRUCTURE_SEED, router="consistent"))
     fresh.insert_many(items)
     return _canonical_digest(fresh.structure)
 
@@ -461,8 +460,8 @@ def test_differential_read_policy_trace_across_crash_recover_cycles(
         engine.check()
         assert _canonical_digest(engine.structure) \
             == _fresh_reference_digest(oracle.items())
-        stats = engine.replica_read_stats()
-        assert stats["replica_reads"] > 0, (
+        stats = engine.telemetry()
+        assert stats["replica_reads.replica_reads"] > 0, (
             "read_policy=%r never served a read from a replica" %
             read_policy)
     finally:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.api import (
     ConsistentHashRouter,
+    EngineConfig,
     ModuloRouter,
     ProcessShardedDictionaryEngine,
     ShardedDictionaryEngine,
@@ -45,8 +46,9 @@ def keyset(seed=1, count=N_KEYS):
 
 
 def build(inner="b-tree", shards=3, router="consistent", seed=7, **kwargs):
-    return make_sharded_engine(inner, shards=shards, seed=seed,
-                               block_size=16, router=router, **kwargs)
+    return make_sharded_engine(EngineConfig(inner=inner, shards=shards,
+                                            seed=seed, block_size=16,
+                                            router=router, **kwargs))
 
 
 # --------------------------------------------------------------------------- #
@@ -369,9 +371,9 @@ def test_engine_survives_structure_level_resizes():
 def test_restore_rebuilds_with_the_snapshotted_build_parameters(tmp_path):
     """The manifest records block size / cache / extras, so a default
     restore measures I/O like the engine the images came from."""
-    engine = make_sharded_engine("hi-skiplist", shards=3, block_size=16,
-                                 cache_blocks=2, seed=21, router="consistent",
-                                 inner_params={"epsilon": 0.25})
+    engine = make_sharded_engine(EngineConfig(
+        inner="hi-skiplist", shards=3, block_size=16, cache_blocks=2, seed=21,
+        router="consistent", inner_params={"epsilon": 0.25}))
     engine.insert_many((key, key) for key in keyset(15, count=200))
     directory = str(tmp_path / "params")
     manifest = engine.snapshot_shards(directory)
@@ -395,7 +397,8 @@ def test_restore_rebuilds_with_the_snapshotted_build_parameters(tmp_path):
 
 
 def test_resized_store_snapshot_restores_with_its_routing(tmp_path):
-    engine = build(inner="b-tree", shards=3, vnodes=32)
+    engine = build(inner="b-tree", shards=3,
+                   router={"name": "consistent", "vnodes": 32})
     keys = keyset(9, count=250)
     engine.insert_many((key, key * 2) for key in keys)
     engine.add_shard()

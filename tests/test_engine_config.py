@@ -1,12 +1,11 @@
 """:class:`repro.api.EngineConfig`: one typed config object everywhere.
 
-The satellite contract from ISSUE 8: ``EngineConfig`` validates the same
-cross-field rules ``make_sharded_engine`` always enforced, round-trips
-through ``to_dict()``/``from_dict()`` for *every* config these tests
-exercise, is the primary spelling of ``make_sharded_engine`` (the legacy
-keywords delegate and cannot be combined with it), and rides inside the
-durability manifest so ``repro recover`` and the network handshake see
-the exact config the store was built with.
+``EngineConfig`` validates the deployment rules (the engines do not
+repeat them), round-trips through ``to_dict()``/``from_dict()`` for
+*every* config these tests exercise, is the only argument
+``make_sharded_engine`` takes, and rides inside the durability manifest
+from the engine's first checkpoint on, so ``repro recover``, every reopen
+and the network handshake see the exact config the store was built with.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ from repro.replication import open_durable_engine
 pytestmark = pytest.mark.fast
 
 SEED = 20160808
-
-
-def layout_digest(engine):
-    return [(shard.audit_fingerprint(), tuple(shard.snapshot_slots()))
-            for shard in engine.structure.shards]
 
 
 # --------------------------------------------------------------------------- #
@@ -140,6 +134,10 @@ def test_to_dict_rejects_non_serializable_seed():
     dict(durability_mode="secure", parallel="process"),  # needs dir
     dict(parallel="bogus"),
     dict(router="bogus"),
+    dict(parallel="process", max_workers=0),
+    dict(parallel="process", max_workers=-2),
+    dict(parallel="process", max_workers=True),
+    dict(parallel="process", max_workers="4"),
 ])
 def test_invalid_configs_are_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -152,37 +150,15 @@ def test_parallel_modes_reexport_is_the_same_object():
 
 
 # --------------------------------------------------------------------------- #
-# make_sharded_engine(config=...) vs the legacy keywords
+# make_sharded_engine takes one EngineConfig
 # --------------------------------------------------------------------------- #
 
-def test_config_and_legacy_spellings_build_identical_engines():
-    entries = [(key, key * 3) for key in range(300)]
-    config = EngineConfig(inner="b-treap", shards=3, block_size=16,
-                          seed=SEED, router="consistent")
-    via_config = make_sharded_engine(config=config)
-    via_legacy = make_sharded_engine("b-treap", shards=3, block_size=16,
-                                     seed=SEED, router="consistent")
-    try:
-        assert via_legacy.engine_config == config
-        via_config.insert_many(entries)
-        via_legacy.insert_many(entries)
-        assert layout_digest(via_config) == layout_digest(via_legacy)
-    finally:
-        via_config.close()
-        via_legacy.close()
-
-
-def test_config_plus_overridden_legacy_kwarg_is_rejected():
-    config = EngineConfig(shards=3, seed=1)
-    with pytest.raises(ConfigurationError) as excinfo:
-        make_sharded_engine(config=config, shards=5)
-    assert "shards" in str(excinfo.value)
-    with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", config=config)
-
-
 def test_config_must_be_an_engine_config():
-    with pytest.raises(ConfigurationError):
+    """The one spelling: neither a registry name (the old ``inner``
+    positional) nor a mapping is a config."""
+    with pytest.raises(ConfigurationError, match="EngineConfig"):
+        make_sharded_engine("b-tree")
+    with pytest.raises(ConfigurationError, match="EngineConfig"):
         make_sharded_engine(config={"shards": 3})
 
 
@@ -213,6 +189,39 @@ def test_durability_manifest_embeds_the_engine_config(tmp_path):
         assert len(reopened) == 64
     finally:
         reopened.close()
+
+
+def _manifest_config(directory):
+    with open(os.path.join(directory, "manifest.json")) as handle:
+        manifest = json.load(handle)
+    assert "engine_config" in manifest
+    return EngineConfig.from_dict(manifest["engine_config"])
+
+
+def test_every_reopen_keeps_the_config_in_the_manifest(tmp_path,
+                                                        monkeypatch):
+    """The constructor's own checkpoint already embeds the config, so a
+    store closed without a later ``checkpoint()`` has it, and every reopen
+    writes it back: the second reopen still runs the built config, tracing
+    included."""
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    directory = str(tmp_path / "store")
+    config = EngineConfig(inner="b-treap", shards=2, block_size=16,
+                          seed=SEED, parallel="process", replication=2,
+                          durability_dir=directory, telemetry=True)
+    engine = make_sharded_engine(config=config)
+    engine.insert_many([(key, key) for key in range(40)])
+    engine.close()
+    assert _manifest_config(directory) == config
+    for _reopen in range(2):
+        reopened = open_durable_engine(directory)
+        try:
+            assert reopened.engine_config == config
+            assert reopened.tracer.enabled is True
+            assert len(reopened) == 40
+        finally:
+            reopened.close()
+        assert _manifest_config(directory) == config
 
 
 def test_manifest_with_a_legacy_plane_key_still_opens(tmp_path):

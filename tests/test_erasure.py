@@ -35,7 +35,7 @@ import os
 
 import pytest
 
-from repro.api import audit_fingerprint_of, make_sharded_engine
+from repro.api import EngineConfig, audit_fingerprint_of, make_sharded_engine
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.history.forensics import (
     audit_durability_dir,
@@ -74,21 +74,17 @@ def doomed_keys(entries):
 
 
 def build_secure(directory, shards=3, replication=2, **extra):
-    return make_sharded_engine("b-treap", shards=shards,
-                               block_size=BLOCK_SIZE, seed=SEED,
-                               router="consistent", parallel="process",
-                               replication=replication,
-                               durability_dir=str(directory),
-                               durability_mode="secure", **extra)
+    return make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=shards, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=replication,
+        durability_dir=str(directory), durability_mode="secure", **extra))
 
 
 def build_logged(directory, shards=3, replication=2, **extra):
-    return make_sharded_engine("b-treap", shards=shards,
-                               block_size=BLOCK_SIZE, seed=SEED,
-                               router="consistent", parallel="process",
-                               replication=replication,
-                               durability_dir=str(directory),
-                               durability_mode="logged", **extra)
+    return make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=shards, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=replication,
+        durability_dir=str(directory), durability_mode="logged", **extra))
 
 
 def layout_digest(structure):
@@ -126,9 +122,9 @@ def oplog_files(directory):
 
 def fresh_digest_of(items, shards):
     """Layout digest of a never-crashed sequential build of ``items``."""
-    fresh = make_sharded_engine("b-treap", shards=shards,
-                                block_size=BLOCK_SIZE, seed=SEED,
-                                router="consistent")
+    fresh = make_sharded_engine(EngineConfig(inner="b-treap", shards=shards,
+                                             block_size=BLOCK_SIZE, seed=SEED,
+                                             router="consistent"))
     fresh.insert_many(items)
     return layout_digest(fresh.structure)
 
@@ -152,18 +148,18 @@ def failpoints(monkeypatch):
 def test_durability_modes_are_validated(tmp_path):
     assert DURABILITY_MODES == ("logged", "secure")
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-treap", parallel="process",
-                            durability_dir=str(tmp_path / "d"),
-                            durability_mode="paranoid")
+        make_sharded_engine(EngineConfig(inner="b-treap", parallel="process",
+                                         durability_dir=str(tmp_path / "d"),
+                                         durability_mode="paranoid"))
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-treap", parallel="process",
-                            durability_mode="secure")
+        make_sharded_engine(EngineConfig(inner="b-treap", parallel="process",
+                                         durability_mode="secure"))
 
 
 def test_barrier_requires_a_durability_dir():
-    engine = make_sharded_engine("b-treap", shards=2, seed=SEED,
-                                 block_size=BLOCK_SIZE, parallel="process",
-                                 replication=2)
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=2, seed=SEED, block_size=BLOCK_SIZE,
+        parallel="process", replication=2))
     try:
         with pytest.raises(ConfigurationError):
             engine.barrier()
@@ -223,7 +219,7 @@ def test_secure_barrier_without_deletes_does_not_checkpoint(tmp_path):
         report = engine.barrier()
         assert report == {"deletes": 0, "redacted": False}
         assert load_manifest(directory)["generation"] == generation
-        assert engine.erasure_stats()["redactions"] == 0
+        assert engine.telemetry()["erasure.redactions"] == 0
     finally:
         engine.close()
 
@@ -257,7 +253,9 @@ def test_erasure_stats_are_deterministic(tmp_path):
             engine.barrier()
             engine.delete_many(doomed_keys(entries))
             engine.barrier()
-            return engine.erasure_stats()
+            return {name[len("erasure."):]: value
+                    for name, value in engine.telemetry().items()
+                    if name.startswith("erasure.")}
         finally:
             engine.close()
 

@@ -90,13 +90,12 @@ def test_classic_pma_redaction_is_detectable_hi_pma_is_not():
 
 def _durable_store(directory, mode, entries, doomed):
     """Build a durable store, delete ``doomed``, reach a barrier, close."""
-    from repro.api import make_sharded_engine
+    from repro.api import EngineConfig, make_sharded_engine
 
-    engine = make_sharded_engine("b-treap", shards=2, block_size=16,
-                                 seed=20160626, router="consistent",
-                                 parallel="process", replication=1,
-                                 durability_dir=str(directory),
-                                 durability_mode=mode)
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=2, block_size=16, seed=20160626,
+        router="consistent", parallel="process", replication=1,
+        durability_dir=str(directory), durability_mode=mode))
     try:
         engine.insert_many(entries)
         engine.delete_many(doomed)

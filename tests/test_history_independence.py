@@ -187,13 +187,13 @@ def test_history_dependent_baselines_fail_the_audit(name):
 
 def build_process_pair(inner, trace, seed):
     """The same history through a sequential and a process-backed engine."""
-    from repro.api import make_sharded_engine
+    from repro.api import EngineConfig, make_sharded_engine
 
     engines = []
     for parallel in ("none", "process"):
-        engine = make_sharded_engine(
-            inner, shards=2, block_size=BLOCK_SIZE, seed=seed,
-            parallel=parallel)
+        engine = make_sharded_engine(EngineConfig(
+            inner=inner, shards=2, block_size=BLOCK_SIZE, seed=seed,
+            parallel=parallel))
         engine.build_from_trace(trace)
         engines.append(engine)
     return engines

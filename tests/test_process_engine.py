@@ -24,6 +24,7 @@ import pytest
 
 import repro
 from repro.api import (
+    EngineConfig,
     ProcessShardedDictionaryEngine,
     make_dictionary,
     make_sharded_engine,
@@ -42,8 +43,9 @@ def build_pair(inner="hi-skiplist", shards=3, seed=SEED, **extra):
     """A sequential and a process engine with identical construction."""
     common = dict(shards=shards, block_size=BLOCK_SIZE, cache_blocks=2,
                   seed=seed, router="consistent", **extra)
-    sequential = make_sharded_engine(inner, **common)
-    process = make_sharded_engine(inner, parallel="process", **common)
+    sequential = make_sharded_engine(EngineConfig(inner=inner, **common))
+    process = make_sharded_engine(EngineConfig(inner=inner, parallel="process",
+                                               **common))
     return sequential, process
 
 
@@ -200,9 +202,9 @@ def test_failed_batch_surfaces_the_sequential_exception():
 
 
 def test_sampled_bulk_operations_fall_back_to_the_sequential_path():
-    process = make_sharded_engine("b-tree", shards=2, block_size=8,
-                                  seed=SEED, parallel="process",
-                                  sample_operations=True)
+    process = make_sharded_engine(EngineConfig(
+        inner="b-tree", shards=2, block_size=8, seed=SEED, parallel="process",
+        sample_operations=True))
     try:
         process.insert_many([(key, key) for key in range(20)])
         process.contains_many(range(10))
@@ -218,9 +220,9 @@ def test_sampled_bulk_operations_fall_back_to_the_sequential_path():
 # --------------------------------------------------------------------------- #
 
 def test_max_workers_packs_shards_onto_fewer_processes():
-    process = make_sharded_engine("b-tree", shards=4, block_size=8,
-                                  seed=SEED, parallel="process",
-                                  max_workers=2)
+    process = make_sharded_engine(EngineConfig(
+        inner="b-tree", shards=4, block_size=8, seed=SEED, parallel="process",
+        max_workers=2))
     try:
         assert process.num_workers == 2
         entries = entries_for(100)
@@ -239,21 +241,24 @@ def test_boolean_and_integer_parallel_flags_keep_working():
     from repro.api.sharded import ShardedDictionaryEngine
 
     for flag in (False, 0, None):
-        engine = make_sharded_engine("b-tree", shards=2, block_size=8,
-                                     seed=SEED, parallel=flag)
+        engine = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                                  block_size=8, seed=SEED,
+                                                  parallel=flag))
         assert type(engine) is ShardedDictionaryEngine
         assert engine.engine_config.parallel == "none"
     for flag in (True, 1, "thread"):
         with pytest.raises(ConfigurationError, match="'process'"):
-            make_sharded_engine("b-tree", shards=2, block_size=8,
-                                seed=SEED, parallel=flag)
+            make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                             block_size=8, seed=SEED,
+                                             parallel=flag))
 
 
 def test_operations_after_close_raise_library_errors():
     """A closed engine must fail inside the ReproError hierarchy, never
     with a bare ``KeyError`` from the emptied worker mapping."""
-    process = make_sharded_engine("b-tree", shards=2, block_size=8,
-                                  seed=SEED, parallel="process")
+    process = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                               block_size=8, seed=SEED,
+                                               parallel="process"))
     process.insert_many([(1, "a")])
     # No durability directory: there is nothing to sync or snapshot.
     with pytest.raises(ConfigurationError):
@@ -281,19 +286,22 @@ def test_operations_after_close_raise_library_errors():
 
 def test_parallel_mode_and_max_workers_validation():
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", shards=2, parallel="warp-drive")
+        make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                         parallel="warp-drive"))
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", shards=2, max_workers=2)
+        make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                         max_workers=2))
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", shards=2, parallel="process",
-                            max_workers=0)
+        make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                         parallel="process", max_workers=0))
 
 
-def test_spawn_start_method_is_supported():
+def test_spawn_start_method_is_supported(monkeypatch):
     """The engine must not depend on fork-inherited state."""
+    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
     structure = make_dictionary("sharded", shards=2, inner="b-tree",
                                 block_size=8, seed=SEED)
-    engine = ProcessShardedDictionaryEngine(structure, start_method="spawn")
+    engine = ProcessShardedDictionaryEngine(structure)
     try:
         engine.insert_many([(key, key) for key in range(40)])
         assert engine.contains_many([0, 1, 39, 99]) \
@@ -318,9 +326,9 @@ def _kill_worker(engine, position):
 
 
 def test_worker_crash_raises_and_spares_other_shards():
-    process = make_sharded_engine("hi-skiplist", shards=3,
-                                  block_size=BLOCK_SIZE, seed=SEED,
-                                  parallel="process")
+    process = make_sharded_engine(EngineConfig(inner="hi-skiplist", shards=3,
+                                               block_size=BLOCK_SIZE,
+                                               seed=SEED, parallel="process"))
     try:
         process.insert_many((key, str(key)) for key in range(90))
         _kill_worker(process, 1)
@@ -335,9 +343,9 @@ def test_worker_crash_raises_and_spares_other_shards():
 
 
 def test_restart_workers_rebuilds_lost_shards_empty():
-    process = make_sharded_engine("hi-skiplist", shards=3,
-                                  block_size=BLOCK_SIZE, seed=SEED,
-                                  parallel="process")
+    process = make_sharded_engine(EngineConfig(inner="hi-skiplist", shards=3,
+                                               block_size=BLOCK_SIZE,
+                                               seed=SEED, parallel="process"))
     try:
         process.insert_many((key, str(key)) for key in range(90))
         sizes_before = process.shard_sizes()
@@ -357,8 +365,9 @@ def test_restart_workers_rebuilds_lost_shards_empty():
 
 
 def test_close_reaps_every_worker_and_is_idempotent():
-    process = make_sharded_engine("b-tree", shards=3, block_size=8,
-                                  seed=SEED, parallel="process")
+    process = make_sharded_engine(EngineConfig(inner="b-tree", shards=3,
+                                               block_size=8, seed=SEED,
+                                               parallel="process"))
     process.insert_many([(key, key) for key in range(30)])
     pids = process.worker_pids()
     assert len(pids) == 3
@@ -379,8 +388,9 @@ def test_close_reaps_every_worker_and_is_idempotent():
 
 
 def test_context_manager_closes_on_exit():
-    with make_sharded_engine("b-tree", shards=2, block_size=8, seed=SEED,
-                             parallel="process") as process:
+    with make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                          block_size=8, seed=SEED,
+                                          parallel="process")) as process:
         process.insert_many([(1, "a"), (2, "b")])
         pids = process.worker_pids()
     time.sleep(0.2)
@@ -407,10 +417,11 @@ def test_workers_exit_when_their_parent_is_killed():
     notice the parent is gone (its pipe reads EOF) and exit by itself."""
     code = textwrap.dedent("""
         import time
-        from repro.api import make_sharded_engine
+        from repro.api import EngineConfig, make_sharded_engine
 
-        engine = make_sharded_engine("b-treap", shards=2, seed=1,
-                                     parallel="process", max_workers=2)
+        engine = make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=2, seed=1, parallel="process",
+            max_workers=2))
         engine.insert_many((key, -key) for key in range(100))
         print(*engine.worker_pids(), flush=True)
         time.sleep(120)
@@ -517,9 +528,9 @@ def test_forked_workers_import_nothing(monkeypatch):
 
     def run_every_shape():
         for shape in shapes:
-            with make_sharded_engine("b-tree", block_size=BLOCK_SIZE,
-                                     seed=SEED, parallel="process",
-                                     **shape) as engine:
+            with make_sharded_engine(EngineConfig(
+                    inner="b-tree", block_size=BLOCK_SIZE, seed=SEED,
+                    parallel="process", **shape)) as engine:
                 _drive_through_a_restart(engine)
 
     run_every_shape()
@@ -535,10 +546,11 @@ def test_a_plain_process_engine_never_imports_the_replication_package():
     """The plain engine's parent stays clear of ``repro.replication``."""
     code = textwrap.dedent("""
         import sys
-        from repro.api import make_sharded_engine
+        from repro.api import EngineConfig, make_sharded_engine
 
-        with make_sharded_engine("b-tree", shards=3, block_size=16, seed=1,
-                                 parallel="process", max_workers=2) as engine:
+        with make_sharded_engine(EngineConfig(
+                inner="b-tree", shards=3, block_size=16, seed=1,
+                parallel="process", max_workers=2)) as engine:
             engine.insert_many((key, -key) for key in range(200))
             assert engine.contains_many([0, 199, 200]) == [True, True, False]
             engine.delete_many(range(0, 200, 2))
@@ -578,10 +590,18 @@ def test_the_whole_pool_starts_before_the_first_handshake(monkeypatch):
     monkeypatch.setattr(_ShardWorker, "__init__", logged_fork)
     monkeypatch.setattr(_ShardWorker, "send", logged_send)
     monkeypatch.setattr(_ShardWorker, "receive", logged_receive)
-    with make_sharded_engine("b-tree", shards=3, block_size=BLOCK_SIZE,
-                             seed=SEED, parallel="process") as engine:
+    with make_sharded_engine(EngineConfig(inner="b-tree", shards=3,
+                                          block_size=BLOCK_SIZE, seed=SEED,
+                                          parallel="process")) as engine:
         assert events == ["fork"] * 3 + ["__host__"] * 3 + ["reply"] * 3
         assert engine.num_workers == 3
+
+
+def plane_counters(engine):
+    """The engine's ``plane.*`` counters, from one telemetry snapshot."""
+    return {name[len("plane."):]: value
+            for name, value in engine.telemetry().items()
+            if name.startswith("plane.")}
 
 
 def _spawn_index(engine):
@@ -591,18 +611,18 @@ def _spawn_index(engine):
 def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
     """Spawn up to the cap, then the least-loaded worker, earliest first;
     hosting commands never count as coalesced or group-committed."""
-    with make_sharded_engine("b-tree", shards=5, block_size=BLOCK_SIZE,
-                             seed=SEED, parallel="process",
-                             max_workers=2) as engine:
+    with make_sharded_engine(EngineConfig(
+            inner="b-tree", shards=5, block_size=BLOCK_SIZE, seed=SEED,
+            parallel="process", max_workers=2)) as engine:
         index = _spawn_index(engine)
         assert {position: index[shard.primary.worker] for position, shard
                 in enumerate(engine.structure.shards)} \
             == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
-        assert engine.plane_stats() == {"coalesced": 0, "fsync_batches": 0}
-    with make_sharded_engine("b-tree", shards=4, block_size=BLOCK_SIZE,
-                             seed=SEED, parallel="process", max_workers=3,
-                             replication=2,
-                             durability_dir=str(tmp_path / "d")) as engine:
+        assert plane_counters(engine) == {"coalesced": 0, "fsync_batches": 0}
+    with make_sharded_engine(EngineConfig(
+            inner="b-tree", shards=4, block_size=BLOCK_SIZE, seed=SEED,
+            parallel="process", max_workers=3, replication=2,
+            durability_dir=str(tmp_path / "d"))) as engine:
         index = _spawn_index(engine)
         assert {position: index[shard.primary.worker] for position, shard
                 in enumerate(engine.structure.shards)} \
@@ -610,7 +630,7 @@ def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
         assert [sorted(worker.shard_ids) for worker in engine._workers] \
             == [[-3, -2, 0, 3], [-4, 1], [-1, 2]]
         # The 2 are the initial checkpoint's: it crosses once per copy.
-        assert engine.plane_stats() == {"coalesced": 2, "fsync_batches": 0}
+        assert plane_counters(engine) == {"coalesced": 2, "fsync_batches": 0}
 
 
 def _poison(shard):
@@ -634,8 +654,9 @@ def test_a_failed_start_shuts_down_every_worker_it_started():
 def test_a_failed_restart_shuts_down_the_workers_it_started(monkeypatch):
     from repro.api import registry
 
-    process = make_sharded_engine("b-tree", shards=3, block_size=8,
-                                  seed=SEED, parallel="process")
+    process = make_sharded_engine(EngineConfig(inner="b-tree", shards=3,
+                                               block_size=8, seed=SEED,
+                                               parallel="process"))
     try:
         process.insert_many(entries_for(60))
         _kill_worker(process, 1)
@@ -660,8 +681,9 @@ def test_a_failed_restart_shuts_down_the_workers_it_started(monkeypatch):
 def test_an_unpicklable_batch_fails_alone_and_leaves_the_pipes_in_step():
     """A command that does not pickle never reaches its pipe, so the
     other workers' replies are still read and the next call sees its own."""
-    with make_sharded_engine("b-tree", shards=2, block_size=8, seed=SEED,
-                             parallel="process") as engine:
+    with make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                          block_size=8, seed=SEED,
+                                          parallel="process")) as engine:
         keys = list(range(40))
         first = [key for key in keys if engine.structure.shard_of(key) == 0]
         second = [key for key in keys if engine.structure.shard_of(key) == 1]
@@ -674,7 +696,7 @@ def test_an_unpicklable_batch_fails_alone_and_leaves_the_pipes_in_step():
 
 
 # --------------------------------------------------------------------------- #
-# Coalescing and group commit: the deterministic plane_stats() counters
+# Coalescing and group commit: the deterministic plane.* counters
 # --------------------------------------------------------------------------- #
 
 def run_mixed_workload(engine):
@@ -687,40 +709,40 @@ def run_mixed_workload(engine):
 
 
 def test_packed_workers_coalesce_same_worker_crossings():
-    with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
-                             seed=SEED, parallel="process",
-                             max_workers=1) as engine:
+    with make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
+            parallel="process", max_workers=1)) as engine:
         engine.insert_many(entries_for(60))
         # All three shard batches rode one worker: two pipe crossings saved.
-        assert engine.plane_stats() == {"coalesced": 2, "fsync_batches": 0}
+        assert plane_counters(engine) == {"coalesced": 2, "fsync_batches": 0}
         assert dict(engine.items()) == dict(entries_for(60))
 
 
 def test_group_commit_counts_one_fsync_batch_per_worker(tmp_path):
-    with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
-                             seed=SEED, router="consistent",
-                             parallel="process", replication=2,
-                             durability_dir=str(tmp_path / "d")) as engine:
-        assert engine.plane_stats()["fsync_batches"] == 0
+    with make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
+            router="consistent", parallel="process", replication=2,
+            durability_dir=str(tmp_path / "d"))) as engine:
+        assert plane_counters(engine)["fsync_batches"] == 0
         engine.insert_many(entries_for(120))
-        stats = engine.plane_stats()
+        stats = plane_counters(engine)
         # One group commit per worker hosting a primary (3 workers), not
         # one per shard copy (6): the replica subs share their worker's
         # crossing, which is what coalescing counts.
         assert stats["fsync_batches"] == 3
         assert stats["coalesced"] > 0
         engine.delete_many([key for key, _value in entries_for(30)])
-        assert engine.plane_stats()["fsync_batches"] == 6
+        assert plane_counters(engine)["fsync_batches"] == 6
 
 
 def test_plane_counters_are_deterministic_across_runs():
     observed = []
     for _attempt in range(2):
-        with make_sharded_engine("b-treap", shards=3, block_size=BLOCK_SIZE,
-                                 seed=SEED, parallel="process",
-                                 max_workers=2) as engine:
+        with make_sharded_engine(EngineConfig(
+                inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
+                parallel="process", max_workers=2)) as engine:
             run_mixed_workload(engine)
-            observed.append(engine.plane_stats())
+            observed.append(plane_counters(engine))
     assert observed[0] == observed[1]
     assert observed[0]["coalesced"] > 0
 
@@ -749,10 +771,10 @@ def test_worker_killed_mid_batch_recovers(tmp_path, monkeypatch, site,
     monkeypatch.setenv("REPRO_FAILPOINTS",
                        site + (":41" if site == "worker.insert" else ":5"))
     acked = dict(entries_for(40))
-    with make_sharded_engine("b-treap", shards=2, block_size=BLOCK_SIZE,
-                             seed=SEED, router="consistent",
-                             parallel="process", replication=1,
-                             durability_dir=str(tmp_path / "d")) as engine:
+    with make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=2, block_size=BLOCK_SIZE, seed=SEED,
+            router="consistent", parallel="process", replication=1,
+            durability_dir=str(tmp_path / "d"))) as engine:
         engine.insert_many(entries_for(40))
         with pytest.raises(WorkerCrashError):
             if site == "worker.insert":

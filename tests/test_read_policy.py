@@ -42,21 +42,28 @@ SHARDS = 3
 
 def build_engine(read_policy="primary", replication=2, shards=SHARDS,
                  **extra):
-    return make_sharded_engine("b-treap", shards=shards,
-                               block_size=BLOCK_SIZE, seed=SEED,
-                               router="consistent", parallel="process",
-                               replication=replication,
-                               read_policy=read_policy, **extra)
+    return make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=shards, block_size=BLOCK_SIZE, seed=SEED,
+        router="consistent", parallel="process", replication=replication,
+        read_policy=read_policy, **extra))
 
 
 def build_twin(shards=SHARDS):
-    return make_sharded_engine("b-treap", shards=shards,
-                               block_size=BLOCK_SIZE, seed=SEED,
-                               router="consistent")
+    return make_sharded_engine(EngineConfig(inner="b-treap", shards=shards,
+                                            block_size=BLOCK_SIZE, seed=SEED,
+                                            router="consistent"))
 
 
 def entries_for(count, stride=7, modulus=2003):
     return [(key * stride % modulus, key) for key in range(count)]
+
+
+def read_counters(engine):
+    """The engine's ``replica_reads.*`` counters, from one telemetry
+    snapshot."""
+    return {name[len("replica_reads."):]: value
+            for name, value in engine.telemetry().items()
+            if name.startswith("replica_reads.")}
 
 
 def kill_worker(engine, position):
@@ -88,7 +95,7 @@ def test_default_policy_is_primary_and_serves_no_replica_reads():
         engine.contains_many([key for key, _value in entries])
         for key, value in entries[:10]:
             assert engine.search(key) == value
-        assert engine.replica_read_stats() == {
+        assert read_counters(engine) == {
             "replica_reads": 0, "demotions": 0, "anti_entropy_reseeds": 0}
     finally:
         engine.close()
@@ -96,10 +103,10 @@ def test_default_policy_is_primary_and_serves_no_replica_reads():
 
 def test_non_primary_policy_requires_replication():
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-treap", shards=SHARDS,
-                            block_size=BLOCK_SIZE, seed=SEED,
-                            router="consistent", parallel="process",
-                            replication=1, read_policy="round-robin")
+        make_sharded_engine(EngineConfig(
+            inner="b-treap", shards=SHARDS, block_size=BLOCK_SIZE, seed=SEED,
+            router="consistent", parallel="process", replication=1,
+            read_policy="round-robin"))
 
 
 def test_unknown_policy_is_rejected():
@@ -142,7 +149,7 @@ def test_round_robin_reads_are_byte_identical_to_the_twin():
         for key, value in entries[:20]:
             assert engine.search(key) == value
         assert engine.items() == twin.items()
-        stats = engine.replica_read_stats()
+        stats = read_counters(engine)
         assert stats["replica_reads"] > 0
         assert stats["demotions"] == 0
     finally:
@@ -156,13 +163,13 @@ def test_round_robin_rotates_point_reads_across_copies():
         entries = entries_for(60)
         engine.insert_many(entries)
         key, value = entries[0]
-        before = engine.replica_read_stats()["replica_reads"]
+        before = read_counters(engine)["replica_reads"]
         # One shard, three copies: of any three consecutive point reads,
         # exactly two are replica-served (the cursor passes the primary
         # once per revolution).
         for _spin in range(3):
             assert engine.search(key) == value
-        after = engine.replica_read_stats()["replica_reads"]
+        after = read_counters(engine)["replica_reads"]
         assert after - before == 2
     finally:
         engine.close()
@@ -172,10 +179,10 @@ def test_io_stats_stays_primary_pinned():
     engine = build_engine("round-robin", replication=2)
     try:
         engine.insert_many(entries_for(80))
-        before = engine.replica_read_stats()["replica_reads"]
+        before = read_counters(engine)["replica_reads"]
         stats = engine.io_stats()
         assert stats.total_ios >= 0
-        assert engine.replica_read_stats()["replica_reads"] == before, (
+        assert read_counters(engine)["replica_reads"] == before, (
             "io_stats was served by a replica — its counters are no "
             "longer comparable to a sequential twin's")
     finally:
@@ -247,7 +254,7 @@ def test_bulk_contains_many_survives_a_dead_primary_byte_identically():
         kill_worker(engine, 1)
         assert engine.contains_many(probes) == expected, (
             "degraded bulk reads diverged from the healthy answers")
-        stats = engine.replica_read_stats()
+        stats = read_counters(engine)
         assert stats["replica_reads"] > 0
     finally:
         engine.close()
@@ -285,11 +292,11 @@ def test_cross_check_demotes_a_diverged_replica_and_serves_the_primary():
         # primary's answer is what the caller sees — every time.
         for _spin in range(4):
             assert engine.search(key) == value
-        assert engine.replica_read_stats()["demotions"] == 1
+        assert read_counters(engine)["demotions"] == 1
         # The demoted copy is out of rotation; reads stay correct.
         for _spin in range(4):
             assert engine.search(key) == value
-        assert engine.replica_read_stats()["demotions"] == 1
+        assert read_counters(engine)["demotions"] == 1
     finally:
         engine.close()
 
@@ -303,7 +310,7 @@ def test_cross_check_agreeing_misses_are_not_divergence():
         for _spin in range(4):
             with pytest.raises(KeyNotFound):
                 engine.search(2004)
-        assert engine.replica_read_stats()["demotions"] == 0
+        assert read_counters(engine)["demotions"] == 0
     finally:
         engine.close()
 
@@ -325,7 +332,7 @@ def test_anti_entropy_reseeds_only_the_divergent_replica():
             "healthy shards were exported: %r"
             % (sweep["exported_positions"],))
         assert engine.replica_counts() == [2] * SHARDS
-        assert engine.replica_read_stats()["anti_entropy_reseeds"] == 1
+        assert read_counters(engine)["anti_entropy_reseeds"] == 1
         # The reseeded clone serves reads again, byte-identically.
         for _spin in range(3):
             assert engine.search(key) == value
@@ -367,7 +374,7 @@ def test_any_after_barrier_degenerates_to_primary_without_durability():
         engine.contains_many([key for key, _value in entries])
         for key, value in entries[:10]:
             assert engine.search(key) == value
-        assert engine.replica_read_stats()["replica_reads"] == 0
+        assert read_counters(engine)["replica_reads"] == 0
     finally:
         engine.close()
 
@@ -384,14 +391,14 @@ def test_any_after_barrier_gates_on_the_barrier_epoch(tmp_path):
         # must fall out of read service until the next barrier.
         for replica in proxy.replicas:
             replica._synced_epoch = -1
-        before = engine.replica_read_stats()["replica_reads"]
+        before = read_counters(engine)["replica_reads"]
         for _spin in range(4):
             assert engine.search(key) == value
-        assert engine.replica_read_stats()["replica_reads"] == before
+        assert read_counters(engine)["replica_reads"] == before
         engine.barrier()  # re-stamps every acking replica
         for _spin in range(4):
             assert engine.search(key) == value
-        assert engine.replica_read_stats()["replica_reads"] > before
+        assert read_counters(engine)["replica_reads"] > before
     finally:
         engine.close()
 
@@ -405,7 +412,7 @@ def test_any_after_barrier_durable_engine_is_synced_from_birth(tmp_path):
         # The durable constructor's initial checkpoint is a sync point, so
         # replicas are read-eligible immediately.
         engine.contains_many([key for key, _value in entries])
-        assert engine.replica_read_stats()["replica_reads"] > 0
+        assert read_counters(engine)["replica_reads"] > 0
     finally:
         engine.close()
 
@@ -453,13 +460,13 @@ def test_manifest_round_trips_the_read_policy(tmp_path):
         assert reopened.items() == sorted(entries)
         for key, value in entries[:10]:
             assert reopened.search(key) == value
-        assert reopened.replica_read_stats()["replica_reads"] > 0
+        assert read_counters(reopened)["replica_reads"] > 0
     finally:
         reopened.close()
     overridden = open_durable_engine(directory, read_policy="primary")
     try:
         assert overridden.read_policy == "primary"
         overridden.contains_many([key for key, _value in entries])
-        assert overridden.replica_read_stats()["replica_reads"] == 0
+        assert read_counters(overridden)["replica_reads"] == 0
     finally:
         overridden.close()

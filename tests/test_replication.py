@@ -28,6 +28,7 @@ import time
 import pytest
 
 from repro.api import (
+    EngineConfig,
     ProcessShardedDictionaryEngine,
     audit_fingerprint_of,
     make_dictionary,
@@ -57,17 +58,18 @@ SEED = 20160626
 
 def build_engine(inner="b-treap", shards=3, replication=2,
                  durability_dir=None, seed=SEED, **extra):
-    return make_sharded_engine(inner, shards=shards, block_size=BLOCK_SIZE,
-                               seed=seed, router="consistent",
-                               parallel="process", replication=replication,
-                               durability_dir=durability_dir, **extra)
+    return make_sharded_engine(EngineConfig(
+        inner=inner, shards=shards, block_size=BLOCK_SIZE, seed=seed,
+        router="consistent", parallel="process", replication=replication,
+        durability_dir=durability_dir, **extra))
 
 
 def build_twin(inner="b-treap", shards=3, seed=SEED):
     """A sequential engine with identical construction (the PR 4 identity
     guarantee makes its layouts the reference for every process backend)."""
-    return make_sharded_engine(inner, shards=shards, block_size=BLOCK_SIZE,
-                               seed=seed, router="consistent")
+    return make_sharded_engine(EngineConfig(inner=inner, shards=shards,
+                                            block_size=BLOCK_SIZE, seed=seed,
+                                            router="consistent"))
 
 
 def layout_digest(structure):
@@ -118,9 +120,9 @@ def assert_anti_persistence(engine, inner="b-treap", seed=SEED):
     shard ids are still ``0..n-1`` (no removals), because the fresh build
     then draws the identical per-shard seed stream.
     """
-    fresh = make_sharded_engine(inner, shards=engine.num_shards,
-                                block_size=BLOCK_SIZE, seed=seed,
-                                router="consistent")
+    fresh = make_sharded_engine(EngineConfig(
+        inner=inner, shards=engine.num_shards, block_size=BLOCK_SIZE,
+        seed=seed, router="consistent"))
     fresh.insert_many(engine.items())
     assert layout_digest(engine.structure) == layout_digest(fresh.structure)
 
@@ -259,10 +261,11 @@ def test_replication_configuration_is_validated(tmp_path):
     with pytest.raises(ConfigurationError):
         build_engine(shards=2, replication=3)
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", shards=2, replication=2)  # no process
+        make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                         replication=2))  # no process
     with pytest.raises(ConfigurationError):
-        make_sharded_engine("b-tree", shards=2,
-                            durability_dir=str(tmp_path / "d"))
+        make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                         durability_dir=str(tmp_path / "d")))
     # Too few distinct workers to place a replica away from its primary.
     with pytest.raises(ConfigurationError):
         build_engine(shards=3, replication=2, max_workers=1)
@@ -270,8 +273,8 @@ def test_replication_configuration_is_validated(tmp_path):
     hand_built = ShardedDictionary(
         [make_dictionary("b-tree", block_size=8) for _ in range(2)])
     with pytest.raises(ConfigurationError):
-        ProcessShardedDictionaryEngine(
-            hand_built, replication=1, durability_dir=str(tmp_path / "d2"))
+        ProcessShardedDictionaryEngine(hand_built, EngineConfig(
+            parallel="process", durability_dir=str(tmp_path / "d2")))
 
 
 def test_settle_drops_every_failed_replica_without_index_skew():
@@ -327,15 +330,16 @@ def test_checkpoint_generations_rotate_and_sweep_stale_images(tmp_path):
 
 
 def test_replication_one_degrades_to_the_plain_process_engine():
-    engine = make_sharded_engine("b-tree", shards=2, block_size=8,
-                                 seed=SEED, parallel="process",
-                                 replication=1)
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-tree", shards=2, block_size=8, seed=SEED, parallel="process",
+        replication=1))
     try:
         assert type(engine) is ProcessShardedDictionaryEngine
     finally:
         engine.close()
-    sequential = make_sharded_engine("b-tree", shards=2, block_size=8,
-                                     seed=SEED, replication=1)
+    sequential = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                                  block_size=8, seed=SEED,
+                                                  replication=1))
     assert type(sequential) is ShardedDictionaryEngine
 
 
@@ -672,7 +676,8 @@ def test_total_worker_loss_recovers_every_shard_from_its_log(
 # --------------------------------------------------------------------------- #
 
 def test_snapshot_shards_manifest_carries_version_and_checksums(tmp_path):
-    engine = make_sharded_engine("b-tree", shards=2, block_size=8, seed=3)
+    engine = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                              block_size=8, seed=3))
     engine.insert_many(entries_for(60))
     manifest = engine.snapshot_shards(str(tmp_path))
     assert manifest["version"] == ShardedDictionaryEngine.MANIFEST_VERSION
@@ -684,7 +689,8 @@ def test_snapshot_shards_manifest_carries_version_and_checksums(tmp_path):
 
 @pytest.mark.parametrize("damage", ["corrupt", "truncate", "missing"])
 def test_restore_shards_rejects_damaged_images(tmp_path, damage):
-    engine = make_sharded_engine("b-tree", shards=2, block_size=8, seed=3)
+    engine = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                              block_size=8, seed=3))
     engine.insert_many(entries_for(80))
     engine.snapshot_shards(str(tmp_path))
     victim = tmp_path / "shard-0001.img"
@@ -701,7 +707,8 @@ def test_restore_shards_rejects_damaged_images(tmp_path, damage):
 
 
 def test_restore_shards_rejects_future_manifest_versions(tmp_path):
-    engine = make_sharded_engine("b-tree", shards=2, block_size=8, seed=3)
+    engine = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                              block_size=8, seed=3))
     engine.insert_many(entries_for(40))
     engine.snapshot_shards(str(tmp_path))
     manifest_path = tmp_path / "manifest.json"
@@ -734,8 +741,8 @@ def test_replicated_close_is_idempotent_and_use_after_close_is_clean(
 
 
 def test_every_engine_supports_close_and_context_management():
-    with make_sharded_engine("b-tree", shards=2, block_size=8,
-                             seed=3) as engine:
+    with make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                          block_size=8, seed=3)) as engine:
         engine.insert_many(entries_for(20))
     engine.close()  # the base close() is an idempotent no-op
     from repro.api import DictionaryEngine

@@ -123,8 +123,8 @@ def test_loopback_replicated_read_policy_matches_sequential():
                 assert client.digest() == layout_digest(sequential)
                 served_engine = \
                     server.server._namespaces["default"].engine
-                assert served_engine.replica_read_stats()[
-                    "replica_reads"] > 0
+                assert served_engine.telemetry()[
+                    "replica_reads.replica_reads"] > 0
     finally:
         sequential.close()
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import (
     DictionaryEngine,
+    EngineConfig,
     ShardedDictionary,
     ShardedDictionaryEngine,
     make_dictionary,
@@ -31,9 +32,9 @@ INNERS = ("b-tree", "hi-pma", "hi-skiplist")
 
 
 def build_engine(inner, shards=3, seed=7, block_size=16, cache_blocks=2):
-    return make_sharded_engine(inner, shards=shards, seed=seed,
-                               block_size=block_size,
-                               cache_blocks=cache_blocks)
+    return make_sharded_engine(EngineConfig(inner=inner, shards=shards,
+                                            seed=seed, block_size=block_size,
+                                            cache_blocks=cache_blocks))
 
 
 # --------------------------------------------------------------------------- #
@@ -218,8 +219,9 @@ def test_restore_from_manifest_with_malformed_entry(tmp_path):
 
 
 def test_heterogeneous_shards_roundtrip(tmp_path):
-    engine = make_sharded_engine(["b-tree", "treap", "memory-skiplist"],
-                                 shards=3, seed=9, block_size=16)
+    engine = make_sharded_engine(EngineConfig(
+        inner=["b-tree", "treap", "memory-skiplist"], shards=3, seed=9,
+        block_size=16))
     keys = random.Random(7).sample(range(10_000), 200)
     engine.insert_many((key, key) for key in keys)
     assert engine.structure.inner_names == ["b-tree", "treap",

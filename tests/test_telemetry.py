@@ -8,9 +8,10 @@ ISSUE 10's acceptance bar for :mod:`repro.obs`:
 * **Tracing** — spans nest through thread-local state, adopt foreign
   trace ids from pipe/wire headers, and graft finished worker span
   dicts into the local tree; the disabled path is a shared no-op.
-* **One snapshot** — ``engine.telemetry()`` folds every legacy stats
-  surface (``io_stats``, ``plane_stats``, ``erasure_stats``,
-  ``replica_read_stats``) into one namespaced mapping.
+* **One snapshot** — ``engine.telemetry()`` reads the registry, where
+  the process engine keeps its ``plane.*``, ``erasure.*`` and
+  ``replica_reads.*`` counters, plus ``engine_io.*`` from ``io_stats``,
+  as one namespaced mapping.
 * **The wire** — a traced bulk call against a running server yields one
   span tree crossing client → server → engine → worker, and the
   ``stats``/``traces`` verbs expose it; malformed trace headers are
@@ -293,7 +294,7 @@ def test_render_trace_is_an_indented_tree():
 
 
 # --------------------------------------------------------------------------- #
-# One snapshot per engine: telemetry() folds every legacy surface
+# One snapshot per engine: telemetry() reads the registry
 # --------------------------------------------------------------------------- #
 
 def replicated_config(**overrides):
@@ -313,7 +314,7 @@ def test_engine_telemetry_folds_all_four_surfaces():
         snap = engine.telemetry()
     finally:
         engine.close()
-    # The four legacy surfaces, namespaced side by side.
+    # The four counter families, namespaced side by side.
     assert snap["engine_io.reads"] >= 0
     assert snap["plane.coalesced"] > 0 and "plane.fsync_batches" in snap
     assert "plane.bytes" not in snap and "plane.frames" not in snap
@@ -329,7 +330,8 @@ def test_engine_telemetry_folds_all_four_surfaces():
     assert snap["telemetry.spans"] >= 2
     assert snap["telemetry.crossings"] > 0
     assert snap["telemetry.worker_spans"] > 0
-    assert snap["telemetry.snapshot_merges"] == 4
+    # Only the engine_io fold merges; the rest already is the registry.
+    assert snap["telemetry.snapshot_merges"] == 1
 
 
 def test_traced_bulk_call_crosses_into_the_workers():
@@ -353,18 +355,33 @@ def test_traced_bulk_call_crosses_into_the_workers():
         {root["trace"]}
 
 
-def test_plane_stats_republish_into_the_registry():
+PROCESS_COUNTERS = {
+    "plane.coalesced", "plane.fsync_batches",
+    "erasure.barriers", "erasure.deletes_flushed", "erasure.frames_dropped",
+    "erasure.redactions",
+    "replica_reads.replica_reads", "replica_reads.demotions",
+    "replica_reads.anti_entropy_reseeds",
+}
+
+
+def test_process_engine_counters_start_at_zero_in_the_registry():
+    """A fresh process engine names its nine counters at zero (the key set
+    the e2e counter helper and the server's ``stats`` verb read); a
+    sequential engine names none of them; a closed one has no snapshot."""
     engine = make_sharded_engine(config=replicated_config(
-        replication=1, telemetry=False))
+        max_workers=None, replication=1, telemetry=False))
     try:
-        engine.insert_many((key, key) for key in range(16))
-        stats = engine.plane_stats()
-        snap = engine.metrics.snapshot()
-        for name, value in stats.items():
-            assert snap["plane." + name] == value
-        assert set(stats) == {"coalesced", "fsync_batches"}
+        snap = engine.telemetry()
+        assert {name: snap[name] for name in PROCESS_COUNTERS} \
+            == dict.fromkeys(PROCESS_COUNTERS, 0)
+        assert set(engine.metrics.snapshot()) == PROCESS_COUNTERS
     finally:
         engine.close()
+    with pytest.raises(ConfigurationError, match="closed"):
+        engine.telemetry()
+    sequential = make_sharded_engine(config=replicated_config(
+        parallel="none", max_workers=None, replication=1, telemetry=False))
+    assert not PROCESS_COUNTERS & set(sequential.telemetry())
 
 
 def test_closed_replicated_engine_raises_clean_configuration_errors():
@@ -373,12 +390,12 @@ def test_closed_replicated_engine_raises_clean_configuration_errors():
     from a dead worker pipe."""
     engine = make_sharded_engine(config=replicated_config(telemetry=False))
     engine.insert_many((key, key) for key in range(8))
-    assert engine.replica_read_stats()["replica_reads"] >= 0
+    assert engine.telemetry()["replica_reads.replica_reads"] >= 0
     engine.close()
     with pytest.raises(ConfigurationError, match="closed"):
         engine.io_stats()
     with pytest.raises(ConfigurationError, match="closed"):
-        engine.replica_read_stats()
+        engine.telemetry()
 
 
 # --------------------------------------------------------------------------- #
