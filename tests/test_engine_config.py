@@ -162,6 +162,18 @@ def test_config_must_be_an_engine_config():
         make_sharded_engine(config={"shards": 3})
 
 
+def test_config_plus_overridden_legacy_kwarg_is_rejected():
+    """No keyword rides next to the config: a retired keyword or the old
+    ``inner`` positional is refused (by Python itself, naming it), never
+    silently merged into or dropped from the build."""
+    config = EngineConfig(shards=3, seed=1)
+    with pytest.raises(TypeError) as excinfo:
+        make_sharded_engine(config=config, shards=5)
+    assert "shards" in str(excinfo.value)
+    with pytest.raises(TypeError, match="config"):
+        make_sharded_engine("b-tree", config=config)
+
+
 # --------------------------------------------------------------------------- #
 # Manifest embedding
 # --------------------------------------------------------------------------- #
