@@ -40,7 +40,6 @@ Construction goes through the registry like everything else::
 from __future__ import annotations
 
 import heapq
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -53,6 +52,15 @@ from repro.api.protocol import HIDictionary, Pair
 from repro.api.routing import Router, hash_key, make_router
 from repro.errors import ConfigurationError
 from repro.memory.stats import IOStats
+from repro.storage.snapshot import (
+    MANIFEST_NAME,
+    MANIFEST_VERSION,
+    decode_slot,
+    read_image,
+    read_manifest,
+    write_image,
+    write_manifest,
+)
 
 #: Default number of shards when the registry entry is built without one.
 DEFAULT_SHARDS = 4
@@ -109,6 +117,23 @@ class MigrationReport:
     def ideal_fraction(self) -> float:
         """What consistent hashing predicts the resize should move."""
         return 1.0 / max(self.old_shards, self.new_shards)
+
+
+def _config_for_shards(config: EngineConfig,
+                      inner_names: Sequence[str]) -> EngineConfig:
+    """``config`` with ``shards`` and ``inner`` describing ``inner_names``:
+    unchanged when it already does (so a never-resized store keeps its
+    config), else one ``inner`` name if all shards share it, else one each."""
+    from repro.api.registry import resolve
+
+    names = list(inner_names)
+    inner = config.inner
+    described = [inner] * config.shards if isinstance(inner, str) \
+        else list(inner)
+    if [resolve(name) for name in described] == names:
+        return config
+    return config.replace(shards=len(names), inner=names[0]
+                          if len(set(names)) == 1 else tuple(names))
 
 
 def _validated_shard_spec(extra: Mapping[str, object]
@@ -673,14 +698,8 @@ class ShardedDictionaryEngine(DictionaryEngine):
     shard with a manifest for restore.
     """
 
-    #: File name of the manifest written next to the per-shard images.
-    MANIFEST_NAME = "manifest.json"
-
-    #: Manifest format version this build writes.  Version 2 added the
-    #: ``version`` field itself plus per-shard image checksums; manifests
-    #: without a version (implicitly 1) still restore, newer versions are
-    #: rejected instead of being half-understood.
-    MANIFEST_VERSION = 2
+    #: The config the engine runs under (``None`` if built without one).
+    engine_config: Optional[EngineConfig] = None
 
     def __init__(self, structure: ShardedDictionary, *,
                  name: Optional[str] = None,
@@ -759,11 +778,19 @@ class ShardedDictionaryEngine(DictionaryEngine):
     def add_shard(self, shard: Optional[HIDictionary] = None,
                   inner: Optional[str] = None) -> MigrationReport:
         """Grow by one shard (see :meth:`ShardedDictionary.add_shard`)."""
-        return self._structure.add_shard(shard=shard, inner=inner)
+        return self._resized(self._structure.add_shard(shard=shard,
+                                                       inner=inner))
 
     def remove_shard(self, position: int) -> MigrationReport:
         """Retire one shard (see :meth:`ShardedDictionary.remove_shard`)."""
-        return self._structure.remove_shard(position)
+        return self._resized(self._structure.remove_shard(position))
+
+    def _resized(self, report: MigrationReport) -> MigrationReport:
+        """Keep :attr:`engine_config` describing the shard list."""
+        if self.engine_config is not None:
+            self.engine_config = _config_for_shards(
+                self.engine_config, self._structure.inner_names)
+        return report
 
     # ------------------------------------------------------------------ #
     # Batched bulk operations
@@ -916,54 +943,22 @@ class ShardedDictionaryEngine(DictionaryEngine):
     # Per-shard snapshots
     # ------------------------------------------------------------------ #
 
-    def snapshot_shards(self, directory: str, *,
-                        page_size: int = 4096,
-                        payload_size: int = 64,
-                        shuffle_pages: bool = False,
-                        seed: RandomLike = None) -> Dict[str, object]:
-        """Write one image per shard into ``directory`` plus a JSON manifest.
-
-        Returns the manifest (also written to :attr:`MANIFEST_NAME` inside
-        the directory): shard count, inner structure names, and for each
-        shard the image file name and the snapshot metadata needed to decode
-        it.  :meth:`restore_shards` consumes exactly this layout.
-        """
-        from repro.storage.snapshot import file_checksum
-
-        os.makedirs(directory, exist_ok=True)
-        shards = []
-        for index, engine in enumerate(self._engines()):
-            file_name = "shard-%04d.img" % index
-            path = os.path.join(directory, file_name)
-            _paged, metadata = engine.snapshot(
-                path, page_size=page_size, payload_size=payload_size,
-                shuffle_pages=shuffle_pages, seed=seed)
-            shards.append({
-                "file": file_name,
-                "checksum": file_checksum(path),
-                "kind": metadata.kind,
-                "num_slots": metadata.num_slots,
-                "num_pages": metadata.num_pages,
-                "page_size": metadata.page_size,
-                "payload_size": metadata.payload_size,
-                "page_order": list(metadata.page_order),
-            })
-        manifest = {
-            "version": self.MANIFEST_VERSION,
+    def _manifest_header(self) -> Dict[str, object]:
+        """The fields both shard-image manifests share: version, structure,
+        topology, router, shard ids and — for registry-built dictionaries,
+        so a restore does not drift to the defaults — the build record."""
+        structure = self._structure
+        header: Dict[str, object] = {
+            "version": MANIFEST_VERSION,
             "structure": self.name,
-            "num_shards": self.num_shards,
-            "inner": list(self._structure.inner_names),
-            "router": self._structure.router.spec(),
-            "shard_ids": list(self._structure.shard_ids),
-            "shards": shards,
+            "num_shards": structure.num_shards,
+            "inner": list(structure.inner_names),
+            "router": structure.router.spec(),
+            "shard_ids": list(structure.shard_ids),
         }
-        # Registry-built dictionaries also persist their construction
-        # parameters, so a restore rebuilds shards with the same block size
-        # / cache / structure extras instead of silently drifting to the
-        # defaults (hand-assembled shard lists have no recorded build).
-        context = self._structure._build_context
+        context = structure._build_context
         if context is not None:
-            manifest["build"] = {
+            build: Dict[str, object] = {
                 "block_size": context["block_size"],
                 "cache_blocks": context["cache_blocks"],
                 "backend": context["backend"],
@@ -972,13 +967,37 @@ class ShardedDictionaryEngine(DictionaryEngine):
             # The construction seed makes restores reproducible run-to-run;
             # a live random.Random (RandomLike) is not serialisable, so only
             # int / None seeds are recorded.
-            if context["seed"] is None or (isinstance(context["seed"], int)
-                                           and not isinstance(context["seed"],
-                                                              bool)):
-                manifest["build"]["seed"] = context["seed"]
-        with open(os.path.join(directory, self.MANIFEST_NAME), "w",
-                  encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
+            seed = context["seed"]
+            if seed is None or (isinstance(seed, int)
+                                and not isinstance(seed, bool)):
+                build["seed"] = seed
+            header["build"] = build
+        return header
+
+    def snapshot_shards(self, directory: str, *,
+                        page_size: int = 4096,
+                        payload_size: int = 64,
+                        shuffle_pages: bool = False,
+                        seed: RandomLike = None) -> Dict[str, object]:
+        """Write one image per shard into ``directory`` plus a JSON manifest.
+
+        Returns the manifest (also written to ``manifest.json`` inside the
+        directory): the :meth:`_manifest_header` fields plus, per shard, the
+        image file name, its checksum and the snapshot metadata needed to
+        decode it.  This is the one shard-image format of
+        :mod:`repro.storage.snapshot`: images are rewritten from empty and
+        the manifest is replaced atomically with a directory fsync.
+        :meth:`restore_shards` consumes exactly this layout.
+        """
+        os.makedirs(directory, exist_ok=True)
+        manifest = self._manifest_header()
+        manifest["shards"] = [
+            write_image(directory, "shard-%04d.img" % index,
+                        engine.structure.snapshot_slots(), kind=engine.name,
+                        page_size=page_size, payload_size=payload_size,
+                        shuffle_pages=shuffle_pages, seed=seed)
+            for index, engine in enumerate(self._engines())]
+        write_manifest(directory, manifest)
         return manifest
 
     @classmethod
@@ -1002,52 +1021,22 @@ class ShardedDictionaryEngine(DictionaryEngine):
         (The physical layouts of structures that consume randomness per
         operation still reflect the restore's insertion order, not the
         original operation history — that is the history-independence
-        guarantee at work, not a configuration drift.)  The recovered records are re-inserted, and
-        routing determinism guarantees every key lands back on the shard
-        its image came from — including engines that had been elastically
-        resized before the snapshot.  Slots that are bare keys (structures
-        whose snapshot persists the physical slot array rather than pairs)
-        restore with a ``None`` value, matching what the single-file
-        snapshot path preserves.
+        guarantee at work, not a configuration drift.)  The recovered
+        records are re-inserted, and routing determinism guarantees every
+        key lands back on the shard its image came from — including engines
+        that had been elastically resized before the snapshot.  Each image
+        must match its recorded checksum; errors name the shard entry.
+        Bare-key slots restore with a ``None`` value
+        (:func:`~repro.storage.snapshot.decode_slot`).
         """
         from repro.api.registry import make_dictionary
-        from repro.storage.pager import PagedFile
-        from repro.storage.snapshot import SnapshotMetadata, load_records
 
-        manifest_path = os.path.join(directory, cls.MANIFEST_NAME)
-        try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise ConfigurationError(
-                "cannot read sharded snapshot manifest %r: %s"
-                % (manifest_path, error)) from error
-        version = manifest.get("version", 1)
-        if not isinstance(version, int) or isinstance(version, bool) \
-                or version < 1:
-            raise ConfigurationError(
-                "sharded snapshot manifest %r has a malformed version %r"
-                % (manifest_path, version))
-        if version > cls.MANIFEST_VERSION:
-            raise ConfigurationError(
-                "sharded snapshot manifest %r has format version %d; this "
-                "build reads up to %d — refusing to guess at fields it "
-                "cannot understand" % (manifest_path, version,
-                                       cls.MANIFEST_VERSION))
-        num_shards = manifest.get("num_shards")
-        inner = manifest.get("inner")
-        shard_entries = manifest.get("shards")
-        if not isinstance(num_shards, int) or not isinstance(inner, list) \
-                or not isinstance(shard_entries, list) \
-                or len(shard_entries) != num_shards:
-            raise ConfigurationError(
-                "sharded snapshot manifest %r is malformed" % (manifest_path,))
+        manifest = read_manifest(directory)
+        manifest_path = os.path.join(directory, MANIFEST_NAME)
         # Manifests from before routers existed restore with the routing
         # they were written under: the modulo default over ids 0..n-1.
-        router_spec = manifest.get("router", {"name": "modulo"})
-        shard_ids = manifest.get("shard_ids")
         try:
-            router = make_router(router_spec)
+            router = make_router(manifest.get("router", {"name": "modulo"}))
         except ConfigurationError as error:
             raise ConfigurationError(
                 "sharded snapshot manifest %r has a malformed router spec: "
@@ -1071,49 +1060,22 @@ class ShardedDictionaryEngine(DictionaryEngine):
 
         structure = make_dictionary("sharded", block_size=block_size,
                                     cache_blocks=cache_blocks, seed=seed,
-                                    backend=backend, shards=num_shards,
-                                    inner=inner, router=router,
+                                    backend=backend,
+                                    shards=manifest["num_shards"],
+                                    inner=manifest["inner"], router=router,
                                     inner_params=dict(inner_params))
-        if shard_ids is not None:
+        if "shard_ids" in manifest:
             try:
-                structure.relabel_shards(shard_ids)
+                structure.relabel_shards(manifest["shard_ids"])
             except (ConfigurationError, TypeError) as error:
                 raise ConfigurationError(
                     "sharded snapshot manifest %r has malformed shard ids: "
                     "%s" % (manifest_path, error)) from error
         engine = cls(structure)
-        for index, entry in enumerate(shard_entries):
-            try:
-                metadata = SnapshotMetadata(
-                    kind=entry["kind"], num_slots=entry["num_slots"],
-                    num_pages=entry["num_pages"],
-                    page_size=entry["page_size"],
-                    payload_size=entry["payload_size"],
-                    page_order=tuple(entry["page_order"]))
-                file_name = entry["file"]
-            except (KeyError, TypeError) as error:
-                raise ConfigurationError(
-                    "sharded snapshot manifest %r shard entry %d is "
-                    "malformed: %s" % (manifest_path, index, error)) from error
-            image_path = os.path.join(directory, file_name)
-            recorded = entry.get("checksum")
-            if recorded is not None:
-                from repro.storage.snapshot import file_checksum
-                actual = file_checksum(image_path)
-                if actual != recorded:
-                    raise ConfigurationError(
-                        "shard image %r is corrupt or truncated: checksum "
-                        "%s does not match the manifest's %s"
-                        % (image_path, actual, recorded))
-            paged = PagedFile(page_size=metadata.page_size, path=image_path)
-            for slot in load_records(paged, metadata):
-                if slot is None:
-                    continue
-                if isinstance(slot, tuple) and len(slot) == 2:
-                    key, value = slot
-                else:
-                    key, value = slot, None
-                engine.shard_engines[index].structure.insert(key, value)
+        for index, shard in enumerate(structure.shards):
+            for slot in read_image(directory, manifest, index):
+                if slot is not None:
+                    shard.insert(*decode_slot(slot))
         return engine
 
 

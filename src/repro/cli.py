@@ -72,7 +72,7 @@ from repro.errors import ConfigurationError
 from repro.history.audit import audit_weak_history_independence
 from repro.history.pairs import equivalent_histories, registry_builders
 from repro.history.uniformity import balance_uniformity_experiment
-from repro.storage import image_of
+from repro.storage.snapshot import MANIFEST_NAME, image_of
 from repro.workloads import (
     batch_redaction_trace,
     elastic_churn_trace,
@@ -542,7 +542,7 @@ def cmd_snapshot(args: argparse.Namespace, out) -> int:
                       % (entry["file"], entry["num_slots"],
                          entry["num_pages"]), file=out)
             print("manifest written to %s"
-                  % os.path.join(args.path, engine.MANIFEST_NAME), file=out)
+                  % os.path.join(args.path, MANIFEST_NAME), file=out)
             return 0
     paged_file, metadata = engine.snapshot(args.path)
     image = image_of(paged_file, metadata)

@@ -39,6 +39,7 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.storage.encoding import RecordCodec, encoded_record_size
+from repro.storage.snapshot import decode_slot, read_image, read_manifest
 
 
 def occupancy_profile(slots: Sequence[object], buckets: int = 16) -> List[float]:
@@ -221,39 +222,26 @@ def _audit_oplog_frames(directory: str, name: str, deleted: list,
 def _audit_image_slots(directory: str, manifest: dict, deleted: list,
                        buckets: int, threshold: float
                        ) -> Tuple[List[ErasureFinding], List[str]]:
-    """Decode every checkpoint image the manifest references."""
-    from repro.storage.pager import PagedFile
-    from repro.storage.snapshot import SnapshotMetadata, load_records
-
+    """Decode every shard image the manifest references, checksums
+    unchecked (an observer reads whatever is on disk)."""
     findings: List[ErasureFinding] = []
     anomalies: List[str] = []
-    for entry in manifest.get("shards", ()):
-        name = entry.get("file")
-        path = os.path.join(directory, name or "")
-        if not name or not os.path.exists(path):
-            continue
+    for index, entry in enumerate(manifest["shards"]):
         try:
-            metadata = SnapshotMetadata(
-                kind=entry["kind"], num_slots=entry["num_slots"],
-                num_pages=entry["num_pages"], page_size=entry["page_size"],
-                payload_size=entry["payload_size"],
-                page_order=tuple(entry["page_order"]))
-            slots = load_records(PagedFile(page_size=metadata.page_size,
-                                           path=path), metadata)
-        except (KeyError, TypeError, ConfigurationError):
+            slots = read_image(directory, manifest, index, verify=False)
+        except ConfigurationError:
             continue  # the raw scan already covered the bytes
-        for index, slot in enumerate(slots):
+        for position, slot in enumerate(slots):
             if slot is None:
                 continue
-            key = slot[0] if isinstance(slot, tuple) and len(slot) == 2 \
-                else slot
+            key = decode_slot(slot)[0]
             if key in deleted:
                 findings.append(ErasureFinding(
-                    file=name, kind="image-slot", key=key,
-                    detail="slot %d" % index))
+                    file=entry["file"], kind="image-slot", key=key,
+                    detail="slot %d" % position))
         if detect_density_anomaly(slots, buckets=buckets,
                                   threshold=threshold):
-            anomalies.append(name)
+            anomalies.append(entry["file"])
     return findings, anomalies
 
 
@@ -273,10 +261,10 @@ def audit_durability_dir(directory: str, deleted_keys: Iterable[object] = (),
     2. **Op-log frames** — files that parse as op logs are replayed
        read-only (:func:`repro.replication.oplog.read_ops`) and every
        frame naming a deleted key is reported with its operation.
-    3. **Checkpoint images** — the manifest's image entries are decoded
-       back into slot arrays; slots holding a deleted key are reported,
-       and each image's occupancy profile is checked for density
-       anomalies.
+    3. **Shard images** — the images of any shard-image manifest (a
+       checkpoint or a ``snapshot_shards`` directory) are decoded back
+       into slot arrays; slots holding a deleted key are reported, and
+       each image's occupancy profile is checked for density anomalies.
 
     ``payload_size`` must match the store's codec geometry (the
     replication layer's checkpoint/op-log codec uses 64).
@@ -310,18 +298,14 @@ def audit_durability_dir(directory: str, deleted_keys: Iterable[object] = (),
         if blob.startswith(b"REPROLOG"):
             findings.extend(_audit_oplog_frames(directory, name, deleted,
                                                 payload_size))
-    manifest_path = os.path.join(directory, "manifest.json")
-    if os.path.exists(manifest_path):
-        from repro.replication.recovery import load_manifest
-
-        try:
-            manifest = load_manifest(directory)
-        except ConfigurationError:
-            manifest = None
-        if manifest is not None:
-            image_findings, anomalies = _audit_image_slots(
-                directory, manifest, deleted, buckets, threshold)
-            findings.extend(image_findings)
+    try:
+        manifest = read_manifest(directory)
+    except ConfigurationError:
+        pass  # no readable manifest, so no images to decode
+    else:
+        image_findings, anomalies = _audit_image_slots(
+            directory, manifest, deleted, buckets, threshold)
+        findings.extend(image_findings)
     return DurabilityAuditReport(
         directory=directory, files_scanned=tuple(scanned),
         bytes_scanned=bytes_scanned, findings=tuple(findings),

@@ -43,6 +43,7 @@ from repro.errors import ConfigurationError
 from repro.failpoints import trip
 from repro.obs import child_span
 from repro.storage.encoding import RecordCodec
+from repro.storage.snapshot import fsync_directory
 
 #: Log file magic; a file that does not start with it is rejected.
 MAGIC = b"REPROLOG"
@@ -64,27 +65,6 @@ _OP_CODES = {name: code for code, name in OP_NAMES.items()}
 
 #: One replayable log entry: ``(op name, key, value)``.
 LoggedOp = Tuple[str, object, object]
-
-
-def _fsync_directory(path: str) -> None:
-    """Make a rename in ``path``'s directory durable (best effort).
-
-    ``os.replace`` swaps the directory entry atomically, but the *entry*
-    itself is not durable until the directory is synced — a machine crash
-    could resurrect the pre-compaction file, which in secure durability
-    mode would resurrect redacted frames.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir-fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 class OpLog:
@@ -126,7 +106,7 @@ class OpLog:
             # scratch must not linger (its frames duplicate ours, and in
             # secure mode lingering bytes are exactly the leak to prevent).
             os.unlink(scratch)
-            _fsync_directory(path)
+            fsync_directory(os.path.dirname(os.path.abspath(path)))
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         # Unbuffered append handle: every frame reaches the OS immediately,
         # so records survive a SIGKILLed worker without per-record fsyncs.
@@ -356,7 +336,7 @@ class OpLog:
         trip("oplog.compact.rename")
         os.replace(scratch, self.path)
         if self._fsync:
-            _fsync_directory(self.path)
+            fsync_directory(os.path.dirname(os.path.abspath(self.path)))
         self._base = keep_from
         self._handle = open(self.path, "ab", buffering=0)
         self._end = self._recompute_end()

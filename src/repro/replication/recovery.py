@@ -5,8 +5,8 @@ Three entry points, all driven through
 
 * :func:`checkpoint_engine` — snapshot every primary shard (slot array +
   op-log barrier offset captured in one worker conversation each), write
-  the durability manifest atomically, then compact the logs to their
-  barriers.
+  the durability manifest atomically, sweep the superseded images, then
+  compact the logs to their barriers.
 * :func:`recover_engine` — behind ``recover()`` and ``restart_workers()``
   on every process engine — repair dead primaries: **promote** a live
   replica when one exists (then truncate + re-checkpoint its log), else
@@ -27,11 +27,14 @@ engine's, no matter how or when the crash happened.  That is the
 anti-persistence property doing operational work: recovery is
 state-independent of failure history, and the canonical-HI digest tier is
 the test that proves it.
+
+Images and manifest are the one shard-image format of
+:mod:`repro.storage.snapshot` (plus per-shard ``id``/``oplog`` fields and
+store-wide ones), written and read only through that module's helpers.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -43,15 +46,17 @@ from repro.api.process_engine import (
     _ShardWorker,
 )
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter, make_router
-from repro.api.sharded import ShardedDictionary
+from repro.api.sharded import ShardedDictionary, _config_for_shards
 from repro.errors import ConfigurationError
 from repro.replication.oplog import OpLog, replay_into
-from repro.storage.pager import PagedFile
 from repro.storage.snapshot import (
-    SnapshotMetadata,
-    file_checksum,
-    load_records,
-    snapshot_records,
+    MANIFEST_NAME,
+    decode_slot,
+    fsync_directory,
+    read_image,
+    read_manifest,
+    write_image,
+    write_manifest,
 )
 
 #: Durability-directory artifact names, keyed by stable shard id (never by
@@ -61,21 +66,12 @@ from repro.storage.snapshot import (
 #: atomically, then sweeps the previous generation — so the generation a
 #: live manifest references is never touched in place and a crash at any
 #: point leaves one complete, openable generation on disk.
-MANIFEST_NAME = "manifest.json"
 IMAGE_NAME = "shard-%06d.gen%06d.img"
 OPLOG_NAME = "shard-%06d.oplog"
-
-#: Manifest format version (shared meaning with the sharded snapshot
-#: manifests: version 2 carries checksums).
-MANIFEST_VERSION = 2
 
 #: Snapshot geometry of the checkpoint images.
 PAGE_SIZE = 4096
 PAYLOAD_SIZE = 64
-
-
-def image_path(directory: str, shard_id: int, generation: int) -> str:
-    return os.path.join(directory, IMAGE_NAME % (shard_id, generation))
 
 
 def oplog_path(directory: str, shard_id: int) -> str:
@@ -150,16 +146,18 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     Per shard, the slot array and the log barrier offset come back from a
     single ``__checkpoint__`` worker conversation, so they describe the
     same instant.  The new generation's images land under fresh
-    generation-numbered names, then the manifest flips to them via
-    write-to-scratch + atomic rename, then the superseded generation is
-    swept — a crash anywhere in between leaves exactly one complete
-    generation referenced and intact on disk.  Log compaction runs after
-    the flip; it only ever drops frames the freshly referenced snapshots
-    already cover.
+    generation-numbered names, then the manifest flips to them
+    (:func:`~repro.storage.snapshot.write_manifest`), then the superseded
+    generation is swept, and with ``fsync`` the directory is synced again
+    so no swept image comes back after a machine crash — a crash anywhere
+    in between leaves exactly one complete generation referenced and
+    intact on disk.  Log compaction runs after the flip; it only ever drops
+    frames the freshly referenced snapshots already cover.
     """
     directory = engine.durability_dir
     structure = engine._structure
     context = structure._build_context
+    fsync = engine.engine_config.fsync
     num_shards = structure.num_shards
     generation = _current_generation(directory) + 1
     results = engine._scatter([(position, "__checkpoint__", ())
@@ -168,70 +166,34 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     for position in range(num_shards):
         slots, offset = results[position]
         shard_id = structure.shard_ids[position]
-        path = image_path(directory, shard_id, generation)
-        if os.path.exists(path):
-            os.unlink(path)  # an orphan from a crashed checkpoint, at most
-        _paged, metadata = snapshot_records(
-            slots, page_size=PAGE_SIZE, payload_size=PAYLOAD_SIZE,
-            path=path, kind=structure.inner_names[position])
-        if engine.engine_config.fsync:
-            with open(path, "rb") as handle:
-                os.fsync(handle.fileno())
-        entries.append({
-            "id": shard_id,
-            "file": os.path.basename(path),
-            "checksum": file_checksum(path),
-            "kind": metadata.kind,
-            "num_slots": metadata.num_slots,
-            "num_pages": metadata.num_pages,
-            "page_size": metadata.page_size,
-            "payload_size": metadata.payload_size,
-            "page_order": list(metadata.page_order),
-            "oplog": {"file": OPLOG_NAME % shard_id, "offset": offset},
-        })
-    build = {
-        "block_size": context["block_size"],
-        "cache_blocks": context["cache_blocks"],
-        "backend": context["backend"],
-        "inner_params": dict(context["inner_params"]),
-        "shard_seeds": list(context["shard_seeds"]),
-        "seeds_drawn": context["seeds_drawn"],
-    }
-    seed = context["seed"]
-    if seed is None or (isinstance(seed, int) and not isinstance(seed, bool)):
-        build["seed"] = seed
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "structure": engine.name,
-        "generation": generation,
-        "num_shards": num_shards,
-        "inner": list(structure.inner_names),
-        "router": structure.router.spec(),
-        "shard_ids": list(structure.shard_ids),
-        "replication": engine.replication,
-        "read_policy": engine.read_policy,
-        "durability_mode": engine.durability_mode,
-        "build": build,
-        "shards": entries,
-    }
+        entry = write_image(directory, IMAGE_NAME % (shard_id, generation),
+                            slots, kind=structure.inner_names[position],
+                            page_size=PAGE_SIZE, payload_size=PAYLOAD_SIZE,
+                            fsync=fsync)
+        entries.append({"id": shard_id, **entry,
+                        "oplog": {"file": OPLOG_NAME % shard_id,
+                                  "offset": offset}})
+    manifest = engine._manifest_header()
+    manifest["build"].update(shard_seeds=list(context["shard_seeds"]),
+                             seeds_drawn=context["seeds_drawn"])
+    manifest.update(generation=generation, replication=engine.replication,
+                    read_policy=engine.read_policy,
+                    durability_mode=engine.durability_mode, shards=entries)
     try:
         manifest["engine_config"] = engine.engine_config.to_dict()
     except ConfigurationError:
         # A live random.Random seed does not serialize; the build record
         # above still carries everything recovery needs.
         pass
-    scratch = os.path.join(directory, MANIFEST_NAME + ".tmp")
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(scratch, os.path.join(directory, MANIFEST_NAME))
+    write_manifest(directory, manifest)
     # The flip is durable; everything the old generation owned — including
     # images of shards that no longer exist — is now unreferenced garbage.
     referenced = {entry["file"] for entry in entries}
     for name in shard_image_names(directory):
         if name not in referenced:
             os.unlink(os.path.join(directory, name))
+    if fsync:
+        fsync_directory(directory)
     compacted = engine._scatter([
         (position, "__compact__", (results[position][1],))
         for position in range(num_shards)])
@@ -246,72 +208,16 @@ def checkpoint_engine(engine) -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 
 def load_manifest(directory: str) -> Dict[str, object]:
-    """Read and structurally validate a durability manifest."""
-    path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError) as error:
+    """Read and structurally validate a durability manifest: a shard-image
+    manifest (:func:`~repro.storage.snapshot.read_manifest`) that also
+    carries shard ids and a build record."""
+    manifest = read_manifest(directory)
+    if "shard_ids" not in manifest \
+            or not isinstance(manifest.get("build"), dict):
         raise ConfigurationError(
-            "cannot read durability manifest %r: %s" % (path, error)
-        ) from error
-    version = manifest.get("version", 1)
-    if not isinstance(version, int) or isinstance(version, bool) \
-            or version < 1 or version > MANIFEST_VERSION:
-        raise ConfigurationError(
-            "durability manifest %r has unsupported version %r (this build "
-            "reads up to %d)" % (path, version, MANIFEST_VERSION))
-    num_shards = manifest.get("num_shards")
-    if not isinstance(num_shards, int) \
-            or not isinstance(manifest.get("inner"), list) \
-            or not isinstance(manifest.get("shard_ids"), list) \
-            or not isinstance(manifest.get("shards"), list) \
-            or not isinstance(manifest.get("build"), dict) \
-            or len(manifest["inner"]) != num_shards \
-            or len(manifest["shard_ids"]) != num_shards:
-        raise ConfigurationError(
-            "durability manifest %r is malformed" % (path,))
+            "durability manifest %r is malformed"
+            % (os.path.join(directory, MANIFEST_NAME),))
     return manifest
-
-
-def _entry_for(manifest: Dict[str, object],
-               shard_id: int) -> Optional[Dict[str, object]]:
-    for entry in manifest["shards"]:
-        if entry.get("id") == shard_id:
-            return entry
-    return None
-
-
-def _load_snapshot_into(shard, directory: str,
-                        entry: Dict[str, object]) -> None:
-    """Re-insert one checkpoint image's records into a fresh shard."""
-    path = os.path.join(directory, entry["file"])
-    recorded = entry.get("checksum")
-    if recorded is not None:
-        actual = file_checksum(path)
-        if actual != recorded:
-            raise ConfigurationError(
-                "checkpoint image %r is corrupt or truncated: checksum %s "
-                "does not match the manifest's %s" % (path, actual,
-                                                      recorded))
-    try:
-        metadata = SnapshotMetadata(
-            kind=entry["kind"], num_slots=entry["num_slots"],
-            num_pages=entry["num_pages"], page_size=entry["page_size"],
-            payload_size=entry["payload_size"],
-            page_order=tuple(entry["page_order"]))
-    except (KeyError, TypeError) as error:
-        raise ConfigurationError(
-            "checkpoint manifest entry for %r is malformed: %s"
-            % (path, error)) from error
-    paged = PagedFile(page_size=metadata.page_size, path=path)
-    for slot in load_records(paged, metadata):
-        if slot is None:
-            continue
-        if isinstance(slot, tuple) and len(slot) == 2:
-            shard.insert(slot[0], slot[1])
-        else:
-            shard.insert(slot, None)
 
 
 def _restore_shard_state(shard, directory: str,
@@ -324,11 +230,14 @@ def _restore_shard_state(shard, directory: str,
     — the two paths must never drift apart in how they read the durable
     artifacts.
     """
-    entry = _entry_for(manifest, shard_id)
     offset = 0
-    if entry is not None:
-        _load_snapshot_into(shard, directory, entry)
-        offset = int((entry.get("oplog") or {}).get("offset") or 0)
+    for index, entry in enumerate(manifest["shards"]):
+        if entry.get("id") == shard_id:
+            for slot in read_image(directory, manifest, index):
+                if slot is not None:
+                    shard.insert(*decode_slot(slot))
+            offset = int((entry.get("oplog") or {}).get("offset") or 0)
+            break
     log_file = oplog_path(directory, shard_id)
     if os.path.exists(log_file):
         log = OpLog(log_file, payload_size=PAYLOAD_SIZE, fsync=fsync)
@@ -574,12 +483,14 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
                             sample_operations: bool):
     """The :class:`~repro.api.config.EngineConfig` a cold start reopened.
 
-    Version-2 manifests embed the config's dict form directly; older ones
-    are synthesized from the build record.  Either way the fields the
-    caller overrode (and the directory actually opened) replace what the
-    manifest recorded, so the config describes the engine as it will run
-    — the server handshake hands it to clients verbatim.  The engine
-    validates it.
+    Version-2 manifests embed the config's dict form directly, whose
+    ``shards`` and ``inner`` are taken from the manifest's own shard list
+    (stores resized by older builds recorded the pre-resize pair); older
+    manifests are synthesized from the build record.  Either way the
+    fields the caller overrode (and the directory actually opened) replace
+    what the manifest recorded, so the config describes the engine as it
+    will run — the server handshake hands it to clients verbatim.  The
+    engine validates it.
     """
     from repro.api.config import EngineConfig
 
@@ -589,15 +500,13 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
     else:
         build = manifest["build"]
         base = EngineConfig(
-            inner=list(manifest["inner"]),
-            shards=int(manifest["num_shards"]),
             block_size=int(build.get("block_size", 64)),
             cache_blocks=int(build.get("cache_blocks", 0)),
             seed=build.get("seed"),
             backend=str(build.get("backend", "auto")),
             inner_params=dict(build.get("inner_params") or {}),
             router=manifest.get("router", "modulo"))
-    return base.replace(
+    return _config_for_shards(base, manifest["inner"]).replace(
         parallel="process", durability_dir=directory,
         replication=replication, read_policy=read_policy,
         durability_mode=durability_mode,

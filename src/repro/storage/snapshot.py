@@ -8,25 +8,41 @@ history-independent structure already has a history-independent distribution,
 writing it out verbatim preserves history independence; the only additional
 freedom the storage layer has is *where* on disk the pages land, and the
 snapshot offers the uniform-arena placement of
-:class:`repro.memory.allocator.UniformArenaAllocator` for that.
+:class:`repro.memory.allocator.UniformArenaAllocator` for that.  A file is
+rewritten from empty, so a shorter image never keeps a longer one's tail.
 
 The loaders return the decoded slot list (and the stored values in order), so
 a round trip can be checked without trusting the structure that produced the
 snapshot — which is also how the forensics example builds its "stolen disk"
 scenarios.
+
+This module owns the one shard-image directory format, which
+``snapshot_shards``, the durability checkpoints and the erasure audit share:
+:func:`write_image`/:func:`read_image` (one image and its manifest entry),
+:func:`decode_slot` and :func:`write_manifest`/:func:`read_manifest`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import zlib
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro._rng import RandomLike, make_rng
 from repro.errors import ConfigurationError
 from repro.storage.encoding import PageCodec
 from repro.storage.image import DiskImage
 from repro.storage.pager import PagedFile
+
+#: File name of the manifest written next to a directory's shard images.
+MANIFEST_NAME = "manifest.json"
+
+#: Manifest format version this build writes.  Version 2 added the
+#: ``version`` field and per-shard checksums; manifests without one (version
+#: 1) still load, newer versions are rejected rather than half-understood.
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,8 @@ def snapshot_records(slots: Sequence[object],
     page_size, payload_size:
         Page geometry; ``payload_size`` bounds the encoded size of one slot.
     path:
-        Optional file path; omitted means an in-memory paged file.
+        Optional file path; omitted means an in-memory paged file.  An
+        existing file is emptied first.
     shuffle_pages:
         When ``True`` the logical pages are written to physical positions
         given by a uniformly random permutation (fresh randomness per
@@ -80,6 +97,7 @@ def snapshot_records(slots: Sequence[object],
     if shuffle_pages:
         make_rng(seed).shuffle(order)
     paged_file = PagedFile(page_size=page_size, path=path)
+    paged_file.truncate()  # an older, longer image must leave no tail behind
     for logical, physical in enumerate(order):
         paged_file.write_page(physical, pages[logical])
     metadata = SnapshotMetadata(kind=kind,
@@ -165,3 +183,130 @@ def file_checksum(path: str) -> str:
             "cannot checksum snapshot artifact %r: %s"
             % (path, error)) from error
     return "crc32:%08x" % crc
+
+
+def fsync_directory(directory: str) -> None:
+    """Make the renames and unlinks in ``directory`` durable (best effort).
+
+    Neither ``os.replace`` nor ``os.unlink`` is durable until the directory
+    is synced: a machine crash could resurrect the old entry, which in
+    secure durability mode would resurrect deleted keys.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir-open
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform without dir-fsync
+        pass
+    finally:
+        os.close(fd)
+
+
+def write_image(directory: str, file_name: str, slots: Sequence[object], *,
+                kind: str, page_size: int = 4096, payload_size: int = 64,
+                shuffle_pages: bool = False, seed: RandomLike = None,
+                fsync: bool = False) -> Dict[str, object]:
+    """Write one shard image (:func:`snapshot_records`, from an empty file)
+    into ``directory``; return its manifest entry: file name, checksum and
+    the :class:`SnapshotMetadata` fields."""
+    path = os.path.join(directory, file_name)
+    _paged, metadata = snapshot_records(
+        slots, page_size=page_size, payload_size=payload_size, path=path,
+        shuffle_pages=shuffle_pages, seed=seed, kind=kind)
+    if fsync:
+        with open(path, "rb") as handle:
+            os.fsync(handle.fileno())
+    entry = {"file": file_name, "checksum": file_checksum(path)}
+    entry.update(asdict(metadata), page_order=list(metadata.page_order))
+    return entry
+
+
+def read_image(directory: str, manifest: Mapping[str, object], index: int,
+               verify: bool = True) -> List[object]:
+    """Decode the image of ``manifest``'s shard entry ``index`` into slots.
+
+    With ``verify`` a recorded checksum must match the file; the erasure
+    audit turns it off, because an observer decodes whatever is on disk.
+    A malformed entry or a bad image raises
+    :class:`~repro.errors.ConfigurationError` naming the entry.
+    """
+    entry = manifest["shards"][index]
+    where = "%s shard entry %d" % (os.path.join(directory, MANIFEST_NAME),
+                                   index)
+    try:
+        metadata = SnapshotMetadata(
+            kind=entry["kind"], num_slots=entry["num_slots"],
+            num_pages=entry["num_pages"], page_size=entry["page_size"],
+            payload_size=entry["payload_size"],
+            page_order=tuple(entry["page_order"]))
+        path = os.path.join(directory, entry["file"])
+    except (KeyError, TypeError) as error:
+        raise ConfigurationError("manifest %s is malformed: %r"
+                                 % (where, error)) from error
+    recorded = entry.get("checksum")
+    if verify and recorded is not None:
+        actual = file_checksum(path)
+        if actual != recorded:
+            raise ConfigurationError(
+                "shard image %r (manifest %s) is corrupt or truncated: "
+                "checksum %s does not match the manifest's %s"
+                % (path, where, actual, recorded))
+    return load_records(PagedFile(page_size=metadata.page_size, path=path),
+                        metadata)
+
+
+def decode_slot(slot: object) -> Tuple[object, object]:
+    """The ``(key, value)`` of a non-gap image slot: pair slots stay pairs,
+    a bare key (an image of a key-only layout) means ``(key, None)``."""
+    if isinstance(slot, tuple) and len(slot) == 2:
+        return slot
+    return slot, None
+
+
+def write_manifest(directory: str, manifest: Mapping[str, object]) -> None:
+    """Replace ``directory``'s manifest atomically and durably: scratch
+    file, fsync, ``os.replace``, then :func:`fsync_directory`."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    scratch = path + ".tmp"
+    with open(scratch, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(scratch, path)
+    fsync_directory(directory)
+
+
+def read_manifest(directory: str) -> Dict[str, object]:
+    """Load ``directory``'s manifest, or raise
+    :class:`~repro.errors.ConfigurationError`: its version must be 1 to
+    :data:`MANIFEST_VERSION`, and ``inner``, ``shard_ids`` (when present)
+    and ``shards`` must hold one item for each of ``num_shards``."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(
+            "cannot read shard-image manifest %r: %s" % (path, error)
+        ) from error
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(
+            "shard-image manifest %r is malformed" % (path,))
+    version = manifest.get("version", 1)
+    if not isinstance(version, int) or isinstance(version, bool) \
+            or not 1 <= version <= MANIFEST_VERSION:
+        raise ConfigurationError(
+            "shard-image manifest %r has format version %r; this build "
+            "reads 1 to %d" % (path, version, MANIFEST_VERSION))
+    num_shards = manifest.get("num_shards")
+    if not isinstance(num_shards, int) or isinstance(num_shards, bool) \
+            or not all(isinstance(items, list) and len(items) == num_shards
+                       for items in (manifest.get("inner"),
+                                     manifest.get("shards"),
+                                     manifest.get("shard_ids",
+                                                  manifest.get("inner")))):
+        raise ConfigurationError(
+            "shard-image manifest %r is malformed" % (path,))
+    return manifest

@@ -269,3 +269,65 @@ def test_manifest_with_a_legacy_plane_key_still_opens(tmp_path):
     out = io.StringIO()
     assert main(["recover", "--dir", copy], out=out) == 0
     assert "keys            : 40" in out.getvalue()
+
+
+# --------------------------------------------------------------------------- #
+# The config follows the topology
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("resize", ["grow", "shrink"])
+def test_a_resized_store_records_and_reopens_its_topology(tmp_path, resize):
+    """After ``add_shard``/``remove_shard`` the live config, the one the
+    manifest embeds, the reopened one and ``repro recover`` all name the
+    new shard count; a manifest that embedded the pre-resize count (as
+    older builds wrote it) reopens with the count of its shard list."""
+    from repro.cli import main
+
+    directory = str(tmp_path / "store")
+    before, after = (2, 3) if resize == "grow" else (3, 2)
+    config = EngineConfig(inner="b-treap", shards=before, block_size=16,
+                          seed=SEED, parallel="process",
+                          durability_dir=directory)
+    resized = config.replace(shards=after)
+    engine = make_sharded_engine(config)
+    try:
+        engine.insert_many([(key, key) for key in range(60)])
+        if resize == "grow":
+            engine.add_shard()
+        else:
+            engine.remove_shard(0)
+        assert engine.engine_config == resized
+    finally:
+        engine.close()
+    assert _manifest_config(directory) == resized
+
+    stale = str(tmp_path / "stale")
+    shutil.copytree(directory, stale)
+    path = os.path.join(stale, "manifest.json")
+    with open(path) as handle:
+        manifest = json.load(handle)
+    manifest["engine_config"]["shards"] = before
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
+    for store in (directory, stale):
+        reopened = open_durable_engine(store)
+        try:
+            assert reopened.engine_config == resized.replace(
+                durability_dir=store)
+            assert len(reopened) == 60
+        finally:
+            reopened.close()
+    out = io.StringIO()
+    assert main(["recover", "--dir", directory], out=out) == 0
+    assert "inner=b-treap shards=%d " % after in out.getvalue()
+
+
+def test_a_mixed_add_shard_names_every_shard_in_the_config():
+    config = EngineConfig(inner="b-tree", shards=2, block_size=16, seed=SEED)
+    engine = make_sharded_engine(config)
+    engine.insert_many([(key, key) for key in range(40)])
+    engine.add_shard(inner="treap")
+    assert engine.engine_config == config.replace(
+        shards=3, inner=("b-tree", "b-tree", "treap"))
+    engine.remove_shard(2)
+    assert engine.engine_config == config

@@ -14,6 +14,8 @@ from repro.history.forensics import (DurabilityAuditReport, audit_durability_dir
                                      scan_bytes_for_keys)
 from repro.pma.classic import ClassicPMA
 
+pytestmark = pytest.mark.fast
+
 
 def _build_sorted(structure, keys):
     shadow = []
@@ -168,3 +170,34 @@ def test_audit_never_mutates_the_evidence(tmp_path):
     second = audit_durability_dir(str(tmp_path), doomed, payload_size=64)
     assert _dir_fingerprint(str(tmp_path)) == before
     assert first == second
+
+
+def test_audit_decodes_checkpoint_images_even_when_their_padding_changed(
+        tmp_path):
+    """The image-slot pass decodes the manifest's images without enforcing
+    checksums: a logged store checkpointed before two deletes still shows
+    both keys in its image slots after the last byte of every image (page
+    padding, not a record) is flipped."""
+    from repro.api import EngineConfig, make_sharded_engine
+
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-tree", shards=2, seed=3, parallel="process",
+        durability_dir=str(tmp_path), fsync=False))
+    try:
+        engine.insert_many((key, 10 ** 9 + key) for key in range(50))
+        engine.checkpoint()
+        engine.delete_many([5, 10])
+    finally:
+        engine.close()
+    expected = {("shard-000000.gen000002.img", 5),
+                ("shard-000000.gen000002.img", 10)}
+    for flip_padding in (False, True):
+        if flip_padding:
+            for name in os.listdir(tmp_path):
+                if name.endswith(".img"):
+                    blob = bytearray((tmp_path / name).read_bytes())
+                    blob[-1] ^= 0xFF
+                    (tmp_path / name).write_bytes(bytes(blob))
+        report = audit_durability_dir(str(tmp_path), [5, 10])
+        assert {(finding.file, finding.key) for finding in report.findings
+                if finding.kind == "image-slot"} == expected

@@ -44,7 +44,7 @@ from repro.errors import (
 from repro.replication import OpLog, open_durable_engine, replica_targets
 from repro.replication.oplog import replay_into
 from repro.storage import image_of
-from repro.storage.snapshot import snapshot_records
+from repro.storage.snapshot import MANIFEST_VERSION, snapshot_records
 
 pytestmark = pytest.mark.fast
 
@@ -304,6 +304,39 @@ def test_durable_add_shard_rejects_pre_built_shards(tmp_path):
         assert engine.num_shards == 3  # nothing was staged
     finally:
         engine.close()
+
+
+def test_checkpoint_syncs_the_directory_around_its_sweep(tmp_path,
+                                                        monkeypatch):
+    """A second checkpoint's directory changes are durable before it
+    returns: manifest rename → directory fsync → the superseded images'
+    unlinks → directory fsync (a swept image that came back after a
+    machine crash would still hold deleted keys)."""
+    import stat
+
+    directory = str(tmp_path / "d")
+    engine = build_engine(replication=1, durability_dir=directory)
+    calls = []
+
+    def recording(name, real):
+        def call(*args):
+            if name != "fsync":
+                calls.append(name)
+            elif stat.S_ISDIR(os.fstat(args[0]).st_mode):
+                calls.append("directory fsync")
+            return real(*args)
+        return call
+
+    try:
+        engine.insert_many(entries_for(60))
+        for name in ("fsync", "replace", "unlink"):
+            monkeypatch.setattr(os, name, recording(name, getattr(os, name)))
+        engine.checkpoint()
+        monkeypatch.undo()
+    finally:
+        engine.close()
+    assert calls == ["replace", "directory fsync"] \
+        + ["unlink"] * engine.num_shards + ["directory fsync"]
 
 
 def test_checkpoint_generations_rotate_and_sweep_stale_images(tmp_path):
@@ -680,7 +713,7 @@ def test_snapshot_shards_manifest_carries_version_and_checksums(tmp_path):
                                               block_size=8, seed=3))
     engine.insert_many(entries_for(60))
     manifest = engine.snapshot_shards(str(tmp_path))
-    assert manifest["version"] == ShardedDictionaryEngine.MANIFEST_VERSION
+    assert manifest["version"] == MANIFEST_VERSION
     for entry in manifest["shards"]:
         assert entry["checksum"].startswith("crc32:")
     restored = ShardedDictionaryEngine.restore_shards(str(tmp_path))

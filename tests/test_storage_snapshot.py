@@ -1,11 +1,14 @@
 """Disk images and structure snapshots: round trips and observer views."""
 
+import os
 import random
 
 import pytest
 
+from repro.api import DictionaryEngine, EngineConfig, make_sharded_engine
 from repro.core.hi_pma import HistoryIndependentPMA
 from repro.errors import ConfigurationError
+from repro.history.forensics import audit_durability_dir
 from repro.pma.classic import ClassicPMA
 from repro.storage import (
     DiskImage,
@@ -16,6 +19,8 @@ from repro.storage import (
     snapshot_records,
     snapshot_structure,
 )
+
+pytestmark = pytest.mark.fast
 
 
 # --------------------------------------------------------------------------- #
@@ -64,6 +69,36 @@ def test_load_rejects_truncated_snapshot():
     truncated.write_page(0, paged_file.peek_page(0))
     with pytest.raises(ConfigurationError):
         load_records(truncated, metadata)
+
+
+# --------------------------------------------------------------------------- #
+# A rewritten image keeps nothing of an older, longer one
+# --------------------------------------------------------------------------- #
+
+def test_a_resnapshot_leaves_no_trace_of_deleted_keys(tmp_path):
+    directory = str(tmp_path / "shards")
+    engine = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                              seed=3, block_size=8))
+    engine.insert_many((key, key) for key in range(1, 2001))
+    engine.snapshot_shards(directory)
+    engine.delete_many(range(1, 1901))
+    manifest = engine.snapshot_shards(directory)
+    for entry in manifest["shards"]:
+        assert os.path.getsize(os.path.join(directory, entry["file"])) \
+            == entry["num_pages"] * entry["page_size"]
+    report = audit_durability_dir(directory, range(1, 1901))
+    assert report.clean, report.findings[:3]
+
+
+def test_a_dictionary_snapshot_rewrites_its_file_from_empty(tmp_path):
+    path = str(tmp_path / "dictionary.img")
+    engine = DictionaryEngine.create("b-tree", block_size=8, seed=3)
+    engine.insert_many((key, key) for key in range(1, 2001))
+    engine.snapshot(path)
+    engine.delete_many(range(1, 1901))
+    _paged, metadata = engine.snapshot(path)
+    assert os.path.getsize(path) == metadata.num_pages * metadata.page_size
+    assert audit_durability_dir(str(tmp_path), range(1, 1901)).clean
 
 
 # --------------------------------------------------------------------------- #
