@@ -17,7 +17,7 @@ Two subcommands::
 sharded store from the elastic churn workload, recording build I/Os,
 cold-cache search I/Os, range fan-out I/Os, resharding migration volume,
 the process crossing's deterministic counters (coalesced crossings,
-group-commit fsync batches) from a durable replicated process engine — with request
+op-log commits of bulk batches) from a durable replicated process engine — with request
 tracing *enabled*, so the gate also pins that telemetry never perturbs
 those counters — plus the tracer's own deterministic span/crossing
 counts, and the secure
@@ -107,11 +107,12 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
         metrics["bulk_ios.%s" % name] = engine.io_stats().total_ios
 
     # The process crossing: both counters are pure functions of the
-    # workload and topology (crossings merged per worker, group commits per
-    # worker) — no wall clock, no core-count dependence — so they are
-    # gateable exactly like the I/O counts.  A regression in ``coalesced``
-    # means same-worker commands stopped sharing a crossing; in
-    # ``fsync_batches`` that group commit stopped merging per-copy fsyncs.
+    # workload and topology (crossings merged per worker, op-log commits
+    # per primary batch) — no wall clock, no core-count dependence — so
+    # they are gateable exactly like the I/O counts.  A regression in
+    # ``coalesced`` means same-worker commands stopped sharing a crossing;
+    # in ``fsync_batches`` that a bulk call commits a primary's log more
+    # than once.
     import shutil
     import tempfile
 

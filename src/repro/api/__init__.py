@@ -9,7 +9,7 @@ library's dictionaries:
   :func:`~repro.api.registry.register` — build (or add) structures by name
   with uniform configuration validation.
 * :class:`~repro.api.engine.DictionaryEngine` — bulk operations, one merged
-  stats path, per-operation I/O sampling, and uniform snapshots.
+  stats path, and uniform snapshots.
 
 Quickstart::
 

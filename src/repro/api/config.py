@@ -50,9 +50,10 @@ DURABILITY_MODES = ("logged", "secure")
 
 
 #: Keys older durability manifests carry that no longer configure anything
-#: (``plane`` chose the removed shared-memory data plane); ``from_dict``
-#: accepts and drops them so those stores still open.
-_RETIRED_KEYS = frozenset(("plane",))
+#: (``plane`` chose the removed shared-memory data plane, and
+#: ``sample_operations`` the removed per-operation I/O sampling);
+#: ``from_dict`` accepts and drops them so those stores still open.
+_RETIRED_KEYS = frozenset(("plane", "sample_operations"))
 
 
 def _parallel_mode(parallel: object) -> str:
@@ -94,7 +95,6 @@ class EngineConfig:
     ``durability_mode`` (:data:`DURABILITY_MODES`) make the process
     backend a replicated, durable store; ``fsync=False`` trades
     machine-crash durability for speed (process crashes stay covered).
-    ``sample_operations`` records per-operation I/O samples, and
     ``telemetry`` turns request tracing on.
     """
 
@@ -113,7 +113,6 @@ class EngineConfig:
     durability_dir: Optional[str] = None
     durability_mode: str = "logged"
     fsync: bool = True
-    sample_operations: bool = False
     telemetry: bool = False
 
     def __post_init__(self) -> None:
@@ -227,7 +226,6 @@ class EngineConfig:
             "durability_dir": self.durability_dir,
             "durability_mode": self.durability_mode,
             "fsync": self.fsync,
-            "sample_operations": self.sample_operations,
             "telemetry": self.telemetry,
         }
 

@@ -1,5 +1,5 @@
 """The :class:`DictionaryEngine` facade: bulk operations, one stats path,
-per-operation I/O sampling, and uniform snapshots.
+and uniform snapshots.
 
 The engine wraps any :class:`~repro.api.protocol.HIDictionary` (usually built
 by name through :meth:`DictionaryEngine.create`) and adds the orchestration
@@ -12,9 +12,6 @@ the consumer layers kept re-implementing:
   :meth:`range_io_cost` measure single operations uniformly, clearing the
   simulated cache first so costs are cold-cache comparable across
   accounting styles.
-* **Per-operation sampling** — with ``sample_operations=True`` every engine
-  call appends an :class:`~repro.memory.stats.OperationIOSample` to
-  :attr:`samples`.
 * **Uniform snapshots** — :meth:`snapshot` persists any registered
   structure's :meth:`~repro.api.protocol.HIDictionary.snapshot_slots` to a
   paged file, not just the slot-array structures ``storage/snapshot.py``
@@ -30,7 +27,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro._rng import RandomLike
 from repro.api.protocol import HIDictionary, Pair
 from repro.api.registry import make_dictionary
-from repro.memory.stats import IOStats, OperationIOSample
+from repro.memory.stats import IOStats
 from repro.obs import MetricsRegistry, Tracer
 from repro.workloads.generators import Operation, OperationKind
 
@@ -45,14 +42,11 @@ class DictionaryEngine:
     """A thin orchestration layer over one dictionary structure."""
 
     def __init__(self, structure: HIDictionary, *,
-                 name: Optional[str] = None,
-                 sample_operations: bool = False) -> None:
+                 name: Optional[str] = None) -> None:
         self._structure = structure
         self._name = name or getattr(structure, "registry_name",
                                      type(structure).__name__)
         self._tracker = getattr(structure, "io_tracker", None)
-        self.sample_operations = sample_operations
-        self.samples: List[OperationIOSample] = []
         #: The unified telemetry plane: cheap counters/histograms are
         #: always on; ``tracer`` stays the shared no-op unless telemetry
         #: is enabled (``EngineConfig.telemetry`` / ``REPRO_TRACE=1``).
@@ -65,7 +59,6 @@ class DictionaryEngine:
                cache_blocks: int = 0,
                seed: RandomLike = None,
                backend: str = "auto",
-               sample_operations: bool = False,
                **extra: object) -> "DictionaryEngine":
         """Build a registered structure by name and wrap it in an engine.
 
@@ -84,9 +77,8 @@ class DictionaryEngine:
                 ShardedDictionaryEngine,
             )
             if isinstance(structure, ShardedDictionary):
-                return ShardedDictionaryEngine(
-                    structure, sample_operations=sample_operations)
-        return cls(structure, sample_operations=sample_operations)
+                return ShardedDictionaryEngine(structure)
+        return cls(structure)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -147,45 +139,27 @@ class DictionaryEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Dictionary operations (sampled)
+    # Dictionary operations
     # ------------------------------------------------------------------ #
 
-    @contextmanager
-    def _operation(self, kind: str) -> Iterator[None]:
-        if not self.sample_operations:
-            yield
-            return
-        before = self.io_stats()
-        yield
-        delta = self.io_stats().delta(before)
-        self.samples.append(OperationIOSample(
-            name=kind, reads=delta.reads, writes=delta.writes,
-            element_moves=delta.element_moves))
-
     def insert(self, key: object, value: object = None) -> None:
-        with self._operation("insert"):
-            self._structure.insert(key, value)
+        self._structure.insert(key, value)
 
     def upsert(self, key: object, value: object = None) -> bool:
-        with self._operation("upsert"):
-            return self._structure.upsert(key, value)
+        return self._structure.upsert(key, value)
 
     def delete(self, key: object) -> object:
-        with self._operation("delete"):
-            return self._structure.delete(key)
+        return self._structure.delete(key)
 
     def search(self, key: object) -> object:
-        with self._operation("search"):
-            return self._structure.search(key)
+        return self._structure.search(key)
 
     def contains(self, key: object) -> bool:
-        with self._operation("contains"):
-            return self._structure.contains(key)
+        return self._structure.contains(key)
 
     def range_query(self, low: object, high: object) -> List[Pair]:
         """Range query normalised to a plain pair list."""
-        with self._operation("range"):
-            return self._structure.range_items(low, high)
+        return self._structure.range_items(low, high)
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -231,26 +205,15 @@ class DictionaryEngine:
     # ------------------------------------------------------------------ #
 
     def insert_many(self, entries: Iterable[object]) -> int:
-        """Insert keys or (key, value) pairs; return the number inserted.
-
-        When per-operation sampling is off (the default) the loop binds the
-        structure's ``insert`` once and dispatches directly — no per-key
-        context manager on the hot path.
-        """
+        """Insert keys or (key, value) pairs; return the number inserted."""
         insert = self._structure_method("insert")
         as_pair = self._as_pair
         count = 0
         with self._bulk_op("insert_many"):
-            if not self.sample_operations:
-                for entry in entries:
-                    key, value = as_pair(entry)
-                    insert(key, value)
-                    count += 1
-            else:
-                for entry in entries:
-                    key, value = as_pair(entry)
-                    self.insert(key, value)
-                    count += 1
+            for entry in entries:
+                key, value = as_pair(entry)
+                insert(key, value)
+                count += 1
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
@@ -258,10 +221,7 @@ class DictionaryEngine:
         """Delete every key in order; return their values."""
         delete = self._structure_method("delete")
         with self._bulk_op("delete_many"):
-            if not self.sample_operations:
-                values = [delete(key) for key in keys]
-            else:
-                values = [self.delete(key) for key in keys]
+            values = [delete(key) for key in keys]
         self.metrics.inc("engine.keys.delete_many", len(values))
         return values
 
@@ -274,10 +234,7 @@ class DictionaryEngine:
         """
         contains = self._structure_method("contains")
         with self._bulk_op("contains_many"):
-            if not self.sample_operations:
-                flags = [contains(key) for key in keys]
-            else:
-                flags = [self.contains(key) for key in keys]
+            flags = [contains(key) for key in keys]
         self.metrics.inc("engine.keys.contains_many", len(flags))
         return flags
 
@@ -288,22 +245,13 @@ class DictionaryEngine:
         delete = self._structure_method("delete")
         contains = self._structure_method("contains")
         value_of = value_of or (lambda key: key)
-        if not self.sample_operations:
-            for operation in trace:
-                if operation.kind is OperationKind.INSERT:
-                    insert(operation.key, value_of(operation.key))
-                elif operation.kind is OperationKind.DELETE:
-                    delete(operation.key)
-                else:
-                    contains(operation.key)
-            return self
         for operation in trace:
             if operation.kind is OperationKind.INSERT:
-                self.insert(operation.key, value_of(operation.key))
+                insert(operation.key, value_of(operation.key))
             elif operation.kind is OperationKind.DELETE:
-                self.delete(operation.key)
+                delete(operation.key)
             else:
-                self.contains(operation.key)
+                contains(operation.key)
         return self
 
     # ------------------------------------------------------------------ #

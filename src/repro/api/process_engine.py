@@ -56,9 +56,9 @@ Design
   durable artifacts use :class:`~repro.storage.encoding.RecordCodec`.)
 * **Crossings coalesce per worker.**  When one bulk call queues several
   commands for the same worker (``max_workers`` packing, replica copies),
-  they merge into a single ``__multi__`` crossing; a durable worker then
-  group-commits its op logs once per crossing instead of once per shard
-  copy.
+  they merge into a single ``__multi__`` crossing.  Each primary batch in
+  it still commits its own op log, as a point mutation does: a bulk call
+  sends each primary one batch, so no crossing dirties a log twice.
 * **Probes roll back worker-side.**  ``search_io_cost`` / ``range_io_cost``
   run the cold-cache measurement inside the worker's own
   :class:`~repro.api.engine.DictionaryEngine`, so cumulative ``io_stats()``
@@ -89,7 +89,7 @@ Build one from a config, like every sharded engine::
 Its deterministic counters live in the engine's metrics registry, created
 at zero so every :meth:`~repro.api.engine.DictionaryEngine.telemetry`
 snapshot names them: ``plane.coalesced`` (pipe crossings saved by
-coalescing) and ``plane.fsync_batches`` (group-commit points);
+coalescing) and ``plane.fsync_batches`` (op-log commits of bulk batches);
 ``erasure.barriers``, ``erasure.deletes_flushed``,
 ``erasure.frames_dropped`` and ``erasure.redactions`` (secure-mode
 accounting); ``replica_reads.replica_reads``, ``replica_reads.demotions``
@@ -237,16 +237,8 @@ def _open_oplog(spec: Mapping[str, object]):
     return OpLog(**spec)
 
 
-def _insert_batch(structure, log, trip, pairs, dirty) -> int:
-    """Apply one insert batch; commit now, or defer into ``dirty``.
-
-    ``dirty`` is the group-commit accumulator a ``__multi__`` crossing
-    passes down: when set, the log is registered there instead of fsynced
-    per batch, and the crossing commits every dirty log once at its end —
-    the applied prefix still reaches the OS per append, and the command is
-    only acknowledged after the group commit, so the durability contract
-    is unchanged.
-    """
+def _insert_batch(structure, log, trip, pairs) -> int:
+    """Apply one insert batch, then commit its op log in one fsync."""
     insert = structure.insert
     count = 0
     try:
@@ -260,14 +252,11 @@ def _insert_batch(structure, log, trip, pairs, dirty) -> int:
             span.tag("keys", count)
     finally:
         if log is not None:
-            if dirty is None:
-                log.commit()  # the applied prefix is durable even on error
-            else:
-                dirty.append(log)
+            log.commit()  # the applied prefix is durable even on error
     return count
 
 
-def _delete_batch(structure, log, trip, keys, dirty) -> List[object]:
+def _delete_batch(structure, log, trip, keys) -> List[object]:
     delete = structure.delete
     values: List[object] = []
     try:
@@ -280,16 +269,12 @@ def _delete_batch(structure, log, trip, keys, dirty) -> List[object]:
             span.tag("keys", len(values))
     finally:
         if log is not None:
-            if dirty is None:
-                log.commit()
-            else:
-                dirty.append(log)
+            log.commit()
     return values
 
 
 def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
-             trip, shard_id: int, method: str, args: tuple,
-             dirty: Optional[list] = None) -> object:
+             trip, shard_id: int, method: str, args: tuple) -> object:
     """Dispatch one command against the hosted shard (worker side).
 
     ``logs`` maps shard ids to their op logs (primaries of a durable
@@ -297,29 +282,18 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     process that applied it, with one fsync batch per command — so after a
     crash the log holds exactly the operations the lost structure had
     applied.  ``trip`` is the fail-point hook the fault-injection suite
-    arms to kill the worker at exact operation boundaries, and ``dirty``
-    the enclosing ``__multi__`` crossing's group-commit accumulator.
+    arms to kill the worker at exact operation boundaries.
     """
     if method == "__multi__":
         # One coalesced crossing: execute every sub-command, capturing
-        # per-sub outcomes, then group-commit each distinct dirty op log
-        # exactly once — one fsync batch per worker per engine-level bulk
-        # call instead of one per shard copy.
+        # per-sub outcomes.
         replies: List[Tuple[str, object]] = []
-        group_dirty: List[object] = []
-        try:
-            for sub_id, sub_method, sub_args in args[0]:
-                try:
-                    replies.append(("ok", _execute(
-                        engines, logs, trip, sub_id, sub_method, sub_args,
-                        dirty=group_dirty)))
-                except Exception as error:
-                    replies.append(("err", error))
-        finally:
-            # Two entries are the same log exactly when they are the same
-            # object; commit in the order the logs were first dirtied.
-            for log in {id(log): log for log in group_dirty}.values():
-                log.commit()
+        for sub_id, sub_method, sub_args in args[0]:
+            try:
+                replies.append(("ok", _execute(
+                    engines, logs, trip, sub_id, sub_method, sub_args)))
+            except Exception as error:
+                replies.append(("err", error))
         return ("__multi__", replies)
     if method == "__host__":
         shard = args[0]
@@ -352,9 +326,9 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     log = logs.get(shard_id)
     # The batched bulk paths: one command per shard per engine-level call.
     if method == "insert_batch":
-        return _insert_batch(structure, log, trip, args[0], dirty)
+        return _insert_batch(structure, log, trip, args[0])
     if method == "delete_batch":
-        return _delete_batch(structure, log, trip, args[0], dirty)
+        return _delete_batch(structure, log, trip, args[0])
     if method == "contains_batch":
         contains = structure.contains
         with child_span("worker.apply.contains"):
@@ -1037,8 +1011,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     :func:`repro.replication.recovery.open_durable_engine` cold-starts an
     engine from a durability directory alone.
 
-    With ``sample_operations=True`` the bulk operations fall back to the
-    sequential per-operation path (samples are an ordered, shared log).
     Workers are daemonic; call :meth:`close` (or use the engine as a
     context manager) for a clean shutdown.
     """
@@ -1053,8 +1025,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 "the process engine takes an EngineConfig with "
                 "parallel='process', got %r" % (config,))
         config.validate()
-        super().__init__(structure,
-                         sample_operations=config.sample_operations)
+        super().__init__(structure)
         if config.replication > structure.num_shards:
             raise ConfigurationError(
                 "replication factor %d needs at least as many shards (and "
@@ -1428,9 +1399,8 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         for worker, queue in queues.items():
             if len(queue) > 1:
                 # Coalesce the worker's whole dispatch window into one
-                # crossing: the subs run back to back worker-side (same
-                # order the queue would have run them) and their op logs
-                # group-commit once at the crossing's end.
+                # crossing: the subs run back to back worker-side, in the
+                # order the queue would have run them.
                 keys = tuple(entry[0] for entry in queue)
                 subs = [(entry[2], entry[3], entry[4]) for entry in queue]
                 self.metrics.inc("plane.coalesced", len(queue) - 1)
@@ -1520,20 +1490,20 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def _note_fsync_batch(self, engine_id: int, method: str,
                           args: object) -> None:
-        """Count one group-commit point per durable mutating crossing.
+        """Count the op-log commits a sent crossing makes: one per primary
+        bulk batch in it, coalesced or not.
 
-        Replica hostings use negative engine ids; only primary mutations
-        carry an op log, so only they contribute a commit point.
+        Replica hostings use negative engine ids; only primaries carry an
+        op log, so replica batches commit nothing.
         """
         if self.durability_dir is None:
             return
-        if method == "__multi__":
-            mutates = any(sub_method in _BULK_MUTATORS and sub_id >= 0
-                          for sub_id, sub_method, _args in args[0])
-        else:
-            mutates = method in _BULK_MUTATORS and engine_id >= 0
-        if mutates:
-            self.metrics.inc("plane.fsync_batches")
+        commands = args[0] if method == "__multi__" \
+            else ((engine_id, method, args),)
+        commits = sum(1 for sub_id, sub_method, _args in commands
+                      if sub_method in _BULK_MUTATORS and sub_id >= 0)
+        if commits:
+            self.metrics.inc("plane.fsync_batches", commits)
 
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
@@ -1606,8 +1576,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def insert_many(self, entries: Iterable[object]) -> int:
         """Insert with one ``insert_batch`` per copy of each shard."""
-        if self.sample_operations:
-            return super().insert_many(entries)
         batches, count = self._grouped_entries(entries)
         payloads = {position: (batch,)
                     for position, batch in enumerate(batches) if batch}
@@ -1620,8 +1588,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete across every copy; values come from the primaries."""
-        if self.sample_operations:
-            return super().delete_many(keys)
         keys, batches = self._grouped_positions(keys)
         payloads = {position: ([key for _at, key in batch],)
                     for position, batch in enumerate(batches) if batch}
@@ -1651,8 +1617,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         per-key point reads — with the primary as the last resort and dead
         replicas demoted along the way.
         """
-        if self.sample_operations:
-            return super().contains_many(keys)
         keys, batches = self._grouped_positions(keys)
         commands = []
         slices: Dict[Tuple[int, int],

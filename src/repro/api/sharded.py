@@ -702,16 +702,14 @@ class ShardedDictionaryEngine(DictionaryEngine):
     engine_config: Optional[EngineConfig] = None
 
     def __init__(self, structure: ShardedDictionary, *,
-                 name: Optional[str] = None,
-                 sample_operations: bool = False) -> None:
+                 name: Optional[str] = None) -> None:
         if not isinstance(structure, ShardedDictionary):
             raise ConfigurationError(
                 "ShardedDictionaryEngine requires a ShardedDictionary; build "
                 "one with make_dictionary('sharded', shards=..., inner=...) "
                 "or wrap %r in a plain DictionaryEngine instead"
                 % (type(structure).__name__,))
-        super().__init__(structure, name=name,
-                         sample_operations=sample_operations)
+        super().__init__(structure, name=name)
         self._shard_engine_cache: List[DictionaryEngine] = []
 
     def _adopt_config(self, config: EngineConfig) -> None:
@@ -831,21 +829,13 @@ class ShardedDictionaryEngine(DictionaryEngine):
         Each shard receives its keys as one contiguous batch (relative input
         order preserved within the batch), which is what gives sharding its
         locality win over interleaved routing.  Returns the number inserted.
-        When per-operation sampling is off (the default), each batch runs as
-        a tight loop over the shard's bound ``insert`` — no per-key
-        context-manager or stats traffic on the hot path.
         """
         batches, count = self._grouped_entries(entries)
         with self._bulk_op("insert_many"):
             for engine, batch in zip(self._engines(), batches):
-                if not self.sample_operations:
-                    insert = engine.structure.insert
-                    for key, value in batch:
-                        insert(key, value)
-                    continue
+                insert = engine.structure.insert
                 for key, value in batch:
-                    with self._operation("insert"):
-                        engine.structure.insert(key, value)
+                    insert(key, value)
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
@@ -855,14 +845,9 @@ class ShardedDictionaryEngine(DictionaryEngine):
         values: List[object] = [None] * len(keys)
         with self._bulk_op("delete_many"):
             for engine, batch in zip(self._engines(), batches):
-                if not self.sample_operations:
-                    delete = engine.structure.delete
-                    for position, key in batch:
-                        values[position] = delete(key)
-                    continue
+                delete = engine.structure.delete
                 for position, key in batch:
-                    with self._operation("delete"):
-                        values[position] = engine.structure.delete(key)
+                    values[position] = delete(key)
         self.metrics.inc("engine.keys.delete_many", len(values))
         return values
 
@@ -872,14 +857,9 @@ class ShardedDictionaryEngine(DictionaryEngine):
         found: List[bool] = [False] * len(keys)
         with self._bulk_op("contains_many"):
             for engine, batch in zip(self._engines(), batches):
-                if not self.sample_operations:
-                    contains = engine.structure.contains
-                    for position, key in batch:
-                        found[position] = contains(key)
-                    continue
+                contains = engine.structure.contains
                 for position, key in batch:
-                    with self._operation("contains"):
-                        found[position] = engine.structure.contains(key)
+                    found[position] = contains(key)
         self.metrics.inc("engine.keys.contains_many", len(found))
         return found
 
@@ -1111,7 +1091,6 @@ def make_sharded_engine(config: EngineConfig) -> ShardedDictionaryEngine:
         from repro.api.process_engine import ProcessShardedDictionaryEngine
 
         return ProcessShardedDictionaryEngine(structure, config)
-    engine = ShardedDictionaryEngine(
-        structure, sample_operations=config.sample_operations)
+    engine = ShardedDictionaryEngine(structure)
     engine._adopt_config(config)
     return engine

@@ -49,6 +49,17 @@ from repro.obs.tracing import HEADER_SPAN, HEADER_TRACE
 Pair = Tuple[object, object]
 
 
+def _place(op: str, results: List[object], group: Sequence[Tuple[int, object]],
+           answers: Sequence[object]) -> None:
+    """Write one shard's ``answers`` into ``results`` at its keys' input
+    positions; a reply with one answer per key is the only valid one."""
+    if len(answers) != len(group):
+        raise ProtocolError("%s reply has %d answer(s) for %d key(s)"
+                            % (op, len(answers), len(group)))
+    for (position, _key), answer in zip(group, answers):
+        results[position] = answer
+
+
 def _as_pair(entry: object) -> Pair:
     if isinstance(entry, tuple) and len(entry) == 2:
         return entry
@@ -281,31 +292,21 @@ class ReproClient:
             _, values = self._request(
                 "delete_many", {"shard": shard_id},
                 [key for _, key in group])
-            if len(values) != len(group):
-                raise ProtocolError(
-                    "delete_many reply has %d value(s) for %d key(s)"
-                    % (len(values), len(group)))
-            for (position, _), value in zip(group, values):
-                results[position] = value
+            _place("delete_many", results, group, values)
         return results
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
         keys = list(keys)
         if not keys:
             return []
-        results: List[bool] = [False] * len(keys)
+        results: List[object] = [False] * len(keys)
         for shard_id, group in sorted(self.routing.group(
                 [(key, key) for key in keys]).items()):
             _, flags = self._request(
                 "contains_many", {"shard": shard_id},
                 [key for _, key in group])
-            if len(flags) != len(group):
-                raise ProtocolError(
-                    "contains_many reply has %d flag(s) for %d key(s)"
-                    % (len(flags), len(group)))
-            for (position, _), flag in zip(group, flags):
-                results[position] = bool(flag)
-        return results
+            _place("contains_many", results, group, flags)
+        return [bool(flag) for flag in results]
 
     def insert(self, key: object, value: object = None) -> None:
         self.insert_many([(key, value)])
@@ -446,25 +447,28 @@ class AsyncReproClient:
         if span is not NULL_SPAN:
             message[TRACE_KEY] = {HEADER_TRACE: span.trace_id,
                                   HEADER_SPAN: span.span_id}
-        connection = await self._borrow()
-        reader, writer = connection
         try:
-            writer.write(frame(encode_message(message, body_tag, body)))
-            await writer.drain()
-            payload = await protocol.read_frame_async(reader)
-            if payload is None:
-                raise ProtocolError(
-                    "server closed the connection before replying")
-            reply, reply_tag, reply_body = decode_message(payload)
-            reply_values = self._codec.decode_body(
-                reply_tag, reply_body, reply.get("count", 0))
-        except (ProtocolError, ConnectionError, OSError):
-            writer.close()
-            raise
+            connection = await self._borrow()
+            reader, writer = connection
+            try:
+                writer.write(frame(encode_message(message, body_tag, body)))
+                await writer.drain()
+                payload = await protocol.read_frame_async(reader)
+                if payload is None:
+                    raise ProtocolError(
+                        "server closed the connection before replying")
+                reply, reply_tag, reply_body = decode_message(payload)
+                reply_values = self._codec.decode_body(
+                    reply_tag, reply_body, reply.get("count", 0))
+            except BaseException:
+                # Cancellation included: a connection left mid-request
+                # can never be pooled again, so it closes now.
+                writer.close()
+                raise
+            self._give_back(connection)
         finally:
             if span is not NULL_SPAN:
                 span.finish()
-        self._give_back(connection)
         if reply.get("topology_changed"):
             await self.refresh_shard_map()
         raise_for_reply(reply)
@@ -509,20 +513,18 @@ class AsyncReproClient:
         results: List[object] = [None] * len(keys)
         for group, values, _ in await self._fan_out(
                 "delete_many", [(key, key) for key in keys]):
-            for (position, _), value in zip(group, values):
-                results[position] = value
+            _place("delete_many", results, group, values)
         return results
 
     async def contains_many(self, keys: Iterable[object]) -> List[bool]:
         keys = list(keys)
         if not keys:
             return []
-        results: List[bool] = [False] * len(keys)
+        results: List[object] = [False] * len(keys)
         for group, flags, _ in await self._fan_out(
                 "contains_many", [(key, key) for key in keys]):
-            for (position, _), flag in zip(group, flags):
-                results[position] = bool(flag)
-        return results
+            _place("contains_many", results, group, flags)
+        return [bool(flag) for flag in results]
 
     async def search(self, key: object) -> object:
         _, values = await self._request("search", values=[key])

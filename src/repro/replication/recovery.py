@@ -399,8 +399,7 @@ def open_durable_engine(directory: str, *,
                         read_policy: Optional[str] = None,
                         max_workers: Optional[int] = None,
                         durability_mode: Optional[str] = None,
-                        fsync: bool = True,
-                        sample_operations: bool = False):
+                        fsync: bool = True):
     """Rebuild a :class:`ProcessShardedDictionaryEngine` from disk alone.
 
     Reads the durability manifest, rebuilds every shard with its original
@@ -471,16 +470,14 @@ def open_durable_engine(directory: str, *,
     config = _manifest_engine_config(
         manifest, directory=directory, replication=replication,
         read_policy=read_policy, durability_mode=durability_mode,
-        fsync=fsync, max_workers=max_workers,
-        sample_operations=sample_operations)
+        fsync=fsync, max_workers=max_workers)
     return ProcessShardedDictionaryEngine(structure, config)
 
 
 def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
                             replication: int, read_policy: str,
                             durability_mode: str,
-                            fsync: bool, max_workers: Optional[int],
-                            sample_operations: bool):
+                            fsync: bool, max_workers: Optional[int]):
     """The :class:`~repro.api.config.EngineConfig` a cold start reopened.
 
     Version-2 manifests embed the config's dict form directly, whose
@@ -510,5 +507,4 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
         parallel="process", durability_dir=directory,
         replication=replication, read_policy=read_policy,
         durability_mode=durability_mode,
-        fsync=fsync, max_workers=max_workers,
-        sample_operations=sample_operations)
+        fsync=fsync, max_workers=max_workers)

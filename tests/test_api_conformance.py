@@ -132,13 +132,3 @@ def test_snapshot_roundtrip_preserves_key_set(engine, tmp_path):
             continue
         recovered.add(slot[0] if isinstance(slot, tuple) else slot)
     assert recovered == set(keys)
-
-
-def test_per_operation_sampling(engine):
-    engine.sample_operations = True
-    engine.insert_many([(key, key) for key in (4, 8, 15, 16, 23, 42)])
-    engine.delete_many([8, 23])
-    engine.contains(4)
-    kinds = [sample.name for sample in engine.samples]
-    assert kinds == ["insert"] * 6 + ["delete"] * 2 + ["contains"]
-    assert all(sample.total_ios >= 0 for sample in engine.samples)

@@ -595,14 +595,6 @@ def test_parallel_engine_resizes_like_the_sequential_engine():
         engines[1].close()
 
 
-def test_parallel_engine_with_sampling_falls_back_to_sequential_path():
-    with build(parallel="process", sample_operations=True) as engine:
-        engine.insert_many((key, key) for key in range(100))
-        assert len(engine.samples) == 100
-        assert engine.contains_many([1, 2, -5]) == [True, True, False]
-        assert engine.delete_many([3, 4]) == [3, 4]
-
-
 def test_parallel_engine_rejects_bad_max_workers():
     for bad in (0, -2, True, "4"):
         with pytest.raises(ConfigurationError):

@@ -49,8 +49,7 @@ CONFIGS = [
     EngineConfig(parallel="process", replication=2, seed=1,
                  read_policy="any-after-barrier"),
     EngineConfig(parallel="process", durability_dir="/tmp/unused-dir",
-                 durability_mode="secure", fsync=False,
-                 sample_operations=True, seed=9),
+                 durability_mode="secure", fsync=False, seed=9),
 ]
 
 
@@ -101,10 +100,16 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_from_dict_drops_the_retired_plane_key():
+    """``plane`` and ``sample_operations`` configure nothing any more;
+    payloads that carry them (older manifests) still load."""
     payload = EngineConfig(parallel="process", seed=1).to_dict()
     assert "plane" not in payload
-    for plane in ("shm", "pipe", None):
-        assert EngineConfig.from_dict(dict(payload, plane=plane)) == \
+    assert "sample_operations" not in payload
+    for retired in [dict(plane="shm"), dict(plane="pipe"), dict(plane=None),
+                    dict(sample_operations=False),
+                    dict(sample_operations=True),
+                    dict(plane="shm", sample_operations=False)]:
+        assert EngineConfig.from_dict(dict(payload, **retired)) == \
             EngineConfig(parallel="process", seed=1)
 
 
@@ -237,8 +242,9 @@ def test_every_reopen_keeps_the_config_in_the_manifest(tmp_path,
 
 
 def test_manifest_with_a_legacy_plane_key_still_opens(tmp_path):
-    """Stores written while ``EngineConfig`` had a ``plane`` field reopen
-    through ``open_durable_engine`` and ``repro recover`` alike."""
+    """Stores written while ``EngineConfig`` had a ``plane`` or a
+    ``sample_operations`` field reopen through ``open_durable_engine`` and
+    ``repro recover`` alike."""
     from repro.cli import main
 
     directory = str(tmp_path / "store")
@@ -255,6 +261,7 @@ def test_manifest_with_a_legacy_plane_key_still_opens(tmp_path):
     with open(path) as handle:
         manifest = json.load(handle)
     manifest["engine_config"]["plane"] = "shm"
+    manifest["engine_config"]["sample_operations"] = False
     with open(path, "w") as handle:
         json.dump(manifest, handle)
     copy = str(tmp_path / "copy")

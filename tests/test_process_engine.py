@@ -201,20 +201,6 @@ def test_failed_batch_surfaces_the_sequential_exception():
         process.close()
 
 
-def test_sampled_bulk_operations_fall_back_to_the_sequential_path():
-    process = make_sharded_engine(EngineConfig(
-        inner="b-tree", shards=2, block_size=8, seed=SEED, parallel="process",
-        sample_operations=True))
-    try:
-        process.insert_many([(key, key) for key in range(20)])
-        process.contains_many(range(10))
-        kinds = [sample.name for sample in process.samples]
-        assert kinds.count("insert") == 20
-        assert kinds.count("contains") == 10
-    finally:
-        process.close()
-
-
 # --------------------------------------------------------------------------- #
 # Worker pool shape and configuration validation
 # --------------------------------------------------------------------------- #
@@ -610,7 +596,7 @@ def _spawn_index(engine):
 
 def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
     """Spawn up to the cap, then the least-loaded worker, earliest first;
-    hosting commands never count as coalesced or group-committed."""
+    hosting commands never count as coalesced or as op-log commits."""
     with make_sharded_engine(EngineConfig(
             inner="b-tree", shards=5, block_size=BLOCK_SIZE, seed=SEED,
             parallel="process", max_workers=2)) as engine:
@@ -696,7 +682,7 @@ def test_an_unpicklable_batch_fails_alone_and_leaves_the_pipes_in_step():
 
 
 # --------------------------------------------------------------------------- #
-# Coalescing and group commit: the deterministic plane.* counters
+# Coalescing and op-log commits: the deterministic plane.* counters
 # --------------------------------------------------------------------------- #
 
 def run_mixed_workload(engine):
@@ -718,21 +704,55 @@ def test_packed_workers_coalesce_same_worker_crossings():
         assert dict(engine.items()) == dict(entries_for(60))
 
 
-def test_group_commit_counts_one_fsync_batch_per_worker(tmp_path):
+def _count_worker_fsyncs(monkeypatch):
+    """Wrap ``os.fsync`` so that forked workers count their calls in a
+    shared counter; the parent's own fsyncs are not counted."""
+    counter = multiprocessing.get_context("fork").Value("i", 0)
+    parent = os.getpid()
+    fsync = os.fsync
+
+    def counting_fsync(fd):
+        if os.getpid() != parent:
+            with counter.get_lock():
+                counter.value += 1
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return counter
+
+
+@pytest.mark.parametrize("topology, after_insert, after_delete", [
+    (dict(shards=4, max_workers=1), 4, 8),
+    (dict(shards=4, max_workers=2), 4, 8),
+    (dict(shards=4, max_workers=4, replication=2), 4, 8),
+    (dict(shards=6, max_workers=3, replication=2), 6, 12),
+    (dict(shards=3, router="consistent", replication=2), 3, 6),
+], ids=["4-1-1", "4-2-1", "4-4-2", "6-3-2", "3-consistent-2"])
+def test_fsync_batches_count_one_commit_per_primary_batch(
+        tmp_path, monkeypatch, topology, after_insert, after_delete):
+    """Each primary batch commits its own op log, coalesced or not, and
+    ``plane.fsync_batches`` counts those commits.  Replicas keep no op
+    log, so they never add fsyncs.  Under fork the workers' real fsyncs
+    are counted too, and they equal the counter."""
+    from repro.api.process_engine import _default_start_method
+
+    forked = _default_start_method() == "fork"
+    real = _count_worker_fsyncs(monkeypatch) if forked else None
+    entries = entries_for(400)
     with make_sharded_engine(EngineConfig(
-            inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
-            router="consistent", parallel="process", replication=2,
-            durability_dir=str(tmp_path / "d"))) as engine:
+            inner="b-treap", block_size=BLOCK_SIZE, seed=SEED,
+            parallel="process", durability_dir=str(tmp_path / "d"),
+            fsync=True, **topology)) as engine:
         assert plane_counters(engine)["fsync_batches"] == 0
-        engine.insert_many(entries_for(120))
+        before = real.value if forked else None
+        engine.insert_many(entries)
         stats = plane_counters(engine)
-        # One group commit per worker hosting a primary (3 workers), not
-        # one per shard copy (6): the replica subs share their worker's
-        # crossing, which is what coalescing counts.
-        assert stats["fsync_batches"] == 3
+        assert stats["fsync_batches"] == after_insert
         assert stats["coalesced"] > 0
-        engine.delete_many([key for key, _value in entries_for(30)])
-        assert plane_counters(engine)["fsync_batches"] == 6
+        engine.delete_many([key for key, _value in entries][::3])
+        assert plane_counters(engine)["fsync_batches"] == after_delete
+        if forked:
+            assert real.value - before == after_delete
 
 
 def test_plane_counters_are_deterministic_across_runs():

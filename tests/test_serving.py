@@ -45,6 +45,18 @@ def layout_digest(engine):
     return engine_digest(engine)
 
 
+def run_async(coroutine):
+    """Run ``coroutine`` on a private loop, leaving the thread's current
+    event loop alone (``asyncio.run`` would unset it for later tests)."""
+    import asyncio
+
+    loop = asyncio.new_event_loop()
+    try:
+        return loop.run_until_complete(coroutine)
+    finally:
+        loop.close()
+
+
 def workload_results(store, entries):
     """Drive one store through the shared workload; return every result."""
     results = []
@@ -130,8 +142,6 @@ def test_loopback_replicated_read_policy_matches_sequential():
 
 
 def test_async_client_agrees_with_sync_client():
-    import asyncio
-
     config = EngineConfig(shards=3, block_size=BLOCK_SIZE, seed=SEED)
     entries = [(key, key * 2) for key in range(200)]
 
@@ -148,11 +158,7 @@ def test_async_client_agrees_with_sync_client():
     local = make_sharded_engine(config=config)
     try:
         with ThreadedServer(config) as server:
-            loop = asyncio.new_event_loop()
-            try:
-                results = loop.run_until_complete(drive(server.port))
-            finally:
-                loop.close()
+            results = run_async(drive(server.port))
         assert results[0] == local.insert_many(entries)
         assert results[1] == local.contains_many([1, 2, 10**9])
         assert results[2] == local.delete_many([0, 1, 2])
@@ -161,6 +167,67 @@ def test_async_client_agrees_with_sync_client():
         assert results[5] == layout_digest(local)
     finally:
         local.close()
+
+
+def test_both_clients_refuse_a_short_bulk_reply():
+    """A bulk reply with one answer fewer than the keys sent is a
+    ``ProtocolError`` in both clients, for reads and deletes alike; the
+    missing answers never read as ``False`` or ``None``."""
+    config = EngineConfig(shards=2, block_size=BLOCK_SIZE, seed=1)
+    keys = [1, 2, 3, 4]
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            for call in (client.contains_many, client.delete_many):
+                with pytest.raises(ProtocolError, match=call.__name__):
+                    await call(keys)
+
+    with ThreadedServer(config) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            client.insert_many([(key, key) for key in keys])
+            engine = server.server._namespaces["default"].engine
+            contains_many = engine.contains_many
+            engine.contains_many = lambda batch: contains_many(batch)[:-1]
+            engine.delete_many = lambda batch: [None] * (len(batch) - 1)
+            for call in (client.contains_many, client.delete_many):
+                with pytest.raises(ProtocolError, match=call.__name__):
+                    call(keys)
+        run_async(drive(server.port))
+
+
+def test_a_cancelled_async_request_closes_its_connection(monkeypatch):
+    """A request cancelled mid-flight (here by a timeout) closes its
+    connection at once instead of leaving it to the garbage collector."""
+    import asyncio
+
+    writers = []
+    open_connection = asyncio.open_connection
+
+    async def recording_open_connection(*args, **kwargs):
+        reader, writer = await open_connection(*args, **kwargs)
+        writers.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio, "open_connection", recording_open_connection)
+    release = threading.Event()
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(client.contains(5), 0.2)
+            assert not client._pool
+            return [writer.is_closing() for writer in writers]
+
+    config = EngineConfig(shards=2, block_size=BLOCK_SIZE, seed=1)
+    with ThreadedServer(config) as server:
+        ReproClient("127.0.0.1", server.port).close()  # builds the namespace
+        engine = server.server._namespaces["default"].engine
+        engine.contains = lambda key: release.wait(10)
+        try:
+            closing = run_async(drive(server.port))
+        finally:
+            release.set()
+    assert closing == [True]
 
 
 def test_values_outside_the_record_union_round_trip():
