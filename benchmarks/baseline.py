@@ -93,11 +93,13 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
     # charge_many): deterministic I/O totals for an insert_many +
     # contains_many + delete_many flow.  A regression here means the
     # zero-copy / batched-charging hot path started charging differently.
+    # The entries are strictly ascending, so the b-treap links them in one
+    # right-spine pass, which must charge what per-key inserts charge.
     total = max(2, operations // 2)
     bulk_entries = [(key * 7 % (total * 13), key) for key in range(total)]
     bulk_probes = [key for key, _value in bulk_entries[::2]]
     bulk_doomed = [key for key, _value in bulk_entries[::3]]
-    for name in ("hi-pma", "hi-skiplist", "b-tree"):
+    for name in ("hi-pma", "hi-skiplist", "b-tree", "b-treap"):
         engine = DictionaryEngine.create(name, block_size=BLOCK_SIZE,
                                          cache_blocks=CACHE_BLOCKS,
                                          seed=STRUCTURE_SEED)

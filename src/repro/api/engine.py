@@ -25,7 +25,7 @@ from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro._rng import RandomLike
-from repro.api.protocol import HIDictionary, Pair
+from repro.api.protocol import HIDictionary, Pair, insert_pairs
 from repro.api.registry import make_dictionary
 from repro.memory.stats import IOStats
 from repro.obs import MetricsRegistry, Tracer
@@ -205,15 +205,11 @@ class DictionaryEngine:
     # ------------------------------------------------------------------ #
 
     def insert_many(self, entries: Iterable[object]) -> int:
-        """Insert keys or (key, value) pairs; return the number inserted."""
-        insert = self._structure_method("insert")
-        as_pair = self._as_pair
-        count = 0
+        """Insert keys or (key, value) pairs in input order with one
+        structure-level ``insert_many``; return the number inserted."""
+        self._structure_method("insert")  # names a protocol gap up front
         with self._bulk_op("insert_many"):
-            for entry in entries:
-                key, value = as_pair(entry)
-                insert(key, value)
-                count += 1
+            count = insert_pairs(self._structure, map(self._as_pair, entries))
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 

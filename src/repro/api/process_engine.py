@@ -73,9 +73,10 @@ Design
   :mod:`repro.replication.recovery` in the parent.  :meth:`close` (or the
   context-manager exit) shuts every worker down cleanly.
 
-Bulk calls that *succeed* return results, layouts and counters identical
-to the sequential engine; when a batch raises, the same exception
-surfaces, but other shards' already-dispatched batches run to completion.
+Bulk calls return results, layouts and counters identical to the
+sequential engine, and fail identically too: every shard's batch runs until
+its own first failure, and the call raises the failure of the lowest shard
+position.
 
 Build one from a config, like every sharded engine::
 
@@ -127,7 +128,7 @@ from typing import (
 from repro import failpoints
 from repro.api.config import EngineConfig
 from repro.api.engine import DictionaryEngine
-from repro.api.protocol import HIDictionary, Pair
+from repro.api.protocol import HIDictionary, Pair, insert_pairs
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
 from repro.api.sharded import (
     MigrationReport,
@@ -238,21 +239,23 @@ def _open_oplog(spec: Mapping[str, object]):
 
 
 def _insert_batch(structure, log, trip, pairs) -> int:
-    """Apply one insert batch, then commit its op log in one fsync."""
-    insert = structure.insert
-    count = 0
+    """Apply one insert batch with one ``insert_many``, then log the
+    applied prefix and commit it in one fsync."""
+    before = len(structure)
     try:
         with child_span("worker.apply.insert") as span:
-            for key, value in pairs:
-                trip("worker.insert")
-                insert(key, value)
-                if log is not None:
-                    log.append("insert", key, value)
-                count += 1
+            count = insert_pairs(structure, pairs)
             span.tag("keys", count)
     finally:
+        # insert_many stops at its first failure with exactly the first
+        # len(after) - len(before) pairs applied; that prefix is logged and
+        # made durable even on error, one trip wire per logged insert.
+        for key, value in pairs[:len(structure) - before]:
+            trip("worker.insert")
+            if log is not None:
+                log.append("insert", key, value)
         if log is not None:
-            log.commit()  # the applied prefix is durable even on error
+            log.commit()
     return count
 
 

@@ -5,7 +5,7 @@ concrete classes and dealt with their construction and accounting quirks
 directly.  :class:`HIDictionary` names the surface they all share:
 
 * **Dictionary operations** — ``insert``, ``upsert``, ``delete``, ``search``,
-  ``contains``, ``items``, ``range_query``.
+  ``contains``, ``items``, ``range_query``, and ``insert_many`` for a batch.
 * **Container protocol** — ``__len__``, ``__iter__`` (keys in increasing
   order), ``__contains__``.
 * **Verification** — ``check()`` raises
@@ -31,7 +31,7 @@ through :class:`repro.api.engine.DictionaryEngine`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.memory.stats import IOStats
 
@@ -111,6 +111,24 @@ class HIDictionary(ABC):
         self.insert(key, value)
         return existed
 
+    def insert_many(self, pairs: Iterable[Pair]) -> int:
+        """Insert ``(key, value)`` pairs in input order; return how many.
+
+        The batch stops at the first failure (a
+        :class:`~repro.errors.DuplicateKey`, say), which propagates with
+        the pairs before it applied and none after: exactly the first
+        ``len(after) - len(before)`` pairs are in.  The default inserts
+        one key at a time; a structure overrides it only where it can link
+        a batch with the same result and the same charges (the treaps link
+        an ascending run in one pass).
+        """
+        insert = self.insert
+        count = 0
+        for key, value in pairs:
+            insert(key, value)
+            count += 1
+        return count
+
     def io_stats(self) -> IOStats:
         """One merged view of every I/O counter this structure feeds.
 
@@ -165,6 +183,15 @@ class HIDictionary(ABC):
                 and not isinstance(result[1], bool)):
             return list(result[0]), result[1]
         return list(result), None
+
+
+def insert_pairs(structure: object, pairs: Iterable[Pair]) -> int:
+    """``structure.insert_many(pairs)``; a duck-typed structure without
+    one takes the per-key loop of :meth:`HIDictionary.insert_many`."""
+    insert_many = getattr(structure, "insert_many", None)
+    if insert_many is None:
+        return HIDictionary.insert_many(structure, pairs)
+    return insert_many(pairs)
 
 
 def audit_fingerprint_of(structure: object) -> object:

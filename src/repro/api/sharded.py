@@ -15,7 +15,9 @@ sharded deployment needs on top of the plain
 * **Batched bulk operations** — :meth:`ShardedDictionaryEngine.insert_many`
   and :meth:`~ShardedDictionaryEngine.delete_many` group keys by shard before
   dispatch, so each shard sees one contiguous batch instead of an
-  interleaving.
+  interleaving.  Each shard's batch runs until its own first failure, and
+  the call raises the failure of the lowest shard position — the rule every
+  bulk path follows, the process engine and the network clients included.
 * **One merged stats view** — :meth:`ShardedDictionary.io_stats` aggregates
   every shard's counters; :meth:`ShardedDictionaryEngine.per_shard_io_stats`
   keeps the per-shard breakdown for imbalance analysis.
@@ -48,7 +50,7 @@ from repro._rng import RandomLike, make_rng
 from repro.api.config import PARALLEL_MODES as PARALLEL_MODES  # re-export
 from repro.api.config import EngineConfig
 from repro.api.engine import DictionaryEngine
-from repro.api.protocol import HIDictionary, Pair
+from repro.api.protocol import HIDictionary, Pair, insert_pairs
 from repro.api.routing import Router, hash_key, make_router
 from repro.errors import ConfigurationError
 from repro.memory.stats import IOStats
@@ -823,19 +825,33 @@ class ShardedDictionaryEngine(DictionaryEngine):
             appends[shard_of(key)]((position, key))
         return keys, batches
 
+    def _apply_batches(self, apply, batches: Sequence[list]) -> None:
+        """Run ``apply(shard, batch)`` for every shard's non-empty batch,
+        then raise the failure of the lowest failing shard position: each
+        batch runs until its own first failure, whatever the others do."""
+        failure: Optional[Exception] = None
+        for engine, batch in zip(self._engines(), batches):
+            if not batch:
+                continue
+            try:
+                apply(engine.structure, batch)
+            except Exception as error:
+                if failure is None:
+                    failure = error
+        if failure is not None:
+            raise failure
+
     def insert_many(self, entries: Iterable[object]) -> int:
         """Insert keys or pairs, grouped by shard before dispatch.
 
         Each shard receives its keys as one contiguous batch (relative input
         order preserved within the batch), which is what gives sharding its
-        locality win over interleaved routing.  Returns the number inserted.
+        locality win over interleaved routing, and applies it with one
+        structure-level ``insert_many``.  Returns the number inserted.
         """
         batches, count = self._grouped_entries(entries)
         with self._bulk_op("insert_many"):
-            for engine, batch in zip(self._engines(), batches):
-                insert = engine.structure.insert
-                for key, value in batch:
-                    insert(key, value)
+            self._apply_batches(insert_pairs, batches)
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
@@ -843,11 +859,15 @@ class ShardedDictionaryEngine(DictionaryEngine):
         """Delete keys grouped by shard; values return in the input order."""
         keys, batches = self._grouped_positions(keys)
         values: List[object] = [None] * len(keys)
+
+        def delete_batch(shard: HIDictionary,
+                         batch: List[Tuple[int, object]]) -> None:
+            delete = shard.delete
+            for position, key in batch:
+                values[position] = delete(key)
+
         with self._bulk_op("delete_many"):
-            for engine, batch in zip(self._engines(), batches):
-                delete = engine.structure.delete
-                for position, key in batch:
-                    values[position] = delete(key)
+            self._apply_batches(delete_batch, batches)
         self.metrics.inc("engine.keys.delete_many", len(values))
         return values
 
@@ -1053,9 +1073,9 @@ class ShardedDictionaryEngine(DictionaryEngine):
                     "%s" % (manifest_path, error)) from error
         engine = cls(structure)
         for index, shard in enumerate(structure.shards):
-            for slot in read_image(directory, manifest, index):
-                if slot is not None:
-                    shard.insert(*decode_slot(slot))
+            insert_pairs(shard, (decode_slot(slot) for slot
+                                 in read_image(directory, manifest, index)
+                                 if slot is not None))
         return engine
 
 

@@ -1,12 +1,14 @@
 """Deterministic crash injection for the durability test suite.
 
 Real crash-recovery code is only trustworthy when crashes can be placed
-*exactly* — "kill the worker after its 7th insert of this batch" — which
-neither timed ``os.kill`` from the parent nor poisoned key objects can do
-reliably (timing races, and poisoned keys cannot pass the storage codec the
-op log depends on).  This module is the standard fail-point escape hatch:
-named trip wires compiled into the worker hot paths that do nothing unless
-armed through the environment.
+*exactly* — "kill the worker before it logs the 7th insert of this batch"
+(a batch is applied first, then its applied prefix is logged with one
+``worker.insert`` trip per insert) — which neither timed ``os.kill`` from
+the parent nor poisoned key objects can do reliably (timing races, and
+poisoned keys cannot pass the storage codec the op log depends on).  This
+module is the standard fail-point escape hatch: named trip wires compiled
+into the worker hot paths that do nothing unless armed through the
+environment.
 
 Arm them with::
 

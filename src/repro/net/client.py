@@ -17,7 +17,9 @@ Server-side failures arrive as typed exceptions — the original
 :mod:`repro.errors` class where the client knows it,
 :class:`~repro.errors.RemoteError` (name + message preserved) where it
 does not, and :class:`~repro.errors.ServerBusyError` for admission-control
-sheds, which are always safe to retry.
+sheds, which are always safe to retry.  A bulk call follows the engines'
+failure rule: every shard's sub-request is sent even after one fails, and
+the failure of the lowest shard id is raised.
 """
 
 from __future__ import annotations
@@ -184,8 +186,10 @@ class ReproClient:
 
     def _request(self, op: str, header: Optional[Dict[str, object]] = None,
                  values: Optional[Sequence[object]] = None,
-                 *, attach_topo: bool = True
+                 *, attach_topo: bool = True, check: bool = True
                  ) -> Tuple[Dict[str, object], List[object]]:
+        """One request and its reply; a failed reply raises unless
+        ``check`` is off (a transport failure always raises)."""
         message: Dict[str, object] = dict(header or {})
         with self._lock:
             self._next_id += 1
@@ -222,8 +226,25 @@ class ReproClient:
                 span.finish()
         if reply.get("topology_changed"):
             self.refresh_shard_map()
-        raise_for_reply(reply)
+        if check:
+            raise_for_reply(reply)
         return reply, reply_values
+
+    def _per_shard(self, op: str, keyed: Sequence[Pair]
+                   ) -> List[Tuple[List[Tuple[int, object]],
+                                   Dict[str, object], List[object]]]:
+        """``(group, reply, values)`` of one ``op`` request per owning
+        shard id, in id order.  Every request is sent even after a reply
+        fails, then the lowest shard id's failure raises; a transport
+        failure aborts at once."""
+        answers = [
+            (group,) + self._request(op, {"shard": shard_id},
+                                     [item for _, item in group],
+                                     check=False)
+            for shard_id, group in sorted(self.routing.group(keyed).items())]
+        for _group, reply, _values in answers:
+            raise_for_reply(reply)
+        return answers
 
     def _read_reply(self, reader, request_id
                     ) -> Tuple[List[object], Dict[str, object]]:
@@ -273,25 +294,18 @@ class ReproClient:
         pairs = [_as_pair(entry) for entry in entries]
         if not pairs:
             return 0
-        inserted = 0
-        for shard_id, group in sorted(self.routing.group(
-                [(key, (key, value)) for key, value in pairs]).items()):
-            reply, _ = self._request(
-                "insert_many", {"shard": shard_id},
-                [pair for _, pair in group])
-            inserted += int(reply.get("inserted", 0))
-        return inserted
+        return sum(int(reply.get("inserted", 0))
+                   for _, reply, _ in self._per_shard(
+                       "insert_many",
+                       [(key, (key, value)) for key, value in pairs]))
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         keys = list(keys)
         if not keys:
             return []
         results: List[object] = [None] * len(keys)
-        for shard_id, group in sorted(self.routing.group(
-                [(key, key) for key in keys]).items()):
-            _, values = self._request(
-                "delete_many", {"shard": shard_id},
-                [key for _, key in group])
+        for group, _, values in self._per_shard(
+                "delete_many", [(key, key) for key in keys]):
             _place("delete_many", results, group, values)
         return results
 
@@ -300,11 +314,8 @@ class ReproClient:
         if not keys:
             return []
         results: List[object] = [False] * len(keys)
-        for shard_id, group in sorted(self.routing.group(
-                [(key, key) for key in keys]).items()):
-            _, flags = self._request(
-                "contains_many", {"shard": shard_id},
-                [key for _, key in group])
+        for group, _, flags in self._per_shard(
+                "contains_many", [(key, key) for key in keys]):
             _place("contains_many", results, group, flags)
         return [bool(flag) for flag in results]
 
@@ -486,6 +497,9 @@ class AsyncReproClient:
     async def _fan_out(self, op: str, keyed: Sequence[Pair]
                        ) -> List[Tuple[List[Pair], List[object],
                                        Dict[str, object]]]:
+        """One ``op`` request per owning shard id, all in flight at once;
+        after every one has finished, the lowest shard id's failure
+        raises, whichever failed first."""
         groups = sorted(self.routing.group(keyed).items())
 
         async def one(shard_id, group):
@@ -493,8 +507,13 @@ class AsyncReproClient:
                 op, {"shard": shard_id}, [item for _, item in group])
             return group, values, reply
 
-        return list(await asyncio.gather(
-            *(one(shard_id, group) for shard_id, group in groups)))
+        answers = await asyncio.gather(
+            *(one(shard_id, group) for shard_id, group in groups),
+            return_exceptions=True)
+        for answer in answers:
+            if isinstance(answer, BaseException):
+                raise answer
+        return answers
 
     async def insert_many(self, entries: Iterable[object]) -> int:
         pairs = [_as_pair(entry) for entry in entries]

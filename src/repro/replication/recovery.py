@@ -45,6 +45,7 @@ from repro.api.process_engine import (
     _ShardProxy,
     _ShardWorker,
 )
+from repro.api.protocol import insert_pairs
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter, make_router
 from repro.api.sharded import ShardedDictionary, _config_for_shards
 from repro.errors import ConfigurationError
@@ -233,9 +234,9 @@ def _restore_shard_state(shard, directory: str,
     offset = 0
     for index, entry in enumerate(manifest["shards"]):
         if entry.get("id") == shard_id:
-            for slot in read_image(directory, manifest, index):
-                if slot is not None:
-                    shard.insert(*decode_slot(slot))
+            insert_pairs(shard, (decode_slot(slot) for slot
+                                 in read_image(directory, manifest, index)
+                                 if slot is not None))
             offset = int((entry.get("oplog") or {}).get("offset") or 0)
             break
     log_file = oplog_path(directory, shard_id)

@@ -32,7 +32,11 @@ Costs: the depth of every node is ``O(log N)`` in expectation over the salt,
 so searches, inserts, and deletes take expected ``O(log N)`` comparisons.
 An insert or a delete is one iterative walk down from the root and back up
 the same path: the rotations and the height repairs all happen on it, and
-the repair stops at the first ancestor whose height did not change.
+the repair stops at the first ancestor whose height did not change.  A
+batch whose head is a strictly ascending run above the maximum links that
+run in one pass over the right spine (:meth:`Treap.insert_run`, the stack
+construction of a Cartesian tree): ``O(1)`` amortized per key instead of a
+root walk each, ending in the same shape, heights and counters.
 Unlike the paper's weakly history-independent structures, no useful *with
 high probability* amortized bound is possible here (Observation 1 territory:
 strong history independence and high-probability amortized guarantees do not
@@ -42,10 +46,10 @@ mix), which the benches demonstrate empirically.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro._rng import RandomLike, make_rng
-from repro.api.protocol import HIDictionary
+from repro.api.protocol import HIDictionary, Pair
 from repro.errors import DuplicateKey, InvariantViolation, KeyNotFound
 from repro.memory.stats import IOStats
 
@@ -321,10 +325,17 @@ class Treap(HIDictionary):
             raise KeyNotFound(key)
         return node.value
 
-    def bulk_load(self, items: List[Tuple[object, object]]) -> None:
-        """Insert every (key, value) pair of ``items`` (keys must be new)."""
-        for key, value in items:
-            self.insert(key, value)
+    def insert_many(self, pairs: Iterable[Pair]) -> int:
+        """Insert pairs in input order (see :meth:`HIDictionary.insert_many`):
+        the ascending run at the head in one :meth:`insert_run`, the rest
+        one key at a time."""
+        before = self._count
+        pairs = iter(pairs)
+        rest = self.insert_run(pairs)
+        if rest is not None:
+            self.insert(*rest)
+            super().insert_many(pairs)
+        return self._count - before
 
     # ------------------------------------------------------------------ #
     # One-walk updates
@@ -377,6 +388,76 @@ class Treap(HIDictionary):
         self._count += 1
         self.stats.operations += 1
         return visited, len(path) + 1, False
+
+    def insert_run(self, pairs: Iterator[Pair],
+                   stats: Optional[IOStats] = None,
+                   levels: int = 1) -> Optional[Pair]:
+        """Link the longest strictly ascending run at the head of ``pairs``
+        whose keys exceed the maximum in one pass over the right spine;
+        return the first pair not linked (``None`` once ``pairs`` ran out).
+
+        A key above the maximum descends the right spine, so the
+        ``(visited, depth)`` :meth:`insert_walk` would report for it are the
+        spine's length before and after the nodes it outranks are popped,
+        and each pop is one of the walk's rotations.  The popped nodes hang
+        below the new one as the rotations would leave them, and each
+        height is restored once its subtree is final, so the shape, the
+        heights and ``treap.rotation`` end as per-key inserts leave them.
+        ``stats``, if given, is charged per key what
+        :meth:`repro.btreap.BTreap.insert` charges with ``levels`` treap
+        levels per block: ``max(1, ⌈visited/levels⌉)`` reads,
+        ``⌈depth/levels⌉`` writes and one operation.  The bookkeeping is
+        finished even when ``priority_of`` raises; a key of a type the run
+        cannot compare is returned, so :meth:`insert_walk` raises its error.
+        """
+        spine: List[TreapNode] = []
+        node = self._root
+        while node is not None:
+            spine.append(node)
+            node = node.right
+        push, pop = spine.append, spine.pop
+        priority_of = self._priority_of
+        length = len(spine)
+        linked = rotations = reads = writes = 0
+        try:
+            for pair in pairs:
+                key, value = pair
+                if length:
+                    try:
+                        above = key > spine[-1].key
+                    except TypeError:
+                        above = False
+                    if not above:
+                        return pair
+                fresh = TreapNode(key, value, priority_of(key))
+                reads += -(-length // levels) or 1  # visited == length
+                popped = None
+                while length and spine[-1].priority < fresh.priority:
+                    popped = pop()
+                    _restore_height(popped)
+                    length -= 1
+                    rotations += 1
+                fresh.left = popped
+                if length:
+                    spine[-1].right = fresh
+                else:
+                    self._root = fresh
+                push(fresh)
+                length += 1
+                writes += -(-length // levels)  # depth == length
+                linked += 1
+            return None
+        finally:
+            for node in reversed(spine):
+                _restore_height(node)
+            self._count += linked
+            self.stats.operations += linked
+            if rotations:
+                self.stats.bump("treap.rotation", rotations)
+            if stats is not None:
+                stats.reads += reads
+                stats.writes += writes
+                stats.operations += linked
 
     def delete_walk(self, key: object) -> Tuple[int, Optional[TreapNode]]:
         """Remove ``key`` in one root walk; returns ``(visited, node)``.

@@ -1,13 +1,16 @@
 """The blocked B-treap: dictionary behaviour, block packing, I/O accounting."""
 
+import copy
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btreap import BTreap
 from repro.errors import ConfigurationError, DuplicateKey, KeyNotFound
+from repro.treap import Treap
 
 pytestmark = pytest.mark.fast
 
@@ -223,20 +226,73 @@ def run_and_predict(btreap, op, key):
     return probe, 0
 
 
+def insert_one_by_one(structure, pairs):
+    """Insert ``pairs`` key by key up to the first failure; return the
+    failure as ``(type, args)`` (``None`` if every pair went in)."""
+    try:
+        for key, value in pairs:
+            structure.insert(key, value)
+    except Exception as error:
+        return type(error), error.args
+    return None
+
+
+def insert_as_batch(structure, pairs):
+    """``insert_one_by_one`` through one ``insert_many`` call."""
+    try:
+        structure.insert_many(pairs)
+    except Exception as error:
+        return type(error), error.args
+    return None
+
+
+def batch_for(rng, btreap, pool):
+    """One ``insert_many`` batch: a run above the maximum, an unsorted
+    batch (which may hit stored keys), or a run with a duplicate in the
+    middle."""
+    top = max(btreap, default=-1)
+    run = list(range(top + 1, top + 2 + rng.randrange(12)))
+    kind = rng.randrange(3)
+    if kind == 0:
+        keys = run
+    elif kind == 1:
+        keys = rng.sample(pool, rng.randrange(1, 9))
+    else:
+        middle = len(run) // 2
+        keys = run[:middle + 1] + run[middle:]
+    return [(key, key) for key in keys]
+
+
+def run_batch_and_predict(btreap, pairs):
+    """Run one ``insert_many``; return the ``(reads, writes)`` a per-key
+    twin charges for the same pairs, after checking that the batch raised
+    what the twin raised and left the same layout."""
+    twin = copy.deepcopy(btreap)
+    reads, writes = twin.stats.reads, twin.stats.writes
+    assert insert_as_batch(btreap, pairs) == insert_one_by_one(twin, pairs)
+    assert btreap.memory_representation() == twin.memory_representation()
+    return twin.stats.reads - reads, twin.stats.writes - writes
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_charges_match_the_walk_formulas_after_every_operation(seed):
     """Every operation of a trace that deletes and re-inserts the same keys
-    charges what the formulas predict, and afterwards every stored height
-    equals a full walk."""
+    charges what the formulas predict — an ``insert_many`` batch what a
+    per-key twin charges — and afterwards every stored height equals a
+    full walk."""
     rng = random.Random(seed)
     btreap = BTreap(block_size=rng.choice((2, 7, 16)), seed=seed)
     pool = list(range(80))
     ops = ("insert", "insert", "delete", "delete", "upsert", "contains",
-           "search")
+           "search", "insert_many")
     for _step in range(400):
         op, key = rng.choice(ops), rng.choice(pool)
         reads, writes = btreap.stats.reads, btreap.stats.writes
-        expected = run_and_predict(btreap, op, key)
+        if op == "insert_many":
+            expected = run_batch_and_predict(btreap,
+                                             batch_for(rng, btreap, pool))
+        else:
+            expected = run_and_predict(btreap, op, key)
         assert (btreap.stats.reads - reads,
                 btreap.stats.writes - writes) == expected, (op, key)
         stack = [btreap._treap.root] if len(btreap) else []
@@ -247,6 +303,94 @@ def test_charges_match_the_walk_formulas_after_every_operation(seed):
                          if child is not None)
     assert btreap.stats.operations > 0
     btreap.check()
+
+
+def arrival_priority():
+    """A history-dependent priority: the insertion counter (the negative
+    control of ``tests/test_treap.py``)."""
+    counter = itertools.count(1)
+    return lambda _key: next(counter)
+
+
+def refusing_priority(treap):
+    """The treap's own priority, except that keys 16 mod 17 raise."""
+    salted = treap._priority_of
+
+    def priority_of(key):
+        if key % 17 == 16:
+            raise ValueError("no priority for %r" % (key,))
+        return salted(key)
+    return priority_of
+
+
+def build_twinnable(structure, priority, block_size, seed):
+    built = Treap(seed=seed) if structure == "treap" \
+        else BTreap(block_size=block_size, seed=seed)
+    treap = built if structure == "treap" else built._treap
+    if priority == "arrival":
+        treap._priority_of = arrival_priority()
+    elif priority == "refusing":
+        treap._priority_of = refusing_priority(treap)
+    return built
+
+
+def observed(structure):
+    """Layout, every node's stored height, both stats objects, and size."""
+    treap = structure if isinstance(structure, Treap) else structure._treap
+    nodes = []
+    stack = [treap.root] if treap.root is not None else []
+    while stack:
+        node = stack.pop()
+        nodes.append((node.key, node.value, node.priority, node.height))
+        stack.extend(child for child in (node.right, node.left)
+                     if child is not None)
+    stats = [vars(treap.stats), vars(structure.stats)]
+    return structure.memory_representation(), nodes, stats, len(structure)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=5, structure="treap", priority="salted", block_size=8,
+         steps=[("mixed", [1])])
+@example(seed=5, structure="b-treap", priority="salted", block_size=8,
+         steps=[("mixed", [1])])
+@given(seed=st.integers(min_value=0, max_value=2**32),
+       structure=st.sampled_from(("treap", "b-treap")),
+       priority=st.sampled_from(("salted", "arrival", "refusing")),
+       block_size=st.sampled_from((2, 4, 16, 64)),
+       steps=st.lists(st.tuples(
+           st.sampled_from(("run", "unsorted", "mixed", "delete")),
+           st.lists(st.integers(min_value=0, max_value=40), max_size=24)),
+           min_size=1, max_size=8))
+def test_property_insert_many_matches_per_key_inserts(seed, structure,
+                                                      priority, block_size,
+                                                      steps):
+    """``insert_many`` leaves exactly what per-key inserts into a twin
+    leave — layout, stored heights, both stats objects, the size and the
+    error — for runs above the maximum (with duplicates and an unsorted
+    tail), unsorted batches, and a run ending in a key that cannot be
+    compared (the examples: ``[(0, 0), (1, 1), ("x", 2)]`` links and
+    counts two keys, then raises the per-key ``TypeError``), under
+    salted, insertion-counter and raising priorities."""
+    bulk = build_twinnable(structure, priority, block_size, seed)
+    twin = build_twinnable(structure, priority, block_size, seed)
+    for kind, values in steps:
+        if kind == "delete":
+            held = set(twin)  # iteration charges nothing; ``in`` would
+            for key in sorted(held.intersection(values)):
+                assert bulk.delete(key) == twin.delete(key)
+            continue
+        top = max(twin, default=-1)
+        run = sorted(top + 1 + value for value in values)
+        if kind == "run":
+            keys = run + values[::4]
+        elif kind == "unsorted":
+            keys = values
+        else:
+            keys = [top + 1] + run + ["x"]
+        pairs = [(key, index) for index, key in enumerate(keys)]
+        assert insert_as_batch(bulk, pairs) == insert_one_by_one(twin, pairs)
+        assert observed(bulk) == observed(twin)
+        bulk.check()
 
 
 def test_blocks_on_path_arithmetic():

@@ -58,6 +58,7 @@ PROCESS_VARIANTS = (
     ("process+packed+b-tree", {"shards": 3, "inner": "b-tree",
                                "max_workers": 2}),
     ("process+hi-skiplist", {"shards": 3, "inner": "hi-skiplist"}),
+    ("process+b-treap", {"shards": 3, "inner": "b-treap"}),
 )
 
 ALL_TARGETS = list(registry_names()) \
@@ -328,6 +329,109 @@ def test_differential_against_oracle(target, trace_seed):
         "  replay(%r, %r)"
         % (target, trace_seed, run_trace(target, minimal) or failure,
            len(minimal), target, minimal))
+
+
+# --------------------------------------------------------------------------- #
+# Bulk inserts: one insert_many call vs. a twin inserting key by key
+# --------------------------------------------------------------------------- #
+
+def bulk_batch(rng: random.Random, held: Sequence[int]) -> List[Tuple]:
+    """One insert batch: an ascending run above the maximum (dense or with
+    gaps), an unsorted batch, a run with a duplicate in the middle, or a
+    run followed by an unsorted tail.  Unsorted keys may already be held."""
+    top = max(held, default=-1)
+    run = list(range(top + 1, top + 2 + rng.randrange(24)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        keys = run
+    elif kind == 1:
+        keys = sorted(rng.sample(range(top + 1, top + 80), len(run)))
+    elif kind == 2:
+        keys = rng.sample(range(top + 20), rng.randrange(1, 16))
+    elif kind == 3:
+        middle = len(run) // 2
+        keys = run[:middle + 1] + run[middle:]
+    else:
+        keys = run + rng.sample(range(top + 1), min(top + 1, 6))
+    return [(key, rng.randrange(1000)) for key in keys]
+
+
+def one_key_at_a_time(engine: DictionaryEngine, method: str,
+                      items: Sequence) -> Optional[Tuple[type, str]]:
+    """Apply ``items`` with one point call each, under the bulk failure
+    rule: each shard's items in input order up to that shard's first
+    failure, then the failure of the lowest shard position is returned
+    as ``(type, message)``."""
+    shard_of = getattr(engine.structure, "shard_of", None)
+    groups: dict = {}
+    for item in items:
+        key = item[0] if method == "insert" else item
+        groups.setdefault(shard_of(key) if callable(shard_of) else 0,
+                          []).append(item)
+    failures = {}
+    for position, group in groups.items():
+        for item in group:
+            try:
+                if method == "insert":
+                    engine.insert(*item)
+                else:
+                    engine.delete(item)
+            except (DuplicateKey, KeyNotFound) as error:
+                failures[position] = error
+                break
+    if not failures:
+        return None
+    error = failures[min(failures)]
+    return type(error), Exception.__str__(error)
+
+
+def as_one_batch(call, items: Sequence) -> Optional[Tuple[type, str]]:
+    try:
+        call(items)
+    except (DuplicateKey, KeyNotFound) as error:
+        return type(error), Exception.__str__(error)
+    return None
+
+
+def bulk_observables(engine: DictionaryEngine) -> Tuple:
+    """Items, the slot-level layout, and the deterministic I/O counters."""
+    stats = engine.io_stats()
+    return (engine.items(), list(engine.structure.snapshot_slots()),
+            (stats.reads, stats.writes, stats.cache_hits,
+             stats.element_moves, stats.operations, dict(stats.counters)))
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_bulk_insert_trace_matches_a_key_by_key_twin(target):
+    """``insert_many`` (with ``delete_many`` between batches) leaves every
+    target exactly as a twin that inserts one key at a time: the same
+    error, items, slot layout and I/O counters after every batch — for
+    runs above the maximum, unsorted batches, duplicates mid-run and runs
+    followed by an unsorted tail."""
+    rng = random.Random(DIFF_SEED + 5)
+    bulk, twin = make_engine(target), make_engine(target)
+    try:
+        for step in range(16):
+            held = list(twin)
+            if step % 4 == 3 and held:
+                victims = rng.sample(held, min(len(held), 6))
+                if rng.random() < 0.5:
+                    victims.insert(rng.randrange(len(victims)), held[-1] + 7)
+                expected = one_key_at_a_time(twin, "delete", victims)
+                got = as_one_batch(bulk.delete_many, victims)
+            else:
+                pairs = bulk_batch(rng, held)
+                expected = one_key_at_a_time(twin, "insert", pairs)
+                got = as_one_batch(bulk.insert_many, pairs)
+            assert got == expected, (target, step)
+            assert bulk_observables(bulk) == bulk_observables(twin), \
+                (target, step)
+        bulk.check()
+    finally:
+        for engine in (bulk, twin):
+            close = getattr(engine, "close", None)
+            if callable(close):
+                close()
 
 
 # --------------------------------------------------------------------------- #

@@ -37,6 +37,7 @@ from repro.api import (
 from repro.api.sharded import ShardedDictionary, ShardedDictionaryEngine
 from repro.errors import (
     ConfigurationError,
+    DuplicateKey,
     KeyNotFound,
     ReplicationError,
     WorkerCrashError,
@@ -596,17 +597,27 @@ def test_crash_mid_insert_many_recovers_exactly_the_logged_prefix(
     try:
         engine.insert_many(entries_for(30))  # acknowledged: fully durable
         acked = dict(entries_for(30))
+        torn = entries_for(300)[30:]
         with pytest.raises(WorkerCrashError):
-            engine.insert_many(entries_for(300)[30:])
+            engine.insert_many(torn)
         disarm()  # recovery's respawned workers must come up unarmed
         report = engine.recover()
         assert report.replayed and not report.rebuilt_empty
         recovered = dict(engine.items())
-        # Every acknowledged operation survived; the torn batch recovered
-        # to a prefix of what each worker had applied.
+        # Every acknowledged operation survived.
         assert all(key in recovered and recovered[key] == value
                    for key, value in acked.items())
         assert set(recovered) <= {key for key, _v in entries_for(300)}
+        # Each shard's worker (one per shard) logged 39 inserts before its
+        # 40th trip killed it, the acknowledged ones first: the torn batch
+        # recovered to exactly that prefix of the shard's batch, in input
+        # order.
+        shard_of = engine.structure.shard_of
+        for position in range(engine.num_shards):
+            batch = [key for key, _v in torn if shard_of(key) == position]
+            kept = [key for key in batch if key in recovered]
+            logged = 39 - sum(1 for key in acked if shard_of(key) == position)
+            assert kept == batch[:logged], position
         # The paper's property: the recovered layout equals a fresh build
         # of the recovered key set — the crash left no physical residue.
         assert_anti_persistence(engine)
@@ -617,6 +628,36 @@ def test_crash_mid_insert_many_recovers_exactly_the_logged_prefix(
         engine.insert_many((key, key) for key in range(9000, 9040))
         oracle.update((key, key) for key in range(9000, 9040))
         assert_matches_oracle(engine, oracle)
+    finally:
+        engine.close()
+
+
+def test_a_duplicate_mid_run_reopens_to_the_applied_prefix(tmp_path):
+    """A durable process b-treap batch whose ascending run hits a
+    ``DuplicateKey``: every shard logged exactly the pairs it applied, so
+    after ``close()`` and a cold open the store equals an in-process twin
+    that ran the same failing batch."""
+    directory = str(tmp_path / "d")
+    run = list(range(3000, 3021)) + list(range(3020, 3041))
+    batch = [(key, -key) for key in run]
+    engine = build_engine(replication=1, durability_dir=directory)
+    twin = build_twin()
+    try:
+        for store in (engine, twin):
+            store.insert_many(entries_for(60))
+            with pytest.raises(DuplicateKey):
+                store.insert_many(batch)
+        assert engine.items() == twin.items()
+        applied = {key for key, _value in twin.items()}.intersection(run)
+        assert 0 < len(applied) < len(set(run))  # a prefix on one shard
+        engine.close()
+        reopened = open_durable_engine(directory)
+        try:
+            assert reopened.items() == twin.items()
+            assert layout_digest(reopened.structure) \
+                == layout_digest(twin.structure)
+        finally:
+            reopened.close()
     finally:
         engine.close()
 

@@ -24,8 +24,10 @@ import threading
 import pytest
 
 from repro.api import EngineConfig, make_sharded_engine
+from repro.api.sharded import shard_index
 from repro.errors import (
     ConfigurationError,
+    DuplicateKey,
     KeyNotFound,
     ProtocolError,
     ServerBusyError,
@@ -399,6 +401,94 @@ def test_engine_errors_cross_as_their_original_types():
                 client.barrier()  # no durability on this engine
             # the connection survives message-level errors
             assert client.search(1) == "one"
+
+
+# --------------------------------------------------------------------------- #
+# One failure rule for every bulk path
+# --------------------------------------------------------------------------- #
+
+RULE_CONFIG = EngineConfig(inner="b-treap", shards=2, block_size=8, seed=7)
+
+
+def _fresh_pairs(keys):
+    return [(key, key) for key in keys]
+
+
+def _rule_cases():
+    """``(name, held pairs, op, batch, error type, error message, keys
+    held afterwards)``.
+
+    A failing bulk call applies each shard's batch up to that shard's own
+    first failure, and raises the failure of the lowest shard position.
+    Key 2 (and 98) route to the shard that also owns 11, 12 and 16.
+    """
+    low = min(key for key in range(1, 11) if shard_index(key, 2) == 0)
+    high = min(key for key in range(1, 11) if shard_index(key, 2) == 1)
+    return [
+        ("insert", _fresh_pairs(range(1, 11)), "insert_many",
+         [(2, "dup")] + _fresh_pairs(range(11, 21)), DuplicateKey, "2",
+         list(range(1, 11)) + [13, 14, 15, 17, 18, 19, 20]),
+        ("delete", _fresh_pairs(range(1, 21)), "delete_many",
+         [98] + list(range(11, 21)), KeyNotFound, "98",
+         list(range(1, 13)) + [16]),
+        # The higher shard's duplicate comes first in input order, but the
+        # lower shard position's failure is the one raised.
+        ("lowest-shard", _fresh_pairs(range(1, 11)), "insert_many",
+         [(high, "dup"), (low, "dup")] + _fresh_pairs(range(11, 21)),
+         DuplicateKey, str(low), list(range(1, 11))),
+    ]
+
+
+RULE_CASES = _rule_cases()
+
+
+def _failed_call(store, op, batch):
+    """The ``(type, message)`` of the error ``store.op(batch)`` raises."""
+    with pytest.raises(Exception) as caught:
+        getattr(store, op)(batch)
+    return type(caught.value), Exception.__str__(caught.value)
+
+
+@pytest.mark.parametrize("case", RULE_CASES, ids=[c[0] for c in RULE_CASES])
+def test_every_bulk_path_follows_one_failure_rule(case):
+    """The in-process engine, the process engine and both clients raise
+    the same error for a failing bulk call and keep the same keys: each
+    shard's batch runs until its own first failure, and the lowest shard
+    position's failure is raised."""
+    _name, held, op, batch, error_type, message, expected = case
+    outcomes = {}
+    for label, config in (("in-process", RULE_CONFIG),
+                          ("process", RULE_CONFIG.replace(
+                              parallel="process", max_workers=2))):
+        engine = make_sharded_engine(config)
+        try:
+            engine.insert_many(held)
+            error = _failed_call(engine, op, batch)
+            outcomes[label] = error, engine.items()
+        finally:
+            engine.close()
+    with ThreadedServer(RULE_CONFIG) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            client.insert_many(held)
+            error = _failed_call(client, op, batch)
+            outcomes["ReproClient"] = error, client.items()
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            await client.insert_many(held)
+            try:
+                await getattr(client, op)(batch)
+            except Exception as raised:
+                error = type(raised), Exception.__str__(raised)
+            else:  # pragma: no cover - the assertion below reports it
+                error = None
+            return error, await client.items()
+
+    with ThreadedServer(RULE_CONFIG) as server:
+        outcomes["AsyncReproClient"] = run_async(drive(server.port))
+    for label, (error, items) in outcomes.items():
+        assert error == (error_type, message), label
+        assert items == _fresh_pairs(expected), label
 
 
 def test_worker_kill_mid_batch_is_a_clean_typed_error(monkeypatch):

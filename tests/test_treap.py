@@ -78,7 +78,7 @@ def test_iteration_is_sorted():
 
 def test_items_pairs_keys_with_values():
     treap = Treap(seed=1)
-    treap.bulk_load([(2, "b"), (1, "a"), (3, "c")])
+    assert treap.insert_many([(2, "b"), (1, "a"), (3, "c")]) == 3
     assert treap.items() == [(1, "a"), (2, "b"), (3, "c")]
 
 
