@@ -149,7 +149,7 @@ class HistoryIndependentSkipList(HIDictionary):
 
     def contains(self, key: object) -> bool:
         """Whether ``key`` is stored (charges search I/Os)."""
-        self.stats.reads += self.search_io_cost(key)
+        self.stats.reads += self._find(key)[0]
         return key in self._values
 
     def search(self, key: object) -> object:
@@ -159,14 +159,15 @@ class HistoryIndependentSkipList(HIDictionary):
         return self._values[key]
 
     def search_io_cost(self, key: object) -> int:
-        """I/Os of a search for ``key`` (upper-level scans plus one leaf array)."""
-        ios = 0
-        for step in self._levels.descend(key):
-            ios += self._blocks(step.scanned)
-        node, array = self._locate(key)
-        ios += self._blocks(array.capacity)
-        del node
-        return max(1, ios)
+        """I/Os of a search for ``key``.
+
+        One descent through ``S_h .. S_1`` (see
+        :meth:`~repro.skiplist.levels.SkipListLevels.locate`) charges
+        ``(scanned + B - 1) // B`` blocks per level, ``scanned`` counting
+        the element that stops the scan; then the key's leaf array is read
+        whole, ``⌈capacity / B⌉`` blocks, gaps included.
+        """
+        return self._find(key)[0]
 
     def range_query(self, low: object, high: object
                     ) -> Tuple[List[Tuple[object, object]], int]:
@@ -178,13 +179,14 @@ class HistoryIndependentSkipList(HIDictionary):
         """
         if high < low:
             return [], 0
-        ios = self.search_io_cost(low)
+        ios, first_node, _index = self._find(low)
         result: List[Tuple[object, object]] = []
         slots_scanned = 0
         boundaries_crossed = 0
         started = False
         done = False
-        for node in self._nodes_in_order():
+        # Nodes before the search's node hold only keys below ``low``.
+        for node in self._nodes_in_order(first_node.start):
             if started:
                 boundaries_crossed += 1
             for array in node.arrays:
@@ -214,12 +216,12 @@ class HistoryIndependentSkipList(HIDictionary):
         """Insert a new key; returns the I/O cost charged for the operation."""
         if key in self._values:
             raise DuplicateKey(key)
-        read_ios = self.search_io_cost(key)
+        read_ios, node, index = self._find(key)
         self.stats.reads += read_ios
-        node, array = self._locate(key)
         level = geometric_level(self._rng, self.promote_probability,
                                 max_level=self.max_level)
         if level == 0:
+            array = node.arrays[index]
             resized = array.insert(key, self._leaf_rule)
             if resized:
                 node.rebuild(self._leaf_rule)
@@ -228,7 +230,7 @@ class HistoryIndependentSkipList(HIDictionary):
             else:
                 write_ios = self._blocks(array.capacity)
         else:
-            write_ios = self._insert_promoted(node, array, key, level)
+            write_ios = self._insert_promoted(node, index, key, level)
         self._values[key] = value
         self.stats.writes += write_ios
         self.stats.operations += 1
@@ -244,9 +246,8 @@ class HistoryIndependentSkipList(HIDictionary):
         untouched.
         """
         if key in self._values:
-            read_ios = self.search_io_cost(key)
-            _node, array = self._locate(key)
-            write_ios = self._blocks(array.capacity)
+            read_ios, node, index = self._find(key)
+            write_ios = self._blocks(node.arrays[index].capacity)
             self._values[key] = value
             self.stats.reads += read_ios
             self.stats.writes += write_ios
@@ -260,15 +261,15 @@ class HistoryIndependentSkipList(HIDictionary):
         """Remove ``key`` and return its value; raises :class:`KeyNotFound` otherwise."""
         if key not in self._values:
             raise KeyNotFound(key)
-        read_ios = self.search_io_cost(key)
+        read_ios, node, index = self._find(key)
         self.stats.reads += read_ios
         level = self._levels.level_of(key)
         if level >= 2:
             write_ios = self._delete_node_boundary(key)
         elif level == 1:
-            write_ios = self._delete_array_boundary(key)
+            write_ios = self._delete_array_boundary(node, index, key)
         else:
-            node, array = self._locate(key)
+            array = node.arrays[index]
             resized = array.remove(key, self._leaf_rule)
             if resized:
                 node.rebuild(self._leaf_rule)
@@ -286,14 +287,14 @@ class HistoryIndependentSkipList(HIDictionary):
     # Promoted inserts and deletes
     # ------------------------------------------------------------------ #
 
-    def _insert_promoted(self, node: LeafNode, array: LeafArray,
+    def _insert_promoted(self, node: LeafNode, index: int,
                          key: object, level: int) -> int:
         """Insert a promoted key: split its leaf array (and node if level >= 2)."""
+        array = node.arrays[index]
         smaller = [existing for existing in array.keys if existing < key]
         larger = [existing for existing in array.keys if existing > key]
         left = LeafArray(array.start, smaller, self._leaf_rule)
         right = LeafArray(key, [key] + larger, self._leaf_rule)
-        index = node.arrays.index(array)
         node.arrays[index:index + 1] = [left, right]
         self._levels.add(key, level)
         write_ios = self._blocks(node.total_slots())
@@ -309,17 +310,12 @@ class HistoryIndependentSkipList(HIDictionary):
             self.stats.bump("skiplist.array_split")
         return write_ios
 
-    def _delete_array_boundary(self, key: object) -> int:
+    def _delete_array_boundary(self, node: LeafNode, index: int,
+                               key: object) -> int:
         """Delete a once-promoted key: merge its array into its predecessor."""
-        node, _array = self._locate(key)
-        self._levels.remove(key)
-        index = None
-        for position, candidate in enumerate(node.arrays):
-            if candidate.start is not FRONT and candidate.start == key:
-                index = position
-                break
-        if index is None or index == 0:
+        if index == 0 or node.arrays[index].start != key:
             raise InvariantViolation("array boundary %r not found in its node" % (key,))
+        self._levels.remove(key)
         previous = node.arrays[index - 1]
         current = node.arrays[index]
         merged_keys = previous.keys + [existing for existing in current.keys
@@ -351,19 +347,30 @@ class HistoryIndependentSkipList(HIDictionary):
     # ------------------------------------------------------------------ #
 
     def _blocks(self, slots: int) -> int:
-        return max(1, math.ceil(slots / self.block_size))
+        return max(1, (slots + self.block_size - 1) // self.block_size)
 
-    def _locate(self, key: object) -> Tuple[LeafNode, LeafArray]:
-        """The leaf node and leaf array whose key range contains ``key``."""
-        node_start = self._levels.predecessor(2, key)
+    def _find(self, key: object) -> Tuple[int, LeafNode, int]:
+        """One search for ``key``: its read I/Os, its leaf node, and the
+        index of its leaf array within that node."""
+        ios, node_start, array_start, index = self._levels.locate(
+            key, self.block_size)
         node = self._nodes.get(node_start)
         if node is None:
             raise InvariantViolation("no leaf node for boundary %r" % (node_start,))
-        return node, node.array_for(key)
+        if index >= len(node.arrays):
+            raise InvariantViolation("leaf node %r has no array %d"
+                                     % (node_start, index))
+        array = node.arrays[index]
+        if array.start != array_start:
+            raise InvariantViolation(
+                "leaf array %d of node %r starts at %r, not at boundary %r"
+                % (index, node_start, array.start, array_start))
+        return ios + self._blocks(array.capacity), node, index
 
-    def _nodes_in_order(self) -> Iterator[LeafNode]:
-        yield self._nodes[FRONT]
-        for boundary in self._levels.members(2):
+    def _nodes_in_order(self, start: object = FRONT) -> Iterator[LeafNode]:
+        """The leaf nodes in key order, from the one starting at ``start``."""
+        yield self._nodes[start]
+        for boundary in self._levels.members_after(2, start):
             node = self._nodes.get(boundary)
             if node is not None:
                 yield node

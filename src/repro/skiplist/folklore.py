@@ -19,7 +19,6 @@ keeps no gaps), so a scan of an array of ``n`` keys costs ``⌈n/B⌉`` I/Os.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Iterator, List, Tuple
 
 from repro._rng import RandomLike, geometric_level, make_rng
@@ -103,16 +102,18 @@ class FolkloreBSkipList(HIDictionary):
         return self._values[key]
 
     def search_io_cost(self, key: object, charge: bool = False) -> int:
-        """I/Os of a search for ``key`` (scanning arrays level by level)."""
-        ios = 0
-        steps = self._levels.descend(key)
-        for step in steps:
-            ios += self._blocks(step.scanned)
-        anchor = steps[-1].anchor if steps else FRONT
-        ios += self._blocks(max(1, self._leaf_array_length(anchor)))
+        """I/Os of a search for ``key``.
+
+        One descent through ``S_h .. S_1`` (see
+        :meth:`~repro.skiplist.levels.SkipListLevels.locate`) charges
+        ``(scanned + B - 1) // B`` blocks per level, ``scanned`` counting
+        the element that stops the scan; then the key's dense leaf array of
+        ``n`` keys costs ``⌈max(1, n) / B⌉`` blocks.
+        """
+        upper_ios, leaf_ios = self._search(key)
         if charge:
-            self.stats.reads += ios
-        return ios
+            self.stats.reads += upper_ios + leaf_ios
+        return upper_ios + leaf_ios
 
     def range_query(self, low: object, high: object) -> Tuple[List[Tuple[object, object]], int]:
         """All pairs with ``low <= key <= high`` plus the I/O cost of the scan."""
@@ -123,8 +124,7 @@ class FolkloreBSkipList(HIDictionary):
         last = bisect.bisect_right(self._keys, high)
         selected = self._keys[first:last]
         # Every leaf array touched by the scan starts a new block.
-        boundaries = [key for key in self._levels.members(1) if low < key <= high]
-        scan_ios = self._blocks(len(selected)) + len(boundaries)
+        scan_ios = self._blocks(len(selected)) + self._levels.count_in(1, low, high)
         self.stats.reads += scan_ios
         return [(key, self._values[key]) for key in selected], ios + scan_ios
 
@@ -158,10 +158,10 @@ class FolkloreBSkipList(HIDictionary):
         """
         position = bisect.bisect_left(self._keys, key)
         if position < len(self._keys) and self._keys[position] == key:
-            self.search_io_cost(key, charge=True)
+            upper_ios, leaf_ios = self._search(key)
             self._values[key] = value
-            anchor = self._levels.predecessor(1, key)
-            self.stats.writes += self._blocks(max(1, self._leaf_array_length(anchor)))
+            self.stats.reads += upper_ios + leaf_ios
+            self.stats.writes += leaf_ios
             self.stats.operations += 1
             return True
         self.insert(key, value)
@@ -188,20 +188,21 @@ class FolkloreBSkipList(HIDictionary):
     # ------------------------------------------------------------------ #
 
     def _blocks(self, slots: int) -> int:
-        return max(1, math.ceil(slots / self.block_size))
+        return max(1, (slots + self.block_size - 1) // self.block_size)
+
+    def _search(self, key: object) -> Tuple[int, int]:
+        """One descent for ``key``: the upper-level I/Os and its leaf array's I/Os."""
+        ios, _node_start, start, _index = self._levels.locate(key, self.block_size)
+        return ios, self._blocks(max(1, self._leaf_array_length(start)))
 
     def _leaf_array_length(self, start: object) -> int:
         """Number of keys in the leaf array starting at ``start`` (or FRONT)."""
         begin = 0 if start is FRONT else bisect.bisect_left(self._keys, start)
-        boundaries = self._levels.members(1)
-        if start is FRONT:
-            next_position = 0
-        else:
-            next_position = bisect.bisect_right(boundaries, start)
-        if next_position < len(boundaries):
-            end = bisect.bisect_left(self._keys, boundaries[next_position])
-        else:
+        end_key = next(self._levels.members_after(1, start), None)
+        if end_key is None:
             end = len(self._keys)
+        else:
+            end = bisect.bisect_left(self._keys, end_key)
         return max(0, end - begin)
 
     # ------------------------------------------------------------------ #

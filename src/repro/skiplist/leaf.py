@@ -108,28 +108,6 @@ class LeafNode:
             flattened += array.slots()
         return flattened
 
-    def array_for(self, key: object) -> LeafArray:
-        """The leaf array whose key range contains ``key``."""
-        if not self.arrays:
-            raise InvariantViolation("leaf node has no arrays")
-        chosen = self.arrays[0]
-        for array in self.arrays[1:]:
-            if array.start is not FRONT and array.start <= key:
-                chosen = array
-            else:
-                break
-        return chosen
-
-    def array_index_for(self, key: object) -> int:
-        """Index of the leaf array whose key range contains ``key``."""
-        index = 0
-        for position, array in enumerate(self.arrays[1:], start=1):
-            if array.start is not FRONT and array.start <= key:
-                index = position
-            else:
-                break
-        return index
-
     def rebuild(self, rule: WHICapacityRule) -> None:
         """Redraw the capacity of every array (a whole-node rewrite)."""
         for array in self.arrays:

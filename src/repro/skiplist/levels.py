@@ -9,17 +9,26 @@ target key, walk down from the top level, and at each level scan rightward
 from the current anchor until the target is passed.
 
 :class:`SkipListLevels` stores each ``S_i`` as a sorted list and *computes*
-the scan lengths with binary search instead of physically walking the
-arrays; the scan lengths are what the callers convert into block I/Os.  The
-physical leaf level (where gaps, capacities, and node packing matter) is kept
-by the callers themselves.
+the scans with binary search instead of physically walking the arrays.
+:meth:`SkipListLevels.locate` makes the whole descent in one pass over
+``S_h .. S_1``.  At each level the scan starts just after the anchor found
+one level up, at position ``low``, and stops after the last element
+``<= key``, at position ``high``.  It reads ``high - low`` elements plus
+the one that proves it can stop, so it costs ``(high - low + B) // B``
+block I/Os; the last element it passes is the next level's anchor.  The
+level-2 anchor starts the key's leaf node and the level-1 anchor starts its
+leaf array.  Every ``S_1`` element between the two starts one array of
+that node, so the level-1 scan length ``high - low`` is also the index of
+the key's array within its node.
+
+The physical leaf level (where gaps, capacities, and node packing matter)
+is kept by the callers themselves.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 
 class _FrontSentinel:
@@ -49,27 +58,6 @@ class _FrontSentinel:
 
 #: Sentinel marking the front of every list (smaller than every key).
 FRONT = _FrontSentinel()
-
-
-@dataclass
-class DescentStep:
-    """One level of a search descent.
-
-    Attributes
-    ----------
-    level:
-        The skip-list level (1 is the lowest non-leaf level).
-    scanned:
-        Number of element slots read while scanning rightward at this level
-        (including the element that proves the scan can stop).
-    anchor:
-        The largest level-``level`` element ``<=`` the target key, or
-        :data:`FRONT` if there is none.
-    """
-
-    level: int
-    scanned: int
-    anchor: object
 
 
 class SkipListLevels:
@@ -143,48 +131,53 @@ class SkipListLevels:
             return FRONT
         return members[position - 1]
 
-    def descend(self, key: object) -> List[DescentStep]:
-        """Simulate the top-down search for ``key`` through the non-leaf levels.
+    def members_after(self, level: int, start: object) -> Iterator[object]:
+        """The elements of ``S_level`` above ``start``, in order, read in place.
 
-        At each level the search scans rightward from the previous level's
-        anchor; the scan length is the number of level members in the open
-        interval ``(previous anchor, key]`` plus one slot for the element
-        that terminates the scan.
+        ``start`` may be :data:`FRONT`, which yields all of ``S_level``.
         """
-        steps: List[DescentStep] = []
-        anchor: object = FRONT
-        for level in range(len(self._levels), 0, -1):
-            members = self._levels[level - 1]
-            low = 0 if anchor is FRONT else bisect.bisect_right(members, anchor)
-            high = bisect.bisect_right(members, key)
-            scanned = max(1, high - low + 1)
-            new_anchor = members[high - 1] if high > low else anchor
-            steps.append(DescentStep(level=level, scanned=scanned,
-                                     anchor=new_anchor))
-            anchor = new_anchor
-        return steps
+        if level < 1 or level > len(self._levels):
+            return
+        members = self._levels[level - 1]
+        position = 0 if start is FRONT else bisect.bisect_right(members, start)
+        for index in range(position, len(members)):
+            yield members[index]
 
-    def array_span(self, level: int, start: object) -> int:
-        """Number of ``S_level`` elements in the array starting at ``start``.
-
-        The array at level ``level`` starting at ``start`` extends up to (and
-        not including) the next element promoted to level ``level + 1``.
-        ``start`` may be :data:`FRONT`.
-        """
+    def count_in(self, level: int, low: object, high: object) -> int:
+        """Number of elements of ``S_level`` in the interval ``(low, high]``."""
         if level < 1 or level > len(self._levels):
             return 0
         members = self._levels[level - 1]
-        begin = 0 if start is FRONT else bisect.bisect_left(members, start)
-        uppers = self.members(level + 1)
-        if start is FRONT:
-            next_upper_position = 0
-        else:
-            next_upper_position = bisect.bisect_right(uppers, start)
-        if next_upper_position < len(uppers):
-            end = bisect.bisect_left(members, uppers[next_upper_position])
-        else:
-            end = len(members)
-        return max(0, end - begin)
+        return max(0, bisect.bisect_right(members, high)
+                   - bisect.bisect_right(members, low))
+
+    def locate(self, key: object, block_size: int
+               ) -> Tuple[int, object, object, int]:
+        """One top-down search for ``key`` through ``S_h .. S_1``.
+
+        Returns ``(ios, node_start, array_start, array_index)``:
+
+        * ``ios`` -- block reads of the scans, ``(high - low + B) // B`` per
+          level for a scan from position ``low`` past position ``high - 1``;
+        * ``node_start`` -- the level-2 anchor (largest ``S_2`` element
+          ``<= key``, or :data:`FRONT`), which starts the key's leaf node;
+        * ``array_start`` -- the level-1 anchor, which starts its leaf array;
+        * ``array_index`` -- the level-1 scan length ``high - low``: the
+          number of ``S_1`` elements in ``(node_start, key]``, which is the
+          index of the key's array within its leaf node.
+        """
+        bisect_right = bisect.bisect_right
+        ios = low = high = 0
+        anchor = node_start = FRONT
+        for members in reversed(self._levels):
+            # At the last (level-1) pass this keeps the level-2 anchor.
+            node_start = anchor
+            low = 0 if anchor is FRONT else bisect_right(members, anchor)
+            high = bisect_right(members, key, low)
+            ios += (high - low + block_size) // block_size
+            if high > low:
+                anchor = members[high - 1]
+        return ios, node_start, anchor, high - low
 
     def check(self) -> None:
         """Verify that the levels are nested, sorted, and match the level map."""

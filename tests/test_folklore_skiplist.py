@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError, DuplicateKey, KeyNotFound
 from repro.skiplist.folklore import FolkloreBSkipList
 
+pytestmark = pytest.mark.fast
+
 
 def _filled(keys, block_size=32, seed=0):
     skiplist = FolkloreBSkipList(block_size=block_size, seed=seed)

@@ -6,8 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, DuplicateKey, KeyNotFound
+from repro.errors import ConfigurationError, DuplicateKey, InvariantViolation, KeyNotFound
 from repro.skiplist.external import HistoryIndependentSkipList
+
+pytestmark = pytest.mark.fast
 
 
 def _filled(keys, block_size=32, epsilon=0.2, seed=0):
@@ -185,6 +187,57 @@ def test_memory_representation_structure(small_keys):
     stored = [slot for node in representation["leaf_nodes"] for slot in node
               if slot is not None]
     assert sorted(stored) == sorted(small_keys)
+
+
+def _first_with(condition):
+    """The first of 100 seeded skip lists over 0..299 that meets ``condition``."""
+    for seed in range(100):
+        skiplist = _filled(range(300), block_size=4, epsilon=0.4, seed=seed)
+        if condition(skiplist):
+            return skiplist
+    raise AssertionError("no seed meets the condition")
+
+
+def test_search_raises_when_a_node_boundary_has_no_leaf_node():
+    skiplist = _first_with(lambda candidate: candidate.level_of(150) == 2)
+    del skiplist._nodes[150]
+    with pytest.raises(InvariantViolation):
+        skiplist.contains(150)
+    with pytest.raises(InvariantViolation):
+        skiplist.insert(150.5)
+
+
+def test_search_raises_when_the_leaf_node_has_no_array_at_the_index():
+    skiplist = _first_with(lambda candidate: candidate.level_of(150) == 1)
+    node = skiplist._nodes[skiplist._levels.predecessor(2, 150)]
+    del node.arrays[1:]
+    with pytest.raises(InvariantViolation):
+        skiplist.contains(150)
+    with pytest.raises(InvariantViolation):
+        skiplist.delete(150)
+    node.arrays.clear()
+    with pytest.raises(InvariantViolation):
+        skiplist.search_io_cost(150)
+
+
+def test_search_raises_when_a_level_one_boundary_does_not_start_its_array():
+    skiplist = _first_with(lambda candidate: candidate.level_of(150) == 1)
+    node = skiplist._nodes[skiplist._levels.predecessor(2, 150)]
+    array = next(array for array in node.arrays if array.start == 150)
+    array.start = 149.5
+    with pytest.raises(InvariantViolation):
+        skiplist.contains(150)
+    with pytest.raises(InvariantViolation):
+        skiplist.delete(150)
+    with pytest.raises(InvariantViolation):
+        skiplist.range_query(150, 160)
+    # A level-1 key missing from S_1, after another level-1 key: the search
+    # lands on that key's array, which the delete must not merge away.
+    skiplist = _first_with(lambda candidate: candidate.level_of(150) == 1 and (
+        candidate.level_of(candidate._levels.predecessor(1, 149)) == 1))
+    skiplist._levels._levels[0].remove(150)
+    with pytest.raises(InvariantViolation):
+        skiplist.delete(150)
 
 
 @settings(max_examples=15, deadline=None)

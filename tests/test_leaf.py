@@ -7,6 +7,8 @@ from repro.errors import InvariantViolation
 from repro.skiplist.leaf import LeafArray, LeafNode
 from repro.skiplist.levels import FRONT
 
+pytestmark = pytest.mark.fast
+
 
 @pytest.fixture
 def rule():
@@ -78,24 +80,6 @@ def test_leaf_node_length_and_iteration(rule):
     assert list(node) == [1, 2, 5, 6, 7]
     assert node.total_slots() == sum(array.capacity for array in node.arrays)
     assert len(node.slots()) == node.total_slots()
-
-
-def test_leaf_node_array_for_picks_covering_array(rule):
-    node = LeafNode(FRONT, [LeafArray(FRONT, [1, 2], rule),
-                            LeafArray(5, [5, 6, 7], rule),
-                            LeafArray(9, [9], rule)])
-    assert node.array_for(0).start is FRONT
-    assert node.array_for(2).start is FRONT
-    assert node.array_for(5).start == 5
-    assert node.array_for(8).start == 5
-    assert node.array_for(100).start == 9
-    assert node.array_index_for(6) == 1
-
-
-def test_leaf_node_array_for_empty_node_raises(rule):
-    node = LeafNode(FRONT, [])
-    with pytest.raises(InvariantViolation):
-        node.array_for(1)
 
 
 def test_leaf_node_rebuild_redraws_every_capacity(rule):
