@@ -228,8 +228,7 @@ def write_wallclock(payload) -> None:
     full-mode numbers with machine-dependent smoke data; under pytest the
     results land in the gitignored ``benchmarks/results/`` instead.  The
     file is shared with the other wall-clock benches; every section this
-    bench does not own (``recovery``, ``serving``, ...) is preserved
-    across rewrites.
+    bench does not own (``recovery``) is preserved across rewrites.
     """
     payload = dict(payload)
     owned = set(payload)  # meta/rows/replica_reads belong to this bench

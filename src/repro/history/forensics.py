@@ -149,18 +149,25 @@ def scan_bytes_for_keys(blob: bytes, keys: Iterable[object],
 
     A raw substring scan — no framing assumptions, so it also catches
     encodings inside torn frames, orphaned scratch files, or any other
-    byte-level residue a structured replay would skip.  Short keys can in
-    principle collide with unrelated payload bytes (the patterns carry the
-    codec's tag and length framing, so false positives need those too);
-    the erasure tests pick disjoint key/value spaces for exactness.
+    byte-level residue a structured replay would skip.  A nested-pair hit
+    counts only right after a pair record's header, which is where every
+    pair record keeps its key: unanchored, key 0's nested pattern
+    (``00 11 01`` then zeros) matches the zero-padded tail of key 4,353's
+    bare record.  Short keys can in principle still collide with
+    unrelated payload bytes (the patterns carry the codec's tag and
+    length framing, so false positives need those too); the erasure tests
+    pick disjoint key/value spaces for exactness.
     """
     codec = RecordCodec(payload_size=payload_size)
     hits: List[Tuple[object, int]] = []
     for key in keys:
-        for pattern in _patterns_for(codec, key):
+        record, nested = _patterns_for(codec, key)
+        for pattern, in_pair in ((record, False), (nested, True)):
             at = blob.find(pattern)
             while at != -1:
-                hits.append((key, at))
+                if not in_pair or codec.is_pair_header(
+                        blob, at - _RECORD_HEADER_SIZE):
+                    hits.append((key, at))
                 at = blob.find(pattern, at + 1)
     return hits
 
@@ -273,8 +280,6 @@ def audit_durability_dir(directory: str, deleted_keys: Iterable[object] = (),
         raise ConfigurationError(
             "cannot audit %r: not a directory" % (directory,))
     deleted = list(deleted_keys)
-    codec = RecordCodec(payload_size=payload_size)
-    patterns = [(key, _patterns_for(codec, key)) for key in deleted]
     findings: List[ErasureFinding] = []
     anomalies: List[str] = []
     scanned: List[str] = []
@@ -287,14 +292,10 @@ def audit_durability_dir(directory: str, deleted_keys: Iterable[object] = (),
             blob = handle.read()
         scanned.append(name)
         bytes_scanned += len(blob)
-        for key, key_patterns in patterns:
-            for pattern in key_patterns:
-                at = blob.find(pattern)
-                while at != -1:
-                    findings.append(ErasureFinding(
-                        file=name, kind="raw-bytes", key=key,
-                        detail="byte offset %d" % at))
-                    at = blob.find(pattern, at + 1)
+        findings.extend(
+            ErasureFinding(file=name, kind="raw-bytes", key=key,
+                           detail="byte offset %d" % at)
+            for key, at in scan_bytes_for_keys(blob, deleted, payload_size))
         if blob.startswith(b"REPROLOG"):
             findings.extend(_audit_oplog_frames(directory, name, deleted,
                                                 payload_size))

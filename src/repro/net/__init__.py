@@ -3,7 +3,8 @@
 The wire stays as history-independent as the structures behind it — see
 :mod:`repro.net.protocol` for the frame discipline, :mod:`repro.net.server`
 for the asyncio server (namespaces, admission control, graceful drain),
-and :mod:`repro.net.client` for the routed sync/async clients.
+and :mod:`repro.net.client` for the routed asyncio client and its
+blocking facade.
 """
 
 from repro.net.client import AsyncReproClient, ReproClient

@@ -1,9 +1,9 @@
-"""Clients for the network front-end: a pooled sync client and an
-asyncio twin.
+"""The network front-end's client: one asyncio implementation plus a
+blocking facade over it.
 
-Both speak :mod:`repro.net.protocol` and do **client-side shard
-routing**: the handshake carries the server's router spec and shard ids,
-the client rebuilds the exact router with
+:class:`AsyncReproClient` speaks :mod:`repro.net.protocol` and does
+**client-side shard routing**: the handshake carries the server's router
+spec and shard ids, the client rebuilds the exact router with
 :func:`repro.api.routing.make_router`, and every bulk call is pre-grouped
 into one sub-request per owning shard — the network analogue of the
 engine's shard-grouped dispatch, so a batch crosses the wire as a few
@@ -13,19 +13,23 @@ operation.  When a reply carries the ``topology_changed`` flag (the shard
 set moved under an elastic resize), the client refreshes its shard map
 and re-groups from then on.
 
+:class:`ReproClient` is the same client for synchronous callers: it runs
+one :class:`AsyncReproClient` on a private event-loop thread, so routing,
+the fan-out, the failure rule and the reply checks exist once.
+
 Server-side failures arrive as typed exceptions — the original
 :mod:`repro.errors` class where the client knows it,
 :class:`~repro.errors.RemoteError` (name + message preserved) where it
 does not, and :class:`~repro.errors.ServerBusyError` for admission-control
 sheds, which are always safe to retry.  A bulk call follows the engines'
-failure rule: every shard's sub-request is sent even after one fails, and
-the failure of the lowest shard id is raised.
+failure rule: its per-shard sub-requests run concurrently, every one is
+sent even when another fails, and the failure of the lowest shard id is
+raised.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,7 +47,6 @@ from repro.net.protocol import (
     frame,
     group_for_routing,
     raise_for_reply,
-    read_frame,
 )
 from repro.obs import NULL_SPAN, Tracer
 from repro.obs.tracing import HEADER_SPAN, HEADER_TRACE
@@ -71,7 +74,7 @@ def _as_pair(entry: object) -> Pair:
 
 
 class _RoutingState:
-    """The handshake's routing facts, shared by both client flavors."""
+    """The handshake's routing facts."""
 
     def __init__(self, hello: Dict[str, object]) -> None:
         if hello.get("version") != PROTOCOL_VERSION:
@@ -98,81 +101,66 @@ class _RoutingState:
 
 
 class ReproClient:
-    """Synchronous pooled client for one namespace of a :class:`ReproServer`.
+    """Blocking facade over one :class:`AsyncReproClient`.
 
-    Thread-safe: connections are borrowed from a pool per call, so callers
-    may share one client across threads.  ``pool_size`` bounds how many
-    idle sockets are kept; bursts simply open (and then discard) extras.
+    The async client runs on a private event-loop thread, and each call
+    is submitted to it with :func:`asyncio.run_coroutine_threadsafe`.
+    ``timeout`` bounds each whole call: one that overruns raises
+    :class:`TimeoutError`, and its cancelled requests close their own
+    connections.  Thread-safe: callers may share one client, and their
+    calls run concurrently; ``pool_size`` bounds how many idle
+    connections are kept.  ``close()`` refuses new calls, lets the ones
+    in flight finish (each still bounded by ``timeout``), then closes
+    every connection and joins the thread.
     """
 
     def __init__(self, host: str, port: int, *,
                  namespace: str = "default", pool_size: int = 2,
                  timeout: float = 10.0) -> None:
-        if pool_size < 1:
-            raise ConfigurationError(
-                "pool_size must be >= 1, got %d" % pool_size)
-        self._host = host
-        self._port = int(port)
-        self._namespace = namespace
-        self._pool_size = pool_size
+        self._client = AsyncReproClient(host, port, namespace=namespace,
+                                        pool_size=pool_size)
         self._timeout = timeout
-        self._codec = WireCodec()
-        self._pool: "deque" = deque()
+        self.tracer = self._client.tracer
         self._lock = threading.Lock()
         self._closed = False
-        self._next_id = 0
-        self._routing: Optional[_RoutingState] = None
-        self._routing_lock = threading.Lock()
-        #: Client-side tracing (``REPRO_TRACE=1``): each wire request gets
-        #: a ``client.<op>`` span whose header rides the message under
-        #: :data:`~repro.net.protocol.TRACE_KEY`, so the server-side tree
-        #: carries this client's trace id.
-        self.tracer = Tracer.from_env()
-        self.handshake()
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="repro-client", daemon=True)
+        self._thread.start()
+        try:
+            self._run(self._client.connect)
+        except BaseException:
+            self.close()
+            raise
 
-    # ------------------------------------------------------------------ #
-    # Connection pool
-    # ------------------------------------------------------------------ #
-
-    def _connect(self):
-        sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock, sock.makefile("rb")
-
-    def _borrow(self):
+    def _run(self, method, *args):
+        """``await method(*args)`` on the loop thread, within ``timeout``."""
         with self._lock:
             if self._closed:
                 raise ConfigurationError("client is closed")
-            if self._pool:
-                return self._pool.popleft()
-        return self._connect()
-
-    def _give_back(self, connection) -> None:
-        with self._lock:
-            if not self._closed and len(self._pool) < self._pool_size:
-                self._pool.append(connection)
-                return
-        self._discard(connection)
-
-    @staticmethod
-    def _discard(connection) -> None:
-        sock, reader = connection
-        try:
-            reader.close()
-        except OSError:
-            pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+            future = asyncio.run_coroutine_threadsafe(
+                asyncio.wait_for(method(*args), self._timeout), self._loop)
+        return future.result()
 
     def close(self) -> None:
         with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            pool, self._pool = list(self._pool), deque()
-        for connection in pool:
-            self._discard(connection)
+
+        async def drain():
+            # Every call submitted before ``_closed`` was set is already
+            # a task here: submissions reach the loop in order.
+            calls = asyncio.all_tasks() - {asyncio.current_task()}
+            await asyncio.gather(*calls, return_exceptions=True)
+            await self._client.close()
+
+        try:
+            asyncio.run_coroutine_threadsafe(drain(), self._loop).result()
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
+            self._loop.close()
 
     def __enter__(self) -> "ReproClient":
         return self
@@ -180,201 +168,73 @@ class ReproClient:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Requests
-    # ------------------------------------------------------------------ #
-
-    def _request(self, op: str, header: Optional[Dict[str, object]] = None,
-                 values: Optional[Sequence[object]] = None,
-                 *, attach_topo: bool = True, check: bool = True
-                 ) -> Tuple[Dict[str, object], List[object]]:
-        """One request and its reply; a failed reply raises unless
-        ``check`` is off (a transport failure always raises)."""
-        message: Dict[str, object] = dict(header or {})
-        with self._lock:
-            self._next_id += 1
-            message["id"] = self._next_id
-        message["op"] = op
-        message.setdefault("namespace", self._namespace)
-        routing = self._routing
-        if attach_topo and routing is not None and routing.topo is not None:
-            message.setdefault("topo", routing.topo)
-        body_tag, body = BODY_NONE, b""
-        if values is not None:
-            body_tag, body = self._codec.encode_values(values)
-            message["count"] = len(values)
-        # The span is never pushed on this thread's TLS stack (pooled
-        # clients are shared across threads); its header is built
-        # explicitly and it is finished in the finally below.
-        span = self.tracer.span("client." + op,
-                                tags={"namespace": self._namespace})
-        if span is not NULL_SPAN:
-            message[TRACE_KEY] = {HEADER_TRACE: span.trace_id,
-                                  HEADER_SPAN: span.span_id}
-        try:
-            connection = self._borrow()
-            try:
-                sock, reader = connection
-                sock.sendall(frame(encode_message(message, body_tag, body)))
-                reply_values, reply = self._read_reply(reader, message["id"])
-            except (ProtocolError, ConnectionError, OSError, EOFError):
-                self._discard(connection)
-                raise
-            self._give_back(connection)
-        finally:
-            if span is not NULL_SPAN:
-                span.finish()
-        if reply.get("topology_changed"):
-            self.refresh_shard_map()
-        if check:
-            raise_for_reply(reply)
-        return reply, reply_values
-
-    def _per_shard(self, op: str, keyed: Sequence[Pair]
-                   ) -> List[Tuple[List[Tuple[int, object]],
-                                   Dict[str, object], List[object]]]:
-        """``(group, reply, values)`` of one ``op`` request per owning
-        shard id, in id order.  Every request is sent even after a reply
-        fails, then the lowest shard id's failure raises; a transport
-        failure aborts at once."""
-        answers = [
-            (group,) + self._request(op, {"shard": shard_id},
-                                     [item for _, item in group],
-                                     check=False)
-            for shard_id, group in sorted(self.routing.group(keyed).items())]
-        for _group, reply, _values in answers:
-            raise_for_reply(reply)
-        return answers
-
-    def _read_reply(self, reader, request_id
-                    ) -> Tuple[List[object], Dict[str, object]]:
-        while True:
-            payload = read_frame(reader)
-            if payload is None:
-                raise ProtocolError(
-                    "server closed the connection before replying")
-            reply, body_tag, body = decode_message(payload)
-            if reply.get("id") not in (request_id, None):
-                continue  # a stale reply from a recycled connection
-            reply_values = self._codec.decode_body(
-                body_tag, body, reply.get("count", 0))
-            return reply_values, reply
-
-    # ------------------------------------------------------------------ #
-    # Handshake and routing
-    # ------------------------------------------------------------------ #
-
-    def handshake(self) -> Dict[str, object]:
-        reply, _ = self._request("hello", attach_topo=False)
-        with self._routing_lock:
-            self._routing = _RoutingState(reply)
-        return reply
-
-    def refresh_shard_map(self) -> None:
-        reply, _ = self._request("shard_map", attach_topo=False)
-        with self._routing_lock:
-            if self._routing is not None:
-                self._routing.update(reply)
-
     @property
     def routing(self) -> _RoutingState:
-        routing = self._routing
-        if routing is None:
-            raise ConfigurationError("client has not completed a handshake")
-        return routing
+        return self._client.routing
+
+    def handshake(self) -> Dict[str, object]:
+        return self._run(self._client.handshake)
+
+    def refresh_shard_map(self) -> None:
+        self._run(self._client.refresh_shard_map)
 
     def server_config(self) -> Dict[str, object]:
-        return dict(self.routing.config)
-
-    # ------------------------------------------------------------------ #
-    # Dictionary operations
-    # ------------------------------------------------------------------ #
+        return self._client.server_config()
 
     def insert_many(self, entries: Iterable[object]) -> int:
-        pairs = [_as_pair(entry) for entry in entries]
-        if not pairs:
-            return 0
-        return sum(int(reply.get("inserted", 0))
-                   for _, reply, _ in self._per_shard(
-                       "insert_many",
-                       [(key, (key, value)) for key, value in pairs]))
+        return self._run(self._client.insert_many, entries)
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
-        keys = list(keys)
-        if not keys:
-            return []
-        results: List[object] = [None] * len(keys)
-        for group, _, values in self._per_shard(
-                "delete_many", [(key, key) for key in keys]):
-            _place("delete_many", results, group, values)
-        return results
+        return self._run(self._client.delete_many, keys)
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
-        keys = list(keys)
-        if not keys:
-            return []
-        results: List[object] = [False] * len(keys)
-        for group, _, flags in self._per_shard(
-                "contains_many", [(key, key) for key in keys]):
-            _place("contains_many", results, group, flags)
-        return [bool(flag) for flag in results]
+        return self._run(self._client.contains_many, keys)
 
     def insert(self, key: object, value: object = None) -> None:
-        self.insert_many([(key, value)])
+        self._run(self._client.insert, key, value)
 
     def delete(self, key: object) -> object:
-        return self.delete_many([key])[0]
+        return self._run(self._client.delete, key)
 
     def search(self, key: object) -> object:
-        _, values = self._request("search", values=[key])
-        return values[0]
+        return self._run(self._client.search, key)
 
     def contains(self, key: object) -> bool:
-        reply, _ = self._request("contains", values=[key])
-        return bool(reply.get("found"))
+        return self._run(self._client.contains, key)
 
     def __contains__(self, key: object) -> bool:
         return self.contains(key)
 
     def items(self) -> List[Pair]:
-        _, values = self._request("items")
-        return [tuple(value) for value in values]
+        return self._run(self._client.items)
 
     def __len__(self) -> int:
-        reply, _ = self._request("len")
-        return int(reply.get("length", 0))
+        return self._run(self._client.length)
 
     def check(self) -> None:
-        self._request("check")
+        self._run(self._client.check)
 
     def digest(self) -> List[str]:
-        reply, _ = self._request("digest")
-        return list(reply.get("digests") or [])
+        return self._run(self._client.digest)
 
     def barrier(self) -> Dict[str, object]:
-        reply, _ = self._request("barrier")
-        return dict(reply.get("report") or {})
+        return self._run(self._client.barrier)
 
     def stats(self) -> Dict[str, object]:
-        """The namespace engine's unified telemetry snapshot (plus the
-        server's own ``server.telemetry.*`` counters)."""
-        reply, _ = self._request("stats")
-        return dict(reply.get("stats") or {})
+        return self._run(self._client.stats)
 
     def traces(self) -> Dict[str, List[dict]]:
-        """Recent finished span trees: ``{"traces": [...], "slow": [...]}``."""
-        reply, _ = self._request("traces")
-        return {"traces": list(reply.get("traces") or []),
-                "slow": list(reply.get("slow") or [])}
+        return self._run(self._client.traces)
 
 
 class AsyncReproClient:
-    """Asyncio client: same protocol, per-shard sub-requests in parallel.
+    """Asyncio client for one namespace of a :class:`ReproServer`.
 
-    The open-loop benchmark drives this one — each borrowed connection
-    carries one request at a time, and a bulk call fans its shard groups
-    out concurrently, so a batch's latency is the slowest shard's, not the
-    sum.  Construct, then ``await connect()`` (or use ``async with``).
+    Each borrowed connection carries one request at a time, and a bulk
+    call fans its shard groups out concurrently, so a batch's latency is
+    the slowest shard's, not the sum.  Construct, then ``await connect()``
+    (or use ``async with``).  The e2e ``serve`` benchmark drives this
+    class directly; :class:`ReproClient` wraps it for blocking callers.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -391,12 +251,15 @@ class AsyncReproClient:
         self._closed = False
         self._next_id = 0
         self._routing: Optional[_RoutingState] = None
+        #: Client-side tracing (``REPRO_TRACE=1``): each wire request gets
+        #: a ``client.<op>`` span whose header rides the message under
+        #: :data:`~repro.net.protocol.TRACE_KEY`, so the server-side tree
+        #: carries this client's trace id.
         self.tracer = Tracer.from_env()
 
     async def connect(self) -> "AsyncReproClient":
         if self._routing is None:
-            reply, _ = await self._request("hello", attach_topo=False)
-            self._routing = _RoutingState(reply)
+            await self.handshake()
         return self
 
     async def __aenter__(self) -> "AsyncReproClient":
@@ -469,6 +332,11 @@ class AsyncReproClient:
                     raise ProtocolError(
                         "server closed the connection before replying")
                 reply, reply_tag, reply_body = decode_message(payload)
+                # ``None`` is the server's id for a reply to a torn frame.
+                if reply.get("id") not in (message["id"], None):
+                    raise ProtocolError(
+                        "reply id %r answers no request; sent id %d"
+                        % (reply.get("id"), message["id"]))
                 reply_values = self._codec.decode_body(
                     reply_tag, reply_body, reply.get("count", 0))
             except BaseException:
@@ -485,13 +353,25 @@ class AsyncReproClient:
         raise_for_reply(reply)
         return reply, reply_values
 
+    # ------------------------------------------------------------------ #
+    # Handshake and routing
+    # ------------------------------------------------------------------ #
+
+    async def handshake(self) -> Dict[str, object]:
+        reply, _ = await self._request("hello", attach_topo=False)
+        self._routing = _RoutingState(reply)
+        return reply
+
     async def refresh_shard_map(self) -> None:
         reply, _ = await self._request("shard_map", attach_topo=False)
         if self._routing is not None:
             self._routing.update(reply)
 
+    def server_config(self) -> Dict[str, object]:
+        return dict(self.routing.config)
+
     # ------------------------------------------------------------------ #
-    # Dictionary operations (the ones the bench and tests exercise)
+    # Dictionary operations
     # ------------------------------------------------------------------ #
 
     async def _fan_out(self, op: str, keyed: Sequence[Pair]
@@ -545,6 +425,12 @@ class AsyncReproClient:
             _place("contains_many", results, group, flags)
         return [bool(flag) for flag in results]
 
+    async def insert(self, key: object, value: object = None) -> None:
+        await self.insert_many([(key, value)])
+
+    async def delete(self, key: object) -> object:
+        return (await self.delete_many([key]))[0]
+
     async def search(self, key: object) -> object:
         _, values = await self._request("search", values=[key])
         return values[0]
@@ -561,15 +447,25 @@ class AsyncReproClient:
         reply, _ = await self._request("len")
         return int(reply.get("length", 0))
 
+    async def check(self) -> None:
+        await self._request("check")
+
     async def digest(self) -> List[str]:
         reply, _ = await self._request("digest")
         return list(reply.get("digests") or [])
 
+    async def barrier(self) -> Dict[str, object]:
+        reply, _ = await self._request("barrier")
+        return dict(reply.get("report") or {})
+
     async def stats(self) -> Dict[str, object]:
+        """The namespace engine's unified telemetry snapshot (plus the
+        server's own ``server.telemetry.*`` counters)."""
         reply, _ = await self._request("stats")
         return dict(reply.get("stats") or {})
 
     async def traces(self) -> Dict[str, List[dict]]:
+        """Recent finished span trees: ``{"traces": [...], "slow": [...]}``."""
         reply, _ = await self._request("traces")
         return {"traces": list(reply.get("traces") or []),
                 "slow": list(reply.get("slow") or [])}

@@ -171,30 +171,6 @@ async def read_frame_async(reader: asyncio.StreamReader,
     return payload
 
 
-def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[bytes]:
-    """Blocking :func:`read_frame_async` over a file-like byte stream."""
-    header = stream.read(FRAME_HEADER.size)
-    if not header:
-        return None
-    if len(header) != FRAME_HEADER.size:
-        raise ProtocolError(
-            "connection dropped mid-frame (%d of %d header bytes)"
-            % (len(header), FRAME_HEADER.size))
-    length, crc = _checked_length(header, max_payload)
-    payload = b""
-    while len(payload) < length:
-        chunk = stream.read(length - len(payload))
-        if not chunk:
-            raise ProtocolError(
-                "connection dropped mid-frame (%d of %d payload bytes)"
-                % (len(payload), length))
-        payload += chunk
-    if zlib.crc32(payload) != crc:
-        raise ProtocolError(
-            "frame CRC mismatch: the stream is torn or corrupted")
-    return payload
-
-
 # --------------------------------------------------------------------------- #
 # Messages
 # --------------------------------------------------------------------------- #

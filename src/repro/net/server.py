@@ -3,9 +3,10 @@
 :class:`ReproServer` hosts one engine per **namespace** — independent
 tenants built from the same :class:`~repro.api.config.EngineConfig`, with
 durable namespaces checkpointing into per-namespace subdirectories of the
-config's durability directory.  Engines are not thread-safe, so every
-engine call runs in the default executor under a per-namespace lock; the
-event loop itself never blocks on a batch.
+config's durability directory, and at most :data:`MAX_NAMESPACES` of
+them.  Engines are not thread-safe, so every engine call runs in the
+default executor under a per-namespace lock; the event loop itself never
+blocks on a batch.
 
 Three server-side disciplines the tests pin down:
 
@@ -60,6 +61,10 @@ from repro.obs import NULL_SPAN, Tracer, run_under
 #: Namespaces are path components of durable subdirectories, so their
 #: alphabet is locked down.
 _NAMESPACE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+
+#: Each namespace is a whole engine (worker processes, on the process
+#: backend), so a server builds at most this many; ``default`` counts.
+MAX_NAMESPACES = 16
 
 #: Default per-connection in-flight budget.
 DEFAULT_MAX_INFLIGHT = 32
@@ -234,6 +239,10 @@ class ReproServer:
                 if self._draining.is_set():
                     raise ConfigurationError(
                         "server is draining; no new namespaces")
+                if len(self._namespaces) >= MAX_NAMESPACES:
+                    raise ConfigurationError(
+                        "server holds %d namespaces, its limit; refusing %r"
+                        % (len(self._namespaces), name))
                 loop = asyncio.get_running_loop()
                 config = self._namespace_config(name)
                 engine = await loop.run_in_executor(

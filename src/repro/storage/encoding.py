@@ -93,6 +93,14 @@ class RecordCodec:
         raise ConfigurationError("cannot encode value of type %s"
                                  % (type(value).__name__,))
 
+    def is_pair_header(self, blob: bytes, offset: int) -> bool:
+        """Whether ``blob`` holds a pair record's header at ``offset``:
+        the pair tag, then a payload length within this codec's budget."""
+        if offset < 0 or offset + _HEADER.size > len(blob):
+            return False
+        tag, length = _HEADER.unpack_from(blob, offset)
+        return tag == _TAG_PAIR and length <= self.payload_size
+
     def _encode_nested(self, value: object) -> bytes:
         tag, payload = self._encode_payload(value)
         if tag == _TAG_PAIR:

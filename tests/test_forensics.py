@@ -13,6 +13,7 @@ from repro.history.forensics import (DurabilityAuditReport, audit_durability_dir
                                      occupancy_profile, redaction_signal,
                                      scan_bytes_for_keys)
 from repro.pma.classic import ClassicPMA
+from repro.storage.encoding import RecordCodec
 
 pytestmark = pytest.mark.fast
 
@@ -127,6 +128,34 @@ def test_key_trace_patterns_are_framed_not_bare_payloads():
     blob = b"\x00" * 64 + record_pattern + b"\x00" * 64
     assert scan_bytes_for_keys(blob, [7]) == [(7, 64)]
     assert scan_bytes_for_keys(blob, [8]) == []
+
+
+def test_records_ending_like_key_zeros_pattern_do_not_betray_key_zero():
+    """Key 0's nested pattern is ``00 11 01`` and 16 zero bytes; these
+    records hold those bytes away from a pair header, where no key sits."""
+    codec = RecordCodec(payload_size=64)
+    for value in (4353, (17, 0), (4353, None), (5, 4353)):
+        assert scan_bytes_for_keys(codec.encode(value), [0]) == [], value
+    # The key half of a real pair record of key 0 is still found.
+    assert scan_bytes_for_keys(codec.encode((0, 9)), [0]) == [(0, 5)]
+
+
+def test_a_store_of_keys_one_to_8192_audits_clean_for_never_held_keys(
+        tmp_path):
+    from repro.api import EngineConfig, make_sharded_engine
+
+    directory = str(tmp_path / "store")
+    engine = make_sharded_engine(EngineConfig(
+        inner="hi-skiplist", shards=2, seed=3, parallel="process",
+        replication=2, durability_dir=directory,
+        durability_mode="secure", fsync=False))
+    try:
+        engine.insert_many((key, key) for key in range(1, 8193))
+        engine.checkpoint()
+    finally:
+        engine.close()
+    report = audit_durability_dir(directory, [0, 8193])
+    assert report.clean, report.findings
 
 
 def test_audit_rejects_a_missing_directory(tmp_path):

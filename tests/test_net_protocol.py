@@ -12,7 +12,6 @@ forever, not flakily.
 from __future__ import annotations
 
 import asyncio
-import io
 import pickle
 import random
 import struct
@@ -40,7 +39,6 @@ from repro.net.protocol import (
     error_payload,
     frame,
     raise_for_reply,
-    read_frame,
     read_frame_async,
     topology_token,
 )
@@ -68,15 +66,12 @@ def feed(data: bytes, eof: bool = True) -> asyncio.StreamReader:
 # Framing
 # --------------------------------------------------------------------------- #
 
-def test_frame_round_trips_sync_and_async():
+def test_frame_round_trips():
     payload = encode_message({"op": "hello", "id": 1})
-    wire = frame(payload)
-    assert read_frame(io.BytesIO(wire)) == payload
-    assert run(read_frame_async(feed(wire))) == payload
+    assert run(read_frame_async(feed(frame(payload)))) == payload
 
 
 def test_clean_eof_between_frames_is_none():
-    assert read_frame(io.BytesIO(b"")) is None
     assert run(read_frame_async(feed(b""))) is None
 
 
@@ -84,30 +79,29 @@ def test_every_truncation_point_is_a_protocol_error():
     wire = frame(encode_message({"op": "len", "id": 7}))
     for cut in range(1, len(wire)):
         with pytest.raises(ProtocolError):
-            read_frame(io.BytesIO(wire[:cut]))
-        with pytest.raises(ProtocolError):
             run(read_frame_async(feed(wire[:cut])))
 
 
-def test_every_single_bit_flip_is_a_protocol_error():
-    """Exhaustive over a small frame: no flipped bit ever decodes."""
-    wire = frame(encode_message({"op": "check", "id": 3}))
+async def assert_every_bit_flip_is_typed(wire: bytes) -> None:
+    """Exhaustive over ``wire``: no frame with one flipped bit decodes."""
     for index in range(len(wire) * 8):
         flipped = bytearray(wire)
         flipped[index // 8] ^= 1 << (index % 8)
-        stream = io.BytesIO(bytes(flipped))
         with pytest.raises(ProtocolError):
-            payload = read_frame(stream)
+            payload = await read_frame_async(feed(bytes(flipped)))
             # a flip that shrinks the announced length can still fail CRC;
             # it must never hand back bytes that differ from the original
             if payload is not None:
                 raise AssertionError("flipped frame decoded: %r" % payload)
 
 
+def test_every_single_bit_flip_is_a_protocol_error():
+    run(assert_every_bit_flip_is_typed(
+        frame(encode_message({"op": "check", "id": 3}))))
+
+
 def test_oversized_announced_length_is_rejected_without_allocating():
     header = protocol.FRAME_HEADER.pack(protocol.MAX_PAYLOAD + 1, 0)
-    with pytest.raises(ProtocolError):
-        read_frame(io.BytesIO(header))
     with pytest.raises(ProtocolError):
         run(read_frame_async(feed(header, eof=False)))
     with pytest.raises(ProtocolError):
@@ -135,19 +129,17 @@ def test_traced_frame_round_trips_and_every_mutation_is_typed():
     trace_header = {"trace": "t1f2a-9", "span": "1f2a-a"}
     wire = frame(encode_message(
         {"op": "contains_many", "id": 5, TRACE_KEY: trace_header}))
-    header, _tag, _body = decode_message(read_frame(io.BytesIO(wire)))
-    assert header[TRACE_KEY] == trace_header
-    for cut in range(1, len(wire)):
-        with pytest.raises(ProtocolError):
-            read_frame(io.BytesIO(wire[:cut]))
-    for index in range(len(wire) * 8):
-        flipped = bytearray(wire)
-        flipped[index // 8] ^= 1 << (index % 8)
-        with pytest.raises(ProtocolError):
-            payload = read_frame(io.BytesIO(bytes(flipped)))
-            if payload is not None:
-                raise AssertionError("flipped traced frame decoded: %r"
-                                     % payload)
+
+    async def fuzz():
+        header, _tag, _body = decode_message(
+            await read_frame_async(feed(wire)))
+        assert header[TRACE_KEY] == trace_header
+        for cut in range(1, len(wire)):
+            with pytest.raises(ProtocolError):
+                await read_frame_async(feed(wire[:cut]))
+        await assert_every_bit_flip_is_typed(wire)
+
+    run(fuzz())
 
 
 def test_malformed_trace_headers_still_decode_as_messages():
@@ -163,19 +155,23 @@ def test_malformed_trace_headers_still_decode_as_messages():
 
 def test_random_garbage_frames_never_escape_typed_errors():
     rng = random.Random(20160816)
-    for _trial in range(200):
-        blob = bytes(rng.randrange(256)
-                     for _ in range(rng.randrange(1, 64)))
-        stream = io.BytesIO(blob)
-        try:
-            payload = read_frame(stream)
-        except ProtocolError:
-            continue
-        # decoding random bytes to a frame requires a CRC collision;
-        # if one ever slips through, the message layer must still type it
-        if payload is not None:
-            with pytest.raises(ProtocolError):
-                decode_message(payload)
+
+    async def fuzz():
+        for _trial in range(200):
+            blob = bytes(rng.randrange(256)
+                         for _ in range(rng.randrange(1, 64)))
+            try:
+                payload = await read_frame_async(feed(blob))
+            except ProtocolError:
+                continue
+            # decoding random bytes to a frame requires a CRC collision;
+            # if one ever slips through, the message layer must still
+            # type it
+            if payload is not None:
+                with pytest.raises(ProtocolError):
+                    decode_message(payload)
+
+    run(fuzz())
 
 
 # --------------------------------------------------------------------------- #

@@ -15,11 +15,19 @@ ISSUE 8's acceptance bar for :mod:`repro.net`:
   durability barrier, and closes every engine exactly once even when a
   signal-initiated drain races an explicit one (the double-close
   regression).  ``close()`` is idempotent on every engine flavor.
+* **One client** — ``ReproClient`` is a blocking facade over
+  ``AsyncReproClient``: shared across threads, bounded per call by its
+  timeout, and closed without hanging a call in flight or leaking a
+  thread or a socket.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import sys
 import threading
+import time
 
 import pytest
 
@@ -57,6 +65,53 @@ def run_async(coroutine):
         return loop.run_until_complete(coroutine)
     finally:
         loop.close()
+
+
+def client_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name == "repro-client"]
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def recording_open_connection(monkeypatch):
+    """Patch ``asyncio.open_connection`` to record every writer it opens."""
+    import asyncio
+
+    writers = []
+    open_connection = asyncio.open_connection
+
+    async def recording(*args, **kwargs):
+        reader, writer = await open_connection(*args, **kwargs)
+        writers.append(writer)
+        return reader, writer
+
+    monkeypatch.setattr(asyncio, "open_connection", recording)
+    return writers
+
+
+async def exchange(port, wire, reads):
+    """Send raw ``wire`` bytes, then make ``reads`` reads through the
+    server's own frame reader: each reply's header, ``None`` at EOF."""
+    import asyncio
+
+    from repro.net.protocol import decode_message, read_frame_async
+
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(wire)
+        await writer.drain()
+        replies = []
+        for _ in range(reads):
+            payload = await asyncio.wait_for(read_frame_async(reader), 10)
+            replies.append(None if payload is None
+                           else decode_message(payload)[0])
+        return replies
+    finally:
+        writer.close()
+        await writer.wait_closed()
 
 
 def workload_results(store, entries):
@@ -202,15 +257,6 @@ def test_a_cancelled_async_request_closes_its_connection(monkeypatch):
     connection at once instead of leaving it to the garbage collector."""
     import asyncio
 
-    writers = []
-    open_connection = asyncio.open_connection
-
-    async def recording_open_connection(*args, **kwargs):
-        reader, writer = await open_connection(*args, **kwargs)
-        writers.append(writer)
-        return reader, writer
-
-    monkeypatch.setattr(asyncio, "open_connection", recording_open_connection)
     release = threading.Event()
 
     async def drive(port):
@@ -223,6 +269,7 @@ def test_a_cancelled_async_request_closes_its_connection(monkeypatch):
     config = EngineConfig(shards=2, block_size=BLOCK_SIZE, seed=1)
     with ThreadedServer(config) as server:
         ReproClient("127.0.0.1", server.port).close()  # builds the namespace
+        writers = recording_open_connection(monkeypatch)
         engine = server.server._namespaces["default"].engine
         engine.contains = lambda key: release.wait(10)
         try:
@@ -264,14 +311,8 @@ def test_pickle_gadget_frame_is_refused_and_never_runs(tmp_path):
     ``__reduce__`` would create a file: the server answers ProtocolError
     and the file never appears — untrusted bytes never reach pickle."""
     import pickle
-    import socket
 
-    from repro.net.protocol import (
-        decode_message,
-        encode_message,
-        frame,
-        read_frame,
-    )
+    from repro.net.protocol import encode_message, frame
 
     sentinel = tmp_path / "pwned"
 
@@ -286,20 +327,173 @@ def test_pickle_gadget_frame_is_refused_and_never_runs(tmp_path):
     sentinel.unlink()
     config = EngineConfig(shards=1, seed=SEED)
     with ThreadedServer(config) as server:
-        sock = socket.create_connection(("127.0.0.1", server.port),
-                                        timeout=10.0)
-        try:
-            sock.sendall(frame(encode_message(
-                {"id": 1, "op": "insert_many", "count": 1}, 3, body)))
-            reader = sock.makefile("rb")
-            reply, _tag, _body = decode_message(read_frame(reader))
-            assert reply["status"] == "error"
-            assert reply["error"]["type"] == "ProtocolError"
-        finally:
-            sock.close()
+        reply, = run_async(exchange(server.port, frame(encode_message(
+            {"id": 1, "op": "insert_many", "count": 1}, 3, body)), 1))
+        assert reply["status"] == "error"
+        assert reply["error"]["type"] == "ProtocolError"
         with ReproClient("127.0.0.1", server.port) as client:
             assert len(client) == 0
     assert not sentinel.exists()
+
+
+# --------------------------------------------------------------------------- #
+# The blocking client: one AsyncReproClient on a private loop thread
+# --------------------------------------------------------------------------- #
+
+def test_threads_sharing_one_client_match_the_sequential_result():
+    """Six threads call one client at once on disjoint keys; every answer
+    and the final store equal the same calls made one at a time."""
+    config = EngineConfig(inner="b-treap", shards=3, block_size=BLOCK_SIZE,
+                          seed=SEED)
+
+    def work(store, index):
+        keys = list(range(index * 100, index * 100 + 60))
+        results = [store.insert_many((key, -key) for key in keys[:40])]
+        for key in keys[40:]:
+            store.insert(key, -key)
+        results.append(store.contains_many(keys + [10 ** 9]))
+        results.append(store.search(keys[7]))
+        results.append(store.delete_many(keys[::4]))
+        return results
+
+    local = make_sharded_engine(config=config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        expected = [work(local, index) for index in range(6)]
+        with ThreadedServer(config) as server:
+            with ReproClient("127.0.0.1", server.port) as client:
+                answers = {}
+                threads = [threading.Thread(
+                    target=lambda index=index: answers.__setitem__(
+                        index, work(client, index)), daemon=True)
+                    for index in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert [answers.get(index) for index in range(6)] == expected
+                assert client.items() == local.items()
+                assert client.digest() == layout_digest(local)
+    finally:
+        sys.setswitchinterval(interval)
+        local.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc/self/fd")
+def test_closing_a_client_mid_request_finishes_the_call_and_leaks_nothing():
+    config = EngineConfig(shards=2, block_size=BLOCK_SIZE, seed=1)
+    entered, release = threading.Event(), threading.Event()
+
+    def stalled_contains(key):
+        entered.set()
+        return release.wait(10)
+
+    with ThreadedServer(config) as server:
+        server.server._namespaces["default"].engine.contains = \
+            stalled_contains
+        gc.collect()  # no earlier test's garbage closes a descriptor later
+        before = open_fds()
+        client = ReproClient("127.0.0.1", server.port)
+        answers = []
+        # Daemons: a close() that strands the call must fail this test,
+        # not hang the interpreter's exit.
+        caller = threading.Thread(
+            target=lambda: answers.append(client.contains(5)), daemon=True)
+        caller.start()
+        try:
+            assert entered.wait(10)
+            closer = threading.Thread(target=client.close, daemon=True)
+            closer.start()
+            closer.join(0.3)
+            assert closer.is_alive()  # close() waits for the call in flight
+        finally:
+            release.set()
+        caller.join(10)
+        closer.join(10)
+        assert not caller.is_alive() and not closer.is_alive()
+        assert answers == [True]
+        assert not client_threads()
+        # The server closes its end of the connection once it reads EOF.
+        deadline = time.monotonic() + 10
+        while open_fds() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert open_fds() <= before
+
+
+def test_a_client_that_cannot_connect_raises_and_leaves_no_thread():
+    import socket
+
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    with pytest.raises(OSError):
+        ReproClient("127.0.0.1", port)
+    assert not client_threads()
+
+
+def test_a_call_past_its_timeout_raises_and_closes_its_socket(monkeypatch):
+    release = threading.Event()
+    config = EngineConfig(shards=2, block_size=BLOCK_SIZE, seed=1)
+    with ThreadedServer(config) as server:
+        engine = server.server._namespaces["default"].engine
+        engine.contains = lambda key: release.wait(10)
+        writers = recording_open_connection(monkeypatch)
+        try:
+            with ReproClient("127.0.0.1", server.port,
+                             timeout=0.5) as client:
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.contains(5)
+                elapsed = time.monotonic() - started
+                # the handshake's pooled connection carried the request
+                assert [writer.is_closing() for writer in writers] == [True]
+        finally:
+            release.set()
+    assert 0.45 <= elapsed < 2.0
+
+
+def test_a_reply_to_another_request_is_a_protocol_error():
+    import asyncio
+
+    from repro.net.protocol import (
+        decode_message,
+        encode_message,
+        frame,
+        read_frame_async,
+    )
+
+    async def drive():
+        hung_up = asyncio.Event()
+
+        async def misdirect(reader, writer):
+            request = decode_message(await read_frame_async(reader))[0]
+            writer.write(frame(encode_message(
+                {"id": request["id"] + 1, "status": "ok"})))
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+            await writer.wait_closed()
+            hung_up.set()
+
+        server = await asyncio.start_server(misdirect, "127.0.0.1", 0)
+        client = AsyncReproClient("127.0.0.1",
+                                  server.sockets[0].getsockname()[1])
+        try:
+            with pytest.raises(ProtocolError, match="reply id"):
+                await client.handshake()
+            assert not client._pool
+            # the client closed that connection instead of pooling it
+            await asyncio.wait_for(hung_up.wait(), 10)
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+    run_async(drive())
 
 
 # --------------------------------------------------------------------------- #
@@ -361,6 +555,26 @@ def test_bad_namespace_names_are_rejected():
             ReproClient("127.0.0.1", server.port, namespace="../escape")
         with pytest.raises(ConfigurationError):
             ReproClient("127.0.0.1", server.port, namespace="")
+    assert not client_threads()  # a failed constructor stops its thread
+
+
+def test_a_server_refuses_namespaces_past_its_cap():
+    from repro.net.server import MAX_NAMESPACES
+
+    config = EngineConfig(shards=1, seed=SEED)
+    with ThreadedServer(config) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            client.insert(1, "one")
+        for index in range(MAX_NAMESPACES - 1):
+            ReproClient("127.0.0.1", server.port,
+                        namespace="tenant%d" % index).close()
+        held = server.server.namespaces()
+        assert len(held) == MAX_NAMESPACES
+        with pytest.raises(ConfigurationError, match="limit"):
+            ReproClient("127.0.0.1", server.port, namespace="one-too-many")
+        assert server.server.namespaces() == held
+        with ReproClient("127.0.0.1", server.port) as client:
+            assert client.search(1) == "one"
 
 
 def test_durable_namespaces_get_their_own_subdirectories(tmp_path):
@@ -520,25 +734,16 @@ def test_server_busy_sheds_without_executing():
 
 
 def test_oversized_frames_get_one_typed_reply_then_disconnect():
-    import socket
-
     from repro.net import protocol
-    from repro.net.protocol import decode_message, read_frame
 
     config = EngineConfig(shards=1, seed=SEED)
     with ThreadedServer(config) as server:
-        sock = socket.create_connection(("127.0.0.1", server.port),
-                                        timeout=10.0)
-        try:
-            sock.sendall(protocol.FRAME_HEADER.pack(
-                protocol.MAX_PAYLOAD + 1, 0))
-            reader = sock.makefile("rb")
-            reply, _tag, _body = decode_message(read_frame(reader))
-            assert reply["status"] == "error"
-            assert reply["error"]["type"] == "ProtocolError"
-            assert read_frame(reader) is None  # server closed the stream
-        finally:
-            sock.close()
+        reply, after = run_async(exchange(
+            server.port,
+            protocol.FRAME_HEADER.pack(protocol.MAX_PAYLOAD + 1, 0), 2))
+    assert reply["status"] == "error"
+    assert reply["error"]["type"] == "ProtocolError"
+    assert after is None  # server closed the stream
 
 
 def test_garbage_bytes_never_hang_the_server():

@@ -22,6 +22,7 @@ ISSUE 10's acceptance bar for :mod:`repro.obs`:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import subprocess
@@ -32,7 +33,7 @@ import pytest
 
 from repro.api import EngineConfig, make_sharded_engine
 from repro.errors import ConfigurationError
-from repro.net import ReproClient, ThreadedServer
+from repro.net import AsyncReproClient, ReproClient, ThreadedServer
 from repro.net.protocol import TRACE_KEY
 from repro.obs import (
     DEFAULT_BUCKET_EDGES_MS,
@@ -55,6 +56,16 @@ BLOCK_SIZE = 16
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "benchmarks", "baseline.py")
 COMMITTED = os.path.join(REPO_ROOT, "benchmarks", "BENCH_smoke.json")
+
+
+def run_async(coroutine):
+    """Run ``coroutine`` on a private loop, leaving the thread's current
+    event loop alone (``asyncio.run`` would unset it for later tests)."""
+    loop = asyncio.new_event_loop()
+    try:
+        return loop.run_until_complete(coroutine)
+    finally:
+        loop.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -437,25 +448,33 @@ def test_malformed_wire_trace_headers_are_ignored(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     config = EngineConfig(inner="b-treap", shards=2,
                           block_size=BLOCK_SIZE, seed=SEED)
-    with ThreadedServer(config) as server:
-        with ReproClient("127.0.0.1", server.port) as client:
-            client.insert_many([(1, 1), (2, 2)])
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            await client.insert_many([(1, 1), (2, 2)])
             for junk in ("garbage", 17, ["t1"], {"weird": "keys"}):
-                reply, _values = client._request(
+                reply, _values = await client._request(
                     "len", header={TRACE_KEY: junk})
                 assert reply["length"] == 2
+
+    with ThreadedServer(config) as server:
+        run_async(drive(server.port))
 
 
 def test_untraced_requests_add_no_trace_field(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     config = EngineConfig(inner="b-treap", shards=2,
                           block_size=BLOCK_SIZE, seed=SEED)
-    with ThreadedServer(config) as server:
-        with ReproClient("127.0.0.1", server.port) as client:
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
             assert client.tracer.enabled is False  # tracing pinned off
-            client.insert_many([(1, 1)])
-            reply, _values = client._request("len")
+            await client.insert_many([(1, 1)])
+            reply, _values = await client._request("len")
             assert TRACE_KEY not in reply  # nothing to echo
+
+    with ThreadedServer(config) as server:
+        run_async(drive(server.port))
 
 
 # --------------------------------------------------------------------------- #
