@@ -10,7 +10,8 @@ of the wire's own buffering.  This example:
 * starts a :class:`~repro.net.ThreadedServer` on a loopback port from a
   plain :class:`~repro.api.EngineConfig`;
 * serves two isolated tenants (namespaces) from it;
-* routes bulk operations client-side with the server's own router spec;
+* sends each bulk operation as one request, which the server routes
+  (the client learns the server's router spec at handshake);
 * shows a server-side failure crossing the wire as its original typed
   exception; and
 * proves the wire added nothing: the served store's per-shard HI digests

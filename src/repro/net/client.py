@@ -1,30 +1,29 @@
 """The network front-end's client: one asyncio implementation plus a
 blocking facade over it.
 
-:class:`AsyncReproClient` speaks :mod:`repro.net.protocol` and does
-**client-side shard routing**: the handshake carries the server's router
-spec and shard ids, the client rebuilds the exact router with
-:func:`repro.api.routing.make_router`, and every bulk call is pre-grouped
-into one sub-request per owning shard — the network analogue of the
-engine's shard-grouped dispatch, so a batch crosses the wire as a few
-shard-aligned runs instead of an interleaving.  Routing is advisory: the
-server always routes by key itself, so a stale map can never misplace an
-operation.  When a reply carries the ``topology_changed`` flag (the shard
-set moved under an elastic resize), the client refreshes its shard map
-and re-groups from then on.
+:class:`AsyncReproClient` speaks :mod:`repro.net.protocol`.  Each bulk
+call is one request that carries the whole batch in input order; the
+server routes it by key and applies it with one engine call, which drives
+every shard at once.  A request whose frame would exceed the server's
+``max_payload`` (from the handshake) is refused before anything is sent,
+so a bulk call must fit in one frame.  The handshake also carries the
+server's router spec and shard ids: the client keeps them, with the exact
+router rebuilt by :func:`repro.api.routing.make_router`, as
+:attr:`AsyncReproClient.routing`, and refreshes them when a reply carries
+the ``topology_changed`` flag (an elastic resize moved the shard set).
 
 :class:`ReproClient` is the same client for synchronous callers: it runs
-one :class:`AsyncReproClient` on a private event-loop thread, so routing,
-the fan-out, the failure rule and the reply checks exist once.
+one :class:`AsyncReproClient` on a private event-loop thread, so the
+request path and the reply checks exist once.
 
 Server-side failures arrive as typed exceptions — the original
 :mod:`repro.errors` class where the client knows it,
 :class:`~repro.errors.RemoteError` (name + message preserved) where it
 does not, and :class:`~repro.errors.ServerBusyError` for admission-control
 sheds, which are always safe to retry.  A bulk call follows the engines'
-failure rule: its per-shard sub-requests run concurrently, every one is
-sent even when another fails, and the failure of the lowest shard id is
-raised.
+failure rule, which the server's engine applies: each shard's batch runs
+until its own first failure, and the failure of the lowest shard position
+is raised.
 """
 
 from __future__ import annotations
@@ -45,24 +44,12 @@ from repro.net.protocol import (
     decode_message,
     encode_message,
     frame,
-    group_for_routing,
     raise_for_reply,
 )
 from repro.obs import NULL_SPAN, Tracer
 from repro.obs.tracing import HEADER_SPAN, HEADER_TRACE
 
 Pair = Tuple[object, object]
-
-
-def _place(op: str, results: List[object], group: Sequence[Tuple[int, object]],
-           answers: Sequence[object]) -> None:
-    """Write one shard's ``answers`` into ``results`` at its keys' input
-    positions; a reply with one answer per key is the only valid one."""
-    if len(answers) != len(group):
-        raise ProtocolError("%s reply has %d answer(s) for %d key(s)"
-                            % (op, len(answers), len(group)))
-    for (position, _key), answer in zip(group, answers):
-        results[position] = answer
 
 
 def _as_pair(entry: object) -> Pair:
@@ -74,7 +61,8 @@ def _as_pair(entry: object) -> Pair:
 
 
 class _RoutingState:
-    """The handshake's routing facts."""
+    """The handshake's facts: the server's router, shard ids, topology
+    token and frame limit.  The client routes nothing; the server does."""
 
     def __init__(self, hello: Dict[str, object]) -> None:
         if hello.get("version") != PROTOCOL_VERSION:
@@ -95,9 +83,6 @@ class _RoutingState:
         self.router = make_router(dict(router_spec))
         self.shard_ids = tuple(payload.get("shard_ids") or ())
         self.topo = payload.get("topo")
-
-    def group(self, keyed: Sequence[Pair]) -> Dict[int, List[Tuple[int, object]]]:
-        return group_for_routing(self.router, self.shard_ids, keyed)
 
 
 class ReproClient:
@@ -231,8 +216,8 @@ class AsyncReproClient:
     """Asyncio client for one namespace of a :class:`ReproServer`.
 
     Each borrowed connection carries one request at a time, and a bulk
-    call fans its shard groups out concurrently, so a batch's latency is
-    the slowest shard's, not the sum.  Construct, then ``await connect()``
+    call is one request: the server routes the whole batch and drives
+    every shard at once.  Construct, then ``await connect()``
     (or use ``async with``).  The e2e ``serve`` benchmark drives this
     class directly; :class:`ReproClient` wraps it for blocking callers.
     """
@@ -298,18 +283,16 @@ class AsyncReproClient:
             connection[1].close()
 
     async def _request(self, op: str,
+                       values: Optional[Sequence[object]] = None, *,
                        header: Optional[Dict[str, object]] = None,
-                       values: Optional[Sequence[object]] = None,
-                       *, attach_topo: bool = True
+                       attach_topo: bool = True
                        ) -> Tuple[Dict[str, object], List[object]]:
-        message: Dict[str, object] = dict(header or {})
         self._next_id += 1
-        message["id"] = self._next_id
-        message["op"] = op
-        message.setdefault("namespace", self._namespace)
+        message: Dict[str, object] = dict(header or {}, id=self._next_id,
+                                          op=op, namespace=self._namespace)
         routing = self._routing
         if attach_topo and routing is not None and routing.topo is not None:
-            message.setdefault("topo", routing.topo)
+            message["topo"] = routing.topo
         body_tag, body = BODY_NONE, b""
         if values is not None:
             body_tag, body = self._codec.encode_values(values)
@@ -322,18 +305,28 @@ class AsyncReproClient:
             message[TRACE_KEY] = {HEADER_TRACE: span.trace_id,
                                   HEADER_SPAN: span.span_id}
         try:
+            request = encode_message(message, body_tag, body)
+            if routing is not None and len(request) > routing.max_payload:
+                raise ProtocolError(
+                    "%s request of %d payload byte(s) is over the server's "
+                    "%d-byte frame limit; nothing was sent"
+                    % (op, len(request), routing.max_payload))
+            wire = frame(request)
             connection = await self._borrow()
             reader, writer = connection
             try:
-                writer.write(frame(encode_message(message, body_tag, body)))
+                writer.write(wire)
                 await writer.drain()
                 payload = await protocol.read_frame_async(reader)
                 if payload is None:
                     raise ProtocolError(
                         "server closed the connection before replying")
                 reply, reply_tag, reply_body = decode_message(payload)
-                # ``None`` is the server's id for a reply to a torn frame.
-                if reply.get("id") not in (message["id"], None):
+                if reply.get("id") != message["id"]:
+                    # Id ``None`` answers a frame the server could not
+                    # read; it hangs up after that reply.
+                    if reply.get("id") is None:
+                        raise_for_reply(reply)
                     raise ProtocolError(
                         "reply id %r answers no request; sent id %d"
                         % (reply.get("id"), message["id"]))
@@ -374,56 +367,30 @@ class AsyncReproClient:
     # Dictionary operations
     # ------------------------------------------------------------------ #
 
-    async def _fan_out(self, op: str, keyed: Sequence[Pair]
-                       ) -> List[Tuple[List[Pair], List[object],
-                                       Dict[str, object]]]:
-        """One ``op`` request per owning shard id, all in flight at once;
-        after every one has finished, the lowest shard id's failure
-        raises, whichever failed first."""
-        groups = sorted(self.routing.group(keyed).items())
-
-        async def one(shard_id, group):
-            reply, values = await self._request(
-                op, {"shard": shard_id}, [item for _, item in group])
-            return group, values, reply
-
-        answers = await asyncio.gather(
-            *(one(shard_id, group) for shard_id, group in groups),
-            return_exceptions=True)
-        for answer in answers:
-            if isinstance(answer, BaseException):
-                raise answer
+    async def _answers(self, op: str, keys: List[object]) -> List[object]:
+        """One ``op`` request for the whole batch, and exactly one answer
+        per key, in input order."""
+        if not keys:
+            return []
+        _, answers = await self._request(op, keys)
+        if len(answers) != len(keys):
+            raise ProtocolError("%s reply has %d answer(s) for %d key(s)"
+                                % (op, len(answers), len(keys)))
         return answers
 
     async def insert_many(self, entries: Iterable[object]) -> int:
         pairs = [_as_pair(entry) for entry in entries]
         if not pairs:
             return 0
-        replies = await self._fan_out(
-            "insert_many",
-            [(key, (key, value)) for key, value in pairs])
-        return sum(int(reply.get("inserted", 0))
-                   for _, _, reply in replies)
+        reply, _ = await self._request("insert_many", pairs)
+        return int(reply.get("inserted", 0))
 
     async def delete_many(self, keys: Iterable[object]) -> List[object]:
-        keys = list(keys)
-        if not keys:
-            return []
-        results: List[object] = [None] * len(keys)
-        for group, values, _ in await self._fan_out(
-                "delete_many", [(key, key) for key in keys]):
-            _place("delete_many", results, group, values)
-        return results
+        return await self._answers("delete_many", list(keys))
 
     async def contains_many(self, keys: Iterable[object]) -> List[bool]:
-        keys = list(keys)
-        if not keys:
-            return []
-        results: List[object] = [False] * len(keys)
-        for group, flags, _ in await self._fan_out(
-                "contains_many", [(key, key) for key in keys]):
-            _place("contains_many", results, group, flags)
-        return [bool(flag) for flag in results]
+        return [bool(flag) for flag in
+                await self._answers("contains_many", list(keys))]
 
     async def insert(self, key: object, value: object = None) -> None:
         await self.insert_many([(key, value)])
@@ -432,11 +399,11 @@ class AsyncReproClient:
         return (await self.delete_many([key]))[0]
 
     async def search(self, key: object) -> object:
-        _, values = await self._request("search", values=[key])
+        _, values = await self._request("search", [key])
         return values[0]
 
     async def contains(self, key: object) -> bool:
-        reply, _ = await self._request("contains", values=[key])
+        reply, _ = await self._request("contains", [key])
         return bool(reply.get("found"))
 
     async def items(self) -> List[Pair]:

@@ -21,6 +21,12 @@ behind it: each value has exactly one encoding, a function of the value
 alone, and frames carry no timestamps, sequence gaps, or other
 operational residue.
 
+A batch of ``(int, int)`` pairs inside i64 — every integer
+``insert_many`` body and ``items`` reply — takes a packed path: one
+precompiled ``struct`` per pair each way, with the generic encoding's
+bytes and values.  Any other batch goes through the generic codec, and
+the decoder hands over to it at a body's first record of another shape.
+
 A frame that fails its length or CRC check, truncates mid-read, or holds
 an undecodable message raises :class:`~repro.errors.ProtocolError` — the
 connection is then done, never hung and never a source of garbage.
@@ -215,6 +221,9 @@ _NONE, _FALSE, _TRUE, _INT, _BIGINT, _FLOAT, _STR, _BYTES, _TUPLE = range(9)
 _TAGGED_I64 = struct.Struct(">Bq")
 _TAGGED_F64 = struct.Struct(">Bd")
 _TAGGED_LEN = struct.Struct(">BI")
+#: One ``(int, int)`` pair exactly as the generic encoder lays it out:
+#: the 2-tuple's tag and length, then two tagged i64s (23 bytes).
+_PAIR = struct.Struct(">BIBqBq")
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
@@ -290,12 +299,8 @@ def _decode_value(blob: bytes, at: int, depth: int) -> Tuple[object, int]:
         items = []
         append = items.append
         for _ in range(count):
-            if blob[at] == _INT:  # inline fast path: the common int item
-                append(_unpack_i64(blob, at + 1)[0])
-                at += 9
-            else:
-                item, at = _decode_value(blob, at, depth + 1)
-                append(item)
+            item, at = _decode_value(blob, at, depth + 1)
+            append(item)
         return tuple(items), at
     if tag == _STR or tag == _BYTES or tag == _BIGINT:
         (length,) = _U32.unpack_from(blob, at)
@@ -324,6 +329,66 @@ def _decode_value(blob: bytes, at: int, depth: int) -> Tuple[object, int]:
     raise ProtocolError("unknown value tag %d at offset %d" % (tag, at - 1))
 
 
+def _encode_values(values: Sequence[object]) -> bytes:
+    """The generic encoder: each value of the union, one after another."""
+    out: list = []
+    for value in values:
+        _encode_value(out, value, 0)
+    return b"".join(out)
+
+
+def _decode_values(blob: bytes, count: int, values: List[object],
+                   at: int) -> List[object]:
+    """The generic decoder: append values decoded from ``blob[at:]`` to
+    ``values`` until it holds ``count``; the body must end there."""
+    append = values.append
+    try:
+        for _ in range(count - len(values)):
+            value, at = _decode_value(blob, at, 0)
+            append(value)
+    except (IndexError, struct.error, UnicodeDecodeError) as error:
+        raise ProtocolError(
+            "value body does not decode: %s" % error) from error
+    if at != len(blob):
+        raise ProtocolError(
+            "value body has %d trailing byte(s) after %d value(s)"
+            % (len(blob) - at, count))
+    return values
+
+
+def _pack_pairs(values: Sequence[object]) -> Optional[bytes]:
+    """The body of a batch of ``(int, int)`` pairs that all fit in i64, in
+    the generic encoding's bytes; ``None`` for any other batch."""
+    out = []
+    append = out.append
+    pack = _PAIR.pack
+    try:
+        for value in values:
+            if type(value) is not tuple or len(value) != 2:
+                return None
+            key, item = value
+            if type(key) is not int or type(item) is not int:
+                return None
+            append(pack(_TUPLE, 2, _INT, key, _INT, item))
+    except struct.error:  # an int outside i64
+        return None
+    return b"".join(out)
+
+
+def _unpack_pairs(blob: bytes, count: int) -> List[object]:
+    """The leading ``(i64, i64)`` pair records of a body sized for
+    ``count`` of them, decoded in one pass; it stops at the first record
+    of another shape, where the generic decoder takes over."""
+    pairs: List[object] = []
+    if len(blob) == count * _PAIR.size:
+        append = pairs.append
+        for tag, size, ktag, key, vtag, value in _PAIR.iter_unpack(blob):
+            if tag != _TUPLE or size != 2 or ktag != _INT or vtag != _INT:
+                break
+            append((key, value))
+    return pairs
+
+
 class WireCodec:
     """Message bodies: :data:`BODY_VALUES` values and :data:`BODY_BITMAP`
     flags — the only two encodings a body may carry."""
@@ -336,10 +401,7 @@ class WireCodec:
         outside the union (or nested deeper than :data:`MAX_DEPTH`), so a
         client refuses it before anything is sent.
         """
-        out: list = []
-        for value in values:
-            _encode_value(out, value, 0)
-        return BODY_VALUES, b"".join(out)
+        return BODY_VALUES, _pack_pairs(values) or _encode_values(values)
 
     @staticmethod
     def encode_flags(flags: Sequence[bool]) -> Tuple[int, bytes]:
@@ -375,20 +437,8 @@ class WireCodec:
             raise ProtocolError(
                 "value body announces %d value(s) but holds only %d byte(s)"
                 % (count, len(blob)))
-        values: List[object] = []
-        at = 0
-        try:
-            for _ in range(count):
-                value, at = _decode_value(blob, at, 0)
-                values.append(value)
-        except (IndexError, struct.error, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                "value body does not decode: %s" % error) from error
-        if at != len(blob):
-            raise ProtocolError(
-                "value body has %d trailing byte(s) after %d value(s)"
-                % (len(blob) - at, count))
-        return values
+        pairs = _unpack_pairs(blob, count)
+        return _decode_values(blob, count, pairs, len(pairs) * _PAIR.size)
 
 
 # --------------------------------------------------------------------------- #
@@ -435,26 +485,9 @@ def raise_for_reply(header: Mapping[str, object]) -> None:
 def topology_token(shard_ids: Sequence[int]) -> int:
     """A small fingerprint of the shard-id tuple.
 
-    Clients attach it to routed requests; a server whose topology moved on
+    Clients attach it to their requests; a server whose topology moved on
     (elastic resize) flags the mismatch in its reply so the client
     refreshes its shard map — requests keep executing correctly either
     way, because the server routes by key itself.
     """
     return zlib.crc32(repr(tuple(shard_ids)).encode("utf-8"))
-
-
-def group_for_routing(router, shard_ids: Sequence[int],
-                      keyed: Sequence[Tuple[object, object]]
-                      ) -> "Dict[int, List[Tuple[int, object]]]":
-    """Group ``(key, item)`` work by owning shard id, positions preserved.
-
-    The client-side half of the engine's shard-grouped dispatch: one
-    request per shard instead of an interleaving, using the *same* router
-    the server routes with (its spec comes over in the handshake).
-    """
-    shard_ids = tuple(shard_ids)
-    groups: Dict[int, List[Tuple[int, object]]] = {}
-    for position, (key, item) in enumerate(keyed):
-        shard_id = router.route(key, shard_ids)
-        groups.setdefault(shard_id, []).append((position, item))
-    return groups

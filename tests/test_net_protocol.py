@@ -17,6 +17,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -230,6 +232,87 @@ def test_value_codec_is_canonical():
         blob = bytes([4]) + struct.pack(">I", len(raw)) + raw
         with pytest.raises(ProtocolError, match="canonical"):
             codec.decode_body(BODY_VALUES, blob, 1)
+
+
+# The packed path for (int, int) pairs against the generic codec.
+I64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+I64_PAIRS = st.lists(st.tuples(I64, I64), max_size=20)
+# Each keeps a pair off the packed path: a bool, an int outside i64, a
+# float or a str.
+OFF_PATH = st.one_of(
+    st.booleans(), st.integers(min_value=2 ** 63, max_value=2 ** 70),
+    st.integers(min_value=-2 ** 70, max_value=-2 ** 63 - 1),
+    st.floats(allow_nan=False), st.text(max_size=3))
+OTHER_BATCHES = st.lists(st.one_of(
+    st.tuples(I64, I64), st.tuples(I64, OFF_PATH), st.tuples(OFF_PATH, I64),
+    st.tuples(I64), st.tuples(I64, I64, I64), I64), max_size=20)
+
+
+def generic_decode(blob, count):
+    return protocol._decode_values(blob, count, [], 0)
+
+
+def assert_packed_matches_generic(values):
+    """Bytes equal to the generic encoding, and a decode equal to the
+    generic decode, types included (``repr`` tells ``True`` from ``1``)."""
+    tag, blob = WireCodec.encode_values(values)
+    assert blob == protocol._encode_values(values)
+    decoded = WireCodec.decode_body(tag, blob, len(values))
+    assert repr(decoded) == repr(generic_decode(blob, len(values)))
+    assert repr(decoded) == repr(list(values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(I64_PAIRS)
+def test_packed_pairs_match_the_generic_codec(values):
+    assert_packed_matches_generic(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(OTHER_BATCHES)
+def test_batches_off_the_packed_path_match_the_generic_codec(values):
+    assert_packed_matches_generic(values)
+
+
+def test_packed_path_edges_match_the_generic_codec():
+    top, bottom = 2 ** 63 - 1, -2 ** 63
+    for values in ([], [(top, bottom), (bottom, top), (0, -1)],
+                   [(1, 2), (3, True)], [(1, 2), (top + 1, 0)],
+                   [(1, 2), (bottom - 1, 0)], [(1, 2), (3, 4.0)],
+                   [(1, 2), ("3", 4)], [(1, 2), (3,)], [(1, 2), (3, 4, 5)],
+                   [(1, 2), 3], [3, (1, 2)]):
+        assert_packed_matches_generic(values)
+
+
+def decode_outcome(decode, blob):
+    """What decoding ``blob`` as three values gives: its values' ``repr``,
+    or the type of the exception it raises."""
+    try:
+        return repr(decode(blob))
+    except Exception as error:
+        return type(error)
+
+
+def test_mutated_and_truncated_pair_bodies_decode_as_the_generic_path():
+    """Every single-byte mutation and every truncation of a 3-pair body:
+    the packed decoder returns what the generic decoder returns, or raises
+    the same exception type.  A mutated tag sends the rest of the body
+    down the generic path from that record on."""
+    _tag, blob = WireCodec.encode_values([(1, -1), (2 ** 40, 7),
+                                          (-2 ** 63, 2 ** 63 - 1)])
+
+    def packed(body):
+        return WireCodec.decode_body(BODY_VALUES, body, 3)
+
+    def generic(body):
+        return generic_decode(body, 3)
+
+    bodies = [blob[:cut] for cut in range(len(blob))]
+    for index in range(len(blob)):
+        for byte in range(256):
+            bodies.append(blob[:index] + bytes([byte]) + blob[index + 1:])
+    for body in bodies:
+        assert decode_outcome(packed, body) == decode_outcome(generic, body)
 
 
 @pytest.mark.parametrize("value", [

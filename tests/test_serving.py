@@ -496,6 +496,81 @@ def test_a_reply_to_another_request_is_a_protocol_error():
     run_async(drive())
 
 
+def test_a_reply_with_no_id_closes_its_connection():
+    """The server answers a frame it could not read with id ``None`` and
+    hangs up.  The client raises that reply's typed error and closes the
+    connection instead of pooling it, so its next call opens a fresh
+    connection and succeeds."""
+    import asyncio
+
+    from repro.net.protocol import (
+        decode_message,
+        encode_message,
+        error_payload,
+        frame,
+        read_frame_async,
+    )
+
+    async def drive():
+        connections, hung_up = [], asyncio.Semaphore(0)
+
+        async def torn_then_honest(reader, writer):
+            connections.append(writer)
+            first = len(connections) == 1
+            while (payload := await read_frame_async(reader)) is not None:
+                request = decode_message(payload)[0]
+                if first:
+                    reply = {"id": None, "status": "error",
+                             "error": error_payload(ProtocolError(
+                                 "frame CRC mismatch: the stream is torn"))}
+                else:
+                    reply = {"id": request["id"], "status": "ok",
+                             "length": 7}
+                writer.write(frame(encode_message(reply)))
+                await writer.drain()
+                if first:
+                    break
+            writer.close()
+            await writer.wait_closed()
+            hung_up.release()
+
+        server = await asyncio.start_server(torn_then_honest, "127.0.0.1", 0)
+        client = AsyncReproClient("127.0.0.1",
+                                  server.sockets[0].getsockname()[1])
+        try:
+            with pytest.raises(ProtocolError, match="CRC mismatch"):
+                await client.length()
+            assert not client._pool
+            assert await client.length() == 7
+            assert len(connections) == 2
+        finally:
+            await client.close()
+            for _ in connections:  # each handler has closed its end
+                await asyncio.wait_for(hung_up.acquire(), 10)
+            server.close()
+            await server.wait_closed()
+
+    run_async(drive())
+
+
+def test_a_request_over_the_servers_frame_limit_is_never_sent(monkeypatch):
+    """A bulk call whose frame exceeds the server's ``max_payload`` (from
+    the handshake) raises before a connection is borrowed: nothing reaches
+    the server, and the next call runs on the same pooled connection."""
+    config = EngineConfig(shards=2, seed=SEED)
+    with ThreadedServer(config, max_payload=4096) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            writers = recording_open_connection(monkeypatch)
+            with pytest.raises(ProtocolError,
+                               match="over the server's 4096-byte"):
+                client.insert_many([(key, key) for key in range(1000)])
+            assert len(client) == 0
+            assert client.insert_many([(key, key) for key in range(100)]) \
+                == 100
+            assert len(client) == 100
+            assert writers == []
+
+
 # --------------------------------------------------------------------------- #
 # Routing
 # --------------------------------------------------------------------------- #
@@ -509,6 +584,26 @@ def test_client_routes_with_the_servers_router():
                 server.server._namespaces["default"].engine.structure \
                 .router.spec()
             assert routing.shard_ids == (0, 1, 2, 3)
+
+
+def test_a_bulk_call_is_one_request_and_one_engine_call():
+    """Keys that reach all four shards still make one request per bulk
+    call: the server's engine routes the batch in one call."""
+    config = EngineConfig(shards=4, seed=SEED)
+    keys = list(range(64))
+    with ThreadedServer(config) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            routing = client.routing
+            assert {routing.router.route(key, routing.shard_ids)
+                    for key in keys} == {0, 1, 2, 3}
+            for op, batch in (("insert_many", [(key, key) for key in keys]),
+                              ("contains_many", keys),
+                              ("delete_many", keys)):
+                counter = "engine.calls." + op
+                before = client.stats().get(counter, 0)
+                getattr(client, op)(batch)
+                assert client.stats()[counter] - before == 1, op
+            assert len(client) == 0
 
 
 def test_topology_change_is_flagged_and_the_client_refreshes():
