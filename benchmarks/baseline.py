@@ -16,11 +16,11 @@ Two subcommands::
 ``run`` builds each gated structure from a Zipf-skewed mixed workload and a
 sharded store from the elastic churn workload, recording build I/Os,
 cold-cache search I/Os, range fan-out I/Os, resharding migration volume,
-the process crossing's deterministic counters (coalesced crossings,
-op-log commits of bulk batches) from a durable replicated process engine — with request
+the process crossing's deterministic counter (op-log commits of bulk
+batches) from a durable replicated process engine — with request
 tracing *enabled*, so the gate also pins that telemetry never perturbs
-those counters — plus the tracer's own deterministic span/crossing
-counts, and the secure
+it — plus the tracer's own deterministic span/crossing counts (one
+crossing per command sent to a worker), and the secure
 durability mode's erasure counters (barrier rounds, redactions, frames
 dropped, and the forensics auditor's residue count — gated at zero), plus
 the replication read-path counters (replica-served reads, divergence
@@ -108,13 +108,11 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
         engine.delete_many(bulk_doomed)
         metrics["bulk_ios.%s" % name] = engine.io_stats().total_ios
 
-    # The process crossing: both counters are pure functions of the
-    # workload and topology (crossings merged per worker, op-log commits
-    # per primary batch) — no wall clock, no core-count dependence — so
-    # they are gateable exactly like the I/O counts.  A regression in
-    # ``coalesced`` means same-worker commands stopped sharing a crossing;
-    # in ``fsync_batches`` that a bulk call commits a primary's log more
-    # than once.
+    # The process crossing: op-log commits per primary batch are a pure
+    # function of the workload and topology — no wall clock, no core-count
+    # dependence — so they are gateable exactly like the I/O counts.  A
+    # regression in ``fsync_batches`` means a bulk call commits a
+    # primary's log more than once.
     import shutil
     import tempfile
 
@@ -136,8 +134,8 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
             engine.contains_many(bulk_probes)
             engine.delete_many(bulk_doomed)
             telemetry = engine.telemetry()
-            for name in ("coalesced", "fsync_batches"):
-                metrics["plane.%s" % name] = int(telemetry["plane." + name])
+            metrics["plane.fsync_batches"] = \
+                int(telemetry["plane.fsync_batches"])
             for name in ("spans", "crossings", "worker_spans", "slow_ops",
                          "snapshot_merges"):
                 metrics["telemetry.%s" % name] = \
@@ -199,14 +197,14 @@ def collect_metrics() -> Tuple[Dict[str, int], Dict[str, object]]:
         structure = engine._structure
         first_key, first_value = bulk_entries[0]
         proxy = structure._shards[structure.shard_of(first_key)]
-        proxy.replicas[0].delete(first_key)  # hand-diverge one replica
+        proxy.replicas[0].call("delete", first_key)  # hand-diverge one
         for _attempt in range(3):  # rotate until the cross-check fires
             assert engine.search(first_key) == first_value
         second_key = next(key for key, _value in bulk_entries
                           if structure.shard_of(key)
                           != structure.shard_of(first_key))
         structure._shards[structure.shard_of(second_key)] \
-            .replicas[0].delete(second_key)
+            .replicas[0].call("delete", second_key)
         sweep = engine.anti_entropy()
         assert sweep["reseeded"] == 1, sweep
         replica_stats = counters(engine, "replica_reads")

@@ -54,11 +54,12 @@ Design
   round-trip of every value type is what it needs.  (Untrusted network
   bytes never reach pickle — see :mod:`repro.net.protocol` — and the
   durable artifacts use :class:`~repro.storage.encoding.RecordCodec`.)
-* **Crossings coalesce per worker.**  When one bulk call queues several
-  commands for the same worker (``max_workers`` packing, replica copies),
-  they merge into a single ``__multi__`` crossing.  Each primary batch in
-  it still commits its own op log, as a point mutation does: a bulk call
-  sends each primary one batch, so no crossing dirties a log twice.
+* **One command per crossing, through one dispatch loop.**  Hosting,
+  bulk fan-out, barriers and anti-entropy all queue
+  ``(worker, engine id, method, args)`` commands into the same loop,
+  which keeps at most one outstanding per worker; commands for one
+  worker (``max_workers`` packing, replica copies) cross back to back.
+  Each primary batch commits its own op log, as a point mutation does.
 * **Probes roll back worker-side.**  ``search_io_cost`` / ``range_io_cost``
   run the cold-cache measurement inside the worker's own
   :class:`~repro.api.engine.DictionaryEngine`, so cumulative ``io_stats()``
@@ -89,8 +90,8 @@ Build one from a config, like every sharded engine::
 
 Its deterministic counters live in the engine's metrics registry, created
 at zero so every :meth:`~repro.api.engine.DictionaryEngine.telemetry`
-snapshot names them: ``plane.coalesced`` (pipe crossings saved by
-coalescing) and ``plane.fsync_batches`` (op-log commits of bulk batches);
+snapshot names them: ``plane.fsync_batches`` (op-log commits of bulk
+batches);
 ``erasure.barriers``, ``erasure.deletes_flushed``,
 ``erasure.frames_dropped`` and ``erasure.redactions`` (secure-mode
 accounting); ``replica_reads.replica_reads``, ``replica_reads.demotions``
@@ -148,11 +149,8 @@ if TYPE_CHECKING:
 #: (the worker's finished span dicts) on traced commands.
 Command = Tuple[int, str, tuple]
 
-#: Bulk methods that mutate a shard (and therefore commit its op log).
-_BULK_MUTATORS = frozenset(("insert_batch", "delete_batch"))
-
-#: Point methods that mutate a shard and therefore fan out to replicas.
-_MUTATORS = frozenset(("insert", "upsert", "delete"))
+#: Bulk methods that commit a primary's op log, once per batch.
+_LOGGED_BATCHES = frozenset(("insert_batch", "delete_batch"))
 
 #: Parent-side ends of the worker pipes.  A forked worker inherits every
 #: one the parent holds, its own included, and closes them before serving:
@@ -162,7 +160,7 @@ _PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: The engine's deterministic counters (see the module docstring).
 _COUNTERS = (
-    "plane.coalesced", "plane.fsync_batches",
+    "plane.fsync_batches",
     "erasure.barriers", "erasure.deletes_flushed", "erasure.frames_dropped",
     "erasure.redactions",
     "replica_reads.replica_reads", "replica_reads.demotions",
@@ -172,8 +170,9 @@ _COUNTERS = (
 #: Read methods always served by the primary, whatever the read policy.
 #: ``io_stats`` is a *measurement*: replica-served reads charge the
 #: replica's own trackers, so only the primary's counters stay comparable
-#: to a sequential engine's.
-_PRIMARY_PINNED = frozenset(("io_stats",))
+#: to a sequential engine's.  ``len`` and ``keys`` (the container
+#: protocol) fall back to a replica only when the primary's worker died.
+_PRIMARY_PINNED = frozenset(("io_stats", "len", "keys"))
 
 
 def _recovery():
@@ -287,17 +286,6 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     applied.  ``trip`` is the fail-point hook the fault-injection suite
     arms to kill the worker at exact operation boundaries.
     """
-    if method == "__multi__":
-        # One coalesced crossing: execute every sub-command, capturing
-        # per-sub outcomes.
-        replies: List[Tuple[str, object]] = []
-        for sub_id, sub_method, sub_args in args[0]:
-            try:
-                replies.append(("ok", _execute(
-                    engines, logs, trip, sub_id, sub_method, sub_args)))
-            except Exception as error:
-                replies.append(("err", error))
-        return ("__multi__", replies)
     if method == "__host__":
         shard = args[0]
         engines[shard_id] = DictionaryEngine(shard)
@@ -414,13 +402,6 @@ def _unpicklable_reply_error(method: str,
     to survive the pipe).
     """
     status, payload = reply
-    if status == "ok" and isinstance(payload, tuple) and len(payload) == 2 \
-            and payload[0] == "__multi__":
-        # A coalesced crossing: the offender may be a sub-command's error.
-        for sub_status, sub_payload in payload[1]:
-            if sub_status == "err" and isinstance(sub_payload, BaseException):
-                return _unpicklable_reply_error(method,
-                                                ("err", sub_payload))
     if status == "err" and isinstance(payload, BaseException):
         try:
             detail = "".join(traceback.format_exception(
@@ -512,7 +493,7 @@ def _worker_main(conn) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Parent side: worker handle and shard proxy
+# Parent side: worker handle and shard copy
 # --------------------------------------------------------------------------- #
 
 class _ShardWorker:
@@ -601,112 +582,33 @@ class _ShardWorker:
         self._conn.close()
 
 
-class _MultiKey:
-    """Dispatch key of a coalesced ``__multi__`` crossing.
-
-    Wraps the original per-command keys in order, so reply demux (and
-    whole-queue failure) can fan the single crossing's outcome back out to
-    the commands it merged.
-    """
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys: Tuple[object, ...]) -> None:
-        self.keys = keys
-
-
-def _expand_key(key: object) -> Tuple[object, ...]:
-    return key.keys if isinstance(key, _MultiKey) else (key,)
-
-
 #: One queued command: ``(key, worker, engine id, method, args)``.
 _Dispatch = Tuple[object, _ShardWorker, int, str, tuple]
 
 
-class _ShardProxy(HIDictionary):
-    """Parent-side stand-in for a worker-hosted shard.
+class _ShardCopy:
+    """One hosted copy of a shard: its worker, its worker-side engine id,
+    and the method names the worker reported when it adopted the copy.
 
-    Implements the full :class:`~repro.api.protocol.HIDictionary` surface by
-    forwarding each call to the owning worker; optional capabilities the
-    hosted structure exposes (``predecessor``, ``level_of``, ...) are
-    forwarded through ``__getattr__`` — but only the methods the worker
-    reported at adoption time, so ``hasattr`` probes stay truthful.
+    It forwards nothing by name: :class:`_ReplicatedShardProxy` picks the
+    copy and sends the command through :meth:`call`.
     """
+
+    __slots__ = ("worker", "shard_id", "methods", "registry_name",
+                 "_synced_epoch")
 
     def __init__(self, worker: _ShardWorker, shard_id: int,
                  descriptor: Dict[str, object]) -> None:
-        self._worker = worker
-        self._shard_id = shard_id
-        self._remote_methods = frozenset(descriptor["methods"])
+        self.worker = worker
+        self.shard_id = shard_id
+        self.methods = frozenset(descriptor["methods"])
         self.registry_name = descriptor["registry_name"]
+        #: The last barrier epoch this copy acked (see _ReadPolicyState).
+        self._synced_epoch = -1
 
-    @property
-    def worker(self) -> _ShardWorker:
-        return self._worker
-
-    @property
-    def shard_id(self) -> int:
-        return self._shard_id
-
-    def _call(self, method: str, *args: object) -> object:
-        return self._worker.request(self._shard_id, method, args)
-
-    # -- dictionary surface --------------------------------------------- #
-
-    def insert(self, key: object, value: object = None) -> None:
-        return self._call("insert", key, value)
-
-    def upsert(self, key: object, value: object = None) -> bool:
-        return self._call("upsert", key, value)
-
-    def delete(self, key: object) -> object:
-        return self._call("delete", key)
-
-    def search(self, key: object) -> object:
-        return self._call("search", key)
-
-    def contains(self, key: object) -> bool:
-        return self._call("contains", key)
-
-    def items(self) -> List[Pair]:
-        return self._call("items")
-
-    def range_query(self, low: object, high: object):
-        return self._call("range_query", low, high)
-
-    def check(self) -> None:
-        return self._call("check")
-
-    def __len__(self) -> int:
-        return self._call("len")
-
-    def __iter__(self):
-        return iter(self._call("keys"))
-
-    # -- accounting / serialisation / auditing -------------------------- #
-
-    def io_stats(self):
-        return self._call("io_stats")
-
-    def snapshot_slots(self) -> Sequence[object]:
-        return self._call("snapshot_slots")
-
-    def audit_fingerprint(self) -> object:
-        return self._call("audit_fingerprint")
-
-    # -- optional capabilities ------------------------------------------ #
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if name in self.__dict__.get("_remote_methods", frozenset()):
-            def remote_call(*args: object) -> object:
-                return self._call("__method__", name, args)
-            remote_call.__name__ = name
-            return remote_call
-        raise AttributeError(
-            "worker-hosted shard %r has no method %r"
-            % (self.__dict__.get("registry_name"), name))
+    def call(self, method: str, *args: object) -> object:
+        """One synchronous round-trip; re-raises worker-side exceptions."""
+        return self.worker.request(self.shard_id, method, args)
 
 
 # --------------------------------------------------------------------------- #
@@ -745,30 +647,33 @@ class _ReplicatedShardProxy(HIDictionary):
     replication policy *here* means every one of those paths — including
     the elastic resize's migration traffic — fans mutations out and reads
     through the primary without knowing replicas exist.  A one-copy
-    engine's proxies simply have an empty replica list.
+    engine's proxies simply have an empty replica list.  Optional
+    capabilities of the hosted structure (``predecessor``, ``level_of``,
+    ...) are reads through ``__getattr__``, but only the methods the
+    primary's worker reported, so ``hasattr`` probes stay truthful.
     """
 
-    def __init__(self, primary: _ShardProxy, replicas: List[_ShardProxy],
+    def __init__(self, primary: _ShardCopy, replicas: List[_ShardCopy],
                  policy: _ReadPolicyState) -> None:
         self.primary = primary
         self.replicas = replicas
         self.registry_name = primary.registry_name
         self._policy = policy
-        self._live_cache: Optional[List[_ShardProxy]] = None
+        self._live_cache: Optional[List[_ShardCopy]] = None
         self._live_epoch = -1
         self._rr_cursor = 0
 
     # -- replica-set management ----------------------------------------- #
 
-    def promote(self, new_primary: _ShardProxy,
-                remaining: List[_ShardProxy]) -> None:
+    def promote(self, new_primary: _ShardCopy,
+                remaining: List[_ShardCopy]) -> None:
         """Swap in a recovered primary and the surviving replica set."""
         self.primary = new_primary
         self.replicas = remaining
         self.registry_name = new_primary.registry_name
         self._live_cache = None
 
-    def live_replicas(self) -> List[_ShardProxy]:
+    def live_replicas(self) -> List[_ShardCopy]:
         """The replicas whose workers are alive, cached per liveness epoch.
 
         ``is_alive`` is a waitpid-backed syscall; paying it per read would
@@ -786,16 +691,16 @@ class _ReplicatedShardProxy(HIDictionary):
             self._live_epoch = self._policy.liveness_epoch
         return self._live_cache
 
-    def drop_replica(self, replica: _ShardProxy) -> None:
+    def drop_replica(self, replica: _ShardCopy) -> None:
         if replica in self.replicas:
             self.replicas.remove(replica)
         self._live_cache = None
 
-    def add_replica(self, replica: _ShardProxy) -> None:
+    def add_replica(self, replica: _ShardCopy) -> None:
         self.replicas.append(replica)
         self._live_cache = None
 
-    def demote(self, replica: _ShardProxy) -> None:
+    def demote(self, replica: _ShardCopy) -> None:
         """Drop a replica from read service (crash or divergence)."""
         self.drop_replica(replica)
         self._policy.liveness_epoch += 1
@@ -803,7 +708,7 @@ class _ReplicatedShardProxy(HIDictionary):
 
     # -- read routing ----------------------------------------------------- #
 
-    def read_copies(self) -> List[_ShardProxy]:
+    def read_copies(self) -> List[_ShardCopy]:
         """Eligible read targets under the current policy, primary first.
 
         ``"primary"`` serves everything from the primary; ``"round-robin"``
@@ -819,10 +724,10 @@ class _ReplicatedShardProxy(HIDictionary):
         if policy.policy == "any-after-barrier":
             epoch = policy.barrier_epoch
             live = [replica for replica in live
-                    if getattr(replica, "_synced_epoch", -1) == epoch]
+                    if replica._synced_epoch == epoch]
         return [self.primary] + live
 
-    def _pick_reader(self) -> _ShardProxy:
+    def _pick_reader(self) -> _ShardCopy:
         copies = self.read_copies()
         if len(copies) == 1:
             return copies[0]
@@ -842,10 +747,10 @@ class _ReplicatedShardProxy(HIDictionary):
         touched: they never saw the operation, which is exactly the state
         the primary is in.
         """
-        result = getattr(self.primary, method)(*args)
+        result = self.primary.call(method, *args)
         for replica in list(self.replicas):
             try:
-                getattr(replica, method)(*args)
+                replica.call(method, *args)
             except Exception:
                 self.drop_replica(replica)
         return result
@@ -867,7 +772,7 @@ class _ReplicatedShardProxy(HIDictionary):
             reader = self._pick_reader()
             if reader is not self.primary:
                 try:
-                    result = getattr(reader, method)(*args)
+                    result = reader.call(method, *args)
                 except WorkerCrashError:
                     self.demote(reader)  # fall through to the primary path
                 except Exception as replica_error:
@@ -877,18 +782,18 @@ class _ReplicatedShardProxy(HIDictionary):
                     self._policy.metrics.inc("replica_reads.replica_reads")
                     return result
         try:
-            return getattr(self.primary, method)(*args)
+            return self.primary.call(method, *args)
         except WorkerCrashError:
             self._policy.liveness_epoch += 1
             for replica in list(self.live_replicas()):
                 try:
-                    return getattr(replica, method)(*args)
+                    return replica.call(method, *args)
                 except WorkerCrashError:
                     self._policy.liveness_epoch += 1
                     continue
             raise
 
-    def _cross_check(self, replica: _ShardProxy, method: str, args: tuple,
+    def _cross_check(self, replica: _ShardCopy, method: str, args: tuple,
                      replica_error: BaseException) -> object:
         """A replica answered a read with an exception: second-opinion it.
 
@@ -902,7 +807,7 @@ class _ReplicatedShardProxy(HIDictionary):
         digest pass is the backstop for silent divergence.)
         """
         try:
-            result = getattr(self.primary, method)(*args)
+            result = self.primary.call(method, *args)
         except WorkerCrashError:
             raise replica_error  # no second opinion; the replica's stands
         except Exception as primary_error:
@@ -912,19 +817,6 @@ class _ReplicatedShardProxy(HIDictionary):
             raise primary_error
         self.demote(replica)
         return result
-
-    def _read_raw(self, command: str, *args: object) -> object:
-        """Like :meth:`_read` for worker commands with no proxy method
-        (``keys`` / ``len``, the container-protocol primitives)."""
-        try:
-            return self.primary._call(command, *args)
-        except WorkerCrashError:
-            for replica in self.live_replicas():
-                try:
-                    return replica._call(command, *args)
-                except WorkerCrashError:
-                    continue
-            raise
 
     def search(self, key: object) -> object:
         return self._read("search", key)
@@ -942,10 +834,10 @@ class _ReplicatedShardProxy(HIDictionary):
         return self._read("check")
 
     def __len__(self) -> int:
-        return self._read_raw("len")
+        return self._read("len")
 
     def __iter__(self):
-        return iter(self._read_raw("keys"))
+        return iter(self._read("keys"))
 
     def io_stats(self):
         return self._read("io_stats")
@@ -959,20 +851,19 @@ class _ReplicatedShardProxy(HIDictionary):
     # -- optional capabilities (read-only by convention) ------------------ #
 
     def __getattr__(self, name: str):
-        if name.startswith("_") or name in ("primary", "replicas"):
-            raise AttributeError(name)
         primary = self.__dict__.get("primary")
-        if primary is None:
+        if name.startswith("_") or primary is None:
             raise AttributeError(name)
-        getattr(primary, name)  # raises AttributeError for unknown methods
+        if name not in primary.methods:
+            raise AttributeError(
+                "worker-hosted shard %r has no method %r"
+                % (primary.registry_name, name))
 
-        def fallback_call(*args: object) -> object:
-            if name in _MUTATORS:  # pragma: no cover - defensive
-                return self._mutate(name, *args)
-            return self._read(name, *args)
+        def remote_call(*args: object) -> object:
+            return self._read("__method__", name, args)
 
-        fallback_call.__name__ = name
-        return fallback_call
+        remote_call.__name__ = name
+        return remote_call
 
 
 # --------------------------------------------------------------------------- #
@@ -1143,12 +1034,12 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return min(live, key=lambda worker: len(worker.shard_ids))
 
     def _host_primaries(self, local: Sequence[Tuple[int, HIDictionary]]
-                        ) -> List[_ShardProxy]:
+                        ) -> List[_ShardCopy]:
         """Host each ``(position, local shard)`` on a picked worker.
 
         Placement is decided for every shard before the first ``__host__``
         goes out: spawn until the cap, then the least-loaded live worker
-        (earliest spawned on ties).  Returns the proxies in input order;
+        (earliest spawned on ties).  Returns the copies in input order;
         the caller installs them.
         """
         hostings: List[Tuple[_ShardWorker, int, tuple]] = []
@@ -1159,14 +1050,14 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 worker.shard_ids.add(shard_id)  # the next pick sees it
                 hostings.append((worker, shard_id,
                                  (shard, self._oplog_spec(shard_id))))
-            proxies = self._host(hostings)
+            copies = self._host(hostings)
         except BaseException:
             for worker, shard_id, _args in hostings:
                 worker.shard_ids.discard(shard_id)
             raise
-        for proxy in proxies:
-            self._worker_by_shard[proxy.shard_id] = proxy.worker
-        return proxies
+        for copy in copies:
+            self._worker_by_shard[copy.shard_id] = copy.worker
+        return copies
 
     def _oplog_spec(self, shard_id: int,
                     truncate: bool = False) -> Optional[Dict[str, object]]:
@@ -1180,29 +1071,27 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 "fsync": self.engine_config.fsync, "truncate": truncate}
 
     def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, tuple]]
-              ) -> List[_ShardProxy]:
-        """Send ``(worker, engine id, __host__ args)`` hostings; proxies.
+              ) -> List[_ShardCopy]:
+        """Send ``(worker, engine id, __host__ args)`` hostings; copies.
 
         Every ``__host__`` that can go out does so before the first reply
         is read, so the workers unpickle their shards side by side; a
-        worker hosting several takes them back to back, one outstanding
-        command at a time.  Hosting is neither coalesced nor traced, so the
-        ``plane.*`` and trace counters stay functions of the workload.
-        Returns the proxies in input order once every hosting is
-        acknowledged; otherwise re-raises the first failure in input order.
+        worker hosting several takes them back to back.  Hosting never
+        runs under an engine span, so it is never traced and the trace
+        counters stay functions of the workload.  Returns the copies in
+        input order once every hosting is acknowledged; otherwise
+        re-raises the first failure in input order.
         """
-        queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
-        for index, (worker, engine_id, args) in enumerate(hostings):
-            queues.setdefault(worker, deque()).append(
-                (index, worker, engine_id, "__host__", args))
-        descriptors, errors = self._drive_queues(queues, trace_header=None)
+        descriptors, errors = self._drive_commands(
+            [(index, worker, engine_id, "__host__", args)
+             for index, (worker, engine_id, args) in enumerate(hostings)])
         if errors:
             raise errors[min(errors)]
-        proxies = []
+        copies = []
         for index, (worker, engine_id, _args) in enumerate(hostings):
             worker.shard_ids.add(engine_id)
-            proxies.append(_ShardProxy(worker, engine_id, descriptors[index]))
-        return proxies
+            copies.append(_ShardCopy(worker, engine_id, descriptors[index]))
+        return copies
 
     @contextmanager
     def _reaping_new_workers(self) -> Iterator[None]:
@@ -1314,7 +1203,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             shards[position] = _ReplicatedShardProxy(
                 primary, replicas[index * copies:(index + 1) * copies],
                 self._policy_state)
-        self._shard_engine_cache = []
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1391,66 +1279,36 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         """Run ``(key, worker, engine id, method, args)`` commands; return
         ``(results, errors)`` keyed by ``key``.
 
-        The shared dispatch path behind :meth:`_scatter` and the
-        primary-plus-replica fan-out.  Callers decide which errors are
-        fatal — primary errors raise, replica failures become replica
-        drops.
+        The one dispatch loop: hosting, :meth:`_scatter`, the bulk fan-out,
+        replica syncs and anti-entropy all run through it, one command per
+        crossing.  Every worker's queue drains concurrently, with at most
+        one command outstanding per worker (a second send could deadlock
+        against a worker blocked on a large reply); commands for the same
+        worker run back to back in the order given; a dead worker fails
+        its whole queue; a command that does not pickle fails alone.  Every
+        sent command's reply is read before this returns.  Callers decide
+        which errors are fatal — primary errors raise, replica failures
+        become replica drops.
         """
         queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
         for command in commands:
             queues.setdefault(command[1], deque()).append(command)
-        for worker, queue in queues.items():
-            if len(queue) > 1:
-                # Coalesce the worker's whole dispatch window into one
-                # crossing: the subs run back to back worker-side, in the
-                # order the queue would have run them.
-                keys = tuple(entry[0] for entry in queue)
-                subs = [(entry[2], entry[3], entry[4]) for entry in queue]
-                self.metrics.inc("plane.coalesced", len(queue) - 1)
-                queue.clear()
-                queue.append((_MultiKey(keys), worker, -1,
-                              "__multi__", (subs,)))
-        # The propagation header for this dispatch window: present only
-        # when tracing is enabled AND an engine-level span is active on
-        # this thread (the bulk operations open one around dispatch).
-        return self._drive_queues(queues, self.tracer.header())
-
-    def _drive_queues(self, queues: Dict[_ShardWorker, Deque[_Dispatch]],
-                      trace_header: Optional[dict]
-                      ) -> Tuple[Dict[object, object],
-                                 Dict[object, BaseException]]:
-        """The dispatch loop: drain every worker's queue concurrently.
-
-        At most one command is outstanding per worker (a second send could
-        deadlock against a worker blocked on a large reply); commands for
-        the same worker run back to back; a dead worker fails its whole
-        queue; a command that does not pickle fails alone.  Every sent
-        command's reply is read before this returns.
-        """
         results: Dict[object, object] = {}
         errors: Dict[object, BaseException] = {}
+        outstanding: Dict[object, Tuple[_ShardWorker, object]] = {}
         tracer = self.tracer
+        # Present only when tracing is enabled AND an engine-level span is
+        # active on this thread (the bulk operations open one around
+        # dispatch).
+        trace_header = tracer.header()
+        durable = self.durability_dir is not None
 
         def fail_worker(worker: _ShardWorker, key: object,
                         error: BaseException) -> None:
-            for sub_key in _expand_key(key):
-                errors[sub_key] = error
+            errors[key] = error
             for queued in queues[worker]:
-                for sub_key in _expand_key(queued[0]):
-                    errors[sub_key] = error
+                errors[queued[0]] = error
             queues[worker].clear()
-
-        def settle(key: object, status: str, payload: object) -> None:
-            if isinstance(key, _MultiKey) and status == "ok":
-                _tag, replies = payload
-                for sub_key, (sub_status, sub_payload) in zip(key.keys,
-                                                              replies):
-                    settle(sub_key, sub_status, sub_payload)
-            elif status == "err":
-                for sub_key in _expand_key(key):
-                    errors[sub_key] = payload
-            else:
-                results[key] = payload
 
         def dispatch_next(worker: _ShardWorker) -> None:
             while queues[worker]:
@@ -1465,15 +1323,16 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                     # The command did not pickle.  Pickling finishes before
                     # the first byte is written, so the pipe is untouched:
                     # only this command fails and the worker takes the next.
-                    settle(key, "err", error)
+                    errors[key] = error
                     continue
                 if trace_header is not None:
                     tracer.note_crossing()
-                self._note_fsync_batch(engine_id, method, args)
+                # Only primaries (non-negative engine ids) keep an op log.
+                if durable and engine_id >= 0 and method in _LOGGED_BATCHES:
+                    self.metrics.inc("plane.fsync_batches")
                 outstanding[worker.connection] = (worker, key)
                 return
 
-        outstanding: Dict[object, Tuple[_ShardWorker, object]] = {}
         for worker in queues:
             dispatch_next(worker)
         while outstanding:
@@ -1487,26 +1346,12 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 if worker.trace_spans:
                     tracer.graft(worker.trace_spans)
                     worker.trace_spans = None
-                settle(key, status, payload)
+                if status == "err":
+                    errors[key] = payload
+                else:
+                    results[key] = payload
                 dispatch_next(worker)
         return results, errors
-
-    def _note_fsync_batch(self, engine_id: int, method: str,
-                          args: object) -> None:
-        """Count the op-log commits a sent crossing makes: one per primary
-        bulk batch in it, coalesced or not.
-
-        Replica hostings use negative engine ids; only primaries carry an
-        op log, so replica batches commit nothing.
-        """
-        if self.durability_dir is None:
-            return
-        commands = args[0] if method == "__multi__" \
-            else ((engine_id, method, args),)
-        commits = sum(1 for sub_id, sub_method, _args in commands
-                      if sub_method in _BULK_MUTATORS and sub_id >= 0)
-        if commits:
-            self.metrics.inc("plane.fsync_batches", commits)
 
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
@@ -1623,7 +1468,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         keys, batches = self._grouped_positions(keys)
         commands = []
         slices: Dict[Tuple[int, int],
-                     Tuple[_ReplicatedShardProxy, _ShardProxy, list]] = {}
+                     Tuple[_ReplicatedShardProxy, _ShardCopy, list]] = {}
         for position, batch in enumerate(batches):
             if not batch:
                 continue
@@ -1667,9 +1512,9 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return found
 
     def _retry_read_slice(self, proxy: _ReplicatedShardProxy,
-                          copy: _ShardProxy, part: list,
+                          copy: _ShardCopy, part: list,
                           error: BaseException
-                          ) -> Optional[Tuple[List[bool], _ShardProxy]]:
+                          ) -> Optional[Tuple[List[bool], _ShardCopy]]:
         """Re-ask one failed read slice on the shard's other copies.
 
         The whole sub-batch travels in one ``contains_batch`` crossing per
@@ -1685,16 +1530,15 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._bump_liveness()
         if copy is not proxy.primary:
             proxy.demote(copy)
-        candidates: List[_ShardProxy] = []
+        candidates: List[_ShardCopy] = []
         if copy is not proxy.primary:
             candidates.append(proxy.primary)
         candidates.extend(replica for replica in proxy.live_replicas()
                           if replica is not copy)
-        payload = ([key for _at, key in part],)
+        keys = [key for _at, key in part]
         for candidate in candidates:
             try:
-                flags = candidate.worker.request(
-                    candidate.shard_id, "contains_batch", payload)
+                flags = candidate.call("contains_batch", keys)
             except WorkerCrashError:
                 self._bump_liveness()
                 if candidate is not proxy.primary:
@@ -1941,7 +1785,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         primary_digests: Dict[int, object] = {
             key[0]: digest for key, digest in results.items()
             if key[1] == 0}
-        divergent: List[Tuple[int, _ShardProxy]] = []
+        divergent: List[Tuple[int, _ShardCopy]] = []
         for key, error in errors.items():
             position, copy, shard = key
             if copy == 0:
@@ -1977,8 +1821,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                     needed=1)[0]
             placed.add(target)
             if position not in exported:
-                exported[position] = proxy.primary.worker.request(
-                    proxy.primary.shard_id, "__export__")
+                exported[position] = proxy.primary.call("__export__")
             hostings.append((target, self._take_replica_id(),
                              (exported[position],)))
             owners.append(proxy)
@@ -1990,7 +1833,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             fresh._synced_epoch = state.barrier_epoch
             proxy.add_replica(fresh)
         self.metrics.inc("replica_reads.anti_entropy_reseeds", len(hostings))
-        self._shard_engine_cache = []
         return {"checked": len(commands), "recovered": recovered,
                 "divergent": sorted({position
                                      for position, _shard in divergent}),

@@ -712,7 +712,6 @@ class ShardedDictionaryEngine(DictionaryEngine):
                 "or wrap %r in a plain DictionaryEngine instead"
                 % (type(structure).__name__,))
         super().__init__(structure, name=name)
-        self._shard_engine_cache: List[DictionaryEngine] = []
 
     def _adopt_config(self, config: EngineConfig) -> None:
         """Carry ``config`` as :attr:`engine_config` and honour its
@@ -727,24 +726,14 @@ class ShardedDictionaryEngine(DictionaryEngine):
     # ------------------------------------------------------------------ #
 
     def _engines(self) -> List[DictionaryEngine]:
-        """The per-shard engine wrappers, resynced with the structure.
+        """One plain engine wrapper per shard, built from the live shard list.
 
         The wrapped :class:`ShardedDictionary` can be resized behind the
-        engine's back — ``engine.structure.add_shard()`` is public API (and
-        what the elastic workload docs suggest) — so the wrappers are
-        derived from the live shard list on every access instead of being
-        cached at construction; a stale list would mis-size bulk batches
-        and index past the end on routed probes.
+        engine's back — ``engine.structure.add_shard()`` is public API —
+        so the wrappers are built on every call, never kept.
         """
-        structure = self._structure
-        cache = self._shard_engine_cache
-        if len(cache) != structure.num_shards or any(
-                engine.structure is not shard
-                for engine, shard in zip(cache, structure.shards)):
-            self._shard_engine_cache = cache = [
-                self._shard_engine_for(position)
-                for position in range(structure.num_shards)]
-        return cache
+        return [self._shard_engine_for(position)
+                for position in range(self._structure.num_shards)]
 
     @property
     def shard_engines(self) -> Tuple[DictionaryEngine, ...]:
@@ -804,7 +793,7 @@ class ShardedDictionaryEngine(DictionaryEngine):
         parallel bulk paths: relative input order is preserved within each
         per-shard batch.
         """
-        batches: List[List[Pair]] = [[] for _ in self._engines()]
+        batches: List[List[Pair]] = [[] for _ in self._structure.shards]
         appends = [batch.append for batch in batches]
         shard_of, as_pair = self._structure.shard_of, self._as_pair
         for entry in entries:
@@ -818,7 +807,7 @@ class ShardedDictionaryEngine(DictionaryEngine):
         """The key list plus shard-grouped ``(input position, key)`` batches."""
         keys = list(keys)
         batches: List[List[Tuple[int, object]]] = \
-            [[] for _ in self._engines()]
+            [[] for _ in self._structure.shards]
         appends = [batch.append for batch in batches]
         shard_of = self._structure.shard_of
         for position, key in enumerate(keys):
@@ -830,11 +819,11 @@ class ShardedDictionaryEngine(DictionaryEngine):
         then raise the failure of the lowest failing shard position: each
         batch runs until its own first failure, whatever the others do."""
         failure: Optional[Exception] = None
-        for engine, batch in zip(self._engines(), batches):
+        for shard, batch in zip(self._structure.shards, batches):
             if not batch:
                 continue
             try:
-                apply(engine.structure, batch)
+                apply(shard, batch)
             except Exception as error:
                 if failure is None:
                     failure = error
@@ -876,8 +865,8 @@ class ShardedDictionaryEngine(DictionaryEngine):
         keys, batches = self._grouped_positions(keys)
         found: List[bool] = [False] * len(keys)
         with self._bulk_op("contains_many"):
-            for engine, batch in zip(self._engines(), batches):
-                contains = engine.structure.contains
+            for shard, batch in zip(self._structure.shards, batches):
+                contains = shard.contains
                 for position, key in batch:
                     found[position] = contains(key)
         self.metrics.inc("engine.keys.contains_many", len(found))
@@ -889,7 +878,7 @@ class ShardedDictionaryEngine(DictionaryEngine):
 
     def search_io_cost(self, key: object) -> int:
         """Cold-cache search cost on the single shard that owns ``key``."""
-        return self._engines()[self._structure.shard_of(key)] \
+        return self._shard_engine_for(self._structure.shard_of(key)) \
             .search_io_cost(key)
 
     def _require_range_support(self) -> None:
@@ -900,8 +889,8 @@ class ShardedDictionaryEngine(DictionaryEngine):
         through the loop would leave the caller with no idea which inner is
         at fault; so every shard is checked before any is probed.
         """
-        for position, engine in enumerate(self._engines()):
-            if not callable(getattr(engine.structure, "range_query", None)):
+        for position, shard in enumerate(self._structure.shards):
+            if not callable(getattr(shard, "range_query", None)):
                 raise ConfigurationError(
                     "shard %d (%s) does not implement range_query(); the "
                     "sharded range fan-out cannot skip a shard without "

@@ -16,9 +16,11 @@ Three server-side disciplines the tests pin down:
   the handshake is exempt so a client can always learn the budget.
 * **Typed errors** — engine failures cross the wire as their original
   class name plus message (:func:`repro.net.protocol.error_payload`) and
-  the connection stays usable; *frame*-level failures (torn, oversized or
-  CRC-failing frames) get at most one final error reply and then the
-  connection closes, because the stream past the tear cannot be trusted.
+  the connection stays usable, also when a reply is too large to frame
+  (its request gets a typed ``ProtocolError`` instead); *frame*-level
+  failures (torn, oversized or CRC-failing request frames) get at most
+  one final error reply and then the connection closes, because the
+  stream past the tear cannot be trusted.
 * **Graceful drain** — :meth:`ReproServer.drain` stops accepting, lets
   in-flight batches finish, then runs each engine's ``drain()`` (a final
   durability barrier for durable engines) and closes it exactly once,
@@ -337,10 +339,19 @@ class ReproServer:
                            header: Dict[str, object],
                            body_tag: int = BODY_NONE, body: bytes = b"",
                            best_effort: bool = False) -> None:
+        # Framed before the lock: a reply over the frame ceiling becomes a
+        # typed error under the request's own id, so its client raises at
+        # once instead of waiting for a reply that never comes.
+        try:
+            wire = frame(encode_message(header, body_tag, body))
+        except ProtocolError as error:
+            wire = frame(encode_message(
+                {"status": STATUS_ERROR, "id": header.get("id"),
+                 "error": error_payload(ProtocolError(
+                     "reply not sent: %s" % error))}))
         try:
             async with connection.write_lock:
-                connection.writer.write(
-                    frame(encode_message(header, body_tag, body)))
+                connection.writer.write(wire)
                 await connection.writer.drain()
         except (ConnectionError, OSError, RuntimeError):
             if not best_effort:

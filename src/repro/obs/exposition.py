@@ -1,10 +1,10 @@
 """Prometheus-style text exposition, dependency-free.
 
-Renders a flat telemetry snapshot (``{"plane.coalesced": 132, ...}``)
+Renders a flat telemetry snapshot (``{"plane.fsync_batches": 132, ...}``)
 into the text format scrapers expect::
 
-    # TYPE repro_plane_coalesced untyped
-    repro_plane_coalesced 132
+    # TYPE repro_plane_fsync_batches untyped
+    repro_plane_fsync_batches 132
 
 Metric names are sanitised to ``[a-zA-Z0-9_]`` (dots become
 underscores); histogram bucket entries (``*.le_<edge>``) are folded

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro._rng import make_rng
 from repro.api.process_engine import (
     ProcessShardedDictionaryEngine,
-    _ShardProxy,
+    _ShardCopy,
     _ShardWorker,
 )
 from repro.api.protocol import insert_pairs
@@ -329,7 +329,7 @@ def recover_engine(engine) -> RecoveryReport:
             replica.worker.shard_ids.discard(replica.shard_id)
             replica.worker.shard_ids.add(shard_id)
             engine._worker_by_shard[shard_id] = replica.worker
-            proxy.promote(_ShardProxy(replica.worker, shard_id, descriptor),
+            proxy.promote(_ShardCopy(replica.worker, shard_id, descriptor),
                           live[1:])
             promoted.append(position)
             continue
@@ -353,7 +353,6 @@ def recover_engine(engine) -> RecoveryReport:
         # not change anything the manifest records, so once is enough; and
         # should the window still be hit, the truncated log now fails
         # replay loudly instead of silently dropping acknowledged writes.
-        engine._shard_engine_cache = []
         checkpoint_engine(engine)
 
     # Not reaped on failure: the respawned workers already host recovered
@@ -376,7 +375,7 @@ def recover_engine(engine) -> RecoveryReport:
         # One export per shard: the primary's full structure pickles back
         # to the parent, and each hosting pickles it independently to its
         # target worker — byte-identical clones, randomness state included.
-        exported = proxy.primary.worker.request(shard_id, "__export__")
+        exported = proxy.primary.call("__export__")
         for target in targets:
             hostings.append((target, engine._take_replica_id(), (exported,)))
             owners.append(proxy)
@@ -384,7 +383,6 @@ def recover_engine(engine) -> RecoveryReport:
     for proxy, replica in zip(owners, engine._host(hostings)):
         proxy.add_replica(replica)
 
-    engine._shard_engine_cache = []
     return RecoveryReport(positions=tuple(lost), promoted=tuple(promoted),
                           replayed=tuple(replayed),
                           rebuilt_empty=tuple(rebuilt_empty),

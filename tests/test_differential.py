@@ -594,7 +594,7 @@ def test_differential_anti_entropy_repairs_a_diverged_replica(tmp_path):
         victim_key = oracle.keys[0]
         structure = engine._structure
         position = structure.shard_of(victim_key)
-        structure._shards[position].replicas[0].delete(victim_key)
+        structure._shards[position].replicas[0].call("delete", victim_key)
         sweep = engine.anti_entropy()
         assert sweep["divergent"] == [position]
         assert sweep["reseeded"] == 1

@@ -117,6 +117,35 @@ def test_point_operations_and_range_queries_match_sequential():
         process.close()
 
 
+def test_replicated_shards_answer_capabilities_like_sequential_shards():
+    """A replicated round-robin shard answers ``level_of`` (a method its
+    worker reported), ``len()`` and iteration exactly as the sequential
+    shard does, whichever copy serves; a method the hosted structure lacks
+    is not there at all."""
+    common = dict(inner="hi-skiplist", shards=3, block_size=BLOCK_SIZE,
+                  cache_blocks=2, seed=SEED, router="consistent")
+    sequential = make_sharded_engine(EngineConfig(**common))
+    process = make_sharded_engine(EngineConfig(
+        parallel="process", replication=2, read_policy="round-robin",
+        **common))
+    try:
+        entries = entries_for(150)
+        sequential.insert_many(entries)
+        process.insert_many(entries)
+        for expected, shard in zip(sequential.structure.shards,
+                                   process.structure.shards):
+            keys = list(expected)
+            assert list(shard) == keys
+            assert len(shard) == len(expected)
+            assert [shard.level_of(key) for key in keys] \
+                == [expected.level_of(key) for key in keys]
+            assert not hasattr(shard, "no_such_method")
+        # The rotation put replicas behind some of those level_of reads.
+        assert process.telemetry()["replica_reads.replica_reads"] > 0
+    finally:
+        process.close()
+
+
 def test_cost_probes_match_and_roll_back():
     sequential, process = build_pair(inner="b-tree")
     try:
@@ -459,12 +488,6 @@ def test_unpicklable_reply_error_carries_the_original_exception():
     assert "Traceback" in text  # the formatted worker-side traceback
 
 
-def test_unpicklable_reply_error_scans_coalesced_sub_errors():
-    reply = ("ok", ("__multi__", [("ok", 3), ("err", _raised())]))
-    text = str(_unpicklable_reply_error("insert_batch", reply))
-    assert "ValueError" in text and "the real worker-side failure" in text
-
-
 def test_unpicklable_reply_error_for_a_plain_payload():
     text = str(_unpicklable_reply_error("__export__", ("ok", object())))
     assert "did not pickle" in text and "__export__" in text
@@ -504,7 +527,7 @@ def test_forked_workers_import_nothing(monkeypatch):
     After one warm-up run (the parent's own lazy imports), any import at
     all fails; a worker that imported would die and surface as
     :class:`WorkerCrashError`.  Covers one worker per shard and a packed
-    pool, whose bulk calls cross as ``__multi__``.
+    pool, whose worker takes several shards' commands back to back.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("platform lacks the fork start method")
@@ -596,7 +619,8 @@ def _spawn_index(engine):
 
 def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
     """Spawn up to the cap, then the least-loaded worker, earliest first;
-    hosting commands never count as coalesced or as op-log commits."""
+    hosting commands never count as op-log commits, and the dispatch loop
+    never traces them (no engine span is open while an engine starts)."""
     with make_sharded_engine(EngineConfig(
             inner="b-tree", shards=5, block_size=BLOCK_SIZE, seed=SEED,
             parallel="process", max_workers=2)) as engine:
@@ -604,19 +628,20 @@ def test_hosting_keeps_the_placement_and_counts_no_crossings(tmp_path):
         assert {position: index[shard.primary.worker] for position, shard
                 in enumerate(engine.structure.shards)} \
             == {0: 0, 1: 1, 2: 0, 3: 1, 4: 0}
-        assert plane_counters(engine) == {"coalesced": 0, "fsync_batches": 0}
+        assert plane_counters(engine) == {"fsync_batches": 0}
     with make_sharded_engine(EngineConfig(
             inner="b-tree", shards=4, block_size=BLOCK_SIZE, seed=SEED,
             parallel="process", max_workers=3, replication=2,
-            durability_dir=str(tmp_path / "d"))) as engine:
+            durability_dir=str(tmp_path / "d"), telemetry=True)) as engine:
         index = _spawn_index(engine)
         assert {position: index[shard.primary.worker] for position, shard
                 in enumerate(engine.structure.shards)} \
             == {0: 0, 1: 1, 2: 2, 3: 0}
         assert [sorted(worker.shard_ids) for worker in engine._workers] \
             == [[-3, -2, 0, 3], [-4, 1], [-1, 2]]
-        # The 2 are the initial checkpoint's: it crosses once per copy.
-        assert plane_counters(engine) == {"coalesced": 2, "fsync_batches": 0}
+        telemetry = engine.telemetry()
+        assert telemetry["plane.fsync_batches"] == 0
+        assert telemetry["telemetry.crossings"] == 0
 
 
 def _poison(shard):
@@ -682,7 +707,7 @@ def test_an_unpicklable_batch_fails_alone_and_leaves_the_pipes_in_step():
 
 
 # --------------------------------------------------------------------------- #
-# Coalescing and op-log commits: the deterministic plane.* counters
+# One command per crossing, and op-log commits: the plane.* counters
 # --------------------------------------------------------------------------- #
 
 def run_mixed_workload(engine):
@@ -694,14 +719,33 @@ def run_mixed_workload(engine):
     return dict(engine.items()), flags
 
 
-def test_packed_workers_coalesce_same_worker_crossings():
+def test_a_packed_worker_takes_one_batch_per_shard(monkeypatch):
+    """One worker hosting three shards receives three ``insert_batch``
+    commands, one per shard and each its own crossing, and ends up with
+    the sequential engine's items."""
+    from repro.api.process_engine import _ShardWorker
+
+    sent = []
+    send = _ShardWorker.send
+
+    def logged_send(self, shard_id, method, args, trace=None):
+        sent.append((shard_id, method))
+        send(self, shard_id, method, args, trace)
+
+    entries = entries_for(60)
+    sequential = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED))
+    sequential.insert_many(entries)
     with make_sharded_engine(EngineConfig(
             inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
             parallel="process", max_workers=1)) as engine:
-        engine.insert_many(entries_for(60))
-        # All three shard batches rode one worker: two pipe crossings saved.
-        assert plane_counters(engine) == {"coalesced": 2, "fsync_batches": 0}
-        assert dict(engine.items()) == dict(entries_for(60))
+        assert engine.num_workers == 1
+        monkeypatch.setattr(_ShardWorker, "send", logged_send)
+        engine.insert_many(entries)
+        assert sorted(sent) == sorted(
+            (shard_id, "insert_batch")
+            for shard_id in engine.structure.shard_ids)
+        assert engine.items() == sequential.items()
 
 
 def _count_worker_fsyncs(monkeypatch):
@@ -730,8 +774,8 @@ def _count_worker_fsyncs(monkeypatch):
 ], ids=["4-1-1", "4-2-1", "4-4-2", "6-3-2", "3-consistent-2"])
 def test_fsync_batches_count_one_commit_per_primary_batch(
         tmp_path, monkeypatch, topology, after_insert, after_delete):
-    """Each primary batch commits its own op log, coalesced or not, and
-    ``plane.fsync_batches`` counts those commits.  Replicas keep no op
+    """Each primary batch commits its own op log, whatever the packing,
+    and ``plane.fsync_batches`` counts those commits.  Replicas keep no op
     log, so they never add fsyncs.  Under fork the workers' real fsyncs
     are counted too, and they equal the counter."""
     from repro.api.process_engine import _default_start_method
@@ -746,25 +790,24 @@ def test_fsync_batches_count_one_commit_per_primary_batch(
         assert plane_counters(engine)["fsync_batches"] == 0
         before = real.value if forked else None
         engine.insert_many(entries)
-        stats = plane_counters(engine)
-        assert stats["fsync_batches"] == after_insert
-        assert stats["coalesced"] > 0
+        assert plane_counters(engine)["fsync_batches"] == after_insert
         engine.delete_many([key for key, _value in entries][::3])
         assert plane_counters(engine)["fsync_batches"] == after_delete
         if forked:
             assert real.value - before == after_delete
 
 
-def test_plane_counters_are_deterministic_across_runs():
+def test_plane_counters_are_deterministic_across_runs(tmp_path):
     observed = []
-    for _attempt in range(2):
+    for attempt in range(2):
         with make_sharded_engine(EngineConfig(
                 inner="b-treap", shards=3, block_size=BLOCK_SIZE, seed=SEED,
-                parallel="process", max_workers=2)) as engine:
+                parallel="process", max_workers=2,
+                durability_dir=str(tmp_path / str(attempt)))) as engine:
             run_mixed_workload(engine)
             observed.append(plane_counters(engine))
     assert observed[0] == observed[1]
-    assert observed[0]["coalesced"] > 0
+    assert observed[0]["fsync_batches"] > 0
 
 
 # --------------------------------------------------------------------------- #

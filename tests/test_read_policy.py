@@ -286,7 +286,7 @@ def test_cross_check_demotes_a_diverged_replica_and_serves_the_primary():
         entries = entries_for(120)
         engine.insert_many(entries)
         key, value = entries[0]
-        proxy_for(engine, key).replicas[0].delete(key)  # hand-diverge
+        proxy_for(engine, key).replicas[0].call("delete", key)  # diverge
         # Rotate until the diverged replica serves the read: it raises
         # where the primary answers, the cross-check demotes it, and the
         # primary's answer is what the caller sees — every time.
@@ -323,7 +323,7 @@ def test_anti_entropy_reseeds_only_the_divergent_replica():
         key, value = entries[0]
         proxy = proxy_for(engine, key)
         position = engine._structure.shard_of(key)
-        proxy.replicas[0].delete(key)  # silent divergence
+        proxy.replicas[0].call("delete", key)  # silent divergence
         sweep = engine.anti_entropy()
         assert not sweep["recovered"]
         assert sweep["divergent"] == [position]

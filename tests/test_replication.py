@@ -410,10 +410,10 @@ def test_replicas_track_their_primaries_through_load_and_resize():
         assert engine.replica_counts() == [1, 1, 1, 1]
         for position in range(engine.num_shards):
             proxy = engine._proxy(position)
-            primary_fp = proxy.primary.audit_fingerprint()
+            primary_fp = proxy.primary.call("audit_fingerprint")
             for replica in proxy.replicas:
-                assert replica.audit_fingerprint() == primary_fp
-                assert len(replica) == len(proxy.primary)
+                assert replica.call("audit_fingerprint") == primary_fp
+                assert replica.call("len") == proxy.primary.call("len")
         engine.check()
     finally:
         engine.close()

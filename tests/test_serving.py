@@ -571,6 +571,41 @@ def test_a_request_over_the_servers_frame_limit_is_never_sent(monkeypatch):
             assert writers == []
 
 
+def test_a_reply_over_the_frame_ceiling_is_a_typed_error(monkeypatch):
+    """A reply too large to frame comes back at once as a
+    ``ProtocolError`` under its request's id, on both clients, and the
+    connection stays usable: the next call on the same client answers
+    over the same pooled connection."""
+    import asyncio
+
+    from repro.net import protocol
+
+    config = EngineConfig(shards=2, seed=SEED)
+    entries = [(key, key) for key in range(300)]
+
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="reply not sent"):
+                await client.items()
+            elapsed = time.monotonic() - started
+            assert await client.length() == len(entries)
+            return elapsed
+
+    with ThreadedServer(config) as server:
+        with ReproClient("127.0.0.1", server.port, timeout=2.0) as client:
+            client.insert_many(entries)
+            monkeypatch.setattr(protocol, "MAX_PAYLOAD", 4096)
+            writers = recording_open_connection(monkeypatch)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="reply not sent"):
+                client.items()
+            assert time.monotonic() - started < 1.0
+            assert len(client) == len(entries)
+            assert writers == []
+        assert run_async(asyncio.wait_for(drive(server.port), 10)) < 1.0
+
+
 # --------------------------------------------------------------------------- #
 # Routing
 # --------------------------------------------------------------------------- #

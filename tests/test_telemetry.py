@@ -327,7 +327,7 @@ def test_engine_telemetry_folds_all_four_surfaces():
         engine.close()
     # The four counter families, namespaced side by side.
     assert snap["engine_io.reads"] >= 0
-    assert snap["plane.coalesced"] > 0 and "plane.fsync_batches" in snap
+    assert "plane.fsync_batches" in snap and "plane.coalesced" not in snap
     assert "plane.bytes" not in snap and "plane.frames" not in snap
     assert "erasure.erase_calls" in snap or any(
         name.startswith("erasure.") for name in snap)
@@ -367,7 +367,7 @@ def test_traced_bulk_call_crosses_into_the_workers():
 
 
 PROCESS_COUNTERS = {
-    "plane.coalesced", "plane.fsync_batches",
+    "plane.fsync_batches",
     "erasure.barriers", "erasure.deletes_flushed", "erasure.frames_dropped",
     "erasure.redactions",
     "replica_reads.replica_reads", "replica_reads.demotions",
@@ -376,7 +376,7 @@ PROCESS_COUNTERS = {
 
 
 def test_process_engine_counters_start_at_zero_in_the_registry():
-    """A fresh process engine names its nine counters at zero (the key set
+    """A fresh process engine names its eight counters at zero (the key set
     the e2e counter helper and the server's ``stats`` verb read); a
     sequential engine names none of them; a closed one has no snapshot."""
     engine = make_sharded_engine(config=replicated_config(
@@ -427,7 +427,7 @@ def test_server_stats_and_traces_expose_one_cross_process_tree():
                       if entry["name"] == "client.contains_many"]
     client_trace_ids = {entry["trace"] for entry in contains_roots}
     # The merged snapshot carries every surface through the wire.
-    assert "plane.coalesced" in stats and "plane.fsync_batches" in stats
+    assert "plane.fsync_batches" in stats
     assert stats["engine.calls.insert_many"] >= 1
     assert stats["server.telemetry.adopted"] >= 1
     assert stats["telemetry.worker_spans"] > 0
