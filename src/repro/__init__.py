@@ -24,27 +24,7 @@ History-Independent Sparse Tables and Dictionaries"* (Bender et al., PODS
   unified I/O stats, and uniform disk snapshots.
 """
 
-from repro.api import (
-    DictionaryEngine,
-    HIDictionary,
-    make_dictionary,
-    register,
-    registry_names,
-)
-from repro.core.hi_pma import HistoryIndependentPMA, PMAParameters
-from repro.core.sizing import WHICapacityRule, WHIDynamicArray
-from repro.core.shi_array import CanonicalDynamicArray
-from repro.memory import IOStats, IOTracker
-from repro.pma.classic import ClassicPMA
-from repro.pma.adaptive import AdaptivePMA
-from repro.cobtree.hi_cob_tree import HistoryIndependentCOBTree
-from repro.btree.btree import BTree
-from repro.btreap.btreap import BTreap
-from repro.treap.treap import Treap
-from repro.skiplist.memory import MemorySkipList
-from repro.skiplist.folklore import FolkloreBSkipList
-from repro.skiplist.external import HistoryIndependentSkipList
-from repro.storage import DiskImage, PagedFile, image_of, snapshot_structure
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -76,3 +56,25 @@ __all__ = [
     "image_of",
     "__version__",
 ]
+
+# Each name imports its module on first access, so ``import repro`` (and
+# every ``repro.*`` import, which runs this file first) loads no structure.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api": ("DictionaryEngine", "HIDictionary", "make_dictionary",
+                  "register", "registry_names"),
+    "repro.core.hi_pma": ("HistoryIndependentPMA", "PMAParameters"),
+    "repro.core.sizing": ("WHICapacityRule", "WHIDynamicArray"),
+    "repro.core.shi_array": ("CanonicalDynamicArray",),
+    "repro.memory": ("IOStats", "IOTracker"),
+    "repro.pma.classic": ("ClassicPMA",),
+    "repro.pma.adaptive": ("AdaptivePMA",),
+    "repro.cobtree.hi_cob_tree": ("HistoryIndependentCOBTree",),
+    "repro.btree.btree": ("BTree",),
+    "repro.btreap.btreap": ("BTreap",),
+    "repro.treap.treap": ("Treap",),
+    "repro.skiplist.memory": ("MemorySkipList",),
+    "repro.skiplist.folklore": ("FolkloreBSkipList",),
+    "repro.skiplist.external": ("HistoryIndependentSkipList",),
+    "repro.storage": ("DiskImage", "PagedFile", "image_of",
+                      "snapshot_structure"),
+})

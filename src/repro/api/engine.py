@@ -22,14 +22,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro._rng import RandomLike
 from repro.api.protocol import HIDictionary, Pair, insert_pairs
 from repro.api.registry import make_dictionary
 from repro.memory.stats import IOStats
 from repro.obs import MetricsRegistry, Tracer
-from repro.workloads.generators import Operation, OperationKind
+
+if TYPE_CHECKING:
+    from repro.workloads.generators import Operation
 
 #: The ``io_stats()`` fields folded into telemetry snapshots (as
 #: ``engine_io.*``) — the deterministic counting core of
@@ -237,6 +240,8 @@ class DictionaryEngine:
     def build_from_trace(self, trace: Sequence[Operation],
                          value_of=None) -> "DictionaryEngine":
         """Replay a workload trace (inserts, deletes, searches); return self."""
+        from repro.workloads.generators import OperationKind
+
         insert = self._structure_method("insert")
         delete = self._structure_method("delete")
         contains = self._structure_method("contains")

@@ -14,12 +14,14 @@ drive it through the rank replay), and whether it counts I/Os through a
 shared :class:`~repro.memory.tracker.IOTracker`.
 
 Third-party backends register through :func:`register`; the built-in
-structures self-register lazily on first lookup, which keeps this module
-import-light and cycle-free.
+structures self-register on first lookup, and each imports its module only
+when it is first built, which keeps this module import-light and
+cycle-free.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -266,33 +268,36 @@ def reset_registry(keep_builtin: bool = True) -> None:
 # Built-in structures
 # --------------------------------------------------------------------------- #
 
+def _class(module: str, name: str) -> type:
+    """A built-in structure class; its module is imported on first build."""
+    return getattr(importlib.import_module(module), name)
+
+
 def _ensure_builtin() -> None:
-    """Register the library's own structures on first lookup."""
+    """Register the library's own structures on first lookup.
+
+    Only their metadata is recorded here: each factory imports its
+    structure's module when it first builds one, so listing, resolving or
+    describing structures imports none of them.
+    """
     global _builtin_loaded
     if _builtin_loaded:
         return
     _builtin_loaded = True
 
     from repro.api.adapters import RankKeyedDictionary
-    from repro.btreap.btreap import BTreap
-    from repro.btree.btree import BTree
-    from repro.cobtree.hi_cob_tree import HistoryIndependentCOBTree
-    from repro.core.hi_pma import HistoryIndependentPMA
-    from repro.pma.adaptive import AdaptivePMA
-    from repro.pma.classic import ClassicPMA
-    from repro.skiplist.external import HistoryIndependentSkipList
-    from repro.skiplist.folklore import FolkloreBSkipList
-    from repro.skiplist.memory import MemorySkipList
-    from repro.treap.treap import Treap
 
-    def _hi_pma(config: DictionaryConfig) -> HistoryIndependentPMA:
-        return HistoryIndependentPMA(seed=config.seed, tracker=config.tracker)
+    def _hi_pma(config: DictionaryConfig) -> object:
+        return _class("repro.core.hi_pma", "HistoryIndependentPMA")(
+            seed=config.seed, tracker=config.tracker)
 
-    def _classic_pma(config: DictionaryConfig) -> ClassicPMA:
-        return ClassicPMA(tracker=config.tracker)
+    def _classic_pma(config: DictionaryConfig) -> object:
+        return _class("repro.pma.classic", "ClassicPMA")(
+            tracker=config.tracker)
 
-    def _adaptive_pma(config: DictionaryConfig) -> AdaptivePMA:
-        return AdaptivePMA(tracker=config.tracker)
+    def _adaptive_pma(config: DictionaryConfig) -> object:
+        return _class("repro.pma.adaptive", "AdaptivePMA")(
+            tracker=config.tracker)
 
     register(
         "hi-pma",
@@ -314,46 +319,50 @@ def _ensure_builtin() -> None:
         rank_addressed=True, supports_tracker=True)
     register(
         "hi-cobtree",
-        lambda config: HistoryIndependentCOBTree(seed=config.seed,
-                                                 tracker=config.tracker),
+        lambda config: _class("repro.cobtree.hi_cob_tree",
+                              "HistoryIndependentCOBTree")(
+            seed=config.seed, tracker=config.tracker),
         aliases=("cobtree",),
         summary="HI cache-oblivious B-tree on the augmented PMA (Theorem 2)",
         history_independent=True, supports_tracker=True)
     register(
         "hi-skiplist",
-        lambda config: HistoryIndependentSkipList(block_size=config.block_size,
-                                                  seed=config.seed,
-                                                  **config.extra),
+        lambda config: _class("repro.skiplist.external",
+                              "HistoryIndependentSkipList")(
+            block_size=config.block_size, seed=config.seed, **config.extra),
         aliases=("skiplist",),
         extra_params=("epsilon", "max_level"),
         summary="HI external-memory skip list (Theorem 3)",
         history_independent=True)
     register(
         "b-skiplist",
-        lambda config: FolkloreBSkipList(block_size=config.block_size,
-                                         seed=config.seed, **config.extra),
+        lambda config: _class("repro.skiplist.folklore", "FolkloreBSkipList")(
+            block_size=config.block_size, seed=config.seed, **config.extra),
         extra_params=("max_level",),
         summary="folklore B-skip list (promotion 1/B; Lemma 15 baseline)",
         history_independent=True)
     register(
         "b-treap",
-        lambda config: BTreap(block_size=config.block_size, seed=config.seed),
+        lambda config: _class("repro.btreap.btreap", "BTreap")(
+            block_size=config.block_size, seed=config.seed),
         aliases=("btreap",),
         summary="strongly HI blocked treap (Golovin-style)",
         history_independent=True)
     register(
         "b-tree",
-        lambda config: BTree(block_size=config.block_size),
+        lambda config: _class("repro.btree.btree", "BTree")(
+            block_size=config.block_size),
         aliases=("btree",),
         summary="classic B-tree baseline (history dependent)")
     register(
         "treap",
-        lambda config: Treap(seed=config.seed),
+        lambda config: _class("repro.treap.treap", "Treap")(seed=config.seed),
         summary="in-memory treap with salted-hash priorities (strongly HI)",
         history_independent=True)
     register(
         "memory-skiplist",
-        lambda config: MemorySkipList(seed=config.seed, **config.extra),
+        lambda config: _class("repro.skiplist.memory", "MemorySkipList")(
+            seed=config.seed, **config.extra),
         extra_params=("promote_probability", "max_level"),
         summary="Pugh's in-memory skip list run on disk (baseline)",
         history_independent=True)

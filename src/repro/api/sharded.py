@@ -54,15 +54,6 @@ from repro.api.protocol import HIDictionary, Pair, insert_pairs
 from repro.api.routing import Router, hash_key, make_router
 from repro.errors import ConfigurationError
 from repro.memory.stats import IOStats
-from repro.storage.snapshot import (
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    decode_slot,
-    read_image,
-    read_manifest,
-    write_image,
-    write_manifest,
-)
 
 #: Default number of shards when the registry entry is built without one.
 DEFAULT_SHARDS = 4
@@ -936,6 +927,8 @@ class ShardedDictionaryEngine(DictionaryEngine):
         """The fields both shard-image manifests share: version, structure,
         topology, router, shard ids and — for registry-built dictionaries,
         so a restore does not drift to the defaults — the build record."""
+        from repro.storage.snapshot import MANIFEST_VERSION
+
         structure = self._structure
         header: Dict[str, object] = {
             "version": MANIFEST_VERSION,
@@ -978,6 +971,8 @@ class ShardedDictionaryEngine(DictionaryEngine):
         the manifest is replaced atomically with a directory fsync.
         :meth:`restore_shards` consumes exactly this layout.
         """
+        from repro.storage.snapshot import write_image, write_manifest
+
         os.makedirs(directory, exist_ok=True)
         manifest = self._manifest_header()
         manifest["shards"] = [
@@ -1019,6 +1014,12 @@ class ShardedDictionaryEngine(DictionaryEngine):
         (:func:`~repro.storage.snapshot.decode_slot`).
         """
         from repro.api.registry import make_dictionary
+        from repro.storage.snapshot import (
+            MANIFEST_NAME,
+            decode_slot,
+            read_image,
+            read_manifest,
+        )
 
         manifest = read_manifest(directory)
         manifest_path = os.path.join(directory, MANIFEST_NAME)

@@ -47,15 +47,11 @@ Every command accepts ``--seed`` so its output is reproducible.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
+from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.moves import normalized_moves_series
-from repro.analysis.reporting import format_table
-from repro.analysis.scaling import registry_io_series
-from repro.analysis.tables import render_results_markdown, write_csv
 from repro.api import (
     PARALLEL_MODES,
     DictionaryEngine,
@@ -69,20 +65,9 @@ from repro.api import (
 )
 from repro.api.routing import ROUTER_NAMES
 from repro.errors import ConfigurationError
-from repro.history.audit import audit_weak_history_independence
-from repro.history.pairs import equivalent_histories, registry_builders
-from repro.history.uniformity import balance_uniformity_experiment
-from repro.storage.snapshot import MANIFEST_NAME, image_of
-from repro.workloads import (
-    batch_redaction_trace,
-    elastic_churn_trace,
-    random_insert_trace,
-    sequential_insert_trace,
-    sliding_window_trace,
-    trough_trace,
-    zipf_mixed_trace,
-    zipfian_insert_trace,
-)
+
+# Each command imports the rest of what it runs inside its own function,
+# so a command (``serve`` above all) starts on only the code it uses.
 
 
 # --------------------------------------------------------------------------- #
@@ -359,6 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 
 def cmd_figure2(args: argparse.Namespace, out) -> int:
+    from repro.analysis.moves import normalized_moves_series
+    from repro.analysis.reporting import format_table
+    from repro.analysis.tables import write_csv
+    from repro.workloads import random_insert_trace
+
     trace = random_insert_trace(args.inserts, seed=args.seed)
     hi_series = normalized_moves_series(
         make_raw_structure("hi-pma", seed=args.seed),
@@ -382,6 +372,8 @@ def cmd_figure2(args: argparse.Namespace, out) -> int:
 
 
 def cmd_uniformity(args: argparse.Namespace, out) -> int:
+    from repro.history.uniformity import balance_uniformity_experiment
+
     result = balance_uniformity_experiment(num_keys=args.keys,
                                            trials=args.trials,
                                            seed=args.seed)
@@ -394,6 +386,9 @@ def cmd_uniformity(args: argparse.Namespace, out) -> int:
 
 
 def cmd_audit(args: argparse.Namespace, out) -> int:
+    from repro.history.audit import audit_weak_history_independence
+    from repro.history.pairs import equivalent_histories, registry_builders
+
     if args.shards < 0:
         raise ConfigurationError("--shards must be non-negative, got %d"
                                  % args.shards)
@@ -428,6 +423,9 @@ def cmd_audit(args: argparse.Namespace, out) -> int:
 
 
 def cmd_compare_io(args: argparse.Namespace, out) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.analysis.scaling import registry_io_series
+
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     except ValueError as error:
@@ -458,21 +456,26 @@ def cmd_compare_io(args: argparse.Namespace, out) -> int:
     return 0
 
 
-_WORKLOADS: Dict[str, Callable[[argparse.Namespace], List[object]]] = {
-    "random": lambda args: random_insert_trace(args.count, seed=args.seed),
-    "sequential": lambda args: sequential_insert_trace(args.count),
-    "zipfian": lambda args: zipfian_insert_trace(args.count, seed=args.seed),
-    "sliding-window": lambda args: sliding_window_trace(
+#: ``workload --kind`` choices: each builds its trace with the
+#: :mod:`repro.workloads` module it is handed, so listing them imports nothing.
+_WORKLOADS: Dict[str, Callable[[ModuleType, argparse.Namespace], List[object]]] = {
+    "random": lambda w, args: w.random_insert_trace(args.count, seed=args.seed),
+    "sequential": lambda w, args: w.sequential_insert_trace(args.count),
+    "zipfian": lambda w, args: w.zipfian_insert_trace(args.count, seed=args.seed),
+    "sliding-window": lambda w, args: w.sliding_window_trace(
         args.count, window=max(1, args.count // 10)),
-    "trough": lambda args: trough_trace(args.count, seed=args.seed),
-    "redaction": lambda args: batch_redaction_trace(max(1, args.count), seed=args.seed),
-    "zipf-mixed": lambda args: zipf_mixed_trace(args.count, seed=args.seed),
-    "elastic": lambda args: elastic_churn_trace(args.count, seed=args.seed),
+    "trough": lambda w, args: w.trough_trace(args.count, seed=args.seed),
+    "redaction": lambda w, args: w.batch_redaction_trace(max(1, args.count), seed=args.seed),
+    "zipf-mixed": lambda w, args: w.zipf_mixed_trace(args.count, seed=args.seed),
+    "elastic": lambda w, args: w.elastic_churn_trace(args.count, seed=args.seed),
 }
 
 
 def cmd_workload(args: argparse.Namespace, out) -> int:
-    trace = _WORKLOADS[args.kind](args)
+    from repro import workloads
+    from repro.analysis.tables import write_csv
+
+    trace = _WORKLOADS[args.kind](workloads, args)
     print("generated %d operations (%s)" % (len(trace), args.kind), file=out)
     for operation in trace[:max(0, args.preview)]:
         print("  %s" % operation, file=out)
@@ -518,6 +521,9 @@ def cmd_attack(args: argparse.Namespace, out) -> int:
 
 
 def cmd_snapshot(args: argparse.Namespace, out) -> int:
+    from repro.storage.snapshot import MANIFEST_NAME, image_of
+    from repro.workloads import random_insert_trace
+
     if args.shards < 0:
         raise ConfigurationError("--shards must be non-negative, got %d"
                                  % args.shards)
@@ -583,6 +589,9 @@ def _engine_config_from_args(args: argparse.Namespace) -> EngineConfig:
 
 
 def cmd_rebalance(args: argparse.Namespace, out) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.workloads import random_insert_trace
+
     if args.shards < 1:
         raise ConfigurationError("--shards must be at least 1, got %d"
                                  % args.shards)
@@ -635,6 +644,8 @@ def cmd_rebalance(args: argparse.Namespace, out) -> int:
 
 
 def cmd_recover(args: argparse.Namespace, out) -> int:
+    import hashlib
+
     from repro.replication import open_durable_engine
 
     with open_durable_engine(args.dir, replication=args.replication,
@@ -775,6 +786,8 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out) -> int:
+    from repro.analysis.tables import render_results_markdown
+
     print(render_results_markdown(args.results), file=out)
     return 0
 

@@ -23,11 +23,7 @@ This package provides that model as an instrumentation substrate:
   the allocations were made.
 """
 
-from repro.memory.stats import IOStats, OperationIOSample
-from repro.memory.block_device import BlockDevice
-from repro.memory.cache import LRUCache
-from repro.memory.tracker import IOTracker
-from repro.memory.allocator import Allocation, UniformArenaAllocator
+from repro._lazy import lazy_exports
 
 __all__ = [
     "IOStats",
@@ -38,3 +34,13 @@ __all__ = [
     "Allocation",
     "UniformArenaAllocator",
 ]
+
+# Names import their module on first access: every structure imports
+# ``repro.memory.stats``, and most need nothing else from this package.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.stats": ("IOStats", "OperationIOSample"),
+    "repro.memory.block_device": ("BlockDevice",),
+    "repro.memory.cache": ("LRUCache",),
+    "repro.memory.tracker": ("IOTracker",),
+    "repro.memory.allocator": ("Allocation", "UniformArenaAllocator"),
+})

@@ -7,9 +7,7 @@ and :mod:`repro.net.client` for the routed asyncio client and its
 blocking facade.
 """
 
-from repro.net.client import AsyncReproClient, ReproClient
-from repro.net.protocol import PROTOCOL_VERSION, WireCodec
-from repro.net.server import ReproServer, ThreadedServer, engine_digest
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AsyncReproClient",
@@ -20,3 +18,11 @@ __all__ = [
     "WireCodec",
     "engine_digest",
 ]
+
+# Names import their module on first access, so a server never loads the
+# client and a client never loads the server and its engines.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.client": ("AsyncReproClient", "ReproClient"),
+    "repro.net.protocol": ("PROTOCOL_VERSION", "WireCodec"),
+    "repro.net.server": ("ReproServer", "ThreadedServer", "engine_digest"),
+})

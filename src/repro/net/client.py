@@ -274,7 +274,9 @@ class AsyncReproClient:
             raise ConfigurationError("client is closed")
         if self._pool:
             return self._pool.popleft()
-        return await asyncio.open_connection(self._host, self._port)
+        reader, writer = await asyncio.open_connection(self._host, self._port)
+        protocol.cap_reads(writer)
+        return reader, writer
 
     def _give_back(self, connection) -> None:
         if not self._closed and len(self._pool) < self._pool_size:

@@ -70,6 +70,14 @@ MESSAGE_HEADER = struct.Struct(">BI")
 #: a corrupt or malicious length field must not turn into an allocation.
 MAX_PAYLOAD = 8 * 1024 * 1024
 
+#: Largest single socket read of a stream transport.  asyncio's selector
+#: transport asks ``recv`` for 256 KiB at a time; glibc serves a buffer
+#: that large with a fresh ``mmap`` (its threshold is 128 KiB) whenever
+#: the heap has no free run that big, which costs page faults on every
+#: read.  Below the threshold the buffer comes from the heap, and a
+#: longer frame arrives over several reads.
+READ_SIZE = 64 * 1024
+
 #: Body codecs.  Tags 1 and 3 belonged to version 1's record-run and
 #: pickle bodies; they are retired, so a frame carrying either is refused
 #: as an unknown tag.
@@ -119,6 +127,17 @@ def frame(payload: bytes) -> bytes:
             "frame payload of %d bytes exceeds the %d-byte protocol "
             "ceiling" % (len(payload), MAX_PAYLOAD))
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def cap_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap each socket read of ``writer``'s connection at :data:`READ_SIZE`.
+
+    The server and the client call it on every connection they open,
+    before the first frame crosses it.
+    """
+    transport = writer.transport
+    if getattr(transport, "max_size", 0) > READ_SIZE:
+        transport.max_size = READ_SIZE
 
 
 def check_frame(header: bytes, payload: bytes) -> bytes:

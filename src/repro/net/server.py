@@ -259,6 +259,7 @@ class ReproServer:
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        protocol.cap_reads(writer)
         connection = _Connection(writer)
         drain_wait = asyncio.ensure_future(self._draining.wait())
         try:

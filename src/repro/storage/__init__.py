@@ -18,22 +18,7 @@ can be exercised end to end:
   page placement via :class:`repro.memory.allocator.UniformArenaAllocator`.
 """
 
-from repro.storage.encoding import (
-    GAP_MARKER,
-    PageCodec,
-    RecordCodec,
-    encoded_record_size,
-)
-from repro.storage.image import DiskImage
-from repro.storage.pager import PagedFile
-from repro.storage.snapshot import (
-    SnapshotMetadata,
-    file_checksum,
-    image_of,
-    load_records,
-    snapshot_records,
-    snapshot_structure,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GAP_MARKER",
@@ -49,3 +34,15 @@ __all__ = [
     "image_of",
     "file_checksum",
 ]
+
+# Names import their module on first access, so a store that never writes
+# an image or an op log loads none of this package.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.storage.encoding": ("GAP_MARKER", "RecordCodec", "PageCodec",
+                               "encoded_record_size"),
+    "repro.storage.image": ("DiskImage",),
+    "repro.storage.pager": ("PagedFile",),
+    "repro.storage.snapshot": ("SnapshotMetadata", "snapshot_records",
+                               "snapshot_structure", "load_records",
+                               "image_of", "file_checksum"),
+})

@@ -37,6 +37,10 @@ GAP_MARKER = None
 
 _HEADER = struct.Struct(">BI")  # tag, payload length
 
+#: The integers a record holds: signed, 16 bytes.
+_INT_MIN = -(2 ** 127)
+_INT_MAX = 2 ** 127 - 1
+
 
 def encoded_record_size(payload_size: int) -> int:
     """Total bytes one record occupies for a given payload budget."""
@@ -79,11 +83,20 @@ class RecordCodec:
             # Booleans are ints in Python; keep them as ints explicitly.
             return _TAG_INT, struct.pack(">q", int(value))
         if isinstance(value, int):
+            if not _INT_MIN <= value <= _INT_MAX:
+                raise CapacityError(
+                    "integer of %d bits is outside a record's signed "
+                    "16-byte range" % (value.bit_length(),))
             return _TAG_INT, value.to_bytes(16, "big", signed=True)
         if isinstance(value, float):
             return _TAG_FLOAT, struct.pack(">d", value)
         if isinstance(value, str):
-            return _TAG_TEXT, value.encode("utf-8")
+            try:
+                return _TAG_TEXT, value.encode("utf-8")
+            except UnicodeEncodeError as error:
+                raise ConfigurationError(
+                    "string value is not valid unicode text (%s); a record "
+                    "cannot hold it" % error) from error
         if isinstance(value, bytes):
             return _TAG_BYTES, value
         if isinstance(value, tuple) and len(value) == 2:

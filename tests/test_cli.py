@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run_cli(*argv):
@@ -535,3 +539,179 @@ def test_module_entry_point_runs():
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert completed.returncode == 0
     assert "generated 5 operations" in completed.stdout
+
+
+# --------------------------------------------------------------------------- #
+# What an entry point imports, and what a served request costs
+# --------------------------------------------------------------------------- #
+
+#: Packages a b-treap server on the process backend never runs.
+NOT_SERVED = ("analysis", "history", "workloads", "core", "pma", "cobtree",
+              "btree", "skiplist", "layout", "storage", "replication")
+
+#: Packages holding the registry's built-in structures.
+STRUCTURES = ("core", "pma", "cobtree", "btree", "btreap", "treap",
+              "skiplist", "layout")
+
+
+def loaded_under(packages, modules):
+    """The ``repro.<package>...`` names in ``modules`` for any of ``packages``."""
+    return sorted(name for name in modules
+                  if name.startswith("repro.")
+                  and name.split(".")[1] in packages)
+
+
+def start_server(*argv):
+    """Start a serve command in a subprocess; return it and its port."""
+    process = subprocess.Popen(
+        [sys.executable, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    line = process.stdout.readline()
+    if not line.startswith("listening on 127.0.0.1:"):
+        process.kill()
+        raise AssertionError("server did not start: %r %r"
+                             % (line, process.communicate()[1]))
+    return process, int(line.strip().rsplit(":", 1)[1])
+
+
+def stop_server(process):
+    """SIGTERM a started server; return its remaining stdout."""
+    import signal
+
+    process.send_signal(signal.SIGTERM)
+    try:
+        stdout, stderr = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.communicate()
+        raise
+    assert process.returncode == 0, stderr
+    return stdout
+
+
+SERVE_THEN_LIST_MODULES = textwrap.dedent("""
+    import sys
+    from repro.cli import main
+    code = main(sys.argv[1:])
+    print("modules:", *sorted(name for name in sys.modules
+                              if name.startswith("repro")))
+    sys.exit(code)
+""")
+
+
+@pytest.mark.fast
+def test_a_b_treap_server_loads_only_the_code_it_serves():
+    """Through start-up and a round of requests, a process-backend b-treap
+    server imports no other structure and none of the analysis, audit,
+    workload, storage or replication code."""
+    from repro.net import ReproClient
+
+    process, port = start_server(
+        "-c", SERVE_THEN_LIST_MODULES, "serve", "--structure", "b-treap",
+        "--shards", "2", "--parallel", "process", "--max-workers", "2",
+        "--seed", "5")
+    try:
+        with ReproClient("127.0.0.1", port) as client:
+            assert client.insert_many([(key, -key) for key in range(200)]) \
+                == 200
+            assert client.contains_many([0, 199, 200]) == [True, True, False]
+            client.delete_many(range(0, 200, 2))
+            assert len(client.items()) == 100
+            assert client.stats()["engine.calls.delete_many"] == 1
+    finally:
+        stdout = stop_server(process)
+    modules = stdout.split("modules:", 1)[1].split()
+    assert "repro.btreap.btreap" in modules
+    assert loaded_under(NOT_SERVED, modules) == []
+
+
+@pytest.mark.fast
+def test_listing_resolving_and_describing_structures_imports_none():
+    """``registry_names``, ``get_info``, ``resolve`` and the CLI's parser
+    (``repro --help``) read registry metadata only; a structure's module
+    is imported when one is first built."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.api import get_info, registry_names, resolve
+        from repro.cli import build_parser
+
+        for name in registry_names(include_aliases=True):
+            assert get_info(name).name == resolve(name)
+        build_parser().format_help()
+        print(*sorted(name for name in sys.modules
+                      if name.startswith("repro")))
+    """)
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert loaded_under(STRUCTURES, completed.stdout.split()) == []
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("package", ["repro", "repro.memory", "repro.storage",
+                                     "repro.net"])
+def test_every_exported_name_resolves_on_first_access(package):
+    """In a fresh interpreter each package's ``__all__`` is listed by
+    ``dir()``, resolves by attribute and by star import, and an unknown
+    name is still an ``AttributeError``."""
+    code = textwrap.dedent("""
+        import importlib
+        import sys
+
+        package = importlib.import_module(sys.argv[1])
+        missing = sorted(set(package.__all__) - set(dir(package)))
+        assert not missing, missing
+        for name in package.__all__:
+            assert getattr(package, name) is getattr(package, name)
+        namespace = {}
+        exec("from %s import *" % sys.argv[1], namespace)
+        assert set(package.__all__) <= set(namespace)
+        try:
+            package.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("an unknown name resolved")
+    """)
+    completed = subprocess.run(
+        [sys.executable, "-c", code, package], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert completed.returncode == 0, completed.stderr
+
+
+def minor_faults(pid):
+    """Field 10 of ``/proc/<pid>/stat``: the process's minor page faults."""
+    with open("/proc/%d/stat" % pid, encoding="ascii") as handle:
+        # Field 2, the command name, may hold spaces: count past its ")".
+        return int(handle.read().rsplit(")", 1)[1].split()[7])
+
+
+@pytest.mark.fast
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc/<pid>/stat")
+def test_a_served_point_request_takes_no_page_faults():
+    """Each socket read is capped below glibc's 128 KiB mmap threshold, so
+    the server's receive buffer comes from its heap: 1,000 point lookups
+    against a 20k-key server average under 0.1 minor page faults each.
+    (An uncapped 256 KiB read costs 2 whenever the heap has no free run
+    that large.)"""
+    from repro.net import ReproClient
+
+    process, port = start_server(
+        "-m", "repro", "serve", "--structure", "b-treap", "--shards", "2",
+        "--parallel", "process", "--max-workers", "2", "--seed", "5")
+    try:
+        with ReproClient("127.0.0.1", port) as client:
+            for start in range(1, 20_001, 2_000):
+                client.insert_many([(key, -key)
+                                    for key in range(start, start + 2_000)])
+            before = minor_faults(process.pid)
+            hits = sum(client.contains(1 + 40 * index)
+                       for index in range(1_000))
+            faults = minor_faults(process.pid) - before
+    finally:
+        stop_server(process)
+    assert hits == 500
+    assert faults / 1_000 < 0.1, faults

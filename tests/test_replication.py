@@ -36,6 +36,7 @@ from repro.api import (
 )
 from repro.api.sharded import ShardedDictionary, ShardedDictionaryEngine
 from repro.errors import (
+    CapacityError,
     ConfigurationError,
     DuplicateKey,
     KeyNotFound,
@@ -660,6 +661,25 @@ def test_a_duplicate_mid_run_reopens_to_the_applied_prefix(tmp_path):
             reopened.close()
     finally:
         engine.close()
+
+
+def test_a_key_past_the_record_range_is_a_capacity_error(tmp_path):
+    """A key outside a record's signed 16-byte integer range fails a
+    durable ``insert_many`` (its op-log frame) and ``snapshot_shards`` (its
+    image) with the typed :class:`CapacityError`, not ``OverflowError``.
+    The durable pair stays applied but unlogged."""
+    key = 2 ** 127
+    engine = build_engine(shards=1, replication=1,
+                          durability_dir=str(tmp_path / "d"))
+    try:
+        with pytest.raises(CapacityError):
+            engine.insert_many([(key, 1)])
+    finally:
+        engine.close()
+    store = build_twin()
+    store.insert_many([(key, 1)])
+    with pytest.raises(CapacityError):
+        store.snapshot_shards(str(tmp_path / "images"))
 
 
 def test_crash_mid_migration_recovers_a_consistent_routable_store(

@@ -606,6 +606,32 @@ def test_a_reply_over_the_frame_ceiling_is_a_typed_error(monkeypatch):
         assert run_async(asyncio.wait_for(drive(server.port), 10)) < 1.0
 
 
+def test_both_ends_of_a_connection_read_at_most_64_kib(monkeypatch):
+    """The server's and the client's transports each ask the socket for
+    at most 64 KiB per read (asyncio's default is 256 KiB, over glibc's
+    128 KiB mmap threshold), and frames longer than one read still
+    arrive whole."""
+    from repro.net.server import ReproServer
+
+    client_writers = recording_open_connection(monkeypatch)
+    server_writers = []
+    serve_connection = ReproServer._serve_connection
+
+    async def recording(self, reader, writer):
+        server_writers.append(writer)
+        await serve_connection(self, reader, writer)
+
+    monkeypatch.setattr(ReproServer, "_serve_connection", recording)
+    entries = [(key, "v" * 40) for key in range(4_000)]  # a ~200 KB frame
+    with ThreadedServer(EngineConfig(shards=2, seed=SEED)) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            assert client.insert_many(entries) == len(entries)
+            assert sorted(client.items()) == entries
+            assert client_writers and server_writers
+            for writer in client_writers + server_writers:
+                assert writer.transport.max_size <= 64 * 1024
+
+
 # --------------------------------------------------------------------------- #
 # Routing
 # --------------------------------------------------------------------------- #

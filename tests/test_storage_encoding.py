@@ -73,6 +73,30 @@ def test_unsupported_type_rejected():
         codec.encode(((1, 2), 3))  # nested pairs unsupported
 
 
+@pytest.mark.fast
+@pytest.mark.parametrize("value", [2**127 - 1, -(2**127), (1, 2**127 - 1),
+                                   (-(2**127), "k")])
+def test_integers_at_the_signed_16_byte_bounds_round_trip(value):
+    codec = RecordCodec(payload_size=64)
+    assert codec.decode(codec.encode(value)) == value
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("value", [2**127, -(2**127) - 1, (1, 2**200),
+                                   (2**127, None),
+                                   pytest.param(2**20000, id="2**20000")])
+def test_integers_past_the_signed_16_byte_bounds_are_capacity_errors(value):
+    with pytest.raises(CapacityError, match="16-byte range"):
+        RecordCodec(payload_size=64).encode(value)
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("value", ["\ud800", ("k", "\udfff"), ("\udc80", 1)])
+def test_strings_that_are_not_utf8_are_configuration_errors(value):
+    with pytest.raises(ConfigurationError, match="not valid unicode"):
+        RecordCodec(payload_size=64).encode(value)
+
+
 def test_decode_rejects_wrong_length():
     codec = RecordCodec(payload_size=32)
     with pytest.raises(ConfigurationError):
