@@ -11,7 +11,8 @@ of the wire's own buffering.  This example:
   plain :class:`~repro.api.EngineConfig`;
 * serves two isolated tenants (namespaces) from it;
 * sends each bulk operation as one request, which the server routes
-  (the client learns the server's router spec at handshake);
+  (the client only records the router spec and shard ids that the
+  handshake reports);
 * shows a server-side failure crossing the wire as its original typed
   exception; and
 * proves the wire added nothing: the served store's per-shard HI digests
@@ -41,8 +42,9 @@ def main() -> None:
                          namespace="inventory") as inventory, \
                 ReproClient("127.0.0.1", server.port,
                             namespace="sessions") as sessions:
-            print("router (handshake): %s"
-                  % inventory.routing.router.spec())
+            routing = inventory.routing
+            print("router (handshake): %s over shards %s"
+                  % (routing.router_spec, routing.shard_ids))
 
             inventory.insert_many(
                 [(sku, sku * 3 % 1000) for sku in range(2_000)])

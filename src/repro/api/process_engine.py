@@ -102,7 +102,9 @@ them.
 
 from __future__ import annotations
 
-import hashlib
+# Loaded here, before any worker forks, so a forked worker's first
+# ``shard_digest`` imports nothing.
+import hashlib  # noqa: F401
 import heapq
 import multiprocessing
 import os
@@ -129,7 +131,7 @@ from typing import (
 from repro import failpoints
 from repro.api.config import EngineConfig
 from repro.api.engine import DictionaryEngine
-from repro.api.protocol import HIDictionary, Pair, insert_pairs
+from repro.api.protocol import HIDictionary, Pair, insert_pairs, shard_digest
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
 from repro.api.sharded import (
     MigrationReport,
@@ -366,13 +368,7 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         # slot array.  Canonical layouts are a pure function of (key set,
         # seed), so two copies that applied the same operation stream hash
         # identically — any mismatch is real divergence.
-        fingerprint = None
-        probe = getattr(structure, "audit_fingerprint", None)
-        if callable(probe):
-            fingerprint = probe()
-        blob = repr((fingerprint,
-                     tuple(structure.snapshot_slots()))).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return shard_digest(structure)
     # Cost probes run through the worker's own engine so the measurement is
     # cleared and rolled back *inside* the worker — cumulative counters stay
     # byte-identical to a sequential engine's.

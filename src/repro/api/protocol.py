@@ -206,3 +206,18 @@ def audit_fingerprint_of(structure: object) -> object:
         return method()
     from repro.history.representation import representation_fingerprint
     return representation_fingerprint(structure.memory_representation())
+
+
+def shard_digest(shard: object) -> str:
+    """SHA-256 hex digest of a shard's layout observable: its
+    ``audit_fingerprint()`` and its ``snapshot_slots()``.
+
+    For an HI structure it is a pure function of the key set and seed, so
+    copies that applied the same operations hash alike.  Anti-entropy
+    compares it across a shard's copies, ``repro recover`` prints it, and
+    the server's ``digest`` verb serves it.
+    """
+    import hashlib  # here, so that importing this module loads no hashlib
+
+    observable = (shard.audit_fingerprint(), tuple(shard.snapshot_slots()))
+    return hashlib.sha256(repr(observable).encode("utf-8")).hexdigest()

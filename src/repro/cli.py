@@ -644,8 +644,7 @@ def cmd_rebalance(args: argparse.Namespace, out) -> int:
 
 
 def cmd_recover(args: argparse.Namespace, out) -> int:
-    import hashlib
-
+    from repro.api.protocol import shard_digest
     from repro.replication import open_durable_engine
 
     with open_durable_engine(args.dir, replication=args.replication,
@@ -666,11 +665,8 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
         for index, shard in enumerate(engine.structure.shards):
             # The full layout observable (audit fingerprint + slot array),
             # hashed: comparable across runs, machines, and recoveries.
-            observable = (shard.audit_fingerprint(),
-                          tuple(shard.snapshot_slots()))
-            digest = hashlib.sha256(
-                repr(observable).encode("utf-8")).hexdigest()[:16]
-            print("  shard %2d digest: %s" % (index, digest), file=out)
+            print("  shard %2d digest: %s"
+                  % (index, shard_digest(shard)[:16]), file=out)
         print("integrity       : check() passed", file=out)
     if args.verify_erased is not None:
         from repro.history.forensics import audit_durability_dir

@@ -1,20 +1,22 @@
 """The network front-end's client: one asyncio implementation plus a
 blocking facade over it.
 
-:class:`AsyncReproClient` speaks :mod:`repro.net.protocol`.  Each bulk
-call is one request that carries the whole batch in input order; the
+:class:`AsyncReproClient` speaks :mod:`repro.net.protocol`.  Each call is
+one request; a bulk call carries the whole batch in input order, and the
 server routes it by key and applies it with one engine call, which drives
-every shard at once.  A request whose frame would exceed the server's
-``max_payload`` (from the handshake) is refused before anything is sent,
-so a bulk call must fit in one frame.  The handshake also carries the
-server's router spec and shard ids: the client keeps them, with the exact
-router rebuilt by :func:`repro.api.routing.make_router`, as
-:attr:`AsyncReproClient.routing`, and refreshes them when a reply carries
-the ``topology_changed`` flag (an elastic resize moved the shard set).
+every shard at once.  The client routes nothing.  It keeps the facts of
+the last ``hello`` reply as :attr:`AsyncReproClient.routing` (the server's
+config, read policy, in-flight budget, frame limit, shard ids and router),
+and :meth:`AsyncReproClient.handshake` reads them again.  A request whose
+frame would exceed the server's ``max_payload`` is refused before anything
+is sent, so a bulk call must fit in one frame.  A reply field of the wrong
+type is a :class:`~repro.errors.ProtocolError` naming the op and the field.
 
 :class:`ReproClient` is the same client for synchronous callers: it runs
 one :class:`AsyncReproClient` on a private event-loop thread, so the
-request path and the reply checks exist once.
+request path and the reply checks exist once.  Neither client imports the
+engine stack: ``repro.api`` loads only if a caller reads
+``routing.router``.
 
 Server-side failures arrive as typed exceptions — the original
 :mod:`repro.errors` class where the client knows it,
@@ -31,9 +33,9 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.api.routing import make_router
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net import protocol
 from repro.net.protocol import (
@@ -60,29 +62,43 @@ def _as_pair(entry: object) -> Pair:
     return (entry, None)
 
 
-class _RoutingState:
-    """The handshake's facts: the server's router, shard ids, topology
-    token and frame limit.  The client routes nothing; the server does."""
+def _field(op: str, name: str, value: object, kind: type):
+    """``value``, the ``name`` of an ``op`` reply, if it is a ``kind`` (a
+    bool is not an int); a :class:`ProtocolError` naming both otherwise."""
+    if isinstance(value, kind) and (kind is bool or type(value) is not bool):
+        return value
+    raise ProtocolError("%s reply's %r is %r, expected %s"
+                        % (op, name, value, kind.__name__))
+
+
+class _Handshake:
+    """The facts of one ``hello`` reply.  The client routes nothing; the
+    server does."""
 
     def __init__(self, hello: Dict[str, object]) -> None:
         if hello.get("version") != PROTOCOL_VERSION:
             raise ProtocolError(
                 "server speaks protocol version %r, client speaks %d"
                 % (hello.get("version"), PROTOCOL_VERSION))
-        self.config = dict(hello.get("config") or {})
-        self.read_policy = hello.get(
-            "read_policy", self.config.get("read_policy", "primary"))
-        self.max_inflight = hello.get("max_inflight")
-        self.max_payload = hello.get("max_payload", protocol.MAX_PAYLOAD)
-        self.update(hello)
 
-    def update(self, payload: Dict[str, object]) -> None:
-        router_spec = payload.get("router")
-        if not isinstance(router_spec, dict):
-            raise ProtocolError("handshake carries no router spec")
-        self.router = make_router(dict(router_spec))
-        self.shard_ids = tuple(payload.get("shard_ids") or ())
-        self.topo = payload.get("topo")
+        def fact(name: str, kind: type):
+            return _field("hello", name, hello.get(name), kind)
+
+        self.config = fact("config", dict)
+        self.read_policy = fact("read_policy", str)
+        self.max_inflight = fact("max_inflight", int)
+        self.max_payload = fact("max_payload", int)
+        self.shard_ids = tuple(fact("shard_ids", list))
+        #: The server router's :meth:`~repro.api.routing.Router.spec`.
+        self.router_spec = fact("router", dict)
+
+    @cached_property
+    def router(self):
+        """The server's router, built from :attr:`router_spec` on first
+        read; that read imports :mod:`repro.api`."""
+        from repro.api.routing import make_router
+
+        return make_router(self.router_spec)
 
 
 class ReproClient:
@@ -154,14 +170,11 @@ class ReproClient:
         self.close()
 
     @property
-    def routing(self) -> _RoutingState:
+    def routing(self) -> _Handshake:
         return self._client.routing
 
     def handshake(self) -> Dict[str, object]:
         return self._run(self._client.handshake)
-
-    def refresh_shard_map(self) -> None:
-        self._run(self._client.refresh_shard_map)
 
     def server_config(self) -> Dict[str, object]:
         return self._client.server_config()
@@ -235,7 +248,7 @@ class AsyncReproClient:
         self._pool: "deque" = deque()
         self._closed = False
         self._next_id = 0
-        self._routing: Optional[_RoutingState] = None
+        self._routing: Optional[_Handshake] = None
         #: Client-side tracing (``REPRO_TRACE=1``): each wire request gets
         #: a ``client.<op>`` span whose header rides the message under
         #: :data:`~repro.net.protocol.TRACE_KEY`, so the server-side tree
@@ -264,7 +277,8 @@ class AsyncReproClient:
                 pass
 
     @property
-    def routing(self) -> _RoutingState:
+    def routing(self) -> _Handshake:
+        """The facts of the last :meth:`handshake`."""
         if self._routing is None:
             raise ConfigurationError("client has not completed a handshake")
         return self._routing
@@ -286,15 +300,12 @@ class AsyncReproClient:
 
     async def _request(self, op: str,
                        values: Optional[Sequence[object]] = None, *,
-                       header: Optional[Dict[str, object]] = None,
-                       attach_topo: bool = True
+                       header: Optional[Dict[str, object]] = None
                        ) -> Tuple[Dict[str, object], List[object]]:
         self._next_id += 1
         message: Dict[str, object] = dict(header or {}, id=self._next_id,
                                           op=op, namespace=self._namespace)
         routing = self._routing
-        if attach_topo and routing is not None and routing.topo is not None:
-            message["topo"] = routing.topo
         body_tag, body = BODY_NONE, b""
         if values is not None:
             body_tag, body = self._codec.encode_values(values)
@@ -343,24 +354,18 @@ class AsyncReproClient:
         finally:
             if span is not NULL_SPAN:
                 span.finish()
-        if reply.get("topology_changed"):
-            await self.refresh_shard_map()
         raise_for_reply(reply)
         return reply, reply_values
 
     # ------------------------------------------------------------------ #
-    # Handshake and routing
+    # Handshake
     # ------------------------------------------------------------------ #
 
     async def handshake(self) -> Dict[str, object]:
-        reply, _ = await self._request("hello", attach_topo=False)
-        self._routing = _RoutingState(reply)
+        """Ask the server for its facts again; :attr:`routing` keeps them."""
+        reply, _ = await self._request("hello")
+        self._routing = _Handshake(reply)
         return reply
-
-    async def refresh_shard_map(self) -> None:
-        reply, _ = await self._request("shard_map", attach_topo=False)
-        if self._routing is not None:
-            self._routing.update(reply)
 
     def server_config(self) -> Dict[str, object]:
         return dict(self.routing.config)
@@ -385,13 +390,13 @@ class AsyncReproClient:
         if not pairs:
             return 0
         reply, _ = await self._request("insert_many", pairs)
-        return int(reply.get("inserted", 0))
+        return _field("insert_many", "inserted", reply.get("inserted"), int)
 
     async def delete_many(self, keys: Iterable[object]) -> List[object]:
         return await self._answers("delete_many", list(keys))
 
     async def contains_many(self, keys: Iterable[object]) -> List[bool]:
-        return [bool(flag) for flag in
+        return [_field("contains_many", "answer", flag, bool) for flag in
                 await self._answers("contains_many", list(keys))]
 
     async def insert(self, key: object, value: object = None) -> None:
@@ -401,40 +406,40 @@ class AsyncReproClient:
         return (await self.delete_many([key]))[0]
 
     async def search(self, key: object) -> object:
-        _, values = await self._request("search", [key])
-        return values[0]
+        return (await self._answers("search", [key]))[0]
 
     async def contains(self, key: object) -> bool:
         reply, _ = await self._request("contains", [key])
-        return bool(reply.get("found"))
+        return _field("contains", "found", reply.get("found"), bool)
 
     async def items(self) -> List[Pair]:
         _, values = await self._request("items")
-        return [tuple(value) for value in values]
+        return [_field("items", "item", value, tuple)
+                for value in values]
 
     async def length(self) -> int:
         reply, _ = await self._request("len")
-        return int(reply.get("length", 0))
+        return _field("len", "length", reply.get("length"), int)
 
     async def check(self) -> None:
         await self._request("check")
 
     async def digest(self) -> List[str]:
         reply, _ = await self._request("digest")
-        return list(reply.get("digests") or [])
+        return _field("digest", "digests", reply.get("digests"), list)
 
     async def barrier(self) -> Dict[str, object]:
         reply, _ = await self._request("barrier")
-        return dict(reply.get("report") or {})
+        return _field("barrier", "report", reply.get("report"), dict)
 
     async def stats(self) -> Dict[str, object]:
         """The namespace engine's unified telemetry snapshot (plus the
         server's own ``server.telemetry.*`` counters)."""
         reply, _ = await self._request("stats")
-        return dict(reply.get("stats") or {})
+        return _field("stats", "stats", reply.get("stats"), dict)
 
     async def traces(self) -> Dict[str, List[dict]]:
         """Recent finished span trees: ``{"traces": [...], "slow": [...]}``."""
         reply, _ = await self._request("traces")
-        return {"traces": list(reply.get("traces") or []),
-                "slow": list(reply.get("slow") or [])}
+        return {name: _field("traces", name, reply.get(name), list)
+                for name in ("traces", "slow")}

@@ -58,6 +58,8 @@ from repro.errors import (
 
 #: Wire protocol version, exchanged at handshake.  Version 2 replaced the
 #: record-run and pickle bodies with the one :data:`BODY_VALUES` codec.
+#: Older version-2 clients also tag each request with a ``topo`` token;
+#: the server ignores it, and no reply asks them to refresh.
 PROTOCOL_VERSION = 2
 
 #: Frame header: payload length, CRC-32 of the payload.
@@ -461,7 +463,7 @@ class WireCodec:
 
 
 # --------------------------------------------------------------------------- #
-# Errors and topology over the wire
+# Errors over the wire
 # --------------------------------------------------------------------------- #
 
 def error_payload(error: BaseException) -> Dict[str, str]:
@@ -500,13 +502,3 @@ def raise_for_reply(header: Mapping[str, object]) -> None:
         raise RemoteError(name, message)
     raise ProtocolError("reply has unknown status %r" % (status,))
 
-
-def topology_token(shard_ids: Sequence[int]) -> int:
-    """A small fingerprint of the shard-id tuple.
-
-    Clients attach it to their requests; a server whose topology moved on
-    (elastic resize) flags the mismatch in its reply so the client
-    refreshes its shard map — requests keep executing correctly either
-    way, because the server routes by key itself.
-    """
-    return zlib.crc32(repr(tuple(shard_ids)).encode("utf-8"))

@@ -34,12 +34,12 @@ thread for synchronous callers — tests, benchmarks, and the example.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import re
 import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.config import EngineConfig
+from repro.api.protocol import shard_digest
 from repro.api.sharded import make_sharded_engine
 from repro.errors import ConfigurationError, ProtocolError
 from repro.net import protocol
@@ -56,7 +56,6 @@ from repro.net.protocol import (
     error_payload,
     frame,
     read_frame_async,
-    topology_token,
 )
 from repro.obs import NULL_SPAN, Tracer, run_under
 
@@ -75,17 +74,13 @@ DEFAULT_MAX_INFLIGHT = 32
 def engine_digest(engine) -> List[str]:
     """Per-shard canonical digests of the engine's observable state.
 
-    The same fingerprint ``repro recover --verify`` prints: a SHA-256 of
-    each shard's ``(audit_fingerprint(), snapshot_slots())`` — a pure
-    function of the key set and seed for an HI structure, which is what
-    makes it usable as a cross-process differential oracle.
+    The first 16 hex digits of each shard's
+    :func:`~repro.api.protocol.shard_digest`, as ``repro recover`` prints
+    them: a pure function of the key set and seed for an HI structure,
+    which is what makes them usable as a cross-process differential
+    oracle.
     """
-    digests = []
-    for shard in engine.structure.shards:
-        observable = (shard.audit_fingerprint(), tuple(shard.snapshot_slots()))
-        digests.append(hashlib.sha256(
-            repr(observable).encode("utf-8")).hexdigest()[:16])
-    return digests
+    return [shard_digest(shard)[:16] for shard in engine.structure.shards]
 
 
 class _Namespace:
@@ -396,7 +391,6 @@ class ReproServer:
                 "namespace %r is drained" % header.get("namespace"))
         values = self._codec.decode_body(
             body_tag, body, header.get("count", 0))
-        engine = namespace.engine
         loop = asyncio.get_running_loop()
         trace_raw = header.get(TRACE_KEY)
         if not isinstance(trace_raw, dict):
@@ -419,10 +413,6 @@ class ReproServer:
             reply[TRACE_KEY] = trace_raw.get("trace")
         elif span is not NULL_SPAN:
             reply[TRACE_KEY] = span.trace_id
-        shard_ids = tuple(engine.structure.shard_ids)
-        token = header.get("topo")
-        if token is not None and token != topology_token(shard_ids):
-            reply["topology_changed"] = True
         try:
             return await self._op_on_engine(namespace, op, values, reply,
                                             call, span)
@@ -435,13 +425,7 @@ class ReproServer:
                             reply: Dict[str, object], call, span
                             ) -> Tuple[Dict[str, object], int, bytes]:
         engine = namespace.engine
-        shard_ids = tuple(engine.structure.shard_ids)
         async with namespace.lock:
-            if op == "shard_map":
-                reply.update({"shard_ids": list(shard_ids),
-                              "router": dict(engine.structure.router.spec()),
-                              "topo": topology_token(shard_ids)})
-                return reply, BODY_NONE, b""
             if op == "insert_many":
                 reply["inserted"] = await call(engine.insert_many, values)
                 return reply, BODY_NONE, b""
@@ -515,13 +499,11 @@ class ReproServer:
         namespace = await self._namespace(
             header.get("namespace", "default"))
         engine = namespace.engine
-        shard_ids = tuple(engine.structure.shard_ids)
         reply = {
             "version": PROTOCOL_VERSION,
             "config": dict(self._config_dict),
             "router": dict(engine.structure.router.spec()),
-            "shard_ids": list(shard_ids),
-            "topo": topology_token(shard_ids),
+            "shard_ids": list(engine.structure.shard_ids),
             # Explicit so clients need not dig through the config dict:
             # non-primary policies mean bulk reads are already fanned over
             # the whole ring server-side, transparently to the wire.

@@ -626,6 +626,38 @@ def test_a_b_treap_server_loads_only_the_code_it_serves():
     assert loaded_under(NOT_SERVED, modules) == []
 
 
+CALL_THEN_LIST_MODULES = textwrap.dedent("""
+    import sys
+    from repro.net import AsyncReproClient, ReproClient
+    with ReproClient("127.0.0.1", int(sys.argv[1])) as client:
+        assert len(client) == 0
+    print(*sorted(name for name in sys.modules
+                  if name.startswith(("repro", "multiprocessing"))))
+""")
+
+
+@pytest.mark.fast
+def test_a_client_loads_no_engine_code():
+    """Importing both clients and calling a served b-treap loads no
+    ``repro.api`` module and no ``multiprocessing``."""
+    process, port = start_server(
+        "-c", SERVE_THEN_LIST_MODULES, "serve", "--structure", "b-treap",
+        "--shards", "2", "--parallel", "process", "--max-workers", "2",
+        "--seed", "5")
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-c", CALL_THEN_LIST_MODULES, str(port)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    finally:
+        stop_server(process)
+    assert completed.returncode == 0, completed.stderr
+    modules = completed.stdout.split()
+    assert "repro.net.client" in modules
+    assert [name for name in modules
+            if name.startswith(("repro.api", "multiprocessing"))] == []
+
+
 @pytest.mark.fast
 def test_listing_resolving_and_describing_structures_imports_none():
     """``registry_names``, ``get_info``, ``resolve`` and the CLI's parser

@@ -42,7 +42,6 @@ from repro.net.protocol import (
     frame,
     raise_for_reply,
     read_frame_async,
-    topology_token,
 )
 
 pytestmark = pytest.mark.fast
@@ -501,9 +500,3 @@ def test_raise_for_reply_busy_and_malformed_statuses():
         raise_for_reply({"status": "weird"})
     with pytest.raises(ProtocolError):
         raise_for_reply({})
-
-
-def test_topology_token_tracks_the_shard_set():
-    assert topology_token((0, 1, 2)) == topology_token((0, 1, 2))
-    assert topology_token((0, 1, 2)) != topology_token((0, 1, 2, 3))
-    assert topology_token((0, 1, 2)) != topology_token((0, 2, 1))

@@ -420,6 +420,32 @@ def test_replicas_track_their_primaries_through_load_and_resize():
         engine.close()
 
 
+@pytest.mark.parametrize("inner", ["b-treap", "treap", "hi-skiplist",
+                                   "hi-pma", "classic-pma", "b-tree"])
+def test_every_shard_digest_hashes_the_same_bytes(inner):
+    """A worker's ``__digest__`` of every primary and replica (what
+    anti-entropy compares), the server's ``engine_digest`` and an
+    in-process twin's are one hash of one observable: ``shard_digest``."""
+    from repro.api.protocol import shard_digest
+    from repro.net.server import engine_digest
+
+    entries = [(key, key) for key in range(300)]
+    twin = build_twin(inner, shards=2, seed=5)
+    twin.insert_many(entries)
+    digests = [shard_digest(shard) for shard in twin.structure.shards]
+    engine = build_engine(inner, shards=2, replication=2, seed=5)
+    try:
+        engine.insert_many(entries)
+        assert engine_digest(engine) == engine_digest(twin) \
+            == [digest[:16] for digest in digests]
+        for position, digest in enumerate(digests):
+            proxy = engine._proxy(position)
+            assert [copy.call("__digest__") for copy
+                    in [proxy.primary] + proxy.replicas] == [digest] * 2
+    finally:
+        engine.close()
+
+
 # --------------------------------------------------------------------------- #
 # Failover path 1: replica promotion
 # --------------------------------------------------------------------------- #

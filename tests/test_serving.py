@@ -496,6 +496,95 @@ def test_a_reply_to_another_request_is_a_protocol_error():
     run_async(drive())
 
 
+#: A well-formed handshake for the fake servers below.
+FAKE_HELLO = {"version": 2, "config": {}, "read_policy": "primary",
+              "max_inflight": 32, "max_payload": 1 << 20,
+              "router": {"name": "modulo"}, "shard_ids": [0, 1]}
+
+#: One malformed ``ok`` reply each: the client method and its arguments,
+#: the op it sends, that reply's fields and body values, and what the
+#: ProtocolError must name.
+MALFORMED_REPLIES = [
+    ("search", (1,), "search", {}, None, "search reply has 0 answer"),
+    ("items", (), "items", {}, [5], "items reply's 'item'"),
+    ("length", (), "len", {"length": "x"}, None, "len reply's 'length'"),
+    ("insert_many", ([(1, 1)],), "insert_many", {"inserted": [1]}, None,
+     "insert_many reply's 'inserted'"),
+    ("digest", (), "digest", {"digests": 5}, None, "digest reply's 'digests'"),
+    ("barrier", (), "barrier", {"report": [1, 2]}, None,
+     "barrier reply's 'report'"),
+    ("stats", (), "stats", {"stats": "abc"}, None, "stats reply's 'stats'"),
+    ("traces", (), "traces", {"traces": 5, "slow": []}, None,
+     "traces reply's 'traces'"),
+    ("contains", (1,), "contains", {"found": 1}, None,
+     "contains reply's 'found'"),
+    ("contains_many", ([1],), "contains_many", {}, [1],
+     "contains_many reply's 'answer'"),
+    ("handshake", (), "hello", {"shard_ids": 5}, None,
+     "hello reply's 'shard_ids'"),
+    ("handshake", (), "hello", {"config": [1]}, None,
+     "hello reply's 'config'"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, args, op, fields, values, names", MALFORMED_REPLIES,
+    ids=["%s-%s" % (row[2], "-".join(row[3]) or "body")
+         for row in MALFORMED_REPLIES])
+def test_a_malformed_reply_is_a_protocol_error(method, args, op, fields,
+                                               values, names):
+    """A reply whose field or body has the wrong type or count raises a
+    ``ProtocolError`` naming the op and the field, never an untyped
+    error or a silently coerced answer."""
+    import asyncio
+    import re
+
+    from repro.net.protocol import (
+        BODY_NONE,
+        WireCodec,
+        decode_message,
+        encode_message,
+        frame,
+        read_frame_async,
+    )
+
+    async def drive():
+        hung_up = asyncio.Event()
+
+        async def malformed(reader, writer):
+            while (payload := await read_frame_async(reader)) is not None:
+                request = decode_message(payload)[0]
+                reply = dict(FAKE_HELLO) if request["op"] == "hello" else {}
+                tag, body = BODY_NONE, b""
+                if request["op"] == op:
+                    reply.update(fields)
+                    if values is not None:
+                        tag, body = WireCodec.encode_values(values)
+                        reply["count"] = len(values)
+                reply.update(id=request["id"], status="ok")
+                writer.write(frame(encode_message(reply, tag, body)))
+                await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            hung_up.set()
+
+        server = await asyncio.start_server(malformed, "127.0.0.1", 0)
+        client = AsyncReproClient("127.0.0.1",
+                                  server.sockets[0].getsockname()[1])
+        try:
+            if op != "hello":
+                await client.connect()
+            with pytest.raises(ProtocolError, match="^" + re.escape(names)):
+                await getattr(client, method)(*args)
+        finally:
+            await client.close()
+            await asyncio.wait_for(hung_up.wait(), 10)
+            server.close()
+            await server.wait_closed()
+
+    run_async(drive())
+
+
 def test_a_reply_with_no_id_closes_its_connection():
     """The server answers a frame it could not read with id ``None`` and
     hangs up.  The client raises that reply's typed error and closes the
@@ -633,17 +722,18 @@ def test_both_ends_of_a_connection_read_at_most_64_kib(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Routing
+# Handshake, routing and resize
 # --------------------------------------------------------------------------- #
 
-def test_client_routes_with_the_servers_router():
+def test_the_handshake_carries_the_servers_router_and_shard_ids():
     config = EngineConfig(shards=4, seed=SEED, router="consistent")
     with ThreadedServer(config) as server:
         with ReproClient("127.0.0.1", server.port) as client:
             routing = client.routing
-            assert routing.router.spec() == \
-                server.server._namespaces["default"].engine.structure \
+            spec = server.server._namespaces["default"].engine.structure \
                 .router.spec()
+            assert routing.router_spec == spec
+            assert routing.router.spec() == spec
             assert routing.shard_ids == (0, 1, 2, 3)
 
 
@@ -667,21 +757,46 @@ def test_a_bulk_call_is_one_request_and_one_engine_call():
             assert len(client) == 0
 
 
-def test_topology_change_is_flagged_and_the_client_refreshes():
+def test_a_resize_behind_the_clients_back_needs_no_refresh(monkeypatch):
+    """After the server's engine adds a shard, the next request answers
+    correctly and is the only request the client sends; ``handshake()``
+    then reads the new shard ids."""
+    from repro.net.server import ReproServer
+
+    ops = []
+    dispatch = ReproServer._dispatch
+
+    async def recording(self, header, body_tag, body):
+        ops.append(header.get("op"))
+        return await dispatch(self, header, body_tag, body)
+
     config = EngineConfig(shards=2, seed=SEED, router="consistent")
     with ThreadedServer(config) as server:
         with ReproClient("127.0.0.1", server.port) as client:
             client.insert_many([(key, key) for key in range(100)])
             assert client.routing.shard_ids == (0, 1)
-            # resize server-side, behind the client's back
-            engine = server.server._namespaces["default"].engine
-            engine.add_shard()
-            # the stale-token request still executes correctly *and*
-            # triggers a shard-map refresh
+            server.server._namespaces["default"].engine.add_shard()
+            monkeypatch.setattr(ReproServer, "_dispatch", recording)
             assert client.contains_many(list(range(100))) == [True] * 100
+            assert ops == ["contains_many"]
+            client.handshake()
             assert client.routing.shard_ids == (0, 1, 2)
             assert sorted(client.items()) == \
                 [(key, key) for key in range(100)]
+
+
+def test_a_topo_field_from_an_older_client_is_ignored():
+    """Older clients tag each request with a topology token; the server
+    answers such a request as it answers any other."""
+    async def drive(port):
+        async with AsyncReproClient("127.0.0.1", port) as client:
+            await client.insert_many([(1, 1), (2, 2)])
+            return await client._request("len", header={"topo": 1})
+
+    with ThreadedServer(EngineConfig(shards=2, seed=SEED)) as server:
+        reply, values = run_async(drive(server.port))
+    assert (reply["status"], reply["length"], values) == ("ok", 2, [])
+    assert "topology_changed" not in reply
 
 
 # --------------------------------------------------------------------------- #
