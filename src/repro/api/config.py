@@ -20,6 +20,7 @@ The config is *frozen*: derive variants with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional
 
@@ -254,3 +255,17 @@ class EngineConfig:
     def replace(self, **changes: object) -> "EngineConfig":
         """A copy with ``changes`` applied (:func:`dataclasses.replace`)."""
         return replace(self, **changes)
+
+    def for_namespace(self, name: str) -> "EngineConfig":
+        """The config a server's namespace ``name`` is built from.
+
+        A durable namespace checkpoints into its own subdirectory,
+        ``durability_dir/name``; ``name`` must already have passed the
+        server's namespace check (it becomes a path component).  The
+        server and ``repro serve``, which builds ``default`` before it
+        loads the server, both derive it here.
+        """
+        if self.durability_dir is None:
+            return self
+        return self.replace(
+            durability_dir=os.path.join(self.durability_dir, name))

@@ -43,6 +43,13 @@ Design
   before any reply is read, and the constructor (like :meth:`recover`)
   returns only after every hosting is acknowledged.  A start that fails
   shuts down every worker it started before the error propagates.
+* **Workers hold no socket but their own pipe.**  A forked worker first
+  points every socket it inherited at ``/dev/null``: the parent ends of
+  every worker pipe, its own included, and, when the parent is a running
+  server, the listening socket and each client connection.  So a worker
+  reads EOF when its parent dies (even by SIGKILL) and exits, and a
+  connection the server closes reaches its client as EOF at once.  Pipes,
+  multiprocessing's process sentinels among them, stay open.
 * **One round-trip per shard copy per bulk call.**  ``insert_many`` /
   ``delete_many`` / ``contains_many`` ship each shard's whole batch as a
   single command per copy (amortizing IPC the way batched routing
@@ -109,8 +116,8 @@ import heapq
 import multiprocessing
 import os
 import pickle
+import stat
 import traceback
-import weakref
 from collections import deque
 from contextlib import contextmanager
 from multiprocessing.connection import wait
@@ -153,12 +160,6 @@ Command = Tuple[int, str, tuple]
 
 #: Bulk methods that commit a primary's op log, once per batch.
 _LOGGED_BATCHES = frozenset(("insert_batch", "delete_batch"))
-
-#: Parent-side ends of the worker pipes.  A forked worker inherits every
-#: one the parent holds, its own included, and closes them before serving:
-#: otherwise a copy of its pipe's other end outlives the parent, and the
-#: worker never reads the EOF that tells it the parent is gone.
-_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 #: The engine's deterministic counters (see the module docstring).
 _COUNTERS = (
@@ -412,6 +413,45 @@ def _unpicklable_reply_error(method: str,
         % (method, type(payload).__name__))
 
 
+def _neutralise_inherited_sockets(keep: int) -> None:
+    """Point every socket above stdio but ``keep`` at ``/dev/null``.
+
+    A forked worker inherits each socket its parent holds: the parent
+    ends of the worker pipes, its own included, and in a running server
+    the listening socket and every client connection.  While a copy lives
+    here its peer never reads EOF, so the worker would not see its parent
+    die and a client would not see the server close its connection.  Each
+    is overwritten rather than closed: the worker's stale copies of the
+    parent's socket objects still name those numbers, and a freed number
+    could be reused by a file the worker opens later, which such an object
+    would then close.  Pipes stay open, multiprocessing's process
+    sentinels among them (``Process.join`` waits on them).  A spawned
+    worker inherits no socket but ``keep``.
+    """
+    for directory in ("/proc/self/fd", "/dev/fd"):
+        try:
+            names = os.listdir(directory)
+            break
+        except OSError:
+            continue
+    else:  # pragma: no cover - no descriptor listing on this platform
+        return
+    null = None
+    for fd in map(int, names):
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if not stat.S_ISSOCK(os.fstat(fd).st_mode):
+                continue
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if null is None:
+            null = os.open(os.devnull, os.O_RDWR)
+        os.dup2(null, fd, inheritable=False)
+    if null is not None:
+        os.close(null)
+
+
 def _worker_main(conn) -> None:
     """The long-lived worker loop: receive commands, answer until shutdown."""
     # Re-read REPRO_FAILPOINTS: under fork the worker inherits the parent's
@@ -419,8 +459,7 @@ def _worker_main(conn) -> None:
     # fail points (op-log compaction during recovery), which would
     # otherwise freeze an empty cache into every forked worker.
     failpoints.reset()
-    for end in list(_PARENT_ENDS):  # empty in a spawned worker
-        end.close()
+    _neutralise_inherited_sockets(conn.fileno())
     trip = failpoints.trip
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
@@ -497,7 +536,6 @@ class _ShardWorker:
 
     def __init__(self, context) -> None:
         self._conn, child_conn = context.Pipe()
-        _PARENT_ENDS.add(self._conn)
         self._process = context.Process(target=_worker_main,
                                         args=(child_conn,), daemon=True)
         self._process.start()

@@ -697,19 +697,27 @@ def cmd_recover(args: argparse.Namespace, out) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, out) -> int:
+    if args.metrics_interval < 0:
+        raise ConfigurationError(
+            "--metrics-interval must be non-negative, got %r"
+            % (args.metrics_interval,))
+    config = _engine_config_from_args(args)
+    # The default pool forks here, on the only thread and before asyncio
+    # or the server is imported, so each worker copies the smallest heap
+    # this command ever has.  The server owns the engine once it starts.
+    engine = make_sharded_engine(config.for_namespace("default"))
     import asyncio
     import json
     import signal
 
     from repro.net.server import ReproServer
 
-    if args.metrics_interval < 0:
-        raise ConfigurationError(
-            "--metrics-interval must be non-negative, got %r"
-            % (args.metrics_interval,))
-    config = _engine_config_from_args(args)
-    server = ReproServer(config, host=args.host, port=args.port,
-                         max_inflight=args.max_inflight)
+    try:
+        server = ReproServer(config, host=args.host, port=args.port,
+                             max_inflight=args.max_inflight)
+    except ConfigurationError:
+        engine.close()
+        raise
 
     async def dump_metrics() -> None:
         while True:
@@ -720,7 +728,11 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
             out.flush()
 
     async def run() -> None:
-        await server.start()
+        try:
+            await server.start(engine)
+        except OSError as error:
+            raise ConfigurationError("cannot listen on %s:%d: %s" % (
+                args.host, args.port, error)) from error
         loop = asyncio.get_running_loop()
         drained = loop.create_future()
 

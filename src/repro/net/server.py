@@ -8,6 +8,17 @@ them.  Engines are not thread-safe, so every engine call runs in the
 default executor under a per-namespace lock; the event loop itself never
 blocks on a batch.
 
+The ``default`` namespace's engine is built before the event loop runs
+and handed to :meth:`ReproServer.start`: ``repro serve`` builds it before
+it imports asyncio or this module, :class:`ThreadedServer` on its
+caller's thread.  On the process backend its worker pool therefore forks
+from a process with one thread, and each worker copies the smallest heap
+the server ever has, with no loop and no socket in it.  A namespace
+created later is built in the executor and forks from the running
+server; its workers neutralise every socket they inherit (see
+:mod:`repro.api.process_engine`), so a connection the server closes still
+reaches its client as EOF.
+
 Three server-side disciplines the tests pin down:
 
 * **Admission control** — each connection gets a bounded in-flight budget
@@ -29,6 +40,8 @@ Three server-side disciplines the tests pin down:
 
 :class:`ThreadedServer` wraps all of that in a background event-loop
 thread for synchronous callers — tests, benchmarks, and the example.
+Either way, a start that fails (a busy port, say) closes the default
+engine before the error propagates, so it leaves no worker behind.
 """
 
 from __future__ import annotations
@@ -143,11 +156,24 @@ class ReproServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    async def start(self) -> None:
-        """Bind, build the default namespace, and begin accepting."""
-        await self._namespace("default")
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port)
+    async def start(self, engine) -> None:
+        """Adopt ``engine`` as the default namespace, bind, begin accepting.
+
+        The caller builds ``engine`` from ``config.for_namespace("default")``
+        before the event loop runs (``repro serve`` and
+        :class:`ThreadedServer` do), so on the process backend its worker
+        pool forks from a process with one thread.  From here on the
+        server owns it: :meth:`drain` closes it, and so does a start that
+        fails (a busy port, say) before the error propagates.
+        """
+        self._namespaces["default"] = _Namespace(engine)
+        try:
+            self._server = await asyncio.start_server(
+                self._serve_connection, self._host, self._port)
+        except BaseException:
+            del self._namespaces["default"]
+            engine.close()
+            raise
         self._port = self._server.sockets[0].getsockname()[1]
 
     @property
@@ -218,14 +244,6 @@ class ReproServer:
         engine.close()
         return {"barrier": None, "was_open": True}
 
-    def _namespace_config(self, name: str) -> EngineConfig:
-        if self._config.durability_dir is None:
-            return self._config
-        import os
-
-        return self._config.replace(
-            durability_dir=os.path.join(self._config.durability_dir, name))
-
     async def _namespace(self, name: str) -> _Namespace:
         if not isinstance(name, str) or not _NAMESPACE.match(name):
             raise ConfigurationError(
@@ -241,9 +259,9 @@ class ReproServer:
                         "server holds %d namespaces, its limit; refusing %r"
                         % (len(self._namespaces), name))
                 loop = asyncio.get_running_loop()
-                config = self._namespace_config(name)
                 engine = await loop.run_in_executor(
-                    None, lambda: make_sharded_engine(config=config))
+                    None, make_sharded_engine,
+                    self._config.for_namespace(name))
                 namespace = _Namespace(engine)
                 self._namespaces[name] = namespace
             return namespace
@@ -544,8 +562,13 @@ class ThreadedServer:
     def start(self) -> "ThreadedServer":
         if self._thread is not None:
             return self
+        server = ReproServer(self._config, **self._kwargs)
+        # The default pool forks here, on the caller's thread, before the
+        # loop thread exists; the server closes it if its start fails.
+        engine = make_sharded_engine(self._config.for_namespace("default"))
         self._thread = threading.Thread(
-            target=self._run, name="repro-server", daemon=True)
+            target=self._run, args=(server, engine), name="repro-server",
+            daemon=True)
         self._thread.start()
         self._ready.wait()
         if self._startup_error is not None:
@@ -555,13 +578,12 @@ class ThreadedServer:
             raise error
         return self
 
-    def _run(self) -> None:
+    def _run(self, server: ReproServer, engine) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         self._loop = loop
-        server = ReproServer(self._config, **self._kwargs)
         try:
-            loop.run_until_complete(server.start())
+            loop.run_until_complete(server.start(engine))
         except BaseException as error:  # startup failures surface in start()
             self._startup_error = error
             self._ready.set()

@@ -747,3 +747,106 @@ def test_a_served_point_request_takes_no_page_faults():
         stop_server(process)
     assert hits == 500
     assert faults / 1_000 < 0.1, faults
+
+
+# --------------------------------------------------------------------------- #
+# Where the default pool forks, and what a failed start leaves behind
+# --------------------------------------------------------------------------- #
+
+SERVE_THEN_LIST_FORKS = textwrap.dedent("""
+    import json
+    import os
+    import sys
+    import threading
+
+    forks = []
+
+    def before_fork():
+        forks.append([threading.active_count(), "asyncio" in sys.modules,
+                      "repro.net.server" in sys.modules])
+
+    os.register_at_fork(before=before_fork)
+    from repro.cli import main
+    code = main(sys.argv[1:])
+    print("forks:", json.dumps(forks))
+    sys.exit(code)
+""")
+
+
+@pytest.mark.fast
+@pytest.mark.skipif(os.environ.get("REPRO_START_METHOD", "fork") != "fork"
+                    or not hasattr(os, "register_at_fork"),
+                    reason="pins where the fork start method forks")
+def test_serve_forks_its_default_pool_before_the_network_stack():
+    """Each worker of the default pool forks from a process running one
+    thread that has imported neither asyncio nor the server, so it copies
+    no event loop, no socket and the smallest heap ``serve`` ever has."""
+    process, _port = start_server(
+        "-c", SERVE_THEN_LIST_FORKS, "serve", "--structure", "b-treap",
+        "--shards", "2", "--parallel", "process", "--max-workers", "2",
+        "--seed", "5")
+    stdout = stop_server(process)
+    forks = json.loads(stdout.split("forks:", 1)[1])
+    assert forks == [[1, False, False], [1, False, False]]
+
+
+SERVE_THEN_COUNT_CHILDREN = textwrap.dedent("""
+    import multiprocessing
+    import sys
+    from repro.cli import main
+    code = main(sys.argv[1:])
+    print("children:", len(multiprocessing.active_children()))
+    sys.exit(code)
+""")
+
+
+@pytest.mark.fast
+def test_serve_on_a_busy_port_prints_one_error_and_leaves_no_worker():
+    """A port that cannot be bound is a start-up refusal like the others:
+    one ``error:`` line naming the address, exit 2, and the default pool
+    built before the bind is shut down."""
+    import socket
+
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", SERVE_THEN_COUNT_CHILDREN, "serve",
+             "--structure", "b-treap", "--shards", "2", "--parallel",
+             "process", "--max-workers", "2", "--port", str(port)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert completed.returncode == 2, completed.stderr
+    assert completed.stdout.split() == ["children:", "0"]
+    assert "Traceback" not in completed.stderr
+    errors = [line for line in completed.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: cannot listen on 127.0.0.1:%d"
+                                % port)
+
+
+@pytest.mark.fast
+def test_a_durable_serve_checkpoints_default_in_its_own_subdirectory(
+        tmp_path):
+    """``serve`` builds ``default`` itself, before the server exists, and
+    still derives its config as the server derives every namespace's: a
+    durable ``default`` checkpoints under ``DIR/default``."""
+    from repro.net import ReproClient
+
+    directory = str(tmp_path / "store")
+    process, port = start_server(
+        "-m", "repro", "serve", "--structure", "b-treap", "--shards", "2",
+        "--parallel", "process", "--max-workers", "2", "--seed", "5",
+        "--durability-dir", directory)
+    try:
+        with ReproClient("127.0.0.1", port) as client:
+            assert client.insert_many([(key, -key) for key in range(64)]) \
+                == 64
+    finally:
+        stdout = stop_server(process)
+    assert "drained 1 namespace(s)" in stdout
+    assert os.path.isfile(os.path.join(directory, "default",
+                                       "manifest.json"))
+    assert not os.path.exists(os.path.join(directory, "manifest.json"))

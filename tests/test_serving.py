@@ -848,6 +848,115 @@ def test_a_server_refuses_namespaces_past_its_cap():
             assert client.search(1) == "one"
 
 
+def read_frame_blocking(sock):
+    """One reply header from a blocking socket; ``None`` at EOF."""
+    from repro.net.protocol import FRAME_HEADER, check_frame, decode_message
+
+    def read_exactly(size):
+        data = b""
+        while len(data) < size:
+            chunk = sock.recv(size - len(data))
+            if not chunk:
+                return None
+            data += chunk
+        return data
+
+    header = read_exactly(FRAME_HEADER.size)
+    if header is None:
+        return None
+    payload = read_exactly(FRAME_HEADER.unpack(header)[0])
+    return decode_message(check_frame(header, payload))[0]
+
+
+PROCESS_CONFIG = EngineConfig(inner="b-treap", shards=2,
+                              block_size=BLOCK_SIZE, seed=SEED,
+                              parallel="process", max_workers=2)
+
+
+def test_a_namespace_forked_later_keeps_no_client_connection_open():
+    """A namespace created while another connection is open forks its
+    workers from the running server; they must hold no copy of that
+    connection, or the client never reads EOF after the server hangs up
+    on a torn frame."""
+    import socket
+
+    from repro.net.protocol import (
+        FRAME_HEADER,
+        MAX_PAYLOAD,
+        encode_message,
+        frame,
+    )
+
+    with ThreadedServer(PROCESS_CONFIG) as server:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10.0) as older:
+            # A served handshake: the server holds this connection now.
+            older.sendall(frame(encode_message({"op": "hello", "id": 1})))
+            assert read_frame_blocking(older)["status"] == "ok"
+            with ReproClient("127.0.0.1", server.port,
+                             namespace="tenant2") as client:
+                client.insert(1, 1)
+                older.sendall(FRAME_HEADER.pack(MAX_PAYLOAD + 1, 0))
+                reply = read_frame_blocking(older)
+                assert reply["error"]["type"] == "ProtocolError"
+                older.settimeout(3.0)
+                assert read_frame_blocking(older) is None  # EOF, promptly
+
+
+def sockets_above_stdio(pid):
+    """How many of ``pid``'s descriptors above 2 are sockets."""
+    directory = "/proc/%d/fd" % pid
+    return sum(1 for name in os.listdir(directory) if int(name) > 2
+               and os.readlink(os.path.join(directory, name))
+               .startswith("socket:"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/<pid>/fd")
+def test_each_worker_holds_one_socket_its_own_pipe():
+    """Workers forked before the loop and workers forked by a running
+    server with connections open each keep one socket: their pipe."""
+    with ThreadedServer(PROCESS_CONFIG) as server:
+        with ReproClient("127.0.0.1", server.port) as older, \
+                ReproClient("127.0.0.1", server.port,
+                            namespace="tenant2") as client:
+            older.insert(1, 1)
+            client.insert(1, 1)
+            namespaces = server.server._namespaces
+            pids = [pid for name in ("default", "tenant2")
+                    for pid in namespaces[name].engine.worker_pids()]
+            counts = [sockets_above_stdio(pid) for pid in pids]
+    assert counts == [1, 1, 1, 1]
+
+
+def test_a_server_that_cannot_bind_leaves_no_worker_running():
+    """A failed start closes the default engine it built: its workers are
+    gone when ``start()`` raises."""
+    import multiprocessing
+    import socket
+
+    before = {child.pid for child in multiprocessing.active_children()}
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        server = ThreadedServer(PROCESS_CONFIG, port=busy.getsockname()[1])
+        with pytest.raises(OSError):
+            server.start()
+    after = {child.pid for child in multiprocessing.active_children()}
+    assert after <= before
+    with pytest.raises(ConfigurationError):
+        server.port  # nothing is running
+
+
+def test_a_threaded_server_with_a_bad_option_raises_before_it_builds():
+    """Server options are checked on the caller's thread, before the
+    default engine is built and before any loop thread starts."""
+    threads = threading.active_count()
+    with pytest.raises(ConfigurationError, match="max_inflight"):
+        ThreadedServer(PROCESS_CONFIG, max_inflight=-1).start()
+    assert threading.active_count() == threads
+
+
 def test_durable_namespaces_get_their_own_subdirectories(tmp_path):
     import os
 
