@@ -51,10 +51,12 @@ DURABILITY_MODES = ("logged", "secure")
 
 
 #: Keys older durability manifests carry that no longer configure anything
-#: (``plane`` chose the removed shared-memory data plane, and
-#: ``sample_operations`` the removed per-operation I/O sampling);
-#: ``from_dict`` accepts and drops them so those stores still open.
-_RETIRED_KEYS = frozenset(("plane", "sample_operations"))
+#: (``plane`` chose the removed shared-memory data plane,
+#: ``sample_operations`` the removed per-operation I/O sampling, and
+#: ``backend`` the removed accounting option: a tracker is attached exactly
+#: when the structure supports one); ``from_dict`` accepts and drops them
+#: so those stores still open.
+_RETIRED_KEYS = frozenset(("plane", "sample_operations", "backend"))
 
 
 def _parallel_mode(parallel: object) -> str:
@@ -88,14 +90,15 @@ class EngineConfig:
     spec; pass them inside the ``router`` mapping (or a built router).
 
     ``inner`` (one registry name, or one per shard), ``shards``,
-    ``block_size``, ``cache_blocks``, ``seed``, ``backend`` and
-    ``inner_params`` build the shards through the registry; ``router``
-    routes keys to them.  ``parallel`` picks the dispatch backend and
-    ``max_workers`` caps the process pool.  ``replication``,
-    ``read_policy`` (:data:`READ_POLICIES`), ``durability_dir`` and
-    ``durability_mode`` (:data:`DURABILITY_MODES`) make the process
-    backend a replicated, durable store; ``fsync=False`` trades
-    machine-crash durability for speed (process crashes stay covered).
+    ``block_size``, ``cache_blocks``, ``seed`` and ``inner_params``
+    build the shards through the registry (shard ``i``'s seed is draw
+    ``i`` of ``random.Random(seed)``); ``router`` routes keys to them.
+    ``parallel`` picks the dispatch backend and ``max_workers`` caps the
+    process pool.  ``replication``, ``read_policy``
+    (:data:`READ_POLICIES`), ``durability_dir`` and ``durability_mode``
+    (:data:`DURABILITY_MODES`) make the process backend a replicated,
+    durable store; ``fsync=False`` trades machine-crash durability for
+    speed (process crashes stay covered).
     ``telemetry`` turns request tracing on.
     """
 
@@ -104,7 +107,6 @@ class EngineConfig:
     block_size: int = 64
     cache_blocks: int = 0
     seed: object = None
-    backend: str = "auto"
     inner_params: Mapping[str, object] = field(default_factory=dict)
     router: object = "modulo"
     parallel: object = "none"
@@ -217,7 +219,6 @@ class EngineConfig:
             "block_size": self.block_size,
             "cache_blocks": self.cache_blocks,
             "seed": self.seed,
-            "backend": self.backend,
             "inner_params": dict(self.inner_params),
             "router": dict(self.router),
             "parallel": self.parallel,

@@ -61,7 +61,6 @@ class DictionaryEngine:
                block_size: int = 64,
                cache_blocks: int = 0,
                seed: RandomLike = None,
-               backend: str = "auto",
                **extra: object) -> "DictionaryEngine":
         """Build a registered structure by name and wrap it in an engine.
 
@@ -71,7 +70,7 @@ class DictionaryEngine:
         """
         structure = make_dictionary(name, block_size=block_size,
                                     cache_blocks=cache_blocks, seed=seed,
-                                    backend=backend, **extra)
+                                    **extra)
         if cls is DictionaryEngine:
             # Sharded structures get their specialised engine (batched bulk
             # ops, shard-aware probes) even when built by registry name.
@@ -187,7 +186,7 @@ class DictionaryEngine:
     def telemetry(self) -> Dict[str, object]:
         """One namespaced snapshot of this engine's telemetry.
 
-        The registry (counters, gauges, histograms — the process engine's
+        The registry (counters and histograms — the process engine's
         ``plane.*``, ``erasure.*`` and ``replica_reads.*`` counters among
         them) plus ``engine_io.*`` from :meth:`io_stats`, whose fold counts
         as a registry merge (``telemetry.snapshot_merges``), and the

@@ -557,34 +557,35 @@ class _ShardWorker:
     def is_alive(self) -> bool:
         return not self._down and self._process.is_alive()
 
-    def _crash(self, cause: Optional[BaseException],
-               what: str) -> WorkerCrashError:
+    def _crash(self, what: str) -> WorkerCrashError:
         self._down = True
-        error = WorkerCrashError(
+        return WorkerCrashError(
             "shard worker (pid %s, shards %s) %s; its in-memory shard "
             "state is lost — see restart_workers()"
             % (self.pid, sorted(self.shard_ids), what))
-        if cause is not None:
-            error.__cause__ = cause
-        return error
 
     def send(self, shard_id: int, method: str, args: object,
              trace: Optional[dict] = None) -> None:
         if self._down:
-            raise self._crash(None, "is already down")
+            raise self._crash("is already down")
         try:
             if trace is None:
                 self._conn.send((shard_id, method, args))
             else:
                 self._conn.send((shard_id, method, args, trace))
+            return
         except (BrokenPipeError, OSError) as error:
-            raise self._crash(error, "refused a command (pipe broken)")
+            what = "refused a command (pipe broken: %s)" % (error,)
+        # Raised outside the handler so the crash error keeps no traceback
+        # of the failed send: its pickling buffer, left to the collector,
+        # can be closed before its memoryview (an unraisable BufferError).
+        raise self._crash(what)
 
     def receive(self) -> Tuple[str, object]:
         try:
             message = self._conn.recv()
         except (EOFError, OSError) as error:
-            raise self._crash(error, "died before answering")
+            raise self._crash("died before answering") from error
         self.trace_spans = message[2] if len(message) > 2 else None
         return message[0], message[1]
 
@@ -960,9 +961,9 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 "workers) as copies; this dictionary has %d shard(s)"
                 % (config.replication, structure.num_shards))
         if config.durability_dir is not None \
-                and structure._build_context is None:
+                and structure.build_record is None:
             raise ConfigurationError(
-                "durability needs the registry build context (per-shard "
+                "durability needs the registry build record (per-shard "
                 "seeds and construction parameters) to rebuild crashed "
                 "shards; build the dictionary through make_dictionary("
                 "'sharded', ...) instead of from pre-built shards")

@@ -29,9 +29,6 @@ from repro._rng import RandomLike
 from repro.api.protocol import HIDictionary
 from repro.errors import ConfigurationError
 
-#: Accounting backends accepted by :func:`make_dictionary`.
-BACKENDS = ("auto", "tracker", "native")
-
 
 @dataclass(frozen=True)
 class DictionaryConfig:
@@ -45,7 +42,6 @@ class DictionaryConfig:
     block_size: int = 64
     cache_blocks: int = 0
     seed: RandomLike = None
-    backend: str = "auto"
     tracker: Optional[object] = None
     extra: Mapping[str, object] = field(default_factory=dict)
 
@@ -150,7 +146,7 @@ def _check_extra_params(info: StructureInfo,
 
 
 def _validated_config(info: StructureInfo, block_size: int, cache_blocks: int,
-                      seed: RandomLike, backend: str,
+                      seed: RandomLike,
                       extra: Mapping[str, object]) -> DictionaryConfig:
     if not isinstance(block_size, int) or isinstance(block_size, bool) \
             or block_size < 2:
@@ -161,36 +157,19 @@ def _validated_config(info: StructureInfo, block_size: int, cache_blocks: int,
         raise ConfigurationError(
             "cache_blocks must be a non-negative integer, got %r"
             % (cache_blocks,))
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            "backend must be one of %s, got %r" % (", ".join(BACKENDS), backend))
     _check_extra_params(info, extra)
-    return DictionaryConfig(block_size=block_size, cache_blocks=cache_blocks,
-                            seed=seed, backend=backend, extra=dict(extra))
-
-
-def _with_tracker(config: DictionaryConfig,
-                  info: StructureInfo) -> DictionaryConfig:
-    """Attach an IOTracker to the config when the backend calls for one."""
-    if config.backend == "tracker" and not info.supports_tracker:
-        raise ConfigurationError(
-            "structure %r does not support the tracker backend" % (info.name,))
-    if info.supports_tracker and config.backend in ("auto", "tracker"):
+    tracker = None
+    if info.supports_tracker:
         from repro.memory.tracker import IOTracker
-        tracker = IOTracker(block_size=config.block_size,
-                            cache_blocks=config.cache_blocks)
-        return DictionaryConfig(block_size=config.block_size,
-                                cache_blocks=config.cache_blocks,
-                                seed=config.seed, backend=config.backend,
-                                tracker=tracker, extra=config.extra)
-    return config
+        tracker = IOTracker(block_size=block_size, cache_blocks=cache_blocks)
+    return DictionaryConfig(block_size=block_size, cache_blocks=cache_blocks,
+                            seed=seed, tracker=tracker, extra=dict(extra))
 
 
 def make_dictionary(name: str, *,
                     block_size: int = 64,
                     cache_blocks: int = 0,
                     seed: RandomLike = None,
-                    backend: str = "auto",
                     **extra: object) -> HIDictionary:
     """Build the structure registered under ``name`` with uniform validation.
 
@@ -204,23 +183,17 @@ def make_dictionary(name: str, *,
         Simulated cache size ``M/B`` for tracker-backed structures.
     seed:
         Seed (or ``random.Random``) for the structure's internal randomness.
-    backend:
-        I/O accounting backend: ``"auto"`` (tracker where supported),
-        ``"tracker"`` (require tracker accounting) or ``"native"`` (the
-        structure's own counters only).
     extra:
         Structure-specific parameters declared by the registry entry, e.g.
         ``epsilon`` for ``hi-skiplist``; unknown keys raise
         :class:`~repro.errors.ConfigurationError`.
 
     The returned structure carries two extra attributes: ``registry_name``
-    (the canonical name it was built from) and, when tracker-backed,
-    ``io_tracker`` (the attached tracker, merged into ``io_stats()``).
+    (the canonical name it was built from) and, when the structure supports
+    one, ``io_tracker`` (the attached tracker, merged into ``io_stats()``).
     """
     info = get_info(name)
-    config = _with_tracker(
-        _validated_config(info, block_size, cache_blocks, seed, backend, extra),
-        info)
+    config = _validated_config(info, block_size, cache_blocks, seed, extra)
     structure = info.factory(config)
     structure.registry_name = info.name
     if config.tracker is not None:

@@ -28,6 +28,11 @@ sharded deployment needs on top of the plain
   writes one image per shard plus a JSON manifest, and
   :meth:`ShardedDictionaryEngine.restore_shards` rebuilds an engine from the
   manifest (routing determinism puts every key back on its original shard).
+* **One build record** — a registry-built store keeps one
+  :class:`BuildRecord` and builds every shard through it.  Shard ``i`` of
+  a store seeded with an integer gets draw ``i`` of ``random.Random(seed)``,
+  so a grown, restored or recovered shard gets the seed a fresh build
+  gives its id.
 
 Construction goes through the registry like everything else::
 
@@ -43,10 +48,11 @@ from __future__ import annotations
 
 import heapq
 import os
+import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro._rng import RandomLike, make_rng
+from repro._rng import RandomLike
 from repro.api.config import PARALLEL_MODES as PARALLEL_MODES  # re-export
 from repro.api.config import EngineConfig
 from repro.api.engine import DictionaryEngine
@@ -193,7 +199,7 @@ def _validated_shard_ids(shard_ids: Sequence[int],
                          num_shards: int) -> List[int]:
     """Distinct non-negative integer ids, one per shard — or a config error.
 
-    Shared by the constructor and :meth:`ShardedDictionary.relabel_shards`
+    Shared by the constructor and :meth:`ShardedDictionary.from_manifest`
     so the id contract cannot drift between building and restoring.
     """
     validated = list(shard_ids)
@@ -207,6 +213,67 @@ def _validated_shard_ids(shard_ids: Sequence[int],
             "shard_ids must be distinct non-negative integers, one per "
             "shard, got %r" % (shard_ids,))
     return validated
+
+
+def shard_seed(store_seed: object, shard_id: int) -> int:
+    """Shard ``shard_id``'s seed in a store seeded with ``store_seed``:
+    draw number ``shard_id`` of ``random.Random(store_seed)``, or fresh OS
+    entropy when the store is unseeded (``None``)."""
+    rng = random.Random(store_seed)
+    if store_seed is not None:
+        for _draw in range(shard_id):
+            rng.getrandbits(64)
+    return rng.getrandbits(64)
+
+
+@dataclass
+class BuildRecord:
+    """How a registry-built sharded store builds its shards.
+
+    The registry parameters every shard shares, the store seed (an integer,
+    or ``None`` for OS entropy) and the seed each live shard was built with,
+    by shard id.  A shard with no recorded seed gets :func:`shard_seed`.
+    The manifests persist the record (:meth:`to_manifest`), so a restore,
+    a recovery or a cold start rebuilds every shard with its own seed.
+    """
+
+    block_size: int = 64
+    cache_blocks: int = 0
+    inner_params: Dict[str, object] = field(default_factory=dict)
+    seed: object = None
+    shard_seeds: Dict[int, int] = field(default_factory=dict)
+
+    def build_shard(self, inner: str, shard_id: int) -> HIDictionary:
+        """Build (empty) shard ``shard_id`` of registry structure ``inner``
+        and record its seed."""
+        from repro.api.registry import make_dictionary
+
+        seed = self.shard_seeds.get(shard_id)
+        if seed is None:
+            seed = shard_seed(self.seed, shard_id)
+        shard = make_dictionary(inner, block_size=self.block_size,
+                                cache_blocks=self.cache_blocks, seed=seed,
+                                **self.inner_params)
+        self.shard_seeds[shard_id] = seed
+        return shard
+
+    def to_manifest(self, shard_ids: Sequence[int]) -> Dict[str, object]:
+        """The manifest's ``build`` record, seeds listed in shard order
+        (``None`` for a shard that was handed in pre-built)."""
+        return {"block_size": self.block_size,
+                "cache_blocks": self.cache_blocks,
+                "inner_params": dict(self.inner_params),
+                "seed": self.seed,
+                "shard_seeds": [self.shard_seeds.get(shard_id)
+                                for shard_id in shard_ids]}
+
+
+def _store_seed(seed: RandomLike) -> object:
+    """The store seed a build records: one draw from a ``random.Random``
+    (which does not serialize), any other seed as given."""
+    if isinstance(seed, random.Random):
+        return seed.getrandbits(64)
+    return seed
 
 
 class ShardedDictionary(HIDictionary):
@@ -240,59 +307,97 @@ class ShardedDictionary(HIDictionary):
         self._shard_ids: Tuple[int, ...] = tuple(
             _validated_shard_ids(shard_ids, len(shards)))
         self._next_shard_id: int = max(self._shard_ids) + 1
-        # Populated by from_config so add_shard can build new shards with the
-        # same registry wiring (and the next seed of the same stream) a
-        # bigger fresh build would use; stays None for hand-assembled shards.
-        self._build_context: Optional[Dict[str, object]] = None
+        #: How the shards were built; ``None`` for hand-assembled shards,
+        #: which a resize or a recovery cannot rebuild.
+        self.build_record: Optional[BuildRecord] = None
+
+    @classmethod
+    def _built(cls, record: BuildRecord, inner_names: Sequence[str],
+               router: Router, shard_ids: Sequence[int]
+               ) -> "ShardedDictionary":
+        """An empty store whose shard ``shard_ids[i]`` is ``inner_names[i]``
+        built through ``record``."""
+        shards = [record.build_shard(name, shard_id)
+                  for name, shard_id in zip(inner_names, shard_ids)]
+        sharded = cls(shards, inner_names=inner_names, router=router,
+                      shard_ids=shard_ids)
+        sharded.build_record = record
+        return sharded
 
     @classmethod
     def from_config(cls, config: "DictionaryConfig") -> "ShardedDictionary":
         """Registry factory: build shards from the validated extras.
 
-        Each shard draws an independent seed from ``config.seed`` (fresh OS
-        entropy per shard when the seed is ``None``, a reproducible per-shard
-        stream otherwise) and is built through
-        :func:`~repro.api.registry.make_dictionary`, so tracker wiring and
-        per-structure validation are identical to an unsharded build.
-
-        The seed stream outlives construction: :meth:`add_shard` draws the
-        *next* seed from it, so a dictionary grown from ``n`` to ``n+1``
-        shards gives its new shard exactly the seed a fresh ``n+1``-shard
-        build would have given shard ``n`` — which is what lets the
-        migration tests demand byte-identical layouts for strongly-HI
-        inners.
+        Each shard is built through :meth:`BuildRecord.build_shard`, that
+        is through :func:`~repro.api.registry.make_dictionary` with the
+        seed its id gives (:func:`shard_seed`), so tracker wiring and
+        per-structure validation are identical to an unsharded build, and
+        a store grown from ``n`` to ``n+1`` shards gives its new shard
+        exactly the seed a fresh ``n+1``-shard build gives shard ``n`` —
+        which is what lets the migration tests demand byte-identical
+        layouts for strongly-HI inners.
         """
-        from repro.api.registry import make_dictionary
+        _num_shards, inner_names, inner_params, router = \
+            _validated_shard_spec(config.extra)
+        record = BuildRecord(block_size=config.block_size,
+                             cache_blocks=config.cache_blocks,
+                             inner_params=inner_params,
+                             seed=_store_seed(config.seed))
+        return cls._built(record, inner_names, router,
+                          range(len(inner_names)))
 
-        num_shards, inner_names, inner_params, router = _validated_shard_spec(
-            config.extra)
-        rng = make_rng(config.seed)
-        # Per-shard seeds are drawn in shard order and *remembered*: the
-        # replication layer rebuilds a crashed shard with its original seed,
-        # which is what makes a recovered canonical (strongly-HI) layout
-        # byte-identical to a never-crashed build of the same key set.
-        shard_seeds = [rng.getrandbits(64) for _name in inner_names]
-        shards = [
-            make_dictionary(name,
-                            block_size=config.block_size,
-                            cache_blocks=config.cache_blocks,
-                            seed=shard_seed,
-                            backend=config.backend,
-                            **inner_params)
-            for name, shard_seed in zip(inner_names, shard_seeds)
-        ]
-        sharded = cls(shards, inner_names=inner_names, router=router)
-        sharded._build_context = {
-            "block_size": config.block_size,
-            "cache_blocks": config.cache_blocks,
-            "backend": config.backend,
-            "inner_params": dict(inner_params),
-            "seed": config.seed,
-            "rng": rng,
-            "shard_seeds": shard_seeds,
-            "seeds_drawn": num_shards,
-        }
-        return sharded
+    @classmethod
+    def from_manifest(cls, manifest: Mapping[str, object], path: str, *,
+                      block_size: Optional[int] = None,
+                      cache_blocks: Optional[int] = None,
+                      seed: RandomLike = None,
+                      inner_params: Optional[Mapping[str, object]] = None
+                      ) -> "ShardedDictionary":
+        """An empty store built like the one the manifest at ``path``
+        records: its shard count, inner names, router, shard ids and build
+        record, every shard with its recorded seed.
+
+        The keywords override the build record; a ``seed`` replaces the
+        recorded shard seeds with the ones it gives.  A manifest without
+        a ``build`` record (older snapshots) builds with the registry
+        defaults, and one without shard seeds derives them from its
+        seed.  A manifest that describes no valid store raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        build = manifest.get("build", {})
+        try:
+            if not isinstance(build, dict):
+                raise ConfigurationError("the build record is not a mapping")
+            num_shards, inner_names, params, router = _validated_shard_spec({
+                "shards": manifest.get("num_shards"),
+                "inner": manifest.get("inner"),
+                "router": manifest.get("router", {"name": "modulo"}),
+                "inner_params": build.get("inner_params")
+                if inner_params is None else inner_params})
+            shard_ids = _validated_shard_ids(
+                manifest.get("shard_ids", range(num_shards)), num_shards)
+            seeds = build.get("shard_seeds") or [None] * num_shards
+            if len(seeds) != num_shards:
+                raise ConfigurationError(
+                    "%d shard seed(s) for %d shard(s)"
+                    % (len(seeds), num_shards))
+        except (ConfigurationError, TypeError) as error:
+            raise ConfigurationError(
+                "manifest %r does not describe a loadable sharded "
+                "dictionary: %s" % (path, error)) from error
+        if seed is None:
+            seed = build.get("seed")
+        else:
+            seed, seeds = _store_seed(seed), [None] * num_shards
+        record = BuildRecord(
+            block_size=build.get("block_size", 64)
+            if block_size is None else block_size,
+            cache_blocks=build.get("cache_blocks", 0)
+            if cache_blocks is None else cache_blocks,
+            inner_params=params, seed=seed,
+            shard_seeds={shard_id: recorded for shard_id, recorded
+                         in zip(shard_ids, seeds) if recorded is not None})
+        return cls._built(record, inner_names, router, shard_ids)
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -398,9 +503,9 @@ class ShardedDictionary(HIDictionary):
         """Grow by one shard, migrating only the keys that re-route to it.
 
         With no arguments the new shard is built exactly like the existing
-        ones (same registry wiring, the next seed of the construction seed
-        stream); pass ``inner`` to grow with a different registry structure,
-        or a pre-built ``shard`` when the dictionary was assembled by hand.
+        ones (same registry wiring, the seed its new id gives); pass
+        ``inner`` to grow with a different registry structure, or a
+        pre-built ``shard`` when the dictionary was assembled by hand.
         Under consistent hashing the migration touches ``≈ n/(shards+1)``
         keys, all flowing to the new shard; under modulo routing nearly every
         key moves (which is why the modulo router cannot scale elastically).
@@ -408,15 +513,13 @@ class ShardedDictionary(HIDictionary):
         if shard is not None and inner is not None:
             raise ConfigurationError(
                 "pass either a pre-built shard or an inner name, not both")
-        rng_state = None
-        new_seed: Optional[int] = None
+        new_id = self._next_shard_id
         if shard is None:
-            context = self._build_context
-            if context is None:
+            if self.build_record is None:
                 raise ConfigurationError(
                     "this sharded dictionary was assembled from pre-built "
                     "shards; add_shard needs an explicit shard object")
-            from repro.api.registry import make_dictionary, resolve
+            from repro.api.registry import resolve
 
             if inner is None:
                 inner_name = self.inner_names[-1]
@@ -426,21 +529,7 @@ class ShardedDictionary(HIDictionary):
                     raise ConfigurationError(
                         "sharded dictionaries cannot nest: inner structure "
                         "must not be 'sharded'")
-            rng_state = context["rng"].getstate()
-            try:
-                new_seed = context["rng"].getrandbits(64)
-                shard = make_dictionary(inner_name,
-                                        block_size=context["block_size"],
-                                        cache_blocks=context["cache_blocks"],
-                                        seed=new_seed,
-                                        backend=context["backend"],
-                                        **context["inner_params"])
-            except Exception:
-                # The seed draw must not outlive a failed build (e.g. stored
-                # inner_params invalid for a different inner): a later grow
-                # still has to match a fresh build seed for seed.
-                context["rng"].setstate(rng_state)
-                raise
+            shard = self.build_record.build_shard(inner_name, new_id)
         else:
             inner_name = getattr(shard, "registry_name",
                                  type(shard).__name__)
@@ -450,7 +539,7 @@ class ShardedDictionary(HIDictionary):
                 "got one holding %d key(s)" % (len(shard),))
         old_shards = len(self._shards)
         old_ids = self._shard_ids
-        new_ids = old_ids + (self._next_shard_id,)
+        new_ids = old_ids + (new_id,)
         new_position_of = {position: position
                            for position in range(old_shards + 1)}
         total = len(self)
@@ -460,38 +549,29 @@ class ShardedDictionary(HIDictionary):
         self.inner_names.append(inner_name)
         self._shard_ids = new_ids
         self._next_shard_id += 1
-        context = self._build_context
-        if context is not None:
-            # Registry-built growth extends the remembered seed list (the
-            # replication layer rebuilds crashed shards from it); a shard
-            # handed in pre-built has no known seed.
-            context["shard_seeds"].append(new_seed)
-            if new_seed is not None:
-                context["seeds_drawn"] += 1
         try:
             moved, per_source, per_target = self._migrate(
                 new_ids, new_position_of)
         except Exception:
-            # Restore *everything* a fresh-build comparison can see: the
-            # shard list, the id counter, and (for registry-built shards)
-            # the construction seed stream — a later successful grow must
-            # be indistinguishable from one with no failed attempt before.
+            # Restore everything a fresh-build comparison can see: the
+            # shard list, the id counter and the build record, so a later
+            # grow is indistinguishable from one with no failed attempt.
             self._shards.pop()
             self.inner_names.pop()
             self._shard_ids = old_ids
             self._next_shard_id -= 1
-            if context is not None:
-                context["shard_seeds"].pop()
-                if new_seed is not None:
-                    context["seeds_drawn"] -= 1
-            if rng_state is not None:
-                self._build_context["rng"].setstate(rng_state)
+            self._forget_seed(new_id)
             raise
         return MigrationReport(
             old_shards=old_shards, new_shards=old_shards + 1,
             router=self._router.name, total_keys=total, moved_keys=moved,
             moved_per_source=tuple(per_source),
             received_per_target=tuple(per_target))
+
+    def _forget_seed(self, shard_id: int) -> None:
+        """Drop a shard that is gone from the build record."""
+        if self.build_record is not None:
+            self.build_record.shard_seeds.pop(shard_id, None)
 
     def remove_shard(self, position: int) -> MigrationReport:
         """Shrink by one shard, redistributing (at least) its keys.
@@ -520,36 +600,15 @@ class ShardedDictionary(HIDictionary):
         total = len(self)
         moved, per_source, per_target = self._migrate(
             new_ids, new_position_of, leaving=position)
+        self._forget_seed(self._shard_ids[position])
         self._shards.pop(position)
         self.inner_names.pop(position)
         self._shard_ids = new_ids
-        if self._build_context is not None:
-            self._build_context["shard_seeds"].pop(position)
         return MigrationReport(
             old_shards=num_shards, new_shards=num_shards - 1,
             router=self._router.name, total_keys=total, moved_keys=moved,
             moved_per_source=tuple(per_source),
             received_per_target=tuple(per_target))
-
-    def relabel_shards(self, shard_ids: Sequence[int]) -> None:
-        """Overwrite the stable shard ids (snapshot-restore hook).
-
-        A restore must route exactly like the engine its images came from;
-        when that engine had been resized its ids are no longer ``0..n-1``,
-        so the manifest records them and the restore re-applies them here —
-        always *before* any key is inserted.  Relabeling a populated
-        dictionary would silently strand every live key on a shard its new
-        routing no longer points at, so it is rejected.
-        """
-        if len(self) != 0:
-            raise ConfigurationError(
-                "cannot relabel the shards of a populated dictionary "
-                "(%d keys would be stranded on wrongly-routed shards); "
-                "relabel before inserting, or resize with "
-                "add_shard/remove_shard" % (len(self),))
-        self._shard_ids = tuple(_validated_shard_ids(shard_ids,
-                                                     len(self._shards)))
-        self._next_shard_id = max(self._shard_ids) + 1
 
     # ------------------------------------------------------------------ #
     # Dictionary operations (routed)
@@ -938,22 +997,9 @@ class ShardedDictionaryEngine(DictionaryEngine):
             "router": structure.router.spec(),
             "shard_ids": list(structure.shard_ids),
         }
-        context = structure._build_context
-        if context is not None:
-            build: Dict[str, object] = {
-                "block_size": context["block_size"],
-                "cache_blocks": context["cache_blocks"],
-                "backend": context["backend"],
-                "inner_params": dict(context["inner_params"]),
-            }
-            # The construction seed makes restores reproducible run-to-run;
-            # a live random.Random (RandomLike) is not serialisable, so only
-            # int / None seeds are recorded.
-            seed = context["seed"]
-            if seed is None or (isinstance(seed, int)
-                                and not isinstance(seed, bool)):
-                build["seed"] = seed
-            header["build"] = build
+        if structure.build_record is not None:
+            header["build"] = structure.build_record.to_manifest(
+                structure.shard_ids)
         return header
 
     def snapshot_shards(self, directory: str, *,
@@ -989,31 +1035,29 @@ class ShardedDictionaryEngine(DictionaryEngine):
                        block_size: Optional[int] = None,
                        cache_blocks: Optional[int] = None,
                        seed: RandomLike = None,
-                       backend: Optional[str] = None,
                        inner_params: Optional[Mapping[str, object]] = None
                        ) -> "ShardedDictionaryEngine":
         """Rebuild a sharded engine from a :meth:`snapshot_shards` directory.
 
         Shard count, inner structure names, the router (with its vnodes),
-        the stable shard ids *and the construction parameters* (block size,
-        cache, backend, structure extras, seed — when the snapshotted
-        engine was registry-built) all come from the manifest, so by
-        default the restored engine is configured like the one the images
-        were written from and restores are reproducible run to run; the
-        keyword arguments override manifest values, and fall back to the
-        registry defaults for manifests that predate the ``build`` record.
-        (The physical layouts of structures that consume randomness per
-        operation still reflect the restore's insertion order, not the
-        original operation history — that is the history-independence
-        guarantee at work, not a configuration drift.)  The recovered
-        records are re-inserted, and routing determinism guarantees every
-        key lands back on the shard its image came from — including engines
-        that had been elastically resized before the snapshot.  Each image
-        must match its recorded checksum; errors name the shard entry.
-        Bare-key slots restore with a ``None`` value
-        (:func:`~repro.storage.snapshot.decode_slot`).
+        the stable shard ids *and the build record* (block size, cache,
+        structure extras, every shard's seed — when the snapshotted engine
+        was registry-built) all come from the manifest
+        (:meth:`ShardedDictionary.from_manifest`), so by default the
+        restored engine is built like the one the images were written
+        from, shard for shard; the keyword arguments override manifest
+        values, and fall back to the registry defaults for manifests that
+        predate the ``build`` record.  (The physical layouts of structures
+        that consume randomness per operation still reflect the restore's
+        insertion order, not the original operation history — that is the
+        history-independence guarantee at work, not a configuration
+        drift.)  The recovered records are re-inserted, and routing
+        determinism guarantees every key lands back on the shard its image
+        came from — including engines that had been elastically resized
+        before the snapshot.  Each image must match its recorded checksum;
+        errors name the shard entry.  Bare-key slots restore with a
+        ``None`` value (:func:`~repro.storage.snapshot.decode_slot`).
         """
-        from repro.api.registry import make_dictionary
         from repro.storage.snapshot import (
             MANIFEST_NAME,
             decode_slot,
@@ -1022,45 +1066,10 @@ class ShardedDictionaryEngine(DictionaryEngine):
         )
 
         manifest = read_manifest(directory)
-        manifest_path = os.path.join(directory, MANIFEST_NAME)
-        # Manifests from before routers existed restore with the routing
-        # they were written under: the modulo default over ids 0..n-1.
-        try:
-            router = make_router(manifest.get("router", {"name": "modulo"}))
-        except ConfigurationError as error:
-            raise ConfigurationError(
-                "sharded snapshot manifest %r has a malformed router spec: "
-                "%s" % (manifest_path, error)) from error
-
-        build = manifest.get("build", {})
-        if not isinstance(build, dict):
-            raise ConfigurationError(
-                "sharded snapshot manifest %r has a malformed build record"
-                % (manifest_path,))
-        if block_size is None:
-            block_size = build.get("block_size", 64)
-        if cache_blocks is None:
-            cache_blocks = build.get("cache_blocks", 0)
-        if backend is None:
-            backend = build.get("backend", "auto")
-        if inner_params is None:
-            inner_params = build.get("inner_params", {})
-        if seed is None:
-            seed = build.get("seed")
-
-        structure = make_dictionary("sharded", block_size=block_size,
-                                    cache_blocks=cache_blocks, seed=seed,
-                                    backend=backend,
-                                    shards=manifest["num_shards"],
-                                    inner=manifest["inner"], router=router,
-                                    inner_params=dict(inner_params))
-        if "shard_ids" in manifest:
-            try:
-                structure.relabel_shards(manifest["shard_ids"])
-            except (ConfigurationError, TypeError) as error:
-                raise ConfigurationError(
-                    "sharded snapshot manifest %r has malformed shard ids: "
-                    "%s" % (manifest_path, error)) from error
+        structure = ShardedDictionary.from_manifest(
+            manifest, os.path.join(directory, MANIFEST_NAME),
+            block_size=block_size, cache_blocks=cache_blocks, seed=seed,
+            inner_params=inner_params)
         engine = cls(structure)
         for index, shard in enumerate(structure.shards):
             insert_pairs(shard, (decode_slot(slot) for slot
@@ -1093,7 +1102,7 @@ def make_sharded_engine(config: EngineConfig) -> ShardedDictionaryEngine:
     config.validate()
     structure = make_dictionary("sharded", block_size=config.block_size,
                                 cache_blocks=config.cache_blocks,
-                                seed=config.seed, backend=config.backend,
+                                seed=config.seed,
                                 shards=config.shards, inner=config.inner,
                                 router=dict(config.router),
                                 inner_params=dict(config.inner_params))

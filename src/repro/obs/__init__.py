@@ -6,13 +6,13 @@ Every engine keeps its counters in one place, its metrics registry, and
 structures — in worker processes on the process backend).  Three small
 pieces:
 
-* :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges and
+* :class:`~repro.obs.metrics.MetricsRegistry` — counters and
   fixed-boundary latency histograms with deterministic bucket edges, so
   a snapshot of the counting half is bit-stable and gateable exactly
   like the I/O counts.  The process engine's ``plane.*``, ``erasure.*``
-  and ``replica_reads.*`` counters live here too.  Per-thread
-  accumulation keeps the hot path lock-free; ``snapshot()`` aggregates
-  and ``merge()`` folds one snapshot into another.
+  and ``replica_reads.*`` counters live here too.  One engine call runs
+  at a time, so the registry keeps one counter dict and takes no lock;
+  ``snapshot()`` reads it as one flat mapping.
 * :class:`~repro.obs.tracing.Tracer` / :class:`~repro.obs.tracing.Span`
   — request-scoped tracing with trace/parent ids and monotonic timings,
   propagated across the worker pipe (a trace header element on

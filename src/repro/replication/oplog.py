@@ -67,6 +67,75 @@ _OP_CODES = {name: code for code, name in OP_NAMES.items()}
 LoggedOp = Tuple[str, object, object]
 
 
+def _frame(op_code: int, record: bytes) -> bytes:
+    """One frame: the op byte, the record, and the CRC of both."""
+    body = bytes([op_code]) + record
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def _read_frames(path: str, frame_size: int) -> Tuple[int, List[bytes], int]:
+    """Check the header of the log at ``path`` and split its body.
+
+    Returns ``(base, frames, torn)``: the header's base logical offset,
+    every complete frame (unchecked), and the count of torn trailing
+    bytes.  Reads only — it never creates, writes or sweeps a file.  A
+    file with a short header, a foreign magic or a newer format version
+    raises :class:`~repro.errors.ConfigurationError`.
+    """
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    if len(blob) < _HEADER.size:
+        raise ConfigurationError(
+            "op log %r is truncated below its header" % (path,))
+    magic, version, base = _HEADER.unpack_from(blob, 0)
+    if magic != MAGIC:
+        raise ConfigurationError("%r is not an op log (bad magic)" % (path,))
+    if version > VERSION:
+        raise ConfigurationError(
+            "op log %r has format version %d; this build reads up to %d"
+            % (path, version, VERSION))
+    complete = (len(blob) - _HEADER.size) // frame_size
+    frames = [blob[at:at + frame_size] for at
+              in range(_HEADER.size, _HEADER.size + complete * frame_size,
+                       frame_size)]
+    return base, frames, len(blob) - _HEADER.size - complete * frame_size
+
+
+def _decoded(path: str, codec: RecordCodec, frames: List[bytes], torn: int,
+             first: int = 0) -> Iterator[LoggedOp]:
+    """Check and decode ``frames[first:]`` into ``(op, key, value)``.
+
+    A torn tail — a final frame whose bytes were cut short or whose CRC
+    does not check out (the writer died mid-append) — ends the iteration
+    silently: those operations were never acknowledged.  A corrupt frame
+    *followed by valid data* is a real integrity failure and raises
+    :class:`~repro.errors.ConfigurationError`, as does an unknown op byte.
+    Barrier frames yield nothing.
+    """
+    for index in range(first, len(frames)):
+        frame = frames[index]
+        body, crc = frame[:-_CRC.size], frame[-_CRC.size:]
+        if _CRC.pack(zlib.crc32(body)) != crc:
+            if index == len(frames) - 1 and torn == 0:
+                return  # torn tail: the last frame never completed
+            raise ConfigurationError(
+                "op log %r is corrupt at frame %d (CRC mismatch)"
+                % (path, index))
+        op = body[0]
+        if op == OP_BARRIER:
+            continue
+        if op not in OP_NAMES:
+            raise ConfigurationError(
+                "op log %r holds unknown operation byte %d at frame %d"
+                % (path, op, index))
+        payload = codec.decode(body[1:])
+        if op == OP_DELETE:
+            yield OP_NAMES[op], payload, None
+        else:
+            key, value = payload
+            yield OP_NAMES[op], key, value
+
+
 class OpLog:
     """An append-only, CRC-framed redo log for one shard.
 
@@ -108,41 +177,31 @@ class OpLog:
             os.unlink(scratch)
             fsync_directory(os.path.dirname(os.path.abspath(path)))
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+        frames: List[bytes] = []
+        if not fresh:
+            # Checked before the append handle opens, so a file that is not
+            # an op log raises without leaking a handle.
+            self._base, frames, _torn = _read_frames(path, self.frame_size)
+        #: Logical offset just past the last complete frame.
+        self._end = self._base + len(frames) * self.frame_size
+        # A reopened log (recovery, cold start) must make the same
+        # secure-mode redaction decision a never-restarted worker would:
+        # deletes whose barrier never landed still demand a redacting
+        # compaction.
+        for frame in frames:
+            if frame[0] == OP_BARRIER:
+                self.deletes_since_barrier = 0
+            elif frame[0] == OP_DELETE:
+                self.deletes_since_barrier += 1
         # Unbuffered append handle: every frame reaches the OS immediately,
         # so records survive a SIGKILLed worker without per-record fsyncs.
         self._handle = open(path, "ab", buffering=0)
         if fresh:
             self._handle.write(_HEADER.pack(MAGIC, VERSION, 0))
-            self._end = 0
-        else:
-            self._base = self._read_header()
-            self._end = self._recompute_end()
-            self.deletes_since_barrier = self._count_tail_deletes()
 
     # ------------------------------------------------------------------ #
-    # Header / offsets
+    # Offsets
     # ------------------------------------------------------------------ #
-
-    def _read_header(self) -> int:
-        with open(self.path, "rb") as handle:
-            blob = handle.read(_HEADER.size)
-        if len(blob) < _HEADER.size:
-            raise ConfigurationError(
-                "op log %r is truncated below its header" % (self.path,))
-        magic, version, base = _HEADER.unpack(blob)
-        if magic != MAGIC:
-            raise ConfigurationError(
-                "%r is not an op log (bad magic)" % (self.path,))
-        if version > VERSION:
-            raise ConfigurationError(
-                "op log %r has format version %d; this build reads up to %d"
-                % (self.path, version, VERSION))
-        return base
-
-    def _recompute_end(self) -> int:
-        """Derive the end offset from the file (open/compact time only)."""
-        body = max(0, os.path.getsize(self.path) - _HEADER.size)
-        return self._base + (body // self.frame_size) * self.frame_size
 
     @property
     def end_offset(self) -> int:
@@ -158,22 +217,6 @@ class OpLog:
     def base_offset(self) -> int:
         """Logical offset of the first frame still present in the file."""
         return self._base
-
-    def _count_tail_deletes(self) -> int:
-        """Delete frames after the last barrier (open-time reconstruction).
-
-        A reopened log (recovery, cold start) must make the same secure-mode
-        redaction decision a never-restarted worker would: deletes whose
-        barrier never landed still demand a redacting compaction.
-        """
-        deletes = 0
-        frames, _torn = self._frames()
-        for frame in frames:
-            if frame[0] == OP_BARRIER:
-                deletes = 0
-            elif frame[0] == OP_DELETE:
-                deletes += 1
-        return deletes
 
     # ------------------------------------------------------------------ #
     # Appending
@@ -195,8 +238,7 @@ class OpLog:
         one sync over every frame appended since the last one.
         """
         record = self.codec.encode(self._payload_for(op, key, value))
-        body = bytes([_OP_CODES[op]]) + record
-        self._handle.write(body + _CRC.pack(zlib.crc32(body)))
+        self._handle.write(_frame(_OP_CODES[op], record))
         self._end += self.frame_size
         if op == "delete":
             self.deletes_since_barrier += 1
@@ -216,9 +258,7 @@ class OpLog:
         replaying from it applies exactly the operations that post-date the
         snapshot, and :meth:`compact` may drop everything before it.
         """
-        record = self.codec.encode(None)
-        body = bytes([OP_BARRIER]) + record
-        self._handle.write(body + _CRC.pack(zlib.crc32(body)))
+        self._handle.write(_frame(OP_BARRIER, self.codec.encode(None)))
         self._end += self.frame_size
         self.commit()
         self.deletes_since_barrier = 0
@@ -228,24 +268,13 @@ class OpLog:
     # Replay
     # ------------------------------------------------------------------ #
 
-    def _frames(self) -> Tuple[List[bytes], int]:
-        """All complete frames plus the count of torn trailing bytes."""
-        with open(self.path, "rb") as handle:
-            handle.seek(_HEADER.size)
-            body = handle.read()
-        complete = len(body) // self.frame_size
-        frames = [body[index * self.frame_size:(index + 1) * self.frame_size]
-                  for index in range(complete)]
-        return frames, len(body) - complete * self.frame_size
-
     def replay(self, start: int = 0) -> Iterator[LoggedOp]:
         """Yield ``(op, key, value)`` from logical offset ``start``.
 
-        A torn tail — a final frame whose bytes were cut short or whose CRC
-        does not check out (the worker died mid-append) — ends the replay
-        silently: those operations were never acknowledged.  A corrupt frame
+        A torn tail (the worker died mid-append) ends the replay silently:
+        those operations were never acknowledged.  A corrupt frame
         *followed by valid data* is a real integrity failure and raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError` (see :func:`_decoded`).
         """
         if start < self._base:
             raise ConfigurationError(
@@ -266,30 +295,9 @@ class OpLog:
             raise ConfigurationError(
                 "offset %d does not sit on a frame boundary of %r"
                 % (start, self.path))
-        frames, torn = self._frames()
-        first = (start - self._base) // self.frame_size
-        for index in range(first, len(frames)):
-            frame = frames[index]
-            body, crc = frame[:-_CRC.size], frame[-_CRC.size:]
-            if _CRC.pack(zlib.crc32(body)) != crc:
-                if index == len(frames) - 1 and torn == 0:
-                    return  # torn tail: the last frame never completed
-                raise ConfigurationError(
-                    "op log %r is corrupt at frame %d (CRC mismatch)"
-                    % (self.path, index))
-            op = body[0]
-            if op == OP_BARRIER:
-                continue
-            if op not in OP_NAMES:
-                raise ConfigurationError(
-                    "op log %r holds unknown operation byte %d at frame %d"
-                    % (self.path, op, index))
-            payload = self.codec.decode(body[1:])
-            if op == OP_DELETE:
-                yield OP_NAMES[op], payload, None
-            else:
-                key, value = payload
-                yield OP_NAMES[op], key, value
+        _base, frames, torn = _read_frames(self.path, self.frame_size)
+        yield from _decoded(self.path, self.codec, frames, torn,
+                            (start - self._base) // self.frame_size)
 
     # ------------------------------------------------------------------ #
     # Compaction
@@ -310,7 +318,7 @@ class OpLog:
         frames cannot resurface on a machine crash — which is what secure
         durability mode's history redaction relies on.
         """
-        frames, _torn = self._frames()
+        _base, frames, _torn = _read_frames(self.path, self.frame_size)
         if keep_from is None:
             keep_from = self._base
             for index, frame in enumerate(frames):
@@ -339,7 +347,7 @@ class OpLog:
             fsync_directory(os.path.dirname(os.path.abspath(self.path)))
         self._base = keep_from
         self._handle = open(self.path, "ab", buffering=0)
-        self._end = self._recompute_end()
+        self._end = keep_from + len(kept)
         return self._base
 
     # ------------------------------------------------------------------ #
@@ -372,44 +380,9 @@ def read_ops(path: str, payload_size: int = 64) -> Iterator[LoggedOp]:
     or a foreign file raises :class:`~repro.errors.ConfigurationError`.
     """
     codec = RecordCodec(payload_size=payload_size)
-    frame_size = 1 + codec.record_size + _CRC.size
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < _HEADER.size:
-        raise ConfigurationError(
-            "op log %r is truncated below its header" % (path,))
-    magic, version, _base = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ConfigurationError("%r is not an op log (bad magic)" % (path,))
-    if version > VERSION:
-        raise ConfigurationError(
-            "op log %r has format version %d; this build reads up to %d"
-            % (path, version, VERSION))
-    body = blob[_HEADER.size:]
-    complete = len(body) // frame_size
-    torn = len(body) - complete * frame_size
-    for index in range(complete):
-        frame = body[index * frame_size:(index + 1) * frame_size]
-        payload, crc = frame[:-_CRC.size], frame[-_CRC.size:]
-        if _CRC.pack(zlib.crc32(payload)) != crc:
-            if index == complete - 1 and torn == 0:
-                return  # torn tail: the last frame never completed
-            raise ConfigurationError(
-                "op log %r is corrupt at frame %d (CRC mismatch)"
-                % (path, index))
-        op = payload[0]
-        if op == OP_BARRIER:
-            continue
-        if op not in OP_NAMES:
-            raise ConfigurationError(
-                "op log %r holds unknown operation byte %d at frame %d"
-                % (path, op, index))
-        decoded = codec.decode(payload[1:])
-        if op == OP_DELETE:
-            yield OP_NAMES[op], decoded, None
-        else:
-            key, value = decoded
-            yield OP_NAMES[op], key, value
+    _base, frames, torn = _read_frames(path,
+                                       1 + codec.record_size + _CRC.size)
+    yield from _decoded(path, codec, frames, torn)
 
 
 def replay_into(structure: object, log: OpLog, start: int = 0) -> int:

@@ -26,7 +26,10 @@ operations therefore lands on a layout byte-identical to a never-crashed
 engine's, no matter how or when the crash happened.  That is the
 anti-persistence property doing operational work: recovery is
 state-independent of failure history, and the canonical-HI digest tier is
-the test that proves it.
+the test that proves it.  Every rebuild goes through the store's one
+build record (:class:`~repro.api.sharded.BuildRecord`): a warm recovery
+reads a shard's seed from it, and a cold start rebuilds it from the
+manifest, which lists every live shard's seed (``shard_seeds``).
 
 Images and manifest are the one shard-image format of
 :mod:`repro.storage.snapshot` (plus per-shard ``id``/``oplog`` fields and
@@ -39,14 +42,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro._rng import make_rng
 from repro.api.process_engine import (
     ProcessShardedDictionaryEngine,
     _ShardCopy,
     _ShardWorker,
 )
 from repro.api.protocol import insert_pairs
-from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter, make_router
+from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
 from repro.api.sharded import ShardedDictionary, _config_for_shards
 from repro.errors import ConfigurationError
 from repro.replication.oplog import OpLog, replay_into
@@ -157,7 +159,6 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     """
     directory = engine.durability_dir
     structure = engine._structure
-    context = structure._build_context
     fsync = engine.engine_config.fsync
     num_shards = structure.num_shards
     generation = _current_generation(directory) + 1
@@ -175,8 +176,6 @@ def checkpoint_engine(engine) -> Dict[str, object]:
                         "oplog": {"file": OPLOG_NAME % shard_id,
                                   "offset": offset}})
     manifest = engine._manifest_header()
-    manifest["build"].update(shard_seeds=list(context["shard_seeds"]),
-                             seeds_drawn=context["seeds_drawn"])
     manifest.update(generation=generation, replication=engine.replication,
                     read_policy=engine.read_policy,
                     durability_mode=engine.durability_mode, shards=entries)
@@ -258,20 +257,13 @@ def _rebuild_shard(engine, position: int, shard_id: int) -> Tuple[object,
     op-log tail are replayed into it and ``had_state`` is ``True``.
     """
     structure = engine._structure
-    context = structure._build_context
-    if context is None:
+    if structure.build_record is None:
         raise ConfigurationError(
             "this sharded dictionary was assembled from pre-built shards; "
             "the engine cannot rebuild lost shards without a registry "
-            "build context")
-    from repro.api.registry import make_dictionary
-
-    shard = make_dictionary(structure.inner_names[position],
-                            block_size=context["block_size"],
-                            cache_blocks=context["cache_blocks"],
-                            seed=context["shard_seeds"][position],
-                            backend=context["backend"],
-                            **context["inner_params"])
+            "build record")
+    shard = structure.build_record.build_shard(
+        structure.inner_names[position], shard_id)
     directory = engine.durability_dir
     if directory is None:
         return shard, False
@@ -413,53 +405,11 @@ def open_durable_engine(directory: str, *,
     cold-start path — the parent process that owned the engine is gone,
     only the directory survives.
     """
-    from repro.api.registry import make_dictionary
-
     manifest = load_manifest(directory)
-    build = manifest["build"]
-    shard_ids = manifest["shard_ids"]
-    inner_names = manifest["inner"]
-    shard_seeds = list(build.get("shard_seeds")
-                       or [None] * len(shard_ids))
-    if len(shard_seeds) != len(shard_ids):
-        raise ConfigurationError(
-            "durability manifest %r records %d shard seed(s) for %d "
-            "shard(s)" % (os.path.join(directory, MANIFEST_NAME),
-                          len(shard_seeds), len(shard_ids)))
-    inner_params = dict(build.get("inner_params") or {})
-    shards = []
-    for position, shard_id in enumerate(shard_ids):
-        shard = make_dictionary(inner_names[position],
-                                block_size=build.get("block_size", 64),
-                                cache_blocks=build.get("cache_blocks", 0),
-                                seed=shard_seeds[position],
-                                backend=build.get("backend", "auto"),
-                                **inner_params)
+    structure = ShardedDictionary.from_manifest(
+        manifest, os.path.join(directory, MANIFEST_NAME))
+    for shard_id, shard in zip(structure.shard_ids, structure.shards):
         _restore_shard_state(shard, directory, manifest, shard_id, fsync)
-        shards.append(shard)
-    try:
-        router = make_router(manifest.get("router", {"name": "modulo"}))
-        structure = ShardedDictionary(shards, inner_names=list(inner_names),
-                                      router=router, shard_ids=shard_ids)
-    except ConfigurationError as error:
-        raise ConfigurationError(
-            "durability manifest %r does not describe a loadable sharded "
-            "dictionary: %s" % (os.path.join(directory, MANIFEST_NAME),
-                                error)) from error
-    seeds_drawn = int(build.get("seeds_drawn", len(shards)))
-    rng = make_rng(build.get("seed"))
-    for _draw in range(seeds_drawn):
-        rng.getrandbits(64)  # fast-forward to where the old stream stood
-    structure._build_context = {
-        "block_size": build.get("block_size", 64),
-        "cache_blocks": build.get("cache_blocks", 0),
-        "backend": build.get("backend", "auto"),
-        "inner_params": inner_params,
-        "seed": build.get("seed"),
-        "rng": rng,
-        "shard_seeds": shard_seeds,
-        "seeds_drawn": seeds_drawn,
-    }
     if replication is None:
         replication = int(manifest.get("replication", 1))
     if read_policy is None:
@@ -499,7 +449,6 @@ def _manifest_engine_config(manifest: Dict[str, object], *, directory: str,
             block_size=int(build.get("block_size", 64)),
             cache_blocks=int(build.get("cache_blocks", 0)),
             seed=build.get("seed"),
-            backend=str(build.get("backend", "auto")),
             inner_params=dict(build.get("inner_params") or {}),
             router=manifest.get("router", "modulo"))
     return _config_for_shards(base, manifest["inner"]).replace(

@@ -43,7 +43,6 @@ def test_unknown_name_is_a_configuration_error():
     {"block_size": True},
     {"cache_blocks": -1},
     {"cache_blocks": 2.5},
-    {"backend": "gpu"},
 ])
 def test_bad_config_is_a_configuration_error(kwargs):
     with pytest.raises(ConfigurationError):
@@ -71,18 +70,6 @@ def test_search_miss_still_costs_io_on_adapted_pmas():
     engine.insert_many(range(0, 100, 2))
     assert engine.search_io_cost(51) >= 1  # absent key
     assert engine.search_io_cost(50) >= 1  # present key
-
-
-def test_tracker_backend_requires_support():
-    with pytest.raises(ConfigurationError, match="tracker"):
-        make_dictionary("b-tree", backend="tracker")
-    tracked = make_dictionary("hi-cobtree", backend="tracker", cache_blocks=2)
-    assert tracked.io_tracker is not None
-
-
-def test_native_backend_skips_the_tracker():
-    structure = make_dictionary("hi-pma", backend="native")
-    assert getattr(structure, "io_tracker", None) is None
 
 
 def test_duplicate_registration_is_rejected():

@@ -34,6 +34,7 @@ from repro.api import (
     shard_index,
 )
 from repro.errors import ConfigurationError
+from repro.replication import open_durable_engine
 from repro.workloads import elastic_churn_trace
 
 pytestmark = pytest.mark.fast
@@ -267,9 +268,9 @@ def test_modulo_resize_is_the_expensive_baseline():
 def test_grown_store_is_byte_identical_to_a_fresh_build(inner):
     """Strongly-HI inners: a store grown 3 -> 4 equals one born with 4.
 
-    add_shard draws the new shard's seed from the same construction stream a
-    fresh 4-shard build uses, and migration re-inserts in canonical order,
-    so the layouts must match byte for byte — the resize leaves no scar.
+    add_shard gives the new shard (id 3) the seed a fresh 4-shard build
+    gives its shard 3, and migration re-inserts in canonical order, so the
+    layouts must match byte for byte — the resize leaves no scar.
     """
     keys = keyset(7, count=300)
     grown = build(inner=inner, shards=3, seed=42)
@@ -291,22 +292,23 @@ def test_a_restarted_store_grows_like_a_fresh_build(inner):
     """A restart rebuilds the lost shard with its original seed.
 
     So after its keys are re-inserted, the store grown 3 -> 4 still equals
-    one born with 4: ``restart_workers()`` draws nothing from the
-    construction seed stream the new shard's seed comes from.
+    one born with 4: ``restart_workers()`` leaves the build record as it
+    was, and the new shard's seed follows from its id.
     """
     keys = keyset(7, count=300)
     grown = build(inner=inner, shards=3, seed=42, parallel="process")
     try:
         grown.insert_many((key, key) for key in keys)
-        context = grown.structure._build_context
-        seeds = (list(context["shard_seeds"]), context["seeds_drawn"])
+        record = grown.structure.build_record
+        seeds = dict(record.shard_seeds)
         lost = [key for key in keys if grown.structure.shard_of(key) == 0]
         os.kill(grown.worker_pids()[0], signal.SIGKILL)  # hosts shard 0
         deadline = time.time() + 5.0
         while not grown.dead_shard_positions() and time.time() < deadline:
             time.sleep(0.02)
         assert grown.restart_workers() == [0]
-        assert (context["shard_seeds"], context["seeds_drawn"]) == seeds
+        assert grown.structure.build_record is record
+        assert record.shard_seeds == seeds
         grown.insert_many((key, key) for key in lost)
         grown.add_shard()
 
@@ -378,8 +380,10 @@ def test_restore_rebuilds_with_the_snapshotted_build_parameters(tmp_path):
     directory = str(tmp_path / "params")
     manifest = engine.snapshot_shards(directory)
     assert manifest["build"] == {"block_size": 16, "cache_blocks": 2,
-                                 "backend": "auto", "seed": 21,
-                                 "inner_params": {"epsilon": 0.25}}
+                                 "seed": 21,
+                                 "inner_params": {"epsilon": 0.25},
+                                 "shard_seeds": [draw(21, shard_id)
+                                                 for shard_id in range(3)]}
     restored = ShardedDictionaryEngine.restore_shards(directory)
     # hi-skiplist snapshot slots are bare keys (values restore as None).
     assert list(restored) == list(engine)
@@ -413,6 +417,126 @@ def test_resized_store_snapshot_restores_with_its_routing(tmp_path):
     assert restored.structure.shard_ids == engine.structure.shard_ids
     assert restored.shard_sizes() == engine.shard_sizes()
     restored.check()
+
+
+# --------------------------------------------------------------------------- #
+# Shard seeds follow shard ids
+# --------------------------------------------------------------------------- #
+
+#: The store seed of the seed-rule histories.
+RULE_SEED = 2016
+
+
+def draw(seed, shard_id):
+    """Draw number ``shard_id`` of ``random.Random(seed)``: the seed the
+    shard with id ``shard_id`` of a store seeded with ``seed`` gets."""
+    rng = random.Random(seed)
+    for _draw in range(shard_id):
+        rng.getrandbits(64)
+    return rng.getrandbits(64)
+
+
+def layout_of(shard):
+    """A shard's full canonical layout (its treap's blocks), read from its
+    worker when it lives in one.  The audit fingerprint (the height) and
+    the sorted slot array are too coarse here: many seeds share them."""
+    primary = getattr(shard, "primary", None)
+    if primary is not None:
+        return primary.call("memory_representation")
+    return shard.memory_representation()
+
+
+def assert_seeds_follow_ids(engine, seed=RULE_SEED):
+    """Every live shard is laid out like a fresh b-treap built with draw
+    ``shard_id`` of ``random.Random(seed)`` and holding the same pairs: a
+    strongly-HI layout is a function of the key set and the seed."""
+    structure = engine.structure
+    for shard_id, shard in zip(structure.shard_ids, structure.shards):
+        pairs = shard.items()
+        assert len(pairs) > 20, "a small shard matches too many seeds"
+        twin = make_dictionary("b-treap", block_size=16,
+                               seed=draw(seed, shard_id))
+        for key, value in pairs:
+            twin.insert(key, value)
+        assert layout_of(shard) == twin.memory_representation(), \
+            "shard id %d was not built with draw %d" % (shard_id, shard_id)
+
+
+def test_shard_seeds_follow_ids_in_a_fresh_build():
+    engine = build(inner="b-treap", shards=4, seed=RULE_SEED)
+    engine.insert_many((key, key) for key in keyset(21, count=300))
+    assert_seeds_follow_ids(engine)
+
+
+def test_shard_seeds_follow_ids_through_grow_shrink_cycles():
+    engine = build(inner="b-treap", shards=3, seed=RULE_SEED)
+    engine.insert_many((key, key) for key in keyset(22, count=300))
+    for position in (1, 0, 2):
+        engine.add_shard()
+        assert_seeds_follow_ids(engine)
+        engine.remove_shard(position)
+        assert_seeds_follow_ids(engine)
+    assert engine.structure.shard_ids == (2, 3, 5)
+
+
+def test_shard_seeds_follow_ids_after_restart_workers():
+    engine = build(inner="b-treap", shards=3, seed=RULE_SEED,
+                   parallel="process")
+    try:
+        keys = keyset(23, count=300)
+        engine.insert_many((key, key) for key in keys)
+        lost = [key for key in keys if engine.structure.shard_of(key) == 0]
+        os.kill(engine.worker_pids()[0], signal.SIGKILL)  # hosts shard 0
+        deadline = time.time() + 5.0
+        while not engine.dead_shard_positions() and time.time() < deadline:
+            time.sleep(0.02)
+        assert engine.restart_workers() == [0]
+        engine.insert_many((key, key) for key in lost)
+        assert_seeds_follow_ids(engine)
+        engine.add_shard()
+        assert_seeds_follow_ids(engine)
+    finally:
+        engine.close()
+
+
+def test_shard_seeds_follow_ids_after_a_close_reopen_grow(tmp_path):
+    """A reopened store gives a re-used shard id the seed it had: the id,
+    not a draw counter that survived the removal, picks the seed."""
+    directory = str(tmp_path / "store")
+    engine = build(inner="b-treap", shards=3, seed=RULE_SEED,
+                   parallel="process", durability_dir=directory)
+    try:
+        engine.insert_many((key, key) for key in keyset(24, count=300))
+        engine.add_shard()
+        engine.remove_shard(3)
+    finally:
+        engine.close()
+    reopened = open_durable_engine(directory)
+    try:
+        reopened.add_shard()
+        assert reopened.structure.shard_ids == (0, 1, 2, 3)
+        assert_seeds_follow_ids(reopened)
+    finally:
+        reopened.close()
+
+
+def test_shard_seeds_follow_ids_in_a_restored_resized_store(tmp_path):
+    """Each shard is rebuilt under its manifest id with its recorded seed,
+    so the restored store is the snapshotted one, byte for byte."""
+    engine = build(inner="b-treap", shards=3, seed=RULE_SEED)
+    engine.insert_many((key, key) for key in keyset(21, count=300))
+    engine.add_shard()
+    engine.remove_shard(0)
+    directory = str(tmp_path / "snapshot")
+    engine.snapshot_shards(directory)
+    restored = ShardedDictionaryEngine.restore_shards(directory)
+    assert restored.structure.shard_ids == (1, 2, 3)
+    assert_seeds_follow_ids(restored)
+    assert restored.items() == engine.items()
+    assert restored.structure.audit_fingerprint() == \
+        engine.structure.audit_fingerprint()
+    assert [layout_of(shard) for shard in restored.structure.shards] == \
+        [layout_of(shard) for shard in engine.structure.shards]
 
 
 # --------------------------------------------------------------------------- #
@@ -489,23 +613,12 @@ def test_failed_migration_rolls_back_to_the_pre_resize_state():
         clean.structure.audit_fingerprint()
 
 
-def test_relabel_shards_rejects_a_populated_dictionary():
-    """Relabeling reroutes every key, so it is restore-time (empty) only."""
-    engine = build(shards=3)
-    engine.structure.relabel_shards([5, 6, 7])  # empty: fine
-    assert engine.structure.shard_ids == (5, 6, 7)
-    engine.insert_many((key, key) for key in range(50))
-    with pytest.raises(ConfigurationError, match="populated"):
-        engine.structure.relabel_shards([0, 1, 2])
-    engine.check()
-
-
 def test_failed_shard_build_restores_the_seed_stream():
-    """A failed add_shard must not consume a construction seed either.
+    """A failed add_shard must not leave a trace in the build record.
 
     The stored inner_params are invalid for a different inner, so the new
-    shard's build fails *after* the seed draw; the draw is rolled back, and
-    the next successful grow still matches a fresh build seed for seed.
+    shard's build fails; the next successful grow still matches a fresh
+    build seed for seed.
     """
     def make():
         engine = build(inner="hi-skiplist", shards=3, seed=13,

@@ -100,15 +100,17 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_from_dict_drops_the_retired_plane_key():
-    """``plane`` and ``sample_operations`` configure nothing any more;
-    payloads that carry them (older manifests) still load."""
+    """``plane``, ``sample_operations`` and ``backend`` configure nothing
+    any more; payloads that carry them (older manifests) still load."""
     payload = EngineConfig(parallel="process", seed=1).to_dict()
     assert "plane" not in payload
     assert "sample_operations" not in payload
+    assert "backend" not in payload
     for retired in [dict(plane="shm"), dict(plane="pipe"), dict(plane=None),
                     dict(sample_operations=False),
                     dict(sample_operations=True),
-                    dict(plane="shm", sample_operations=False)]:
+                    dict(plane="shm", sample_operations=False),
+                    dict(backend="auto"), dict(backend="native")]:
         assert EngineConfig.from_dict(dict(payload, **retired)) == \
             EngineConfig(parallel="process", seed=1)
 

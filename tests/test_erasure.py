@@ -455,10 +455,9 @@ def test_key_trace_patterns_match_real_frame_bytes(tmp_path):
     from repro.replication.oplog import OpLog
 
     path = str(tmp_path / "probe.oplog")
-    log = OpLog(path, payload_size=PAYLOAD_SIZE)
-    log.append("insert", 42, 10 ** 9 + 42)
-    log.append("delete", 42, None)
-    log.commit()
+    with OpLog(path, payload_size=PAYLOAD_SIZE) as log:
+        log.append("insert", 42, 10 ** 9 + 42)
+        log.append("delete", 42, None)
     with open(path, "rb") as handle:
         blob = handle.read()
     record_pattern, nested_pattern = key_trace_patterns(

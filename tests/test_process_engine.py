@@ -11,6 +11,7 @@ processes.  On top of that, worker crashes must be contained (a clear
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -353,6 +354,39 @@ def test_worker_crash_raises_and_spares_other_shards():
         survivors = [key for key in range(90)
                      if process.structure.shard_of(key) != 1]
         assert all(process.structure.contains(key) for key in survivors[:5])
+    finally:
+        process.close()
+
+
+def test_a_command_to_a_dead_worker_leaves_nothing_for_the_collector():
+    """The crash error of a broken pipe keeps no traceback of the failed
+    send.  That traceback held the pickled command's ``BytesIO`` and a
+    memoryview of it; once the error sat in a reference cycle, a
+    collector pass could close the buffer before releasing the view,
+    and CPython reported an unraisable ``BufferError`` (in development
+    mode, ``-X dev``, as CI runs this file; elsewhere it is dropped, so
+    the test also checks that no pipe error is chained)."""
+    process = make_sharded_engine(EngineConfig(inner="b-tree", shards=2,
+                                               block_size=BLOCK_SIZE,
+                                               parallel="process"))
+    try:
+        process.insert_many((key, key) for key in range(40))
+        _kill_worker(process, 1)
+        gc.collect()
+        recorded = []
+        previous, sys.unraisablehook = sys.unraisablehook, recorded.append
+        try:
+            try:
+                process.contains_many(range(40))
+            except WorkerCrashError as error:
+                assert "pipe broken" in str(error)
+                assert error.__cause__ is None and error.__context__ is None
+            else:
+                raise AssertionError("a command reached a killed worker")
+            gc.collect()
+        finally:
+            sys.unraisablehook = previous
+        assert [hook.exc_value for hook in recorded] == []
     finally:
         process.close()
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import time
 
@@ -745,13 +746,14 @@ def test_crash_between_snapshot_and_log_barrier_keeps_the_old_generation(
     directory = str(tmp_path / "d")
     engine = build_engine(shards=2, replication=1, durability_dir=directory)
     try:
-        manifest_before = json.load(
-            open(os.path.join(directory, "manifest.json")))
+        manifest_path = os.path.join(directory, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest_before = json.load(handle)
         engine.insert_many(entries_for(140))
         with pytest.raises(WorkerCrashError):
             engine.checkpoint()
-        manifest_after = json.load(
-            open(os.path.join(directory, "manifest.json")))
+        with open(manifest_path) as handle:
+            manifest_after = json.load(handle)
         # The torn checkpoint published nothing: same manifest generation.
         assert manifest_after == manifest_before
         disarm()
@@ -789,6 +791,89 @@ def test_total_worker_loss_recovers_every_shard_from_its_log(
         engine.check()
     finally:
         engine.close()
+
+
+def read_manifest_file(directory):
+    with open(os.path.join(directory, "manifest.json")) as handle:
+        return json.load(handle)
+
+
+def test_new_manifests_record_shard_seeds_and_no_retired_fields(tmp_path):
+    """Every manifest's build record lists each live shard's seed, and none
+    writes the retired ``seeds_drawn`` or ``backend`` fields."""
+    twin = build_twin()
+    twin.insert_many(entries_for(60))
+    snapshot = twin.snapshot_shards(str(tmp_path / "snapshot"))
+    directory = str(tmp_path / "store")
+    engine = build_engine(replication=1, durability_dir=directory)
+    try:
+        engine.insert_many(entries_for(60))
+        engine.add_shard()
+        engine.remove_shard(1)
+        checkpointed = engine.checkpoint()
+    finally:
+        engine.close()
+    for manifest in (snapshot, checkpointed, read_manifest_file(directory)):
+        build = manifest["build"]
+        assert "seeds_drawn" not in build
+        assert "backend" not in build
+        assert len(build["shard_seeds"]) == len(manifest["shard_ids"])
+        assert None not in build["shard_seeds"]
+    assert "backend" not in checkpointed["engine_config"]
+
+
+def shard_layout(shard):
+    """A b-treap shard's full canonical layout, from its worker if hosted."""
+    primary = getattr(shard, "primary", None)
+    if primary is not None:
+        return primary.call("memory_representation")
+    return shard.memory_representation()
+
+
+def test_a_manifest_with_retired_fields_opens_with_its_recorded_seeds(
+        tmp_path):
+    """A manifest written before ``seeds_drawn`` and ``backend`` were
+    retired still opens through ``open_durable_engine`` and
+    ``restore_shards``, and each shard is built with the seed the manifest
+    records for it, not one derived from its id."""
+    directory = str(tmp_path / "store")
+    engine = build_engine(replication=1, durability_dir=directory)
+    try:
+        engine.insert_many(entries_for(150))
+        engine.checkpoint()
+        items = engine.items()
+    finally:
+        engine.close()
+    recorded = [101, 202, 303]
+    manifest = read_manifest_file(directory)
+    manifest["build"].update(shard_seeds=recorded, seeds_drawn=7,
+                             backend="native")
+    manifest["engine_config"]["backend"] = "native"
+    with open(os.path.join(directory, "manifest.json"), "w") as handle:
+        json.dump(manifest, handle)
+    snapshot = str(tmp_path / "copy")
+    shutil.copytree(directory, snapshot)
+
+    def assert_recorded_seeds(structure):
+        assert structure.shard_ids == (0, 1, 2)
+        for seed, shard in zip(recorded, structure.shards):
+            twin = make_dictionary("b-treap", block_size=BLOCK_SIZE,
+                                   seed=seed)
+            for key, value in shard.items():
+                twin.insert(key, value)
+            assert shard_layout(shard) == twin.memory_representation()
+
+    restored = ShardedDictionaryEngine.restore_shards(snapshot)
+    assert restored.items() == items
+    assert_recorded_seeds(restored.structure)
+    reopened = open_durable_engine(directory)
+    try:
+        assert reopened.items() == items
+        assert_recorded_seeds(reopened.structure)
+        assert read_manifest_file(directory)["build"]["shard_seeds"] \
+            == recorded
+    finally:
+        reopened.close()
 
 
 # --------------------------------------------------------------------------- #
