@@ -21,15 +21,18 @@ Design
   :class:`~repro.api.sharded.ShardedDictionary` machinery — routing, merged
   iteration, elastic ``add_shard``/``remove_shard`` migration, per-shard
   snapshots, ``check()`` — keeps working unchanged.
-* **Replicas are clones.**  With ``replication=N`` every shard also has
-  ``N - 1`` *replica* copies, pickled to the workers hosting the shard's
-  first distinct consistent-hash ring successors (placement is a pure
-  function of the shard ids).  Every copy applies the identical operation
-  stream, so a replica stays byte-identical to its primary.  A write is
-  acknowledged when the primary applied it; a replica that crashes or
-  diverges is dropped from the fan-out and re-seeded by the next recovery.
-  Reads go to the primary unless ``read_policy`` spreads them over the
-  replicas.
+* **Replicas are clones, under one rule.**  With ``replication=N`` every
+  shard also has ``N - 1`` *replica* copies, pickled to the workers
+  hosting the shard's first distinct consistent-hash ring successors
+  (placement is a pure function of the shard ids).  Every copy applies
+  the identical operation stream, so a replica stays byte-identical to its
+  primary.  One shared :class:`_ReplicaRules` object decides for point and
+  bulk calls alike: a write goes to every copy at once and a replica whose
+  outcome differs from its primary's is dropped; a failed read fails over
+  through one routine; every drop also frees the copy in its worker; and
+  recovery and anti-entropy re-seed through one routine.  A write is
+  acknowledged when the primary applied it.  Reads go to the primary
+  unless ``read_policy`` spreads them over the replicas.
 * **Durability is per primary.**  With a ``durability_dir`` each primary's
   worker appends every acknowledged mutation to a per-shard
   :class:`~repro.replication.oplog.OpLog`, and :meth:`checkpoint` writes
@@ -50,23 +53,20 @@ Design
   reads EOF when its parent dies (even by SIGKILL) and exits, and a
   connection the server closes reaches its client as EOF at once.  Pipes,
   multiprocessing's process sentinels among them, stay open.
-* **One round-trip per shard copy per bulk call.**  ``insert_many`` /
-  ``delete_many`` / ``contains_many`` ship each shard's whole batch as a
-  single command per copy (amortizing IPC the way batched routing
-  amortizes dispatch), with at most one outstanding command per worker so
-  a large payload can never deadlock against a worker blocked on its
-  reply.
 * **One encoding on the pipe.**  Commands and replies are pickled: the
   pipe joins two halves of one trusted program, so pickle's exact
   round-trip of every value type is what it needs.  (Untrusted network
   bytes never reach pickle — see :mod:`repro.net.protocol` — and the
   durable artifacts use :class:`~repro.storage.encoding.RecordCodec`.)
 * **One command per crossing, through one dispatch loop.**  Hosting,
-  bulk fan-out, barriers and anti-entropy all queue
+  writes, bulk reads, barriers and anti-entropy all queue
   ``(worker, engine id, method, args)`` commands into the same loop,
-  which keeps at most one outstanding per worker; commands for one
-  worker (``max_workers`` packing, replica copies) cross back to back.
-  Each primary batch commits its own op log, as a point mutation does.
+  which keeps at most one outstanding per worker (a large payload can
+  never deadlock against a worker blocked on its reply); commands for one
+  worker (``max_workers`` packing, replica copies) cross back to back.  A
+  bulk call sends each shard's whole batch as one command per copy, and
+  each primary batch commits its own op log, as a point mutation does.  A
+  point read is one synchronous call on the copy the policy picks.
 * **Probes roll back worker-side.**  ``search_io_cost`` / ``range_io_cost``
   run the cold-cache measurement inside the worker's own
   :class:`~repro.api.engine.DictionaryEngine`, so cumulative ``io_stats()``
@@ -541,7 +541,10 @@ class _ShardWorker:
         self._process.start()
         child_conn.close()
         self.shard_ids: set = set()
-        self._down = False
+        #: Set once the worker is seen to be gone, by a failed crossing or
+        #: by :meth:`shutdown`.  Reads filter replicas on it, so they pay
+        #: no liveness syscall.
+        self.down = False
         #: Worker span dicts that rode back on the last traced reply;
         #: the dispatch loop grafts (and clears) them after each receive.
         self.trace_spans: Optional[List[dict]] = None
@@ -555,10 +558,11 @@ class _ShardWorker:
         return self._process.pid
 
     def is_alive(self) -> bool:
-        return not self._down and self._process.is_alive()
+        """Whether the process still runs (a waitpid-backed syscall)."""
+        return not self.down and self._process.is_alive()
 
     def _crash(self, what: str) -> WorkerCrashError:
-        self._down = True
+        self.down = True
         return WorkerCrashError(
             "shard worker (pid %s, shards %s) %s; its in-memory shard "
             "state is lost — see restart_workers()"
@@ -566,7 +570,7 @@ class _ShardWorker:
 
     def send(self, shard_id: int, method: str, args: object,
              trace: Optional[dict] = None) -> None:
-        if self._down:
+        if self.down:
             raise self._crash("is already down")
         try:
             if trace is None:
@@ -597,19 +601,15 @@ class _ShardWorker:
             raise payload
         return payload
 
-    def drop(self, shard_id: int) -> None:
-        self.request(shard_id, "__drop__")
-        self.shard_ids.discard(shard_id)
-
     def shutdown(self, timeout: float = 5.0) -> None:
         """Ask the worker to exit; escalate to terminate if it will not."""
-        if not self._down and self._process.is_alive():
+        if not self.down and self._process.is_alive():
             try:
                 self._conn.send((0, "__shutdown__", ()))
                 self._conn.recv()  # the shutdown acknowledgement
             except (BrokenPipeError, EOFError, OSError):
                 pass
-        self._down = True
+        self.down = True
         self._process.join(timeout)
         if self._process.is_alive():  # pragma: no cover - stuck worker
             self._process.terminate()
@@ -638,40 +638,231 @@ class _ShardCopy:
         self.shard_id = shard_id
         self.methods = frozenset(descriptor["methods"])
         self.registry_name = descriptor["registry_name"]
-        #: The last barrier epoch this copy acked (see _ReadPolicyState).
+        #: The last barrier epoch this copy acked (see _ReplicaRules).
         self._synced_epoch = -1
 
     def call(self, method: str, *args: object) -> object:
         """One synchronous round-trip; re-raises worker-side exceptions."""
         return self.worker.request(self.shard_id, method, args)
 
+    def release(self) -> None:
+        """Free this copy in its worker unless the worker is down."""
+        worker = self.worker
+        if worker.down:
+            return
+        try:
+            worker.request(self.shard_id, "__drop__")
+        except WorkerCrashError:
+            return
+        worker.shard_ids.discard(self.shard_id)
+
 
 # --------------------------------------------------------------------------- #
-# Parent side: one shard as primary plus replicas
+# Parent side: the replica rules and one shard as primary plus replicas
 # --------------------------------------------------------------------------- #
 
-class _ReadPolicyState:
-    """Engine-wide read-routing state, shared by every shard proxy.
+class _ReplicaRules:
+    """The one replica rule, shared by the engine and every shard proxy.
 
-    ``policy`` is one of :data:`~repro.api.config.READ_POLICIES`.
-    ``barrier_epoch`` counts durability sync points: a replica stamped
-    with the current epoch has acked the latest barrier (and, because
-    writes fan out synchronously, applied everything since), which is the
-    ``"any-after-barrier"`` read-eligibility condition.  ``liveness_epoch``
-    versions the proxies' cached live-replica lists — bumped whenever a
-    :class:`~repro.errors.WorkerCrashError` is observed or the topology
-    changes, so the hot read path never pays an ``is_alive`` syscall per
-    operation.  ``metrics`` is the engine's registry, where the proxies
-    count ``replica_reads.*``.
+    Every copy of a shard applies the same operation stream, so under the
+    paper's canonical layouts a replica in step with its primary answers
+    exactly as the primary does.  This object says when a replica is out
+    of step and what then happens to it, for point and bulk calls alike:
+    writes go through :meth:`fan_out` and :meth:`settle`, failed reads
+    through :meth:`failover`, and every replica leaves service through
+    :meth:`drop`.  It carries the read ``policy`` (one of
+    :data:`~repro.api.config.READ_POLICIES`), the ``barrier_epoch`` (a
+    replica stamped with it acked the latest durability sync point and,
+    as writes fan out synchronously, applied everything since: the
+    ``"any-after-barrier"`` condition), and what the dispatch loop
+    (:meth:`drive`) needs.  It holds no engine, so an engine that is never
+    closed still shuts its pool down when its last reference goes.
     """
 
-    __slots__ = ("policy", "barrier_epoch", "liveness_epoch", "metrics")
+    __slots__ = ("policy", "barrier_epoch", "metrics", "tracer", "durable")
 
-    def __init__(self, policy: str, metrics) -> None:
+    def __init__(self, policy: str, metrics, tracer: Tracer,
+                 durable: bool) -> None:
         self.policy = policy
         self.barrier_epoch = 0
-        self.liveness_epoch = 0
         self.metrics = metrics
+        self.tracer = tracer
+        self.durable = durable
+
+    def drive(self, commands: Sequence[_Dispatch]
+              ) -> Tuple[Dict[object, object], Dict[object, BaseException]]:
+        """Run ``(key, worker, engine id, method, args)`` commands; return
+        ``(results, errors)`` keyed by ``key``.
+
+        The one dispatch loop, one command per crossing.  Every worker's
+        queue drains concurrently, with at most one command outstanding
+        per worker (a second send could deadlock against a worker blocked
+        on a large reply); commands for the same worker run back to back
+        in the order given; a dead worker fails its whole queue; a command
+        that does not pickle fails alone.  Every sent command's reply is
+        read before this returns.  Callers decide which errors are fatal.
+        """
+        queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
+        for command in commands:
+            queues.setdefault(command[1], deque()).append(command)
+        results: Dict[object, object] = {}
+        errors: Dict[object, BaseException] = {}
+        outstanding: Dict[object, Tuple[_ShardWorker, object]] = {}
+        tracer = self.tracer
+        # Present only when tracing is enabled AND a span is active on
+        # this thread (the bulk operations open one around dispatch).
+        trace_header = tracer.header()
+        durable = self.durable
+
+        def fail_worker(worker: _ShardWorker, key: object,
+                        error: BaseException) -> None:
+            errors[key] = error
+            for queued in queues[worker]:
+                errors[queued[0]] = error
+            queues[worker].clear()
+
+        def dispatch_next(worker: _ShardWorker) -> None:
+            while queues[worker]:
+                key, _worker, engine_id, method, args = \
+                    queues[worker].popleft()
+                try:
+                    worker.send(engine_id, method, args, trace=trace_header)
+                except WorkerCrashError as error:
+                    fail_worker(worker, key, error)
+                    continue
+                except Exception as error:
+                    # The command did not pickle.  Pickling finishes before
+                    # the first byte is written, so the pipe is untouched:
+                    # only this command fails and the worker takes the next.
+                    errors[key] = error
+                    continue
+                if trace_header is not None:
+                    tracer.note_crossing()
+                # Only primaries (non-negative engine ids) keep an op log.
+                if durable and engine_id >= 0 and method in _LOGGED_BATCHES:
+                    self.metrics.inc("plane.fsync_batches")
+                outstanding[worker.connection] = (worker, key)
+                return
+
+        for worker in queues:
+            dispatch_next(worker)
+        while outstanding:
+            for connection in wait(list(outstanding)):
+                worker, key = outstanding.pop(connection)
+                try:
+                    status, payload = worker.receive()
+                except WorkerCrashError as error:
+                    fail_worker(worker, key, error)
+                    continue
+                if worker.trace_spans:
+                    tracer.graft(worker.trace_spans)
+                    worker.trace_spans = None
+                if status == "err":
+                    errors[key] = payload
+                else:
+                    results[key] = payload
+                dispatch_next(worker)
+        return results, errors
+
+    def fan_out(self, method: str,
+                batches: Mapping[int, Tuple["_ReplicatedShardProxy", tuple]]
+                ) -> Dict[int, object]:
+        """Send ``method`` to every copy of each ``position: (proxy,
+        args)`` shard at once, :meth:`settle`, and return the primaries'
+        results by position.  Point writes are one-shard fan-outs."""
+        commands = [((position, copy), copy.worker, copy.shard_id, method,
+                     args)
+                    for position, (proxy, args) in batches.items()
+                    for copy in [proxy.primary] + proxy.replicas]
+        results, errors = self.drive(commands)
+        self.settle({position: proxy
+                     for position, (proxy, _args) in batches.items()},
+                    errors)
+        return {position: results[(position, proxy.primary)]
+                for position, (proxy, _args) in batches.items()}
+
+    def settle(self, proxies: Mapping[int, "_ReplicatedShardProxy"],
+               errors: Mapping[Tuple[int, _ShardCopy], BaseException]
+               ) -> None:
+        """The write rule, applied to a fan-out's ``errors`` (keyed
+        ``(position, copy)``).
+
+        A replica is kept when its outcome matches its primary's: both
+        succeeded, or both raised the same exception type (both refused
+        the write identically).  A replica that crashed, or that did
+        anything else, is dropped.  When the primary itself crashed, only
+        the replicas that crashed are dropped: the others may be promoted.
+        The primary error of the lowest position is raised, matching the
+        sequential engine.
+        """
+        fatal: Dict[int, BaseException] = {}
+        for position, proxy in proxies.items():
+            primary_error = errors.get((position, proxy.primary))
+            primary_crashed = isinstance(primary_error, WorkerCrashError)
+            for replica in list(proxy.replicas):
+                error = errors.get((position, replica))
+                if isinstance(error, WorkerCrashError) \
+                        or (not primary_crashed
+                            and type(error) is not type(primary_error)):
+                    self.drop(proxy, replica)
+            if primary_error is not None:
+                fatal[position] = primary_error
+        if fatal:
+            raise fatal[min(fatal)]
+
+    def failover(self, proxy: "_ReplicatedShardProxy", copy: _ShardCopy,
+                 error: BaseException, method: str, args: tuple
+                 ) -> Tuple[object, _ShardCopy]:
+        """Finish a read whose first attempt, on ``copy``, raised ``error``;
+        return ``(result, serving copy)`` or raise the read's outcome.
+
+        The primary's own error is the answer.  A replica's error is
+        checked against the primary's outcome: the same exception type
+        means the copies agree (a ``search`` miss raises on both), so it is
+        raised and the replica kept; anything else demotes the replica and
+        serves the primary's outcome.  A crashed copy is demoted if it is
+        a replica, and the read moves to the primary, then to each live
+        replica, one crossing each; when all crashed, ``error`` is raised.
+        A wrong ``contains`` boolean cannot be seen per read: anti-entropy
+        is the backstop for silent divergence.
+        """
+        primary = proxy.primary
+        crashed = isinstance(error, WorkerCrashError)
+        if copy is primary and not crashed:
+            raise error
+        if crashed and copy is not primary:
+            self.drop(proxy, copy, demoted=True)
+        for candidate in [primary] + proxy.live_replicas():
+            if candidate is copy:
+                continue
+            try:
+                result = candidate.call(method, *args)
+            except WorkerCrashError:
+                if candidate is not primary:
+                    self.drop(proxy, candidate, demoted=True)
+                continue
+            except Exception as verdict:
+                if not crashed and type(verdict) is not type(error):
+                    self.drop(proxy, copy, demoted=True)
+                raise verdict
+            if not crashed:
+                self.drop(proxy, copy, demoted=True)
+            return result, candidate
+        raise error
+
+    def drop(self, proxy: "_ReplicatedShardProxy", replica: _ShardCopy,
+             demoted: bool = False) -> None:
+        """Take ``replica`` out of ``proxy`` and free it in its worker.
+
+        ``demoted`` counts a read-path demotion.  A copy no longer listed
+        is left alone, so one dropped twice in a call counts once.
+        """
+        if replica not in proxy.replicas:
+            return
+        proxy.replicas.remove(replica)
+        if demoted:
+            self.metrics.inc("replica_reads.demotions")
+        replica.release()
 
 
 class _ReplicatedShardProxy(HIDictionary):
@@ -679,26 +870,23 @@ class _ReplicatedShardProxy(HIDictionary):
 
     The sharded structure's routing, migration, iteration and validation
     machinery all talk to whatever sits in its shard list; putting the
-    replication policy *here* means every one of those paths — including
-    the elastic resize's migration traffic — fans mutations out and reads
-    through the primary without knowing replicas exist.  A one-copy
-    engine's proxies simply have an empty replica list.  Optional
-    capabilities of the hosted structure (``predecessor``, ``level_of``,
-    ...) are reads through ``__getattr__``, but only the methods the
-    primary's worker reported, so ``hasattr`` probes stay truthful.
+    replica set *here* means every one of those paths — including the
+    elastic resize's migration traffic — fans mutations out and reads
+    through the shared :class:`_ReplicaRules` without knowing replicas
+    exist.  A one-copy engine's proxies simply have an empty replica list.
+    Optional capabilities of the hosted structure (``predecessor``,
+    ``level_of``, ...) are reads through ``__getattr__``, but only the
+    methods the primary's worker reported, so ``hasattr`` probes stay
+    truthful.
     """
 
     def __init__(self, primary: _ShardCopy, replicas: List[_ShardCopy],
-                 policy: _ReadPolicyState) -> None:
+                 rules: _ReplicaRules) -> None:
         self.primary = primary
         self.replicas = replicas
         self.registry_name = primary.registry_name
-        self._policy = policy
-        self._live_cache: Optional[List[_ShardCopy]] = None
-        self._live_epoch = -1
+        self._rules = rules
         self._rr_cursor = 0
-
-    # -- replica-set management ----------------------------------------- #
 
     def promote(self, new_primary: _ShardCopy,
                 remaining: List[_ShardCopy]) -> None:
@@ -706,40 +894,13 @@ class _ReplicatedShardProxy(HIDictionary):
         self.primary = new_primary
         self.replicas = remaining
         self.registry_name = new_primary.registry_name
-        self._live_cache = None
 
     def live_replicas(self) -> List[_ShardCopy]:
-        """The replicas whose workers are alive, cached per liveness epoch.
-
-        ``is_alive`` is a waitpid-backed syscall; paying it per read would
-        dominate the hot path.  The filtered list is reused until the
-        engine observes a crash or changes the replica set (either bumps
-        the shared liveness epoch or clears this cache directly).  A
-        silently killed worker that slips through a stale cache is still
-        safe: its next request raises
-        :class:`~repro.errors.WorkerCrashError`, which invalidates here.
-        """
-        if self._live_cache is None \
-                or self._live_epoch != self._policy.liveness_epoch:
-            self._live_cache = [replica for replica in self.replicas
-                                if replica.worker.is_alive()]
-            self._live_epoch = self._policy.liveness_epoch
-        return self._live_cache
-
-    def drop_replica(self, replica: _ShardCopy) -> None:
-        if replica in self.replicas:
-            self.replicas.remove(replica)
-        self._live_cache = None
-
-    def add_replica(self, replica: _ShardCopy) -> None:
-        self.replicas.append(replica)
-        self._live_cache = None
-
-    def demote(self, replica: _ShardCopy) -> None:
-        """Drop a replica from read service (crash or divergence)."""
-        self.drop_replica(replica)
-        self._policy.liveness_epoch += 1
-        self._policy.metrics.inc("replica_reads.demotions")
+        """The replicas whose worker has not been seen to go down (no
+        syscall: every failed crossing sets the worker's crash flag, and a
+        silently killed one fails over on its next crossing)."""
+        return [replica for replica in self.replicas
+                if not replica.worker.down]
 
     # -- read routing ----------------------------------------------------- #
 
@@ -752,12 +913,12 @@ class _ReplicatedShardProxy(HIDictionary):
         proven in sync at the engine's last durability sync point (and
         kept in sync since, because writes fan out synchronously).
         """
-        policy = self._policy
-        if policy.policy == "primary":
+        rules = self._rules
+        if rules.policy == "primary":
             return [self.primary]
         live = self.live_replicas()
-        if policy.policy == "any-after-barrier":
-            epoch = policy.barrier_epoch
+        if rules.policy == "any-after-barrier":
+            epoch = rules.barrier_epoch
             live = [replica for replica in live
                     if replica._synced_epoch == epoch]
         return [self.primary] + live
@@ -770,88 +931,36 @@ class _ReplicatedShardProxy(HIDictionary):
         self._rr_cursor += 1
         return reader
 
-    # -- write fan-out --------------------------------------------------- #
-
-    def _mutate(self, method: str, *args: object) -> object:
-        """Primary first — its outcome *is* the operation's outcome — then
-        the same call on every replica.
-
-        A replica that crashes is dropped (recovery re-seeds it); a replica
-        that *answers differently* than the primary did has diverged and is
-        dropped too.  When the primary itself raises, the replicas are not
-        touched: they never saw the operation, which is exactly the state
-        the primary is in.
-        """
-        result = self.primary.call(method, *args)
-        for replica in list(self.replicas):
-            try:
-                replica.call(method, *args)
-            except Exception:
-                self.drop_replica(replica)
+    def _read(self, method: str, *args: object) -> object:
+        """One synchronous call on the copy the policy picks, then the
+        shared failover when it fails."""
+        rules = self._rules
+        copy = self.primary
+        if rules.policy != "primary" and method not in _PRIMARY_PINNED:
+            copy = self._pick_reader()
+        try:
+            result = copy.call(method, *args)
+        except Exception as error:
+            result, copy = rules.failover(self, copy, error, method, args)
+        if copy is not self.primary:
+            rules.metrics.inc("replica_reads.replica_reads")
         return result
+
+    # -- writes: one command per copy, then the write rule ---------------- #
+
+    def _write(self, method: str, *args: object) -> object:
+        return self._rules.fan_out(method, {0: (self, args)})[0]
 
     def insert(self, key: object, value: object = None) -> None:
-        return self._mutate("insert", key, value)
+        return self._write("insert", key, value)
 
     def upsert(self, key: object, value: object = None) -> bool:
-        return self._mutate("upsert", key, value)
+        return self._write("upsert", key, value)
 
     def delete(self, key: object) -> object:
-        return self._mutate("delete", key)
+        return self._write("delete", key)
 
-    # -- reads: policy-routed, primary fallback on a dead worker ---------- #
-
-    def _read(self, method: str, *args: object) -> object:
-        if self._policy.policy != "primary" \
-                and method not in _PRIMARY_PINNED:
-            reader = self._pick_reader()
-            if reader is not self.primary:
-                try:
-                    result = reader.call(method, *args)
-                except WorkerCrashError:
-                    self.demote(reader)  # fall through to the primary path
-                except Exception as replica_error:
-                    return self._cross_check(reader, method, args,
-                                             replica_error)
-                else:
-                    self._policy.metrics.inc("replica_reads.replica_reads")
-                    return result
-        try:
-            return self.primary.call(method, *args)
-        except WorkerCrashError:
-            self._policy.liveness_epoch += 1
-            for replica in list(self.live_replicas()):
-                try:
-                    return replica.call(method, *args)
-                except WorkerCrashError:
-                    self._policy.liveness_epoch += 1
-                    continue
-            raise
-
-    def _cross_check(self, replica: _ShardCopy, method: str, args: tuple,
-                     replica_error: BaseException) -> object:
-        """A replica answered a read with an exception: second-opinion it.
-
-        An exception is the one replica answer that can be verified
-        without reading twice everywhere — re-ask the primary.  The same
-        exception type means the copies agree (a ``search`` miss raises
-        identically on both); a primary that answers, or fails
-        differently, exposes a diverged replica, which is demoted while
-        the primary's outcome is served.  (A ``contains`` returning the
-        wrong boolean is undetectable by construction — anti-entropy's
-        digest pass is the backstop for silent divergence.)
-        """
-        try:
-            result = self.primary.call(method, *args)
-        except WorkerCrashError:
-            raise replica_error  # no second opinion; the replica's stands
-        except Exception as primary_error:
-            if type(primary_error) is type(replica_error):
-                raise primary_error
-            self.demote(replica)
-            raise primary_error
-        self.demote(replica)
-        return result
+    # -- reads ----------------------------------------------------------- #
 
     def search(self, key: object) -> object:
         return self._read("search", key)
@@ -970,8 +1079,9 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         self._adopt_config(config)
         for name in _COUNTERS:
             self.metrics.inc(name, 0)
-        self._policy_state = _ReadPolicyState(config.read_policy,
-                                              self.metrics)
+        self._rules = _ReplicaRules(config.read_policy, self.metrics,
+                                    self.tracer,
+                                    config.durability_dir is not None)
         self._next_replica_id = -1
         self._placement_router: Optional[ConsistentHashRouter] = None
         if config.durability_dir is not None:
@@ -1042,9 +1152,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             raise ConfigurationError(
                 "no durability directory configured; build the engine with "
                 "durability_dir=... to enable %ss" % what)
-
-    def _bump_liveness(self) -> None:
-        self._policy_state.liveness_epoch += 1
 
     def replica_counts(self) -> List[int]:
         """Live replica count per shard position (testing/ops hook)."""
@@ -1117,7 +1224,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         input order once every hosting is acknowledged; otherwise
         re-raises the first failure in input order.
         """
-        descriptors, errors = self._drive_commands(
+        descriptors, errors = self._rules.drive(
             [(index, worker, engine_id, "__host__", args)
              for index, (worker, engine_id, args) in enumerate(hostings)])
         if errors:
@@ -1205,6 +1312,36 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             "live worker(s) besides its primary — raise max_workers or "
             "lower replication" % (needed, shard_id, len(chosen)))
 
+    def _reseed(self, wanted: Mapping[int, Tuple[int, Sequence[_ShardWorker]]]
+                ) -> int:
+        """Clone primaries into fresh replicas; return how many were hosted.
+
+        ``wanted`` maps a shard position to ``(replicas needed, workers to
+        prefer)``: recovery prefers its respawned workers, anti-entropy the
+        workers of the copies it dropped.  One ``__export__`` per shard
+        pickles back to the parent and on to each target, so clones are
+        byte-identical, randomness state included.  Every clone is hosted
+        in one round and stamped with the current barrier epoch.
+        """
+        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+        owners: List[_ReplicatedShardProxy] = []
+        for position, (needed, prefer) in sorted(wanted.items()):
+            proxy = self._proxy(position)
+            targets = self._replica_workers_for(
+                proxy.primary.shard_id,
+                exclude={proxy.primary.worker}
+                | {replica.worker for replica in proxy.replicas},
+                needed=needed, prefer=prefer)
+            exported = proxy.primary.call("__export__")
+            for target in targets:
+                hostings.append((target, self._take_replica_id(),
+                                 (exported,)))
+                owners.append(proxy)
+        for proxy, clone in zip(owners, self._host(hostings)):
+            clone._synced_epoch = self._rules.barrier_epoch
+            proxy.replicas.append(clone)
+        return len(hostings)
+
     def _adopt_local_shards(self) -> None:
         """Host every local shard as a primary plus its replica clones.
 
@@ -1237,7 +1374,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 zip(local, primaries)):
             shards[position] = _ReplicatedShardProxy(
                 primary, replicas[index * copies:(index + 1) * copies],
-                self._policy_state)
+                self._rules)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1303,91 +1440,6 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                    else ""))
         return worker
 
-    def _request(self, position: int, method: str, args: tuple = ()) -> object:
-        shard_id = self._structure.shard_ids[position]
-        return self._worker_for_position(position).request(shard_id, method,
-                                                           args)
-
-    def _drive_commands(self, commands: Sequence[_Dispatch]
-                        ) -> Tuple[Dict[object, object],
-                                   Dict[object, BaseException]]:
-        """Run ``(key, worker, engine id, method, args)`` commands; return
-        ``(results, errors)`` keyed by ``key``.
-
-        The one dispatch loop: hosting, :meth:`_scatter`, the bulk fan-out,
-        replica syncs and anti-entropy all run through it, one command per
-        crossing.  Every worker's queue drains concurrently, with at most
-        one command outstanding per worker (a second send could deadlock
-        against a worker blocked on a large reply); commands for the same
-        worker run back to back in the order given; a dead worker fails
-        its whole queue; a command that does not pickle fails alone.  Every
-        sent command's reply is read before this returns.  Callers decide
-        which errors are fatal — primary errors raise, replica failures
-        become replica drops.
-        """
-        queues: Dict[_ShardWorker, Deque[_Dispatch]] = {}
-        for command in commands:
-            queues.setdefault(command[1], deque()).append(command)
-        results: Dict[object, object] = {}
-        errors: Dict[object, BaseException] = {}
-        outstanding: Dict[object, Tuple[_ShardWorker, object]] = {}
-        tracer = self.tracer
-        # Present only when tracing is enabled AND an engine-level span is
-        # active on this thread (the bulk operations open one around
-        # dispatch).
-        trace_header = tracer.header()
-        durable = self.durability_dir is not None
-
-        def fail_worker(worker: _ShardWorker, key: object,
-                        error: BaseException) -> None:
-            errors[key] = error
-            for queued in queues[worker]:
-                errors[queued[0]] = error
-            queues[worker].clear()
-
-        def dispatch_next(worker: _ShardWorker) -> None:
-            while queues[worker]:
-                key, _worker, engine_id, method, args = \
-                    queues[worker].popleft()
-                try:
-                    worker.send(engine_id, method, args, trace=trace_header)
-                except WorkerCrashError as error:
-                    fail_worker(worker, key, error)
-                    continue
-                except Exception as error:
-                    # The command did not pickle.  Pickling finishes before
-                    # the first byte is written, so the pipe is untouched:
-                    # only this command fails and the worker takes the next.
-                    errors[key] = error
-                    continue
-                if trace_header is not None:
-                    tracer.note_crossing()
-                # Only primaries (non-negative engine ids) keep an op log.
-                if durable and engine_id >= 0 and method in _LOGGED_BATCHES:
-                    self.metrics.inc("plane.fsync_batches")
-                outstanding[worker.connection] = (worker, key)
-                return
-
-        for worker in queues:
-            dispatch_next(worker)
-        while outstanding:
-            for connection in wait(list(outstanding)):
-                worker, key = outstanding.pop(connection)
-                try:
-                    status, payload = worker.receive()
-                except WorkerCrashError as error:
-                    fail_worker(worker, key, error)
-                    continue
-                if worker.trace_spans:
-                    tracer.graft(worker.trace_spans)
-                    worker.trace_spans = None
-                if status == "err":
-                    errors[key] = payload
-                else:
-                    results[key] = payload
-                dispatch_next(worker)
-        return results, errors
-
     def _scatter(self, commands: Sequence[Tuple[int, str, tuple]]
                  ) -> Dict[int, object]:
         """Run per-primary commands concurrently; results keyed by position.
@@ -1398,7 +1450,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         the sequential engine would surface first.
         """
         structure = self._structure
-        results, errors = self._drive_commands(
+        results, errors = self._rules.drive(
             [(position, self._worker_for_position(position),
               structure.shard_ids[position], method, args)
              for position, method, args in commands])
@@ -1407,84 +1459,32 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return results
 
     # ------------------------------------------------------------------ #
-    # Batched bulk operations (primary + replica fan-out)
+    # Batched bulk operations (through the replica rules)
     # ------------------------------------------------------------------ #
-
-    def _replicated_commands(self, method: str, payloads: Dict[int, tuple]
-                             ) -> List[Tuple[Tuple[int, int], _ShardWorker,
-                                             int, str, tuple]]:
-        """One command per copy: key ``(position, 0)`` is the primary,
-        ``(position, r)`` with ``r >= 1`` that shard's ``r``-th replica."""
-        commands = []
-        for position, args in payloads.items():
-            proxy = self._proxy(position)
-            commands.append(((position, 0), proxy.primary.worker,
-                             proxy.primary.shard_id, method, args))
-            for index, replica in enumerate(proxy.replicas):
-                commands.append(((position, index + 1), replica.worker,
-                                 replica.shard_id, method, args))
-        return commands
-
-    def _settle(self, errors: Dict[Tuple[int, int], BaseException]) -> None:
-        """Apply the fan-out failure policy to a bulk call's error map.
-
-        Replica crashes drop the replica; a replica-side error with no
-        matching primary error means divergence and drops it too (a replica
-        failing the *same* way as its primary is still in sync — both
-        rejected the operation identically).  Primary errors re-raise for
-        the smallest shard position, matching the sequential engine.
-        """
-        primary_errors = {key[0]: error for key, error in errors.items()
-                          if key[1] == 0}
-        # Resolve every failed copy's replica object BEFORE the first drop:
-        # the copy indexes were assigned against the replica list as the
-        # commands were built, and dropping while resolving would skew the
-        # remaining indexes (a second failed replica of the same shard
-        # would be mis-identified or silently kept).
-        doomed = []
-        for (position, copy), error in errors.items():
-            if copy == 0:
-                continue
-            proxy = self._proxy(position)
-            if copy - 1 >= len(proxy.replicas):  # pragma: no cover
-                continue
-            replica = proxy.replicas[copy - 1]
-            if isinstance(error, WorkerCrashError) \
-                    or type(error) is not type(primary_errors.get(position)):
-                doomed.append((proxy, replica))
-        for proxy, replica in doomed:
-            proxy.drop_replica(replica)
-        if primary_errors:
-            raise primary_errors[min(primary_errors)]
 
     def insert_many(self, entries: Iterable[object]) -> int:
         """Insert with one ``insert_batch`` per copy of each shard."""
         batches, count = self._grouped_entries(entries)
-        payloads = {position: (batch,)
-                    for position, batch in enumerate(batches) if batch}
         with self._bulk_op("insert_many"):
-            _results, errors = self._drive_commands(
-                self._replicated_commands("insert_batch", payloads))
-            self._settle(errors)
+            self._rules.fan_out("insert_batch", {
+                position: (self._proxy(position), (batch,))
+                for position, batch in enumerate(batches) if batch})
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete across every copy; values come from the primaries."""
         keys, batches = self._grouped_positions(keys)
-        payloads = {position: ([key for _at, key in batch],)
-                    for position, batch in enumerate(batches) if batch}
         with self._bulk_op("delete_many"):
-            results, errors = self._drive_commands(
-                self._replicated_commands("delete_batch", payloads))
-            self._settle(errors)
+            results = self._rules.fan_out("delete_batch", {
+                position: (self._proxy(position),
+                           ([key for _at, key in batch],))
+                for position, batch in enumerate(batches) if batch})
         self.metrics.inc("engine.keys.delete_many", len(keys))
         values: List[object] = [None] * len(keys)
-        for position, batch in enumerate(batches):
-            if batch:
-                for (at, _key), value in zip(batch,
-                                             results[(position, 0)]):
-                    values[at] = value
+        for position, deleted in results.items():
+            for (at, _key), value in zip(batches[position], deleted):
+                values[at] = value
         return values
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
@@ -1494,11 +1494,9 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         primary; the balancing policies split each shard's sub-batch across
         the eligible copies (one command per copy), so a
         ``replication=3`` engine answers a read-heavy workload from three
-        workers per shard instead of one.  A copy that crashes (or errors)
-        mid-fan-out has its *whole* slice re-asked on another live copy in
-        a single crossing — byte-identical to the healthy path, never
-        per-key point reads — with the primary as the last resort and dead
-        replicas demoted along the way.
+        workers per shard instead of one.  A slice that fails goes through
+        the same failover as a point read, with the whole slice in one
+        crossing per candidate copy.
         """
         keys, batches = self._grouped_positions(keys)
         commands = []
@@ -1518,77 +1516,39 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                     ((position, index), copy.worker, copy.shard_id,
                      "contains_batch",
                      ([key for _at, key in part],)))
+        rules = self._rules
         with self._bulk_op("contains_many"):
-            results, errors = self._drive_commands(commands)
-            replica_served = 0
+            results, errors = rules.drive(commands)
             fatal: Dict[int, BaseException] = {}
-            for key in slices:
-                if key not in errors \
-                        and slices[key][1] is not slices[key][0].primary:
-                    replica_served += len(slices[key][2])
-            for key, error in errors.items():
+            for key in sorted(errors):
                 proxy, copy, part = slices[key]
-                retried = self._retry_read_slice(proxy, copy, part, error)
-                if retried is None:
-                    fatal[key[0]] = error
+                try:
+                    results[key], copy = rules.failover(
+                        proxy, copy, errors[key], "contains_batch",
+                        ([probe for _at, probe in part],))
+                except Exception as error:
+                    fatal.setdefault(key[0], error)
                     continue
-                flags, server = retried
-                results[key] = flags
-                if server is not proxy.primary:
-                    replica_served += len(part)
+                slices[key] = (proxy, copy, part)
             if fatal:
                 raise fatal[min(fatal)]
         self.metrics.inc("engine.keys.contains_many", len(keys))
-        self.metrics.inc("replica_reads.replica_reads", replica_served)
+        self.metrics.inc("replica_reads.replica_reads", sum(
+            len(part) for proxy, copy, part in slices.values()
+            if copy is not proxy.primary))
         found: List[bool] = [False] * len(keys)
         for key, (_proxy, _copy, part) in slices.items():
             for (at, _key), flag in zip(part, results[key]):
                 found[at] = flag
         return found
 
-    def _retry_read_slice(self, proxy: _ReplicatedShardProxy,
-                          copy: _ShardCopy, part: list,
-                          error: BaseException
-                          ) -> Optional[Tuple[List[bool], _ShardCopy]]:
-        """Re-ask one failed read slice on the shard's other copies.
-
-        The whole sub-batch travels in one ``contains_batch`` crossing per
-        candidate — primary first when a replica failed, then the live
-        replicas — so a degraded read costs one extra round-trip, not one
-        per key.  A crashed replica is demoted; a replica whose command
-        *errored* (the primary would not have) is demoted as diverged.
-        Returns ``(flags, serving copy)``, or ``None`` when every copy is
-        gone (the caller raises the original error).
-        """
-        if copy is proxy.primary and not isinstance(error, WorkerCrashError):
-            return None  # the primary's own error is the authoritative one
-        self._bump_liveness()
-        if copy is not proxy.primary:
-            proxy.demote(copy)
-        candidates: List[_ShardCopy] = []
-        if copy is not proxy.primary:
-            candidates.append(proxy.primary)
-        candidates.extend(replica for replica in proxy.live_replicas()
-                          if replica is not copy)
-        keys = [key for _at, key in part]
-        for candidate in candidates:
-            try:
-                flags = candidate.call("contains_batch", keys)
-            except WorkerCrashError:
-                self._bump_liveness()
-                if candidate is not proxy.primary:
-                    proxy.demote(candidate)
-                continue
-            return flags, candidate
-        return None
-
     # ------------------------------------------------------------------ #
     # Shard-aware cost probes (measured and rolled back in the worker)
     # ------------------------------------------------------------------ #
 
     def search_io_cost(self, key: object) -> int:
-        return self._request(self._structure.shard_of(key),
-                             "search_io_cost", (key,))
+        return self._proxy(self._structure.shard_of(key)).primary.call(
+            "search_io_cost", key)
 
     def range_io_cost_breakdown(self, low: object, high: object
                                 ) -> Tuple[List[Pair], List[int]]:
@@ -1640,10 +1600,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         shard_id = proxy.primary.shard_id
         del self._worker_by_shard[shard_id]
         for copy in [proxy.primary] + proxy.replicas:
-            try:
-                copy.worker.drop(copy.shard_id)
-            except WorkerCrashError:
-                pass
+            copy.release()
             if not copy.worker.shard_ids and copy.worker in self._workers:
                 copy.worker.shutdown()
                 self._workers.remove(copy.worker)
@@ -1654,11 +1611,12 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             # leave an unopenable store.  The checkpoint's generation sweep
             # reclaims the retired images; only the op log remains ours to
             # drop.
+            from repro.storage.snapshot import release_files
+
             self.checkpoint()
-            stale_log = _recovery().oplog_path(self.durability_dir,
-                                               shard_id)
-            if os.path.exists(stale_log):
-                os.unlink(stale_log)
+            release_files([_recovery().oplog_path(self.durability_dir,
+                                                  shard_id)],
+                          fsync=self.engine_config.fsync)
         return report
 
     # ------------------------------------------------------------------ #
@@ -1714,35 +1672,27 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             self._sync_replicas()
         return manifest
 
-    def _sync_replicas(self) -> int:
+    def _sync_replicas(self) -> None:
         """Stamp every replica that acks this sync with a new barrier epoch.
 
         Worker pipes process commands in order and every engine-level call
         is synchronous, so a replica that answers the ping has applied
         every write acknowledged before the barrier — exactly the
         ``"any-after-barrier"`` read-eligibility condition.  Replicas that
-        crashed instead of acking are dropped from read service.  Returns
-        the number of replicas stamped.
+        crashed instead of acking are dropped.
         """
-        state = self._policy_state
-        state.barrier_epoch += 1
-        epoch = state.barrier_epoch
-        commands = []
-        for position in range(self.num_shards):
-            proxy = self._proxy(position)
-            for replica in list(proxy.replicas):
-                commands.append(((position, replica), replica.worker,
-                                 replica.shard_id, "__ping__", ()))
-        if not commands:
-            return 0
-        results, errors = self._drive_commands(commands)
+        rules = self._rules
+        rules.barrier_epoch += 1
+        commands = [((position, replica), replica.worker, replica.shard_id,
+                     "__ping__", ())
+                    for position in range(self.num_shards)
+                    for replica in self._proxy(position).replicas]
+        results, errors = rules.drive(commands)
         for _position, replica in results:
-            replica._synced_epoch = epoch
+            replica._synced_epoch = rules.barrier_epoch
         for (position, replica), error in errors.items():
             if isinstance(error, WorkerCrashError):
-                self._proxy(position).drop_replica(replica)
-                self._bump_liveness()
-        return len(results)
+                rules.drop(self._proxy(position), replica)
 
     # ------------------------------------------------------------------ #
     # Crash handling and repair
@@ -1770,9 +1720,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         dictionaries with no recorded build context.  See
         :func:`repro.replication.recovery.recover_engine`.
         """
-        self._bump_liveness()  # recovery reads liveness directly; no cache
         report = _recovery().recover_engine(self)
-        self._bump_liveness()  # the replica sets just changed
         if self.read_policy == "any-after-barrier":
             # Freshly re-seeded replicas are byte-identical clones of their
             # primaries; stamp them read-eligible rather than benching them
@@ -1806,70 +1754,29 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 or any(not worker.is_alive() for worker in self._workers):
             self.recover()
             recovered = True
-        commands = []
-        for position in range(self.num_shards):
-            proxy = self._proxy(position)
-            commands.append(((position, 0, proxy.primary),
-                             proxy.primary.worker, proxy.primary.shard_id,
-                             "__digest__", ()))
-            for index, replica in enumerate(proxy.replicas):
-                commands.append(((position, index + 1, replica),
-                                 replica.worker, replica.shard_id,
-                                 "__digest__", ()))
-        results, errors = self._drive_commands(commands)
-        primary_digests: Dict[int, object] = {
-            key[0]: digest for key, digest in results.items()
-            if key[1] == 0}
-        divergent: List[Tuple[int, _ShardCopy]] = []
-        for key, error in errors.items():
-            position, copy, shard = key
-            if copy == 0:
-                raise error  # a primary died mid-pass; recover and re-run
-            divergent.append((position, shard))
-        for key, digest in results.items():
-            position, copy, shard = key
-            if copy and digest != primary_digests.get(position):
-                divergent.append((position, shard))
-        exported: Dict[int, object] = {}
-        targets: Dict[int, set] = {}
-        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
-        owners: List[_ReplicatedShardProxy] = []
-        for position, replica in sorted(divergent, key=lambda entry:
-                                        entry[0]):
-            proxy = self._proxy(position)
-            proxy.drop_replica(replica)
-            self._bump_liveness()
-            placed = targets.setdefault(position, set())
-            if replica.worker.is_alive():
-                # Re-seed in place: drop the diverged hosting and clone the
-                # primary back onto the same worker.
-                try:
-                    replica.worker.drop(replica.shard_id)
-                except WorkerCrashError:
-                    pass
-                target = replica.worker
-            else:
-                target = self._replica_workers_for(
-                    proxy.primary.shard_id,
-                    exclude={proxy.primary.worker} | placed
-                    | {other.worker for other in proxy.replicas},
-                    needed=1)[0]
-            placed.add(target)
-            if position not in exported:
-                exported[position] = proxy.primary.call("__export__")
-            hostings.append((target, self._take_replica_id(),
-                             (exported[position],)))
-            owners.append(proxy)
-        state = self._policy_state
-        for proxy, fresh in zip(owners, self._host(hostings)):
-            # The clone is byte-identical to the primary at this instant,
-            # which includes everything since the last barrier — it is
-            # immediately eligible under any-after-barrier.
-            fresh._synced_epoch = state.barrier_epoch
-            proxy.add_replica(fresh)
-        self.metrics.inc("replica_reads.anti_entropy_reseeds", len(hostings))
+        rules = self._rules
+        proxies = self._structure._shards
+        commands = [((position, copy), copy.worker, copy.shard_id,
+                     "__digest__", ())
+                    for position, proxy in enumerate(proxies)
+                    for copy in [proxy.primary] + proxy.replicas]
+        digests, errors = rules.drive(commands)
+        for position, proxy in enumerate(proxies):
+            if (position, proxy.primary) in errors:
+                # A primary died mid-pass; recover and re-run.
+                raise errors[(position, proxy.primary)]
+        wanted: Dict[int, Tuple[int, List[_ShardWorker]]] = {}
+        for position, proxy in enumerate(proxies):
+            primary_digest = digests[(position, proxy.primary)]
+            for replica in list(proxy.replicas):
+                key = (position, replica)
+                if key in errors or digests[key] != primary_digest:
+                    # Re-seeded on the same worker when it is still up.
+                    rules.drop(proxy, replica)
+                    needed, prefer = wanted.get(position, (0, []))
+                    wanted[position] = (needed + 1, prefer + [replica.worker])
+        reseeded = self._reseed(wanted)
+        self.metrics.inc("replica_reads.anti_entropy_reseeds", reseeded)
         return {"checked": len(commands), "recovered": recovered,
-                "divergent": sorted({position
-                                     for position, _shard in divergent}),
-                "reseeded": len(hostings),
-                "exported_positions": sorted(exported)}
+                "divergent": sorted(wanted), "reseeded": reseeded,
+                "exported_positions": sorted(wanted)}

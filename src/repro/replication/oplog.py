@@ -40,10 +40,9 @@ import zlib
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.failpoints import trip
 from repro.obs import child_span
 from repro.storage.encoding import RecordCodec
-from repro.storage.snapshot import fsync_directory
+from repro.storage.snapshot import release_files, replace_file
 
 #: Log file magic; a file that does not start with it is rejected.
 MAGIC = b"REPROLOG"
@@ -71,6 +70,21 @@ def _frame(op_code: int, record: bytes) -> bytes:
     """One frame: the op byte, the record, and the CRC of both."""
     body = bytes([op_code]) + record
     return body + _CRC.pack(zlib.crc32(body))
+
+
+def _intact(frame: bytes) -> bool:
+    """Whether ``frame``'s CRC matches its op byte and record."""
+    return _CRC.pack(zlib.crc32(frame[:-_CRC.size])) == frame[-_CRC.size:]
+
+
+def _torn_tail(frames: List[bytes], torn: int) -> Optional[int]:
+    """How many of ``frames`` replay keeps when the log ends in a torn
+    tail (``torn`` partial bytes after an intact last frame, or a bad last
+    frame with nothing after it), else ``None``."""
+    last_intact = not frames or _intact(frames[-1])
+    if torn:
+        return len(frames) if last_intact else None
+    return None if last_intact else len(frames) - 1
 
 
 def _read_frames(path: str, frame_size: int) -> Tuple[int, List[bytes], int]:
@@ -112,15 +126,14 @@ def _decoded(path: str, codec: RecordCodec, frames: List[bytes], torn: int,
     :class:`~repro.errors.ConfigurationError`, as does an unknown op byte.
     Barrier frames yield nothing.
     """
-    for index in range(first, len(frames)):
+    kept = _torn_tail(frames, torn)
+    for index in range(first, len(frames) if kept is None else kept):
         frame = frames[index]
-        body, crc = frame[:-_CRC.size], frame[-_CRC.size:]
-        if _CRC.pack(zlib.crc32(body)) != crc:
-            if index == len(frames) - 1 and torn == 0:
-                return  # torn tail: the last frame never completed
+        if not _intact(frame):
             raise ConfigurationError(
                 "op log %r is corrupt at frame %d (CRC mismatch)"
                 % (path, index))
+        body = frame[:-_CRC.size]
         op = body[0]
         if op == OP_BARRIER:
             continue
@@ -152,6 +165,9 @@ class OpLog:
     truncate:
         Start from an empty log (used when a promoted replica becomes the
         new authoritative copy and the old log no longer describes it).
+
+    Opening a log with a torn tail cuts the file to the frames replay
+    keeps, so the first append after a reopen lands on the frame grid.
     """
 
     def __init__(self, path: str, *, payload_size: int = 64,
@@ -166,22 +182,23 @@ class OpLog:
         #: durability mode consults to decide whether a barrier must
         #: escalate into a history-redacting compaction.
         self.deletes_since_barrier = 0
-        if truncate and os.path.exists(path):
-            os.unlink(path)
-        scratch = path + ".compact"
-        if os.path.exists(scratch):
-            # A compaction wrote its replacement but died before the rename;
-            # the original file is still authoritative, and the orphaned
-            # scratch must not linger (its frames duplicate ours, and in
-            # secure mode lingering bytes are exactly the leak to prevent).
-            os.unlink(scratch)
-            fsync_directory(os.path.dirname(os.path.abspath(path)))
+        # A compaction that died before its rename leaves its scratch; the
+        # original file is still authoritative, and the orphaned scratch
+        # must not linger (its frames duplicate ours, and in secure mode
+        # lingering bytes are exactly the leak to prevent).
+        release_files(([path] if truncate else []) + [path + ".compact"],
+                      fsync=fsync)
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
         frames: List[bytes] = []
         if not fresh:
             # Checked before the append handle opens, so a file that is not
             # an op log raises without leaking a handle.
-            self._base, frames, _torn = _read_frames(path, self.frame_size)
+            self._base, frames, torn = _read_frames(path, self.frame_size)
+            kept = _torn_tail(frames, torn)
+            if kept is not None:
+                del frames[kept:]
+                release_files([path], fsync=fsync,
+                              size=_HEADER.size + kept * self.frame_size)
         #: Logical offset just past the last complete frame.
         self._end = self._base + len(frames) * self.frame_size
         # A reopened log (recovery, cold start) must make the same
@@ -331,20 +348,12 @@ class OpLog:
         first = (keep_from - self._base) // self.frame_size
         kept = b"".join(frames[first:])
         self._handle.close()
-        scratch = self.path + ".compact"
-        with open(scratch, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, VERSION, keep_from))
-            handle.write(kept)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        # The crash window the fault suite pins: the scratch is complete
-        # but the rename has not happened, so the pre-compaction frames are
-        # still the file the next open reads.
-        trip("oplog.compact.rename")
-        os.replace(scratch, self.path)
-        if self._fsync:
-            fsync_directory(os.path.dirname(os.path.abspath(self.path)))
+        # The crash window the fault suite pins sits between the scratch's
+        # fsync and the rename: the pre-compaction frames are still the
+        # file the next open reads.
+        replace_file(self.path, _HEADER.pack(MAGIC, VERSION, keep_from) + kept,
+                     scratch=self.path + ".compact", fsync=self._fsync,
+                     failpoint="oplog.compact.rename")
         self._base = keep_from
         self._handle = open(self.path, "ab", buffering=0)
         self._end = keep_from + len(kept)

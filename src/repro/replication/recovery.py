@@ -14,7 +14,8 @@ Three entry points, all driven through
   rebuilt with its *original construction seed*, else (no replica, no
   durable state) rebuild it empty with that same seed.  The rebuilt
   primaries are hosted together on the restored pool, then every shard is
-  re-replicated back to full strength, all clones hosted at once.
+  re-replicated back to full strength through the engine's one re-seed
+  routine, all clones hosted at once.
 * :func:`open_durable_engine` — cold-start: rebuild a whole engine from a
   durability directory alone (manifest + images + logs), e.g. after the
   parent process itself restarted.
@@ -55,9 +56,9 @@ from repro.replication.oplog import OpLog, replay_into
 from repro.storage.snapshot import (
     MANIFEST_NAME,
     decode_slot,
-    fsync_directory,
     read_image,
     read_manifest,
+    release_files,
     write_image,
     write_manifest,
 )
@@ -151,11 +152,12 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     same instant.  The new generation's images land under fresh
     generation-numbered names, then the manifest flips to them
     (:func:`~repro.storage.snapshot.write_manifest`), then the superseded
-    generation is swept, and with ``fsync`` the directory is synced again
-    so no swept image comes back after a machine crash — a crash anywhere
-    in between leaves exactly one complete generation referenced and
-    intact on disk.  Log compaction runs after the flip; it only ever drops
-    frames the freshly referenced snapshots already cover.
+    generation is swept (:func:`~repro.storage.snapshot.release_files`,
+    which with ``fsync`` syncs the directory again so no swept image comes
+    back after a machine crash) — a crash anywhere in between leaves
+    exactly one complete generation referenced and intact on disk.  Log
+    compaction runs after the flip; it only ever drops frames the freshly
+    referenced snapshots already cover.
     """
     directory = engine.durability_dir
     structure = engine._structure
@@ -189,11 +191,9 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     # The flip is durable; everything the old generation owned — including
     # images of shards that no longer exist — is now unreferenced garbage.
     referenced = {entry["file"] for entry in entries}
-    for name in shard_image_names(directory):
-        if name not in referenced:
-            os.unlink(os.path.join(directory, name))
-    if fsync:
-        fsync_directory(directory)
+    release_files([os.path.join(directory, name)
+                   for name in shard_image_names(directory)
+                   if name not in referenced], fsync=fsync)
     compacted = engine._scatter([
         (position, "__compact__", (results[position][1],))
         for position in range(num_shards)])
@@ -285,24 +285,26 @@ def recover_engine(engine) -> RecoveryReport:
     worker pool is restored to its previous size and the rebuilt primaries
     are hosted on it in one round, reaping the new workers if that fails;
     then every under-replicated shard (including survivors whose replicas
-    died) is re-seeded from its live primary — one export per shard, every
-    clone hosted in one round.  Durable engines checkpoint as soon as every
-    primary is live: a promoted replica's truncated log is only safe once
-    the new snapshot generation references the promoted state, so recovery
-    is not considered complete until that manifest is on disk.
+    died) is re-seeded from its live primary by the engine's one re-seed
+    routine — one export per shard, every clone hosted in one round.
+    Durable engines checkpoint as soon as every primary is live: a
+    promoted replica's truncated log is only safe once the new snapshot
+    generation references the promoted state, so recovery is not
+    considered complete until that manifest is on disk.
     """
     structure = engine._structure
+    rules = engine._rules
     lost = engine.dead_shard_positions()  # raises once the engine is closed
-    for position in range(structure.num_shards):
-        proxy = engine._proxy(position)
-        for replica in list(proxy.replicas):
-            if not replica.worker.is_alive():
-                proxy.drop_replica(replica)
     dead_workers = [worker for worker in engine._workers
                     if not worker.is_alive()]
     for worker in dead_workers:
-        worker.shutdown()
+        worker.shutdown()  # marks it down
         engine._workers.remove(worker)
+    for position in range(structure.num_shards):
+        proxy = engine._proxy(position)
+        for replica in list(proxy.replicas):
+            if replica.worker.down:
+                rules.drop(proxy, replica)
 
     promoted: List[int] = []
     replayed: List[int] = []
@@ -311,9 +313,8 @@ def recover_engine(engine) -> RecoveryReport:
     for position in lost:
         shard_id = structure.shard_ids[position]
         proxy = engine._proxy(position)
-        live = proxy.live_replicas()
-        if live:
-            replica = live[0]
+        if proxy.replicas:  # every one of them live: the dead were dropped
+            replica = proxy.replicas[0]
             descriptor = replica.worker.request(
                 shard_id, "__promote__",
                 (replica.shard_id, engine._oplog_spec(shard_id,
@@ -322,7 +323,7 @@ def recover_engine(engine) -> RecoveryReport:
             replica.worker.shard_ids.add(shard_id)
             engine._worker_by_shard[shard_id] = replica.worker
             proxy.promote(_ShardCopy(replica.worker, shard_id, descriptor),
-                          live[1:])
+                          proxy.replicas[1:])
             promoted.append(position)
             continue
         shard, had_state = _rebuild_shard(engine, position, shard_id)
@@ -350,35 +351,17 @@ def recover_engine(engine) -> RecoveryReport:
     # Not reaped on failure: the respawned workers already host recovered
     # primaries, and a shard whose replicas failed to host is re-seeded by
     # the next recovery.
-    re_replicated: List[int] = []
-    hostings: List[Tuple[_ShardWorker, int, tuple]] = []
-    owners = []
+    wanted = {}
     for position in range(structure.num_shards):
-        proxy = engine._proxy(position)
-        needed = engine.replication - 1 - len(proxy.replicas)
-        if needed <= 0:
-            continue
-        shard_id = structure.shard_ids[position]
-        exclude = {proxy.primary.worker} \
-            | {replica.worker for replica in proxy.replicas}
-        targets = engine._replica_workers_for(shard_id, exclude=exclude,
-                                              needed=needed,
-                                              prefer=respawned)
-        # One export per shard: the primary's full structure pickles back
-        # to the parent, and each hosting pickles it independently to its
-        # target worker — byte-identical clones, randomness state included.
-        exported = proxy.primary.call("__export__")
-        for target in targets:
-            hostings.append((target, engine._take_replica_id(), (exported,)))
-            owners.append(proxy)
-        re_replicated.append(position)
-    for proxy, replica in zip(owners, engine._host(hostings)):
-        proxy.add_replica(replica)
+        needed = engine.replication - 1 - len(engine._proxy(position).replicas)
+        if needed > 0:
+            wanted[position] = (needed, respawned)
+    engine._reseed(wanted)
 
     return RecoveryReport(positions=tuple(lost), promoted=tuple(promoted),
                           replayed=tuple(replayed),
                           rebuilt_empty=tuple(rebuilt_empty),
-                          re_replicated=tuple(re_replicated))
+                          re_replicated=tuple(sorted(wanted)))
 
 
 # --------------------------------------------------------------------------- #

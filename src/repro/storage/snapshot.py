@@ -20,6 +20,12 @@ This module owns the one shard-image directory format, which
 ``snapshot_shards``, the durability checkpoints and the erasure audit share:
 :func:`write_image`/:func:`read_image` (one image and its manifest entry),
 :func:`decode_slot` and :func:`write_manifest`/:func:`read_manifest`.
+
+It is also the durable store's one write seam: besides the images, every
+atomic file replacement (:func:`replace_file`: the manifest, op-log
+compaction) and every release of a file's blocks (:func:`release_files`:
+unlinks and truncations) goes through here.  Op-log appends stay on the
+log's own handle.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro._rng import RandomLike, make_rng
 from repro.errors import ConfigurationError
+from repro.failpoints import trip
 from repro.storage.encoding import PageCodec
 from repro.storage.image import DiskImage
 from repro.storage.pager import PagedFile
@@ -204,6 +211,51 @@ def fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def replace_file(path: str, data: bytes, *, scratch: str,
+                 fsync: bool = True, failpoint: Optional[str] = None) -> None:
+    """Replace ``path`` with ``data`` atomically: write ``scratch``, fsync
+    it, trip ``failpoint`` (a :mod:`repro.failpoints` name), rename it over
+    ``path``, fsync the directory.  ``fsync=False`` skips both fsyncs."""
+    with open(scratch, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+    if failpoint is not None:
+        trip(failpoint)
+    os.replace(scratch, path)
+    if fsync:
+        fsync_directory(os.path.dirname(os.path.abspath(path)))
+
+
+def release_files(paths: Sequence[str], *, fsync: bool,
+                  size: Optional[int] = None) -> None:
+    """Unlink each of ``paths`` that exists, or cut each to ``size`` bytes.
+
+    With ``fsync`` the release is durable on return (a block that came
+    back after a machine crash could hold a deleted key): each cut file is
+    fsynced, and each directory that lost an entry is fsynced once.
+    """
+    directories: List[str] = []
+    for path in paths:
+        if size is not None:
+            with open(path, "r+b") as handle:
+                handle.truncate(size)
+                if fsync:
+                    os.fsync(handle.fileno())
+            continue
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if directory not in directories:
+            directories.append(directory)
+    if fsync:
+        for directory in directories:
+            fsync_directory(directory)
+
+
 def write_image(directory: str, file_name: str, slots: Sequence[object], *,
                 kind: str, page_size: int = 4096, payload_size: int = 64,
                 shuffle_pages: bool = False, seed: RandomLike = None,
@@ -266,16 +318,11 @@ def decode_slot(slot: object) -> Tuple[object, object]:
 
 
 def write_manifest(directory: str, manifest: Mapping[str, object]) -> None:
-    """Replace ``directory``'s manifest atomically and durably: scratch
-    file, fsync, ``os.replace``, then :func:`fsync_directory`."""
+    """Replace ``directory``'s manifest atomically and durably
+    (:func:`replace_file`)."""
     path = os.path.join(directory, MANIFEST_NAME)
-    scratch = path + ".tmp"
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(scratch, path)
-    fsync_directory(directory)
+    replace_file(path, json.dumps(manifest, indent=2).encode("utf-8"),
+                 scratch=path + ".tmp")
 
 
 def read_manifest(directory: str) -> Dict[str, object]:

@@ -285,6 +285,9 @@ def test_grown_store_is_byte_identical_to_a_fresh_build(inner):
         fresh.structure.audit_fingerprint()
     assert list(grown.structure.snapshot_slots()) == \
         list(fresh.structure.snapshot_slots())
+    # The layouts tell the seeds apart; height and sorted slots do not.
+    assert [layout_of(shard) for shard in grown.structure.shards] == \
+        [layout_of(shard) for shard in fresh.structure.shards]
 
 
 @pytest.mark.parametrize("inner", ["b-treap", "treap"])

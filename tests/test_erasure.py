@@ -87,12 +87,23 @@ def build_logged(directory, shards=3, replication=2, **extra):
         durability_dir=str(directory), durability_mode="logged", **extra))
 
 
+def shard_layout(shard):
+    """A shard's full canonical layout, from its worker if hosted."""
+    primary = getattr(shard, "primary", None)
+    if primary is not None:
+        return primary.call("memory_representation")
+    return shard.memory_representation()
+
+
 def layout_digest(structure):
-    """The full physical observable: audit fingerprint + snapshot bytes."""
+    """The full physical observable: audit fingerprint, snapshot bytes and
+    every shard's canonical layout.  The layouts are what tell a b-treap's
+    seed apart: its fingerprint is the height and its slots are sorted."""
     paged, metadata = snapshot_records(list(structure.snapshot_slots()),
                                        page_size=512, payload_size=64)
     return (audit_fingerprint_of(structure),
-            image_of(paged, metadata).fingerprint())
+            image_of(paged, metadata).fingerprint(),
+            [shard_layout(shard) for shard in structure.shards])
 
 
 def raw_scan(directory, keys):

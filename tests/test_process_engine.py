@@ -683,6 +683,26 @@ def _poison(shard):
     return shard
 
 
+def test_an_unclosed_engine_shuts_its_pool_down_when_dropped():
+    """The shard proxies share the replica rules, not the engine, so no
+    reference cycle keeps an engine that was never closed alive: dropping
+    its last reference runs ``__del__``, which shuts every worker down,
+    with the cycle collector off."""
+    engine = make_sharded_engine(EngineConfig(
+        inner="b-treap", shards=2, block_size=BLOCK_SIZE, seed=SEED,
+        parallel="process", replication=2, read_policy="round-robin"))
+    engine.insert_many((key, key) for key in range(40))
+    processes = [worker._process for worker in engine._workers]
+    gc.disable()
+    try:
+        del engine
+        for process in processes:
+            process.join(5.0)
+        assert not any(process.is_alive() for process in processes)
+    finally:
+        gc.enable()
+
+
 def test_a_failed_start_shuts_down_every_worker_it_started():
     structure = make_dictionary("sharded", shards=3, inner="b-tree",
                                 block_size=8, seed=SEED)

@@ -1,15 +1,19 @@
-"""Replication v2: policy-routed reads, liveness caching, anti-entropy.
+"""Replication v2: policy-routed reads, the one replica rule, anti-entropy.
 
 The contract under test is the Replication v2 acceptance bar: with
 ``read_policy="round-robin"`` or ``"any-after-barrier"`` every read may be
 served by *any* eligible copy of a shard — and because replica clones are
 byte-identical under the paper's canonical-layout guarantee, no observable
 answer may depend on which copy answered, through crashes, demotions and
-digest-sweep repairs.  The suite also pins the performance contracts that
-make replica reads worth having: the hot path pays no ``is_alive`` syscall
-per read (liveness is cached per epoch), a failed bulk sub-batch is
-retried on another live copy in one crossing, and ``io_stats`` stays
-primary-pinned so I/O accounting remains comparable to a sequential twin.
+digest-sweep repairs.  Point and bulk calls follow one rule: a failed read
+fails over the same way whether it was a ``search`` or a ``contains_many``
+slice, a write drops a replica whose outcome differs from its primary's,
+and every dropped copy is freed in its worker.  The suite also pins the
+performance contracts that make replica reads worth having: the hot path
+pays no ``is_alive`` syscall per read (the worker's crash flag is the
+liveness), a failed bulk sub-batch is retried on another live copy in one
+crossing, and ``io_stats`` stays primary-pinned so I/O accounting remains
+comparable to a sequential twin.
 
 Like the rest of the fault suites, ``REPRO_START_METHOD`` switches every
 engine here between ``fork`` and ``spawn`` — CI runs the file under both.
@@ -23,10 +27,10 @@ import time
 
 import pytest
 
-from repro.api import make_sharded_engine
+from repro.api import make_dictionary, make_sharded_engine
 from repro.api.config import READ_POLICIES, EngineConfig
 from repro.api.process_engine import _ShardWorker
-from repro.errors import ConfigurationError, KeyNotFound
+from repro.errors import ConfigurationError, DuplicateKey
 from repro.replication import open_durable_engine
 
 pytestmark = pytest.mark.fast
@@ -80,6 +84,35 @@ def kill_worker(engine, position):
 def proxy_for(engine, key):
     structure = engine._structure
     return structure._shards[structure.shard_of(key)]
+
+
+def diverge(replica):
+    """Host a string-keyed b-treap under ``replica``'s id: the copy no
+    longer holds its primary's keys, and every integer probe of it raises
+    ``TypeError`` where the primary answers."""
+    foreign = make_dictionary("b-treap", block_size=BLOCK_SIZE, seed=SEED)
+    foreign.insert("diverged", 0)
+    replica.worker.request(replica.shard_id, "__host__", (foreign,))
+
+
+def assert_hosting_matches_the_proxies(engine):
+    """Each worker hosts exactly the copies the proxies list, and its
+    ``shard_ids`` name exactly those: no dropped copy lingers."""
+    listed = {}
+    for proxy in engine._structure.shards:
+        for copy in [proxy.primary] + proxy.replicas:
+            listed.setdefault(copy.worker, set()).add(copy.shard_id)
+    ever = set(engine._structure.shard_ids) \
+        | set(range(engine._next_replica_id + 1, 0))
+    for worker in engine._workers:
+        hosted = set()
+        for engine_id in ever:
+            try:
+                worker.request(engine_id, "len")
+            except KeyError:
+                continue
+            hosted.add(engine_id)
+        assert hosted == listed.get(worker, set()) == worker.shard_ids
 
 
 # --------------------------------------------------------------------------- #
@@ -194,6 +227,8 @@ def test_io_stats_stays_primary_pinned():
 # --------------------------------------------------------------------------- #
 
 def test_liveness_is_cached_across_reads(monkeypatch):
+    """Reads filter replicas on the workers' crash flags, which every
+    failed crossing sets: the read path makes no ``is_alive`` call."""
     calls = {"count": 0}
     original = _ShardWorker.is_alive
 
@@ -212,7 +247,7 @@ def test_liveness_is_cached_across_reads(monkeypatch):
         engine.contains_many([key for key, _value in entries])
         assert calls["count"] == 0, (
             "the read hot path paid %d is_alive syscalls — liveness must "
-            "be served from the per-epoch cache" % calls["count"])
+            "come from the workers' crash flags" % calls["count"])
     finally:
         monkeypatch.setattr(_ShardWorker, "is_alive", original)
         engine.close()
@@ -226,9 +261,10 @@ def test_crash_invalidates_the_liveness_cache():
         probes = [key for key, _value in entries]
         reference = engine.contains_many(probes)
         kill_worker(engine, 0)
-        # The stale cache still lists the dead worker's copies; the first
-        # crossing that hits one raises WorkerCrashError, which demotes
-        # and bumps the epoch — and the answers never waver.
+        # Nothing has crossed to the dead worker yet, so its copies are
+        # still listed; the first crossing that hits one raises
+        # WorkerCrashError, which sets its crash flag and demotes the
+        # copy — and the answers never waver.
         for _round in range(3):
             assert engine.contains_many(probes) == reference
         for key, value in entries[:20]:
@@ -280,37 +316,120 @@ def test_bulk_contains_many_all_copies_dead_still_raises():
 # Divergence: cross-check demotion and the anti-entropy backstop
 # --------------------------------------------------------------------------- #
 
-def test_cross_check_demotes_a_diverged_replica_and_serves_the_primary():
+#: One point read and one bulk read of a key, each by the same rule.
+READS = {
+    "search": lambda engine, key: engine.search(key),
+    "contains_many": lambda engine, key: engine.contains_many([key] * 4),
+}
+
+#: Reads every copy refuses identically, as the twin does: a miss, and a
+#: key that does not compare with the stored ones, point and bulk (twice,
+#: so the striping hands one to each copy of its shard).
+REFUSED = {
+    "search": lambda engine: engine.search(2004),
+    "contains": lambda engine: engine.contains("x"),
+    "contains_many": lambda engine: engine.contains_many(
+        list(range(1, 21)) + ["x", "x"]),
+}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_cross_check_demotes_a_diverged_replica_and_serves_the_primary(read):
+    engine = build_engine("round-robin", replication=2)
+    twin = build_twin()
+    try:
+        entries = entries_for(120)
+        engine.insert_many(entries)
+        twin.insert_many(entries)
+        key = entries[0][0]
+        expected = READS[read](twin, key)
+        diverge(proxy_for(engine, key).replicas[0])
+        # Rotate (or stripe) until the diverged replica serves the read:
+        # it raises where the primary answers, the cross-check demotes it,
+        # and the primary's answer is what the caller sees — every time.
+        for _spin in range(4):
+            assert READS[read](engine, key) == expected
+        assert read_counters(engine)["demotions"] == 1
+        # The demoted copy is out of rotation; reads stay correct.
+        for _spin in range(4):
+            assert READS[read](engine, key) == expected
+        assert read_counters(engine)["demotions"] == 1
+        assert_hosting_matches_the_proxies(engine)
+    finally:
+        engine.close()
+        twin.close()
+
+
+@pytest.mark.parametrize("read", sorted(REFUSED))
+def test_cross_check_agreeing_misses_are_not_divergence(read):
+    """A read every copy refuses the same way raises what the sequential
+    engine raises and demotes nobody.  A bulk read with a bad key used to
+    demote the replica whose slice held it."""
+    engine = build_engine("round-robin", replication=2, shards=2)
+    twin = build_twin(shards=2)
+    try:
+        for store in (engine, twin):
+            store.insert_many(entries_for(120))
+        with pytest.raises(Exception) as expected:
+            REFUSED[read](twin)
+        for _spin in range(4):
+            with pytest.raises(type(expected.value)):
+                REFUSED[read](engine)
+        assert read_counters(engine)["demotions"] == 0
+        assert engine.replica_counts() == [1, 1]
+    finally:
+        engine.close()
+        twin.close()
+
+
+@pytest.mark.parametrize("write", ["insert_many", "insert"])
+def test_a_replica_that_accepts_a_refused_write_is_dropped(write):
+    """A replica missing key 5 accepts the insert its primary refuses with
+    ``DuplicateKey``: the outcomes differ, so the write rule drops it and
+    frees it in its worker.  It used to stay in service holding 99 while
+    the primary held 5 (bulk), or never see the write at all (point)."""
+    engine = build_engine(replication=2)
+    try:
+        engine.insert_many(entries_for(60) + [(5, 5)])
+        proxy = proxy_for(engine, 5)
+        replica = proxy.replicas[0]
+        replica.call("delete", 5)
+        with pytest.raises(DuplicateKey):
+            if write == "insert":
+                engine.insert(5, 99)
+            else:
+                engine.insert_many([(5, 99)])
+        assert proxy.replicas == []
+        assert replica.shard_id not in replica.worker.shard_ids
+        with pytest.raises(KeyError):
+            replica.call("len")
+        assert engine.search(5) == 5
+        assert read_counters(engine)["demotions"] == 0
+        assert_hosting_matches_the_proxies(engine)
+    finally:
+        engine.close()
+
+
+def test_demoted_replicas_are_freed_before_recovery_reseeds():
+    """A replica demoted through real divergence (hand-diverged, then
+    caught by the cross-check) is freed in its worker; after each
+    ``recover()`` every worker hosts exactly the copies its proxies list.
+    Three rounds used to leave one worker hosting four copies of a shard,
+    one of them in service."""
     engine = build_engine("round-robin", replication=2)
     try:
         entries = entries_for(120)
         engine.insert_many(entries)
         key, value = entries[0]
-        proxy_for(engine, key).replicas[0].call("delete", key)  # diverge
-        # Rotate until the diverged replica serves the read: it raises
-        # where the primary answers, the cross-check demotes it, and the
-        # primary's answer is what the caller sees — every time.
-        for _spin in range(4):
-            assert engine.search(key) == value
-        assert read_counters(engine)["demotions"] == 1
-        # The demoted copy is out of rotation; reads stay correct.
-        for _spin in range(4):
-            assert engine.search(key) == value
-        assert read_counters(engine)["demotions"] == 1
-    finally:
-        engine.close()
-
-
-def test_cross_check_agreeing_misses_are_not_divergence():
-    engine = build_engine("round-robin", replication=2)
-    try:
-        engine.insert_many(entries_for(120))
-        # 2004 is outside the key space: both copies miss identically, so
-        # the cross-check must NOT demote anyone.
-        for _spin in range(4):
-            with pytest.raises(KeyNotFound):
-                engine.search(2004)
-        assert read_counters(engine)["demotions"] == 0
+        for round_ in range(1, 4):
+            proxy_for(engine, key).replicas[0].call("delete", key)
+            for _spin in range(3):
+                assert engine.search(key) == value
+            assert read_counters(engine)["demotions"] == round_
+            assert_hosting_matches_the_proxies(engine)
+            engine.recover()
+            assert engine.replica_counts() == [1] * SHARDS
+            assert_hosting_matches_the_proxies(engine)
     finally:
         engine.close()
 

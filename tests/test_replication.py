@@ -75,12 +75,23 @@ def build_twin(inner="b-treap", shards=3, seed=SEED):
                                             router="consistent"))
 
 
+def shard_layout(shard):
+    """A shard's full canonical layout, from its worker if hosted."""
+    primary = getattr(shard, "primary", None)
+    if primary is not None:
+        return primary.call("memory_representation")
+    return shard.memory_representation()
+
+
 def layout_digest(structure):
-    """The full physical observable: audit fingerprint + snapshot bytes."""
+    """The full physical observable: audit fingerprint, snapshot bytes and
+    every shard's canonical layout.  The layouts are what tell a b-treap's
+    seed apart: its fingerprint is the height and its slots are sorted."""
     paged, metadata = snapshot_records(list(structure.snapshot_slots()),
                                        page_size=512, payload_size=64)
     return (audit_fingerprint_of(structure),
-            image_of(paged, metadata).fingerprint())
+            image_of(paged, metadata).fingerprint(),
+            [shard_layout(shard) for shard in structure.shards])
 
 
 def kill_worker(engine, position):
@@ -199,6 +210,48 @@ def test_oplog_tolerates_torn_tail_but_rejects_mid_log_corruption(tmp_path):
     corrupt.close()
 
 
+def _tear(path, frame, shape):
+    """Tear the last frame of the log at ``path``: cut it 10 bytes short,
+    or keep its length and break its CRC."""
+    size = os.path.getsize(path)
+    with open(path, "r+b") as handle:
+        if shape == "cut":
+            handle.truncate(size - 10)
+        else:
+            handle.seek(size - frame + 1)
+            original = handle.read(1)
+            handle.seek(size - frame + 1)
+            handle.write(bytes([original[0] ^ 0xFF]))
+
+
+@pytest.mark.parametrize("shape", ["cut", "bad-crc"])
+def test_a_reopened_log_appends_after_its_torn_tail_on_the_frame_grid(
+        tmp_path, shape):
+    """Recovery and cold start reopen a log and append to it: the torn
+    tail replay ignores is cut on open, so the next append lands on the
+    frame grid and a later replay still reads every frame (it used to
+    raise "corrupt at frame 1")."""
+    path = str(tmp_path / "shard.oplog")
+    log = OpLog(path)
+    log.append("insert", 1, "one")
+    log.commit()
+    one_frame = os.path.getsize(path)
+    log.append("insert", 2, "two")
+    log.commit()
+    frame = log.frame_size
+    log.close()
+    _tear(path, frame, shape)
+    reopened = OpLog(path)
+    assert os.path.getsize(path) == one_frame
+    assert reopened.end_offset == frame
+    reopened.append("insert", 3, "three")
+    reopened.commit()
+    reopened.close()
+    with OpLog(path) as again:
+        assert list(again.replay(0)) == [("insert", 1, "one"),
+                                         ("insert", 3, "three")]
+
+
 def test_oplog_replay_into_reports_divergence(tmp_path):
     log = OpLog(str(tmp_path / "shard.oplog"))
     log.append("delete", 12345)
@@ -281,17 +334,21 @@ def test_replication_configuration_is_validated(tmp_path):
 
 
 def test_settle_drops_every_failed_replica_without_index_skew():
-    """Two replicas of one shard failing in the same bulk call must both
-    be dropped — resolving indexes against a list being mutated used to
-    keep (or mis-drop) the second one."""
+    """Two replicas of one shard failing in the same write must both be
+    dropped — resolving copy indexes against a list being mutated used to
+    keep (or mis-drop) the second one; the write rule keys each outcome by
+    the copy itself.  Both copies are freed in their (live) workers."""
     engine = build_engine(shards=3, replication=3)
     try:
         proxy = engine._proxy(0)
         first, second = proxy.replicas
-        engine._settle({(0, 1): WorkerCrashError("copy one died"),
-                        (0, 2): WorkerCrashError("copy two died")})
+        engine._rules.settle({0: proxy},
+                             {(0, first): WorkerCrashError("copy one died"),
+                              (0, second): WorkerCrashError("copy two died")})
         assert proxy.replicas == []
         assert first is not second
+        for copy in (first, second):
+            assert copy.shard_id not in copy.worker.shard_ids
     finally:
         engine.close()
 
@@ -820,14 +877,6 @@ def test_new_manifests_record_shard_seeds_and_no_retired_fields(tmp_path):
         assert len(build["shard_seeds"]) == len(manifest["shard_ids"])
         assert None not in build["shard_seeds"]
     assert "backend" not in checkpointed["engine_config"]
-
-
-def shard_layout(shard):
-    """A b-treap shard's full canonical layout, from its worker if hosted."""
-    primary = getattr(shard, "primary", None)
-    if primary is not None:
-        return primary.call("memory_representation")
-    return shard.memory_representation()
 
 
 def test_a_manifest_with_retired_fields_opens_with_its_recorded_seeds(

@@ -38,6 +38,7 @@ from repro.errors import (
     DuplicateKey,
     KeyNotFound,
     ProtocolError,
+    RemoteError,
     ServerBusyError,
     WorkerCrashError,
 )
@@ -197,6 +198,28 @@ def test_loopback_replicated_read_policy_matches_sequential():
     finally:
         sequential.close()
 
+
+
+def test_a_bad_key_over_the_wire_demotes_no_replica():
+    """A bulk read with a key that does not compare reaches the client as
+    the sequential engine's ``TypeError``, and every replica of the served
+    round-robin store stays in service (the replica whose slice held the
+    key used to be demoted); a point read with it demotes nothing either."""
+    config = EngineConfig(inner="b-treap", shards=2, block_size=BLOCK_SIZE,
+                          seed=SEED, parallel="process", max_workers=2,
+                          replication=2, read_policy="round-robin")
+    with ThreadedServer(config) as server:
+        with ReproClient("127.0.0.1", server.port) as client:
+            client.insert_many([(key, key) for key in range(1, 41)])
+            for bad in (lambda: client.contains_many(
+                            list(range(1, 21)) + ["x", "x"]),
+                        lambda: client.contains("x")):
+                with pytest.raises(RemoteError) as raised:
+                    bad()
+                assert raised.value.type_name == "TypeError"
+            served = server.server._namespaces["default"].engine
+            assert served.replica_counts() == [1, 1]
+            assert served.telemetry()["replica_reads.demotions"] == 0
 
 def test_async_client_agrees_with_sync_client():
     config = EngineConfig(shards=3, block_size=BLOCK_SIZE, seed=SEED)
