@@ -24,8 +24,13 @@ count is asserted to be exactly zero at every scale.  An *availability*
 scenario measures read throughput on a ``read_policy="round-robin"``
 replicated engine through three phases — healthy, one worker dead
 (degraded), and after ``recover()`` — asserting the answers stay
-byte-identical in every phase.  Wall-clock numbers
-are machine-dependent, so they are recorded
+byte-identical in every phase.  A *checkpoint* scenario times the
+durable store's two image paths on a secure, fsynced, 2-shard
+``replication=2`` store at 8,192 and 65,536 keys (``hi-skiplist`` and
+``b-treap``): the median of five barriers, each after 128 deletes (a
+checkpoint written by the workers), and the median of three
+``open_durable_engine`` calls (each worker restoring its own shard).
+Wall-clock numbers are machine-dependent, so they are recorded
 (``benchmarks/BENCH_wallclock.json`` under the ``recovery`` key, a
 non-gating CI artifact) rather than gated; the structural assertions
 (identical items, zero residue) hold regardless.  Run standalone with::
@@ -37,13 +42,15 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import signal
+import statistics
 import time
 
 from repro.analysis.reporting import format_table, write_results
 from repro.api import EngineConfig, make_sharded_engine
 
-from _harness import counters, scaled, smoke_mode
+from _harness import counters, scaled, scaled_sweep, smoke_mode
 
 INNER = "b-treap"
 BLOCK_SIZE = 32
@@ -258,6 +265,55 @@ def drive_availability(total: int):
     }
 
 
+#: The checkpoint scenario: barriers timed per store, deletes per barrier,
+#: and cold opens timed per store.
+CHECKPOINT_BARRIERS = 5
+CHECKPOINT_DELETES = 128
+CHECKPOINT_OPENS = 3
+
+
+def drive_checkpoints(inner: str, total: int, tmp_dir: str):
+    """Barrier and cold-open wall-clock of a secure, fsynced, replicated
+    store holding ``total`` keys; every reopen must hold the survivors."""
+    from repro.replication import open_durable_engine
+
+    directory = os.path.join(tmp_dir, "checkpoint-%s-%d" % (inner, total))
+    engine = make_sharded_engine(EngineConfig(
+        inner=inner, shards=2, seed=SEED, parallel="process",
+        replication=2, max_workers=2, durability_dir=directory,
+        durability_mode="secure", fsync=True))
+    doomed = random.Random(SEED).sample(
+        range(total), CHECKPOINT_BARRIERS * CHECKPOINT_DELETES)
+    barriers = []
+    try:
+        engine.insert_many((key, key) for key in range(total))
+        for start in range(0, len(doomed), CHECKPOINT_DELETES):
+            engine.delete_many(doomed[start:start + CHECKPOINT_DELETES])
+            started = time.perf_counter()
+            assert engine.barrier()["redacted"]
+            barriers.append(time.perf_counter() - started)
+    finally:
+        engine.close()
+    opens = []
+    for _round in range(CHECKPOINT_OPENS):
+        started = time.perf_counter()
+        reopened = open_durable_engine(directory, max_workers=2)
+        opens.append(time.perf_counter() - started)
+        try:
+            assert len(reopened) == total - len(doomed), (
+                "a reopened %s store lost keys" % inner)
+        finally:
+            reopened.close()
+    return {
+        "inner": inner,
+        "keys": total,
+        "barriers": len(barriers),
+        "barrier_ms_median": round(statistics.median(barriers) * 1e3, 2),
+        "opens": len(opens),
+        "open_s_median": round(statistics.median(opens), 4),
+    }
+
+
 def collect(tmp_dir: str):
     total = scaled(8_000)
     rows = [drive(mode, total, tmp_dir)
@@ -265,6 +321,9 @@ def collect(tmp_dir: str):
     rows.append(drive_secure(total, tmp_dir))
     erasure = drive_erasure(tmp_dir)
     availability = drive_availability(total)
+    checkpoints = [drive_checkpoints(inner, keys, tmp_dir)
+                   for inner in ("hi-skiplist", "b-treap")
+                   for keys in scaled_sweep(8_192, 65_536)]
     payload = {
         "meta": {
             "inner": INNER,
@@ -276,6 +335,7 @@ def collect(tmp_dir: str):
         "rows": rows,
         "erasure": erasure,
         "availability": availability,
+        "checkpoints": checkpoints,
     }
     return payload, rows
 
@@ -318,6 +378,16 @@ def report(payload, rows) -> None:
             headers=["healthy reads/s", "degraded reads/s",
                      "recovered reads/s", "recover s", "replica-served",
                      "demotions"]))
+    checkpoints = payload.get("checkpoints")
+    if checkpoints:
+        print()
+        print("Checkpoints — secure, fsynced, 2 shards, replication=2 "
+              "(median of %d barriers after %d deletes, %d cold opens)"
+              % (CHECKPOINT_BARRIERS, CHECKPOINT_DELETES, CHECKPOINT_OPENS))
+        print(format_table(
+            [[row["inner"], row["keys"], row["barrier_ms_median"],
+              row["open_s_median"]] for row in checkpoints],
+            headers=["inner", "keys", "barrier ms", "open s"]))
 
 
 def write_wallclock(payload) -> None:

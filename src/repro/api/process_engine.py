@@ -15,7 +15,8 @@ Design
 * **Workers own the state.**  At construction the engine pickles each local
   shard to its worker (one worker per shard by default, fewer when
   ``max_workers`` caps the pool — workers then host several shards) as the
-  shard's *primary*.  The parent's shard slots are replaced by
+  shard's *primary* (a cold open or a recovery has the worker build and
+  restore it instead).  The parent's shard slots are replaced by
   :class:`_ReplicatedShardProxy` stand-ins that forward every dictionary
   call to the owning workers, so *all* of the inherited
   :class:`~repro.api.sharded.ShardedDictionary` machinery — routing, merged
@@ -34,9 +35,9 @@ Design
   acknowledged when the primary applied it.  Reads go to the primary
   unless ``read_policy`` spreads them over the replicas.
 * **Durability is per primary.**  With a ``durability_dir`` each primary's
-  worker appends every acknowledged mutation to a per-shard
-  :class:`~repro.replication.oplog.OpLog`, and :meth:`checkpoint` writes
-  snapshot images plus an atomic manifest (see
+  worker owns its shard's files: it logs every acknowledged mutation to a
+  per-shard :class:`~repro.replication.oplog.OpLog`, writes its images
+  and restores from them; the parent writes the manifest and sweeps (see
   :mod:`repro.replication.recovery`).
 * **Workers start ready to serve.**  Everything a worker runs, fail points
   included, is imported before the first fork, so a forked worker imports
@@ -75,11 +76,11 @@ Design
   :class:`~repro.errors.WorkerCrashError` naming the shard; commands to
   surviving workers keep working.  :meth:`recover` (and
   :meth:`restart_workers`, which returns its positions) repairs each dead
-  primary — promote a live replica, else replay its snapshot and op-log
-  tail, else rebuild it empty — always with the shard's original
-  construction seed, then re-seeds missing replicas; it loads
-  :mod:`repro.replication.recovery` in the parent.  :meth:`close` (or the
-  context-manager exit) shuts every worker down cleanly.
+  primary — promote a live replica, else have a new worker replay its
+  snapshot and op-log tail, else rebuild it empty — always with the
+  shard's original construction seed, then re-seeds missing replicas; it
+  loads :mod:`repro.replication.recovery` in the parent.  :meth:`close`
+  (or the context-manager exit) shuts every worker down cleanly.
 
 Bulk calls return results, layouts and counters identical to the
 sequential engine, and fail identically too: every shard's batch runs until
@@ -230,14 +231,62 @@ def _describe_shard(shard: HIDictionary) -> Dict[str, object]:
     }
 
 
-def _open_oplog(spec: Mapping[str, object]):
-    """Open the worker-side op log a hosting command described."""
-    # Imported lazily: the replication package imports this module, so a
-    # top-level import would be circular.  Only durable hostings get here,
-    # and a durable engine imports the package before its first fork.
+def _open_oplog(spec: Optional[Mapping[str, object]]):
+    """Open the worker-side op log a hosting command described, if any."""
+    if spec is None:
+        return None
+    # Lazily (the package imports this module); a durable engine has
+    # imported it before its first fork.
     from repro.replication.oplog import OpLog
 
     return OpLog(**spec)
+
+
+def _restore_primary(shard_id: int, inner: str, record, image, log_spec):
+    """Build primary ``shard_id`` through the store's build ``record`` (so
+    with its original seed); on a durable store, load its checkpoint
+    ``image`` (``(directory, manifest entry, index)``, or ``None``) and
+    replay its op-log tail into it.  Returns ``(shard, log)``: the replayed
+    log stays open for appends."""
+    shard = record.build_shard(inner, shard_id)
+    if log_spec is None:
+        return shard, None
+    from repro.replication.oplog import replay_into
+    from repro.storage.snapshot import load_image
+
+    offset = 0
+    if image is not None:
+        load_image(shard, *image)
+        offset = int((image[1].get("oplog") or {}).get("offset") or 0)
+    replay = os.path.exists(log_spec["path"])
+    log = _open_oplog(log_spec)
+    try:
+        if replay:
+            replay_into(shard, log, offset)
+    except BaseException:
+        log.close()
+        raise
+    return shard, log
+
+
+def _checkpoint_primary(engine: DictionaryEngine, shard_id: int, log, trip,
+                        generation: int) -> Dict[str, object]:
+    """Write this primary's image of checkpoint ``generation`` next to its
+    op log, then commit a log barrier; return the shard's manifest entry.
+    The parent keeps one command outstanding per worker, so image and
+    barrier offset describe the same instant."""
+    from repro.replication.recovery import IMAGE_NAME
+    from repro.storage.snapshot import write_image
+
+    directory, log_name = os.path.split(log.path)
+    entry = write_image(directory, IMAGE_NAME % (shard_id, generation),
+                        engine.structure.snapshot_slots(), kind=engine.name,
+                        fsync=log.fsync)
+    # A crash here leaves an image no manifest references; the next
+    # checkpoint rewrites or sweeps it.
+    trip("worker.checkpoint")
+    return {"id": shard_id, **entry,
+            "oplog": {"file": log_name, "offset": log.barrier()}}
 
 
 def _insert_batch(structure, log, trip, pairs) -> int:
@@ -289,11 +338,17 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     applied.  ``trip`` is the fail-point hook the fault-injection suite
     arms to kill the worker at exact operation boundaries.
     """
-    if method == "__host__":
-        shard = args[0]
+    if method in ("__host__", "__restore__"):
+        # A structure the parent built (a primary's with its op-log spec),
+        # or a primary this worker builds and restores itself.
+        if method == "__host__":
+            shard = args[0]
+            log = _open_oplog(args[1] if len(args) > 1 else None)
+        else:
+            shard, log = _restore_primary(shard_id, *args)
         engines[shard_id] = DictionaryEngine(shard)
-        if len(args) > 1 and args[1] is not None:
-            logs[shard_id] = _open_oplog(args[1])
+        if log is not None:
+            logs[shard_id] = log
         return _describe_shard(shard)
     if method == "__drop__":
         del engines[shard_id]
@@ -338,12 +393,7 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
             log.commit()
         return result
     if method == "__checkpoint__":
-        # One atomic conversation: the returned slot array and log barrier
-        # offset describe the same instant (no other command can interleave
-        # because the parent keeps at most one outstanding per worker).
-        slots = list(structure.snapshot_slots())
-        trip("worker.checkpoint")
-        return slots, (log.barrier() if log is not None else None)
+        return _checkpoint_primary(engine, shard_id, log, trip, args[0])
     if method == "__barrier__":
         # A durability sync point without a snapshot: commit a barrier
         # frame and report how many delete frames preceded it since the
@@ -1014,6 +1064,14 @@ class _ReplicatedShardProxy(HIDictionary):
 # The engine
 # --------------------------------------------------------------------------- #
 
+def _require_copies(replication: int, shards: int) -> None:
+    """The one shape rule: ``replication`` copies need as many shards."""
+    if replication > shards:
+        raise ConfigurationError(
+            "replication factor %d needs at least as many shards (and "
+            "workers) as copies, not %d" % (replication, shards))
+
+
 class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     """A sharded engine whose shards live in long-lived worker processes.
 
@@ -1028,9 +1086,11 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     Construction adopts every shard of the wrapped
     :class:`~repro.api.sharded.ShardedDictionary` into a worker process
-    (pickling the structure over the command pipe) as its *primary*, plus
-    ``replication - 1`` pickled *replica* clones on ring-successor workers,
-    and puts a :class:`_ReplicatedShardProxy` in the shard's slot.  Bulk
+    (pickling the structure over the command pipe; a ``None`` slot, which
+    only :func:`~repro.replication.recovery.open_durable_engine` leaves, is
+    built and restored by the worker) as its *primary*, plus
+    ``replication - 1`` *replica* clones on ring-successor workers, and
+    puts a :class:`_ReplicatedShardProxy` in the shard's slot.  Bulk
     operations ship one batched command per shard copy per call and
     collect replies as workers finish; point operations stay routed.
     ``max_workers`` caps the process pool — with fewer workers than shards,
@@ -1039,18 +1099,9 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     With a ``durability_dir`` every primary's worker keeps an op log and
     the constructor ends in a :meth:`checkpoint`, so a durable engine
-    always has a manifest on disk.  ``replication=1`` with no directory is
-    the simple case: one copy per shard and nothing on disk.
-
-    :meth:`recover` (and :meth:`restart_workers`, which returns its
-    positions) repairs dead primaries by replica promotion, snapshot +
-    op-log replay, or an empty rebuild with the original seed, and
-    re-seeds missing replicas;
-    :func:`repro.replication.recovery.open_durable_engine` cold-starts an
-    engine from a durability directory alone.
-
-    Workers are daemonic; call :meth:`close` (or use the engine as a
-    context manager) for a clean shutdown.
+    always has a manifest on disk.  :meth:`recover` repairs dead
+    primaries.  Workers are daemonic; call :meth:`close` (or use the
+    engine as a context manager) for a clean shutdown.
     """
 
     def __init__(self, structure: ShardedDictionary,
@@ -1064,11 +1115,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 "parallel='process', got %r" % (config,))
         config.validate()
         super().__init__(structure)
-        if config.replication > structure.num_shards:
-            raise ConfigurationError(
-                "replication factor %d needs at least as many shards (and "
-                "workers) as copies; this dictionary has %d shard(s)"
-                % (config.replication, structure.num_shards))
+        _require_copies(config.replication, structure.num_shards)
         if config.durability_dir is not None \
                 and structure.build_record is None:
             raise ConfigurationError(
@@ -1175,26 +1222,43 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             return worker
         return min(live, key=lambda worker: len(worker.shard_ids))
 
-    def _host_primaries(self, local: Sequence[Tuple[int, HIDictionary]]
+    def _host_primaries(self,
+                        local: Sequence[Tuple[int, Optional[HIDictionary]]]
                         ) -> List[_ShardCopy]:
-        """Host each ``(position, local shard)`` on a picked worker.
+        """Host each ``(position, local shard)`` as a primary.
 
-        Placement is decided for every shard before the first ``__host__``
-        goes out: spawn until the cap, then the least-loaded live worker
-        (earliest spawned on ties).  Returns the copies in input order;
-        the caller installs them.
+        A built shard is pickled over (``__host__``); for ``None`` the
+        worker builds and restores it (:func:`_restore_primary`), so only
+        its manifest entry crosses.  Placement is decided for every shard
+        before the first command goes out: spawn until the cap, then the
+        least-loaded live worker (earliest spawned on ties).  Returns the
+        copies in input order; the caller installs them.
         """
-        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+        structure = self._structure
+        entries: Sequence[Mapping[str, object]] = ()
+        if self.durability_dir is not None \
+                and any(shard is None for _position, shard in local):
+            entries = _recovery().load_manifest(self.durability_dir)["shards"]
+        hostings: List[Tuple[_ShardWorker, int, str, tuple]] = []
         try:
             for position, shard in local:
-                shard_id = self._structure.shard_ids[position]
+                shard_id = structure.shard_ids[position]
                 worker = self._pick_worker()
                 worker.shard_ids.add(shard_id)  # the next pick sees it
-                hostings.append((worker, shard_id,
-                                 (shard, self._oplog_spec(shard_id))))
+                log_spec = self._oplog_spec(shard_id)
+                if shard is not None:
+                    hostings.append((worker, shard_id, "__host__",
+                                     (shard, log_spec)))
+                    continue
+                image = next(((self.durability_dir, entry, index)
+                              for index, entry in enumerate(entries)
+                              if entry.get("id") == shard_id), None)
+                hostings.append((worker, shard_id, "__restore__", (
+                    structure.inner_names[position], structure.build_record,
+                    image, log_spec)))
             copies = self._host(hostings)
         except BaseException:
-            for worker, shard_id, _args in hostings:
+            for worker, shard_id, _method, _args in hostings:
                 worker.shard_ids.discard(shard_id)
             raise
         for copy in copies:
@@ -1212,25 +1276,26 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                                                shard_id),
                 "fsync": self.engine_config.fsync, "truncate": truncate}
 
-    def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, tuple]]
+    def _host(self, hostings: Sequence[Tuple[_ShardWorker, int, str, tuple]]
               ) -> List[_ShardCopy]:
-        """Send ``(worker, engine id, __host__ args)`` hostings; copies.
+        """Send ``(worker, engine id, method, args)`` hostings; copies.
 
-        Every ``__host__`` that can go out does so before the first reply
-        is read, so the workers unpickle their shards side by side; a
-        worker hosting several takes them back to back.  Hosting never
-        runs under an engine span, so it is never traced and the trace
-        counters stay functions of the workload.  Returns the copies in
-        input order once every hosting is acknowledged; otherwise
-        re-raises the first failure in input order.
+        Every hosting that can go out does so before the first reply is
+        read, so the workers take their shards side by side; a worker
+        hosting several takes them back to back.  Hosting never runs under
+        an engine span, so it is never traced and the trace counters stay
+        functions of the workload.  Returns the copies in input order once
+        every hosting is acknowledged; otherwise re-raises the first
+        failure in input order.
         """
         descriptors, errors = self._rules.drive(
-            [(index, worker, engine_id, "__host__", args)
-             for index, (worker, engine_id, args) in enumerate(hostings)])
+            [(index, worker, engine_id, method, args)
+             for index, (worker, engine_id, method, args)
+             in enumerate(hostings)])
         if errors:
             raise errors[min(errors)]
         copies = []
-        for index, (worker, engine_id, _args) in enumerate(hostings):
+        for index, (worker, engine_id, _method, _args) in enumerate(hostings):
             worker.shard_ids.add(engine_id)
             copies.append(_ShardCopy(worker, engine_id, descriptors[index]))
         return copies
@@ -1323,7 +1388,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         byte-identical, randomness state included.  Every clone is hosted
         in one round and stamped with the current barrier epoch.
         """
-        hostings: List[Tuple[_ShardWorker, int, tuple]] = []
+        hostings: List[Tuple[_ShardWorker, int, str, tuple]] = []
         owners: List[_ReplicatedShardProxy] = []
         for position, (needed, prefer) in sorted(wanted.items()):
             proxy = self._proxy(position)
@@ -1334,7 +1399,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 needed=needed, prefer=prefer)
             exported = proxy.primary.call("__export__")
             for target in targets:
-                hostings.append((target, self._take_replica_id(),
+                hostings.append((target, self._take_replica_id(), "__host__",
                                  (exported,)))
                 owners.append(proxy)
         for proxy, clone in zip(owners, self._host(hostings)):
@@ -1350,7 +1415,8 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         successors, which must all exist before the first replica is
         placed.  A shard that is local because of an elastic grow is
         adopted *populated*, so its clones start byte-identical, migration
-        history included.
+        history included.  A ``None`` slot (a cold open) is restored by
+        its worker and its replicas are seeded by :meth:`_reseed`.
         """
         self._require_open("cannot host shards")
         shards = self._structure._shards
@@ -1363,18 +1429,20 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
             for (_position, shard), primary in zip(local, primaries):
                 for target in self._replica_workers_for(
                         primary.shard_id, exclude={primary.worker},
-                        needed=copies):
+                        needed=0 if shard is None else copies):
                     # Hosting pickles the still-local structure over the
                     # pipe, so every replica is an independent, identical
                     # clone.
                     hostings.append((target, self._take_replica_id(),
-                                     (shard,)))
-            replicas = self._host(hostings)
-        for index, ((position, _shard), primary) in enumerate(
-                zip(local, primaries)):
-            shards[position] = _ReplicatedShardProxy(
-                primary, replicas[index * copies:(index + 1) * copies],
-                self._rules)
+                                     "__host__", (shard,)))
+            replicas = iter(self._host(hostings))
+            for (position, shard), primary in zip(local, primaries):
+                shards[position] = _ReplicatedShardProxy(
+                    primary, [] if shard is None
+                    else [next(replicas) for _copy in range(copies)],
+                    self._rules)
+            self._reseed({position: (copies, ()) for position, shard
+                          in local if shard is None and copies})
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1590,7 +1658,13 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         return report
 
     def remove_shard(self, position: int) -> MigrationReport:
-        """Retire one shard, every hosting of it, and its durable artifacts."""
+        """Retire one shard, every hosting of it, and its durable artifacts.
+
+        Leaving fewer shards than copies, which a reopen would refuse,
+        raises :class:`~repro.errors.ConfigurationError` and changes nothing.
+        """
+        if self.replication > 1:
+            _require_copies(self.replication, self.num_shards - 1)
         proxy: Optional[_ReplicatedShardProxy] = None
         if isinstance(position, int) and not isinstance(position, bool) \
                 and 0 <= position < len(self._structure.shards):
@@ -1657,11 +1731,11 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
     def checkpoint(self) -> Dict[str, object]:
         """Snapshot every shard, write the manifest, compact the logs.
 
-        Returns the manifest.  Each shard's snapshot and its op-log barrier
-        offset are taken in one worker conversation, so the pair describes
-        a single instant; the manifest is written atomically (write +
-        rename), so a crash mid-checkpoint leaves the previous snapshot
-        generation fully intact.
+        Returns the manifest.  Each shard's worker writes its image and
+        commits its op-log barrier in one conversation, so the pair
+        describes a single instant; the manifest is written atomically
+        (write + rename), so a crash mid-checkpoint leaves the previous
+        snapshot generation fully intact.
         """
         self._require_durable("checkpoint")
         manifest = _recovery().checkpoint_engine(self)

@@ -306,7 +306,6 @@ class ShardedDictionary(HIDictionary):
         # the same object.  Resizes (rare) rebuild it wholesale.
         self._shard_ids: Tuple[int, ...] = tuple(
             _validated_shard_ids(shard_ids, len(shards)))
-        self._next_shard_id: int = max(self._shard_ids) + 1
         #: How the shards were built; ``None`` for hand-assembled shards,
         #: which a resize or a recovery cannot rebuild.
         self.build_record: Optional[BuildRecord] = None
@@ -502,18 +501,20 @@ class ShardedDictionary(HIDictionary):
                   inner: Optional[str] = None) -> MigrationReport:
         """Grow by one shard, migrating only the keys that re-route to it.
 
-        With no arguments the new shard is built exactly like the existing
-        ones (same registry wiring, the seed its new id gives); pass
-        ``inner`` to grow with a different registry structure, or a
-        pre-built ``shard`` when the dictionary was assembled by hand.
-        Under consistent hashing the migration touches ``≈ n/(shards+1)``
-        keys, all flowing to the new shard; under modulo routing nearly every
-        key moves (which is why the modulo router cannot scale elastically).
+        The new shard's id is the largest live id plus one, a function of
+        the live ids alone.  With no arguments the new shard is built
+        exactly like the existing ones (same registry wiring, the seed its
+        new id gives); pass ``inner`` to grow with a different registry
+        structure, or a pre-built ``shard`` when the dictionary was
+        assembled by hand.  Under consistent hashing the migration touches
+        ``≈ n/(shards+1)`` keys, all flowing to the new shard; under modulo
+        routing nearly every key moves (which is why the modulo router
+        cannot scale elastically).
         """
         if shard is not None and inner is not None:
             raise ConfigurationError(
                 "pass either a pre-built shard or an inner name, not both")
-        new_id = self._next_shard_id
+        new_id = max(self._shard_ids) + 1
         if shard is None:
             if self.build_record is None:
                 raise ConfigurationError(
@@ -548,18 +549,16 @@ class ShardedDictionary(HIDictionary):
         self._shards.append(shard)
         self.inner_names.append(inner_name)
         self._shard_ids = new_ids
-        self._next_shard_id += 1
         try:
             moved, per_source, per_target = self._migrate(
                 new_ids, new_position_of)
         except Exception:
             # Restore everything a fresh-build comparison can see: the
-            # shard list, the id counter and the build record, so a later
-            # grow is indistinguishable from one with no failed attempt.
+            # shard list, the ids and the build record, so a later grow is
+            # indistinguishable from one with no failed attempt.
             self._shards.pop()
             self.inner_names.pop()
             self._shard_ids = old_ids
-            self._next_shard_id -= 1
             self._forget_seed(new_id)
             raise
         return MigrationReport(
@@ -1002,11 +1001,7 @@ class ShardedDictionaryEngine(DictionaryEngine):
                 structure.shard_ids)
         return header
 
-    def snapshot_shards(self, directory: str, *,
-                        page_size: int = 4096,
-                        payload_size: int = 64,
-                        shuffle_pages: bool = False,
-                        seed: RandomLike = None) -> Dict[str, object]:
+    def snapshot_shards(self, directory: str) -> Dict[str, object]:
         """Write one image per shard into ``directory`` plus a JSON manifest.
 
         Returns the manifest (also written to ``manifest.json`` inside the
@@ -1023,9 +1018,7 @@ class ShardedDictionaryEngine(DictionaryEngine):
         manifest = self._manifest_header()
         manifest["shards"] = [
             write_image(directory, "shard-%04d.img" % index,
-                        engine.structure.snapshot_slots(), kind=engine.name,
-                        page_size=page_size, payload_size=payload_size,
-                        shuffle_pages=shuffle_pages, seed=seed)
+                        engine.structure.snapshot_slots(), kind=engine.name)
             for index, engine in enumerate(self._engines())]
         write_manifest(directory, manifest)
         return manifest
@@ -1039,43 +1032,32 @@ class ShardedDictionaryEngine(DictionaryEngine):
                        ) -> "ShardedDictionaryEngine":
         """Rebuild a sharded engine from a :meth:`snapshot_shards` directory.
 
-        Shard count, inner structure names, the router (with its vnodes),
-        the stable shard ids *and the build record* (block size, cache,
-        structure extras, every shard's seed — when the snapshotted engine
-        was registry-built) all come from the manifest
-        (:meth:`ShardedDictionary.from_manifest`), so by default the
-        restored engine is built like the one the images were written
-        from, shard for shard; the keyword arguments override manifest
-        values, and fall back to the registry defaults for manifests that
-        predate the ``build`` record.  (The physical layouts of structures
-        that consume randomness per operation still reflect the restore's
-        insertion order, not the original operation history — that is the
-        history-independence guarantee at work, not a configuration
-        drift.)  The recovered records are re-inserted, and routing
-        determinism guarantees every key lands back on the shard its image
-        came from — including engines that had been elastically resized
-        before the snapshot.  Each image must match its recorded checksum;
-        errors name the shard entry.  Bare-key slots restore with a
-        ``None`` value (:func:`~repro.storage.snapshot.decode_slot`).
+        Shard count, inner names, the router, the shard ids and the build
+        record (every shard's seed included) come from the manifest
+        (:meth:`ShardedDictionary.from_manifest`), so the restored engine
+        is built like the one the images were written from; the keyword
+        arguments override the manifest, and manifests without a ``build``
+        record fall back to the registry defaults.  (Structures that draw
+        randomness per operation lay out by the restore's insertion order:
+        history independence at work, not configuration drift.)  Image
+        ``i`` is loaded into shard ``i``, where routing sends its keys,
+        before the engine is built, so a process engine ships each loaded
+        shard to its worker in one crossing
+        (:func:`~repro.storage.snapshot.load_image`: checksums verified,
+        errors naming the shard entry, bare-key slots restoring with a
+        ``None`` value).
         """
-        from repro.storage.snapshot import (
-            MANIFEST_NAME,
-            decode_slot,
-            read_image,
-            read_manifest,
-        )
+        from repro.storage.snapshot import (MANIFEST_NAME, load_image,
+                                            read_manifest)
 
         manifest = read_manifest(directory)
         structure = ShardedDictionary.from_manifest(
             manifest, os.path.join(directory, MANIFEST_NAME),
             block_size=block_size, cache_blocks=cache_blocks, seed=seed,
             inner_params=inner_params)
-        engine = cls(structure)
         for index, shard in enumerate(structure.shards):
-            insert_pairs(shard, (decode_slot(slot) for slot
-                                 in read_image(directory, manifest, index)
-                                 if slot is not None))
-        return engine
+            load_image(shard, directory, manifest["shards"][index], index)
+        return cls(structure)
 
 
 def make_sharded_engine(config: EngineConfig) -> ShardedDictionaryEngine:

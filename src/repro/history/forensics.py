@@ -235,7 +235,7 @@ def _audit_image_slots(directory: str, manifest: dict, deleted: list,
     anomalies: List[str] = []
     for index, entry in enumerate(manifest["shards"]):
         try:
-            slots = read_image(directory, manifest, index, verify=False)
+            slots = read_image(directory, entry, index, verify=False)
         except ConfigurationError:
             continue  # the raw scan already covered the bytes
         for position, slot in enumerate(slots):

@@ -176,7 +176,8 @@ class OpLog:
         self.codec = RecordCodec(payload_size=payload_size)
         #: Whole frame width: op byte + fixed record + CRC.
         self.frame_size = 1 + self.codec.record_size + _CRC.size
-        self._fsync = fsync
+        #: Whether commits (and the shard's checkpoint images) reach disk.
+        self.fsync = fsync
         self._base = 0
         #: Delete frames appended since the last barrier — what secure
         #: durability mode consults to decide whether a barrier must
@@ -263,7 +264,7 @@ class OpLog:
 
     def commit(self) -> None:
         """Make every appended frame durable (one fsync for the batch)."""
-        if self._fsync:
+        if self.fsync:
             with child_span("oplog.fsync") as span:
                 span.tag("path", os.path.basename(self.path))
                 os.fsync(self._handle.fileno())
@@ -352,7 +353,7 @@ class OpLog:
         # fsync and the rename: the pre-compaction frames are still the
         # file the next open reads.
         replace_file(self.path, _HEADER.pack(MAGIC, VERSION, keep_from) + kept,
-                     scratch=self.path + ".compact", fsync=self._fsync,
+                     scratch=self.path + ".compact", fsync=self.fsync,
                      failpoint="oplog.compact.rename")
         self._base = keep_from
         self._handle = open(self.path, "ab", buffering=0)

@@ -3,22 +3,21 @@
 Three entry points, all driven through
 :class:`~repro.api.process_engine.ProcessShardedDictionaryEngine`:
 
-* :func:`checkpoint_engine` — snapshot every primary shard (slot array +
-  op-log barrier offset captured in one worker conversation each), write
-  the durability manifest atomically, sweep the superseded images, then
-  compact the logs to their barriers.
+* :func:`checkpoint_engine` — each primary's worker writes its image and
+  commits its op-log barrier in one conversation, returning its manifest
+  entry; the parent writes the manifest atomically, sweeps the superseded
+  images, then compacts the logs to their barriers.
 * :func:`recover_engine` — behind ``recover()`` and ``restart_workers()``
   on every process engine — repair dead primaries: **promote** a live
   replica when one exists (then truncate + re-checkpoint its log), else
-  **replay** the checkpointed snapshot plus the op-log tail into a shard
-  rebuilt with its *original construction seed*, else (no replica, no
-  durable state) rebuild it empty with that same seed.  The rebuilt
-  primaries are hosted together on the restored pool, then every shard is
-  re-replicated back to full strength through the engine's one re-seed
-  routine, all clones hosted at once.
+  a respawned worker rebuilds the shard with its *original construction
+  seed* and **replays** its checkpoint image and op-log tail, else (no
+  replica, no durable state) rebuilds it empty with that same seed.  Then
+  every shard is re-replicated back to full strength through the
+  engine's one re-seed routine, all clones hosted at once.
 * :func:`open_durable_engine` — cold-start: rebuild a whole engine from a
   durability directory alone (manifest + images + logs), e.g. after the
-  parent process itself restarted.
+  parent process itself restarted; each worker restores its own primary.
 
 Why the original seed matters: the paper's strongly-HI structures have
 *canonical* layouts — a pure function of (key set, seed).  Rebuilding a
@@ -34,7 +33,8 @@ manifest, which lists every live shard's seed (``shard_seeds``).
 
 Images and manifest are the one shard-image format of
 :mod:`repro.storage.snapshot` (plus per-shard ``id``/``oplog`` fields and
-store-wide ones), written and read only through that module's helpers.
+store-wide ones), written and read only through that module's helpers: the
+images by the worker that hosts the shard, the manifest by the parent.
 """
 
 from __future__ import annotations
@@ -48,18 +48,13 @@ from repro.api.process_engine import (
     _ShardCopy,
     _ShardWorker,
 )
-from repro.api.protocol import insert_pairs
 from repro.api.routing import DEFAULT_VNODES, ConsistentHashRouter
 from repro.api.sharded import ShardedDictionary, _config_for_shards
 from repro.errors import ConfigurationError
-from repro.replication.oplog import OpLog, replay_into
 from repro.storage.snapshot import (
     MANIFEST_NAME,
-    decode_slot,
-    read_image,
     read_manifest,
     release_files,
-    write_image,
     write_manifest,
 )
 
@@ -73,38 +68,24 @@ from repro.storage.snapshot import (
 IMAGE_NAME = "shard-%06d.gen%06d.img"
 OPLOG_NAME = "shard-%06d.oplog"
 
-#: Snapshot geometry of the checkpoint images.
-PAGE_SIZE = 4096
-PAYLOAD_SIZE = 64
-
 
 def oplog_path(directory: str, shard_id: int) -> str:
     return os.path.join(directory, OPLOG_NAME % shard_id)
 
 
-def shard_image_names(directory: str) -> List[str]:
-    """Every checkpoint image file currently in ``directory``."""
-    return [name for name in os.listdir(directory)
-            if name.startswith("shard-") and name.endswith(".img")]
-
-
 def _current_generation(directory: str) -> int:
     """The generation the on-disk manifest references (0 when none does).
 
-    Read from disk rather than engine state so it is correct for every
-    caller — a warm engine, a cold open, or a recovery after the parent
-    itself restarted — and so a new generation's file names can never
-    collide with the one the live manifest still points at.
+    Read from disk, so it is right for a warm engine, a cold open and a
+    recovery alike, and a new generation's file names never collide with
+    the ones the live manifest still points at.
     """
     try:
-        manifest = load_manifest(directory)
+        generation = load_manifest(directory).get("generation", 0)
     except ConfigurationError:
         return 0
-    generation = manifest.get("generation", 0)
-    if isinstance(generation, int) and not isinstance(generation, bool) \
-            and generation >= 0:
-        return generation
-    return 0
+    valid = isinstance(generation, int) and not isinstance(generation, bool)
+    return generation if valid and generation >= 0 else 0
 
 
 def replica_targets(shard_ids, shard_id: int, count: int,
@@ -147,10 +128,10 @@ class RecoveryReport:
 def checkpoint_engine(engine) -> Dict[str, object]:
     """Write one snapshot generation: images, manifest, compacted logs.
 
-    Per shard, the slot array and the log barrier offset come back from a
-    single ``__checkpoint__`` worker conversation, so they describe the
-    same instant.  The new generation's images land under fresh
-    generation-numbered names, then the manifest flips to them
+    Side by side, each primary's worker writes its image under a fresh
+    generation-numbered name and commits its log barrier in one
+    ``__checkpoint__`` conversation, so the manifest entry it returns
+    describes one instant.  Then the manifest flips to the new images
     (:func:`~repro.storage.snapshot.write_manifest`), then the superseded
     generation is swept (:func:`~repro.storage.snapshot.release_files`,
     which with ``fsync`` syncs the directory again so no swept image comes
@@ -160,23 +141,12 @@ def checkpoint_engine(engine) -> Dict[str, object]:
     referenced snapshots already cover.
     """
     directory = engine.durability_dir
-    structure = engine._structure
     fsync = engine.engine_config.fsync
-    num_shards = structure.num_shards
+    positions = range(engine._structure.num_shards)
     generation = _current_generation(directory) + 1
-    results = engine._scatter([(position, "__checkpoint__", ())
-                               for position in range(num_shards)])
-    entries = []
-    for position in range(num_shards):
-        slots, offset = results[position]
-        shard_id = structure.shard_ids[position]
-        entry = write_image(directory, IMAGE_NAME % (shard_id, generation),
-                            slots, kind=structure.inner_names[position],
-                            page_size=PAGE_SIZE, payload_size=PAYLOAD_SIZE,
-                            fsync=fsync)
-        entries.append({"id": shard_id, **entry,
-                        "oplog": {"file": OPLOG_NAME % shard_id,
-                                  "offset": offset}})
+    results = engine._scatter([(position, "__checkpoint__", (generation,))
+                               for position in positions])
+    entries = [results[position] for position in positions]
     manifest = engine._manifest_header()
     manifest.update(generation=generation, replication=engine.replication,
                     read_policy=engine.read_policy,
@@ -188,15 +158,16 @@ def checkpoint_engine(engine) -> Dict[str, object]:
         # above still carries everything recovery needs.
         pass
     write_manifest(directory, manifest)
-    # The flip is durable; everything the old generation owned — including
-    # images of shards that no longer exist — is now unreferenced garbage.
+    # The flip is durable; every other image — the old generation's, a
+    # removed shard's, a crashed checkpoint's — is unreferenced garbage.
     referenced = {entry["file"] for entry in entries}
     release_files([os.path.join(directory, name)
-                   for name in shard_image_names(directory)
-                   if name not in referenced], fsync=fsync)
+                   for name in os.listdir(directory)
+                   if name.startswith("shard-") and name.endswith(".img")
+                   and name not in referenced], fsync=fsync)
     compacted = engine._scatter([
-        (position, "__compact__", (results[position][1],))
-        for position in range(num_shards)])
+        (position, "__compact__", (entries[position]["oplog"]["offset"],))
+        for position in positions])
     engine.metrics.inc("erasure.frames_dropped", sum(
         result[1] for result in compacted.values()
         if isinstance(result, tuple)))
@@ -204,7 +175,7 @@ def checkpoint_engine(engine) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# Manifest loading and seeded shard rebuilds
+# Manifest loading
 # --------------------------------------------------------------------------- #
 
 def load_manifest(directory: str) -> Dict[str, object]:
@@ -220,59 +191,6 @@ def load_manifest(directory: str) -> Dict[str, object]:
     return manifest
 
 
-def _restore_shard_state(shard, directory: str,
-                         manifest: Dict[str, object], shard_id: int,
-                         fsync: bool) -> None:
-    """Load one shard's checkpoint image and replay its op-log tail.
-
-    The single restore sequence behind both warm recovery
-    (:func:`_rebuild_shard`) and cold start (:func:`open_durable_engine`)
-    — the two paths must never drift apart in how they read the durable
-    artifacts.
-    """
-    offset = 0
-    for index, entry in enumerate(manifest["shards"]):
-        if entry.get("id") == shard_id:
-            insert_pairs(shard, (decode_slot(slot) for slot
-                                 in read_image(directory, manifest, index)
-                                 if slot is not None))
-            offset = int((entry.get("oplog") or {}).get("offset") or 0)
-            break
-    log_file = oplog_path(directory, shard_id)
-    if os.path.exists(log_file):
-        log = OpLog(log_file, payload_size=PAYLOAD_SIZE, fsync=fsync)
-        try:
-            replay_into(shard, log, offset)
-        finally:
-            log.close()
-
-
-def _rebuild_shard(engine, position: int, shard_id: int) -> Tuple[object,
-                                                                  bool]:
-    """A seed-identical local rebuild of one crashed shard.
-
-    Returns ``(shard, had_state)``: the structure is always rebuilt with
-    the shard's original construction seed (canonical layouts recover byte
-    for byte); when the engine is durable the checkpoint image and the
-    op-log tail are replayed into it and ``had_state`` is ``True``.
-    """
-    structure = engine._structure
-    if structure.build_record is None:
-        raise ConfigurationError(
-            "this sharded dictionary was assembled from pre-built shards; "
-            "the engine cannot rebuild lost shards without a registry "
-            "build record")
-    shard = structure.build_record.build_shard(
-        structure.inner_names[position], shard_id)
-    directory = engine.durability_dir
-    if directory is None:
-        return shard, False
-    manifest = load_manifest(directory)
-    _restore_shard_state(shard, directory, manifest, shard_id,
-                         engine.engine_config.fsync)
-    return shard, True
-
-
 # --------------------------------------------------------------------------- #
 # Recovery
 # --------------------------------------------------------------------------- #
@@ -282,11 +200,11 @@ def recover_engine(engine) -> RecoveryReport:
 
     The per-shard decision ladder is promotion → snapshot/log replay →
     empty rebuild, every rebuild with the shard's original seed.  The
-    worker pool is restored to its previous size and the rebuilt primaries
-    are hosted on it in one round, reaping the new workers if that fails;
-    then every under-replicated shard (including survivors whose replicas
-    died) is re-seeded from its live primary by the engine's one re-seed
-    routine — one export per shard, every clone hosted in one round.
+    worker pool is restored to its previous size and each new worker
+    restores its primaries, all at once, reaping the new workers if that
+    fails; then every under-replicated shard (survivors whose replicas
+    died included) is re-seeded from its live primary by the engine's one
+    re-seed routine — one export per shard, every clone hosted in one round.
     Durable engines checkpoint as soon as every primary is live: a
     promoted replica's truncated log is only safe once the new snapshot
     generation references the promoted state, so recovery is not
@@ -307,9 +225,7 @@ def recover_engine(engine) -> RecoveryReport:
                 rules.drop(proxy, replica)
 
     promoted: List[int] = []
-    replayed: List[int] = []
-    rebuilt_empty: List[int] = []
-    rebuilt: List[Tuple[int, object]] = []
+    rebuilt: List[int] = []
     for position in lost:
         shard_id = structure.shard_ids[position]
         proxy = engine._proxy(position)
@@ -326,20 +242,26 @@ def recover_engine(engine) -> RecoveryReport:
                           proxy.replicas[1:])
             promoted.append(position)
             continue
-        shard, had_state = _rebuild_shard(engine, position, shard_id)
-        rebuilt.append((position, shard))
-        (replayed if had_state else rebuilt_empty).append(position)
+        if structure.build_record is None:
+            raise ConfigurationError(
+                "this sharded dictionary was assembled from pre-built "
+                "shards; the engine cannot rebuild lost shards without a "
+                "registry build record")
+        rebuilt.append(position)
 
     pool = len(engine._workers)
     with engine._reaping_new_workers():
         for _worker in dead_workers:
             engine._workers.append(_ShardWorker(engine._mp_context))
-        primaries = engine._host_primaries(rebuilt)
+        # Each new worker rebuilds its primary, restoring it when durable.
+        primaries = engine._host_primaries(
+            [(position, None) for position in rebuilt])
     respawned = engine._workers[pool:]
-    for (position, _shard), primary in zip(rebuilt, primaries):
+    for position, primary in zip(rebuilt, primaries):
         engine._proxy(position).promote(primary, [])
 
-    if engine.durability_dir is not None and lost:
+    durable = engine.durability_dir is not None
+    if durable and lost:
         # Checkpoint as soon as every primary is live again — a promoted
         # replica's log was truncated, so until this manifest lands the
         # promoted state exists only in memory.  Re-replication below does
@@ -359,8 +281,8 @@ def recover_engine(engine) -> RecoveryReport:
     engine._reseed(wanted)
 
     return RecoveryReport(positions=tuple(lost), promoted=tuple(promoted),
-                          replayed=tuple(replayed),
-                          rebuilt_empty=tuple(rebuilt_empty),
+                          replayed=tuple(rebuilt) if durable else (),
+                          rebuilt_empty=() if durable else tuple(rebuilt),
                           re_replicated=tuple(sorted(wanted)))
 
 
@@ -376,23 +298,22 @@ def open_durable_engine(directory: str, *,
                         fsync: bool = True):
     """Rebuild a :class:`ProcessShardedDictionaryEngine` from disk alone.
 
-    Reads the durability manifest, rebuilds every shard with its original
-    construction seed, re-inserts its checkpoint image, replays its op-log
-    tail, and brings the engine up (workers, replicas, a fresh checkpoint)
-    against the same directory.  ``replication`` and ``durability_mode``
-    default to what the manifest records, so a secure store reopens secure;
-    every other setting comes from the manifest's embedded
-    :class:`~repro.api.config.EngineConfig` (see
+    The cold-start path: only the directory survives.  Each primary's
+    worker rebuilds its shard with its original seed, loads its checkpoint
+    image and replays its op-log tail; replicas are seeded from the
+    restored primaries; a fresh checkpoint follows.  ``replication`` and
+    ``durability_mode`` default to what the manifest records, so a secure
+    store reopens secure; every other setting comes from the manifest's
+    embedded :class:`~repro.api.config.EngineConfig` (see
     :func:`_manifest_engine_config`), which the engine carries from its
-    first checkpoint on, so every reopen writes it back.  This is the
-    cold-start path — the parent process that owned the engine is gone,
-    only the directory survives.
+    first checkpoint on, so every reopen writes it back.
     """
     manifest = load_manifest(directory)
     structure = ShardedDictionary.from_manifest(
         manifest, os.path.join(directory, MANIFEST_NAME))
-    for shard_id, shard in zip(structure.shard_ids, structure.shards):
-        _restore_shard_state(shard, directory, manifest, shard_id, fsync)
+    # Building the empty shards imported their modules before the first
+    # fork; the workers build and restore the real ones.
+    structure._shards = [None] * structure.num_shards
     if replication is None:
         replication = int(manifest.get("replication", 1))
     if read_policy is None:

@@ -18,7 +18,9 @@ scenarios.
 
 This module owns the one shard-image directory format, which
 ``snapshot_shards``, the durability checkpoints and the erasure audit share:
+one page geometry (:data:`PAGE_SIZE`, :data:`PAYLOAD_SIZE`),
 :func:`write_image`/:func:`read_image` (one image and its manifest entry),
+:func:`load_image` (the one loader of an image into a structure),
 :func:`decode_slot` and :func:`write_manifest`/:func:`read_manifest`.
 
 It is also the durable store's one write seam: besides the images, every
@@ -46,6 +48,10 @@ from repro.storage.pager import PagedFile
 #: File name of the manifest written next to a directory's shard images.
 MANIFEST_NAME = "manifest.json"
 
+#: The page geometry of every shard image: 4 KiB pages of 64-byte payloads.
+PAGE_SIZE = 4096
+PAYLOAD_SIZE = 64
+
 #: Manifest format version this build writes.  Version 2 added the
 #: ``version`` field and per-shard checksums; manifests without one (version
 #: 1) still load, newer versions are rejected rather than half-understood.
@@ -69,13 +75,14 @@ class SnapshotMetadata:
 
 
 def snapshot_records(slots: Sequence[object],
-                     page_size: int = 4096,
-                     payload_size: int = 64,
+                     page_size: int = PAGE_SIZE,
+                     payload_size: int = PAYLOAD_SIZE,
                      path: Optional[str] = None,
                      shuffle_pages: bool = False,
                      seed: RandomLike = None,
                      kind: str = "records") -> Tuple[PagedFile, SnapshotMetadata]:
-    """Write a slot sequence to a paged file.
+    """Write a slot sequence to a paged file, encoding each page just
+    before it is written (one encoded page is held at a time).
 
     Parameters
     ----------
@@ -99,17 +106,20 @@ def snapshot_records(slots: Sequence[object],
         Free-form label recorded in the metadata (e.g. ``"hi-pma"``).
     """
     codec = PageCodec(page_size=page_size, payload_size=payload_size)
-    pages = codec.paginate(list(slots))
-    order = list(range(len(pages)))
+    per_page = codec.slots_per_page
+    # An empty sequence still makes one (empty) page.
+    order = list(range(max(1, -(-len(slots) // per_page))))
     if shuffle_pages:
         make_rng(seed).shuffle(order)
     paged_file = PagedFile(page_size=page_size, path=path)
     paged_file.truncate()  # an older, longer image must leave no tail behind
     for logical, physical in enumerate(order):
-        paged_file.write_page(physical, pages[logical])
+        first = logical * per_page
+        paged_file.write_page(
+            physical, codec.encode_page(slots[first:first + per_page]))
     metadata = SnapshotMetadata(kind=kind,
                                 num_slots=len(slots),
-                                num_pages=len(pages),
+                                num_pages=len(order),
                                 page_size=page_size,
                                 payload_size=payload_size,
                                 page_order=tuple(order))
@@ -117,8 +127,8 @@ def snapshot_records(slots: Sequence[object],
 
 
 def snapshot_structure(structure: object,
-                       page_size: int = 4096,
-                       payload_size: int = 64,
+                       page_size: int = PAGE_SIZE,
+                       payload_size: int = PAYLOAD_SIZE,
                        path: Optional[str] = None,
                        shuffle_pages: bool = False,
                        seed: RandomLike = None) -> Tuple[PagedFile, SnapshotMetadata]:
@@ -257,16 +267,12 @@ def release_files(paths: Sequence[str], *, fsync: bool,
 
 
 def write_image(directory: str, file_name: str, slots: Sequence[object], *,
-                kind: str, page_size: int = 4096, payload_size: int = 64,
-                shuffle_pages: bool = False, seed: RandomLike = None,
-                fsync: bool = False) -> Dict[str, object]:
-    """Write one shard image (:func:`snapshot_records`, from an empty file)
-    into ``directory``; return its manifest entry: file name, checksum and
-    the :class:`SnapshotMetadata` fields."""
+                kind: str, fsync: bool = False) -> Dict[str, object]:
+    """Write one shard image (:func:`snapshot_records` in the shard-image
+    geometry, from an empty file) into ``directory``; return its manifest
+    entry: file name, checksum and the :class:`SnapshotMetadata` fields."""
     path = os.path.join(directory, file_name)
-    _paged, metadata = snapshot_records(
-        slots, page_size=page_size, payload_size=payload_size, path=path,
-        shuffle_pages=shuffle_pages, seed=seed, kind=kind)
+    _paged, metadata = snapshot_records(slots, path=path, kind=kind)
     if fsync:
         with open(path, "rb") as handle:
             os.fsync(handle.fileno())
@@ -275,16 +281,16 @@ def write_image(directory: str, file_name: str, slots: Sequence[object], *,
     return entry
 
 
-def read_image(directory: str, manifest: Mapping[str, object], index: int,
+def read_image(directory: str, entry: Mapping[str, object], index: int,
                verify: bool = True) -> List[object]:
-    """Decode the image of ``manifest``'s shard entry ``index`` into slots.
+    """Decode the image of ``entry``, the manifest's shard entry ``index``,
+    into slots.
 
     With ``verify`` a recorded checksum must match the file; the erasure
     audit turns it off, because an observer decodes whatever is on disk.
     A malformed entry or a bad image raises
     :class:`~repro.errors.ConfigurationError` naming the entry.
     """
-    entry = manifest["shards"][index]
     where = "%s shard entry %d" % (os.path.join(directory, MANIFEST_NAME),
                                    index)
     try:
@@ -315,6 +321,18 @@ def decode_slot(slot: object) -> Tuple[object, object]:
     if isinstance(slot, tuple) and len(slot) == 2:
         return slot
     return slot, None
+
+
+def load_image(structure: object, directory: str,
+               entry: Mapping[str, object], index: int) -> int:
+    """Insert every record of ``entry``'s image (the manifest's shard entry
+    ``index``, checksum verified) into ``structure``, in image order, with
+    one ``insert_many``; returns the count."""
+    from repro.api.protocol import insert_pairs
+
+    return insert_pairs(structure, (decode_slot(slot) for slot
+                                    in read_image(directory, entry, index)
+                                    if slot is not None))
 
 
 def write_manifest(directory: str, manifest: Mapping[str, object]) -> None:

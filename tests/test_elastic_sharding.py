@@ -523,6 +523,34 @@ def test_shard_seeds_follow_ids_after_a_close_reopen_grow(tmp_path):
         reopened.close()
 
 
+def test_the_next_shard_id_does_not_depend_on_a_reopen(tmp_path):
+    """The next shard id is the largest live id plus one, so a store that
+    was closed and reopened after a removal grows exactly like one that
+    stayed open: the same ids, seeds and layouts."""
+
+    def grow_shrink_grow(directory, reopen):
+        engine = build(inner="b-treap", shards=2, seed=RULE_SEED,
+                       parallel="process", durability_dir=directory)
+        try:
+            engine.add_shard()
+            engine.add_shard()
+            engine.insert_many([(1, 1), (8, 8)])
+            engine.remove_shard(3)
+            if reopen:
+                engine.close()
+                engine = open_durable_engine(directory)
+            engine.add_shard()
+            return (engine.structure.shard_ids, engine.items(),
+                    [layout_of(shard) for shard in engine.structure.shards])
+        finally:
+            engine.close()
+
+    stayed_open = grow_shrink_grow(str(tmp_path / "open"), reopen=False)
+    assert stayed_open[0] == (0, 1, 2, 3)
+    assert grow_shrink_grow(str(tmp_path / "reopened"), reopen=True) \
+        == stayed_open
+
+
 def test_shard_seeds_follow_ids_in_a_restored_resized_store(tmp_path):
     """Each shard is rebuilt under its manifest id with its recorded seed,
     so the restored store is the snapshotted one, byte for byte."""

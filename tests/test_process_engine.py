@@ -214,6 +214,34 @@ def test_per_shard_snapshots_round_trip(tmp_path):
         process.close()
 
 
+def test_restore_shards_ships_each_loaded_shard_in_one_crossing(
+        tmp_path, monkeypatch):
+    """The images are loaded into the local shards before the engine is
+    built, so each shard crosses once, in its ``__host__``, instead of one
+    fanned-out point write per key."""
+    from repro.api.process_engine import _ShardWorker
+
+    sequential = make_sharded_engine(EngineConfig(
+        inner="b-tree", shards=2, block_size=BLOCK_SIZE, seed=SEED))
+    sequential.insert_many(entries_for(300))
+    directory = str(tmp_path / "snapshot")
+    sequential.snapshot_shards(directory)
+    sent = []
+    send = _ShardWorker.send
+
+    def counting_send(self, shard_id, method, args, trace=None):
+        sent.append(method)
+        send(self, shard_id, method, args, trace)
+
+    monkeypatch.setattr(_ShardWorker, "send", counting_send)
+    restored = ProcessShardedDictionaryEngine.restore_shards(directory)
+    try:
+        assert sent == ["__host__", "__host__"]
+        assert restored.items() == sequential.items()
+    finally:
+        restored.close()
+
+
 def test_failed_batch_surfaces_the_sequential_exception():
     sequential, process = build_pair()
     try:
@@ -585,6 +613,47 @@ def test_forked_workers_import_nothing(monkeypatch):
         sys.meta_path.remove(blocker)
 
 
+def test_a_cold_open_forks_workers_that_import_nothing(monkeypatch,
+                                                       tmp_path):
+    """A reopened durable store's forked workers restore their primaries,
+    write their images and replay their logs with what the parent
+    imported: after one warm-up run, any import at all fails."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("platform lacks the fork start method")
+    monkeypatch.setenv("REPRO_START_METHOD", "fork")
+    from repro.replication import open_durable_engine
+
+    entries = entries_for(200)
+    survivors = sorted(key for key, _value in entries[50:])
+
+    def reopen_and_crash(directory):
+        with make_sharded_engine(EngineConfig(
+                inner="hi-skiplist", shards=2, block_size=BLOCK_SIZE,
+                seed=SEED, parallel="process", replication=2, max_workers=2,
+                durability_dir=directory,
+                durability_mode="secure")) as engine:
+            engine.insert_many(entries)
+        with open_durable_engine(directory) as reopened:
+            reopened.delete_many([key for key, _value in entries[:50]])
+            assert reopened.barrier()["redacted"]  # the workers' images
+            for pid in reopened.worker_pids():
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.time() + 5.0
+            while len(reopened.dead_shard_positions()) < 2 \
+                    and time.time() < deadline:
+                time.sleep(0.02)
+            assert reopened.recover().replayed == (0, 1)
+            assert list(reopened) == survivors
+
+    reopen_and_crash(str(tmp_path / "warm"))
+    blocker = _RefuseImports()
+    sys.meta_path.insert(0, blocker)
+    try:
+        reopen_and_crash(str(tmp_path / "cold"))
+    finally:
+        sys.meta_path.remove(blocker)
+
+
 def test_a_plain_process_engine_never_imports_the_replication_package():
     """The plain engine's parent stays clear of ``repro.replication``."""
     code = textwrap.dedent("""
@@ -717,8 +786,6 @@ def test_a_failed_start_shuts_down_every_worker_it_started():
 
 
 def test_a_failed_restart_shuts_down_the_workers_it_started(monkeypatch):
-    from repro.api import registry
-
     process = make_sharded_engine(EngineConfig(inner="b-tree", shards=3,
                                                block_size=8, seed=SEED,
                                                parallel="process"))
@@ -726,10 +793,10 @@ def test_a_failed_restart_shuts_down_the_workers_it_started(monkeypatch):
         process.insert_many(entries_for(60))
         _kill_worker(process, 1)
         survivors = set(multiprocessing.active_children())
-        build = registry.make_dictionary
-        monkeypatch.setattr(registry, "make_dictionary",
-                            lambda *args, **kwargs: _poison(
-                                build(*args, **kwargs)))
+        # The respawned worker rebuilds the shard from the build record,
+        # so an unpicklable record fails the restart's one command.
+        monkeypatch.setattr(process.structure.build_record, "poison",
+                            lambda: None, raising=False)
         with pytest.raises(AttributeError, match="pickle"):
             process.restart_workers()
         assert set(multiprocessing.active_children()) == survivors

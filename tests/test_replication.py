@@ -35,6 +35,7 @@ from repro.api import (
     make_dictionary,
     make_sharded_engine,
 )
+from repro.api.protocol import HIDictionary
 from repro.api.sharded import ShardedDictionary, ShardedDictionaryEngine
 from repro.errors import (
     CapacityError,
@@ -47,7 +48,11 @@ from repro.errors import (
 from repro.replication import OpLog, open_durable_engine, replica_targets
 from repro.replication.oplog import replay_into
 from repro.storage import image_of
-from repro.storage.snapshot import MANIFEST_VERSION, snapshot_records
+from repro.storage.snapshot import (
+    MANIFEST_VERSION,
+    snapshot_records,
+    write_image,
+)
 
 pytestmark = pytest.mark.fast
 
@@ -797,8 +802,9 @@ def test_crash_between_snapshot_and_log_barrier_keeps_the_old_generation(
         tmp_path, failpoints):
     arm, disarm = failpoints
     # Each worker checkpoints once at construction; the second checkpoint
-    # command dies after collecting slots, *before* the log barrier — the
-    # exact "between snapshot and log-append" window.
+    # command dies after writing its image of the new generation, *before*
+    # the log barrier — the exact "between snapshot and log-append"
+    # window.  No manifest references that image yet.
     arm("worker.checkpoint:2")
     directory = str(tmp_path / "d")
     engine = build_engine(shards=2, replication=1, durability_dir=directory)
@@ -816,6 +822,10 @@ def test_crash_between_snapshot_and_log_barrier_keeps_the_old_generation(
         disarm()
         report = engine.recover()
         assert sorted(report.replayed) == [0, 1]
+        # Recovery's checkpoint rewrote or swept the unreferenced images.
+        assert sorted(name for name in os.listdir(directory)
+                      if name.endswith(".img")) == sorted(
+            entry["file"] for entry in read_manifest_file(directory)["shards"])
         twin = build_twin(shards=2)
         twin.insert_many(entries_for(140))
         assert engine.items() == twin.items()
@@ -921,6 +931,160 @@ def test_a_manifest_with_retired_fields_opens_with_its_recorded_seeds(
         assert_recorded_seeds(reopened.structure)
         assert read_manifest_file(directory)["build"]["shard_seeds"] \
             == recorded
+    finally:
+        reopened.close()
+
+
+# --------------------------------------------------------------------------- #
+# Each primary's worker owns its files: it writes and restores its own images
+# --------------------------------------------------------------------------- #
+
+@pytest.fixture
+def crossings(monkeypatch):
+    """Every command the parent sends a worker, as ``[engine id, method,
+    args, reply]``; a worker answers its commands in order."""
+    from repro.api.process_engine import _ShardWorker
+
+    log, pending = [], {}
+    send, receive = _ShardWorker.send, _ShardWorker.receive
+
+    def recording_send(self, shard_id, method, args, trace=None):
+        send(self, shard_id, method, args, trace)
+        command = [shard_id, method, args, None]
+        log.append(command)
+        pending.setdefault(self, []).append(command)
+
+    def recording_receive(self):
+        reply = receive(self)
+        pending[self].pop(0)[3] = reply
+        return reply
+
+    monkeypatch.setattr(_ShardWorker, "send", recording_send)
+    monkeypatch.setattr(_ShardWorker, "receive", recording_receive)
+    return log
+
+
+def test_a_checkpoint_reply_is_a_manifest_entry_not_a_slot_list(
+        tmp_path, crossings):
+    engine = build_engine(replication=2, durability_dir=str(tmp_path / "d"))
+    try:
+        engine.insert_many(entries_for(400))
+        del crossings[:]
+        manifest = engine.checkpoint()
+    finally:
+        engine.close()
+    sent = [(engine_id, method) for engine_id, method, _args, _reply
+            in crossings if method in ("__checkpoint__", "__compact__")]
+    # Each primary gets one of each; no replica gets either.
+    assert sorted(sent) == sorted(
+        (shard_id, method) for shard_id in (0, 1, 2)
+        for method in ("__checkpoint__", "__compact__"))
+    replies = [reply for _id, method, _args, reply in crossings
+               if method == "__checkpoint__"]
+    assert [payload for _status, payload in replies] == manifest["shards"]
+    for status, entry in replies:
+        assert status == "ok"
+        assert set(entry) == {"id", "file", "checksum", "kind", "num_slots",
+                              "num_pages", "page_size", "payload_size",
+                              "page_order", "oplog"}
+        assert len(entry["page_order"]) == entry["num_pages"]
+
+
+def test_a_cold_open_and_a_replay_send_no_structure_to_a_primary(
+        tmp_path, crossings):
+    """Each primary's worker builds and restores its shard itself; only
+    replicas, seeded from a restored primary, cross as structures."""
+    directory = str(tmp_path / "d")
+    twin = build_twin()
+    engine = build_engine(replication=2, durability_dir=directory)
+    for target in (engine, twin):
+        target.insert_many(entries_for(300))
+        target.delete_many([key for key, _v in entries_for(300)[::9]])
+    engine.close()
+    del crossings[:]
+    reopened = open_durable_engine(directory)
+    try:
+        assert reopened.items() == twin.items()
+        for shard in reopened.structure.shards:
+            assert [replica.call("memory_representation")
+                    for replica in shard.replicas] \
+                == [shard.primary.call("memory_representation")]
+    finally:
+        reopened.close()
+    reopened = open_durable_engine(directory, replication=1)
+    try:
+        kill_worker(reopened, 1)
+        assert reopened.recover().replayed == (1,)
+        assert reopened.items() == twin.items()
+        assert layout_digest(reopened.structure) \
+            == layout_digest(twin.structure)
+    finally:
+        reopened.close()
+    hosted = [(method, args) for engine_id, method, args, _reply
+              in crossings if method in ("__host__", "__restore__")
+              and engine_id >= 0]
+    assert [method for method, _args in hosted] == ["__restore__"] * 7
+    assert not any(isinstance(arg, HIDictionary)
+                   for _method, args in hosted for arg in args)
+
+
+def assert_images_are_fresh_writes(engine, directory, scratch):
+    """Every image the manifest lists equals, byte for byte and entry for
+    entry, a from-scratch ``write_image`` of its primary's slots."""
+    manifest = read_manifest_file(directory)
+    for shard, entry in zip(engine.structure.shards, manifest["shards"]):
+        fresh = write_image(scratch, entry["file"],
+                            shard.primary.call("snapshot_slots"),
+                            kind=entry["kind"])
+        assert fresh == {name: value for name, value in entry.items()
+                         if name not in ("id", "oplog")}
+        with open(os.path.join(directory, entry["file"]), "rb") as written, \
+                open(os.path.join(scratch, entry["file"]), "rb") as expected:
+            assert written.read() == expected.read()
+
+
+@pytest.mark.parametrize("inner", ["b-treap", "hi-skiplist", "hi-pma"])
+def test_every_checkpoint_image_is_a_fresh_write_of_its_primary(
+        tmp_path, inner):
+    directory, scratch = str(tmp_path / "d"), str(tmp_path / "scratch")
+    os.makedirs(scratch)
+    entries = entries_for(400)
+    engine = build_engine(inner=inner, replication=2,
+                          durability_dir=directory, durability_mode="secure")
+    try:
+        assert_images_are_fresh_writes(engine, directory, scratch)
+        engine.insert_many(entries)
+        engine.checkpoint()
+        assert_images_are_fresh_writes(engine, directory, scratch)
+        engine.delete_many([key for key, _v in entries[::4]])
+        assert engine.barrier()["redacted"]
+        assert_images_are_fresh_writes(engine, directory, scratch)
+        engine.add_shard()
+        assert_images_are_fresh_writes(engine, directory, scratch)
+    finally:
+        engine.close()
+
+
+def test_remove_shard_keeps_as_many_shards_as_copies(tmp_path):
+    """A removal that would leave fewer shards than ``replication`` copies
+    is refused before anything moves, so the store still reopens."""
+    directory = str(tmp_path / "d")
+    engine = build_engine(replication=2, durability_dir=directory)
+    try:
+        engine.insert_many(entries_for(150))
+        engine.remove_shard(0)  # three shards to two still holds two copies
+        items, manifest = engine.items(), read_manifest_file(directory)
+        with pytest.raises(ConfigurationError, match="replication factor 2"):
+            engine.remove_shard(1)
+        assert engine.structure.shard_ids == (1, 2)
+        assert engine.replica_counts() == [1, 1]
+        assert engine.items() == items
+        assert read_manifest_file(directory) == manifest
+    finally:
+        engine.close()
+    reopened = open_durable_engine(directory)
+    try:
+        assert reopened.items() == items
     finally:
         reopened.close()
 
