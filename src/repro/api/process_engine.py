@@ -269,7 +269,7 @@ def _restore_primary(shard_id: int, inner: str, record, image, log_spec):
     return shard, log
 
 
-def _checkpoint_primary(engine: DictionaryEngine, shard_id: int, log, trip,
+def _checkpoint_primary(engine: DictionaryEngine, shard_id: int, log,
                         generation: int) -> Dict[str, object]:
     """Write this primary's image of checkpoint ``generation`` next to its
     op log, then commit a log barrier; return the shard's manifest entry.
@@ -284,14 +284,43 @@ def _checkpoint_primary(engine: DictionaryEngine, shard_id: int, log, trip,
                         fsync=log.fsync)
     # A crash here leaves an image no manifest references; the next
     # checkpoint rewrites or sweeps it.
-    trip("worker.checkpoint")
+    failpoints.trip("worker.checkpoint")
     return {"id": shard_id, **entry,
             "oplog": {"file": log_name, "offset": log.barrier()}}
 
 
-def _insert_batch(structure, log, trip, pairs) -> int:
+def _log_batch(log, op: str, frames: Sequence[bytes], attempted: int
+               ) -> None:
+    """Write a batch's ``frames`` (its applied pairs' frames, in order) in
+    one write and commit them in one fsync.
+
+    The batch is charged one ``worker.<op>`` fail-point trip per pair
+    ``attempted``, as a per-pair loop would have been; when one of them
+    exits the worker, only the frames of the trips before it are written.
+    """
+    passed = failpoints.passes("worker." + op, attempted)
+    if log is not None:
+        log.write(op, frames[:passed])
+    if passed < attempted:
+        failpoints.trip("worker." + op)
+    if log is not None:
+        log.commit()
+
+
+def _insert_batch(structure, log, pairs) -> int:
     """Apply one insert batch with one ``insert_many``, then log the
-    applied prefix and commit it in one fsync."""
+    applied prefix.
+
+    A primary encodes its frames first and applies only the prefix its op
+    log can encode, so a refused pair and the pairs after it are neither
+    applied nor logged: the refusal is raised once the prefix is logged,
+    unless the structure's own failure (a ``DuplicateKey``) came first.
+    """
+    frames: Sequence[bytes] = ()
+    refusal = None
+    if log is not None:
+        frames, refusal = log.encode("insert", pairs)
+        pairs = pairs[:len(frames)]
     before = len(structure)
     try:
         with child_span("worker.apply.insert") as span:
@@ -300,43 +329,44 @@ def _insert_batch(structure, log, trip, pairs) -> int:
     finally:
         # insert_many stops at its first failure with exactly the first
         # len(after) - len(before) pairs applied; that prefix is logged and
-        # made durable even on error, one trip wire per logged insert.
-        for key, value in pairs[:len(structure) - before]:
-            trip("worker.insert")
-            if log is not None:
-                log.append("insert", key, value)
-        if log is not None:
-            log.commit()
+        # made durable even on error.
+        applied = len(structure) - before
+        _log_batch(log, "insert", frames[:applied], applied)
+    if refusal is not None:
+        raise refusal
     return count
 
 
-def _delete_batch(structure, log, trip, keys) -> List[object]:
+def _delete_batch(structure, log, keys) -> List[object]:
+    """Apply one delete batch key by key, then log the deleted prefix."""
     delete = structure.delete
     values: List[object] = []
     try:
         with child_span("worker.apply.delete") as span:
             for key in keys:
-                trip("worker.delete")
                 values.append(delete(key))
-                if log is not None:
-                    log.append("delete", key)
             span.tag("keys", len(values))
     finally:
-        if log is not None:
-            log.commit()
+        frames, refusal = (((), None) if log is None
+                           else log.encode("delete", keys[:len(values)]))
+        # A per-key loop tripped before each delete, the one that raised
+        # included.
+        _log_batch(log, "delete", frames, min(len(keys), len(values) + 1))
+        if refusal is not None:
+            raise refusal
     return values
 
 
 def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
-             trip, shard_id: int, method: str, args: tuple) -> object:
+             shard_id: int, method: str, args: tuple) -> object:
     """Dispatch one command against the hosted shard (worker side).
 
     ``logs`` maps shard ids to their op logs (primaries of a durable
     engine only): every acknowledged mutation is appended *here*, by the
-    process that applied it, with one fsync batch per command — so after a
-    crash the log holds exactly the operations the lost structure had
-    applied.  ``trip`` is the fail-point hook the fault-injection suite
-    arms to kill the worker at exact operation boundaries.
+    process that applied it, with one write and one fsync per command — so
+    after a crash the log holds exactly the operations the lost structure
+    had applied.  The :mod:`repro.failpoints` trips the fault-injection
+    suite arms kill the worker at exact operation boundaries.
     """
     if method in ("__host__", "__restore__"):
         # A structure the parent built (a primary's with its op-log spec),
@@ -375,9 +405,9 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     log = logs.get(shard_id)
     # The batched bulk paths: one command per shard per engine-level call.
     if method == "insert_batch":
-        return _insert_batch(structure, log, trip, args[0])
+        return _insert_batch(structure, log, args[0])
     if method == "delete_batch":
-        return _delete_batch(structure, log, trip, args[0])
+        return _delete_batch(structure, log, args[0])
     if method == "contains_batch":
         contains = structure.contains
         with child_span("worker.apply.contains"):
@@ -385,15 +415,25 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     if method in ("insert", "upsert", "delete"):
         # Routed point mutations (including the migration traffic the
         # elastic resizes push through the shard proxies) log one committed
-        # frame each.
-        trip("worker." + method)
-        result = getattr(structure, method)(*args)
-        if log is not None:
-            log.append(method, args[0], args[1] if len(args) > 1 else None)
-            log.commit()
+        # frame each.  As in a batch, a pair's frame is encoded before the
+        # pair is applied, so a pair the log refuses is not applied.
+        failpoints.trip("worker." + method)
+        if log is None:
+            return getattr(structure, method)(*args)
+        if method == "delete":
+            result = structure.delete(args[0])
+            log.append("delete", args[0])
+        else:
+            frames, refusal = log.encode(
+                method, [(args[0], args[1] if len(args) > 1 else None)])
+            if refusal is not None:
+                raise refusal
+            result = getattr(structure, method)(*args)
+            log.write(method, frames)
+        log.commit()
         return result
     if method == "__checkpoint__":
-        return _checkpoint_primary(engine, shard_id, log, trip, args[0])
+        return _checkpoint_primary(engine, shard_id, log, args[0])
     if method == "__barrier__":
         # A durability sync point without a snapshot: commit a barrier
         # frame and report how many delete frames preceded it since the
@@ -401,7 +441,7 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         if log is None:
             return None, 0
         deletes = log.deletes_since_barrier
-        trip("worker.barrier")
+        failpoints.trip("worker.barrier")
         return log.barrier(), deletes
     if method == "__compact__":
         if log is None:
@@ -510,7 +550,6 @@ def _worker_main(conn) -> None:
     # otherwise freeze an empty cache into every forked worker.
     failpoints.reset()
     _neutralise_inherited_sockets(conn.fileno())
-    trip = failpoints.trip
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
     # Enabled on the first traced command; adopted spans finish into its
@@ -543,15 +582,15 @@ def _worker_main(conn) -> None:
             span.started = received
         try:
             if span is None:
-                reply = ("ok", _execute(engines, logs, trip, shard_id,
-                                        method, args))
+                reply = ("ok", _execute(engines, logs, shard_id, method,
+                                        args))
             else:
                 with span:
                     with child_span("worker.decode") as decode:
                         decode.started = received
                         decode.tag("bytes", len(blob))
-                    reply = ("ok", _execute(engines, logs, trip, shard_id,
-                                            method, args))
+                    reply = ("ok", _execute(engines, logs, shard_id, method,
+                                            args))
         except Exception as error:
             reply = ("err", error)
         if span is not None:
@@ -1385,22 +1424,32 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         prefer)``: recovery prefers its respawned workers, anti-entropy the
         workers of the copies it dropped.  One ``__export__`` per shard
         pickles back to the parent and on to each target, so clones are
-        byte-identical, randomness state included.  Every clone is hosted
-        in one round and stamped with the current barrier epoch.
+        byte-identical, randomness state included.  Every export goes out
+        in one round, so the primaries pickle side by side (the first
+        failure, by position, is raised before anything is hosted); then
+        every clone is hosted in one round and stamped with the current
+        barrier epoch.
         """
-        hostings: List[Tuple[_ShardWorker, int, str, tuple]] = []
-        owners: List[_ReplicatedShardProxy] = []
+        plans: List[Tuple[_ReplicatedShardProxy, List[_ShardWorker]]] = []
         for position, (needed, prefer) in sorted(wanted.items()):
             proxy = self._proxy(position)
-            targets = self._replica_workers_for(
+            plans.append((proxy, self._replica_workers_for(
                 proxy.primary.shard_id,
                 exclude={proxy.primary.worker}
                 | {replica.worker for replica in proxy.replicas},
-                needed=needed, prefer=prefer)
-            exported = proxy.primary.call("__export__")
+                needed=needed, prefer=prefer)))
+        exports, errors = self._rules.drive(
+            [(index, proxy.primary.worker, proxy.primary.shard_id,
+              "__export__", ()) for index, (proxy, _targets) in
+             enumerate(plans)])
+        if errors:
+            raise errors[min(errors)]
+        hostings: List[Tuple[_ShardWorker, int, str, tuple]] = []
+        owners: List[_ReplicatedShardProxy] = []
+        for index, (proxy, targets) in enumerate(plans):
             for target in targets:
                 hostings.append((target, self._take_replica_id(), "__host__",
-                                 (exported,)))
+                                 (exports[index],)))
                 owners.append(proxy)
         for proxy, clone in zip(owners, self._host(hostings)):
             clone._synced_epoch = self._rules.barrier_epoch

@@ -119,8 +119,8 @@ class HIDictionary(ABC):
         the pairs before it applied and none after: exactly the first
         ``len(after) - len(before)`` pairs are in.  The default inserts
         one key at a time; a structure overrides it only where it can link
-        a batch with the same result and the same charges (the treaps link
-        an ascending run in one pass).
+        a batch with the same result and the same charges (the treaps and
+        the HI skip list link an ascending run in one pass).
         """
         insert = self.insert
         count = 0

@@ -3,9 +3,11 @@
 Real crash-recovery code is only trustworthy when crashes can be placed
 *exactly* — "kill the worker before it logs the 7th insert of this batch"
 (a batch is applied first, then its applied prefix is logged with one
-``worker.insert`` trip per insert) — which neither timed ``os.kill`` from
-the parent nor poisoned key objects can do reliably (timing races, and
-poisoned keys cannot pass the storage codec the op log depends on).  This
+``worker.insert`` trip per insert, counted down at once by :func:`passes`
+so the frames that pass reach the log in one write) — which neither timed
+``os.kill`` from the parent nor poisoned key objects can do reliably
+(timing races, and poisoned keys cannot pass the storage codec the op log
+depends on).  This
 module is the standard fail-point escape hatch: named trip wires compiled
 into the worker hot paths that do nothing unless armed through the
 environment.
@@ -53,19 +55,32 @@ def _parse(spec: str) -> Dict[str, int]:
     return armed
 
 
-def trip(name: str) -> None:
-    """Count down the fail point ``name``; exit the process at zero.
+def passes(name: str, count: int) -> int:
+    """Count down the next ``count`` trips of ``name`` at once; return how
+    many of them pass.
 
-    The unarmed fast path is one global load and a falsy check, so the
-    worker hot loops can afford a trip wire per operation.
+    That is ``count`` unless one of them would exit.  Then it is the
+    number before that one, and the countdown is left on it, so the
+    caller's next :func:`trip` of ``name`` exits where ``count`` single
+    trips would have.  The unarmed fast path is one global load and a
+    falsy check.
     """
     global _armed
     if _armed is None:
         _armed = _parse(os.environ.get(ENV_VAR, ""))
     if not _armed or name not in _armed:
-        return
-    _armed[name] -= 1
-    if _armed[name] <= 0:
+        return count
+    left = _armed[name]
+    if count < left:
+        _armed[name] = left - count
+        return count
+    _armed[name] = 1
+    return left - 1
+
+
+def trip(name: str) -> None:
+    """Count down the fail point ``name``; exit the process at zero."""
+    if not passes(name, 1):
         os._exit(EXIT_CODE)
 
 

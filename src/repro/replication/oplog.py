@@ -26,10 +26,13 @@ manifests persist the logical offset returned by :meth:`OpLog.barrier`;
 :meth:`OpLog.compact` drops every frame before a barrier and advances
 ``base`` so logical offsets remain stable across compactions.
 
-Durability levels: :meth:`append` writes the frame straight to the OS
-(unbuffered), so records survive a killed *process*; :meth:`commit` fsyncs,
-batching one sync per engine command, so acknowledged commands also survive
-a killed *machine* (when ``fsync=True``).
+Durability levels: a command's frames reach the OS in one write before the
+command is acknowledged (:meth:`encode` then :meth:`write`; :meth:`append`
+is the one-frame case), so records survive a killed *process*; a kill
+during that write leaves all of them or none, or, on a machine crash, a
+torn tail that replay and reopening cut back to the last whole frame.
+:meth:`commit` fsyncs, one sync per engine command, so acknowledged
+commands also survive a killed *machine* (when ``fsync=True``).
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.obs import child_span
 from repro.storage.encoding import RecordCodec
 from repro.storage.snapshot import release_files, replace_file
@@ -211,8 +214,9 @@ class OpLog:
                 self.deletes_since_barrier = 0
             elif frame[0] == OP_DELETE:
                 self.deletes_since_barrier += 1
-        # Unbuffered append handle: every frame reaches the OS immediately,
-        # so records survive a SIGKILLed worker without per-record fsyncs.
+        # Unbuffered append handle: a command's frames reach the OS in one
+        # write before the command is acknowledged, so records survive a
+        # SIGKILLed worker without per-record fsyncs.
         self._handle = open(path, "ab", buffering=0)
         if fresh:
             self._handle.write(_HEADER.pack(MAGIC, VERSION, 0))
@@ -240,27 +244,50 @@ class OpLog:
     # Appending
     # ------------------------------------------------------------------ #
 
-    def _payload_for(self, op: str, key: object, value: object) -> object:
-        if op == "delete":
-            return key
-        if op in ("insert", "upsert"):
-            return (key, value)
-        raise ConfigurationError("unknown op log operation %r" % (op,))
+    def encode(self, op: str, payloads: Iterable[object]
+               ) -> Tuple[List[bytes], Optional[Exception]]:
+        """Encode one ``op`` frame per payload (the key of a delete, the
+        ``(key, value)`` pair of an insert or upsert), stopping at the
+        first payload the record codec refuses; return the frames and that
+        refusal (a :class:`~repro.errors.CapacityError` or
+        :class:`~repro.errors.ConfigurationError`), ``None`` when every
+        payload encoded.  Nothing is written."""
+        if op not in _OP_CODES:
+            raise ConfigurationError("unknown op log operation %r" % (op,))
+        code, record = _OP_CODES[op], self.codec.encode
+        frames: List[bytes] = []
+        try:
+            for payload in payloads:
+                frames.append(_frame(code, record(payload)))
+        except (CapacityError, ConfigurationError) as refusal:
+            return frames, refusal
+        return frames, None
+
+    def write(self, op: str, frames: Sequence[bytes]) -> int:
+        """Hand frames of ``op`` (from :meth:`encode`) to the OS in one
+        write; returns the offset *after* them.
+
+        No userspace buffering, but no fsync either: call :meth:`commit`
+        at a command boundary to batch one sync over every frame written
+        since the last one.
+        """
+        if frames:
+            self._handle.write(b"".join(frames))
+            self._end += len(frames) * self.frame_size
+            if op == "delete":
+                self.deletes_since_barrier += len(frames)
+        return self._end
 
     def append(self, op: str, key: object = None,
                value: object = None) -> int:
-        """Append one operation frame; returns the offset *after* it.
-
-        The frame goes straight to the OS (no userspace buffering) but is
-        not fsynced — call :meth:`commit` at a command boundary to batch
-        one sync over every frame appended since the last one.
-        """
-        record = self.codec.encode(self._payload_for(op, key, value))
-        self._handle.write(_frame(_OP_CODES[op], record))
-        self._end += self.frame_size
-        if op == "delete":
-            self.deletes_since_barrier += 1
-        return self._end
+        """Write one operation frame (:meth:`write` of one :meth:`encode`d
+        frame); returns the offset *after* it.  A payload the codec
+        refuses raises, and nothing is written."""
+        frames, refusal = self.encode(
+            op, [key if op == "delete" else (key, value)])
+        if refusal is not None:
+            raise refusal
+        return self.write(op, frames)
 
     def commit(self) -> None:
         """Make every appended frame durable (one fsync for the batch)."""
@@ -276,8 +303,7 @@ class OpLog:
         replaying from it applies exactly the operations that post-date the
         snapshot, and :meth:`compact` may drop everything before it.
         """
-        self._handle.write(_frame(OP_BARRIER, self.codec.encode(None)))
-        self._end += self.frame_size
+        self.write("barrier", [_frame(OP_BARRIER, self.codec.encode(None))])
         self.commit()
         self.deletes_since_barrier = 0
         return self._end

@@ -16,7 +16,12 @@ weakly history independent:
 Costs (Theorem 3): searches ``O(log_B N)`` I/Os whp; inserts and deletes
 ``O(log_B N)`` amortized I/Os whp with an ``O(B^ε log N)`` worst case; range
 queries returning ``k`` keys ``O(logB N / ε + k/B)`` I/Os whp; ``O(N)``
-space.
+space.  These are the charges of the model; the CPU work follows them, one
+descent per operation, except where a batch starts with keys above the
+maximum (an image load, an ascending bulk insert): that run is linked at the
+tail in one pass (:meth:`HistoryIndependentSkipList.insert_many`), with one
+descent per promotion instead of one per key, and is charged, drawn and laid
+out exactly as key-by-key inserts would be.
 
 History independence follows because every piece of the representation is a
 function of the key set and fresh randomness only: per-key levels are
@@ -28,10 +33,10 @@ levels.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro._rng import RandomLike, geometric_level, make_rng, spawn_rng
-from repro.api.protocol import HIDictionary
+from repro.api.protocol import HIDictionary, Pair
 from repro.core.sizing import WHICapacityRule
 from repro.errors import (ConfigurationError, DuplicateKey, InvariantViolation,
                           KeyNotFound)
@@ -236,6 +241,79 @@ class HistoryIndependentSkipList(HIDictionary):
         self.stats.operations += 1
         self.last_operation_ios = read_ios + write_ios
         return self.last_operation_ios
+
+    def insert_many(self, pairs: Iterable[Pair]) -> int:
+        """Insert pairs in input order (see :meth:`HIDictionary.insert_many`):
+        the run above the maximum at the head in one pass at the tail
+        (:meth:`_insert_run`), the rest one key at a time."""
+        before = len(self._values)
+        pairs = iter(pairs)
+        rest = self._insert_run(pairs)
+        if rest is not None:
+            self.insert(*rest)
+            super().insert_many(pairs)
+        return len(self._values) - before
+
+    def _insert_run(self, pairs: Iterator[Pair]) -> Optional[Pair]:
+        """Link the longest run at the head of ``pairs`` whose keys each
+        exceed the maximum; return the first pair not linked (``None`` once
+        ``pairs`` ran out).
+
+        A key above the maximum cannot be a duplicate and lands in the last
+        leaf array, and its descent (:meth:`SkipListLevels.locate`) stays
+        the same until a promotion changes the levels, so it is computed
+        again only then.  Each key draws its level and its capacity
+        transitions from the same generators in the same order as
+        :meth:`insert`, takes the same node rebuilds and splits, and is
+        charged the same reads and writes.  A key that is not above the
+        maximum, or does not compare with it, is returned for
+        :meth:`insert`.
+        """
+        values, rule, stats, blocks = (self._values, self._leaf_rule,
+                                       self.stats, self._blocks)
+        rng, probability, max_level = (self._rng, self.promote_probability,
+                                       self.max_level)
+        tail = self._nodes[self._levels.last(2)].arrays[-1]
+        maximum = tail.keys[-1] if tail.keys else None
+        node: Optional[LeafNode] = None
+        descent = index = reads = writes = linked = last = 0
+        try:
+            for pair in pairs:
+                key, value = pair
+                try:
+                    above = not values or key > maximum
+                except TypeError:
+                    above = False
+                if not above:
+                    return pair
+                values[key] = value
+                if node is None:
+                    read, node, index = self._find(key)
+                    array = node.arrays[index]
+                    descent = read - blocks(array.capacity)
+                read = descent + blocks(array.capacity)
+                level = geometric_level(rng, probability, max_level=max_level)
+                if level:
+                    write = self._insert_promoted(node, index, key, level)
+                    node = None
+                elif array.insert(key, rule):
+                    node.rebuild(rule)
+                    stats.bump("skiplist.node_rebuild")
+                    write = blocks(node.total_slots())
+                else:
+                    write = blocks(array.capacity)
+                reads += read
+                writes += write
+                linked += 1
+                last = read + write
+                maximum = key
+            return None
+        finally:
+            stats.reads += reads
+            stats.writes += writes
+            stats.operations += linked
+            if linked:
+                self.last_operation_ios = last
 
     def upsert(self, key: object, value: object = None) -> bool:
         """Insert or overwrite ``key``; returns ``True`` if it already existed.

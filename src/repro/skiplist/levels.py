@@ -131,6 +131,12 @@ class SkipListLevels:
             return FRONT
         return members[position - 1]
 
+    def last(self, level: int) -> object:
+        """Largest element of ``S_level`` (or :data:`FRONT` when it is empty)."""
+        if level < 1 or level > len(self._levels):
+            return FRONT
+        return self._levels[level - 1][-1]
+
     def members_after(self, level: int, start: object) -> Iterator[object]:
         """The elements of ``S_level`` above ``start``, in order, read in place.
 

@@ -41,6 +41,15 @@ _HEADER = struct.Struct(">BI")  # tag, payload length
 _INT_MIN = -(2 ** 127)
 _INT_MAX = 2 ** 127 - 1
 
+#: A pair of two plain integers, the common record, encoded without the
+#: per-element dispatch: a fixed head (pair tag, payload length, the key's
+#: blob length and int tag), the key, the value's int tag, the value.
+_INT_BLOB = 1 + 16
+_INT_PAIR_PAYLOAD = 2 + 2 * _INT_BLOB
+_INT_PAIR_HEAD = (_HEADER.pack(_TAG_PAIR, _INT_PAIR_PAYLOAD)
+                  + struct.pack(">HB", _INT_BLOB, _TAG_INT))
+_INT_TAG_BYTE = bytes([_TAG_INT])
+
 
 def encoded_record_size(payload_size: int) -> int:
     """Total bytes one record occupies for a given payload budget."""
@@ -63,11 +72,24 @@ class RecordCodec:
             raise ConfigurationError("payload_size must be at least 16 bytes")
         self.payload_size = payload_size
         self.record_size = encoded_record_size(payload_size)
+        self._int_pair_pad = (bytes(payload_size - _INT_PAIR_PAYLOAD)
+                              if payload_size >= _INT_PAIR_PAYLOAD else None)
 
     # -- encoding ---------------------------------------------------------- #
 
     def encode(self, value: object) -> bytes:
         """Encode ``value`` into exactly ``record_size`` bytes."""
+        if type(value) is tuple and len(value) == 2 \
+                and self._int_pair_pad is not None:
+            key, item = value
+            if type(key) is int and type(item) is int:
+                try:
+                    return b"".join((
+                        _INT_PAIR_HEAD, key.to_bytes(16, "big", signed=True),
+                        _INT_TAG_BYTE, item.to_bytes(16, "big", signed=True),
+                        self._int_pair_pad))
+                except OverflowError:
+                    pass  # outside a record's range: refused below
         tag, payload = self._encode_payload(value)
         if len(payload) > self.payload_size:
             raise CapacityError(

@@ -37,8 +37,7 @@ class DiskImage:
     @classmethod
     def from_paged_file(cls, paged_file: PagedFile, codec: PageCodec) -> "DiskImage":
         """Capture the current contents of a paged file (observer access, no I/Os)."""
-        pages = [paged_file.peek_page(number) for number in range(len(paged_file))]
-        return cls(pages, codec)
+        return cls(paged_file.peek_all(), codec)
 
     # ------------------------------------------------------------------ #
     # Raw access

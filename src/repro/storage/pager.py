@@ -7,6 +7,10 @@ memory (the default, used in tests and benches) or by a real file on disk
 (used by the persistence examples, so that the "steal the disk" scenario is
 literal: the file *is* the artifact the observer gets).
 
+A file-backed pager opens its file once per pass: :meth:`PagedFile.write_pages`,
+:meth:`PagedFile.read_all` and :meth:`PagedFile.peek_all` each hold one
+handle across their pages, and no handle outlives the call.
+
 The pager makes no placement decisions itself; history-independent placement
 is the job of :mod:`repro.storage.snapshot`, which shuffles page order via
 the uniform arena allocator before handing pages to the pager.
@@ -15,7 +19,7 @@ the uniform arena allocator before handing pages to the pager.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.memory.stats import IOStats
@@ -65,18 +69,39 @@ class PagedFile:
 
     def write_page(self, page_number: int, data: bytes) -> None:
         """Write one page; pads short data with zeros, rejects oversized data."""
-        if page_number < 0:
-            raise ConfigurationError("page_number must be non-negative")
-        if len(data) > self.page_size:
-            raise CapacityError("page data is %d bytes, page size is %d"
-                                % (len(data), self.page_size))
-        padded = data + b"\x00" * (self.page_size - len(data))
-        self.stats.writes += 1
-        if self.path is None:
-            self._pages[page_number] = padded
-        else:
-            self._write_to_file(page_number, padded)
-        self._num_pages = max(self._num_pages, page_number + 1)
+        self.write_pages([(page_number, data)])
+
+    def write_pages(self, pages: Iterable[Tuple[int, bytes]],
+                    fsync: bool = False) -> None:
+        """Write ``(page number, data)`` pairs in order, each as
+        :meth:`write_page` does, through one file handle (fsynced at the
+        end when ``fsync`` is set) when the pager is file-backed."""
+        handle = None
+        try:
+            for page_number, data in pages:
+                if page_number < 0:
+                    raise ConfigurationError(
+                        "page_number must be non-negative")
+                if len(data) > self.page_size:
+                    raise CapacityError("page data is %d bytes, page size is %d"
+                                        % (len(data), self.page_size))
+                padded = data + b"\x00" * (self.page_size - len(data))
+                self.stats.writes += 1
+                if self.path is None:
+                    self._pages[page_number] = padded
+                else:
+                    if handle is None:
+                        handle = open(self.path, "r+b"
+                                      if os.path.exists(self.path) else "w+b")
+                    handle.seek(page_number * self.page_size)
+                    handle.write(padded)
+                self._num_pages = max(self._num_pages, page_number + 1)
+            if handle is not None and fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        finally:
+            if handle is not None:
+                handle.close()
 
     def append_page(self, data: bytes) -> int:
         """Write ``data`` as a new page at the end; returns its page number."""
@@ -86,22 +111,19 @@ class PagedFile:
 
     def read_page(self, page_number: int) -> bytes:
         """Read one page (charges one read I/O)."""
-        self._require(page_number)
-        self.stats.reads += 1
-        if self.path is None:
-            return self._pages.get(page_number, b"\x00" * self.page_size)
-        return self._read_from_file(page_number)
+        return self._read_pages([page_number])[0]
 
     def read_all(self) -> List[bytes]:
         """Read every page in order (charges one read per page)."""
-        return [self.read_page(number) for number in range(self._num_pages)]
+        return self._read_pages(range(self._num_pages))
 
     def peek_page(self, page_number: int) -> bytes:
         """Read one page *without* charging an I/O (observer access)."""
-        self._require(page_number)
-        if self.path is None:
-            return self._pages.get(page_number, b"\x00" * self.page_size)
-        return self._read_from_file(page_number, charge=False)
+        return self._read_pages([page_number], charge=False)[0]
+
+    def peek_all(self) -> List[bytes]:
+        """Read every page in order without charging (observer access)."""
+        return self._read_pages(range(self._num_pages), charge=False)
 
     def truncate(self) -> None:
         """Drop every page (the file becomes empty)."""
@@ -111,27 +133,33 @@ class PagedFile:
             os.truncate(self.path, 0)
 
     # ------------------------------------------------------------------ #
-    # File backend
+    # Internals
     # ------------------------------------------------------------------ #
 
-    def _write_to_file(self, page_number: int, data: bytes) -> None:
-        assert self.path is not None
-        # Open lazily per call: snapshots are written once and read rarely, so
-        # holding a descriptor open would only complicate lifetime management.
-        mode = "r+b" if os.path.exists(self.path) else "w+b"
-        with open(self.path, mode) as handle:
-            handle.seek(page_number * self.page_size)
-            handle.write(data)
-
-    def _read_from_file(self, page_number: int, charge: bool = True) -> bytes:
-        assert self.path is not None
-        del charge
-        with open(self.path, "rb") as handle:
-            handle.seek(page_number * self.page_size)
-            data = handle.read(self.page_size)
-        return data + b"\x00" * (self.page_size - len(data))
-
-    def _require(self, page_number: int) -> None:
-        if not 0 <= page_number < self._num_pages:
-            raise ConfigurationError("page %r does not exist (file has %d pages)"
-                                     % (page_number, self._num_pages))
+    def _read_pages(self, numbers: Iterable[int],
+                    charge: bool = True) -> List[bytes]:
+        """The pages ``numbers``, read through one file handle when the
+        pager is file-backed; a missing page number raises."""
+        blank = b"\x00" * self.page_size
+        pages: List[bytes] = []
+        handle = None
+        try:
+            for page_number in numbers:
+                if not 0 <= page_number < self._num_pages:
+                    raise ConfigurationError(
+                        "page %r does not exist (file has %d pages)"
+                        % (page_number, self._num_pages))
+                if charge:
+                    self.stats.reads += 1
+                if self.path is None:
+                    pages.append(self._pages.get(page_number, blank))
+                    continue
+                if handle is None:
+                    handle = open(self.path, "rb")
+                handle.seek(page_number * self.page_size)
+                data = handle.read(self.page_size)
+                pages.append(data + blank[len(data):])
+        finally:
+            if handle is not None:
+                handle.close()
+        return pages

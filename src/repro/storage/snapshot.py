@@ -80,9 +80,10 @@ def snapshot_records(slots: Sequence[object],
                      path: Optional[str] = None,
                      shuffle_pages: bool = False,
                      seed: RandomLike = None,
-                     kind: str = "records") -> Tuple[PagedFile, SnapshotMetadata]:
-    """Write a slot sequence to a paged file, encoding each page just
-    before it is written (one encoded page is held at a time).
+                     kind: str = "records",
+                     fsync: bool = False) -> Tuple[PagedFile, SnapshotMetadata]:
+    """Write a slot sequence to a paged file in one pass, encoding each
+    page just before it is written (one encoded page is held at a time).
 
     Parameters
     ----------
@@ -104,6 +105,9 @@ def snapshot_records(slots: Sequence[object],
         Randomness for the page permutation.
     kind:
         Free-form label recorded in the metadata (e.g. ``"hi-pma"``).
+    fsync:
+        Make a file-backed snapshot durable before returning (through the
+        handle that wrote it).
     """
     codec = PageCodec(page_size=page_size, payload_size=payload_size)
     per_page = codec.slots_per_page
@@ -113,10 +117,10 @@ def snapshot_records(slots: Sequence[object],
         make_rng(seed).shuffle(order)
     paged_file = PagedFile(page_size=page_size, path=path)
     paged_file.truncate()  # an older, longer image must leave no tail behind
-    for logical, physical in enumerate(order):
-        first = logical * per_page
-        paged_file.write_page(
-            physical, codec.encode_page(slots[first:first + per_page]))
+    paged_file.write_pages(
+        ((physical, codec.encode_page(
+            slots[logical * per_page:(logical + 1) * per_page]))
+         for logical, physical in enumerate(order)), fsync=fsync)
     metadata = SnapshotMetadata(kind=kind,
                                 num_slots=len(slots),
                                 num_pages=len(order),
@@ -272,10 +276,8 @@ def write_image(directory: str, file_name: str, slots: Sequence[object], *,
     geometry, from an empty file) into ``directory``; return its manifest
     entry: file name, checksum and the :class:`SnapshotMetadata` fields."""
     path = os.path.join(directory, file_name)
-    _paged, metadata = snapshot_records(slots, path=path, kind=kind)
-    if fsync:
-        with open(path, "rb") as handle:
-            os.fsync(handle.fileno())
+    _paged, metadata = snapshot_records(slots, path=path, kind=kind,
+                                        fsync=fsync)
     entry = {"file": file_name, "checksum": file_checksum(path)}
     entry.update(asdict(metadata), page_order=list(metadata.page_order))
     return entry

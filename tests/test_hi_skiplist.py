@@ -264,3 +264,92 @@ def test_hi_skiplist_behaves_like_a_set(seed, operations):
                     skiplist.delete(key)
     assert list(skiplist) == sorted(shadow)
     skiplist.check()
+
+
+# --------------------------------------------------------------------------- #
+# insert_many: the run above the maximum against a key-by-key twin
+# --------------------------------------------------------------------------- #
+
+def _observables(skiplist):
+    stats = skiplist.io_stats()
+    return (skiplist.memory_representation(), skiplist.items(),
+            stats.reads, stats.writes, stats.operations, dict(stats.counters),
+            skiplist.last_operation_ios, skiplist._rng.getstate(),
+            skiplist._leaf_rule._rng.getstate())
+
+
+def _one_key_at_a_time(skiplist, pairs):
+    try:
+        for key, value in pairs:
+            skiplist.insert(key, value)
+    except (DuplicateKey, TypeError) as error:
+        return type(error), str(error)
+    return None
+
+
+def _as_one_batch(skiplist, pairs):
+    try:
+        skiplist.insert_many(pairs)
+    except (DuplicateKey, TypeError) as error:
+        return type(error), str(error)
+    return None
+
+
+def _ascending(rng, after, count):
+    keys = []
+    for _ in range(count):
+        after += rng.randrange(1, 4)
+        keys.append(after)
+    return keys
+
+
+@pytest.mark.parametrize("block_size", [4, 8, 64])
+@pytest.mark.parametrize("seed", range(7))
+def test_insert_many_links_a_run_exactly_as_a_key_by_key_twin(seed,
+                                                              block_size):
+    """Runs of thousands of keys above the maximum (from empty, after
+    deletes at the tail, after keys below the maximum, broken by a
+    duplicate or by a key that does not compare) leave the same layout,
+    items, charges, counters and both generator states as inserting one
+    key at a time, and raise the same error."""
+    rng = random.Random(seed * 31 + block_size)
+    bulk = HistoryIndependentSkipList(block_size=block_size, seed=seed)
+    twin = HistoryIndependentSkipList(block_size=block_size, seed=seed)
+    for step in range(6):
+        held = list(twin)
+        keys = _ascending(rng, held[-1] if held else 0,
+                          rng.randrange(1000, 2000 if step else 3000))
+        if step == 2:
+            # Starts below the maximum: the head goes key by key.
+            stored = set(held)
+            keys = rng.sample([key for key in range(held[-1])
+                               if key not in stored], 5) + keys
+        elif step == 3:
+            keys.insert(rng.randrange(1, len(keys)), rng.choice(held))
+        elif step == 4:
+            keys.insert(rng.randrange(1, len(keys)), "not an int")
+        pairs = [(key, -key if isinstance(key, int) else key)
+                 for key in keys]
+        expected = _one_key_at_a_time(twin, pairs)
+        assert _as_one_batch(bulk, pairs) == expected, step
+        assert _observables(bulk) == _observables(twin), step
+        if step == 1:
+            # Deletes at the tail merge arrays and nodes back.
+            for key in list(twin)[-40:]:
+                twin.delete(key)
+                bulk.delete(key)
+    bulk.check()
+    counters = bulk.io_stats().counters
+    for name in ("array_split", "node_split", "node_rebuild"):
+        assert counters.get("skiplist." + name, 0) > 0, name
+
+
+def test_insert_many_counts_only_what_it_linked():
+    skiplist = HistoryIndependentSkipList(block_size=8, seed=3)
+    assert skiplist.insert_many([]) == 0
+    assert skiplist.insert_many((key, key) for key in range(1, 101)) == 100
+    with pytest.raises(DuplicateKey):
+        skiplist.insert_many([(200, 0), (100, 0), (300, 0)])
+    assert list(skiplist)[-2:] == [100, 200]
+    assert 300 not in skiplist
+    skiplist.check()

@@ -296,6 +296,92 @@ def test_oplog_rejects_misaligned_offsets_and_foreign_files(tmp_path):
         OpLog(str(alien))
 
 
+#: One payload of every record type, by operation.
+EVERY_RECORD = {
+    "insert": [(1, 2), (-7, -(10 ** 30)), (2 ** 127 - 1, -(2 ** 127)),
+               (-(2 ** 127), 0), (True, False), (1.5, -2.25),
+               ("key", "value"), (9, None), ("mixed", 4), (5, "mixed"),
+               (6.5, b"mixed")],
+    "upsert": [(3, True), (b"\x00raw", b"bytes")],
+    "delete": [1, -(2 ** 127), "key", b"\x00raw", 1.5, True],
+}
+
+
+def test_a_batched_write_is_byte_identical_to_per_frame_appends(tmp_path):
+    """Every record type (ints at the record bounds, negative ints, bools,
+    floats, text, bytes, a ``None`` value, mixed pairs; inserts, upserts
+    and deletes) encodes and writes in one batch per operation to exactly
+    the bytes of one ``append`` per frame, with the same offsets and
+    delete count."""
+    single = OpLog(str(tmp_path / "single.oplog"))
+    batched = OpLog(str(tmp_path / "batched.oplog"))
+    for op, payloads in EVERY_RECORD.items():
+        for payload in payloads:
+            single.append(op, *((payload,) if op == "delete" else payload))
+        frames, refusal = batched.encode(op, payloads)
+        assert refusal is None and len(frames) == len(payloads)
+        assert batched.write(op, frames) == single.end_offset
+    assert batched.deletes_since_barrier == single.deletes_since_barrier \
+        == len(EVERY_RECORD["delete"])
+    single.close()
+    batched.close()
+    assert (tmp_path / "batched.oplog").read_bytes() \
+        == (tmp_path / "single.oplog").read_bytes()
+    with OpLog(str(tmp_path / "batched.oplog")) as reopened:
+        assert list(reopened.replay()) == [
+            (op, payload, None) if op == "delete" else (op, *payload)
+            for op, payloads in EVERY_RECORD.items() for payload in payloads]
+
+
+def test_encode_stops_at_the_first_refused_payload(tmp_path):
+    """``encode`` returns the frames before the first payload the codec
+    refuses, with that refusal, and writes nothing; ``append`` raises it."""
+    path = str(tmp_path / "shard.oplog")
+    with OpLog(path) as log:
+        empty = os.path.getsize(path)
+        frames, refusal = log.encode(
+            "insert", [(1, "ok"), (2, "x" * 200), (3, "after")])
+        assert len(frames) == 1 and isinstance(refusal, CapacityError)
+        frames, refusal = log.encode("insert", [(2 ** 127, 1)])
+        assert frames == [] and isinstance(refusal, CapacityError)
+        frames, refusal = log.encode("delete", [[1]])
+        assert frames == [] and isinstance(refusal, ConfigurationError)
+        with pytest.raises(CapacityError):
+            log.append("insert", 4, "x" * 200)
+        with pytest.raises(ConfigurationError):
+            log.encode("rename", [])
+        assert log.end_offset == 0 and os.path.getsize(path) == empty
+
+
+@pytest.mark.parametrize("cut_frames", [0, 3, 6])
+def test_a_batched_write_cut_short_reopens_at_its_last_whole_frame(
+        tmp_path, cut_frames):
+    """A machine crash can cut one multi-frame write anywhere: reopening
+    keeps the whole frames before the cut (and everything logged before
+    the write), and the next append lands on the frame grid."""
+    path = str(tmp_path / "shard.oplog")
+    log = OpLog(path)
+    log.append("insert", 0, 0)
+    log.commit()
+    before = os.path.getsize(path)
+    frames, _refusal = log.encode("insert",
+                                  [(key, -key) for key in range(1, 8)])
+    log.write("insert", frames)
+    log.close()
+    frame = log.frame_size
+    with open(path, "r+b") as handle:
+        handle.truncate(before + cut_frames * frame + frame // 3)
+    with OpLog(path) as reopened:
+        assert os.path.getsize(path) == before + cut_frames * frame
+        assert reopened.end_offset == (1 + cut_frames) * frame
+        reopened.append("delete", 0)
+    with OpLog(path) as again:
+        assert list(again.replay()) == (
+            [("insert", 0, 0)]
+            + [("insert", key, -key) for key in range(1, cut_frames + 1)]
+            + [("delete", 0, None)])
+
+
 # --------------------------------------------------------------------------- #
 # Placement and configuration validation
 # --------------------------------------------------------------------------- #
@@ -722,6 +808,51 @@ def test_crash_mid_insert_many_recovers_exactly_the_logged_prefix(
         engine.close()
 
 
+def test_crash_mid_delete_many_recovers_exactly_the_logged_prefix(
+        tmp_path, failpoints):
+    """``worker.delete:k`` kills a worker where a per-key loop would have,
+    before its k-th delete: the batch's frames reach the log in one write,
+    and only the k - 1 before the trip are in it, a missing key's trip
+    included."""
+    arm, disarm = failpoints
+    arm("worker.delete:12")
+    engine = build_engine(replication=1, durability_dir=str(tmp_path / "d"))
+    try:
+        engine.insert_many(entries_for(300))
+        oracle = dict(entries_for(300))
+        shard_of = engine.structure.shard_of
+        victims = [key for key, _value in entries_for(300)][::2]
+        # A missing key sixth in shard 0's batch trips, and stops only
+        # that shard's batch.
+        missing = next(key for key in range(2003, 4000)
+                       if shard_of(key) == 0)
+        firsts = [index for index, key in enumerate(victims)
+                  if shard_of(key) == 0]
+        victims.insert(firsts[5], missing)
+        with pytest.raises((WorkerCrashError, KeyNotFound)):
+            engine.delete_many(victims)
+        disarm()
+        engine.recover()
+        recovered = dict(engine.items())
+        for position in range(engine.num_shards):
+            batch = [key for key in victims if shard_of(key) == position]
+            logged = batch[:5] if position == 0 else batch[:11]
+            gone = [key for key in batch if key in oracle
+                    and key not in recovered]
+            assert gone == logged, position
+        # Shard 0's worker survived with six trips taken; its next batch
+        # logs five deletes and dies on the sixth.
+        more = [key for key in recovered if shard_of(key) == 0][:10]
+        with pytest.raises(WorkerCrashError):
+            engine.delete_many(more)
+        engine.recover()
+        assert [key for key in more if key not in dict(engine.items())] \
+            == more[:5]
+        assert_anti_persistence(engine)
+    finally:
+        engine.close()
+
+
 def test_a_duplicate_mid_run_reopens_to_the_applied_prefix(tmp_path):
     """A durable process b-treap batch whose ascending run hits a
     ``DuplicateKey``: every shard logged exactly the pairs it applied, so
@@ -752,11 +883,73 @@ def test_a_duplicate_mid_run_reopens_to_the_applied_prefix(tmp_path):
         engine.close()
 
 
+def test_a_refused_pair_is_neither_applied_nor_logged(tmp_path):
+    """A value the op log cannot encode stops its shard's batch before it
+    is applied: each shard applies and logs exactly the pairs before its
+    refused one, so the live store and a reopened copy hold the same
+    pairs, and the replica that applied the refused pairs is dropped.
+    A refused point insert or upsert is not applied either.  (The primary
+    used to apply the whole batch, or the point write, and log only what
+    came before: live ``contains`` answered True for the refused key and
+    every key after it, the reopened store False.)"""
+    directory = str(tmp_path / "d")
+    engine = build_engine(shards=2, replication=2, durability_dir=directory,
+                          seed=7)
+    try:
+        shard_of = engine.structure.shard_of
+        later = [key for key in range(6, 60, 2)
+                 if shard_of(key) == shard_of(4)][:2]
+        batch = [(2, "ok"), (4, "x" * 200)] + [(key, "after")
+                                               for key in later]
+        kept = [(key, value) for key, value in batch
+                if shard_of(key) != shard_of(4) or key < 4]
+        with pytest.raises(CapacityError):
+            engine.insert_many(batch)
+        assert [engine.contains(key) for key, _v in batch] \
+            == [pair in kept for pair in batch]
+        assert engine.items() == kept
+        counts = engine.replica_counts()
+        assert counts[shard_of(4)] == 0
+        assert counts[1 - shard_of(4)] == 1
+        with pytest.raises(CapacityError):
+            engine.insert(3, "x" * 200)
+        with pytest.raises(CapacityError):
+            engine.upsert(2, "x" * 200)
+        assert engine.items() == kept
+    finally:
+        engine.close()
+    reopened = open_durable_engine(directory)
+    try:
+        assert reopened.items() == kept
+    finally:
+        reopened.close()
+
+
+def test_passes_counts_down_a_batch_of_trips_at_once(monkeypatch):
+    """``passes(name, n)`` consumes the next ``n`` trips of an armed fail
+    point, or stops on the one that would exit, so a batch writes the
+    frames that pass and then trips where per-pair trips would."""
+    from repro import failpoints
+
+    monkeypatch.setenv(failpoints.ENV_VAR, "worker.insert:6")
+    failpoints.reset()
+    try:
+        assert failpoints.passes("worker.delete", 100) == 100
+        assert failpoints.passes("worker.insert", 3) == 3
+        assert failpoints.passes("worker.insert", 0) == 0
+        assert failpoints.passes("worker.insert", 7) == 2
+        assert failpoints.passes("worker.insert", 1) == 0
+    finally:
+        monkeypatch.delenv(failpoints.ENV_VAR)
+        failpoints.reset()
+    assert failpoints.passes("worker.insert", 5) == 5
+
+
 def test_a_key_past_the_record_range_is_a_capacity_error(tmp_path):
     """A key outside a record's signed 16-byte integer range fails a
     durable ``insert_many`` (its op-log frame) and ``snapshot_shards`` (its
     image) with the typed :class:`CapacityError`, not ``OverflowError``.
-    The durable pair stays applied but unlogged."""
+    The durable primary refuses the pair before applying it."""
     key = 2 ** 127
     engine = build_engine(shards=1, replication=1,
                           durability_dir=str(tmp_path / "d"))

@@ -90,6 +90,37 @@ def test_integers_past_the_signed_16_byte_bounds_are_capacity_errors(value):
         RecordCodec(payload_size=64).encode(value)
 
 
+class _Int(int):
+    """An int the codec's plain-int pair path does not take."""
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("payload_size", [36, 64, 100])
+@pytest.mark.parametrize("pair", [(0, 0), (1, -1), (-7, 10 ** 30),
+                                  (2 ** 127 - 1, -(2 ** 127)),
+                                  (-(2 ** 127), 2 ** 127 - 1)])
+def test_a_plain_int_pair_encodes_to_the_tagged_union_bytes(pair,
+                                                            payload_size):
+    """The ``(int, int)`` fast path writes the bytes of the per-element
+    tagged union: the pair tag and length, the key's 2-byte length, each
+    int as its tag and 16 signed big-endian bytes, zero padding."""
+    codec = RecordCodec(payload_size=payload_size)
+    key, value = pair
+    expected = (bytes([5]) + (36).to_bytes(4, "big") + (17).to_bytes(2, "big")
+                + bytes([1]) + key.to_bytes(16, "big", signed=True)
+                + bytes([1]) + value.to_bytes(16, "big", signed=True)
+                + bytes(payload_size - 36))
+    assert codec.encode(pair) == expected
+    assert codec.encode((_Int(key), _Int(value))) == expected
+    assert codec.decode(expected) == pair
+
+
+@pytest.mark.fast
+def test_an_int_pair_too_wide_for_the_budget_is_a_capacity_error():
+    with pytest.raises(CapacityError):
+        RecordCodec(payload_size=35).encode((1, 2))
+
+
 @pytest.mark.fast
 @pytest.mark.parametrize("value", ["\ud800", ("k", "\udfff"), ("\udc80", 1)])
 def test_strings_that_are_not_utf8_are_configuration_errors(value):

@@ -97,3 +97,31 @@ def test_file_backed_truncate(tmp_path):
     pager.write_page(0, b"data")
     pager.truncate()
     assert len(PagedFile(page_size=64, path=path)) == 0
+
+
+def test_a_file_backed_pass_opens_one_handle_and_closes_it(tmp_path,
+                                                           monkeypatch):
+    """``write_pages`` and ``read_all`` each open the file once for all
+    their pages and close it on return, also when a page is refused part
+    way through the pass."""
+    import builtins
+
+    handles = []
+    real_open = builtins.open
+
+    def recording_open(*args, **kwargs):
+        handle = real_open(*args, **kwargs)
+        handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    pager = PagedFile(page_size=32, path=str(tmp_path / "pages.db"))
+    pager.write_pages([(number, bytes([number])) for number in range(8)])
+    assert len(handles) == 1
+    assert [page[0] for page in pager.read_all()] == list(range(8))
+    assert len(handles) == 2
+    with pytest.raises(CapacityError):
+        pager.write_pages([(8, b"ok"), (9, b"x" * 33)])
+    assert len(handles) == 3
+    assert all(handle.closed for handle in handles)
+    assert len(pager) == 9 and pager.stats.writes == 9

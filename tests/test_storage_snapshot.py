@@ -62,6 +62,47 @@ def test_shuffled_pages_still_round_trip():
     assert plain_meta.page_order != shuffled_meta.page_order
 
 
+def test_an_image_is_written_and_read_through_one_handle_each(
+        tmp_path, monkeypatch):
+    """A multi-page shard image opens its file at most twice to be written
+    (the pages, fsynced on their handle, and the checksum) and twice to
+    be loaded (the checksum and the pages), not once per page, and the
+    bytes are those of a page-by-page write."""
+    import builtins
+
+    from repro.skiplist.external import HistoryIndependentSkipList
+    from repro.storage.snapshot import PAGE_SIZE, load_image, write_image
+
+    skiplist = HistoryIndependentSkipList(block_size=32, seed=5)
+    skiplist.insert_many((key, -key) for key in range(1, 4001))
+    slots = skiplist.snapshot_slots()
+    reference = PagedFile(page_size=PAGE_SIZE,
+                          path=str(tmp_path / "reference.img"))
+    pages = snapshot_records(slots, kind="hi-skiplist")[0].peek_all()
+    for number, page in enumerate(pages):
+        reference.write_page(number, page)
+    assert len(pages) > 10
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    entry = write_image(str(tmp_path), "shard.img", slots, kind="hi-skiplist",
+                        fsync=True)
+    assert len(opened) <= 2
+    del opened[:]
+    loaded = HistoryIndependentSkipList(block_size=32, seed=5)
+    assert load_image(loaded, str(tmp_path), entry, 0) == 4000
+    assert len(opened) <= 2
+    monkeypatch.undo()
+    assert (tmp_path / "shard.img").read_bytes() \
+        == (tmp_path / "reference.img").read_bytes()
+    assert loaded.memory_representation() == skiplist.memory_representation()
+
+
 def test_load_rejects_truncated_snapshot():
     slots = list(range(100))
     paged_file, metadata = snapshot_records(slots, page_size=256, payload_size=24)
