@@ -19,39 +19,13 @@ Quickstart::
     engine.insert_many((key, key * key) for key in range(100))
     engine.range_query(10, 20)
     paged_file, metadata = engine.snapshot("index.img")
+
+Each exported name imports its module on first access (as in
+:mod:`repro`), so an in-process engine never loads
+:mod:`repro.api.process_engine` or :mod:`multiprocessing`.
 """
 
-from repro.api.adapters import RankKeyedDictionary
-from repro.api.config import EngineConfig
-from repro.api.engine import DictionaryEngine
-from repro.api.protocol import HIDictionary, audit_fingerprint_of
-from repro.api.registry import (
-    DictionaryConfig,
-    StructureInfo,
-    get_info,
-    make_dictionary,
-    make_raw_structure,
-    register,
-    registry_names,
-    resolve,
-)
-from repro.api.routing import (
-    ConsistentHashRouter,
-    ModuloRouter,
-    Router,
-    WeightedConsistentHashRouter,
-    hash_key,
-    make_router,
-)
-from repro.api.process_engine import ProcessShardedDictionaryEngine
-from repro.api.sharded import (
-    PARALLEL_MODES,
-    MigrationReport,
-    ShardedDictionary,
-    ShardedDictionaryEngine,
-    make_sharded_engine,
-    shard_index,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HIDictionary",
@@ -81,3 +55,20 @@ __all__ = [
     "resolve",
     "shard_index",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.api.adapters": ("RankKeyedDictionary",),
+    "repro.api.config": ("EngineConfig",),
+    "repro.api.engine": ("DictionaryEngine",),
+    "repro.api.protocol": ("HIDictionary", "audit_fingerprint_of"),
+    "repro.api.registry": ("DictionaryConfig", "StructureInfo", "get_info",
+                           "make_dictionary", "make_raw_structure",
+                           "register", "registry_names", "resolve"),
+    "repro.api.routing": ("ConsistentHashRouter", "ModuloRouter", "Router",
+                          "WeightedConsistentHashRouter", "hash_key",
+                          "make_router"),
+    "repro.api.process_engine": ("ProcessShardedDictionaryEngine",),
+    "repro.api.sharded": ("PARALLEL_MODES", "MigrationReport",
+                          "ShardedDictionary", "ShardedDictionaryEngine",
+                          "make_sharded_engine", "shard_index"),
+})

@@ -307,20 +307,25 @@ def _log_batch(log, op: str, frames: Sequence[bytes], attempted: int
         log.commit()
 
 
-def _insert_batch(structure, log, pairs) -> int:
+def _insert_batch(structure, log, codec, pairs) -> int:
     """Apply one insert batch with one ``insert_many``, then log the
     applied prefix.
 
     A primary encodes its frames first and applies only the prefix its op
     log can encode, so a refused pair and the pairs after it are neither
     applied nor logged: the refusal is raised once the prefix is logged,
-    unless the structure's own failure (a ``DuplicateKey``) came first.
+    unless the structure's own failure (a ``DuplicateKey``) came first.  A
+    durable store's replica has no log but its primary's record ``codec``,
+    so it applies the same prefix and raises the same refusal.
     """
     frames: Sequence[bytes] = ()
     refusal = None
     if log is not None:
         frames, refusal = log.encode("insert", pairs)
         pairs = pairs[:len(frames)]
+    elif codec is not None:
+        applicable, refusal = codec.encodable(pairs)
+        pairs = pairs[:applicable]
     before = len(structure)
     try:
         with child_span("worker.apply.insert") as span:
@@ -337,8 +342,9 @@ def _insert_batch(structure, log, pairs) -> int:
     return count
 
 
-def _delete_batch(structure, log, keys) -> List[object]:
-    """Apply one delete batch key by key, then log the deleted prefix."""
+def _delete_batch(structure, log, codec, keys) -> List[object]:
+    """Apply one delete batch key by key, then log the deleted prefix (a
+    durable replica raises the refusal its primary's log would)."""
     delete = structure.delete
     values: List[object] = []
     try:
@@ -347,8 +353,12 @@ def _delete_batch(structure, log, keys) -> List[object]:
                 values.append(delete(key))
             span.tag("keys", len(values))
     finally:
-        frames, refusal = (((), None) if log is None
-                           else log.encode("delete", keys[:len(values)]))
+        frames: Sequence[bytes] = ()
+        refusal = None
+        if log is not None:
+            frames, refusal = log.encode("delete", keys[:len(values)])
+        elif codec is not None:
+            refusal = codec.encodable(keys[:len(values)])[1]
         # A per-key loop tripped before each delete, the one that raised
         # included.
         _log_batch(log, "delete", frames, min(len(keys), len(values) + 1))
@@ -358,22 +368,28 @@ def _delete_batch(structure, log, keys) -> List[object]:
 
 
 def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
-             shard_id: int, method: str, args: tuple) -> object:
+             codecs: Dict[int, object], shard_id: int, method: str,
+             args: tuple) -> object:
     """Dispatch one command against the hosted shard (worker side).
 
     ``logs`` maps shard ids to their op logs (primaries of a durable
     engine only): every acknowledged mutation is appended *here*, by the
     process that applied it, with one write and one fsync per command — so
     after a crash the log holds exactly the operations the lost structure
-    had applied.  The :mod:`repro.failpoints` trips the fault-injection
-    suite arms kill the worker at exact operation boundaries.
+    had applied.  ``codecs`` maps a durable engine's replica ids to their
+    primaries' record codec, so a replica refuses what its primary's log
+    refuses.  The :mod:`repro.failpoints` trips the fault-injection suite
+    arms kill the worker at exact operation boundaries.
     """
     if method in ("__host__", "__restore__"):
-        # A structure the parent built (a primary's with its op-log spec),
-        # or a primary this worker builds and restores itself.
+        # A structure the parent built (a primary's with its op-log spec, a
+        # durable replica's with its record codec), or a primary this
+        # worker builds and restores itself.
         if method == "__host__":
             shard = args[0]
             log = _open_oplog(args[1] if len(args) > 1 else None)
+            if len(args) > 2 and args[2] is not None:
+                codecs[shard_id] = args[2]
         else:
             shard, log = _restore_primary(shard_id, *args)
         engines[shard_id] = DictionaryEngine(shard)
@@ -382,6 +398,7 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         return _describe_shard(shard)
     if method == "__drop__":
         del engines[shard_id]
+        codecs.pop(shard_id, None)
         log = logs.pop(shard_id, None)
         if log is not None:
             log.close()
@@ -394,6 +411,7 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         # described the dead primary, not the promoted copy.
         replica_id, oplog_spec = args
         engines[shard_id] = engines.pop(replica_id)
+        codecs.pop(replica_id, None)
         stale = logs.pop(shard_id, None)
         if stale is not None:
             stale.close()
@@ -403,11 +421,12 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
     engine = engines[shard_id]
     structure = engine.structure
     log = logs.get(shard_id)
+    codec = codecs.get(shard_id)
     # The batched bulk paths: one command per shard per engine-level call.
     if method == "insert_batch":
-        return _insert_batch(structure, log, args[0])
+        return _insert_batch(structure, log, codec, args[0])
     if method == "delete_batch":
-        return _delete_batch(structure, log, args[0])
+        return _delete_batch(structure, log, codec, args[0])
     if method == "contains_batch":
         contains = structure.contains
         with child_span("worker.apply.contains"):
@@ -416,21 +435,28 @@ def _execute(engines: Dict[int, DictionaryEngine], logs: Dict[int, object],
         # Routed point mutations (including the migration traffic the
         # elastic resizes push through the shard proxies) log one committed
         # frame each.  As in a batch, a pair's frame is encoded before the
-        # pair is applied, so a pair the log refuses is not applied.
+        # pair is applied, so a pair the log refuses is not applied; a
+        # delete is encoded once it applied.  A durable replica checks the
+        # same record with its primary's codec and writes nothing.
         failpoints.trip("worker." + method)
-        if log is None:
+        if log is None and codec is None:
             return getattr(structure, method)(*args)
         if method == "delete":
             result = structure.delete(args[0])
-            log.append("delete", args[0])
+            record = args[0]
         else:
-            frames, refusal = log.encode(
-                method, [(args[0], args[1] if len(args) > 1 else None)])
-            if refusal is not None:
-                raise refusal
+            record = (args[0], args[1] if len(args) > 1 else None)
+        if log is not None:
+            frames, refusal = log.encode(method, [record])
+        else:
+            frames, refusal = (), codec.encodable([record])[1]
+        if refusal is not None:
+            raise refusal
+        if method != "delete":
             result = getattr(structure, method)(*args)
+        if log is not None:
             log.write(method, frames)
-        log.commit()
+            log.commit()
         return result
     if method == "__checkpoint__":
         return _checkpoint_primary(engine, shard_id, log, args[0])
@@ -552,6 +578,7 @@ def _worker_main(conn) -> None:
     _neutralise_inherited_sockets(conn.fileno())
     engines: Dict[int, DictionaryEngine] = {}
     logs: Dict[int, object] = {}
+    codecs: Dict[int, object] = {}
     # Enabled on the first traced command; adopted spans finish into its
     # ring worker-side but primarily travel back on the reply for the
     # parent to graft.
@@ -582,15 +609,15 @@ def _worker_main(conn) -> None:
             span.started = received
         try:
             if span is None:
-                reply = ("ok", _execute(engines, logs, shard_id, method,
-                                        args))
+                reply = ("ok", _execute(engines, logs, codecs, shard_id,
+                                        method, args))
             else:
                 with span:
                     with child_span("worker.decode") as decode:
                         decode.started = received
                         decode.tag("bytes", len(blob))
-                    reply = ("ok", _execute(engines, logs, shard_id, method,
-                                            args))
+                    reply = ("ok", _execute(engines, logs, codecs, shard_id,
+                                            method, args))
         except Exception as error:
             reply = ("err", error)
         if span is not None:
@@ -1170,9 +1197,17 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                                     config.durability_dir is not None)
         self._next_replica_id = -1
         self._placement_router: Optional[ConsistentHashRouter] = None
+        #: What a durable store's replicas are hosted with: the record
+        #: codec of the primaries' op logs, so a replica refuses what its
+        #: primary's log refuses (``None`` without durability).
+        self._replica_codec = None
         if config.durability_dir is not None:
             _recovery()  # before the first fork, so workers import nothing
             os.makedirs(config.durability_dir, exist_ok=True)
+            from repro.storage.encoding import RecordCodec
+            from repro.storage.snapshot import PAYLOAD_SIZE
+
+            self._replica_codec = RecordCodec(payload_size=PAYLOAD_SIZE)
         self._mp_context = multiprocessing.get_context(
             _default_start_method())
         self._workers: List[_ShardWorker] = []
@@ -1449,7 +1484,7 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         for index, (proxy, targets) in enumerate(plans):
             for target in targets:
                 hostings.append((target, self._take_replica_id(), "__host__",
-                                 (exports[index],)))
+                                 (exports[index], None, self._replica_codec)))
                 owners.append(proxy)
         for proxy, clone in zip(owners, self._host(hostings)):
             clone._synced_epoch = self._rules.barrier_epoch
@@ -1483,7 +1518,8 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                     # pipe, so every replica is an independent, identical
                     # clone.
                     hostings.append((target, self._take_replica_id(),
-                                     "__host__", (shard,)))
+                                     "__host__",
+                                     (shard, None, self._replica_codec)))
             replicas = iter(self._host(hostings))
             for (position, shard), primary in zip(local, primaries):
                 shards[position] = _ReplicatedShardProxy(
@@ -1591,16 +1627,15 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete across every copy; values come from the primaries."""
-        keys, batches = self._grouped_positions(keys)
+        keys, positions, batches = self._grouped_positions(keys)
         with self._bulk_op("delete_many"):
             results = self._rules.fan_out("delete_batch", {
-                position: (self._proxy(position),
-                           ([key for _at, key in batch],))
+                position: (self._proxy(position), (batch,))
                 for position, batch in enumerate(batches) if batch})
         self.metrics.inc("engine.keys.delete_many", len(keys))
         values: List[object] = [None] * len(keys)
         for position, deleted in results.items():
-            for (at, _key), value in zip(batches[position], deleted):
+            for at, value in zip(positions[position], deleted):
                 values[at] = value
         return values
 
@@ -1615,10 +1650,12 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         the same failover as a point read, with the whole slice in one
         crossing per candidate copy.
         """
-        keys, batches = self._grouped_positions(keys)
+        keys, positions, batches = self._grouped_positions(keys)
         commands = []
-        slices: Dict[Tuple[int, int],
-                     Tuple[_ReplicatedShardProxy, _ShardCopy, list]] = {}
+        # Each slice: its proxy, the copy serving it, its keys and their
+        # input positions.
+        slices: Dict[Tuple[int, int], Tuple[_ReplicatedShardProxy,
+                                            _ShardCopy, list, List[int]]] = {}
         for position, batch in enumerate(batches):
             if not batch:
                 continue
@@ -1628,35 +1665,35 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 part = batch[index::len(copies)]
                 if not part:
                     continue
-                slices[(position, index)] = (proxy, copy, part)
+                slices[(position, index)] = (
+                    proxy, copy, part,
+                    positions[position][index::len(copies)])
                 commands.append(
                     ((position, index), copy.worker, copy.shard_id,
-                     "contains_batch",
-                     ([key for _at, key in part],)))
+                     "contains_batch", (part,)))
         rules = self._rules
         with self._bulk_op("contains_many"):
             results, errors = rules.drive(commands)
             fatal: Dict[int, BaseException] = {}
             for key in sorted(errors):
-                proxy, copy, part = slices[key]
+                proxy, copy, part, at = slices[key]
                 try:
                     results[key], copy = rules.failover(
-                        proxy, copy, errors[key], "contains_batch",
-                        ([probe for _at, probe in part],))
+                        proxy, copy, errors[key], "contains_batch", (part,))
                 except Exception as error:
                     fatal.setdefault(key[0], error)
                     continue
-                slices[key] = (proxy, copy, part)
+                slices[key] = (proxy, copy, part, at)
             if fatal:
                 raise fatal[min(fatal)]
         self.metrics.inc("engine.keys.contains_many", len(keys))
         self.metrics.inc("replica_reads.replica_reads", sum(
-            len(part) for proxy, copy, part in slices.values()
+            len(part) for proxy, copy, part, _at in slices.values()
             if copy is not proxy.primary))
         found: List[bool] = [False] * len(keys)
-        for key, (_proxy, _copy, part) in slices.items():
-            for (at, _key), flag in zip(part, results[key]):
-                found[at] = flag
+        for key, (_proxy, _copy, _part, at) in slices.items():
+            for position, flag in zip(at, results[key]):
+                found[position] = flag
         return found
 
     # ------------------------------------------------------------------ #

@@ -19,10 +19,19 @@ rebuild.  This module makes routing a *strategy*:
   hardware can own a proportionally smaller arc share instead of dragging
   every parallel bulk call down to its pace.
 
-Both routers are pure functions of ``(key, shard ids)`` — no process-salted
-``hash()``, no internal mutability observable from routing — so a sharded
-dictionary over history-independent shards stays history independent, and
-snapshot/restore keeps every key on the shard its image came from.
+Every router is a pure function of ``(key, shard ids)`` — no
+process-salted ``hash()``, no internal mutability observable from routing —
+so a sharded dictionary over history-independent shards stays history
+independent, and snapshot/restore keeps every key on the shard its image
+came from.
+
+Each router writes its rule once, in :meth:`Router.route_many`, which
+routes a whole batch in one call: a bulk call's grouping, a resize's
+migration plan and :meth:`~repro.api.sharded.ShardedDictionary.check` make
+one call per batch, and :meth:`Router.route` is the one-key case.  A batch
+sends a plain ``int`` key straight to the splitmix64 mix, which is where
+:func:`hash_key` sends it, and every other key through :func:`hash_key`; a
+ring router looks its ring up once per batch and bisects per key.
 
 Routers route over *stable shard ids*, not bare positions: when shard 1 of
 ``[0, 1, 2]`` is removed, shards 2's virtual nodes (keyed by the id ``2``)
@@ -36,7 +45,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from abc import ABC, abstractmethod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -85,18 +94,28 @@ class Router(ABC):
     """Strategy mapping a key to a position in the current shard list.
 
     ``shard_ids`` is the sequence of *stable* shard identifiers, one per
-    shard position; :meth:`route` returns a position index into it.  Ids are
-    assigned by :class:`~repro.api.sharded.ShardedDictionary` (``0..n-1`` at
-    construction, fresh ids for shards added later) and survive removals, so
-    ring-based routers keep their virtual nodes pinned across resizes.
+    shard position; :meth:`route_many` returns a position index into it per
+    key.  Ids are assigned by :class:`~repro.api.sharded.ShardedDictionary`
+    (``0..n-1`` at construction, fresh ids for shards added later) and
+    survive removals, so ring-based routers keep their virtual nodes pinned
+    across resizes.  A subclass writes its rule once, in
+    :meth:`route_many`; an empty shard list raises
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     #: Registry-style name (``"modulo"`` / ``"consistent"``).
     name: str = ""
 
     @abstractmethod
+    def route_many(self, keys: Iterable[object],
+                   shard_ids: Sequence[int]) -> List[int]:
+        """The position (index into ``shard_ids``) each of ``keys`` routes
+        to, in input order."""
+
     def route(self, key: object, shard_ids: Sequence[int]) -> int:
-        """The position (index into ``shard_ids``) ``key`` routes to."""
+        """The position (index into ``shard_ids``) ``key`` routes to: the
+        one-key case of :meth:`route_many`."""
+        return self.route_many((key,), shard_ids)[0]
 
     def spec(self) -> Dict[str, object]:
         """JSON-serialisable description, consumed by :func:`make_router`.
@@ -121,11 +140,14 @@ class ModuloRouter(Router):
 
     name = "modulo"
 
-    def route(self, key: object, shard_ids: Sequence[int]) -> int:
+    def route_many(self, keys: Iterable[object],
+                   shard_ids: Sequence[int]) -> List[int]:
         num_shards = len(shard_ids)
         if num_shards < 1:
             raise ConfigurationError("cannot route over an empty shard list")
-        return hash_key(key) % num_shards
+        # A plain int goes straight to _mix64, as hash_key sends it.
+        return [(_mix64(key) if type(key) is int else hash_key(key))
+                % num_shards for key in keys]
 
 
 class ConsistentHashRouter(Router):
@@ -137,7 +159,8 @@ class ConsistentHashRouter(Router):
     ``hash_key(key)`` on the 64-bit ring, wrapping at the top.
 
     Rings are cached per shard-id tuple, so steady-state routing is one
-    binary search; a resize costs one ring rebuild (``O(n · vnodes log)``).
+    ring lookup per batch and one binary search per key; a resize costs one
+    ring rebuild (``O(n · vnodes log)``).
     """
 
     name = "consistent"
@@ -188,17 +211,19 @@ class ConsistentHashRouter(Router):
         self._rings[shard_ids] = ring
         return ring
 
-    def route(self, key: object, shard_ids: Sequence[int]) -> int:
+    def route_many(self, keys: Iterable[object],
+                   shard_ids: Sequence[int]) -> List[int]:
         if len(shard_ids) < 1:
             raise ConfigurationError("cannot route over an empty shard list")
         positions, owners = self._ring(tuple(shard_ids))
+        search, size = bisect.bisect_left, len(positions)
         # Re-avalanche the key hash onto the full 64-bit ring: non-integer
         # keys hash to a 32-bit CRC, which would otherwise sit below
         # essentially every vnode position and collapse onto one shard.
-        index = bisect.bisect_left(positions, _mix64(hash_key(key)))
-        if index == len(positions):  # wrap past the top of the ring
-            index = 0
-        return owners[index]
+        # ``% size`` wraps a search past the top of the ring to index 0.
+        return [owners[search(positions, _mix64(
+            _mix64(key) if type(key) is int else hash_key(key))) % size]
+            for key in keys]
 
     def successors(self, shard_id: int, shard_ids: Sequence[int],
                    count: int) -> List[int]:

@@ -425,6 +425,10 @@ class ShardedDictionary(HIDictionary):
         """The shard index ``key`` routes to."""
         return self._router.route(key, self._shard_ids)
 
+    def shards_of(self, keys: Iterable[object]) -> List[int]:
+        """The shard index each of ``keys`` routes to, in one router call."""
+        return self._router.route_many(keys, self._shard_ids)
+
     def _shard_for(self, key: object) -> HIDictionary:
         return self._shards[self.shard_of(key)]
 
@@ -457,15 +461,16 @@ class ShardedDictionary(HIDictionary):
         departing = self._shards[leaving] if leaving is not None else None
         moves: List[Tuple[object, object, HIDictionary, int]] = []
         moved_per_source = [0] * len(new_ids)
+        route_many = self._router.route_many
         for position, shard in enumerate(self._shards):
+            pairs = shard.items()
+            targets = route_many([key for key, _value in pairs], new_ids)
             if position == leaving:
-                for key, value in shard.items():
-                    moves.append((key, value, shard,
-                                  self._router.route(key, new_ids)))
+                moves.extend((key, value, shard, target) for (key, value),
+                             target in zip(pairs, targets))
                 continue
             new_position = new_position_of[position]
-            for key, value in shard.items():
-                target = self._router.route(key, new_ids)
+            for (key, value), target in zip(pairs, targets):
                 if target != new_position:
                     moves.append((key, value, shard, target))
                     moved_per_source[new_position] += 1
@@ -731,11 +736,12 @@ class ShardedDictionary(HIDictionary):
 
         for index, shard in enumerate(self._shards):
             shard.check()
-            for key in shard:
-                if self.shard_of(key) != index:
+            keys = list(shard)
+            for key, target in zip(keys, self.shards_of(keys)):
+                if target != index:
                     raise InvariantViolation(
                         "key %r lives on shard %d but routes to shard %d"
-                        % (key, index, self.shard_of(key)))
+                        % (key, index, target))
 
 
 class ShardedDictionaryEngine(DictionaryEngine):
@@ -839,29 +845,33 @@ class ShardedDictionaryEngine(DictionaryEngine):
         """Shard-grouped ``(key, value)`` batches plus the total entry count.
 
         The single source of routing truth for both the sequential and the
-        parallel bulk paths: relative input order is preserved within each
-        per-shard batch.
+        parallel bulk paths: the whole call is routed with one
+        :meth:`~repro.api.routing.Router.route_many`, and relative input
+        order is preserved within each per-shard batch.
         """
+        pairs = list(map(self._as_pair, entries))
         batches: List[List[Pair]] = [[] for _ in self._structure.shards]
         appends = [batch.append for batch in batches]
-        shard_of, as_pair = self._structure.shard_of, self._as_pair
-        for entry in entries:
-            pair = as_pair(entry)
-            appends[shard_of(pair[0])](pair)
-        return batches, sum(map(len, batches))
+        for pair, target in zip(pairs, self._structure.shards_of(
+                [pair[0] for pair in pairs])):
+            appends[target](pair)
+        return batches, len(pairs)
 
     def _grouped_positions(self, keys: Iterable[object]
-                           ) -> Tuple[List[object],
-                                      List[List[Tuple[int, object]]]]:
-        """The key list plus shard-grouped ``(input position, key)`` batches."""
+                           ) -> Tuple[List[object], List[List[int]],
+                                      List[List[object]]]:
+        """The key list, then per shard the input positions of its keys and
+        those keys, both in input order (one ``route_many`` call)."""
         keys = list(keys)
-        batches: List[List[Tuple[int, object]]] = \
-            [[] for _ in self._structure.shards]
-        appends = [batch.append for batch in batches]
-        shard_of = self._structure.shard_of
-        for position, key in enumerate(keys):
-            appends[shard_of(key)]((position, key))
-        return keys, batches
+        positions: List[List[int]] = [[] for _ in self._structure.shards]
+        batches: List[List[object]] = [[] for _ in self._structure.shards]
+        at_appends = [indexes.append for indexes in positions]
+        key_appends = [batch.append for batch in batches]
+        for position, (key, target) in enumerate(
+                zip(keys, self._structure.shards_of(keys))):
+            at_appends[target](position)
+            key_appends[target](key)
+        return keys, positions, batches
 
     def _apply_batches(self, apply, batches: Sequence[list]) -> None:
         """Run ``apply(shard, batch)`` for every shard's non-empty batch,
@@ -895,28 +905,28 @@ class ShardedDictionaryEngine(DictionaryEngine):
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete keys grouped by shard; values return in the input order."""
-        keys, batches = self._grouped_positions(keys)
+        keys, positions, batches = self._grouped_positions(keys)
         values: List[object] = [None] * len(keys)
 
-        def delete_batch(shard: HIDictionary,
-                         batch: List[Tuple[int, object]]) -> None:
+        def delete_batch(shard: HIDictionary, at: List[int]) -> None:
             delete = shard.delete
-            for position, key in batch:
-                values[position] = delete(key)
+            for position in at:
+                values[position] = delete(keys[position])
 
         with self._bulk_op("delete_many"):
-            self._apply_batches(delete_batch, batches)
+            self._apply_batches(delete_batch, positions)
         self.metrics.inc("engine.keys.delete_many", len(values))
         return values
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
         """Membership for every key, grouped by shard; input order preserved."""
-        keys, batches = self._grouped_positions(keys)
+        keys, positions, batches = self._grouped_positions(keys)
         found: List[bool] = [False] * len(keys)
         with self._bulk_op("contains_many"):
-            for shard, batch in zip(self._structure.shards, batches):
+            for shard, at, batch in zip(self._structure.shards, positions,
+                                        batches):
                 contains = shard.contains
-                for position, key in batch:
+                for position, key in zip(at, batch):
                     found[position] = contains(key)
         self.metrics.inc("engine.keys.contains_many", len(found))
         return found

@@ -86,43 +86,51 @@ class WHICapacityRule:
         Returns ``(new_capacity, resized)``.  ``resized`` is ``True`` whenever
         the caller must physically reallocate (even if the numeric capacity
         happens to coincide with the old one).
+
+        The range floors of :func:`capacity_range` are worked out inline
+        (this runs once per skip-list leaf insert): with ``floor > 1`` a
+        count at or below the floor keeps the range ``{floor..2floor-1}``;
+        with ``floor == 1`` the first insert leaves the empty range
+        ``(0, 0)``; any other count moves the range's low end to
+        ``new_count``.
         """
         if new_count <= 0:
             raise RankError("new_count must be positive after an insert")
-        old_count = new_count - 1
-        old_low, _ = capacity_range(old_count, self.floor)
-        new_low, _ = capacity_range(new_count, self.floor)
         if capacity <= 0:
             # Nothing allocated yet: draw fresh from the target distribution.
             return self.initial_capacity(new_count), True
-        if new_low == old_low:
+        floor = self.floor
+        if new_count <= floor and floor > 1:
             # Floored regime: the target distribution did not change.
             return capacity, False
-        if old_count == 0:
+        n = new_count - 1
+        if n == 0:
             return self.initial_capacity(new_count), True
         # Regular regime: old range {n..2n-1}, new range {n+1..2n+1}, n >= 1.
-        n = old_count
-        forced = capacity < new_low
+        forced = capacity < new_count
         voluntary = self._rng.random() < 1.0 / (n + 1)
         if forced or voluntary:
             return self._rng.choice((2 * n, 2 * n + 1)), True
         return capacity, False
 
     def after_delete(self, new_count: int, capacity: int) -> Tuple[int, bool]:
-        """Evolve the capacity across a delete that brought the count to ``new_count``."""
+        """Evolve the capacity across a delete that brought the count to ``new_count``.
+
+        As in :meth:`after_insert`, the range floors are worked out inline:
+        emptying a floor-1 array leaves the range ``(0, 0)``; a count whose
+        old value was at or below the floor keeps ``{floor..2floor-1}``.
+        """
         if new_count < 0:
             raise RankError("new_count cannot be negative")
-        old_count = new_count + 1
-        old_low, _ = capacity_range(old_count, self.floor)
-        new_low, new_high = capacity_range(new_count, self.floor)
-        if new_high <= 0:
+        floor = self.floor
+        if new_count == 0 and floor == 1:
             return 0, capacity != 0
-        if new_low == old_low:
+        n = new_count + 1
+        if n <= floor:
             # Floored regime (or no change in the target range): keep.
             return capacity, False
         # Regular regime: old range {n..2n-1}, new range {n-1..2n-3}, n >= 2.
-        n = old_count
-        if capacity <= new_high:
+        if capacity <= 2 * n - 3:
             return capacity, False
         # Forced resize: draw from the excess distribution.
         if self._rng.random() < n / (2.0 * (n - 1)):

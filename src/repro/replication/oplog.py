@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import CapacityError, ConfigurationError
 from repro.obs import child_span
 from repro.storage.encoding import RecordCodec
-from repro.storage.snapshot import release_files, replace_file
+from repro.storage.snapshot import PAYLOAD_SIZE, release_files, replace_file
 
 #: Log file magic; a file that does not start with it is rejected.
 MAGIC = b"REPROLOG"
@@ -173,7 +173,7 @@ class OpLog:
     keeps, so the first append after a reopen lands on the frame grid.
     """
 
-    def __init__(self, path: str, *, payload_size: int = 64,
+    def __init__(self, path: str, *, payload_size: int = PAYLOAD_SIZE,
                  fsync: bool = True, truncate: bool = False) -> None:
         self.path = path
         self.codec = RecordCodec(payload_size=payload_size)

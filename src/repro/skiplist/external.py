@@ -21,7 +21,11 @@ descent per operation, except where a batch starts with keys above the
 maximum (an image load, an ascending bulk insert): that run is linked at the
 tail in one pass (:meth:`HistoryIndependentSkipList.insert_many`), with one
 descent per promotion instead of one per key, and is charged, drawn and laid
-out exactly as key-by-key inserts would be.
+out exactly as key-by-key inserts would be.  A key of that run that is not
+promoted costs arithmetic, not helper calls: its leaf array appends it
+(:meth:`~repro.skiplist.leaf.LeafArray.insert`), the size rule works its
+range floors out inline (:meth:`~repro.core.sizing.WHICapacityRule.after_insert`)
+and its block count is one division (:meth:`_blocks`).
 
 History independence follows because every piece of the representation is a
 function of the key set and fresh randomness only: per-key levels are
@@ -425,7 +429,8 @@ class HistoryIndependentSkipList(HIDictionary):
     # ------------------------------------------------------------------ #
 
     def _blocks(self, slots: int) -> int:
-        return max(1, (slots + self.block_size - 1) // self.block_size)
+        # At least one block: ``or 1`` covers the empty array without a call.
+        return (slots + self.block_size - 1) // self.block_size or 1
 
     def _find(self, key: object) -> Tuple[int, LeafNode, int]:
         """One search for ``key``: its read I/Os, its leaf node, and the

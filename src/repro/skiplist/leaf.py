@@ -46,9 +46,17 @@ class LeafArray:
         return tuple(self.keys) + (None,) * max(0, self.capacity - len(self.keys))
 
     def insert(self, key: object, rule: WHICapacityRule) -> bool:
-        """Insert ``key`` (keeping sorted order); return ``True`` if a resize occurred."""
-        bisect.insort(self.keys, key)
-        self.capacity, resized = rule.after_insert(len(self.keys), self.capacity)
+        """Insert ``key`` (keeping sorted order); return ``True`` if a resize occurred.
+
+        A key not below the last one is appended, where ``insort`` would
+        put it, without the binary search (an ascending run's every key).
+        """
+        keys = self.keys
+        if keys and key < keys[-1]:
+            bisect.insort(keys, key)
+        else:
+            keys.append(key)
+        self.capacity, resized = rule.after_insert(len(keys), self.capacity)
         return resized
 
     def remove(self, key: object, rule: WHICapacityRule) -> bool:

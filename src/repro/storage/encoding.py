@@ -98,6 +98,34 @@ class RecordCodec:
         body = payload + b"\x00" * (self.payload_size - len(payload))
         return _HEADER.pack(tag, len(payload)) + body
 
+    def encodable(self, values: Sequence[object]
+                  ) -> Tuple[int, Optional[Exception]]:
+        """How many of ``values``, from the first, :meth:`encode` takes,
+        and the refusal it raises on the next (``None`` when it takes all).
+
+        What a log of ``values`` would refuse, without the records: a plain
+        ``int``, or an ``(int, int)`` pair, in a record's range costs a
+        type and range test; any other value costs one :meth:`encode`
+        whose bytes are dropped.
+        """
+        pairs_fit = self._int_pair_pad is not None
+        for index, value in enumerate(values):
+            kind = type(value)
+            if kind is int:
+                if _INT_MIN <= value <= _INT_MAX:
+                    continue
+            elif kind is tuple and pairs_fit and len(value) == 2:
+                key, item = value
+                if type(key) is int and type(item) is int \
+                        and _INT_MIN <= key <= _INT_MAX \
+                        and _INT_MIN <= item <= _INT_MAX:
+                    continue
+            try:
+                self.encode(value)
+            except (CapacityError, ConfigurationError) as refusal:
+                return index, refusal
+        return len(values), None
+
     def _encode_payload(self, value: object) -> Tuple[int, bytes]:
         if value is None:
             return _TAG_GAP, b""

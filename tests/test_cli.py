@@ -658,6 +658,37 @@ def test_a_client_loads_no_engine_code():
             if name.startswith(("repro.api", "multiprocessing"))] == []
 
 
+IN_PROCESS_ENGINE_THEN_LIST_MODULES = textwrap.dedent("""
+    import sys
+    from repro.api import EngineConfig, make_sharded_engine
+    engine = make_sharded_engine(EngineConfig(inner="b-treap", shards=2,
+                                              seed=3))
+    engine.insert_many((key, -key) for key in range(300))
+    assert engine.contains_many([0, 299, 300]) == [True, True, False]
+    engine.delete_many(range(0, 300, 3))
+    assert len(engine) == 200
+    print(*sorted(name for name in sys.modules
+                  if name.startswith(("repro", "multiprocessing"))))
+""")
+
+
+@pytest.mark.fast
+def test_an_in_process_engine_loads_no_process_engine():
+    """``repro.api`` resolves its exports on first access, so building
+    and driving a ``parallel="none"`` engine never imports
+    ``repro.api.process_engine`` or ``multiprocessing``."""
+    completed = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS_ENGINE_THEN_LIST_MODULES],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    modules = completed.stdout.split()
+    assert "repro.api.sharded" in modules
+    assert [name for name in modules
+            if name.startswith(("repro.api.process_engine",
+                                "multiprocessing"))] == []
+
+
 @pytest.mark.fast
 def test_listing_resolving_and_describing_structures_imports_none():
     """``registry_names``, ``get_info``, ``resolve`` and the CLI's parser
@@ -682,8 +713,8 @@ def test_listing_resolving_and_describing_structures_imports_none():
 
 
 @pytest.mark.fast
-@pytest.mark.parametrize("package", ["repro", "repro.memory", "repro.storage",
-                                     "repro.net"])
+@pytest.mark.parametrize("package", ["repro", "repro.api", "repro.memory",
+                                     "repro.storage", "repro.net"])
 def test_every_exported_name_resolves_on_first_access(package):
     """In a fresh interpreter each package's ``__all__`` is listed by
     ``dir()``, resolves by attribute and by star import, and an unknown

@@ -14,12 +14,14 @@ The migration-correctness suite the resize path is gated on:
   sequential engine's.
 """
 
+import bisect
 import os
 import random
 import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     ConsistentHashRouter,
@@ -27,12 +29,14 @@ from repro.api import (
     ModuloRouter,
     ProcessShardedDictionaryEngine,
     ShardedDictionaryEngine,
+    WeightedConsistentHashRouter,
     hash_key,
     make_dictionary,
     make_router,
     make_sharded_engine,
     shard_index,
 )
+from repro.api.routing import _mix64
 from repro.errors import ConfigurationError
 from repro.replication import open_durable_engine
 from repro.workloads import elastic_churn_trace
@@ -110,6 +114,67 @@ def test_router_equal_keys_route_identically():
     for shards in ([0, 1], [0, 1, 2, 5]):
         assert router.route(True, shards) == router.route(1, shards)
         assert router.route(2.0, shards) == router.route(2, shards)
+
+
+ROUTERS = (ModuloRouter(), ConsistentHashRouter(vnodes=8),
+           WeightedConsistentHashRouter(weights={0: 0.5, 2: 3.0}, vnodes=8))
+
+#: Every key type ``hash_key`` takes: ints of any size and sign, bools,
+#: integer-valued and other floats, text, bytes and tuples.
+ROUTED_KEYS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+    st.booleans(),
+    st.integers(min_value=-10 ** 15, max_value=10 ** 15).map(float),
+    st.floats(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+
+
+@st.composite
+def resized_shard_ids(draw):
+    """A shard-id tuple as ``add_shard`` (largest live id plus one) and
+    ``remove_shard`` (any position, one shard left at least) leave it."""
+    ids = list(range(draw(st.integers(min_value=1, max_value=4))))
+    for grow in draw(st.lists(st.booleans(), max_size=6)):
+        if grow or len(ids) == 1:
+            ids.append(max(ids) + 1)
+        else:
+            ids.pop(draw(st.integers(min_value=0, max_value=len(ids) - 1)))
+    return tuple(ids)
+
+
+def per_key_route(router, key, shard_ids):
+    """The routing rule as first written, one key at a time (the
+    reference a batch must match: manifests persist routing)."""
+    if isinstance(router, ConsistentHashRouter):
+        positions, owners = router._ring(tuple(shard_ids))
+        index = bisect.bisect_left(positions, _mix64(hash_key(key)))
+        return owners[index if index < len(positions) else 0]
+    return hash_key(key) % len(shard_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(router=st.sampled_from(ROUTERS),
+       keys=st.lists(ROUTED_KEYS, max_size=40),
+       shard_ids=resized_shard_ids())
+def test_route_many_routes_every_key_as_route_does(router, keys, shard_ids):
+    """A batch routes each key where ``route`` and the per-key rule send
+    it, for every router, key type and resized shard-id tuple."""
+    routed = router.route_many(keys, shard_ids)
+    assert routed == [router.route(key, shard_ids) for key in keys]
+    assert routed == [per_key_route(router, key, shard_ids) for key in keys]
+    assert router.route_many(iter(keys), list(shard_ids)) == routed
+
+
+@pytest.mark.parametrize("router", ROUTERS, ids=lambda router: router.name)
+def test_routing_over_no_shards_is_a_configuration_error(router):
+    with pytest.raises(ConfigurationError, match="empty shard list"):
+        router.route_many([1, "a"], ())
+    with pytest.raises(ConfigurationError, match="empty shard list"):
+        router.route(1, [])
 
 
 @pytest.mark.parametrize("bad", [0, -3, True, "64", 1.5])

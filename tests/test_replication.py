@@ -887,11 +887,14 @@ def test_a_refused_pair_is_neither_applied_nor_logged(tmp_path):
     """A value the op log cannot encode stops its shard's batch before it
     is applied: each shard applies and logs exactly the pairs before its
     refused one, so the live store and a reopened copy hold the same
-    pairs, and the replica that applied the refused pairs is dropped.
-    A refused point insert or upsert is not applied either.  (The primary
-    used to apply the whole batch, or the point write, and log only what
-    came before: live ``contains`` answered True for the refused key and
-    every key after it, the reopened store False.)"""
+    pairs.  The replica refuses the same pair, so it applies the same
+    prefix, raises the same error and stays in service, byte for byte its
+    primary's copy.  A refused point insert or upsert is not applied
+    either.  (The primary used to apply the whole batch, or the point
+    write, and log only what came before: live ``contains`` answered True
+    for the refused key and every key after it, the reopened store False.
+    The replica, which has no log, used to apply every pair and be dropped
+    for the outcome mismatch.)"""
     directory = str(tmp_path / "d")
     engine = build_engine(shards=2, replication=2, durability_dir=directory,
                           seed=7)
@@ -909,13 +912,19 @@ def test_a_refused_pair_is_neither_applied_nor_logged(tmp_path):
             == [pair in kept for pair in batch]
         assert engine.items() == kept
         counts = engine.replica_counts()
-        assert counts[shard_of(4)] == 0
+        assert counts[shard_of(4)] == 1
         assert counts[1 - shard_of(4)] == 1
         with pytest.raises(CapacityError):
             engine.insert(3, "x" * 200)
         with pytest.raises(CapacityError):
             engine.upsert(2, "x" * 200)
         assert engine.items() == kept
+        assert engine.replica_counts() == [1, 1]
+        for position in range(engine.num_shards):
+            proxy = engine._proxy(position)
+            layout = proxy.primary.call("memory_representation")
+            assert [replica.call("memory_representation")
+                    for replica in proxy.replicas] == [layout]
     finally:
         engine.close()
     reopened = open_durable_engine(directory)

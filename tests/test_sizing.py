@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.sizing import WHICapacityRule, WHIDynamicArray, capacity_range
 from repro.errors import RankError
 
+pytestmark = pytest.mark.fast
+
 
 # --------------------------------------------------------------------------- #
 # capacity_range
@@ -258,3 +260,74 @@ def test_dynamic_array_amortized_moves_are_constant():
     # Appends shift nothing; only resizes move elements, with probability
     # Θ(1/n) each, so total moves stay linear.
     assert array.element_moves < 12 * appends
+
+
+# --------------------------------------------------------------------------- #
+# The rule against a frozen reference
+# --------------------------------------------------------------------------- #
+
+def _reference_after_insert(rule, new_count, capacity):
+    """``after_insert`` as first written, with its floors read through
+    ``capacity_range`` (kept here as the reference)."""
+    if new_count <= 0:
+        raise RankError("new_count must be positive after an insert")
+    old_count = new_count - 1
+    old_low, _ = capacity_range(old_count, rule.floor)
+    new_low, _ = capacity_range(new_count, rule.floor)
+    if capacity <= 0:
+        return rule.initial_capacity(new_count), True
+    if new_low == old_low:
+        return capacity, False
+    if old_count == 0:
+        return rule.initial_capacity(new_count), True
+    n = old_count
+    forced = capacity < new_low
+    voluntary = rule._rng.random() < 1.0 / (n + 1)
+    if forced or voluntary:
+        return rule._rng.choice((2 * n, 2 * n + 1)), True
+    return capacity, False
+
+
+def _reference_after_delete(rule, new_count, capacity):
+    """``after_delete`` as first written (the reference)."""
+    if new_count < 0:
+        raise RankError("new_count cannot be negative")
+    old_count = new_count + 1
+    old_low, _ = capacity_range(old_count, rule.floor)
+    new_low, new_high = capacity_range(new_count, rule.floor)
+    if new_high <= 0:
+        return 0, capacity != 0
+    if new_low == old_low:
+        return capacity, False
+    n = old_count
+    if capacity <= new_high:
+        return capacity, False
+    if rule._rng.random() < n / (2.0 * (n - 1)):
+        return n - 1, True
+    if n == 2:
+        return n - 1, True
+    return rule._rng.randint(n, 2 * n - 3), True
+
+
+@pytest.mark.parametrize("floor", [1, 2, 10])
+def test_the_rule_matches_its_reference_draw_for_draw(floor):
+    """Every ``(count, capacity)`` with a count below 200 returns what the
+    reference returns, and each count's steps leave the generator where
+    the reference leaves it, the empty floor-1 range ``(0, 0)`` included.
+    (A different number or kind of draw in any step moves the state.)"""
+    rule = WHICapacityRule(seed=floor, floor=floor)
+    reference = WHICapacityRule(seed=floor, floor=floor)
+    for count in range(200):
+        # The empty array, below, inside and above the count's range.
+        for capacity in range(2 * capacity_range(count, floor)[1] + 2):
+            if count >= 1:
+                assert rule.after_insert(count, capacity) \
+                    == _reference_after_insert(reference, count, capacity)
+            assert rule.after_delete(count, capacity) \
+                == _reference_after_delete(reference, count, capacity)
+        assert rule._rng.getstate() == reference._rng.getstate()
+    for bad in (0, -3):
+        with pytest.raises(RankError):
+            rule.after_insert(bad, 5)
+    with pytest.raises(RankError):
+        rule.after_delete(-1, 5)

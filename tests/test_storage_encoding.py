@@ -148,6 +148,47 @@ def test_property_record_round_trip(value):
     assert codec.decode(codec.encode(value)) == value
 
 
+def encoded_prefix(codec, values):
+    """What ``encodable`` must report: the values ``encode`` takes before
+    its first refusal, and that refusal's type."""
+    for index, value in enumerate(values):
+        try:
+            codec.encode(value)
+        except (CapacityError, ConfigurationError) as refusal:
+            return index, type(refusal)
+    return len(values), None
+
+
+#: Values on either side of every refusal a record makes: the signed
+#: 16-byte integer bounds, in a pair and alone, bools, text past the
+#: budget or not UTF-8, nested pairs and types a record cannot hold.
+RECORD_EDGES = st.sampled_from([
+    0, True, 2 ** 127 - 1, -(2 ** 127), 2 ** 127, -(2 ** 127) - 1,
+    (1, 2), (2 ** 127 - 1, -(2 ** 127)), (2 ** 127, 1), (1, 2 ** 127),
+    (-(2 ** 127) - 1, 1), (1, -(2 ** 127) - 1),
+    (True, 1), (1, 2.5), (1, "v"), (1, "x" * 80), "x" * 80, "\ud800",
+    ((1, 2), 3), (1, 2, 3), [1, 2], None, 2.5, b"bytes",
+])
+
+
+@pytest.mark.fast
+@settings(max_examples=150, deadline=None)
+@given(payload_size=st.sampled_from([16, 35, 36, 64]),
+       values=st.lists(st.one_of(
+           RECORD_EDGES,
+           st.integers(min_value=-(2 ** 130), max_value=2 ** 130),
+           st.tuples(st.integers(min_value=-(2 ** 130), max_value=2 ** 130),
+                     st.integers(min_value=-(2 ** 130),
+                                 max_value=2 ** 130))), max_size=12))
+def test_encodable_reports_the_prefix_encode_takes(payload_size, values):
+    """``encodable`` stops where ``encode`` first refuses and returns that
+    refusal, at every budget, the int-pair layout's minimum included."""
+    codec = RecordCodec(payload_size=payload_size)
+    count, refusal = codec.encodable(values)
+    assert (count, None if refusal is None else type(refusal)) \
+        == encoded_prefix(codec, values)
+
+
 # --------------------------------------------------------------------------- #
 # PageCodec
 # --------------------------------------------------------------------------- #
