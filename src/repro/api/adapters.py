@@ -7,7 +7,8 @@ the :class:`~repro.api.protocol.HIDictionary` protocol by keeping a shadow
 sorted key list for rank translation — the same bookkeeping the CLI and the
 audit replays used to repeat inline — and a side table for the values (the
 PMA slots store the bare keys, so the physical layout is exactly what the
-direct rank-addressed drivers produce).
+direct rank-addressed drivers produce; a snapshot puts each key's value
+back into its slot).
 """
 
 from __future__ import annotations
@@ -67,10 +68,14 @@ class RankKeyedDictionary(HIDictionary):
         return self._structure.memory_representation()
 
     def snapshot_slots(self) -> Sequence[object]:
-        """The wrapped structure's slot array, gaps included."""
+        """The wrapped structure's slot array, gaps included, each key's
+        slot holding its ``(key, value)`` record (slot order and gaps are
+        the layout's, so the image stays a dump of it)."""
         slots = getattr(self._structure, "slots", None)
         if callable(slots):
-            return slots()
+            values = self._values
+            return [None if key is None else (key, values[key])
+                    for key in slots()]
         return self.items()
 
     # ------------------------------------------------------------------ #

@@ -1617,8 +1617,8 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def insert_many(self, entries: Iterable[object]) -> int:
         """Insert with one ``insert_batch`` per copy of each shard."""
-        batches, count = self._grouped_entries(entries)
         with self._bulk_op("insert_many"):
+            batches, count = self._grouped_entries(entries)
             self._rules.fan_out("insert_batch", {
                 position: (self._proxy(position), (batch,))
                 for position, batch in enumerate(batches) if batch})
@@ -1627,16 +1627,16 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete across every copy; values come from the primaries."""
-        keys, positions, batches = self._grouped_positions(keys)
         with self._bulk_op("delete_many"):
+            keys, positions, batches = self._grouped_positions(keys)
             results = self._rules.fan_out("delete_batch", {
                 position: (self._proxy(position), (batch,))
                 for position, batch in enumerate(batches) if batch})
+            values: List[object] = [None] * len(keys)
+            for position, deleted in results.items():
+                for at, value in zip(positions[position], deleted):
+                    values[at] = value
         self.metrics.inc("engine.keys.delete_many", len(keys))
-        values: List[object] = [None] * len(keys)
-        for position, deleted in results.items():
-            for at, value in zip(positions[position], deleted):
-                values[at] = value
         return values
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
@@ -1650,29 +1650,30 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
         the same failover as a point read, with the whole slice in one
         crossing per candidate copy.
         """
-        keys, positions, batches = self._grouped_positions(keys)
-        commands = []
-        # Each slice: its proxy, the copy serving it, its keys and their
-        # input positions.
-        slices: Dict[Tuple[int, int], Tuple[_ReplicatedShardProxy,
-                                            _ShardCopy, list, List[int]]] = {}
-        for position, batch in enumerate(batches):
-            if not batch:
-                continue
-            proxy = self._proxy(position)
-            copies = proxy.read_copies()
-            for index, copy in enumerate(copies):
-                part = batch[index::len(copies)]
-                if not part:
-                    continue
-                slices[(position, index)] = (
-                    proxy, copy, part,
-                    positions[position][index::len(copies)])
-                commands.append(
-                    ((position, index), copy.worker, copy.shard_id,
-                     "contains_batch", (part,)))
         rules = self._rules
         with self._bulk_op("contains_many"):
+            keys, positions, batches = self._grouped_positions(keys)
+            commands = []
+            # Each slice: its proxy, the copy serving it, its keys and
+            # their input positions.
+            slices: Dict[Tuple[int, int],
+                         Tuple[_ReplicatedShardProxy, _ShardCopy, list,
+                               List[int]]] = {}
+            for position, batch in enumerate(batches):
+                if not batch:
+                    continue
+                proxy = self._proxy(position)
+                copies = proxy.read_copies()
+                for index, copy in enumerate(copies):
+                    part = batch[index::len(copies)]
+                    if not part:
+                        continue
+                    slices[(position, index)] = (
+                        proxy, copy, part,
+                        positions[position][index::len(copies)])
+                    commands.append(
+                        ((position, index), copy.worker, copy.shard_id,
+                         "contains_batch", (part,)))
             results, errors = rules.drive(commands)
             fatal: Dict[int, BaseException] = {}
             for key in sorted(errors):
@@ -1686,14 +1687,14 @@ class ProcessShardedDictionaryEngine(ShardedDictionaryEngine):
                 slices[key] = (proxy, copy, part, at)
             if fatal:
                 raise fatal[min(fatal)]
+            found: List[bool] = [False] * len(keys)
+            for key, (_proxy, _copy, _part, at) in slices.items():
+                for position, flag in zip(at, results[key]):
+                    found[position] = flag
         self.metrics.inc("engine.keys.contains_many", len(keys))
         self.metrics.inc("replica_reads.replica_reads", sum(
             len(part) for proxy, copy, part, _at in slices.values()
             if copy is not proxy.primary))
-        found: List[bool] = [False] * len(keys)
-        for key, (_proxy, _copy, _part, at) in slices.items():
-            for position, flag in zip(at, results[key]):
-                found[position] = flag
         return found
 
     # ------------------------------------------------------------------ #

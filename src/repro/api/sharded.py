@@ -897,32 +897,32 @@ class ShardedDictionaryEngine(DictionaryEngine):
         locality win over interleaved routing, and applies it with one
         structure-level ``insert_many``.  Returns the number inserted.
         """
-        batches, count = self._grouped_entries(entries)
         with self._bulk_op("insert_many"):
+            batches, count = self._grouped_entries(entries)
             self._apply_batches(insert_pairs, batches)
         self.metrics.inc("engine.keys.insert_many", count)
         return count
 
     def delete_many(self, keys: Iterable[object]) -> List[object]:
         """Delete keys grouped by shard; values return in the input order."""
-        keys, positions, batches = self._grouped_positions(keys)
-        values: List[object] = [None] * len(keys)
-
-        def delete_batch(shard: HIDictionary, at: List[int]) -> None:
-            delete = shard.delete
-            for position in at:
-                values[position] = delete(keys[position])
-
         with self._bulk_op("delete_many"):
+            keys, positions, _batches = self._grouped_positions(keys)
+            values: List[object] = [None] * len(keys)
+
+            def delete_batch(shard: HIDictionary, at: List[int]) -> None:
+                delete = shard.delete
+                for position in at:
+                    values[position] = delete(keys[position])
+
             self._apply_batches(delete_batch, positions)
         self.metrics.inc("engine.keys.delete_many", len(values))
         return values
 
     def contains_many(self, keys: Iterable[object]) -> List[bool]:
         """Membership for every key, grouped by shard; input order preserved."""
-        keys, positions, batches = self._grouped_positions(keys)
-        found: List[bool] = [False] * len(keys)
         with self._bulk_op("contains_many"):
+            keys, positions, batches = self._grouped_positions(keys)
+            found: List[bool] = [False] * len(keys)
             for shard, at, batch in zip(self._structure.shards, positions,
                                         batches):
                 contains = shard.contains

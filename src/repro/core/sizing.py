@@ -31,13 +31,22 @@ pushing the distribution through the kernel symbolically.
 The same kernel generalises to the *floored* ranges needed by the skip list's
 leaf arrays (Invariant 16): capacities uniform on ``{L, ..., 2L - 1}`` with
 ``L = max(n, floor)``.
+
+Draws.  The coin of a voluntary or excess resize is one ``random()``; every
+uniform choice (a fresh capacity, ``{2n, 2n + 1}``, ``{n, ..., 2n - 3}``)
+is :func:`repro._rng.randbelow` on the generator's ``getrandbits``, the
+bits and rejection rule ``Random.randint`` and ``Random.choice`` take, so
+the capacities and the generator's state are what those methods would
+leave.  ``tests/test_sizing.py`` pins the rule draw for draw to a reference
+written with ``randint`` and ``choice``, and ``tests/test_rng.py`` pins
+``randbelow`` to ``random.Random``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro._rng import RandomLike, make_rng
+from repro._rng import RandomLike, make_rng, randbelow
 from repro.errors import ConfigurationError, RankError
 
 
@@ -74,11 +83,26 @@ class WHICapacityRule:
     # ------------------------------------------------------------------ #
 
     def initial_capacity(self, count: int) -> int:
-        """Draw a capacity for a freshly built array holding ``count`` elements."""
-        low, high = capacity_range(count, self.floor)
-        if high <= 0:
+        """Draw a capacity for a freshly built array holding ``count``
+        elements (see :meth:`initial_capacities`)."""
+        low = count if count > self.floor else self.floor
+        if count == 0 and low == 1:
             return 0
-        return self._rng.randint(low, high)
+        return low + randbelow(self._rng.getrandbits, low)
+
+    def initial_capacities(self, counts: Iterable[int]) -> List[int]:
+        """Draw a fresh capacity for each of ``counts``, in order, in one
+        loop (a skip-list node rebuild redraws every array of its node):
+        uniform on :func:`capacity_range`, which ``randint`` over the range
+        draws as ``low + randbelow(low)`` (the range holds ``low`` values);
+        the empty floor-1 range draws nothing."""
+        floor, getrandbits = self.floor, self._rng.getrandbits
+        capacities: List[int] = []
+        for count in counts:
+            low = count if count > floor else floor
+            capacities.append(0 if count == 0 and low == 1
+                              else low + randbelow(getrandbits, low))
+        return capacities
 
     def after_insert(self, new_count: int, capacity: int) -> Tuple[int, bool]:
         """Evolve the capacity across an insert that brought the count to ``new_count``.
@@ -110,7 +134,8 @@ class WHICapacityRule:
         forced = capacity < new_count
         voluntary = self._rng.random() < 1.0 / (n + 1)
         if forced or voluntary:
-            return self._rng.choice((2 * n, 2 * n + 1)), True
+            # choice((2n, 2n + 1)) is 2n + randbelow(2).
+            return 2 * n + randbelow(self._rng.getrandbits, 2), True
         return capacity, False
 
     def after_delete(self, new_count: int, capacity: int) -> Tuple[int, bool]:
@@ -137,7 +162,8 @@ class WHICapacityRule:
             return n - 1, True
         if n == 2:  # the secondary range {n..2n-3} is empty
             return n - 1, True
-        return self._rng.randint(n, 2 * n - 3), True
+        # randint(n, 2n - 3) is n + randbelow(n - 2).
+        return n + randbelow(self._rng.getrandbits, n - 2), True
 
 
 class WHIDynamicArray:

@@ -20,6 +20,17 @@ for deletes and the ``(key, value)`` pair for inserts/upserts; barrier
 frames carry a gap record.  The CRC covers the op byte plus the record, so
 a flipped bit anywhere in a frame is detected on replay.
 
+Encoding.  The common frames skip the codec's dispatch: the op byte and
+the record of an ``(int, int)`` insert or upsert, or of an ``int`` delete,
+are packed with one precompiled struct each
+(:func:`~repro.storage.encoding.int_record_structs`, an int's 16 record
+bytes as ``>qQ`` of ``key >> 64`` and ``key & (2**64 - 1)``), with the
+bytes the codec writes.  Any other payload — a ``bool``, a ``str``, an int
+outside the 16-byte record range — is the op byte before
+:meth:`RecordCodec.encode`'s record, and the codec refuses what a record
+cannot hold.  ``tests/test_replication.py`` pins the two paths to each
+other byte for byte.
+
 Because frames are fixed width, a *logical offset* (``base`` plus the byte
 position past the header) addresses a frame boundary exactly.  Snapshot
 manifests persist the logical offset returned by :meth:`OpLog.barrier`;
@@ -44,7 +55,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.obs import child_span
-from repro.storage.encoding import RecordCodec
+from repro.storage.encoding import (INT_HEAD, INT_PAIR_HEAD, INT_TAG, LOW64,
+                                    RecordCodec, int_record_structs)
 from repro.storage.snapshot import PAYLOAD_SIZE, release_files, replace_file
 
 #: Log file magic; a file that does not start with it is rejected.
@@ -179,6 +191,10 @@ class OpLog:
         self.codec = RecordCodec(payload_size=payload_size)
         #: Whole frame width: op byte + fixed record + CRC.
         self.frame_size = 1 + self.codec.record_size + _CRC.size
+        # The op byte and an int's record, and the op byte and an
+        # (int, int) pair's (None when the budget cannot hold a pair).
+        self._int_frame, self._pair_frame = int_record_structs(
+            payload_size, prefix="B")
         #: Whether commits (and the shard's checkpoint images) reach disk.
         self.fsync = fsync
         self._base = 0
@@ -251,14 +267,45 @@ class OpLog:
         first payload the record codec refuses; return the frames and that
         refusal (a :class:`~repro.errors.CapacityError` or
         :class:`~repro.errors.ConfigurationError`), ``None`` when every
-        payload encoded.  Nothing is written."""
+        payload encoded.  Nothing is written.
+
+        An ``int`` key, or an ``(int, int)`` pair, in a record's range is
+        one struct pack (see the module doc); the codec takes the rest.
+        """
         if op not in _OP_CODES:
             raise ConfigurationError("unknown op log operation %r" % (op,))
         code, record = _OP_CODES[op], self.codec.encode
         frames: List[bytes] = []
+        append, crc, seal = frames.append, zlib.crc32, _CRC.pack
         try:
-            for payload in payloads:
-                frames.append(_frame(code, record(payload)))
+            if op == "delete":
+                pack = self._int_frame.pack
+                for key in payloads:
+                    body = None
+                    if type(key) is int:
+                        try:
+                            body = pack(code, INT_HEAD, key >> 64, key & LOW64)
+                        except struct.error:
+                            pass  # outside a record's range: the codec refuses
+                    if body is None:
+                        body = bytes((code,)) + record(key)
+                    append(body + seal(crc(body)))
+            else:
+                pack = self._pair_frame.pack if self._pair_frame else None
+                for pair in payloads:
+                    body = None
+                    if type(pair) is tuple and len(pair) == 2 and pack:
+                        key, value = pair
+                        if type(key) is int and type(value) is int:
+                            try:
+                                body = pack(code, INT_PAIR_HEAD, key >> 64,
+                                            key & LOW64, INT_TAG, value >> 64,
+                                            value & LOW64)
+                            except struct.error:
+                                pass  # outside a record's range
+                    if body is None:
+                        body = bytes((code,)) + record(pair)
+                    append(body + seal(crc(body)))
         except (CapacityError, ConfigurationError) as refusal:
             return frames, refusal
         return frames, None

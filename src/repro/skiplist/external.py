@@ -22,10 +22,18 @@ maximum (an image load, an ascending bulk insert): that run is linked at the
 tail in one pass (:meth:`HistoryIndependentSkipList.insert_many`), with one
 descent per promotion instead of one per key, and is charged, drawn and laid
 out exactly as key-by-key inserts would be.  A key of that run that is not
-promoted costs arithmetic, not helper calls: its leaf array appends it
-(:meth:`~repro.skiplist.leaf.LeafArray.insert`), the size rule works its
-range floors out inline (:meth:`~repro.core.sizing.WHICapacityRule.after_insert`)
-and its block count is one division (:meth:`_blocks`).
+promoted costs arithmetic and generator calls, not helper calls: the run
+kernel (:meth:`HistoryIndependentSkipList._insert_run`) flips its level
+coins, appends it to its leaf array, works out the WHI capacity transition
+and counts its blocks inline, taking every draw from the same generator
+method :meth:`insert` does (a uniform choice from ``getrandbits`` with the
+rejection rule of ``Random.randint``, :func:`repro._rng.randbelow`).  A
+node rebuild redraws every array of the node in one loop
+(:meth:`~repro.core.sizing.WHICapacityRule.initial_capacities`), and a
+promotion splits its leaf array with one bisection and two slices.  So the
+levels, both generators' states, the layout and the per-key charges are
+those of the per-key path, which ``tests/test_hi_skiplist.py`` checks
+against a key-by-key twin and ``tests/test_skiplist_golden.py`` pins.
 
 History independence follows because every piece of the representation is a
 function of the key set and fresh randomness only: per-key levels are
@@ -36,10 +44,12 @@ levels.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro._rng import RandomLike, geometric_level, make_rng, spawn_rng
+from repro._rng import (RandomLike, geometric_level, make_rng, randbelow,
+                         spawn_rng)
 from repro.api.protocol import HIDictionary, Pair
 from repro.core.sizing import WHICapacityRule
 from repro.errors import (ConfigurationError, DuplicateKey, InvariantViolation,
@@ -142,15 +152,22 @@ class HistoryIndependentSkipList(HIDictionary):
                        for level in range(1, self._levels.height + 1))
         return (("leaf_nodes", nodes), ("levels", levels))
 
-    def snapshot_slots(self) -> List[Optional[object]]:
-        """The concatenated leaf-node slot arrays, gaps included.
+    def snapshot_slots(self) -> List[Optional[Pair]]:
+        """The concatenated leaf-node slot arrays, gaps included, each key's
+        slot holding its ``(key, value)`` record.
 
-        This is the on-disk layout Invariant 16 talks about, so persisting it
-        verbatim keeps the snapshot history independent.
+        This is the on-disk layout Invariant 16 talks about, slot for slot,
+        so persisting it verbatim keeps the snapshot history independent;
+        the value rides in its key's slot, so an image loses nothing.
         """
-        return [slot
-                for node in self._nodes_in_order()
-                for slot in node.slots()]
+        values = self._values
+        slots: List[Optional[Pair]] = []
+        for node in self._nodes_in_order():
+            for array in node.arrays:
+                keys = array.keys
+                slots.extend([(key, values[key]) for key in keys])
+                slots.extend([None] * (array.capacity - len(keys)))
+        return slots
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -233,9 +250,8 @@ class HistoryIndependentSkipList(HIDictionary):
             array = node.arrays[index]
             resized = array.insert(key, self._leaf_rule)
             if resized:
-                node.rebuild(self._leaf_rule)
+                write_ios = self._blocks(node.rebuild(self._leaf_rule))
                 self.stats.bump("skiplist.node_rebuild")
-                write_ios = self._blocks(node.total_slots())
             else:
                 write_ios = self._blocks(array.capacity)
         else:
@@ -272,11 +288,23 @@ class HistoryIndependentSkipList(HIDictionary):
         charged the same reads and writes.  A key that is not above the
         maximum, or does not compare with it, is returned for
         :meth:`insert`.
+
+        The loop is :meth:`insert` written out for a key that is appended:
+        the coins of :func:`~repro._rng.geometric_level`, the transition
+        of :meth:`WHICapacityRule.after_insert` (its choice of
+        ``{2n, 2n + 1}`` is :func:`~repro._rng.randbelow` on the rule's
+        ``getrandbits``) and the block counts of :meth:`_blocks` are
+        inline.  Only a promotion, a node rebuild and the two rare
+        transitions (an array's first key, an unallocated array) call the
+        per-key helpers.
         """
-        values, rule, stats, blocks = (self._values, self._leaf_rule,
-                                       self.stats, self._blocks)
-        rng, probability, max_level = (self._rng, self.promote_probability,
-                                       self.max_level)
+        values, stats, block = self._values, self.stats, self.block_size
+        rule = self._leaf_rule
+        floor, rule_coin, rule_bits = (rule.floor, rule._rng.random,
+                                       rule._rng.getrandbits)
+        coin, probability, max_level = (self._rng.random,
+                                        self.promote_probability,
+                                        self.max_level)
         tail = self._nodes[self._levels.last(2)].arrays[-1]
         maximum = tail.keys[-1] if tail.keys else None
         node: Optional[LeafNode] = None
@@ -294,18 +322,39 @@ class HistoryIndependentSkipList(HIDictionary):
                 if node is None:
                     read, node, index = self._find(key)
                     array = node.arrays[index]
-                    descent = read - blocks(array.capacity)
-                read = descent + blocks(array.capacity)
-                level = geometric_level(rng, probability, max_level=max_level)
+                    keys = array.keys
+                    descent = read - self._blocks(array.capacity)
+                capacity = array.capacity
+                read = descent + ((capacity + block - 1) // block or 1)
+                level = 0
+                while coin() < probability:
+                    level += 1
+                    if max_level is not None and level >= max_level:
+                        level = max_level
+                        break
                 if level:
                     write = self._insert_promoted(node, index, key, level)
                     node = None
-                elif array.insert(key, rule):
-                    node.rebuild(rule)
-                    stats.bump("skiplist.node_rebuild")
-                    write = blocks(node.total_slots())
                 else:
-                    write = blocks(array.capacity)
+                    keys.append(key)
+                    count = len(keys)
+                    if capacity <= 0 or count == 1:
+                        capacity, resized = rule.after_insert(count, capacity)
+                    elif count <= floor:
+                        resized = False
+                    else:
+                        # The coin is drawn even when the resize is forced.
+                        resized = rule_coin() < 1.0 / count \
+                            or capacity < count
+                        if resized:
+                            capacity = 2 * count - 2 + randbelow(rule_bits, 2)
+                    array.capacity = capacity
+                    if resized:
+                        write = node.rebuild(rule)
+                        stats.bump("skiplist.node_rebuild")
+                    else:
+                        write = capacity
+                    write = (write + block - 1) // block or 1
                 reads += read
                 writes += write
                 linked += 1
@@ -354,9 +403,8 @@ class HistoryIndependentSkipList(HIDictionary):
             array = node.arrays[index]
             resized = array.remove(key, self._leaf_rule)
             if resized:
-                node.rebuild(self._leaf_rule)
+                write_ios = self._blocks(node.rebuild(self._leaf_rule))
                 self.stats.bump("skiplist.node_rebuild")
-                write_ios = self._blocks(node.total_slots())
             else:
                 write_ios = self._blocks(array.capacity)
         value = self._values.pop(key)
@@ -373,13 +421,14 @@ class HistoryIndependentSkipList(HIDictionary):
                          key: object, level: int) -> int:
         """Insert a promoted key: split its leaf array (and node if level >= 2)."""
         array = node.arrays[index]
-        smaller = [existing for existing in array.keys if existing < key]
-        larger = [existing for existing in array.keys if existing > key]
-        left = LeafArray(array.start, smaller, self._leaf_rule)
-        right = LeafArray(key, [key] + larger, self._leaf_rule)
+        # The array is sorted and does not hold ``key``: one bisection
+        # splits it where ``key`` goes (at the end, for a run's key).
+        keys = array.keys
+        split = bisect.bisect_left(keys, key)
+        left = LeafArray(array.start, keys[:split], self._leaf_rule)
+        right = LeafArray(key, [key] + keys[split:], self._leaf_rule)
         node.arrays[index:index + 1] = [left, right]
         self._levels.add(key, level)
-        write_ios = self._blocks(node.total_slots())
         if level >= 2:
             # The new key starts a fresh leaf node.
             moved = node.arrays[index + 1:]
@@ -387,10 +436,9 @@ class HistoryIndependentSkipList(HIDictionary):
             new_node = LeafNode(key, moved)
             self._nodes[key] = new_node
             self.stats.bump("skiplist.node_split")
-            write_ios = self._blocks(node.total_slots()) + self._blocks(new_node.total_slots())
-        else:
-            self.stats.bump("skiplist.array_split")
-        return write_ios
+            return self._blocks(node.total_slots()) + self._blocks(new_node.total_slots())
+        self.stats.bump("skiplist.array_split")
+        return self._blocks(node.total_slots())
 
     def _delete_array_boundary(self, node: LeafNode, index: int,
                                key: object) -> int:

@@ -116,10 +116,16 @@ class LeafNode:
             flattened += array.slots()
         return flattened
 
-    def rebuild(self, rule: WHICapacityRule) -> None:
-        """Redraw the capacity of every array (a whole-node rewrite)."""
-        for array in self.arrays:
-            array.redraw_capacity(rule)
+    def rebuild(self, rule: WHICapacityRule) -> int:
+        """Redraw the capacity of every array (a whole-node rewrite), in
+        array order with one :meth:`WHICapacityRule.initial_capacities`
+        loop; return the node's new total slots."""
+        arrays = self.arrays
+        capacities = rule.initial_capacities([len(array.keys)
+                                              for array in arrays])
+        for array, capacity in zip(arrays, capacities):
+            array.capacity = capacity
+        return sum(capacities)
 
     def check(self, floor: int) -> None:
         """Verify ordering across arrays and each array's own invariants."""

@@ -41,19 +41,43 @@ _HEADER = struct.Struct(">BI")  # tag, payload length
 _INT_MIN = -(2 ** 127)
 _INT_MAX = 2 ** 127 - 1
 
-#: A pair of two plain integers, the common record, encoded without the
-#: per-element dispatch: a fixed head (pair tag, payload length, the key's
-#: blob length and int tag), the key, the value's int tag, the value.
+#: The two common records, a plain int's and a pair of two plain ints',
+#: are packed with one ``struct`` each, without the per-element dispatch
+#: (:func:`int_record_structs`).  An int's 16 record bytes are its signed
+#: high and unsigned low halves, ``qQ`` of ``value >> 64`` and
+#: ``value & LOW64``; ``struct`` refuses a high half outside ``q``, which
+#: is exactly an int outside a record's range.  Each record's fixed head is
+#: one ``s`` field: an int's tag and payload length (``INT_HEAD``), and a
+#: pair's tag and payload length, then the key's blob length and int tag
+#: (``INT_PAIR_HEAD``); the value's int tag sits between the two ints.
+LOW64 = 2 ** 64 - 1
+INT_TAG = _TAG_INT
 _INT_BLOB = 1 + 16
 _INT_PAIR_PAYLOAD = 2 + 2 * _INT_BLOB
-_INT_PAIR_HEAD = (_HEADER.pack(_TAG_PAIR, _INT_PAIR_PAYLOAD)
-                  + struct.pack(">HB", _INT_BLOB, _TAG_INT))
-_INT_TAG_BYTE = bytes([_TAG_INT])
+INT_HEAD = _HEADER.pack(_TAG_INT, 16)
+INT_PAIR_HEAD = (_HEADER.pack(_TAG_PAIR, _INT_PAIR_PAYLOAD)
+                 + struct.pack(">HB", _INT_BLOB, _TAG_INT))
 
 
 def encoded_record_size(payload_size: int) -> int:
     """Total bytes one record occupies for a given payload budget."""
     return _HEADER.size + payload_size
+
+
+def int_record_structs(payload_size: int, prefix: str = ""
+                       ) -> Tuple[struct.Struct, Optional[struct.Struct]]:
+    """The structs of a plain int's record and of an ``(int, int)`` pair's
+    (``None`` when the budget cannot hold a pair), each after the
+    big-endian fields of ``prefix`` (an op log's op byte) and padded to
+    ``payload_size``.  Pack an int as ``(*prefix, INT_HEAD, value >> 64,
+    value & LOW64)`` and a pair as ``(*prefix, INT_PAIR_HEAD, key >> 64,
+    key & LOW64, INT_TAG, value >> 64, value & LOW64)``."""
+    single = struct.Struct(">%s%dsqQ%dx" % (prefix, len(INT_HEAD),
+                                            payload_size - 16))
+    if payload_size < _INT_PAIR_PAYLOAD:
+        return single, None
+    return single, struct.Struct(">%s%dsqQBqQ%dx" % (
+        prefix, len(INT_PAIR_HEAD), payload_size - _INT_PAIR_PAYLOAD))
 
 
 class RecordCodec:
@@ -72,23 +96,25 @@ class RecordCodec:
             raise ConfigurationError("payload_size must be at least 16 bytes")
         self.payload_size = payload_size
         self.record_size = encoded_record_size(payload_size)
-        self._int_pair_pad = (bytes(payload_size - _INT_PAIR_PAYLOAD)
-                              if payload_size >= _INT_PAIR_PAYLOAD else None)
+        self._int_pair = int_record_structs(payload_size)[1]
+
+    def __reduce__(self):
+        # A struct does not pickle; the codec is its payload budget.
+        return (RecordCodec, (self.payload_size,))
 
     # -- encoding ---------------------------------------------------------- #
 
     def encode(self, value: object) -> bytes:
         """Encode ``value`` into exactly ``record_size`` bytes."""
         if type(value) is tuple and len(value) == 2 \
-                and self._int_pair_pad is not None:
+                and self._int_pair is not None:
             key, item = value
             if type(key) is int and type(item) is int:
                 try:
-                    return b"".join((
-                        _INT_PAIR_HEAD, key.to_bytes(16, "big", signed=True),
-                        _INT_TAG_BYTE, item.to_bytes(16, "big", signed=True),
-                        self._int_pair_pad))
-                except OverflowError:
+                    return self._int_pair.pack(
+                        INT_PAIR_HEAD, key >> 64, key & LOW64,
+                        _TAG_INT, item >> 64, item & LOW64)
+                except struct.error:
                     pass  # outside a record's range: refused below
         tag, payload = self._encode_payload(value)
         if len(payload) > self.payload_size:
@@ -108,7 +134,7 @@ class RecordCodec:
         type and range test; any other value costs one :meth:`encode`
         whose bytes are dropped.
         """
-        pairs_fit = self._int_pair_pad is not None
+        pairs_fit = self._int_pair is not None
         for index, value in enumerate(values):
             kind = type(value)
             if kind is int:

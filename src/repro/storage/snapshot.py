@@ -319,7 +319,8 @@ def read_image(directory: str, entry: Mapping[str, object], index: int,
 
 def decode_slot(slot: object) -> Tuple[object, object]:
     """The ``(key, value)`` of a non-gap image slot: pair slots stay pairs,
-    a bare key (an image of a key-only layout) means ``(key, None)``."""
+    a bare key means ``(key, None)`` (every structure writes pair slots;
+    an older build wrote the skip list's and the PMAs' keys bare)."""
     if isinstance(slot, tuple) and len(slot) == 2:
         return slot
     return slot, None

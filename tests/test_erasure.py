@@ -45,7 +45,7 @@ from repro.history.forensics import (
 from repro.replication import DURABILITY_MODES, open_durable_engine, read_ops
 from repro.replication.recovery import load_manifest
 from repro.storage import image_of
-from repro.storage.snapshot import snapshot_records
+from repro.storage.snapshot import read_image, snapshot_records
 
 pytestmark = pytest.mark.fast
 
@@ -303,6 +303,38 @@ def test_logged_mode_leaks_deleted_keys_the_failing_control(tmp_path):
                      if finding.kind == "oplog-frame"
                      and finding.detail.startswith("delete")]
     assert {finding.key for finding in delete_frames} == set(doomed)
+
+
+def test_a_deleted_key_in_a_skip_list_images_pair_record_is_found(tmp_path):
+    """hi-skiplist images hold ``(key, value)`` records: in logged mode a
+    key deleted after a checkpoint stays in its pair record of the old
+    image, and the auditor finds it there (an ``image-slot`` finding) and
+    in the raw bytes (the nested key half of the pair)."""
+    directory = str(tmp_path / "d")
+    entries = erasure_entries(60)
+    doomed = [7, 30]
+    engine = make_sharded_engine(EngineConfig(
+        inner="hi-skiplist", shards=2, block_size=BLOCK_SIZE, seed=SEED,
+        parallel="process", durability_dir=directory,
+        durability_mode="logged", fsync=False))
+    try:
+        engine.insert_many(entries)
+        engine.checkpoint()
+        engine.delete_many(doomed)
+    finally:
+        engine.close()
+    images = [name for name in os.listdir(directory) if name.endswith(".img")]
+    report = audit_durability_dir(directory, doomed,
+                                  payload_size=PAYLOAD_SIZE)
+    in_images = {(finding.file, finding.key) for finding in report.findings
+                 if finding.kind == "image-slot"}
+    assert {key for _file, key in in_images} == set(doomed)
+    assert {name for name, _key, _at in raw_scan(directory, doomed)
+            if name in images} == {file for file, _key in in_images}
+    manifest = load_manifest(directory)
+    slots = [slot for index, entry in enumerate(manifest["shards"])
+             for slot in read_image(directory, entry, index)]
+    assert {slot for slot in slots if slot is not None} == set(entries)
 
 
 def test_secure_mode_erases_every_deleted_key_byte_for_byte(tmp_path):

@@ -353,6 +353,93 @@ def test_encode_stops_at_the_first_refused_payload(tmp_path):
         assert log.end_offset == 0 and os.path.getsize(path) == empty
 
 
+class _Int(int):
+    """An int that is not a plain ``int``: the record codec encodes it
+    through its tagged-union dispatch, the reference for the struct."""
+
+
+#: Plain ints at and inside the 16-byte record bounds, negative ones too.
+RECORD_INTS = [0, 1, -1, 7, -(2 ** 63) - 1, 2 ** 63, 2 ** 64 - 1, -(2 ** 64),
+               2 ** 127 - 1, -(2 ** 127)]
+
+
+@pytest.mark.parametrize("op", ["insert", "upsert", "delete"])
+def test_a_one_struct_frame_is_the_codec_frame_byte_for_byte(tmp_path, op):
+    """An ``(int, int)`` insert or upsert, and an ``int`` delete, packed
+    with one struct are ``_frame(code, RecordCodec.encode(payload))``, and
+    the bytes the codec's per-element dispatch writes."""
+    from repro.replication.oplog import _OP_CODES, _frame
+
+    if op == "delete":
+        payloads = RECORD_INTS
+        dispatched = [_Int(key) for key in payloads]
+    else:
+        payloads = [(key, value) for key in RECORD_INTS
+                    for value in (0, -5, 2 ** 127 - 1, -(2 ** 127))]
+        dispatched = [(_Int(key), _Int(value)) for key, value in payloads]
+    with OpLog(str(tmp_path / "shard.oplog")) as log:
+        frames, refusal = log.encode(op, payloads)
+        codec, code = log.codec, _OP_CODES[op]
+    assert refusal is None
+    assert frames == [_frame(code, codec.encode(payload))
+                      for payload in payloads]
+    assert frames == [_frame(code, codec.encode(payload))
+                      for payload in dispatched]
+    assert {len(frame) for frame in frames} == {log.frame_size}
+
+
+@pytest.mark.parametrize("op,outside", [
+    ("insert", (2 ** 127, 1)), ("insert", (1, -(2 ** 127) - 1)),
+    ("upsert", (-(2 ** 127) - 1, 1)), ("delete", 2 ** 127),
+    ("delete", -(2 ** 127) - 1)])
+def test_an_int_just_outside_a_record_is_refused_after_the_frames_before_it(
+        tmp_path, op, outside):
+    """The struct path hands an int outside the record range to the codec,
+    which refuses it: ``encode`` returns the frames before it with the
+    ``CapacityError`` and writes nothing."""
+    path = str(tmp_path / "shard.oplog")
+    before = [3, -4] if op == "delete" else [(3, 30), (-4, -40)]
+    after = [5] if op == "delete" else [(5, 50)]
+    with OpLog(path) as log:
+        empty = os.path.getsize(path)
+        frames, refusal = log.encode(op, before + [outside] + after)
+        assert isinstance(refusal, CapacityError)
+        assert frames == log.encode(op, before)[0]
+        assert log.end_offset == 0 and os.path.getsize(path) == empty
+
+
+def test_bools_and_mixed_batches_take_the_codec_path_frame_by_frame(
+        tmp_path):
+    """A bool is no plain int (the codec writes it in 8 bytes), so it takes
+    the codec path; a batch that switches between the two paths mid-way
+    frames every payload as the codec alone would, in order; a budget too
+    small for an int pair refuses the pair as the codec does."""
+    from repro.replication.oplog import _OP_CODES, _frame
+
+    mixed = {
+        "insert": [(1, 2), (True, 3), ("k", 4), (5, False), (-6, -7),
+                   (8, 9.5), (-(2 ** 127), None), (10, b"raw"), (11, 12)],
+        "upsert": [(True, True), (13, 14), (15, "v"), (-16, 17)],
+        "delete": [1, True, "k", -2, False, 3.5, 2 ** 100, b"raw", 4],
+    }
+    with OpLog(str(tmp_path / "shard.oplog")) as log:
+        codec = log.codec
+        for op, payloads in mixed.items():
+            frames, refusal = log.encode(op, payloads)
+            assert refusal is None
+            assert frames == [_frame(_OP_CODES[op], codec.encode(payload))
+                              for payload in payloads]
+        assert log.encode("insert", [(True, 1)])[0] \
+            != log.encode("insert", [(1, 1)])[0]
+    with OpLog(str(tmp_path / "narrow.oplog"), payload_size=20) as narrow:
+        frames, refusal = narrow.encode("insert", [(1, 2)])
+        assert frames == [] and isinstance(refusal, CapacityError)
+        frames, refusal = narrow.encode("delete", [1, -(2 ** 127)])
+        assert refusal is None and frames == [
+            _frame(_OP_CODES["delete"], narrow.codec.encode(key))
+            for key in (1, -(2 ** 127))]
+
+
 @pytest.mark.parametrize("cut_frames", [0, 3, 6])
 def test_a_batched_write_cut_short_reopens_at_its_last_whole_frame(
         tmp_path, cut_frames):
@@ -727,6 +814,47 @@ def test_cold_open_rebuilds_the_whole_engine_from_disk(tmp_path):
         assert len(reopened) == len(twin) + 30
     finally:
         reopened.close()
+
+
+#: Every single structure the process backend builds.
+SINGLE_STRUCTURES = ("adaptive-pma", "b-skiplist", "b-treap", "b-tree",
+                     "classic-pma", "hi-cobtree", "hi-pma", "hi-skiplist",
+                     "memory-skiplist", "treap")
+
+
+def test_the_value_suite_covers_every_single_structure():
+    from repro.api import registry_names
+
+    assert set(SINGLE_STRUCTURES) == set(registry_names()) - {"sharded"}
+
+
+@pytest.mark.parametrize("mode", ["logged", "secure"])
+@pytest.mark.parametrize("inner", SINGLE_STRUCTURES)
+def test_every_structure_keeps_its_values_through_recovery_and_reopen(
+        tmp_path, inner, mode):
+    """A checkpoint image holds each key's value: after ``checkpoint()``, a
+    SIGKILL of a primary's worker and ``recover()`` at ``replication=1``
+    (which replays an empty log tail onto the image), and after
+    ``close()`` and ``open_durable_engine`` (images only), the store
+    returns every value it held."""
+    directory = str(tmp_path / "store")
+    expected = [(key, 10 * key) for key in range(1, 41)]
+    engine = make_sharded_engine(EngineConfig(
+        inner=inner, shards=2, block_size=BLOCK_SIZE, seed=SEED,
+        parallel="process", replication=1, durability_dir=directory,
+        durability_mode=mode))
+    try:
+        engine.insert_many(expected)
+        engine.checkpoint()
+        kill_worker(engine, 0)
+        assert engine.recover().replayed == (0,)
+        assert engine.items() == expected
+        assert [engine.search(key) for key, _value in expected] \
+            == [value for _key, value in expected]
+    finally:
+        engine.close()
+    with open_durable_engine(directory) as reopened:
+        assert reopened.items() == expected
 
 
 def test_open_durable_engine_rejects_missing_or_corrupt_state(tmp_path):

@@ -1,11 +1,12 @@
 """Seeded randomness helpers."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro._rng import geometric_level, make_rng, spawn_rng
+from repro._rng import geometric_level, make_rng, randbelow, spawn_rng
 
 
 def test_make_rng_from_int_is_deterministic():
@@ -65,3 +66,85 @@ def test_geometric_level_distribution_shape():
     ones = samples.count(1) / len(samples)
     assert abs(zeros - 0.5) < 0.05
     assert abs(ones - 0.25) < 0.05
+
+
+# --------------------------------------------------------------------------- #
+# The draw contract of the run kernels: what random.Random draws, bit for bit
+# --------------------------------------------------------------------------- #
+
+#: Spans 1..2**20, with the powers of two and their neighbours (where the
+#: rejection rule's bit count steps) drawn often.
+SPANS = st.one_of(st.integers(min_value=1, max_value=2 ** 20),
+                  st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 2 ** 19 - 1,
+                                   2 ** 19, 2 ** 19 + 1, 2 ** 20 - 1,
+                                   2 ** 20]))
+
+
+@pytest.mark.fast
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64),
+       low=st.integers(min_value=-(2 ** 20), max_value=2 ** 20),
+       spans=st.lists(SPANS, min_size=1, max_size=8))
+def test_randbelow_draws_what_randint_and_choice_draw(seed, low, spans):
+    """``low + randbelow(bits, span)`` is ``randint(low, low + span - 1)``
+    and ``randbelow(bits, len(seq))`` indexes ``choice(seq)``'s pick, draw
+    for draw, and both generators end in the same state."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    for span in spans:
+        assert low + randbelow(rng.getrandbits, span) \
+            == twin.randint(low, low + span - 1)
+        choices = range(low, low + span)
+        assert choices[randbelow(rng.getrandbits, span)] \
+            == twin.choice(choices)
+    assert rng.getstate() == twin.getstate()
+
+
+def _reference_level(rng, probability, max_level):
+    """A skip-list level by its definition: heads while ``random()`` falls
+    below the probability, the flip that reaches ``max_level`` the last."""
+    level = 0
+    while rng.random() < probability:
+        level += 1
+        if max_level is not None and level >= max_level:
+            return max_level
+    return level
+
+
+#: Promotion probabilities at and near the validation bounds (0, 1), and
+#: between them.
+PROBABILITIES = st.one_of(
+    st.sampled_from([5e-324, 2 ** -53, 1e-9, 0.5, 1 - 1e-9, 1 - 2 ** -53]),
+    st.floats(min_value=5e-324, max_value=1 - 2 ** -53))
+
+
+@pytest.mark.fast
+@settings(max_examples=300, deadline=None)
+@example(seed=0, probability=1 - 2 ** -53, max_level=1, draws=3)
+@example(seed=1, probability=5e-324, max_level=None, draws=3)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64),
+       probability=PROBABILITIES,
+       max_level=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+       draws=st.integers(min_value=1, max_value=20))
+def test_geometric_level_flips_the_reference_coins(seed, probability,
+                                                   max_level, draws):
+    """``geometric_level`` returns the reference level and leaves the
+    generator where the reference leaves it (uncapped only below 0.99,
+    where a level stays short)."""
+    if max_level is None and probability > 0.99:
+        max_level = 64
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert geometric_level(rng, probability, max_level) \
+            == _reference_level(twin, probability, max_level)
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.fast
+@pytest.mark.parametrize("probability", [0.0, -0.0, 1.0, -1e-300, 1.5,
+                                         -1.0, math.inf, math.nan])
+def test_geometric_level_refuses_a_probability_outside_zero_one(probability):
+    rng = make_rng(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        geometric_level(rng, probability)
+    assert rng.getstate() == state

@@ -331,3 +331,23 @@ def test_the_rule_matches_its_reference_draw_for_draw(floor):
             rule.after_insert(bad, 5)
     with pytest.raises(RankError):
         rule.after_delete(-1, 5)
+
+
+@pytest.mark.parametrize("floor", [1, 2, 10])
+def test_fresh_capacities_are_randint_draws_over_the_range(floor):
+    """``initial_capacity`` and a node rebuild's ``initial_capacities`` draw
+    what ``randint`` over :func:`capacity_range` draws (nothing for the
+    empty floor-1 range), in order, leaving the same generator state."""
+    counts = list(range(300)) + [0, 5, 1, 2 ** 16, 2 ** 16 - 1, 3]
+    reference = random.Random(floor)
+    expected = []
+    for count in counts:
+        low, high = capacity_range(count, floor)
+        expected.append(reference.randint(low, high) if high > 0 else 0)
+    one_by_one = WHICapacityRule(seed=floor, floor=floor)
+    assert [one_by_one.initial_capacity(count) for count in counts] \
+        == expected
+    in_one_loop = WHICapacityRule(seed=floor, floor=floor)
+    assert in_one_loop.initial_capacities(counts) == expected
+    assert one_by_one._rng.getstate() == in_one_loop._rng.getstate() \
+        == reference.getstate()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import DictionaryEngine, EngineConfig, make_sharded_engine
 from repro.core.hi_pma import HistoryIndependentPMA
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.history.forensics import audit_durability_dir
 from repro.pma.classic import ClassicPMA
 from repro.storage import (
@@ -257,3 +257,26 @@ def test_snapshot_images_of_same_hi_pma_state_can_differ_across_seeds():
     image_first = image_of(*snapshot_structure(first, page_size=1024, payload_size=32))
     image_second = image_of(*snapshot_structure(second, page_size=1024, payload_size=32))
     assert image_first.stored_values() == image_second.stored_values()
+
+
+@pytest.mark.parametrize("inner", ["hi-skiplist", "hi-pma"])
+def test_an_image_holds_each_keys_value_and_refuses_a_pair_too_large(
+        tmp_path, inner):
+    """An image of a slot layout holds ``(key, value)`` records in the
+    layout's slots, gaps where the layout has gaps, and a pair too large
+    for a record is refused with ``CapacityError`` by ``write_image``."""
+    from repro.api import make_dictionary
+    from repro.storage.snapshot import read_image, write_image
+
+    structure = make_dictionary(inner, block_size=8, seed=4)
+    structure.insert_many((key, -key) for key in range(1, 31))
+    slots = list(structure.snapshot_slots())
+    assert [slot for slot in slots if slot is not None] \
+        == [(key, -key) for key in range(1, 31)]
+    assert None in slots
+    entry = write_image(str(tmp_path), "shard.img", slots, kind=inner)
+    assert read_image(str(tmp_path), entry, 0) == slots
+    structure.upsert(7, "x" * 200)
+    with pytest.raises(CapacityError):
+        write_image(str(tmp_path), "big.img", structure.snapshot_slots(),
+                    kind=inner)

@@ -331,6 +331,34 @@ def test_traced_bulk_call_crosses_into_the_workers():
         {root["trace"]}
 
 
+@pytest.mark.parametrize("parallel", ["none", "process"])
+def test_bulk_routing_runs_inside_the_engine_span(parallel, monkeypatch):
+    """With tracing on, a bulk call routes and groups its keys under its
+    own ``engine.<op>`` span (so the span and the ``engine.latency.<op>``
+    timer cover routing), on both sharded engines."""
+    engine = make_sharded_engine(config=EngineConfig(
+        inner="b-treap", shards=2, block_size=BLOCK_SIZE, seed=SEED,
+        parallel=parallel, telemetry=True))
+    seen = []
+    for name in ("_grouped_entries", "_grouped_positions"):
+        def spy(*args, _grouped=getattr(engine, name)):
+            span = current_span()
+            seen.append(None if span is None else span.name)
+            return _grouped(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+    try:
+        assert engine.tracer.enabled
+        engine.insert_many((key, key) for key in range(40))
+        assert engine.contains_many(range(0, 50, 5)) \
+            == [key < 40 for key in range(0, 50, 5)]
+        assert engine.delete_many(range(0, 40, 3)) == list(range(0, 40, 3))
+    finally:
+        engine.close()
+    assert seen == ["engine.insert_many", "engine.contains_many",
+                    "engine.delete_many"]
+
+
 PROCESS_COUNTERS = {
     "plane.fsync_batches",
     "erasure.barriers", "erasure.deletes_flushed", "erasure.frames_dropped",
